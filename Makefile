@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test check ci lint bench bench-smoke bench-par race persistence-torture conflict-torture fmt-check obs-check metrics-doc soak slo-smoke
+.PHONY: build test check ci lint bench bench-smoke bench-par bench-repo bench-repo-compare race persistence-torture conflict-torture fmt-check obs-check metrics-doc soak slo-smoke
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,9 @@ test:
 	$(GO) test ./...
 
 # check is the fast pre-merge gate: vet everything, run the
-# concurrency-sensitive suites (state commit pipeline, chain read/write
-# paths, rpc, app) under the race detector, the upgrade-guard suites
+# concurrency-sensitive suites (the sender memo on ethtypes.Transaction,
+# state commit pipeline, chain read/write paths, rpc, app) under the
+# race detector, the upgrade-guard suites
 # (layout-diff round-trip property included) plus the manager tier that
 # exercises them end to end, then the crash-recovery fault-injection
 # suites.
@@ -22,7 +23,7 @@ check:
 	$(MAKE) fmt-check
 	$(MAKE) metrics-doc
 	$(GO) vet ./...
-	$(GO) test -race ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
+	$(GO) test -race ./internal/ethtypes/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
 	$(GO) test -race -count 1 ./internal/upgrade/... ./internal/core/...
 	$(MAKE) persistence-torture
 	$(MAKE) conflict-torture
@@ -88,7 +89,7 @@ conflict-torture:
 	$(GO) test -race -count 1 -run 'TestParallel|TestPipelined' ./internal/chain/
 
 race:
-	$(GO) test -race ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
+	$(GO) test -race ./internal/ethtypes/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
 
 # bench-host prints the parallelism the numbers were taken at — the §P6
 # scaling table is meaningless without it (benchmark name suffixes also
@@ -123,6 +124,20 @@ bench-smoke:
 bench-par:
 	@{ $(BENCH_HOST); \
 	$(GO) test -run xxx -bench MineBlockParallel -benchtime 5x -count 3 -timeout 20m ./internal/chain/; } | tee bench-par.txt
+
+# bench-repo runs the repository benchmark BENCHMARK.json declares (see
+# bench/README.md): all five workloads, three sets, end-to-end metrics
+# with median and quartiles in bench-repo.json. bench-repo-compare
+# judges that file against an earlier one — `make bench-repo-compare
+# BASE=parent.json` prints ok / regressed / unresolved per workload and
+# metric and fails on a regression. Not part of `make ci`: the bounds
+# assume a quiet host.
+bench-repo:
+	bash bench/run.sh -repeat 3 -out bench-repo.json
+
+bench-repo-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-repo-compare BASE=<file written by make bench-repo>"; exit 2; }
+	bash bench/run.sh -compare $(BASE) bench-repo.json
 
 # soak is the bounded-memory gate for the disk-backed state store: it
 # grows the world to SOAK_ACCOUNTS accounts (default 100k; the paper

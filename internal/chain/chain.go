@@ -317,33 +317,70 @@ func (bc *Blockchain) SendTransaction(tx *ethtypes.Transaction) (ethtypes.Hash, 
 	return bc.SendTransactionCtx(context.Background(), tx)
 }
 
+// admitStateless is the part of admission that needs nothing the writer
+// owns, so SendTransactionCtx and SubmitTransaction run it before taking
+// bc.mu: the transaction hash, the gas-limit check, a known-transaction
+// check against the published head view (a replayed hash is refused
+// without paying a recovery) and sender recovery — milliseconds of curve
+// arithmetic that concurrent clients now spend on their own cores instead
+// of queueing for the writer. The recovered sender stays memoised on tx
+// (ethtypes.Transaction.Sender), which is what mining, replay, tracing
+// and RPC read-back hit later. On ErrKnownTransaction the hash is
+// returned alongside the error.
+func (bc *Blockchain) admitStateless(tx *ethtypes.Transaction) (ethtypes.Hash, ethtypes.Address, error) {
+	hash := tx.Hash()
+	if tx.Gas > bc.gasLimit {
+		return ethtypes.Hash{}, ethtypes.Address{}, ErrGasLimitExceeded
+	}
+	if _, known := bc.View().txs.get(hash); known {
+		return hash, ethtypes.Address{}, ErrKnownTransaction
+	}
+	sender, err := tx.Sender(bc.chainID)
+	if err != nil {
+		return ethtypes.Hash{}, ethtypes.Address{}, fmt.Errorf("chain: invalid signature: %w", err)
+	}
+	return hash, sender, nil
+}
+
+// knownLocked is the duplicate check of the stateful stage: the head
+// view admitStateless consulted may be blocks behind by the time bc.mu
+// is held, and only the writer sees the pool and the pipelined tails.
+func (bc *Blockchain) knownLocked(hash ethtypes.Hash) bool {
+	if _, sealed := bc.txs.get(hash); sealed {
+		return true
+	}
+	if _, queued := bc.pendingSet[hash]; queued {
+		return true
+	}
+	_, sealing := bc.inflight[hash]
+	return sealing
+}
+
 // SendTransactionCtx is SendTransaction with span propagation: when ctx
-// carries a sampled trace, the seal pipeline (execute, state root,
-// journal append) shows up as child spans.
+// carries a sampled trace, the stateless admission stage (admit), the
+// wait for the writer lock (lockWait) and the seal pipeline (execute,
+// state root, journal append) show up as child spans.
 func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Transaction) (ethtypes.Hash, error) {
 	ctx, sp := xtrace.Start(ctx, "chain", "sendTransaction")
 	defer sp.End()
 	sealStart := time.Now()
+
+	_, admitSp := xtrace.Start(ctx, "chain", "admit")
+	hash, sender, err := bc.admitStateless(tx)
+	admitSp.SetError(err)
+	admitSp.End()
+	if err != nil {
+		return hash, err
+	}
+
+	_, waitSp := xtrace.Start(ctx, "chain", "lockWait")
 	bc.mu.Lock()
 	bc.waitPipelineSlotLocked()
+	waitSp.End()
 
-	hash := tx.Hash()
-	if _, known := bc.txs.get(hash); known {
+	if bc.knownLocked(hash) {
 		bc.mu.Unlock()
 		return hash, ErrKnownTransaction
-	}
-	if _, pending := bc.inflight[hash]; pending {
-		bc.mu.Unlock()
-		return hash, ErrKnownTransaction
-	}
-	sender, err := tx.Sender(bc.chainID)
-	if err != nil {
-		bc.mu.Unlock()
-		return ethtypes.Hash{}, fmt.Errorf("chain: invalid signature: %w", err)
-	}
-	if tx.Gas > bc.gasLimit {
-		bc.mu.Unlock()
-		return ethtypes.Hash{}, ErrGasLimitExceeded
 	}
 	// bc.st already carries the writes of any pending pipelined tails,
 	// so this admits a sender's next nonce while earlier instant-seal

@@ -259,12 +259,15 @@ func (bc *Blockchain) repairLocked(ctx context.Context, header *ethtypes.Header,
 	return out
 }
 
-// recoverSenders recovers every transaction's sender on the worker
-// pool. ECDSA recovery is by far the largest per-transaction cost of
-// admitting a batch (milliseconds of pure math/big arithmetic), and it
-// is embarrassingly parallel; the serial loop only survives for
-// single-worker chains. Transactions whose signature does not recover
-// are silently skipped, exactly as the serial loop always did.
+// recoverSenders resolves every transaction's sender on the worker
+// pool. For a mined batch each call is a memo hit — SubmitTransaction
+// already recovered the sender before taking bc.mu — so the fan-out
+// only spreads sixteen signing digests. It pays real ECDSA recoveries
+// (milliseconds of math/big arithmetic each, embarrassingly parallel)
+// when recovery replay warms the transactions of a journal suffix, which
+// were decoded from disk without a memo. Transactions whose signature
+// does not recover are silently skipped, exactly as the serial loop
+// always did.
 func (bc *Blockchain) recoverSenders(txs []*ethtypes.Transaction) []txMeta {
 	workers := bc.execWorkerCount()
 	if workers > len(txs) {

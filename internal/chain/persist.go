@@ -396,7 +396,16 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 		bc.installRecord(recs[i])
 	}
 
-	// Re-execute and verify everything after the base.
+	// Re-execute and verify everything after the base. Replay itself is
+	// serial, so first recover the suffix's senders on the worker pool:
+	// the records were decoded memo-less, and one pass here turns every
+	// Sender call in replayBlock (and in a retry with a shorter prefix)
+	// into a memo hit.
+	var suffix []*ethtypes.Transaction
+	for i := base + 1; i < limit; i++ {
+		suffix = append(suffix, recs[i].Txs...)
+	}
+	bc.recoverSenders(suffix)
 	replayed := 0
 	for i := base + 1; i < limit; i++ {
 		if !bc.replayBlock(recs[i]) {

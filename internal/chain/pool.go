@@ -3,7 +3,6 @@ package chain
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sort"
 	"time"
 
@@ -18,27 +17,18 @@ import (
 // SubmitTransaction and sealed together with MineBlock, which executes
 // the batch on the optimistic-parallel executor (executor.go).
 
-// SubmitTransaction validates tx statelessly and queues it for the next
-// MineBlock call. Nonce and balance are checked at mining time, in
-// queue order.
+// SubmitTransaction validates tx statelessly — before bc.mu is taken,
+// see admitStateless — and queues it for the next MineBlock call. Nonce
+// and balance are checked at mining time, in queue order.
 func (bc *Blockchain) SubmitTransaction(tx *ethtypes.Transaction) (ethtypes.Hash, error) {
+	hash, _, err := bc.admitStateless(tx)
+	if err != nil {
+		return hash, err
+	}
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
-	hash := tx.Hash()
-	if _, known := bc.txs.get(hash); known {
+	if bc.knownLocked(hash) {
 		return hash, ErrKnownTransaction
-	}
-	if _, pending := bc.pendingSet[hash]; pending {
-		return hash, ErrKnownTransaction
-	}
-	if _, pending := bc.inflight[hash]; pending {
-		return hash, ErrKnownTransaction
-	}
-	if _, err := tx.Sender(bc.chainID); err != nil {
-		return ethtypes.Hash{}, fmt.Errorf("chain: invalid signature: %w", err)
-	}
-	if tx.Gas > bc.gasLimit {
-		return ethtypes.Hash{}, ErrGasLimitExceeded
 	}
 	bc.pending = append(bc.pending, tx)
 	if bc.pendingSet == nil {
@@ -82,8 +72,8 @@ func (bc *Blockchain) MineBlockAsync() *PendingBlock {
 	bc.pendingSet = nil
 	mTxpoolPending.Set(0)
 	// Stable order: by sender then nonce; submission order breaks ties.
-	// Sender recovery fans out over the executor's worker pool — it is
-	// the dominant per-transaction admission cost.
+	// Every queued transaction had its sender recovered at submission,
+	// so this costs a memo hit (one signing digest) per transaction.
 	metas := bc.recoverSenders(txs)
 	sort.SliceStable(metas, func(i, j int) bool {
 		if c := bytes.Compare(metas[i].sender[:], metas[j].sender[:]); c != 0 {

@@ -18,6 +18,13 @@ import (
 // rig assembles the full four-tier stack in process.
 func rig(t *testing.T) (*Manager, []wallet.Account) {
 	t.Helper()
+	return rigOver(t, func(b *web3.LocalBackend) web3.Backend { return b })
+}
+
+// rigOver is rig with the node wrapped by the caller, for tests that
+// watch what the manager asks of it.
+func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) (*Manager, []wallet.Account) {
+	t.Helper()
 	accs := wallet.DevAccounts("core test", 4)
 	g := chain.DefaultGenesis()
 	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1000))
@@ -26,7 +33,7 @@ func rig(t *testing.T) (*Manager, []wallet.Account) {
 	for _, a := range accs {
 		ks.Import(a.Key)
 	}
-	client, err := web3.NewClient(web3.NewLocalBackend(bc), ks)
+	client, err := web3.NewClient(wrap(web3.NewLocalBackend(bc)), ks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +43,17 @@ func rig(t *testing.T) (*Manager, []wallet.Account) {
 	}
 	t.Cleanup(func() { store.Close() })
 	return NewManager(client, ipfs.NewNode(ipfs.NewMemStore()), store), accs
+}
+
+// countingBackend counts the eth_calls that reach the node.
+type countingBackend struct {
+	*web3.LocalBackend
+	calls int
+}
+
+func (b *countingBackend) CallContract(msg web3.CallMsg) ([]byte, error) {
+	b.calls++
+	return b.LocalBackend.CallContract(msg)
 }
 
 func deployRental(t *testing.T, m *Manager, landlord ethtypes.Address) *Deployment {
@@ -154,6 +172,50 @@ func TestModifyBuildsEvidenceLine(t *testing.T) {
 	latest, _ := m.Latest(v1.Contract.Address)
 	if head != v1.Contract.Address || latest != v3.Contract.Address {
 		t.Fatal("head/latest")
+	}
+}
+
+// TestWalkChainReadsEachVersionOnce pins the cost of a walk: getPrev and
+// getNext once per version, the same from every starting point — the
+// forward pass must not re-read what the backward pass already holds.
+func TestWalkChainReadsEachVersionOnce(t *testing.T) {
+	var node *countingBackend
+	m, accs := rigOver(t, func(b *web3.LocalBackend) web3.Backend {
+		node = &countingBackend{LocalBackend: b}
+		return node
+	})
+	landlord, tenant := accs[0].Address, accs[1].Address
+	svc := NewRentalService(m)
+	line := []ethtypes.Address{deployRental(t, m, landlord).Contract.Address}
+	svcConfirmAndPay(t, svc, tenant, line[0], 1)
+	for v := 2; v <= 4; v++ {
+		next, err := svc.Modify(landlord, line[len(line)-1], ModifiedTerms{
+			Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+			House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+			Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line = append(line, next.Contract.Address)
+	}
+	for i, start := range line {
+		before := node.calls
+		walked, err := m.WalkChain(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyChain(walked); err != nil || len(walked) != len(line) {
+			t.Fatalf("walk from v%d: %d versions, %v", i+1, len(walked), err)
+		}
+		for j, v := range walked {
+			if v.Address != line[j] {
+				t.Fatalf("walk from v%d: position %d is %s, want %s", i+1, j+1, v.Address, line[j])
+			}
+		}
+		if got, want := node.calls-before, 2*len(line); got != want {
+			t.Errorf("walk from v%d made %d calls, want %d (getPrev+getNext per version)", i+1, got, want)
+		}
 	}
 }
 

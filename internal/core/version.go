@@ -44,25 +44,30 @@ func (m *Manager) pointers(addr ethtypes.Address) (prev, next ethtypes.Address, 
 // backwards to the first version, then forwards to the last, resolving
 // each hop's ABI from the content store. The returned slice is ordered
 // v1..vN — the paper's evidence line of modifications.
+//
+// Every version's pointers are read from the chain once: the forward
+// pass reuses what the backward pass read, so a walk costs one pointer
+// read per version wherever in the line it starts.
 func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
+	type links struct{ prev, next ethtypes.Address }
 	// Find the head.
 	head := start
-	seen := map[ethtypes.Address]bool{start: true}
+	read := map[ethtypes.Address]links{}
 	for i := 0; ; i++ {
 		if i > maxChainLength {
 			return nil, fmt.Errorf("%w: prev chain exceeds %d", ErrChainCorrupted, maxChainLength)
 		}
-		prev, _, err := m.pointers(head)
+		prev, next, err := m.pointers(head)
 		if err != nil {
 			return nil, err
 		}
+		read[head] = links{prev, next}
 		if prev.IsZero() {
 			break
 		}
-		if seen[prev] {
+		if _, seen := read[prev]; seen {
 			return nil, fmt.Errorf("%w: cycle at %s", ErrChainCorrupted, prev)
 		}
-		seen[prev] = true
 		head = prev
 	}
 	// Walk forward collecting nodes.
@@ -77,21 +82,24 @@ func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
 			return nil, fmt.Errorf("%w: cycle at %s", ErrChainCorrupted, cur)
 		}
 		fwd[cur] = true
-		prev, next, err := m.pointers(cur)
-		if err != nil {
-			return nil, err
+		l, ok := read[cur]
+		if !ok {
+			var err error
+			if l.prev, l.next, err = m.pointers(cur); err != nil {
+				return nil, err
+			}
 		}
-		info := VersionInfo{Address: cur, Prev: prev, Next: next}
+		info := VersionInfo{Address: cur, Prev: l.prev, Next: l.next}
 		if row, err := m.GetRow(cur); err == nil {
 			info.Version = row.Version
 			info.State = row.State
 			info.Name = row.Name
 		}
 		out = append(out, info)
-		if next.IsZero() {
+		if l.next.IsZero() {
 			break
 		}
-		cur = next
+		cur = l.next
 	}
 	return out, nil
 }

@@ -12,9 +12,12 @@ import (
 	"hash"
 	"math/big"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"legalchain/internal/hexutil"
 	"legalchain/internal/keccak"
+	"legalchain/internal/metrics"
 	"legalchain/internal/rlp"
 	"legalchain/internal/secp256k1"
 	"legalchain/internal/uint256"
@@ -160,6 +163,39 @@ type Transaction struct {
 	// Signature values. V encodes the recovery id and chain id
 	// (v = recid + 35 + 2*chainID).
 	V, R, S *big.Int
+
+	// sender is the *senderMemo published by the last successful
+	// recovery in Sender, nil until then; read and written only through
+	// sync/atomic. It is a bare pointer rather than an atomic.Pointer so
+	// that copying a Transaction by value stays legal (go vet copylocks):
+	// a copy starts with the original's memo, which Sender re-validates
+	// against the copy's own fields before trusting it.
+	sender unsafe.Pointer
+}
+
+// senderMemo is one remembered sender recovery: the address together
+// with everything it was recovered from. Immutable once published.
+type senderMemo struct {
+	chainID uint64
+	digest  Hash
+	v, r, s big.Int // copies: the caller may mutate tx.V/R/S in place
+	addr    Address
+}
+
+// Sender-recovery instruments. They count here, where the recovery
+// happens, under the chain tier's name: every caller — pool admission,
+// mining, replay, tracing, RPC read-back — goes through Sender.
+var (
+	mSenderRecoveries = metrics.Default.Counter("legalchain_chain_sender_recoveries_total",
+		"Transaction.Sender calls that went to the curve (secp256k1.Recover), successful or not.")
+	mSenderMemoHits = metrics.Default.Counter("legalchain_chain_sender_memo_hits_total",
+		"Transaction.Sender calls answered from the digest-checked memo on the transaction.")
+)
+
+// SenderStats returns how many Sender calls paid a curve recovery and
+// how many were answered from the memo since process start.
+func SenderStats() (recoveries, memoHits uint64) {
+	return mSenderRecoveries.Value(), mSenderMemoHits.Value()
 }
 
 // SigHash returns the EIP-155 signing digest for the given chain id.
@@ -267,6 +303,15 @@ func (tx *Transaction) Sign(key *secp256k1.PrivateKey, chainID uint64) error {
 
 // Sender recovers the transaction's sender address, verifying the
 // EIP-155 chain id in the process.
+//
+// A successful recovery is remembered on the transaction, tagged with
+// the chain id, the signing digest and the (V, R, S) it was recovered
+// from. A later call recomputes the digest (microseconds) and returns
+// the remembered address only if every tag still matches, so mutating
+// any field after the fact costs a fresh recovery instead of returning
+// a stale sender. Only this function writes the memo — Sign does not
+// seed it, so an address is remembered only once the curve has vouched
+// for it. Safe for concurrent use on one transaction.
 func (tx *Transaction) Sender(chainID uint64) (Address, error) {
 	if tx.V == nil || tx.R == nil || tx.S == nil {
 		return Address{}, errors.New("ethtypes: transaction is unsigned")
@@ -276,13 +321,25 @@ func (tx *Transaction) Sender(chainID uint64) (Address, error) {
 	if v != base && v != base+1 {
 		return Address{}, fmt.Errorf("ethtypes: wrong chain id in v=%d (want chain %d)", v, chainID)
 	}
-	sig := &secp256k1.Signature{R: tx.R, S: tx.S, V: byte(v - base)}
 	digest := tx.SigHash(chainID)
+	if m := (*senderMemo)(atomic.LoadPointer(&tx.sender)); m != nil &&
+		m.chainID == chainID && m.digest == digest &&
+		tx.V.Cmp(&m.v) == 0 && tx.R.Cmp(&m.r) == 0 && tx.S.Cmp(&m.s) == 0 {
+		mSenderMemoHits.Inc()
+		return m.addr, nil
+	}
+	mSenderRecoveries.Inc()
+	sig := &secp256k1.Signature{R: tx.R, S: tx.S, V: byte(v - base)}
 	pub, err := secp256k1.Recover(digest[:], sig)
 	if err != nil {
 		return Address{}, err
 	}
-	return PubkeyToAddress(pub), nil
+	m := &senderMemo{chainID: chainID, digest: digest, addr: PubkeyToAddress(pub)}
+	m.v.Set(tx.V)
+	m.r.Set(tx.R)
+	m.s.Set(tx.S)
+	atomic.StorePointer(&tx.sender, unsafe.Pointer(m))
+	return m.addr, nil
 }
 
 // IsCreate reports whether the transaction deploys a contract.

@@ -3,6 +3,7 @@ package ethtypes
 import (
 	"encoding/json"
 	"math/big"
+	"sync"
 	"testing"
 
 	"legalchain/internal/secp256k1"
@@ -201,4 +202,182 @@ func TestEtherFormatting(t *testing.T) {
 	if Gwei(1).ToBig().Cmp(big.NewInt(1_000_000_000)) != 0 {
 		t.Fatal("Gwei")
 	}
+}
+
+// bare returns a transaction holding tx's public fields and no sender
+// memo: what Sender answers for it is what an un-memoised recovery
+// answers.
+func bare(tx *Transaction) *Transaction {
+	copyInt := func(x *big.Int) *big.Int {
+		if x == nil {
+			return nil
+		}
+		return new(big.Int).Set(x)
+	}
+	out := &Transaction{
+		Nonce: tx.Nonce, GasPrice: tx.GasPrice, Gas: tx.Gas, Value: tx.Value,
+		Data: append([]byte(nil), tx.Data...),
+		V:    copyInt(tx.V), R: copyInt(tx.R), S: copyInt(tx.S),
+	}
+	if tx.To != nil {
+		to := *tx.To
+		out.To = &to
+	}
+	return out
+}
+
+const memoChainID = 1337
+
+// memoTx returns a signed transaction whose sender is already memoised.
+func memoTx(t *testing.T) (*Transaction, Address) {
+	t.Helper()
+	key := secp256k1.PrivateKeyFromScalar(big.NewInt(0xfeed))
+	to := HexToAddress("0x3333333333333333333333333333333333333333")
+	tx := &Transaction{Nonce: 4, GasPrice: Gwei(1), Gas: 50_000, To: &to, Value: Ether(1), Data: []byte{1, 2, 3}}
+	if err := tx.Sign(key, memoChainID); err != nil {
+		t.Fatal(err)
+	}
+	from, err := tx.Sender(memoChainID)
+	if err != nil || from != PubkeyToAddress(key.Public) {
+		t.Fatalf("sender = %s, %v", from, err)
+	}
+	return tx, from
+}
+
+func TestSenderMemoCountsOneRecovery(t *testing.T) {
+	key := secp256k1.PrivateKeyFromScalar(big.NewInt(0xfeed))
+	tx := &Transaction{Nonce: 1, GasPrice: Gwei(1), Gas: 21000}
+	if err := tx.Sign(key, memoChainID); err != nil {
+		t.Fatal(err)
+	}
+	// Sign does not seed the memo: the first Sender goes to the curve.
+	r0, h0 := SenderStats()
+	first, err := tx.Sender(memoChainID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, h := SenderStats(); r != r0+1 || h != h0 {
+		t.Fatalf("first Sender: %d recoveries, %d hits", r-r0, h-h0)
+	}
+	for i := 0; i < 3; i++ {
+		if again, err := tx.Sender(memoChainID); err != nil || again != first {
+			t.Fatalf("memo hit returned %s, %v", again, err)
+		}
+	}
+	if r, h := SenderStats(); r != r0+1 || h != h0+3 {
+		t.Fatalf("after three more calls: %d recoveries, %d hits", r-r0, h-h0)
+	}
+	// A decoded copy is a new transaction: no memo travels through the
+	// wire encoding.
+	back, err := DecodeTransaction(tx.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := back.Sender(memoChainID); err != nil || got != first {
+		t.Fatalf("decoded sender = %s, %v", got, err)
+	}
+	if r, _ := SenderStats(); r != r0+2 {
+		t.Fatalf("decoded transaction recovered %d times, want 1", r-r0-1)
+	}
+}
+
+// TestSenderMemoTamperTable mutates every public field after the memo
+// is in place. Whatever Sender then returns must be what a recovery
+// from scratch returns, never the remembered address.
+func TestSenderMemoTamperTable(t *testing.T) {
+	other := HexToAddress("0x4444444444444444444444444444444444444444")
+	one := big.NewInt(1)
+	// v and its other recovery id sum to 2·(35 + 2·chainID) + 1.
+	bothVs := big.NewInt(2*(35+2*memoChainID) + 1)
+	mutations := []struct {
+		name string
+		mut  func(*Transaction)
+	}{
+		{"Nonce", func(tx *Transaction) { tx.Nonce++ }},
+		{"GasPrice", func(tx *Transaction) { tx.GasPrice = Gwei(3) }},
+		{"Gas", func(tx *Transaction) { tx.Gas++ }},
+		{"To", func(tx *Transaction) { tx.To = &other }},
+		{"To in place", func(tx *Transaction) { tx.To[0] ^= 0xff }},
+		{"To nil", func(tx *Transaction) { tx.To = nil }},
+		{"Value", func(tx *Transaction) { tx.Value = Ether(2) }},
+		{"Data", func(tx *Transaction) { tx.Data = []byte{9} }},
+		{"Data in place", func(tx *Transaction) { tx.Data[0] ^= 0xff }},
+		{"R", func(tx *Transaction) { tx.R = new(big.Int).Add(tx.R, one) }},
+		{"R in place", func(tx *Transaction) { tx.R.Add(tx.R, one) }},
+		{"S", func(tx *Transaction) { tx.S = new(big.Int).Sub(tx.S, one) }},
+		{"S in place", func(tx *Transaction) { tx.S.Sub(tx.S, one) }},
+		{"V recovery id", func(tx *Transaction) { tx.V = new(big.Int).Sub(bothVs, tx.V) }},
+		{"V in place", func(tx *Transaction) { tx.V.Sub(bothVs, tx.V) }},
+		{"V other chain", func(tx *Transaction) { tx.V = new(big.Int).Add(tx.V, big.NewInt(2)) }},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			tx, from := memoTx(t)
+			m.mut(tx)
+			got, gotErr := tx.Sender(memoChainID)
+			want, wantErr := bare(tx).Sender(memoChainID)
+			if (gotErr == nil) != (wantErr == nil) || got != want {
+				t.Fatalf("after the mutation Sender = %s, %v; from scratch %s, %v", got, gotErr, want, wantErr)
+			}
+			if gotErr == nil && got == from {
+				t.Fatal("mutated transaction still recovers the original signer")
+			}
+		})
+	}
+
+	t.Run("by-value copy", func(t *testing.T) {
+		tx, from := memoTx(t)
+		cp := *tx // shares the memo; must not trust it once it diverges
+		cp.Nonce++
+		got, gotErr := cp.Sender(memoChainID)
+		want, wantErr := bare(&cp).Sender(memoChainID)
+		if (gotErr == nil) != (wantErr == nil) || got != want || got == from {
+			t.Fatalf("copy: Sender = %s, %v; from scratch %s, %v", got, gotErr, want, wantErr)
+		}
+		if again, err := tx.Sender(memoChainID); err != nil || again != from {
+			t.Fatalf("original after the copy diverged: %s, %v", again, err)
+		}
+	})
+
+	t.Run("wrong chain id after a hit", func(t *testing.T) {
+		tx, _ := memoTx(t)
+		if _, err := tx.Sender(1); err == nil {
+			t.Fatal("cross-chain replay accepted from the memo")
+		}
+	})
+
+	t.Run("re-sign", func(t *testing.T) {
+		tx, from := memoTx(t)
+		key2 := secp256k1.PrivateKeyFromScalar(big.NewInt(0xbeef))
+		if err := tx.Sign(key2, memoChainID); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tx.Sender(memoChainID)
+		if err != nil || got != PubkeyToAddress(key2.Public) || got == from {
+			t.Fatalf("sender after re-signing = %s, %v", got, err)
+		}
+	})
+}
+
+// TestSenderConcurrent races eight goroutines on one memo-less
+// transaction; make check runs it under the race detector.
+func TestSenderConcurrent(t *testing.T) {
+	signed, from := memoTx(t)
+	tx, err := DecodeTransaction(signed.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if got, err := tx.Sender(memoChainID); err != nil || got != from {
+					t.Errorf("concurrent Sender = %s, %v", got, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

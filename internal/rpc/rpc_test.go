@@ -66,6 +66,36 @@ func TestTransferOverHTTP(t *testing.T) {
 	}
 }
 
+// TestGetTransactionByHashReusesAdmissionRecovery pins the read-back end
+// of the exactly-once rule: the transaction the node sealed carries the
+// sender it recovered at admission, so eth_getTransactionByHash reports
+// "from" without going back to the curve — on the first read and on the
+// second.
+func TestGetTransactionByHashReusesAdmissionRecovery(t *testing.T) {
+	client, accs, srv := rig(t)
+	r0, _ := ethtypes.SenderStats()
+	rcpt, err := client.Transfer(web3.TxOpts{From: accs[0].Address, Value: ethtypes.Ether(1)}, accs[1].Address)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := ethtypes.SenderStats(); r != r0+1 {
+		t.Fatalf("admitting one raw transaction recovered %d senders, want 1", r-r0)
+	}
+	for read := 1; read <= 2; read++ {
+		var tx struct {
+			Hash string `json:"hash"`
+			From string `json:"from"`
+		}
+		call(t, srv.URL, "eth_getTransactionByHash", `["`+rcpt.TxHash.Hex()+`"]`, &tx)
+		if tx.Hash != rcpt.TxHash.Hex() || tx.From != accs[0].Address.Hex() {
+			t.Fatalf("read %d: hash %s from %s", read, tx.Hash, tx.From)
+		}
+		if r, _ := ethtypes.SenderStats(); r != r0+1 {
+			t.Fatalf("read %d recovered %d more senders, want 0", read, r-r0-1)
+		}
+	}
+}
+
 const rpcCounterSrc = `
 contract Counter {
 	uint public count;

@@ -328,12 +328,13 @@ func Recover(digest []byte, sig *Signature) (Point, error) {
 		return Point{}, err
 	}
 	rPoint := Point{X: x, Y: y}
-	// Q = r^-1 (s·R - z·G)
+	// Q = r⁻¹(s·R − z·G), distributed so that it costs two scalar
+	// multiplications instead of three: Q = (s·r⁻¹)·R + (−z·r⁻¹)·G.
 	z := hashToInt(digest)
 	rInv := modInverse(sig.R, N)
-	sR := ScalarMult(rPoint, sig.S)
-	zG := ScalarBaseMult(new(big.Int).Mod(new(big.Int).Neg(z), N))
-	q := ScalarMult(Add(sR, zG), rInv)
+	u1 := new(big.Int).Mul(new(big.Int).Neg(z), rInv) // ScalarMult reduces mod N
+	u2 := new(big.Int).Mul(sig.S, rInv)
+	q := Add(ScalarBaseMult(u1), ScalarMult(rPoint, u2))
 	if q.IsInfinity() || !q.OnCurve() {
 		return Point{}, errors.New("secp256k1: recovery produced invalid point")
 	}

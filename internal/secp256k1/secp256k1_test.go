@@ -3,6 +3,9 @@ package secp256k1
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -272,5 +275,115 @@ func TestRandomKeysSignVerifyRecover(t *testing.T) {
 			t.Fatal("signature verified under unrelated key")
 		}
 		prev = key
+	}
+}
+
+// recoverThreeMult is Recover in the form it was first written,
+// Q = r⁻¹·(s·R − z·G) with three scalar multiplications, kept as the
+// differential oracle for the two-multiplication form in the build.
+func recoverThreeMult(digest []byte, sig *Signature) (Point, error) {
+	if len(digest) != 32 {
+		return Point{}, errors.New("secp256k1: digest must be 32 bytes")
+	}
+	if err := sig.validate(); err != nil {
+		return Point{}, err
+	}
+	x := new(big.Int).Set(sig.R)
+	y, err := liftX(x, sig.V)
+	if err != nil {
+		return Point{}, err
+	}
+	z := hashToInt(digest)
+	sR := ScalarMult(Point{X: x, Y: y}, sig.S)
+	zG := ScalarBaseMult(new(big.Int).Mod(new(big.Int).Neg(z), N))
+	q := ScalarMult(Add(sR, zG), modInverse(sig.R, N))
+	if q.IsInfinity() || !q.OnCurve() {
+		return Point{}, errors.New("secp256k1: recovery produced invalid point")
+	}
+	return q, nil
+}
+
+// checkRecoverAgainstOracle demands the same point, or the same refusal,
+// from Recover and the oracle for both recovery ids of sig.
+func checkRecoverAgainstOracle(t *testing.T, key *PrivateKey, digest []byte, sig *Signature) {
+	t.Helper()
+	for _, v := range []byte{sig.V, sig.V ^ 1} {
+		s := &Signature{R: sig.R, S: sig.S, V: v}
+		got, gotErr := Recover(digest, s)
+		want, wantErr := recoverThreeMult(digest, s)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("d=%x digest=%x v=%d: Recover err %v, oracle err %v", key.D, digest, v, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if got.X.Cmp(want.X) != 0 || got.Y.Cmp(want.Y) != 0 {
+			t.Fatalf("d=%x digest=%x v=%d: Recover disagrees with the three-multiplication oracle", key.D, digest, v)
+		}
+		if v == sig.V && (got.X.Cmp(key.Public.X) != 0 || got.Y.Cmp(key.Public.Y) != 0) {
+			t.Fatalf("d=%x digest=%x: recovered a key other than the signer's", key.D, digest)
+		}
+	}
+}
+
+// TestRecoverMatchesThreeMultOracle is the differential test for the
+// two-multiplication Recover: random key/digest pairs (seeded, so a
+// failure reproduces) plus the fixed pairs the other suites sign —
+// this file's and the evm ecrecover precompile test's.
+func TestRecoverMatchesThreeMultOracle(t *testing.T) {
+	pairs := 500
+	if testing.Short() {
+		pairs = 48
+	}
+	// Sharded so the ~20 ms a pair costs spreads over the host's cores.
+	const shards = 4
+	for shard := 0; shard < shards; shard++ {
+		t.Run(fmt.Sprintf("random/%d", shard), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(14 + int64(shard)))
+			for i := 0; i < pairs/shards; i++ {
+				d := new(big.Int).Rand(rng, new(big.Int).Sub(N, big.NewInt(1)))
+				key := PrivateKeyFromScalar(d.Add(d, big.NewInt(1))) // [1, N)
+				digest := make([]byte, 32)
+				rng.Read(digest)
+				if i%25 == 0 {
+					// Digests at and above the group order: z is reduced mod N.
+					copy(digest, bytes.Repeat([]byte{0xff}, 31))
+				}
+				sig, err := key.Sign(digest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkRecoverAgainstOracle(t, key, digest, sig)
+			}
+		})
+	}
+
+	// keccak256("signed message"), the digest TestEcrecoverPrecompile signs.
+	precompileDigest, _ := hex.DecodeString("930965fd4d7b0be40ca32a08b65391608d31d7b14fe53e2079d4f660675f9c54")
+	shared := sha256.Sum256([]byte("shared message"))
+	bench := sha256.Sum256([]byte("bench"))
+	fixed := []struct {
+		d      int64
+		digest []byte
+	}{
+		{0x5eed, precompileDigest},
+		{0xabcdef, bench[:]},
+		{2, shared[:]}, {3, shared[:]}, {99999, shared[:]}, {123456789, shared[:]},
+	}
+	for i := 0; i < 10; i++ {
+		digest := sha256.Sum256([]byte{byte(i), 0xaa})
+		fixed = append(fixed, struct {
+			d      int64
+			digest []byte
+		}{0x1337, digest[:]})
+	}
+	for _, f := range fixed {
+		key := PrivateKeyFromScalar(big.NewInt(f.d))
+		sig, err := key.Sign(f.digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRecoverAgainstOracle(t, key, f.digest, sig)
 	}
 }
