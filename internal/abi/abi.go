@@ -16,6 +16,10 @@ type Method struct {
 	Inputs          []Arg
 	Outputs         []Arg
 	StateMutability string // "payable", "nonpayable", "view", "pure"
+
+	// id is the selector, computed once by New; all zero marks a literal
+	// built elsewhere, which ID answers by hashing.
+	id [4]byte
 }
 
 // Signature returns the canonical signature, e.g. "payRent()".
@@ -27,12 +31,18 @@ func (m Method) Signature() string {
 	return m.Name + "(" + strings.Join(parts, ",") + ")"
 }
 
-// ID returns the 4-byte selector.
+// ID returns the 4-byte selector: a field read for a method of an ABI
+// built by New, keccak(signature)[:4] for a literal.
 func (m Method) ID() [4]byte {
-	h := ethtypes.Keccak256([]byte(m.Signature()))
-	var id [4]byte
-	copy(id[:], h[:4])
-	return id
+	if m.id != [4]byte{} {
+		return m.id
+	}
+	return selectorOf(m.Signature())
+}
+
+func selectorOf(signature string) [4]byte {
+	h := ethtypes.Keccak256([]byte(signature))
+	return [4]byte(h[:4])
 }
 
 // Payable reports whether the method accepts ether.
@@ -49,6 +59,10 @@ type Event struct {
 	Name      string
 	Inputs    []Arg
 	Anonymous bool
+
+	// topic is keccak(signature), computed once by New; the zero hash
+	// marks a literal built elsewhere, which Topic answers by hashing.
+	topic ethtypes.Hash
 }
 
 // Signature returns the canonical event signature.
@@ -61,16 +75,47 @@ func (e Event) Signature() string {
 }
 
 // Topic returns keccak(signature), the first log topic of non-anonymous
-// events.
+// events: a field read for an event of an ABI built by New.
 func (e Event) Topic() ethtypes.Hash {
+	if !e.topic.IsZero() {
+		return e.topic
+	}
 	return ethtypes.Keccak256([]byte(e.Signature()))
 }
 
 // ABI is a contract interface: constructor, functions and events.
+// Build one with New (ParseJSON and the compiler do), which hashes every
+// signature once; methods and events are not changed afterwards.
 type ABI struct {
 	Constructor *Method
 	Methods     map[string]Method // by name
 	Events      map[string]Event  // by name
+
+	byTopic map[ethtypes.Hash]Event // nil for a literal: EventByTopic scans
+}
+
+// New assembles an ABI from its parts and computes every method
+// selector and event topic, so Pack, DecodeLog and log filters never
+// hash a signature again. It takes ownership of the maps (nil means
+// empty) and stores the hashed entries back into them.
+func New(constructor *Method, methods map[string]Method, events map[string]Event) *ABI {
+	if methods == nil {
+		methods = map[string]Method{}
+	}
+	if events == nil {
+		events = map[string]Event{}
+	}
+	for name, m := range methods {
+		m.id = selectorOf(m.Signature())
+		methods[name] = m
+	}
+	byTopic := make(map[ethtypes.Hash]Event, len(events))
+	for name, e := range events {
+		e.topic = ethtypes.Keccak256([]byte(e.Signature()))
+		events[name] = e
+		byTopic[e.topic] = e
+	}
+	return &ABI{Constructor: constructor, Methods: methods, Events: events, byTopic: byTopic}
 }
 
 // MethodByID finds a method by its 4-byte selector.
@@ -89,6 +134,10 @@ func (a *ABI) MethodByID(id []byte) (Method, bool) {
 
 // EventByTopic finds an event by its topic hash.
 func (a *ABI) EventByTopic(topic ethtypes.Hash) (Event, bool) {
+	if a.byTopic != nil {
+		e, ok := a.byTopic[topic]
+		return e, ok
+	}
 	for _, e := range a.Events {
 		if e.Topic() == topic {
 			return e, true
@@ -218,7 +267,8 @@ func ParseJSON(data []byte) (*ABI, error) {
 	if err := json.Unmarshal(data, &entries); err != nil {
 		return nil, fmt.Errorf("abi: bad JSON: %w", err)
 	}
-	out := &ABI{Methods: map[string]Method{}, Events: map[string]Event{}}
+	var ctor *Method
+	methods, events := map[string]Method{}, map[string]Event{}
 	for _, e := range entries {
 		switch e.Type {
 		case "function", "":
@@ -234,7 +284,7 @@ func ParseJSON(data []byte) (*ABI, error) {
 			if mut == "" {
 				mut = "nonpayable"
 			}
-			out.Methods[e.Name] = Method{Name: e.Name, Inputs: inputs, Outputs: outputs, StateMutability: mut}
+			methods[e.Name] = Method{Name: e.Name, Inputs: inputs, Outputs: outputs, StateMutability: mut}
 		case "constructor":
 			inputs, err := parseParams(e.Inputs)
 			if err != nil {
@@ -244,20 +294,20 @@ func ParseJSON(data []byte) (*ABI, error) {
 			if mut == "" {
 				mut = "nonpayable"
 			}
-			out.Constructor = &Method{Name: "", Inputs: inputs, StateMutability: mut}
+			ctor = &Method{Name: "", Inputs: inputs, StateMutability: mut}
 		case "event":
 			inputs, err := parseParams(e.Inputs)
 			if err != nil {
 				return nil, err
 			}
-			out.Events[e.Name] = Event{Name: e.Name, Inputs: inputs, Anonymous: e.Anonymous}
+			events[e.Name] = Event{Name: e.Name, Inputs: inputs, Anonymous: e.Anonymous}
 		case "fallback", "receive":
 			// No dispatch data needed.
 		default:
 			return nil, fmt.Errorf("abi: unknown entry type %q", e.Type)
 		}
 	}
-	return out, nil
+	return New(ctor, methods, events), nil
 }
 
 func parseParams(params []jsonParam) ([]Arg, error) {
@@ -353,12 +403,7 @@ func sortStrings(s []string) {
 
 // revertSelector is the selector of Error(string), the canonical revert
 // reason encoding.
-var revertSelector = func() [4]byte {
-	h := ethtypes.Keccak256([]byte("Error(string)"))
-	var id [4]byte
-	copy(id[:], h[:4])
-	return id
-}()
+var revertSelector = selectorOf("Error(string)")
 
 // PackRevertReason encodes a revert reason string as Error(string).
 func PackRevertReason(reason string) []byte {

@@ -417,8 +417,10 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 	// Join the tail so the documented contract holds: the receipt is
 	// queryable the moment SendTransaction returns.
 	<-t.done
-	sp.SetAttr("block", fmt.Sprintf("%d", header.Number))
-	sp.SetAttr("tx", hash.Hex())
+	sp.SetAttrUint("block", header.Number)
+	if sp != nil {
+		sp.SetAttr("tx", hash.Hex())
+	}
 	return hash, nil
 }
 
@@ -490,7 +492,7 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 		refund = gasUsed / 2
 	}
 	gasUsed -= refund
-	evmSp.SetAttr("gasUsed", fmt.Sprintf("%d", gasUsed))
+	evmSp.SetAttrUint("gasUsed", gasUsed)
 	evmSp.End()
 	// Return unused gas, pay the coinbase (or divert the fee for an
 	// in-order commit when the optimistic executor asks).

@@ -58,7 +58,9 @@ type TxTrace struct {
 func (bc *Blockchain) TraceTransaction(ctx context.Context, txHash ethtypes.Hash, factory func() evm.Tracer) (*TxTrace, error) {
 	ctx, sp := xtrace.Start(ctx, "chain", "traceTransaction")
 	defer sp.End()
-	sp.SetAttr("tx", txHash.Hex())
+	if sp != nil {
+		sp.SetAttr("tx", txHash.Hex())
+	}
 	view := bc.View()
 	rcpt, ok := view.GetReceipt(txHash)
 	if !ok {
@@ -84,7 +86,7 @@ func (bc *Blockchain) TraceTransaction(ctx context.Context, txHash ethtypes.Hash
 func (bc *Blockchain) TraceBlockByNumber(ctx context.Context, n uint64, factory func() evm.Tracer) ([]*TxTrace, error) {
 	ctx, sp := xtrace.Start(ctx, "chain", "traceBlock")
 	defer sp.End()
-	sp.SetAttr("block", fmt.Sprintf("%d", n))
+	sp.SetAttrUint("block", n)
 	traces, err := bc.traceBlock(ctx, bc.View(), n, factory, nil)
 	if err != nil {
 		sp.SetError(err)
@@ -179,8 +181,8 @@ func (bc *Blockchain) stateBefore(ctx context.Context, view *HeadView, n uint64)
 
 	_, sp := xtrace.Start(ctx, "chain", "rebuildState")
 	defer sp.End()
-	sp.SetAttr("base", fmt.Sprintf("%d", base))
-	sp.SetAttr("target", fmt.Sprintf("%d", target))
+	sp.SetAttrUint("base", base)
+	sp.SetAttrUint("target", target)
 
 	// Replay (untraced) every block between the base and the target,
 	// verifying each block's state commitment as we go.

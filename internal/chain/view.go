@@ -2,7 +2,6 @@ package chain
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"legalchain/internal/abi"
@@ -378,7 +377,7 @@ func (v *HeadView) CallCtx(ctx context.Context, from ethtypes.Address, to *ethty
 		ret, left, err = machine.Call(from, *to, data, gas, value)
 	}
 	evmSp.SetError(err)
-	evmSp.SetAttr("gasUsed", fmt.Sprintf("%d", gas-left))
+	evmSp.SetAttrUint("gasUsed", gas-left)
 	evmSp.End()
 	res := &CallResult{Return: ret, GasUsed: gas - left, Err: err}
 	if err != nil {

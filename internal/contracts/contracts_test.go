@@ -52,6 +52,53 @@ func TestAllBuiltinsCompile(t *testing.T) {
 	}
 }
 
+// TestArtifactABIsStoreSelectorsAndTopics: every built-in artifact and
+// both hand-built ABIs carry keccak(signature) for each method and event
+// from construction, and reading it back does not hash again (building
+// the signature string is what would allocate).
+func TestArtifactABIsStoreSelectorsAndTopics(t *testing.T) {
+	abis := map[string]*abi.ABI{"Notary": NotaryABI(), "Proxy": ProxyABI()}
+	for name := range Sources() {
+		abis[name] = MustArtifact(name).ABI
+		parsed, err := abi.ParseJSON(MustArtifact(name).ABIJSON)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		abis[name+" (ABIJSON)"] = parsed
+	}
+	for name, a := range abis {
+		if len(a.Methods) == 0 {
+			t.Fatalf("%s: no methods", name)
+		}
+		for mname, m := range a.Methods {
+			h := ethtypes.Keccak256([]byte(m.Signature()))
+			if m.ID() != [4]byte(h[:4]) {
+				t.Errorf("%s.%s: stored selector %x, fresh %x", name, mname, m.ID(), h[:4])
+			}
+		}
+		for ename, e := range a.Events {
+			want := ethtypes.Keccak256([]byte(e.Signature()))
+			if e.Topic() != want {
+				t.Errorf("%s.%s: stored topic %s, fresh %s", name, ename, e.Topic(), want)
+			}
+			if got, ok := a.EventByTopic(want); !ok || got.Name != ename {
+				t.Errorf("%s: EventByTopic(%s) = %q, %v", name, ename, got.Name, ok)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, m := range a.Methods {
+				_ = m.ID()
+			}
+			for _, e := range a.Events {
+				_ = e.Topic()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: reading selectors and topics allocated %.0f times: not stored at construction", name, allocs)
+		}
+	}
+}
+
 func TestBaseRentalFullLifecycle(t *testing.T) {
 	client, accs := rig(t)
 	landlord, tenant := accs[0], accs[1]

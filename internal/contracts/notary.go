@@ -125,14 +125,11 @@ func PackNotaryDeploy(ds ethtypes.Address) []byte {
 
 // NotaryABI is the notary's call interface.
 func NotaryABI() *abi.ABI {
-	return &abi.ABI{
-		Methods: map[string]abi.Method{
-			"payAndRecord": {
-				Name:            "payAndRecord",
-				Inputs:          []abi.Arg{{Name: "rental", Type: abi.AddressType}},
-				StateMutability: "payable",
-			},
+	return abi.New(nil, map[string]abi.Method{
+		"payAndRecord": {
+			Name:            "payAndRecord",
+			Inputs:          []abi.Arg{{Name: "rental", Type: abi.AddressType}},
+			StateMutability: "payable",
 		},
-		Events: map[string]abi.Event{},
-	}
+	}, nil)
 }

@@ -134,16 +134,13 @@ func u16(n int) []byte { return []byte{byte(n >> 8), byte(n)} }
 
 // ProxyABI is the management interface of the proxy itself.
 func ProxyABI() *abi.ABI {
-	return &abi.ABI{
-		Methods: map[string]abi.Method{
-			"upgradeTo": {
-				Name:            "upgradeTo",
-				Inputs:          []abi.Arg{{Name: "impl", Type: abi.AddressType}},
-				StateMutability: "nonpayable",
-			},
+	return abi.New(nil, map[string]abi.Method{
+		"upgradeTo": {
+			Name:            "upgradeTo",
+			Inputs:          []abi.Arg{{Name: "impl", Type: abi.AddressType}},
+			StateMutability: "nonpayable",
 		},
-		Events: map[string]abi.Event{},
-	}
+	}, nil)
 }
 
 // PackProxyDeploy builds the full creation payload for a proxy pointing

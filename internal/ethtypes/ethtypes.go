@@ -421,8 +421,18 @@ type Header struct {
 	ReceiptRoot Hash
 }
 
+// mHeaderHashes counts the header hashes actually computed (RLP encoding
+// plus Keccak-256); Block.Hash hits served from the memo do not count.
+var mHeaderHashes = metrics.Default.Counter("legalchain_chain_header_hashes_total",
+	"Block header hashes computed (RLP + Keccak-256); Block.Hash calls answered from the block's memo are not counted.")
+
+// HeaderHashes returns how many header hashes have been computed since
+// process start.
+func HeaderHashes() uint64 { return mHeaderHashes.Value() }
+
 // Hash returns the keccak of the RLP-encoded header.
 func (h *Header) Hash() Hash {
+	mHeaderHashes.Inc()
 	return Keccak256(rlp.Encode(rlp.List(
 		rlp.Bytes(h.ParentHash[:]),
 		rlp.Uint(h.Number),
@@ -440,10 +450,41 @@ func (h *Header) Hash() Hash {
 type Block struct {
 	Header       *Header
 	Transactions []*Transaction
+
+	// hash is the *blockHashMemo published by the first Hash call, nil
+	// until then; read and written only through sync/atomic. A bare
+	// pointer for the same reason as Transaction.sender: a by-value copy
+	// stays legal and starts with the original's memo, which Hash
+	// re-validates against the copy's own header.
+	hash unsafe.Pointer
+}
+
+// blockHashMemo is one remembered header hash together with the header
+// it was computed from. Immutable once published.
+type blockHashMemo struct {
+	header Header
+	hash   Hash
 }
 
 // Hash returns the block hash (the header hash).
-func (b *Block) Hash() Hash { return b.Header.Hash() }
+//
+// The hash is computed once — for a sealed block by the seal path, for a
+// replayed or decoded block by whoever installs or first reads it — and
+// remembered on the block beside a copy of the header it was computed
+// from. Every later call compares the block's current header with that
+// copy (nine comparable fields) and returns the remembered hash only if
+// they are equal, so mutating a header field after the fact costs a
+// fresh hash instead of returning a stale one. Safe for concurrent use
+// on one block.
+func (b *Block) Hash() Hash {
+	if m := (*blockHashMemo)(atomic.LoadPointer(&b.hash)); m != nil && m.header == *b.Header {
+		return m.hash
+	}
+	m := &blockHashMemo{header: *b.Header}
+	m.hash = m.header.Hash()
+	atomic.StorePointer(&b.hash, unsafe.Pointer(m))
+	return m.hash
+}
 
 // Number returns the block height.
 func (b *Block) Number() uint64 { return b.Header.Number }

@@ -381,3 +381,110 @@ func TestSenderConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func memoBlock() *Block {
+	return &Block{Header: &Header{
+		ParentHash: Keccak256([]byte("parent")), Number: 7, Time: 1_700_000_007,
+		GasLimit: 12_000_000, GasUsed: 21_000, Coinbase: Address{0xc0},
+		StateRoot: Keccak256([]byte("state")), TxRoot: Keccak256([]byte("txs")),
+		ReceiptRoot: Keccak256([]byte("receipts")),
+	}}
+}
+
+// TestBlockHashMemoHashesOnce: the first Hash computes, every later one
+// is answered from the memo with the same value.
+func TestBlockHashMemoHashesOnce(t *testing.T) {
+	b := memoBlock()
+	want := b.Header.Hash()
+	before := HeaderHashes()
+	for i := 0; i < 5; i++ {
+		if got := b.Hash(); got != want {
+			t.Fatalf("call %d: Hash = %s, want %s", i, got, want)
+		}
+	}
+	if n := HeaderHashes() - before; n != 1 {
+		t.Fatalf("5 Hash calls computed %d header hashes, want 1", n)
+	}
+}
+
+// TestBlockHashMemoTamperTable mutates each header field after the memo
+// is set: Hash must follow the header, never return the stale value, and
+// return to the original value when the field is restored.
+func TestBlockHashMemoTamperTable(t *testing.T) {
+	mutations := map[string]func(h *Header){
+		"ParentHash":  func(h *Header) { h.ParentHash[31] ^= 1 },
+		"Number":      func(h *Header) { h.Number++ },
+		"Time":        func(h *Header) { h.Time++ },
+		"GasLimit":    func(h *Header) { h.GasLimit++ },
+		"GasUsed":     func(h *Header) { h.GasUsed++ },
+		"Coinbase":    func(h *Header) { h.Coinbase[0] ^= 1 },
+		"StateRoot":   func(h *Header) { h.StateRoot[0] ^= 1 },
+		"TxRoot":      func(h *Header) { h.TxRoot[0] ^= 1 },
+		"ReceiptRoot": func(h *Header) { h.ReceiptRoot[0] ^= 1 },
+	}
+	for field, mutate := range mutations {
+		b := memoBlock()
+		sealed := b.Hash()
+		orig := *b.Header
+		mutate(b.Header)
+		if got := b.Hash(); got == sealed || got != b.Header.Hash() {
+			t.Errorf("%s mutated: Hash = %s (sealed %s, fresh %s)", field, got, sealed, b.Header.Hash())
+		}
+		*b.Header = orig
+		if got := b.Hash(); got != sealed {
+			t.Errorf("%s restored: Hash = %s, want %s", field, got, sealed)
+		}
+	}
+	// Swapping the header pointer is a mutation like any other.
+	b := memoBlock()
+	sealed := b.Hash()
+	b.Header = &Header{Number: 8}
+	if got := b.Hash(); got == sealed || got != b.Header.Hash() {
+		t.Errorf("header replaced: Hash = %s, want %s", got, b.Header.Hash())
+	}
+}
+
+// TestBlockCopyByValue: a by-value copy is vet-legal, starts with the
+// original's memo and re-validates it against its own header.
+func TestBlockCopyByValue(t *testing.T) {
+	b := memoBlock()
+	sealed := b.Hash()
+	cp := *b
+	before := HeaderHashes()
+	if got := cp.Hash(); got != sealed {
+		t.Fatalf("copy Hash = %s, want %s", got, sealed)
+	}
+	if n := HeaderHashes() - before; n != 0 {
+		t.Fatalf("copy of a hashed block computed %d header hashes, want 0", n)
+	}
+	h := *b.Header
+	h.Number++
+	cp.Header = &h
+	if got := cp.Hash(); got != h.Hash() {
+		t.Fatalf("diverged copy Hash = %s, want %s", got, h.Hash())
+	}
+	if got := b.Hash(); got != sealed {
+		t.Fatalf("original Hash = %s after copy diverged, want %s", got, sealed)
+	}
+}
+
+// TestBlockHashConcurrent races eight goroutines on one memo-less block;
+// make check runs it under the race detector.
+func TestBlockHashConcurrent(t *testing.T) {
+	b := memoBlock()
+	want := b.Header.Hash()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := b.Hash(); got != want {
+					t.Errorf("concurrent Hash = %s, want %s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -73,7 +73,7 @@ type frame struct {
 	mem        *Memory
 	pc         uint64
 	returnData []byte
-	jumpdests  map[uint64]bool
+	jumpdests  jumpdestBitmap
 }
 
 func (f *frame) useGas(amount uint64) bool {
@@ -83,23 +83,6 @@ func (f *frame) useGas(amount uint64) bool {
 	}
 	f.gas -= amount
 	return true
-}
-
-// analyzeJumpdests finds the valid JUMPDEST positions, skipping PUSH data.
-func analyzeJumpdests(code []byte) map[uint64]bool {
-	dests := make(map[uint64]bool)
-	for pc := 0; pc < len(code); {
-		op := OpCode(code[pc])
-		if op == JUMPDEST {
-			dests[uint64(pc)] = true
-		}
-		if op.IsPush() {
-			pc += int(op-PUSH1) + 2
-		} else {
-			pc++
-		}
-	}
-	return dests
 }
 
 // canTransfer checks the sender has the funds.
@@ -160,7 +143,7 @@ func (e *EVM) Call(caller, to ethtypes.Address, input []byte, gas uint64, value 
 		contract: to, caller: caller, code: code, input: input,
 		value: value, gas: gas,
 		stack: newStack(), mem: newMemory(),
-		jumpdests: analyzeJumpdests(code),
+		jumpdests: e.jumpdestsOf(to, code),
 	}
 	outer := e.depth == 0
 	e.depth++
@@ -205,7 +188,7 @@ func (e *EVM) StaticCall(caller, to ethtypes.Address, input []byte, gas uint64) 
 		contract: to, caller: caller, code: code, input: input,
 		gas: gas, static: true,
 		stack: newStack(), mem: newMemory(),
-		jumpdests: analyzeJumpdests(code),
+		jumpdests: e.jumpdestsOf(to, code),
 	}
 	outer := e.depth == 0
 	e.depth++
@@ -251,7 +234,7 @@ func (e *EVM) delegateCall(parent *frame, to ethtypes.Address, input []byte, gas
 		contract: parent.contract, caller: parent.caller, code: code,
 		input: input, value: parent.value, gas: gas, static: parent.static,
 		stack: newStack(), mem: newMemory(),
-		jumpdests: analyzeJumpdests(code),
+		jumpdests: e.jumpdestsOf(to, code),
 	}
 	e.depth++
 	ret, err := e.run(f)
@@ -287,7 +270,7 @@ func (e *EVM) callCode(parent *frame, to ethtypes.Address, input []byte, gas uin
 		contract: parent.contract, caller: parent.contract, code: code,
 		input: input, value: value, gas: gas, static: parent.static,
 		stack: newStack(), mem: newMemory(),
-		jumpdests: analyzeJumpdests(code),
+		jumpdests: e.jumpdestsOf(to, code),
 	}
 	e.depth++
 	ret, err := e.run(f)
@@ -345,7 +328,7 @@ func (e *EVM) create(typ OpCode, caller ethtypes.Address, initCode []byte, gas u
 		contract: addr, caller: caller, code: initCode, input: nil,
 		value: value, gas: gas,
 		stack: newStack(), mem: newMemory(),
-		jumpdests: analyzeJumpdests(initCode),
+		jumpdests: analyzeJumpdests(initCode), // initcode runs once: not cached
 	}
 	outer := e.depth == 0
 	e.depth++

@@ -546,7 +546,7 @@ func (e *EVM) exec(f *frame) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !dst.IsUint64() || !f.jumpdests[dst.Uint64()] {
+			if !dst.IsUint64() || !f.jumpdests.has(dst.Uint64()) {
 				return nil, ErrInvalidJump
 			}
 			f.pc = dst.Uint64()
@@ -567,7 +567,7 @@ func (e *EVM) exec(f *frame) ([]byte, error) {
 				f.pc++
 				continue
 			}
-			if !dst.IsUint64() || !f.jumpdests[dst.Uint64()] {
+			if !dst.IsUint64() || !f.jumpdests.has(dst.Uint64()) {
 				return nil, ErrInvalidJump
 			}
 			f.pc = dst.Uint64()

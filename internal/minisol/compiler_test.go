@@ -40,6 +40,7 @@ func newHarness(t *testing.T) *harness {
 // deploy compiles and deploys; args are ABI-encoded constructor args.
 func (h *harness) deploy(art *Artifact, value uint256.Int, args ...interface{}) ethtypes.Address {
 	h.t.Helper()
+	checkStoredHashes(h.t, art.ABI)
 	enc, err := art.ABI.PackConstructor(args...)
 	if err != nil {
 		h.t.Fatalf("pack ctor: %v", err)
@@ -85,7 +86,38 @@ func compileOne(t *testing.T, src, name string) *Artifact {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	checkStoredHashes(t, art.ABI)
 	return art
+}
+
+// checkStoredHashes runs on every ABI the suite compiles or deploys: the
+// selector and topic BuildABI stored must equal a fresh keccak of the
+// signature, and reading them must not hash (building the signature
+// string is what would allocate).
+func checkStoredHashes(t *testing.T, a *abi.ABI) {
+	t.Helper()
+	for name, m := range a.Methods {
+		h := ethtypes.Keccak256([]byte(m.Signature()))
+		if m.ID() != [4]byte(h[:4]) {
+			t.Fatalf("method %s: stored selector %x, fresh %x", name, m.ID(), h[:4])
+		}
+	}
+	for name, e := range a.Events {
+		if want := ethtypes.Keccak256([]byte(e.Signature())); e.Topic() != want {
+			t.Fatalf("event %s: stored topic %s, fresh %s", name, e.Topic(), want)
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, m := range a.Methods {
+			_ = m.ID()
+		}
+		for _, e := range a.Events {
+			_ = e.Topic()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading selectors and topics allocated %.0f times: not stored at construction", allocs)
+	}
 }
 
 func asU64(t *testing.T, v interface{}) uint64 {

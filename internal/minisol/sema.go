@@ -487,7 +487,8 @@ func abiType(t *SemType) (abi.Type, error) {
 // BuildABI produces the contract's JSON-compatible ABI, including
 // auto-generated getters for public state variables.
 func BuildABI(info *ContractInfo) (*abi.ABI, error) {
-	out := &abi.ABI{Methods: map[string]abi.Method{}, Events: map[string]abi.Event{}}
+	var ctor *abi.Method
+	methods, events := map[string]abi.Method{}, map[string]abi.Event{}
 	if info.Ctor != nil {
 		m := abi.Method{Name: "", StateMutability: mutString(info.Ctor.Mutability)}
 		for _, p := range info.Ctor.Params {
@@ -497,7 +498,7 @@ func BuildABI(info *ContractInfo) (*abi.ABI, error) {
 			}
 			m.Inputs = append(m.Inputs, abi.Arg{Name: p.Name, Type: at})
 		}
-		out.Constructor = &m
+		ctor = &m
 	}
 	for name, f := range info.Funcs {
 		if f.Visibility != Public && f.Visibility != External {
@@ -518,7 +519,7 @@ func BuildABI(info *ContractInfo) (*abi.ABI, error) {
 			}
 			m.Outputs = append(m.Outputs, abi.Arg{Name: r.Name, Type: at})
 		}
-		out.Methods[name] = m
+		methods[name] = m
 	}
 	// Getters.
 	for _, v := range info.Vars {
@@ -529,7 +530,7 @@ func BuildABI(info *ContractInfo) (*abi.ABI, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Methods[v.Name] = m
+		methods[v.Name] = m
 	}
 	for name, e := range info.Events {
 		ev := abi.Event{Name: name}
@@ -540,9 +541,9 @@ func BuildABI(info *ContractInfo) (*abi.ABI, error) {
 			}
 			ev.Inputs = append(ev.Inputs, abi.Arg{Name: p.Name, Type: at, Indexed: p.Indexed})
 		}
-		out.Events[name] = ev
+		events[name] = ev
 	}
-	return out, nil
+	return abi.New(ctor, methods, events), nil
 }
 
 // getterMethod derives the ABI method of a public state variable:

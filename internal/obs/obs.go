@@ -154,7 +154,7 @@ func LogRequests(l *slog.Logger, next http.Handler) http.Handler {
 		t0 := time.Now()
 		sw := WrapWriter(w)
 		next.ServeHTTP(sw, r)
-		span.SetAttr("status", strconv.Itoa(sw.Status))
+		span.SetAttrUint("status", uint64(sw.Status))
 		span.End()
 		if l == nil {
 			return

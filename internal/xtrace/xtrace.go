@@ -31,6 +31,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"log/slog"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,6 +197,16 @@ func (s *Span) SetAttr(key, value string) {
 	s.tr.mu.Lock()
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	s.tr.mu.Unlock()
+}
+
+// SetAttrUint is SetAttr for a number. It formats only when the span is
+// live, so a hot path can attach a counter without paying a format and
+// an allocation per call while tracing is off or the trace unsampled.
+func (s *Span) SetAttrUint(key string, value uint64) {
+	if s == nil {
+		return
+	}
+	s.SetAttr(key, strconv.FormatUint(value, 10))
 }
 
 // SetError records err on the span (no-op for nil err). Nil-safe.
