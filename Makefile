@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test check ci lint bench bench-smoke bench-par bench-repo bench-repo-compare race persistence-torture conflict-torture fmt-check obs-check metrics-doc soak slo-smoke
+.PHONY: build test check ci lint fuzz-smoke bench bench-smoke bench-par bench-repo bench-repo-compare race persistence-torture conflict-torture fmt-check obs-check metrics-doc soak slo-smoke
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ test:
 # race detector, the upgrade-guard suites
 # (layout-diff round-trip property included) plus the manager tier that
 # exercises them end to end, then the crash-recovery fault-injection
-# suites.
+# suites, then ten seconds of each native fuzz target.
 check:
 	$(MAKE) fmt-check
 	$(MAKE) metrics-doc
@@ -28,6 +28,7 @@ check:
 	$(GO) test -race -count 1 ./internal/upgrade/... ./internal/core/...
 	$(MAKE) persistence-torture
 	$(MAKE) conflict-torture
+	$(MAKE) fuzz-smoke
 	$(MAKE) obs-check
 
 # ci mirrors .github/workflows/ci.yml exactly, so the merge gate is
@@ -58,6 +59,14 @@ lint:
 	else \
 		$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...; \
 	fi
+
+# fuzz-smoke runs every native fuzz target for ten seconds from its
+# committed seed corpus (testdata/fuzz/): the unrolled Keccak sponge
+# against the loop-form oracle, and uint256 byte I/O against math/big.
+# go test takes one -fuzz target and one package per invocation.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
+	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
 
 # fmt-check fails the build if any file is not gofmt-clean.
 fmt-check:
@@ -115,11 +124,14 @@ bench:
 
 # bench-smoke is the CI-sized benchmark run: one iteration of each
 # tracked benchmark, enough to catch panics and pathological
-# regressions without burning runner minutes. Output lands in
+# regressions without burning runner minutes — and the four read-side
+# kernel benchmarks at their default length, because one iteration of a
+# sub-microsecond function is timer noise. Output lands in
 # bench-smoke.txt (uploaded as a CI artifact).
 bench-smoke:
 	@{ $(BENCH_HOST); \
-	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineBlockParallel|MineLoopPipelined|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; } | tee bench-smoke.txt
+	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineBlockParallel|MineLoopPipelined|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; \
+	$(GO) test -run xxx -bench 'Permute|Sum256_64|Bytes32' ./internal/keccak/ ./internal/uint256/; } | tee bench-smoke.txt
 
 # bench-par is the EXPERIMENTS.md §P6 scaling table: the full
 # BenchmarkMineBlockParallel sweep (workers 1/2/4/8 at three conflict

@@ -41,6 +41,11 @@ import (
 	"legalchain/internal/xtrace"
 )
 
+// readHeaderTimeout is how long a client may take to send its request
+// headers on any of the listeners below, so a connection that opens and
+// then says nothing does not hold a goroutine for ever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8545", "listen address for JSON-RPC")
@@ -167,7 +172,7 @@ func main() {
 	if tower != nil {
 		rpcSrv.SetWatch(tower)
 	}
-	srv := &http.Server{Addr: *addr, Handler: rpcSrv}
+	srv := &http.Server{Addr: *addr, Handler: rpcSrv, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
@@ -176,7 +181,7 @@ func main() {
 
 	var wsSrv *http.Server
 	if *wsAddr != "" {
-		wsSrv = &http.Server{Addr: *wsAddr, Handler: http.HandlerFunc(rpcSrv.ServeWS)}
+		wsSrv = &http.Server{Addr: *wsAddr, Handler: http.HandlerFunc(rpcSrv.ServeWS), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			fmt.Printf("WebSocket JSON-RPC listening on %s\n", *wsAddr)
 			if err := wsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -212,7 +217,7 @@ func main() {
 			}
 			return true, ""
 		}
-		opsSrv = &http.Server{Addr: *metrics, Handler: obs.OpsHandler(*pprofOn, health, ready)}
+		opsSrv = &http.Server{Addr: *metrics, Handler: obs.OpsHandler(*pprofOn, health, ready), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			fmt.Printf("metrics listening on %s (pprof: %v)\n", *metrics, *pprofOn)
 			if err := opsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -47,6 +47,11 @@ import (
 	"legalchain/internal/xtrace"
 )
 
+// readHeaderTimeout is how long a client may take to send its request
+// headers on any of the listeners below, so a connection that opens and
+// then says nothing does not hold a goroutine for ever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "web application listen address")
@@ -180,7 +185,7 @@ func main() {
 			rpcHandler.SetWatch(tower)
 		}
 		if *rpcAddr != "" {
-			rpcSrv = &http.Server{Addr: *rpcAddr, Handler: rpcHandler}
+			rpcSrv = &http.Server{Addr: *rpcAddr, Handler: rpcHandler, ReadHeaderTimeout: readHeaderTimeout}
 			go func() {
 				log.Printf("JSON-RPC on %s", *rpcAddr)
 				if err := rpcSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -189,7 +194,7 @@ func main() {
 			}()
 		}
 		if *wsAddr != "" {
-			wsSrv = &http.Server{Addr: *wsAddr, Handler: http.HandlerFunc(rpcHandler.ServeWS)}
+			wsSrv = &http.Server{Addr: *wsAddr, Handler: http.HandlerFunc(rpcHandler.ServeWS), ReadHeaderTimeout: readHeaderTimeout}
 			go func() {
 				log.Printf("WebSocket JSON-RPC on %s", *wsAddr)
 				if err := wsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -205,7 +210,7 @@ func main() {
 		fmt.Printf("  JSON-RPC: http://localhost%s\n", *rpcAddr)
 	}
 
-	webSrv := &http.Server{Addr: *addr, Handler: obs.LogRequests(logger, webApp.Handler())}
+	webSrv := &http.Server{Addr: *addr, Handler: obs.LogRequests(logger, webApp.Handler()), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := webSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
@@ -239,7 +244,7 @@ func main() {
 			}
 			return true, ""
 		}
-		opsSrv = &http.Server{Addr: *metrics, Handler: obs.OpsHandler(*pprofOn, health, ready)}
+		opsSrv = &http.Server{Addr: *metrics, Handler: obs.OpsHandler(*pprofOn, health, ready), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			fmt.Printf("  metrics:  http://localhost%s/metrics (pprof: %v)\n", *metrics, *pprofOn)
 			if err := opsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

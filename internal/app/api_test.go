@@ -15,7 +15,12 @@ import (
 // through the service layer, and returns an authenticated browser.
 func apiRig(t *testing.T) (*browser, *App, string) {
 	t.Helper()
-	a := rig(t)
+	return apiRigOn(t, rig(t))
+}
+
+// apiRigOn is apiRig over an app the caller built.
+func apiRigOn(t *testing.T, a *App) (*browser, *App, string) {
+	t.Helper()
 	// Mirror production wiring: rentald serves the app behind
 	// obs.LogRequests, which assigns request IDs and opens root spans.
 	srv := httptest.NewServer(obs.LogRequests(nil, a.Handler()))

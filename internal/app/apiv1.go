@@ -35,6 +35,7 @@ const (
 	v1Unauthorized    = "unauthorized"
 	v1NotFound        = "not_found"
 	v1BadRequest      = "bad_request"
+	v1TooLarge        = "body_too_large"
 	v1NotAllowed      = "method_not_allowed"
 	v1Internal        = "internal"
 	v1UpgradeRejected = "upgrade_rejected"
@@ -64,6 +65,28 @@ func writeV1ErrorData(w http.ResponseWriter, r *http.Request, status int, code, 
 		e["data"] = data
 	}
 	writeJSON(w, status, map[string]interface{}{"error": e})
+}
+
+// maxV1Body caps a /api/v1 JSON request body; the largest legitimate
+// one is a deploy carrying its legal document as a string.
+const maxV1Body = 1 << 20
+
+// decodeV1Body decodes the request's JSON body into v without reading
+// more than maxV1Body bytes of it. On failure it has answered — 413 for
+// an over-size body, 400 for anything else — and returns false.
+func decodeV1Body(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxV1Body)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeV1Error(w, r, http.StatusRequestEntityTooLarge, v1TooLarge,
+			fmt.Sprintf("JSON body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, "bad JSON body: "+err.Error())
+	}
+	return false
 }
 
 func (a *App) apiV1Routes(handle func(pattern string, h http.HandlerFunc)) {
@@ -168,8 +191,7 @@ func (a *App) v1Contracts(w http.ResponseWriter, r *http.Request, u *User) {
 			Artifact string `json:"artifact"`
 			v1Terms
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, "bad JSON body: "+err.Error())
+		if !decodeV1Body(w, r, &body) {
 			return
 		}
 		terms := core.RentalTerms{
@@ -289,6 +311,10 @@ func (a *App) v1ContractDetail(w http.ResponseWriter, r *http.Request, u *User, 
 		out["live"] = live
 	}
 
+	if rej, err := a.Manager.Rejections(viewer, addr); err == nil && len(rej) > 0 {
+		out["rejections"] = rej
+	}
+
 	if line, err := a.Manager.WalkChain(addr); err == nil {
 		type nodeJSON struct {
 			Address string `json:"address"`
@@ -309,34 +335,30 @@ func (a *App) v1ContractDetail(w http.ResponseWriter, r *http.Request, u *User, 
 		}
 		out["versions"] = nodes
 		out["verified"] = core.VerifyChain(line) == nil
-	}
 
-	if rej, err := a.Manager.Rejections(viewer, addr); err == nil && len(rej) > 0 {
-		out["rejections"] = rej
-	}
-
-	if hist, err := a.Rental.RentHistory(viewer, addr); err == nil {
-		type payJSON struct {
-			Version int    `json:"version"`
-			Month   uint64 `json:"month"`
-			Amount  string `json:"amountWei"`
-			TxHash  string `json:"txHash,omitempty"`
-			// Trace is a ready-to-send JSON-RPC invocation that replays
-			// this payment with the callTracer attached.
-			Trace interface{} `json:"trace,omitempty"`
-		}
-		pays := make([]payJSON, len(hist))
-		for i, p := range hist {
-			pays[i] = payJSON{Version: p.Version, Month: p.Month, Amount: p.Amount.String()}
-			if !p.TxHash.IsZero() {
-				pays[i].TxHash = p.TxHash.Hex()
-				pays[i].Trace = map[string]interface{}{
-					"method": "debug_traceTransaction",
-					"params": []interface{}{p.TxHash.Hex(), map[string]string{"tracer": "callTracer"}},
+		if hist, err := a.Rental.RentHistoryOf(viewer, line); err == nil {
+			type payJSON struct {
+				Version int    `json:"version"`
+				Month   uint64 `json:"month"`
+				Amount  string `json:"amountWei"`
+				TxHash  string `json:"txHash,omitempty"`
+				// Trace is a ready-to-send JSON-RPC invocation that replays
+				// this payment with the callTracer attached.
+				Trace interface{} `json:"trace,omitempty"`
+			}
+			pays := make([]payJSON, len(hist))
+			for i, p := range hist {
+				pays[i] = payJSON{Version: p.Version, Month: p.Month, Amount: p.Amount.String()}
+				if !p.TxHash.IsZero() {
+					pays[i].TxHash = p.TxHash.Hex()
+					pays[i].Trace = map[string]interface{}{
+						"method": "debug_traceTransaction",
+						"params": []interface{}{p.TxHash.Hex(), map[string]string{"tracer": "callTracer"}},
+					}
 				}
 			}
+			out["payments"] = pays
 		}
-		out["payments"] = pays
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -373,8 +395,7 @@ func (a *App) v1ContractAction(w http.ResponseWriter, r *http.Request, u *User, 
 		Action string   `json:"action"`
 		Terms  *v1Terms `json:"terms"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, "bad JSON body: "+err.Error())
+	if !decodeV1Body(w, r, &body) {
 		return
 	}
 	result := map[string]interface{}{"action": body.Action, "status": "ok"}

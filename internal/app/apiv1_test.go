@@ -8,8 +8,12 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"legalchain/internal/core"
+	"legalchain/internal/ethtypes"
+	"legalchain/internal/web3"
 	"legalchain/internal/xtrace"
 )
 
@@ -357,5 +361,89 @@ func TestV1ErrorRequestID(t *testing.T) {
 	}
 	if env.Error.RequestID != "envelope-rid-1" {
 		t.Fatalf("requestId = %q", env.Error.RequestID)
+	}
+}
+
+// pointerCounter counts the eth_calls that read a version's getPrev or
+// getNext pointer — the calls a walk of the evidence line is made of.
+type pointerCounter struct {
+	*web3.LocalBackend
+	selectors map[[4]byte]bool // set once, before the counted requests
+	reads     atomic.Int64
+}
+
+func (b *pointerCounter) CallContract(msg web3.CallMsg) ([]byte, error) {
+	if len(msg.Data) >= 4 && b.selectors[[4]byte(msg.Data[:4])] {
+		b.reads.Add(1)
+	}
+	return b.LocalBackend.CallContract(msg)
+}
+
+// TestContractPagesWalkChainOnce pins the cost of the two contract pages
+// that show both the version line and the cross-version rent history:
+// one pointer read per version and direction, whichever version the page
+// is asked for — the history must reuse the line the page walked.
+func TestContractPagesWalkChainOnce(t *testing.T) {
+	var node *pointerCounter
+	landlord, a, addr := apiRigOn(t, rigOver(t, func(b *web3.LocalBackend) web3.Backend {
+		node = &pointerCounter{LocalBackend: b}
+		return node
+	}))
+	row, err := a.Manager.GetRow(ethtypes.HexToAddress(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := ethtypes.HexToAddress(row.Landlord)
+	line := []ethtypes.Address{ethtypes.HexToAddress(addr)}
+	for v := 2; v <= 3; v++ {
+		next, err := a.Rental.Modify(owner, line[len(line)-1], core.ModifiedTerms{
+			Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+			House: "api-house", MaintenanceFee: ethtypes.Ether(1), Fine: ethtypes.Ether(1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line = append(line, next.Contract.Address)
+	}
+	bound, err := a.Manager.BindVersion(line[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.selectors = map[[4]byte]bool{
+		bound.ABI.Methods["getPrev"].ID(): true,
+		bound.ABI.Methods["getNext"].ID(): true,
+	}
+	for _, page := range []string{"/api/v1/contracts/", "/contract/"} {
+		for i, v := range line {
+			before := node.reads.Load()
+			resp, body := landlord.get(page + v.Hex())
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s%s: %d %s", page, v.Hex(), resp.StatusCode, body)
+			}
+			if got, want := node.reads.Load()-before, int64(2*len(line)); got != want {
+				t.Errorf("GET %sv%d read %d pointers, want %d (getPrev+getNext per version)", page, i+1, got, want)
+			}
+		}
+	}
+}
+
+// TestV1OversizeBodyRefused: both JSON-accepting v1 routes stop reading
+// at the body cap and answer 413 in the usual envelope.
+func TestV1OversizeBodyRefused(t *testing.T) {
+	b, _, addr := apiRig(t)
+	huge := map[string]string{"document": strings.Repeat("x", maxV1Body)}
+	for _, path := range []string{"/api/v1/contracts", "/api/v1/contracts/" + addr + "/actions"} {
+		var env struct {
+			Error struct {
+				Code      string `json:"code"`
+				RequestID string `json:"requestId"`
+			} `json:"error"`
+		}
+		if code := postJSON(t, b, path, huge, &env); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: code %d, want 413", path, code)
+		}
+		if env.Error.Code != v1TooLarge || env.Error.RequestID == "" {
+			t.Errorf("POST %s: envelope %+v", path, env.Error)
+		}
 	}
 }

@@ -21,6 +21,13 @@ import (
 // rig builds the full stack with a faucet and returns the app.
 func rig(t *testing.T) *App {
 	t.Helper()
+	return rigOver(t, func(b *web3.LocalBackend) web3.Backend { return b })
+}
+
+// rigOver is rig with the node's backend wrapped, so a test can watch
+// the calls the pages make.
+func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) *App {
+	t.Helper()
 	faucet := wallet.DevAccounts("app faucet", 1)[0]
 	g := chain.DefaultGenesis()
 	g.Alloc = wallet.DevAlloc([]wallet.Account{faucet}, ethtypes.Ether(1_000_000))
@@ -35,7 +42,7 @@ func rig(t *testing.T) *App {
 	t.Cleanup(func() { bc.Close() })
 	ks := wallet.NewKeystore()
 	ks.Import(faucet.Key)
-	client, err := web3.NewClient(web3.NewLocalBackend(bc), ks)
+	client, err := web3.NewClient(wrap(web3.NewLocalBackend(bc)), ks)
 	if err != nil {
 		t.Fatal(err)
 	}

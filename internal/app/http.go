@@ -289,11 +289,11 @@ func (a *App) renderContract(w http.ResponseWriter, u *User, addr ethtypes.Addre
 	if due, err := a.Rental.RentDue(viewer, addr); err == nil {
 		view.DueEth = ethtypes.FormatEther(due)
 	}
-	if hist, err := a.Rental.RentHistory(viewer, addr); err == nil {
-		view.Paid = hist
-	}
 	if versions, err := a.Manager.WalkChain(addr); err == nil {
 		view.Versions = versions
+		if hist, err := a.Rental.RentHistoryOf(viewer, versions); err == nil {
+			view.Paid = hist
+		}
 	}
 	a.render(w, contractTmpl, view)
 }

@@ -280,12 +280,18 @@ type PaymentRecord struct {
 // the chain containing addr — the cross-version transaction history the
 // paper's dashboard shows.
 func (s *RentalService) RentHistory(viewer, addr ethtypes.Address) ([]PaymentRecord, error) {
-	chain, err := s.M.WalkChain(addr)
+	line, err := s.M.WalkChain(addr)
 	if err != nil {
 		return nil, err
 	}
+	return s.RentHistoryOf(viewer, line)
+}
+
+// RentHistoryOf is RentHistory over a version line the caller has
+// already walked, so a page that also shows the line walks it once.
+func (s *RentalService) RentHistoryOf(viewer ethtypes.Address, line []VersionInfo) ([]PaymentRecord, error) {
 	var out []PaymentRecord
-	for _, node := range chain {
+	for _, node := range line {
 		bound, err := s.M.BindVersion(node.Address)
 		if err != nil {
 			return nil, err

@@ -269,3 +269,36 @@ func testEVMState(t *testing.T) *state.StateDB {
 	_, st := testEVM()
 	return st
 }
+
+// TestPushTruncatedByEndOfCode pins the Yellow Paper's reading of code
+// past its end as zeros: a PUSHn whose immediate is cut short pushes the
+// bytes that are there as the most significant of the n, zero-extended on
+// the right, and execution then stops at end-of-code.
+func TestPushTruncatedByEndOfCode(t *testing.T) {
+	imm := make([]byte, 32)
+	for i := range imm {
+		imm[i] = byte(0xa1 + i)
+	}
+	e, _ := testEVM()
+	for n := 1; n <= 32; n++ {
+		for have := 0; have <= n; have++ {
+			code := append([]byte{byte(PUSH1) + byte(n-1)}, imm[:have]...)
+			f := &frame{code: code, gas: 100, stack: newStack(), mem: newMemory()}
+			if _, err := e.exec(f); err != nil {
+				t.Fatalf("PUSH%d with %d immediate bytes: %v", n, have, err)
+			}
+			got, err := f.stack.peek(0)
+			if err != nil || f.stack.Len() != 1 {
+				t.Fatalf("PUSH%d with %d immediate bytes: stack len %d, %v", n, have, f.stack.Len(), err)
+			}
+			want := make([]byte, n)
+			copy(want, imm[:have])
+			if got != uint256.SetBytes(want) {
+				t.Errorf("PUSH%d with %d immediate bytes pushed %s, want 0x%x", n, have, got, want)
+			}
+			if f.gas != 100-GasVeryLow {
+				t.Errorf("PUSH%d with %d immediate bytes left %d gas", n, have, f.gas)
+			}
+		}
+	}
+}

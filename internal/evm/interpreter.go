@@ -600,12 +600,11 @@ func (e *EVM) exec(f *frame) ([]byte, error) {
 				return nil, ErrOutOfGas
 			}
 			n := uint64(op-PUSH1) + 1
+			// The destination bounds the copy to n bytes; an immediate cut
+			// short by end-of-code stays zero on the right.
 			var buf [32]byte
-			for i := uint64(0); i < n; i++ {
-				idx := f.pc + 1 + i
-				if idx < uint64(len(f.code)) {
-					buf[32-n+i] = f.code[idx]
-				}
+			if start := f.pc + 1; start < uint64(len(f.code)) {
+				copy(buf[32-n:], f.code[start:])
 			}
 			if err := push(uint256.SetBytes(buf[:])); err != nil {
 				return nil, err

@@ -4,11 +4,16 @@
 // Ethereum predates the FIPS-202 standardisation of SHA-3 and uses the
 // original Keccak padding (domain byte 0x01) rather than the SHA-3 domain
 // byte 0x06, so the standard library's sha3 cannot be substituted even if
-// it were available. The implementation below is a straightforward
-// sponge over Keccak-f[1600].
+// it were available. The implementation below is a sponge over an
+// unrolled Keccak-f[1600]; the textbook loop form of the permutation
+// lives in keccak_test.go as its differential oracle.
 package keccak
 
-import "hash"
+import (
+	"encoding/binary"
+	"hash"
+	"math/bits"
+)
 
 // round constants for the iota step of Keccak-f[1600].
 var roundConstants = [24]uint64{
@@ -22,55 +27,127 @@ var roundConstants = [24]uint64{
 	0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 }
 
-// rotation offsets for the rho step, indexed [x][y].
-var rotc = [5][5]uint{
-	{0, 36, 3, 41, 18},
-	{1, 44, 10, 45, 2},
-	{62, 6, 43, 15, 61},
-	{28, 55, 25, 21, 56},
-	{27, 20, 39, 8, 14},
+// state is the 1600-bit sponge state in the specification's lane order:
+// lane i is (x, y) = (i%5, i/5), so byte 8i of a rate block belongs to
+// lane i and absorb and squeeze index the array directly.
+type state [25]uint64
+
+// permute applies the full 24-round Keccak-f[1600] permutation to a.
+// Rounds alternate between a and a scratch state so that no round reads
+// a lane it has already overwritten.
+func permute(a *state) {
+	var e state
+	for r := 0; r < 24; r += 2 {
+		round(&e, a, roundConstants[r])
+		round(a, &e, roundConstants[r+1])
+	}
 }
 
-func rotl(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
+// round writes one Keccak-f round of a into e. Every index and rotation
+// count is a constant: output lane (x, y) is input lane ((x+3y)%5, x)
+// after θ, rotated by that lane's ρ offset.
+func round(e, a *state, rc uint64) {
+	// θ: column parities, then the per-column correction d.
+	c0 := a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20]
+	c1 := a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21]
+	c2 := a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22]
+	c3 := a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23]
+	c4 := a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24]
+	d0 := c4 ^ bits.RotateLeft64(c1, 1)
+	d1 := c0 ^ bits.RotateLeft64(c2, 1)
+	d2 := c1 ^ bits.RotateLeft64(c3, 1)
+	d3 := c2 ^ bits.RotateLeft64(c4, 1)
+	d4 := c3 ^ bits.RotateLeft64(c0, 1)
 
-// permute applies the full 24-round Keccak-f[1600] permutation to the
-// state a, indexed a[x][y].
-func permute(a *[5][5]uint64) {
-	var b [5][5]uint64
-	var c, d [5]uint64
-	for round := 0; round < 24; round++ {
-		// theta
-		for x := 0; x < 5; x++ {
-			c[x] = a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4]
-		}
-		for x := 0; x < 5; x++ {
-			d[x] = c[(x+4)%5] ^ rotl(c[(x+1)%5], 1)
-			for y := 0; y < 5; y++ {
-				a[x][y] ^= d[x]
-			}
-		}
-		// rho and pi
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				b[y][(2*x+3*y)%5] = rotl(a[x][y], rotc[x][y])
-			}
-		}
-		// chi
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				a[x][y] = b[x][y] ^ (^b[(x+1)%5][y] & b[(x+2)%5][y])
-			}
-		}
-		// iota
-		a[0][0] ^= roundConstants[round]
+	// ρ and π gather row 0, χ writes it, ι lands on lane 0.
+	b0 := a[0] ^ d0
+	b1 := bits.RotateLeft64(a[6]^d1, 44)
+	b2 := bits.RotateLeft64(a[12]^d2, 43)
+	b3 := bits.RotateLeft64(a[18]^d3, 21)
+	b4 := bits.RotateLeft64(a[24]^d4, 14)
+	e[0] = b0 ^ (^b1 & b2) ^ rc
+	e[1] = b1 ^ (^b2 & b3)
+	e[2] = b2 ^ (^b3 & b4)
+	e[3] = b3 ^ (^b4 & b0)
+	e[4] = b4 ^ (^b0 & b1)
+
+	// ρ and π gather row 1, χ writes it.
+	b0 = bits.RotateLeft64(a[3]^d3, 28)
+	b1 = bits.RotateLeft64(a[9]^d4, 20)
+	b2 = bits.RotateLeft64(a[10]^d0, 3)
+	b3 = bits.RotateLeft64(a[16]^d1, 45)
+	b4 = bits.RotateLeft64(a[22]^d2, 61)
+	e[5] = b0 ^ (^b1 & b2)
+	e[6] = b1 ^ (^b2 & b3)
+	e[7] = b2 ^ (^b3 & b4)
+	e[8] = b3 ^ (^b4 & b0)
+	e[9] = b4 ^ (^b0 & b1)
+
+	// ρ and π gather row 2, χ writes it.
+	b0 = bits.RotateLeft64(a[1]^d1, 1)
+	b1 = bits.RotateLeft64(a[7]^d2, 6)
+	b2 = bits.RotateLeft64(a[13]^d3, 25)
+	b3 = bits.RotateLeft64(a[19]^d4, 8)
+	b4 = bits.RotateLeft64(a[20]^d0, 18)
+	e[10] = b0 ^ (^b1 & b2)
+	e[11] = b1 ^ (^b2 & b3)
+	e[12] = b2 ^ (^b3 & b4)
+	e[13] = b3 ^ (^b4 & b0)
+	e[14] = b4 ^ (^b0 & b1)
+
+	// ρ and π gather row 3, χ writes it.
+	b0 = bits.RotateLeft64(a[4]^d4, 27)
+	b1 = bits.RotateLeft64(a[5]^d0, 36)
+	b2 = bits.RotateLeft64(a[11]^d1, 10)
+	b3 = bits.RotateLeft64(a[17]^d2, 15)
+	b4 = bits.RotateLeft64(a[23]^d3, 56)
+	e[15] = b0 ^ (^b1 & b2)
+	e[16] = b1 ^ (^b2 & b3)
+	e[17] = b2 ^ (^b3 & b4)
+	e[18] = b3 ^ (^b4 & b0)
+	e[19] = b4 ^ (^b0 & b1)
+
+	// ρ and π gather row 4, χ writes it.
+	b0 = bits.RotateLeft64(a[2]^d2, 62)
+	b1 = bits.RotateLeft64(a[8]^d3, 55)
+	b2 = bits.RotateLeft64(a[14]^d4, 39)
+	b3 = bits.RotateLeft64(a[15]^d0, 41)
+	b4 = bits.RotateLeft64(a[21]^d1, 2)
+	e[20] = b0 ^ (^b1 & b2)
+	e[21] = b1 ^ (^b2 & b3)
+	e[22] = b2 ^ (^b3 & b4)
+	e[23] = b3 ^ (^b4 & b0)
+	e[24] = b4 ^ (^b0 & b1)
+}
+
+// absorb XORs one rate-sized block into a and permutes.
+func absorb(a *state, block []byte) {
+	for i := 0; i < len(block)/8; i++ {
+		a[i] ^= binary.LittleEndian.Uint64(block[8*i:])
+	}
+	permute(a)
+}
+
+// finish pads tail (shorter than rate) with the pre-FIPS multi-rate
+// padding 0x01 … 0x80, absorbs it into a and squeezes len(out) bytes.
+// Both output sizes fit inside one rate block, so one squeeze suffices.
+// The padded block lives on the stack: rate is at most 136 bytes.
+func finish(a *state, tail []byte, rate int, out []byte) {
+	var block [136]byte
+	n := copy(block[:], tail)
+	block[n] = 0x01
+	block[rate-1] |= 0x80
+	absorb(a, block[:rate])
+	for i := 0; i < len(out)/8; i++ {
+		binary.LittleEndian.PutUint64(out[8*i:], a[i])
 	}
 }
 
 // digest is a sponge instance. It implements hash.Hash.
 type digest struct {
-	a       [5][5]uint64 // state
-	buf     []byte       // unabsorbed input, len < rate
-	rate    int          // bytes absorbed per block
+	a       state
+	buf     []byte // unabsorbed input, len < rate
+	rate    int    // bytes absorbed per block
 	outSize int
 }
 
@@ -84,7 +161,7 @@ func (d *digest) Size() int      { return d.outSize }
 func (d *digest) BlockSize() int { return d.rate }
 
 func (d *digest) Reset() {
-	d.a = [5][5]uint64{}
+	d.a = state{}
 	d.buf = d.buf[:0]
 }
 
@@ -99,13 +176,13 @@ func (d *digest) Write(p []byte) (int, error) {
 		d.buf = append(d.buf, p[:need]...)
 		p = p[need:]
 		if len(d.buf) == d.rate {
-			d.absorb(d.buf)
+			absorb(&d.a, d.buf)
 			d.buf = d.buf[:0]
 		}
 	}
 	// Absorb full blocks straight from the input, no copying.
 	for len(p) >= d.rate {
-		d.absorb(p[:d.rate])
+		absorb(&d.a, p[:d.rate])
 		p = p[d.rate:]
 	}
 	if len(p) > 0 {
@@ -114,109 +191,34 @@ func (d *digest) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// absorb XORs one rate-sized block into the state and permutes.
-func (d *digest) absorb(block []byte) { absorbInto(&d.a, block) }
-
-// absorbInto XORs one rate-sized block into a and permutes.
-func absorbInto(a *[5][5]uint64, block []byte) {
-	for i := 0; i < len(block)/8; i++ {
-		lane := le64(block[i*8:])
-		x, y := i%5, i/5
-		a[x][y] ^= lane
-	}
-	permute(a)
-}
-
+// Sum works on a copy of the state so it does not disturb the running
+// hash.
 func (d *digest) Sum(in []byte) []byte {
-	// Copy the state so Sum does not disturb the running hash. The
-	// partial block is padded on the stack: rate is at most 136 bytes.
 	a := d.a
-	var block [136]byte
-	n := copy(block[:], d.buf)
-
-	// Keccak (pre-FIPS) multi-rate padding: 0x01 ... 0x80.
-	block[n] = 0x01
-	block[d.rate-1] |= 0x80
-	absorbInto(&a, block[:d.rate])
-
-	// Squeeze.
 	var out [64]byte
-	off := 0
-	for off < d.outSize {
-		for i := 0; i < d.rate/8 && off < d.outSize; i++ {
-			x, y := i%5, i/5
-			putLE64(out[off:], a[x][y], d.outSize-off)
-			off += 8
-		}
-		if off < d.outSize {
-			permute(&a)
-		}
-	}
+	finish(&a, d.buf, d.rate, out[:d.outSize])
 	return append(in, out[:d.outSize]...)
 }
 
-// sum finalizes into out without preserving the running state; out must
-// be outSize bytes. Used by the one-shot helpers to stay allocation-free.
-func (d *digest) sum(out []byte) {
-	var block [136]byte
-	n := copy(block[:], d.buf)
-	block[n] = 0x01
-	block[d.rate-1] |= 0x80
-	absorbInto(&d.a, block[:d.rate])
-	off := 0
-	for off < d.outSize {
-		for i := 0; i < d.rate/8 && off < d.outSize; i++ {
-			x, y := i%5, i/5
-			putLE64(out[off:], d.a[x][y], d.outSize-off)
-			off += 8
-		}
-		if off < d.outSize {
-			permute(&d.a)
-		}
+// sumOnce hashes data in one shot at the given rate without heap
+// allocation: full blocks are absorbed straight from data.
+func sumOnce(data []byte, rate int, out []byte) {
+	var a state
+	for len(data) >= rate {
+		absorb(&a, data[:rate])
+		data = data[rate:]
 	}
+	finish(&a, data, rate, out)
 }
 
 // Sum256 computes the Keccak-256 digest of data without heap allocation.
-func Sum256(data []byte) [32]byte {
-	d := digest{rate: 136, outSize: 32}
-	for len(data) >= d.rate {
-		d.absorb(data[:d.rate])
-		data = data[d.rate:]
-	}
-	var block [136]byte
-	n := copy(block[:], data)
-	block[n] = 0x01
-	block[d.rate-1] |= 0x80
-	d.absorb(block[:d.rate])
-	var out [32]byte
-	for i := 0; i < 4; i++ {
-		x, y := i%5, i/5
-		putLE64(out[i*8:], d.a[x][y], 8)
-	}
+func Sum256(data []byte) (out [32]byte) {
+	sumOnce(data, 136, out[:])
 	return out
 }
 
 // Sum512 computes the Keccak-512 digest of data.
-func Sum512(data []byte) [64]byte {
-	d := digest{rate: 72, outSize: 64}
-	d.Write(data)
-	var out [64]byte
-	d.sum(out[:])
+func Sum512(data []byte) (out [64]byte) {
+	sumOnce(data, 72, out[:])
 	return out
-}
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// putLE64 writes up to max (≤8) bytes of v into b little-endian.
-func putLE64(b []byte, v uint64, max int) {
-	n := 8
-	if max < n {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

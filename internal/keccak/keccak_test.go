@@ -3,10 +3,149 @@ package keccak
 import (
 	"bytes"
 	"encoding/hex"
+	"hash"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// The differential oracle: Keccak-f[1600] as the specification writes
+// it, loops over a[x][y] with %5 index arithmetic and the ρ offsets in a
+// table. It was the build's implementation until the unrolled form
+// replaced it; it shares only the round constants with permute.
+
+// rotation offsets for the rho step, indexed [x][y].
+var rotc = [5][5]uint{
+	{0, 36, 3, 41, 18},
+	{1, 44, 10, 45, 2},
+	{62, 6, 43, 15, 61},
+	{28, 55, 25, 21, 56},
+	{27, 20, 39, 8, 14},
+}
+
+func rotl(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
+
+// permuteLoop applies Keccak-f[1600] to a, indexed a[x][y].
+func permuteLoop(a *[5][5]uint64) {
+	var b [5][5]uint64
+	var c, d [5]uint64
+	for round := 0; round < 24; round++ {
+		// theta
+		for x := 0; x < 5; x++ {
+			c[x] = a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4]
+		}
+		for x := 0; x < 5; x++ {
+			d[x] = c[(x+4)%5] ^ rotl(c[(x+1)%5], 1)
+			for y := 0; y < 5; y++ {
+				a[x][y] ^= d[x]
+			}
+		}
+		// rho and pi
+		for x := 0; x < 5; x++ {
+			for y := 0; y < 5; y++ {
+				b[y][(2*x+3*y)%5] = rotl(a[x][y], rotc[x][y])
+			}
+		}
+		// chi
+		for x := 0; x < 5; x++ {
+			for y := 0; y < 5; y++ {
+				a[x][y] = b[x][y] ^ (^b[(x+1)%5][y] & b[(x+2)%5][y])
+			}
+		}
+		// iota
+		a[0][0] ^= roundConstants[round]
+	}
+}
+
+// sumLoop is a byte-at-a-time sponge over permuteLoop: every input byte
+// is XORed into its lane on its own and the state is permuted whenever
+// rate bytes have gone in. outSize must not exceed rate.
+func sumLoop(data []byte, rate, outSize int) []byte {
+	var a [5][5]uint64
+	xorByte := func(pos int, b byte) {
+		lane := pos / 8
+		a[lane%5][lane/5] ^= uint64(b) << (8 * uint(pos%8))
+	}
+	pos := 0
+	for _, b := range data {
+		xorByte(pos, b)
+		if pos++; pos == rate {
+			permuteLoop(&a)
+			pos = 0
+		}
+	}
+	xorByte(pos, 0x01)
+	xorByte(rate-1, 0x80)
+	permuteLoop(&a)
+	out := make([]byte, outSize)
+	for i := range out {
+		lane := i / 8
+		out[i] = byte(a[lane%5][lane/5] >> (8 * uint(i%8)))
+	}
+	return out
+}
+
+// TestPermuteMatchesLoopForm runs the unrolled permutation and the loop
+// form over 1000 seeded random states and compares all 25 lanes.
+func TestPermuteMatchesLoopForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1600))
+	for n := 0; n < 1000; n++ {
+		var flat state
+		var grid [5][5]uint64
+		for i := range flat {
+			flat[i] = rng.Uint64()
+			grid[i%5][i/5] = flat[i]
+		}
+		permute(&flat)
+		permuteLoop(&grid)
+		for i := range flat {
+			if flat[i] != grid[i%5][i/5] {
+				t.Fatalf("state %d lane %d (x=%d y=%d): unrolled %016x, loop form %016x",
+					n, i, i%5, i/5, flat[i], grid[i%5][i/5])
+			}
+		}
+	}
+}
+
+// FuzzSum256 checks the sponge against the loop-form oracle on arbitrary
+// input at both rates, one-shot and with the input written in three
+// pieces cut at fuzzer-chosen offsets. Seeds (empty, and one byte either
+// side of each rate) are in testdata/fuzz/FuzzSum256.
+func FuzzSum256(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
+		i, j := int(cut1), int(cut2)
+		if i > len(data) {
+			i = len(data)
+		}
+		if j < i {
+			j = i
+		}
+		if j > len(data) {
+			j = len(data)
+		}
+		one256, one512 := Sum256(data), Sum512(data)
+		for _, c := range []struct {
+			h       hash.Hash
+			oneShot []byte
+			rate    int
+		}{
+			{New256(), one256[:], 136},
+			{New512(), one512[:], 72},
+		} {
+			want := sumLoop(data, c.rate, len(c.oneShot))
+			if !bytes.Equal(c.oneShot, want) {
+				t.Fatalf("rate %d, %d bytes: one-shot %x, oracle %x", c.rate, len(data), c.oneShot, want)
+			}
+			c.h.Write(data[:i])
+			c.h.Write(data[i:j])
+			c.h.Write(data[j:])
+			if got := c.h.Sum(nil); !bytes.Equal(got, want) {
+				t.Fatalf("rate %d, %d bytes cut at %d,%d: incremental %x, oracle %x", c.rate, len(data), i, j, got, want)
+			}
+		}
+	})
+}
 
 // Published Keccak-256 test vectors (legacy padding, as used by Ethereum).
 var vectors256 = []struct {
@@ -138,6 +277,28 @@ func TestLongInput(t *testing.T) {
 	h.Write(msg)
 	if got := h.Sum(nil); !bytes.Equal(got, d1[:]) {
 		t.Fatal("mismatch on 1MiB input")
+	}
+}
+
+var sink [32]byte
+
+func BenchmarkPermute(b *testing.B) {
+	var a state
+	for i := range a {
+		a[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	for i := 0; i < b.N; i++ {
+		permute(&a)
+	}
+	sink[0] = byte(a[0])
+}
+
+// BenchmarkSum256_64 is one mapping-slot hash: keccak256(key ‖ slot).
+func BenchmarkSum256_64(b *testing.B) {
+	data := make([]byte, 64)
+	b.SetBytes(64)
+	for i := 0; i < b.N; i++ {
+		sink = Sum256(data)
 	}
 }
 

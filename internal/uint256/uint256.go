@@ -11,6 +11,7 @@
 package uint256
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -77,25 +78,26 @@ func SetBytes(b []byte) Int {
 	if len(b) > 32 {
 		b = b[len(b)-32:]
 	}
-	var out Int
-	for i := 0; i < len(b); i++ {
-		byteIdx := len(b) - 1 - i // distance from LSB
-		limb := byteIdx / 8
-		shift := uint(byteIdx%8) * 8
-		out[limb] |= uint64(b[i]) << shift
+	if len(b) < 32 {
+		var word [32]byte
+		copy(word[32-len(b):], b)
+		b = word[:]
 	}
-	return out
+	return Int{
+		binary.BigEndian.Uint64(b[24:32]),
+		binary.BigEndian.Uint64(b[16:24]),
+		binary.BigEndian.Uint64(b[8:16]),
+		binary.BigEndian.Uint64(b[0:8]),
+	}
 }
 
 // Bytes32 returns the 32-byte big-endian encoding of x.
 func (x Int) Bytes32() [32]byte {
 	var out [32]byte
-	for i := 0; i < 4; i++ {
-		limb := x[3-i]
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = byte(limb >> (56 - 8*j))
-		}
-	}
+	binary.BigEndian.PutUint64(out[0:8], x[3])
+	binary.BigEndian.PutUint64(out[8:16], x[2])
+	binary.BigEndian.PutUint64(out[16:24], x[1])
+	binary.BigEndian.PutUint64(out[24:32], x[0])
 	return out
 }
 

@@ -289,3 +289,48 @@ func BenchmarkMul(b *testing.B) {
 	}
 	_ = z
 }
+
+// FuzzWordIO checks the word-at-a-time byte I/O against math/big: the
+// fuzzer's bytes fill a 40-byte buffer and every prefix length 0…40 of
+// it (short, exact and over-long inputs) goes through SetBytes, Bytes32
+// and Bytes beside big.Int's SetBytes, FillBytes and Bytes.
+func FuzzWordIO(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf [40]byte
+		copy(buf[:], data)
+		for n := 0; n <= len(buf); n++ {
+			in := buf[:n]
+			want := mod256(new(big.Int).SetBytes(in))
+			got := SetBytes(in)
+			if got.ToBig().Cmp(want) != 0 {
+				t.Fatalf("SetBytes(%x) = %s, want %s", in, got, want)
+			}
+			word := got.Bytes32()
+			if !bytes.Equal(word[:], want.FillBytes(make([]byte, 32))) {
+				t.Fatalf("Bytes32 of %s = %x", want, word)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("Bytes of %s = %x", want, got.Bytes())
+			}
+		}
+	})
+}
+
+var (
+	sinkInt  Int
+	sinkWord [32]byte
+)
+
+func BenchmarkSetBytes32(b *testing.B) {
+	word := Max.Sub(NewUint64(0xdeadbeef)).Bytes32()
+	for i := 0; i < b.N; i++ {
+		sinkInt = SetBytes(word[:])
+	}
+}
+
+func BenchmarkBytes32(b *testing.B) {
+	x := Max.Sub(NewUint64(0xdeadbeef))
+	for i := 0; i < b.N; i++ {
+		sinkWord = x.Bytes32()
+	}
+}
