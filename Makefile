@@ -62,11 +62,15 @@ lint:
 
 # fuzz-smoke runs every native fuzz target for ten seconds from its
 # committed seed corpus (testdata/fuzz/): the unrolled Keccak sponge
-# against the loop-form oracle, and uint256 byte I/O against math/big.
-# go test takes one -fuzz target and one package per invocation.
+# against the loop-form oracle, uint256 byte I/O against math/big, and
+# the secp256k1 Jacobian ladder (then sign → Recover) against the affine
+# oracle. go test takes one -fuzz target and one package per invocation.
+# FuzzScalarMult costs ~15 ms an input, so minimising each
+# coverage-expanding one (60 s by default) would leave no time to fuzz.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
 	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
+	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 
 # fmt-check fails the build if any file is not gofmt-clean.
 fmt-check:
@@ -124,14 +128,17 @@ bench:
 
 # bench-smoke is the CI-sized benchmark run: one iteration of each
 # tracked benchmark, enough to catch panics and pathological
-# regressions without burning runner minutes — and the four read-side
-# kernel benchmarks at their default length, because one iteration of a
-# sub-microsecond function is timer noise. Output lands in
-# bench-smoke.txt (uploaded as a CI artifact).
+# regressions without burning runner minutes — and the kernel
+# benchmarks (Keccak, uint256 word I/O, secp256k1 scalar multiplication,
+# Sign and Recover) at their default length, because one iteration of a
+# sub-microsecond function is timer noise and one of a millisecond one
+# says little more. Output lands in bench-smoke.txt (uploaded as a CI
+# artifact).
 bench-smoke:
 	@{ $(BENCH_HOST); \
 	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineBlockParallel|MineLoopPipelined|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; \
-	$(GO) test -run xxx -bench 'Permute|Sum256_64|Bytes32' ./internal/keccak/ ./internal/uint256/; } | tee bench-smoke.txt
+	$(GO) test -run xxx -bench 'Permute|Sum256_64|Bytes32' ./internal/keccak/ ./internal/uint256/; \
+	$(GO) test -run xxx -bench . ./internal/secp256k1/; } | tee bench-smoke.txt
 
 # bench-par is the EXPERIMENTS.md §P6 scaling table: the full
 # BenchmarkMineBlockParallel sweep (workers 1/2/4/8 at three conflict

@@ -3,11 +3,13 @@ package chain
 import (
 	"context"
 	"errors"
+	"math/big"
 	"sync"
 	"testing"
 	"time"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/secp256k1"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 	"legalchain/internal/xtrace"
@@ -182,6 +184,10 @@ func TestStatelessRefusalsNeverTakeTheLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	tooBig := rawTx(t, bc, accs[0], 1, &accs[1].Address, uint256.One, nil, bc.GasLimit()+1)
+	// A valid signature's malleable twin: s' = N − s, other recovery id.
+	highS := rawTx(t, bc, accs[0], 1, &accs[1].Address, uint256.One, nil, 21000)
+	highS.S = new(big.Int).Sub(secp256k1.N, highS.S)
+	highS.V = new(big.Int).SetUint64(2*(35+2*bc.ChainID()) + 1 - highS.V.Uint64())
 
 	cases := []struct {
 		name string
@@ -189,6 +195,7 @@ func TestStatelessRefusalsNeverTakeTheLock(t *testing.T) {
 		want string
 	}{
 		{"invalid signature", otherChain, "chain: invalid signature: ethtypes: wrong chain id in v=" + otherChain.V.String() + " (want chain 1337)"},
+		{"high-S twin", highS, "chain: invalid signature: secp256k1: signature s not normalized (malleable)"},
 		{"over the block gas limit", tooBig, "chain: transaction exceeds block gas limit"},
 		{"sealed hash", freshDecode(t, sealed), "chain: already known transaction"},
 	}

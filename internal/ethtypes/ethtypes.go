@@ -330,6 +330,10 @@ func (tx *Transaction) Sender(chainID uint64) (Address, error) {
 	}
 	mSenderRecoveries.Inc()
 	sig := &secp256k1.Signature{R: tx.R, S: tx.S, V: byte(v - base)}
+	// EIP-2: a transaction's s is in the low half (Recover takes either).
+	if err := sig.CheckLowS(); err != nil {
+		return Address{}, err
+	}
 	pub, err := secp256k1.Recover(digest[:], sig)
 	if err != nil {
 		return Address{}, err

@@ -244,6 +244,30 @@ func memoTx(t *testing.T) (*Transaction, Address) {
 	return tx, from
 }
 
+// TestSenderRefusesHighSTwin turns a signed transaction into its
+// malleable twin (s' = N − s, other recovery id). The curve recovers the
+// same key from it — which is what the ecrecover precompile must report —
+// but a transaction carrying it is refused (EIP-2), with or without a
+// memo from the original in place.
+func TestSenderRefusesHighSTwin(t *testing.T) {
+	tx, from := memoTx(t)
+	base := uint64(35 + 2*memoChainID)
+	tx.S = new(big.Int).Sub(secp256k1.N, tx.S)
+	tx.V = new(big.Int).SetUint64(2*base + 1 - tx.V.Uint64())
+
+	digest := tx.SigHash(memoChainID)
+	pub, err := secp256k1.Recover(digest[:], &secp256k1.Signature{R: tx.R, S: tx.S, V: byte(tx.V.Uint64() - base)})
+	if err != nil || PubkeyToAddress(pub) != from {
+		t.Fatalf("curve recovery of the twin = %v, %v; want the signer", pub, err)
+	}
+	const want = "secp256k1: signature s not normalized (malleable)"
+	for _, tw := range []*Transaction{tx, bare(tx)} {
+		if got, err := tw.Sender(memoChainID); err == nil || err.Error() != want {
+			t.Fatalf("Sender of the high-S twin = %s, %v; want %q", got, err, want)
+		}
+	}
+}
+
 func TestSenderMemoCountsOneRecovery(t *testing.T) {
 	key := secp256k1.PrivateKeyFromScalar(big.NewInt(0xfeed))
 	tx := &Transaction{Nonce: 1, GasPrice: Gwei(1), Gas: 21000}

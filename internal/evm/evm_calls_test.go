@@ -2,8 +2,10 @@ package evm
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"legalchain/internal/ethtypes"
@@ -276,6 +278,34 @@ func TestEcrecoverPrecompile(t *testing.T) {
 	want := ethtypes.PubkeyToAddress(key.Public)
 	if got := ethtypes.BytesToAddress(ret[12:]); got != want {
 		t.Fatalf("ecrecover = %s, want %s", got, want)
+	}
+
+	// The precompile accepts either s: the low-S rule (EIP-2) is about
+	// transactions. The well-known vector and its twin (s' = N − s, other
+	// v) must name the same address.
+	const (
+		vecHash = "456e9aea5e197a1f1af7a3e85a3212fa4049a3ba34c2289b4c860fc0b0c64ef3"
+		vecR    = "9242685bf161793cc25603c231bc2f568eb630ea16aa137d2664ac8038825608"
+		vecS    = "4f8ae3bd7535248d0bd448298cc2e2071e56992d0774dc340c368ae950852ada"
+		vecAddr = "0x7156526fbd7a3c72969b54f64e42c10fbb768c8a"
+	)
+	s, _ := new(big.Int).SetString(vecS, 16)
+	twinS := new(big.Int).Sub(secp256k1.N, s)
+	for _, c := range []struct {
+		v byte
+		s string
+	}{{28, vecS}, {27, hex.EncodeToString(twinS.FillBytes(make([]byte, 32)))}} {
+		in, err := hex.DecodeString(vecHash + strings.Repeat("00", 31) + hex.EncodeToString([]byte{c.v}) + vecR + c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret, _, err := e.Call(addrOf(0xEE), ethtypes.BytesToAddress([]byte{1}), in, 100_000, uint256.Zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ret) != 32 || ethtypes.BytesToAddress(ret[12:]) != ethtypes.HexToAddress(vecAddr) {
+			t.Fatalf("ecrecover(v=%d, s=%s) = %x, want %s", c.v, c.s, ret, vecAddr)
+		}
 	}
 }
 

@@ -4,10 +4,15 @@
 // recoverable signature (the ecrecover primitive).
 //
 // The standard library does not ship secp256k1 (crypto/elliptic only
-// covers the NIST curves), so the group law is implemented here directly
-// over math/big. Performance is adequate for a development chain; this
-// is not a constant-time implementation and must not be used to guard
-// production funds — a limitation shared with every devnet keystore.
+// covers the NIST curves), so the curve is implemented here over
+// math/big. Scalar multiplication is a double-and-add ladder on one
+// Jacobian accumulator (x/z², y/z³) that pays a single field inversion
+// when it converts back; Add and Double are the affine group law, one
+// inversion each, used where two finished points meet and as the tests'
+// oracle for the ladder. This is still not a constant-time
+// implementation — the ladder branches on every scalar bit — and must
+// not be used to guard production funds, a limitation shared with every
+// devnet keystore.
 package secp256k1
 
 import (
@@ -29,7 +34,11 @@ var (
 	Gy, _ = new(big.Int).SetString("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8", 16)
 
 	halfN = new(big.Int).Rsh(N, 1)
+	three = big.NewInt(3)
 	seven = big.NewInt(7)
+	// sqrtExp is (P+1)/4: since P ≡ 3 (mod 4), a^sqrtExp is a square
+	// root of a whenever a has one.
+	sqrtExp = new(big.Int).Rsh(new(big.Int).Add(P, big.NewInt(1)), 2)
 )
 
 // Point is an affine curve point; the point at infinity is represented
@@ -96,7 +105,7 @@ func Double(p Point) Point {
 	}
 	// lambda = 3x² / 2y
 	num := new(big.Int).Mul(p.X, p.X)
-	num.Mul(num, big.NewInt(3))
+	num.Mul(num, three)
 	den := new(big.Int).Lsh(p.Y, 1)
 	lambda := num.Mul(num, modInverse(den, P))
 	lambda.Mod(lambda, P)
@@ -122,18 +131,121 @@ func chord(p, q Point, lambda *big.Int) Point {
 	return Point{X: x, Y: y}
 }
 
-// ScalarMult returns k·p (double-and-add).
-func ScalarMult(p Point, k *big.Int) Point {
-	k = new(big.Int).Mod(k, N)
-	result := Infinity()
-	addend := p
-	for i := 0; i < k.BitLen(); i++ {
-		if k.Bit(i) == 1 {
-			result = Add(result, addend)
-		}
-		addend = Double(addend)
+// jacobian is the scalar-multiplication accumulator: the point
+// (x/z², y/z³), with z = 0 for the identity and x, y, z kept in [0, P).
+// The remaining fields are scratch the formulas reuse from step to step,
+// so all a step still allocates is the quotient each big.Int.Mod throws
+// away. big.Int.Mul allocates when its destination is also an operand,
+// which is why no product below is written into one of its own factors.
+type jacobian struct {
+	x, y, z             big.Int
+	a, b, c, d, e, f, g big.Int
+}
+
+// mulMod sets dst = u·v mod P; dst must be neither u nor v.
+func mulMod(dst, u, v *big.Int) {
+	dst.Mul(u, v)
+	dst.Mod(dst, P)
+}
+
+// double sets j = 2j: "dbl-2009-l" for a = 0, five squarings and two
+// products. The identity, and a point with y = 0, come out with z = 0.
+func (j *jacobian) double() {
+	mulMod(&j.a, &j.x, &j.x) // A = X²
+	mulMod(&j.b, &j.y, &j.y) // B = Y²
+	mulMod(&j.c, &j.b, &j.b) // C = B²
+	j.e.Add(&j.x, &j.b)
+	mulMod(&j.d, &j.e, &j.e)
+	j.d.Sub(&j.d, &j.a)
+	j.d.Sub(&j.d, &j.c)
+	j.d.Lsh(&j.d, 1) // D = 2((X+B)² − A − C)
+	j.e.Lsh(&j.a, 1)
+	j.e.Add(&j.e, &j.a)      // E = 3A
+	mulMod(&j.f, &j.e, &j.e) // F = E²
+	mulMod(&j.g, &j.y, &j.z)
+	j.z.Lsh(&j.g, 1) // Z' = 2YZ
+	j.z.Mod(&j.z, P)
+	j.x.Lsh(&j.d, 1)
+	j.x.Sub(&j.f, &j.x) // X' = F − 2D
+	j.x.Mod(&j.x, P)
+	j.d.Sub(&j.d, &j.x)
+	mulMod(&j.y, &j.e, &j.d)
+	j.c.Lsh(&j.c, 3)
+	j.y.Sub(&j.y, &j.c) // Y' = E(D − X') − 8C
+	j.y.Mod(&j.y, P)
+}
+
+// addAffine sets j = j + (px, py) for an affine point other than the
+// identity (mixed addition, the addend's z being 1). Adding a point to
+// itself doubles; adding it to its negation gives the identity.
+func (j *jacobian) addAffine(px, py *big.Int) {
+	if j.z.Sign() == 0 {
+		j.x.Set(px)
+		j.y.Set(py)
+		j.z.SetInt64(1)
+		return
 	}
-	return result
+	mulMod(&j.a, &j.z, &j.z)
+	mulMod(&j.b, px, &j.a)
+	j.b.Sub(&j.b, &j.x) // H = px·Z² − X
+	j.b.Mod(&j.b, P)
+	mulMod(&j.c, &j.z, &j.a)
+	mulMod(&j.d, py, &j.c)
+	j.d.Sub(&j.d, &j.y) // R = py·Z³ − Y
+	j.d.Mod(&j.d, P)
+	if j.b.Sign() == 0 {
+		if j.d.Sign() == 0 {
+			j.double()
+		} else {
+			j.z.SetInt64(0)
+		}
+		return
+	}
+	mulMod(&j.c, &j.b, &j.b) // H²
+	mulMod(&j.e, &j.b, &j.c) // H³
+	mulMod(&j.f, &j.x, &j.c) // V = X·H²
+	mulMod(&j.x, &j.d, &j.d)
+	j.x.Sub(&j.x, &j.e)
+	j.x.Sub(&j.x, &j.f)
+	j.x.Sub(&j.x, &j.f) // X' = R² − H³ − 2V
+	j.x.Mod(&j.x, P)
+	j.f.Sub(&j.f, &j.x)
+	mulMod(&j.g, &j.d, &j.f)
+	mulMod(&j.c, &j.y, &j.e)
+	j.y.Sub(&j.g, &j.c) // Y' = R(V − X') − Y·H³
+	j.y.Mod(&j.y, P)
+	mulMod(&j.g, &j.z, &j.b)
+	j.z.Set(&j.g) // Z' = Z·H
+}
+
+// affine converts j back, paying the ladder's one inversion.
+func (j *jacobian) affine() Point {
+	if j.z.Sign() == 0 {
+		return Infinity()
+	}
+	j.a.ModInverse(&j.z, P)
+	mulMod(&j.b, &j.a, &j.a) // z⁻²
+	mulMod(&j.c, &j.b, &j.a) // z⁻³
+	x, y := new(big.Int), new(big.Int)
+	mulMod(x, &j.x, &j.b)
+	mulMod(y, &j.y, &j.c)
+	return Point{X: x, Y: y}
+}
+
+// ScalarMult returns k·p: double-and-add from the scalar's top bit down.
+func ScalarMult(p Point, k *big.Int) Point {
+	if p.IsInfinity() {
+		return Infinity()
+	}
+	k = new(big.Int).Mod(k, N)
+	var acc jacobian
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.double()
+		if k.Bit(i) == 1 {
+			acc.addAffine(p.X, p.Y)
+		}
+	}
+	return acc.affine()
 }
 
 // ScalarBaseMult returns k·G.
@@ -232,9 +344,14 @@ func ParseSignature(b []byte) (*Signature, error) {
 	if err := sig.validate(); err != nil {
 		return nil, err
 	}
+	if err := sig.CheckLowS(); err != nil {
+		return nil, err
+	}
 	return sig, nil
 }
 
+// validate checks what any recoverable signature must satisfy: r and s
+// in [1, N−1] and a recovery id of 0 or 1.
 func (sig *Signature) validate() error {
 	if sig.R.Sign() <= 0 || sig.R.Cmp(N) >= 0 || sig.S.Sign() <= 0 || sig.S.Cmp(N) >= 0 {
 		return errors.New("secp256k1: signature component out of range")
@@ -242,6 +359,14 @@ func (sig *Signature) validate() error {
 	if sig.V > 1 {
 		return errors.New("secp256k1: recovery id must be 0 or 1")
 	}
+	return nil
+}
+
+// CheckLowS refuses s > N/2. That is EIP-2's rule against malleable
+// transaction signatures, not a property of ECDSA: ParseSignature and
+// ethtypes.Transaction.Sender enforce it, Recover (and so the ecrecover
+// precompile, which accepts either s) does not.
+func (sig *Signature) CheckLowS() error {
 	if sig.S.Cmp(halfN) > 0 {
 		return errors.New("secp256k1: signature s not normalized (malleable)")
 	}
@@ -313,7 +438,8 @@ func Verify(pub Point, digest []byte, r, s *big.Int) bool {
 }
 
 // Recover returns the public key that produced sig over digest
-// (the ecrecover primitive).
+// (the ecrecover primitive). It accepts any s in [1, N−1]; callers that
+// must refuse the malleable twin check CheckLowS first.
 func Recover(digest []byte, sig *Signature) (Point, error) {
 	if len(digest) != 32 {
 		return Point{}, errors.New("secp256k1: digest must be 32 bytes")
@@ -346,14 +472,12 @@ func liftX(x *big.Int, parity byte) (*big.Int, error) {
 	if x.Cmp(P) >= 0 {
 		return nil, errors.New("secp256k1: x out of field")
 	}
-	// y² = x³ + 7; sqrt via exponent (p+1)/4 since p ≡ 3 (mod 4).
+	// y² = x³ + 7, then its candidate root.
 	y2 := new(big.Int).Mul(x, x)
 	y2.Mul(y2, x)
 	y2.Add(y2, seven)
 	y2.Mod(y2, P)
-	exp := new(big.Int).Add(P, big.NewInt(1))
-	exp.Rsh(exp, 2)
-	y := new(big.Int).Exp(y2, exp, P)
+	y := new(big.Int).Exp(y2, sqrtExp, P)
 	// Check y is actually a root.
 	chk := new(big.Int).Mul(y, y)
 	chk.Mod(chk, P)

@@ -11,6 +11,56 @@ import (
 	"testing"
 )
 
+// scalarMultAffine is ScalarMult as it was first written — LSB-first
+// double-and-add on the affine group law, a field inversion per step —
+// kept as the differential oracle for the Jacobian ladder in the build.
+func scalarMultAffine(p Point, k *big.Int) Point {
+	k = new(big.Int).Mod(k, N)
+	result := Infinity()
+	addend := p
+	for i := 0; i < k.BitLen(); i++ {
+		if k.Bit(i) == 1 {
+			result = Add(result, addend)
+		}
+		addend = Double(addend)
+	}
+	return result
+}
+
+func samePoint(a, b Point) bool {
+	if a.IsInfinity() || b.IsInfinity() {
+		return a.IsInfinity() && b.IsInfinity()
+	}
+	return a.X.Cmp(b.X) == 0 && a.Y.Cmp(b.Y) == 0
+}
+
+func negate(p Point) Point {
+	return Point{X: p.X, Y: new(big.Int).Sub(P, p.Y)}
+}
+
+// pointFromSeed turns 32 bytes into a curve point without any scalar
+// multiplication: the first x at or after the seed (mod P) that has a
+// square root, the seed's low bit choosing between the two ys.
+func pointFromSeed(seed []byte) Point {
+	x := new(big.Int).SetBytes(seed)
+	for x.Mod(x, P); ; x.Add(x, big.NewInt(1)).Mod(x, P) {
+		if y, err := liftX(x, seed[len(seed)-1]&1); err == nil {
+			return Point{X: x, Y: y}
+		}
+	}
+}
+
+// edgeScalars are the ladder's boundary cases: nothing to add, the
+// shortest ladders, and the reductions mod N at, around and far past it.
+func edgeScalars() []*big.Int {
+	one := big.NewInt(1)
+	return []*big.Int{
+		big.NewInt(0), one, big.NewInt(2),
+		new(big.Int).Sub(N, one), N, new(big.Int).Add(N, one),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 256), one),
+	}
+}
+
 func TestBasePointOnCurve(t *testing.T) {
 	g := Point{X: Gx, Y: Gy}
 	if !g.OnCurve() {
@@ -53,10 +103,97 @@ func TestKnownMultiples(t *testing.T) {
 		k, _ := new(big.Int).SetString(c.k, 10)
 		wantX, _ := new(big.Int).SetString(c.x, 16)
 		wantY, _ := new(big.Int).SetString(c.y, 16)
-		got := ScalarBaseMult(k)
-		if got.X.Cmp(wantX) != 0 || got.Y.Cmp(wantY) != 0 {
+		want := Point{X: wantX, Y: wantY}
+		if got := ScalarBaseMult(k); !samePoint(got, want) {
 			t.Errorf("k=%s: got (%x, %x)", c.k, got.X, got.Y)
 		}
+		if got := scalarMultAffine(Point{X: Gx, Y: Gy}, k); !samePoint(got, want) {
+			t.Errorf("k=%s: affine oracle got (%x, %x)", c.k, got.X, got.Y)
+		}
+	}
+}
+
+// TestJacobianMatchesAffine is the differential test for the ladder:
+// seeded random (point, scalar) pairs, then every edge scalar against
+// G, −G and the identity.
+func TestJacobianMatchesAffine(t *testing.T) {
+	check := func(p Point, k *big.Int) {
+		t.Helper()
+		got, want := ScalarMult(p, k), scalarMultAffine(p, k)
+		if !samePoint(got, want) {
+			t.Fatalf("k=%x p=(%x, %x): ScalarMult = (%x, %x), affine oracle (%x, %x)", k, p.X, p.Y, got.X, got.Y, want.X, want.Y)
+		}
+		if !got.OnCurve() {
+			t.Fatalf("k=%x p=(%x, %x): result off the curve", k, p.X, p.Y)
+		}
+	}
+	pairs := 500
+	if testing.Short() {
+		pairs = 48
+	}
+	rng := rand.New(rand.NewSource(24))
+	seed := make([]byte, 32)
+	for i := 0; i < pairs; i++ {
+		rng.Read(seed)
+		k := new(big.Int).Rand(rng, N)
+		if i%10 == 0 {
+			k.Rsh(k, uint(rng.Intn(256))) // short ladders too
+		}
+		check(pointFromSeed(seed), k)
+	}
+	g := Point{X: Gx, Y: Gy}
+	for _, k := range edgeScalars() {
+		for _, p := range []Point{g, negate(g), Infinity()} {
+			check(p, k)
+		}
+	}
+}
+
+// TestJacobianSpecialCases drives the branches of addAffine a ladder with
+// k < N never takes — the accumulator meeting the addend itself, or its
+// negation, at z ≠ 1 — and double on the identity.
+func TestJacobianSpecialCases(t *testing.T) {
+	g := Point{X: Gx, Y: Gy}
+	five := scalarMultAffine(g, big.NewInt(5))
+	// 5·G the way the ladder reaches it (101b), which leaves z ≠ 1.
+	fiveJ := func() *jacobian {
+		var j jacobian
+		j.addAffine(g.X, g.Y)
+		j.double()
+		j.double()
+		j.addAffine(g.X, g.Y)
+		if j.z.Cmp(big.NewInt(1)) == 0 || !samePoint(j.affine(), five) {
+			t.Fatal("set-up: accumulator is not 5·G at z ≠ 1")
+		}
+		return &j
+	}
+
+	j := fiveJ()
+	j.addAffine(five.X, five.Y)
+	if want := scalarMultAffine(g, big.NewInt(10)); !samePoint(j.affine(), want) {
+		t.Fatal("accumulator + itself is not its double")
+	}
+
+	j = fiveJ()
+	neg := negate(five)
+	j.addAffine(neg.X, neg.Y)
+	if !j.affine().IsInfinity() {
+		t.Fatal("accumulator + its negation is not the identity")
+	}
+	// …and the identity it left behind still behaves like one.
+	j.double()
+	if !j.affine().IsInfinity() {
+		t.Fatal("doubling the identity left it")
+	}
+	j.addAffine(five.X, five.Y)
+	if !samePoint(j.affine(), five) {
+		t.Fatal("identity + p is not p")
+	}
+
+	var zero jacobian
+	zero.double()
+	if !zero.affine().IsInfinity() {
+		t.Fatal("doubling the zero-value accumulator is not the identity")
 	}
 }
 
@@ -226,6 +363,27 @@ func TestRecoverDistinctKeys(t *testing.T) {
 	}
 }
 
+var sinkPoint Point
+
+func BenchmarkScalarMult(b *testing.B) {
+	p := pointFromSeed(bytes.Repeat([]byte{0x5a}, 32))
+	k := new(big.Int).Rand(rand.New(rand.NewSource(24)), N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPoint = ScalarMult(p, k)
+	}
+}
+
+func BenchmarkScalarBaseMult(b *testing.B) {
+	k := new(big.Int).Rand(rand.New(rand.NewSource(24)), N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPoint = ScalarBaseMult(k)
+	}
+}
+
 func BenchmarkSign(b *testing.B) {
 	key := PrivateKeyFromScalar(big.NewInt(0xabcdef))
 	digest := sha256.Sum256([]byte("bench"))
@@ -280,7 +438,9 @@ func TestRandomKeysSignVerifyRecover(t *testing.T) {
 
 // recoverThreeMult is Recover in the form it was first written,
 // Q = r⁻¹·(s·R − z·G) with three scalar multiplications, kept as the
-// differential oracle for the two-multiplication form in the build.
+// differential oracle for the two-multiplication form in the build. Its
+// multiplications are the affine oracle's, so it shares no ladder with
+// Recover either.
 func recoverThreeMult(digest []byte, sig *Signature) (Point, error) {
 	if len(digest) != 32 {
 		return Point{}, errors.New("secp256k1: digest must be 32 bytes")
@@ -294,9 +454,9 @@ func recoverThreeMult(digest []byte, sig *Signature) (Point, error) {
 		return Point{}, err
 	}
 	z := hashToInt(digest)
-	sR := ScalarMult(Point{X: x, Y: y}, sig.S)
-	zG := ScalarBaseMult(new(big.Int).Mod(new(big.Int).Neg(z), N))
-	q := ScalarMult(Add(sR, zG), modInverse(sig.R, N))
+	sR := scalarMultAffine(Point{X: x, Y: y}, sig.S)
+	zG := scalarMultAffine(Point{X: Gx, Y: Gy}, new(big.Int).Neg(z))
+	q := scalarMultAffine(Add(sR, zG), modInverse(sig.R, N))
 	if q.IsInfinity() || !q.OnCurve() {
 		return Point{}, errors.New("secp256k1: recovery produced invalid point")
 	}
@@ -386,4 +546,33 @@ func TestRecoverMatchesThreeMultOracle(t *testing.T) {
 		}
 		checkRecoverAgainstOracle(t, key, f.digest, sig)
 	}
+}
+
+// FuzzScalarMult compares the Jacobian ladder with the affine oracle on a
+// fuzzer-chosen scalar and point, then signs the point seed with the
+// scalar as the key and compares Recover with the three-multiplication
+// oracle. Inputs are cut or zero-extended to 32 bytes.
+func FuzzScalarMult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, scalar, pointSeed []byte) {
+		var kb, seed [32]byte
+		copy(kb[:], scalar)
+		copy(seed[:], pointSeed)
+		k := new(big.Int).SetBytes(kb[:])
+		p := pointFromSeed(seed[:])
+		if got, want := ScalarMult(p, k), scalarMultAffine(p, k); !samePoint(got, want) {
+			t.Fatalf("k=%x p=(%x, %x): ScalarMult disagrees with the affine oracle", k, p.X, p.Y)
+		}
+		key, err := PrivateKeyFromBytes(kb[:])
+		if err != nil {
+			return // 0 or ≥ N: not a key
+		}
+		if !samePoint(key.Public, scalarMultAffine(Point{X: Gx, Y: Gy}, k)) {
+			t.Fatalf("d=%x: public key disagrees with the affine oracle", k)
+		}
+		sig, err := key.Sign(seed[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRecoverAgainstOracle(t, key, seed[:], sig)
+	})
 }
