@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test check ci lint fuzz-smoke bench bench-smoke bench-par bench-repo bench-repo-compare race persistence-torture conflict-torture fmt-check obs-check metrics-doc soak slo-smoke
+.PHONY: build test check ci lint fuzz-smoke bench bench-smoke bench-repo bench-repo-compare race persistence-torture fmt-check obs-check metrics-doc soak slo-smoke
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,6 @@ check:
 	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
 	$(GO) test -race -count 1 ./internal/upgrade/... ./internal/core/...
 	$(MAKE) persistence-torture
-	$(MAKE) conflict-torture
 	$(MAKE) fuzz-smoke
 	$(MAKE) obs-check
 
@@ -77,8 +76,9 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# metrics-doc fails if a registered metric family is missing from the
-# README's metrics reference table (rows: `go run ./cmd/metricsdoc -list`).
+# metrics-doc fails if a registered metric family has no row in the
+# README's metrics reference table, or a row names a legalchain_* family
+# nothing registers (rows: `go run ./cmd/metricsdoc -list`).
 metrics-doc:
 	$(GO) run ./cmd/metricsdoc
 
@@ -97,19 +97,11 @@ persistence-torture:
 	$(GO) test -race ./internal/blockdb/... ./internal/docstore/...
 	$(GO) test -race -run 'Restart|Torture|Genesis|WAL' ./internal/chain/... ./internal/rpc/...
 
-# conflict-torture stresses the optimistic-parallel executor and the
-# pipelined seal under the race detector: adversarial all-conflicting
-# batches (nonce chains, shared storage slots), the serial-equivalence
-# property fuzz, and concurrent writers/readers over in-flight tails.
-conflict-torture:
-	$(GO) test -race -count 1 -run 'TestParallel|TestPipelined' ./internal/chain/
-
 race:
 	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
 
-# bench-host prints the parallelism the numbers were taken at — the §P6
-# scaling table is meaningless without it (benchmark name suffixes also
-# carry GOMAXPROCS, but only implicitly).
+# bench-host prints the parallelism the numbers were taken at (benchmark
+# name suffixes also carry GOMAXPROCS, but only implicitly).
 define BENCH_HOST
 echo "bench host: $$(nproc) cores, GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)} ($$(uname -s)/$$(uname -m))"
 endef
@@ -123,7 +115,7 @@ bench:
 	$(GO) test -run xxx -bench 'StateRoot|Copy_COW|EthCall' ./internal/state/ ./internal/chain/
 	$(GO) test -run xxx -bench Recovery -benchtime 3x ./internal/chain/
 	$(GO) test -run xxx -bench 'ParallelEthCall|ReadsDuringSeal' -benchtime 1s ./internal/chain/
-	$(GO) test -run xxx -bench 'MineBlockParallel|MineLoopPipelined' -benchtime 5x ./internal/chain/
+	$(GO) test -run xxx -bench 'MineBlock$$' -benchtime 5x ./internal/chain/
 	$(GO) test -run xxx -bench MineLoopSubscribers -benchtime 20x ./internal/chain/
 
 # bench-smoke is the CI-sized benchmark run: one iteration of each
@@ -136,19 +128,9 @@ bench:
 # artifact).
 bench-smoke:
 	@{ $(BENCH_HOST); \
-	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineBlockParallel|MineLoopPipelined|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; \
+	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineBlock$$|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; \
 	$(GO) test -run xxx -bench 'Permute|Sum256_64|Bytes32' ./internal/keccak/ ./internal/uint256/; \
 	$(GO) test -run xxx -bench . ./internal/secp256k1/; } | tee bench-smoke.txt
-
-# bench-par is the EXPERIMENTS.md §P6 scaling table: the full
-# BenchmarkMineBlockParallel sweep (workers 1/2/4/8 at three conflict
-# rates, 3 repetitions for spread) on whatever parallelism the host
-# offers. CI runs it on the standard 4-vCPU runner — that run is what
-# makes the §P6 "re-measure on >=4 cores" numbers routine instead of a
-# one-off. Output lands in bench-par.txt (uploaded as a CI artifact).
-bench-par:
-	@{ $(BENCH_HOST); \
-	$(GO) test -run xxx -bench MineBlockParallel -benchtime 5x -count 3 -timeout 20m ./internal/chain/; } | tee bench-par.txt
 
 # bench-repo runs the repository benchmark BENCHMARK.json declares (see
 # bench/README.md): all five workloads, three sets, end-to-end metrics

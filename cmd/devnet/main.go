@@ -62,8 +62,6 @@ func main() {
 		traceOn     = flag.Bool("trace", true, "record cross-tier spans (export on /debug/traces)")
 		traceN      = flag.Int("trace-sample", 1, "trace every Nth root request (1 = all)")
 		slowTr      = flag.Duration("trace-slow", 250*time.Millisecond, "log traces slower than this (0 = off)")
-		workers     = flag.Int("exec-workers", 0, "parallel block-executor workers (0 = auto, 1 = serial)")
-		pipeline    = flag.Bool("pipelined-seal", false, "overlap state-root hashing and log fsync with the next block's execution")
 		stateStore  = flag.Bool("state-store", false, "disk-backed state: bounded-memory accounts under <datadir>/state (requires -datadir)")
 		stateCache  = flag.Int("state-cache", 32, "state-store read cache budget in MiB")
 		snapKeep    = flag.Int("snapshots-keep", 2, "periodic state snapshots to retain on disk (>= 1; ignored with -state-store)")
@@ -96,10 +94,7 @@ func main() {
 	g.GasLimit = *gasLimit
 	g.Alloc = wallet.DevAlloc(accounts, ethtypes.Ether(*balance))
 
-	opts := []chain.Option{chain.WithExecWorkers(*workers)}
-	if *pipeline {
-		opts = append(opts, chain.WithPipelinedSeal())
-	}
+	var opts []chain.Option
 	if *datadir != "" {
 		opts = append(opts, chain.WithPersistence(chain.PersistConfig{
 			DataDir:       *datadir,

@@ -1,7 +1,8 @@
 // Command metricsdoc keeps the README's metrics reference honest: it
 // inventories every metric family the stack registers at init and
-// fails when one is missing from the documentation, so a new
-// instrument cannot merge undocumented.
+// fails when one has no row in the reference table, or when a row names
+// a legalchain_* family nothing registers — so a new instrument cannot
+// merge undocumented, nor a retired one stay documented.
 //
 // Usage:
 //
@@ -14,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 
@@ -55,20 +57,58 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metricsdoc: %v\n", err)
 		os.Exit(2)
 	}
-	text := string(doc)
-	var missing []string
-	for _, f := range fams {
-		if !strings.Contains(text, f.Name) {
-			missing = append(missing, f.Name)
-		}
+	names := make([]string, len(fams))
+	for i, f := range fams {
+		names[i] = f.Name
 	}
-	if len(missing) > 0 {
-		fmt.Fprintf(os.Stderr, "metricsdoc: %d registered metric(s) missing from %s:\n", len(missing), *readme)
-		for _, name := range missing {
+	missing, stale := drift(names, string(doc))
+	for _, d := range []struct {
+		names []string
+		what  string
+	}{
+		{missing, "registered metric(s) without a row in"},
+		{stale, "row(s) naming no registered metric in"},
+	} {
+		if len(d.names) == 0 {
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "metricsdoc: %d %s %s:\n", len(d.names), d.what, *readme)
+		for _, name := range d.names {
 			fmt.Fprintf(os.Stderr, "  %s\n", name)
 		}
-		fmt.Fprintln(os.Stderr, "add them to the metrics reference table (regenerate rows with `go run ./cmd/metricsdoc -list`)")
+	}
+	if len(missing)+len(stale) > 0 {
+		fmt.Fprintln(os.Stderr, "make the metrics reference table match (regenerate rows with `go run ./cmd/metricsdoc -list`)")
 		os.Exit(1)
 	}
-	fmt.Printf("metricsdoc: all %d registered metrics documented in %s\n", len(fams), *readme)
+	fmt.Printf("metricsdoc: all %d registered metrics documented in %s, no stale rows\n", len(fams), *readme)
+}
+
+// tableRow matches one row of the metrics reference table and captures
+// the family it documents.
+var tableRow = regexp.MustCompile("(?m)^\\| `(legalchain_[a-z0-9_]+)` \\|")
+
+// drift compares the registered families with the families the doc's
+// reference table has rows for: missing are registered without a row,
+// stale have a row nothing registers. Both come back sorted.
+func drift(registered []string, doc string) (missing, stale []string) {
+	rows := map[string]bool{}
+	for _, m := range tableRow.FindAllStringSubmatch(doc, -1) {
+		rows[m[1]] = true
+	}
+	known := map[string]bool{}
+	for _, name := range registered {
+		known[name] = true
+		if !rows[name] {
+			missing = append(missing, name)
+		}
+	}
+	for name := range rows {
+		if !known[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	return missing, stale
 }

@@ -227,55 +227,50 @@ func TestStatelessRefusalsNeverTakeTheLock(t *testing.T) {
 // from two goroutines: both pass the stateless stage, the re-check
 // under the lock lets exactly one through.
 func TestRacingSendsOfOneTransaction(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{{"inline seal", nil}, {"pipelined seal", []Option{WithPipelinedSeal()}}} {
-		t.Run(mode.name, func(t *testing.T) {
-			accs := wallet.DevAccounts("admit race", 2)
-			g := DefaultGenesis()
-			g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(100))
-			bc := New(g, mode.opts...)
-			defer bc.Close()
+	t.Run("inline seal", func(t *testing.T) {
+		accs := wallet.DevAccounts("admit race", 2)
+		g := DefaultGenesis()
+		g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(100))
+		bc := New(g)
+		defer bc.Close()
 
-			const rounds = 8
-			for round := 0; round < rounds; round++ {
-				tx := signedTx(t, bc, accs[0], &accs[1].Address, uint256.One, nil, 21000)
-				// Each goroutine gets its own decode, as two RPC requests would.
-				copies := []*ethtypes.Transaction{freshDecode(t, tx), freshDecode(t, tx)}
-				errs := make([]error, len(copies))
-				var wg sync.WaitGroup
-				for i := range copies {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						_, errs[i] = bc.SendTransaction(copies[i])
-					}()
-				}
-				wg.Wait()
-				var ok, known int
-				for _, err := range errs {
-					switch {
-					case err == nil:
-						ok++
-					case errors.Is(err, ErrKnownTransaction):
-						known++
-					default:
-						t.Fatalf("round %d: unexpected error %v", round, err)
-					}
-				}
-				if ok != 1 || known != 1 {
-					t.Fatalf("round %d: %d admitted, %d refused as known", round, ok, known)
-				}
-				if got := bc.BlockNumber(); got != uint64(round+1) {
-					t.Fatalf("round %d: height %d", round, got)
+		const rounds = 8
+		for round := 0; round < rounds; round++ {
+			tx := signedTx(t, bc, accs[0], &accs[1].Address, uint256.One, nil, 21000)
+			// Each goroutine gets its own decode, as two RPC requests would.
+			copies := []*ethtypes.Transaction{freshDecode(t, tx), freshDecode(t, tx)}
+			errs := make([]error, len(copies))
+			var wg sync.WaitGroup
+			for i := range copies {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[i] = bc.SendTransaction(copies[i])
+				}()
+			}
+			wg.Wait()
+			var ok, known int
+			for _, err := range errs {
+				switch {
+				case err == nil:
+					ok++
+				case errors.Is(err, ErrKnownTransaction):
+					known++
+				default:
+					t.Fatalf("round %d: unexpected error %v", round, err)
 				}
 			}
-			if n := bc.GetNonce(accs[0].Address); n != rounds {
-				t.Fatalf("sender nonce %d, want %d", n, rounds)
+			if ok != 1 || known != 1 {
+				t.Fatalf("round %d: %d admitted, %d refused as known", round, ok, known)
 			}
-		})
-	}
+			if got := bc.BlockNumber(); got != uint64(round+1) {
+				t.Fatalf("round %d: height %d", round, got)
+			}
+		}
+		if n := bc.GetNonce(accs[0].Address); n != rounds {
+			t.Fatalf("sender nonce %d, want %d", n, rounds)
+		}
+	})
 }
 
 // TestSendTransactionSpansSplitAdmission checks the trace separates

@@ -82,16 +82,7 @@ type Blockchain struct {
 	// pendingSet mirrors pending's hashes for O(1) duplicate checks.
 	pendingSet map[ethtypes.Hash]struct{}
 
-	// Pipelined sealing (seal.go): sealPipe is the newest not-yet-
-	// installed tail, inflight the transactions sealed into pending
-	// tails (duplicate admission guard until they reach bc.txs).
-	sealPipe  *sealTail
-	pipeDepth int
-	inflight  map[ethtypes.Hash]struct{}
-
-	// Execution configuration (executor.go / seal.go options).
-	execWorkers int
-	pipelined   bool
+	execWorkers int // sender-recovery pool width (WithExecWorkers)
 
 	timeOffset uint64 // AdjustTime accumulates here
 
@@ -132,8 +123,8 @@ type Blockchain struct {
 }
 
 // New creates a memory-only chain from the genesis. Use Open with
-// WithPersistence for a chain that survives restarts; execution options
-// (WithExecWorkers, WithPipelinedSeal) apply to both.
+// WithPersistence for a chain that survives restarts; WithExecWorkers
+// applies to both.
 func New(g *Genesis, opts ...Option) *Blockchain {
 	var cfg openConfig
 	for _, o := range opts {
@@ -169,12 +160,9 @@ func newMemory(g *Genesis, cfg *openConfig) *Blockchain {
 		blocks:      []*ethtypes.Block{genesisBlock},
 		byHash:      (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0),
 		genesis:     copyGenesis(g),
-		inflight:    make(map[ethtypes.Hash]struct{}),
 		execWorkers: cfg.execWorkers,
-		pipelined:   cfg.pipelined,
 		hub:         newHub(),
 	}
-	mExecWorkers.Set(int64(bc.execWorkerCount()))
 	bc.publishHeadLocked()
 	return bc
 }
@@ -256,19 +244,8 @@ func (bc *Blockchain) AdjustTime(seconds uint64) {
 	bc.publishHeadLocked()
 }
 
-// nextHeaderLocked prepares the header for the block being mined. When
-// a pipelined tail is pending, the parent is that tail's block; its
-// hash is not final yet, so ParentHash stays zero and the tail fills
-// it in (stage 1) before the block hash is computed.
+// nextHeaderLocked prepares the header for the block being mined.
 func (bc *Blockchain) nextHeaderLocked() *ethtypes.Header {
-	if t := bc.sealPipe; t != nil {
-		return &ethtypes.Header{
-			Number:   t.header.Number + 1,
-			Time:     t.header.Time + 1 + bc.timeOffset,
-			GasLimit: bc.gasLimit,
-			Coinbase: bc.coinbase,
-		}
-	}
 	parent := bc.blocks[len(bc.blocks)-1]
 	return &ethtypes.Header{
 		ParentHash: parent.Hash(),
@@ -289,19 +266,12 @@ type execEnv struct {
 	st           *state.StateDB
 	getBlockHash func(uint64) ethtypes.Hash
 	tracer       evm.Tracer
-
-	// coinbaseFee, when non-nil, diverts the coinbase's fee credit into
-	// the pointed-to accumulator instead of writing the balance. The
-	// optimistic executor uses this so the one write every transaction
-	// performs — paying the coinbase — does not serialise the batch; the
-	// commit sweep applies the fees as in-order deltas.
-	coinbaseFee *uint256.Int
 }
 
 // execEnvLocked builds the live execution environment for the sealing
 // paths. The BLOCKHASH lookup resolves against the writer-owned chain
 // (bc.mu is held; the published view would serve a stale height during
-// recovery replay) plus any pending pipelined tails.
+// recovery replay).
 func (bc *Blockchain) execEnvLocked() *execEnv {
 	return &execEnv{
 		chainID:      bc.chainID,
@@ -344,22 +314,19 @@ func (bc *Blockchain) admitStateless(tx *ethtypes.Transaction) (ethtypes.Hash, e
 
 // knownLocked is the duplicate check of the stateful stage: the head
 // view admitStateless consulted may be blocks behind by the time bc.mu
-// is held, and only the writer sees the pool and the pipelined tails.
+// is held, and only the writer sees the pool.
 func (bc *Blockchain) knownLocked(hash ethtypes.Hash) bool {
 	if _, sealed := bc.txs.get(hash); sealed {
 		return true
 	}
-	if _, queued := bc.pendingSet[hash]; queued {
-		return true
-	}
-	_, sealing := bc.inflight[hash]
-	return sealing
+	_, queued := bc.pendingSet[hash]
+	return queued
 }
 
 // SendTransactionCtx is SendTransaction with span propagation: when ctx
 // carries a sampled trace, the stateless admission stage (admit), the
-// wait for the writer lock (lockWait) and the seal pipeline (execute,
-// state root, journal append) show up as child spans.
+// wait for the writer lock (lockWait) and the seal (execute, state
+// root, journal append) show up as child spans.
 func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Transaction) (ethtypes.Hash, error) {
 	ctx, sp := xtrace.Start(ctx, "chain", "sendTransaction")
 	defer sp.End()
@@ -375,16 +342,12 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 
 	_, waitSp := xtrace.Start(ctx, "chain", "lockWait")
 	bc.mu.Lock()
-	bc.waitPipelineSlotLocked()
 	waitSp.End()
 
 	if bc.knownLocked(hash) {
 		bc.mu.Unlock()
 		return hash, ErrKnownTransaction
 	}
-	// bc.st already carries the writes of any pending pipelined tails,
-	// so this admits a sender's next nonce while earlier instant-seal
-	// blocks are still hashing/fsyncing — the pipelining win.
 	expected := bc.st.GetNonce(sender)
 	if tx.Nonce < expected {
 		bc.mu.Unlock()
@@ -408,15 +371,10 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 		return ethtypes.Hash{}, err
 	}
 
-	// Seal the block: inline when pipelining is off, overlapped with
-	// the next admission when it is on.
 	header.GasUsed = receipt.GasUsed
 	header.TxRoot = ethtypes.TxRootOf([]*ethtypes.Transaction{tx})
-	t := bc.sealTailLocked(ctx, header, []*ethtypes.Transaction{tx}, []*ethtypes.Receipt{receipt}, sealStart)
+	bc.sealLocked(ctx, header, []*ethtypes.Transaction{tx}, []*ethtypes.Receipt{receipt}, sealStart)
 	bc.mu.Unlock()
-	// Join the tail so the documented contract holds: the receipt is
-	// queryable the moment SendTransaction returns.
-	<-t.done
 	sp.SetAttrUint("block", header.Number)
 	if sp != nil {
 		sp.SetAttr("tx", hash.Hex())
@@ -494,15 +452,9 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 	gasUsed -= refund
 	evmSp.SetAttrUint("gasUsed", gasUsed)
 	evmSp.End()
-	// Return unused gas, pay the coinbase (or divert the fee for an
-	// in-order commit when the optimistic executor asks).
+	// Return unused gas, pay the coinbase.
 	env.st.AddBalance(sender, tx.GasPrice.Mul(uint256.NewUint64(tx.Gas-gasUsed)))
-	fee := tx.GasPrice.Mul(uint256.NewUint64(gasUsed))
-	if env.coinbaseFee != nil {
-		*env.coinbaseFee = env.coinbaseFee.Add(fee)
-	} else {
-		env.st.AddBalance(header.Coinbase, fee)
-	}
+	env.st.AddBalance(header.Coinbase, tx.GasPrice.Mul(uint256.NewUint64(gasUsed)))
 
 	status := ethtypes.ReceiptStatusSuccessful
 	reason := ""

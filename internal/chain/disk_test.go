@@ -12,16 +12,15 @@ import (
 // Disk-backed state store chain tests: recovery from the store's
 // anchor, fallback to full replay when the anchor is unusable, and
 // cold-data eviction with read-through. Test names deliberately match
-// the persistence-torture (Restart|Torture) and conflict-torture
-// (TestPipelined) Makefile regexes so the fault-injection gates cover
-// the disk store too.
+// the persistence-torture (Restart|Torture) Makefile regex so the
+// fault-injection gates cover the disk store too.
 
 // openPersistDisk opens a persistent chain with the disk-backed state
 // store, an aggressive resident-account ceiling and block-body
 // eviction, so the cold paths get exercised by small workloads.
-func openPersistDisk(t *testing.T, dir string, accs []wallet.Account, pipelined bool) *Blockchain {
+func openPersistDisk(t *testing.T, dir string, accs []wallet.Account) *Blockchain {
 	t.Helper()
-	opts := []Option{WithPersistence(PersistConfig{
+	bc, err := Open(persistGenesis(accs), WithPersistence(PersistConfig{
 		DataDir:             dir,
 		SegmentSize:         4096,
 		NoSync:              true,
@@ -29,11 +28,7 @@ func openPersistDisk(t *testing.T, dir string, accs []wallet.Account, pipelined 
 		StateCacheMB:        1,
 		MaxResidentAccounts: 2,
 		RetainBlocks:        4,
-	})}
-	if pipelined {
-		opts = append(opts, WithPipelinedSeal())
-	}
-	bc, err := Open(persistGenesis(accs), opts...)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +39,14 @@ func TestDiskStoreRestartIdentical(t *testing.T) {
 	accs := wallet.DevAccounts("disk persist", 3)
 	dir := t.TempDir()
 
-	bc := openPersistDisk(t, dir, accs, false)
+	bc := openPersistDisk(t, dir, accs)
 	workload(t, bc, accs, 10)
 	want := fingerprint(bc)
 	if err := bc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	bc2 := openPersistDisk(t, dir, accs, false)
+	bc2 := openPersistDisk(t, dir, accs)
 	defer bc2.Close()
 	mustMatchFull(t, want, fingerprint(bc2))
 	rep := bc2.RecoveryReport()
@@ -72,14 +67,14 @@ func TestDiskStoreCrashRestartReplaysNothing(t *testing.T) {
 	accs := wallet.DevAccounts("disk crash", 3)
 	dir := t.TempDir()
 
-	bc := openPersistDisk(t, dir, accs, false)
+	bc := openPersistDisk(t, dir, accs)
 	workload(t, bc, accs, 11)
 	want := fingerprint(bc)
 	// Simulated SIGKILL: no Close. Unlike interval snapshots, the store
 	// committed every block's batch, so the anchor is already at the
 	// head and recovery replays nothing.
 
-	bc2 := openPersistDisk(t, dir, accs, false)
+	bc2 := openPersistDisk(t, dir, accs)
 	defer bc2.Close()
 	mustMatchFull(t, want, fingerprint(bc2))
 	rep := bc2.RecoveryReport()
@@ -95,7 +90,7 @@ func TestDiskStoreTortureTornTailFullReplay(t *testing.T) {
 	accs := wallet.DevAccounts("disk torn", 3)
 	dir := t.TempDir()
 
-	bc := openPersistDisk(t, dir, accs, false)
+	bc := openPersistDisk(t, dir, accs)
 	workload(t, bc, accs, 8)
 	want := fingerprint(bc)
 	// Crash, then tear the newest block-log segment mid-frame. The
@@ -112,7 +107,7 @@ func TestDiskStoreTortureTornTailFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bc2 := openPersistDisk(t, dir, accs, false)
+	bc2 := openPersistDisk(t, dir, accs)
 	defer bc2.Close()
 	got := fingerprint(bc2)
 	if got.height != want.height-1 {
@@ -131,7 +126,7 @@ func TestDiskStoreTortureTornTailFullReplay(t *testing.T) {
 	if err := bc2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	bc3 := openPersistDisk(t, dir, accs, false)
+	bc3 := openPersistDisk(t, dir, accs)
 	defer bc3.Close()
 	mustMatchPrefix(t, want, fingerprint(bc3))
 	if rep := bc3.RecoveryReport(); !rep.SnapshotUsed || rep.BlocksReplayed != 0 {
@@ -143,7 +138,7 @@ func TestDiskStoreTortureStateDirDeleted(t *testing.T) {
 	accs := wallet.DevAccounts("disk statedel", 3)
 	dir := t.TempDir()
 
-	bc := openPersistDisk(t, dir, accs, false)
+	bc := openPersistDisk(t, dir, accs)
 	workload(t, bc, accs, 9)
 	want := fingerprint(bc)
 	if err := bc.Close(); err != nil {
@@ -156,7 +151,7 @@ func TestDiskStoreTortureStateDirDeleted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bc2 := openPersistDisk(t, dir, accs, false)
+	bc2 := openPersistDisk(t, dir, accs)
 	defer bc2.Close()
 	mustMatchFull(t, want, fingerprint(bc2))
 	rep := bc2.RecoveryReport()
@@ -169,7 +164,7 @@ func TestDiskStoreTortureCorruptStateSegment(t *testing.T) {
 	accs := wallet.DevAccounts("disk corrupt", 3)
 	dir := t.TempDir()
 
-	bc := openPersistDisk(t, dir, accs, false)
+	bc := openPersistDisk(t, dir, accs)
 	workload(t, bc, accs, 9)
 	want := fingerprint(bc)
 	if err := bc.Close(); err != nil {
@@ -193,7 +188,7 @@ func TestDiskStoreTortureCorruptStateSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bc2 := openPersistDisk(t, dir, accs, false)
+	bc2 := openPersistDisk(t, dir, accs)
 	defer bc2.Close()
 	mustMatchFull(t, want, fingerprint(bc2))
 	if err := bc2.PersistErr(); err != nil {
@@ -205,7 +200,7 @@ func TestDiskStoreBlockEvictionReadThrough(t *testing.T) {
 	accs := wallet.DevAccounts("disk evict", 3)
 	dir := t.TempDir()
 
-	bc := openPersistDisk(t, dir, accs, false)
+	bc := openPersistDisk(t, dir, accs)
 	defer bc.Close()
 	workload(t, bc, accs, 12) // RetainBlocks=4: most bodies evict
 
@@ -263,27 +258,4 @@ func TestDiskStoreBlockEvictionReadThrough(t *testing.T) {
 	if n := bc.st.ResidentAccounts(); n > 8 {
 		t.Fatalf("resident accounts not bounded: %d", n)
 	}
-}
-
-func TestPipelinedDiskStoreRestartIdentical(t *testing.T) {
-	accs := wallet.DevAccounts("disk pipeline", 3)
-	dir := t.TempDir()
-
-	bc := openPersistDisk(t, dir, accs, true)
-	workload(t, bc, accs, 12)
-	want := fingerprint(bc)
-	if err := bc.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen without pipelining: the journaled chain and committed
-	// state must be identical either way.
-	bc2 := openPersistDisk(t, dir, accs, false)
-	defer bc2.Close()
-	mustMatchFull(t, want, fingerprint(bc2))
-	rep := bc2.RecoveryReport()
-	if !rep.SnapshotUsed || rep.BlocksReplayed != 0 {
-		t.Fatalf("pipelined chain should recover from its head anchor: %+v", rep)
-	}
-	workload(t, bc2, accs, 5)
 }

@@ -125,8 +125,8 @@ func checkBlockHashes(t *testing.T, v *HeadView) []ethtypes.Hash {
 }
 
 // TestBlockHashMemoEveryPath builds the same chain — a rental lifecycle
-// and a 16-transaction block — on an instant-seal memory node and on a
-// pipelined durable one, restarts the durable one with old blocks evicted
+// and a 16-transaction block — on a memory node and on a durable one,
+// restarts the durable one with old blocks evicted
 // to the log, and decodes the log directly: on every path a block's
 // memoised hash is its header hash.
 func TestBlockHashMemoEveryPath(t *testing.T) {
@@ -143,21 +143,21 @@ func TestBlockHashMemoEveryPath(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := PersistConfig{DataDir: dir, SnapshotInterval: 4, SegmentSize: 4096, NoSync: true}
-	piped, err := Open(persistGenesis(accs), WithPersistence(cfg), WithPipelinedSeal())
+	durable, err := Open(persistGenesis(accs), WithPersistence(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	build(piped)
-	got := checkBlockHashes(t, piped.View())
+	build(durable)
+	got := checkBlockHashes(t, durable.View())
 	if len(got) != len(want) {
-		t.Fatalf("pipelined chain has %d blocks, instant-seal %d", len(got), len(want))
+		t.Fatalf("durable chain has %d blocks, memory %d", len(got), len(want))
 	}
 	for n := range want {
 		if got[n] != want[n] {
-			t.Fatalf("block %d: pipelined hash %s, instant-seal %s", n, got[n], want[n])
+			t.Fatalf("block %d: durable hash %s, memory %s", n, got[n], want[n])
 		}
 	}
-	if err := piped.Close(); err != nil {
+	if err := durable.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -33,14 +33,6 @@ var (
 		"Lock-free reads resolved against a published head view.")
 	mViewsPublished = metrics.Default.Counter("legalchain_chain_views_published_total",
 		"Head views published (seals, recoveries, time adjustments).")
-	mExecWorkers = metrics.Default.Gauge("legalchain_chain_exec_workers",
-		"Worker count of the optimistic-parallel block executor.")
-	mExecConflicts = metrics.Default.Counter("legalchain_chain_exec_conflicts_total",
-		"Speculative executions whose read set was invalidated by an earlier commit.")
-	mExecReexec = metrics.Default.Counter("legalchain_chain_exec_reexec_total",
-		"Serial re-executions performed to repair conflicting transactions.")
-	mSealTailSeconds = metrics.Default.Histogram("legalchain_chain_seal_tail_seconds",
-		"Wall time of the pipelined seal tail (state root, journal fsync, install).", nil)
 	mBlocksEvicted = metrics.Default.Counter("legalchain_chain_blocks_evicted_total",
 		"Cold block bodies evicted from memory to the block log.")
 	mBlockReadThrough = metrics.Default.Counter("legalchain_chain_block_read_through_total",

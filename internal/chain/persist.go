@@ -76,8 +76,7 @@ type Option func(*openConfig)
 
 type openConfig struct {
 	persist     *PersistConfig
-	execWorkers int  // optimistic executor workers (0 = auto, 1 = serial)
-	pipelined   bool // overlap seal tails with the next block's execution
+	execWorkers int // sender-recovery pool width (0 = auto, 1 = inline)
 }
 
 // WithPersistence makes the chain durable under cfg.DataDir.
@@ -146,9 +145,6 @@ func (bc *Blockchain) Close() error {
 	bc.hub.close()
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
-	// Land every pipelined tail first: they hold references to bc.db,
-	// and the final snapshot must capture the fully-installed state.
-	bc.drainPipelineLocked()
 	if bc.db == nil {
 		return nil
 	}
@@ -393,7 +389,7 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	// re-execution, the base state vouches for the world and the
 	// structural checks vouched for the commitments.
 	for i := 1; i <= base; i++ {
-		bc.installRecord(recs[i])
+		bc.installBlockLocked(recs[i].Block(), recs[i].Receipts)
 	}
 
 	// Re-execute and verify everything after the base. Replay itself is
@@ -438,23 +434,6 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	return true, 0, nil
 }
 
-// installRecord appends a journaled block and its stored receipts to
-// the in-memory indexes without re-executing it.
-func (bc *Blockchain) installRecord(rec *blockdb.Record) {
-	block := rec.Block()
-	bc.blocks = append(bc.blocks, block)
-	bc.byHash = bc.byHash.with1(block.Hash(), block.Number())
-	newReceipts := make(map[ethtypes.Hash]*ethtypes.Receipt, len(rec.Receipts))
-	newTxs := make(map[ethtypes.Hash]*ethtypes.Transaction, len(rec.Txs))
-	for i, rcpt := range rec.Receipts {
-		newReceipts[rcpt.TxHash] = rcpt
-		newTxs[rec.Txs[i].Hash()] = rec.Txs[i]
-		bc.allLogs = append(bc.allLogs, rcpt.Logs...)
-	}
-	bc.receipts = bc.receipts.with(newReceipts)
-	bc.txs = bc.txs.with(newTxs)
-}
-
 // replayBlock re-executes one journaled block against the live state
 // and verifies the outcome against the stored header: gas used, state
 // root and receipt root must all match. Execution panics (possible only
@@ -492,23 +471,7 @@ func (bc *Blockchain) replayBlock(rec *blockdb.Record) (ok bool) {
 		DeriveReceiptRoot(receipts) != header.ReceiptRoot {
 		return false
 	}
-	block := rec.Block()
-	blockHash := block.Hash()
-	bc.blocks = append(bc.blocks, block)
-	bc.byHash = bc.byHash.with1(blockHash, block.Number())
-	newReceipts := make(map[ethtypes.Hash]*ethtypes.Receipt, len(receipts))
-	newTxs := make(map[ethtypes.Hash]*ethtypes.Transaction, len(rec.Txs))
-	for i, rcpt := range receipts {
-		rcpt.BlockHash = blockHash
-		for _, l := range rcpt.Logs {
-			l.BlockHash = blockHash
-		}
-		newReceipts[rcpt.TxHash] = rcpt
-		newTxs[rec.Txs[i].Hash()] = rec.Txs[i]
-		bc.allLogs = append(bc.allLogs, rcpt.Logs...)
-	}
-	bc.receipts = bc.receipts.with(newReceipts)
-	bc.txs = bc.txs.with(newTxs)
+	bc.installBlockLocked(rec.Block(), receipts)
 	return true
 }
 

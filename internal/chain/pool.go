@@ -3,7 +3,11 @@ package chain
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"legalchain/internal/ethtypes"
@@ -15,7 +19,38 @@ import (
 // want realistic multi-transaction blocks — cumulative gas, transaction
 // indexes, shared timestamps — transactions can instead be queued with
 // SubmitTransaction and sealed together with MineBlock, which executes
-// the batch on the optimistic-parallel executor (executor.go).
+// the sorted batch serially on the live state and seals it like any
+// other block (seal.go).
+
+// txMeta is one pool transaction with its recovered sender and
+// submission index.
+type txMeta struct {
+	tx     *ethtypes.Transaction
+	sender ethtypes.Address
+	idx    int
+}
+
+// maxExecWorkers bounds the default sender-recovery pool.
+const maxExecWorkers = 8
+
+// execWorkerCount resolves the configured recovery-pool width (0 = auto).
+func (bc *Blockchain) execWorkerCount() int {
+	if bc.execWorkers > 0 {
+		return bc.execWorkers
+	}
+	w := runtime.GOMAXPROCS(0)
+	if w > maxExecWorkers {
+		w = maxExecWorkers
+	}
+	return w
+}
+
+// WithExecWorkers sizes the sender-recovery pool that MineBlock and
+// restart replay fan out on: 0 picks min(GOMAXPROCS, 8), 1 recovers
+// inline. Execution itself is always serial.
+func WithExecWorkers(n int) Option {
+	return func(o *openConfig) { o.execWorkers = n }
+}
 
 // SubmitTransaction validates tx statelessly — before bc.mu is taken,
 // see admitStateless — and queues it for the next MineBlock call. Nonce
@@ -53,19 +88,9 @@ func (bc *Blockchain) PendingCount() int {
 // their error recorded in the returned map. Mining an empty pool
 // produces an empty block (useful to advance time).
 func (bc *Blockchain) MineBlock() (*ethtypes.Block, map[ethtypes.Hash]error) {
-	return bc.MineBlockAsync().Wait()
-}
-
-// MineBlockAsync executes and seals the pending batch, returning as
-// soon as execution finishes. On a pipelined chain the seal tail
-// (state root, fsync, view publication) completes in the background —
-// overlapping with the next batch's submission and execution — and
-// PendingBlock.Wait joins it. On a non-pipelined chain the block is
-// already fully sealed on return.
-func (bc *Blockchain) MineBlockAsync() *PendingBlock {
 	sealStart := time.Now()
 	bc.mu.Lock()
-	bc.waitPipelineSlotLocked()
+	defer bc.mu.Unlock()
 
 	txs := bc.pending
 	bc.pending = nil
@@ -92,9 +117,40 @@ func (bc *Blockchain) MineBlockAsync() *PendingBlock {
 	header.GasUsed = cumulative
 	header.TxRoot = ethtypes.TxRootOf(included)
 	mTxsFailed.Add(uint64(len(failed)))
-	t := bc.sealTailLocked(context.Background(), header, included, receipts, sealStart)
-	bc.mu.Unlock()
-	return &PendingBlock{t: t, failed: failed}
+	return bc.sealLocked(context.Background(), header, included, receipts, sealStart), failed
+}
+
+// executeBatchLocked executes the sorted batch against bc.st, one
+// transaction after another, and returns the included transactions,
+// their receipts (indexes and cumulative gas finalised), the
+// dropped-transaction map and the block's gas used. Called with bc.mu
+// held; bc.st holds the post-batch state on return.
+func (bc *Blockchain) executeBatchLocked(ctx context.Context, header *ethtypes.Header, metas []txMeta) ([]*ethtypes.Transaction, []*ethtypes.Receipt, map[ethtypes.Hash]error, uint64) {
+	failed := map[ethtypes.Hash]error{}
+	var included []*ethtypes.Transaction
+	var receipts []*ethtypes.Receipt
+	var cumulative uint64
+	for _, m := range metas {
+		if expected := bc.st.GetNonce(m.sender); m.tx.Nonce != expected {
+			failed[m.tx.Hash()] = fmt.Errorf("%w: have %d, want %d", nonceErr(m.tx.Nonce, expected), m.tx.Nonce, expected)
+			continue
+		}
+		rcpt, err := bc.applyTransaction(ctx, header, m.tx, m.sender)
+		if err != nil {
+			failed[m.tx.Hash()] = err
+			continue
+		}
+		rcpt.TxIndex = uint(len(included))
+		cumulative += rcpt.GasUsed
+		rcpt.CumulativeGasUsed = cumulative
+		for i, l := range rcpt.Logs {
+			l.TxIndex = rcpt.TxIndex
+			l.Index = uint(i)
+		}
+		included = append(included, m.tx)
+		receipts = append(receipts, rcpt)
+	}
+	return included, receipts, failed, cumulative
 }
 
 func nonceErr(have, want uint64) error {
@@ -102,6 +158,53 @@ func nonceErr(have, want uint64) error {
 		return ErrNonceTooLow
 	}
 	return ErrNonceTooHigh
+}
+
+// recoverSenders resolves every transaction's sender on the worker
+// pool. For a mined batch each call is a memo hit — SubmitTransaction
+// already recovered the sender before taking bc.mu — so the fan-out
+// only spreads sixteen signing digests. It pays real ECDSA recoveries
+// (milliseconds of math/big arithmetic each, embarrassingly parallel)
+// when recovery replay warms the transactions of a journal suffix, which
+// were decoded from disk without a memo. Transactions whose signature
+// does not recover are silently skipped.
+func (bc *Blockchain) recoverSenders(txs []*ethtypes.Transaction) []txMeta {
+	workers := bc.execWorkerCount()
+	if workers > len(txs) {
+		workers = len(txs)
+	}
+	senders := make([]ethtypes.Address, len(txs))
+	errs := make([]error, len(txs))
+	if workers <= 1 {
+		for i, tx := range txs {
+			senders[i], errs[i] = tx.Sender(bc.chainID)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(txs) {
+						return
+					}
+					senders[i], errs[i] = txs[i].Sender(bc.chainID)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	metas := make([]txMeta, 0, len(txs))
+	for i, tx := range txs {
+		if errs[i] != nil {
+			continue
+		}
+		metas = append(metas, txMeta{tx: tx, sender: senders[i], idx: i})
+	}
+	return metas
 }
 
 // TraceCall executes a read-only message against the published head view

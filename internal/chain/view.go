@@ -461,15 +461,6 @@ func (bc *Blockchain) publishHeadLocked() {
 		frozen = bc.st.Copy()
 		frozen.Freeze()
 	}
-	bc.publishHeadFrozenLocked(frozen)
-}
-
-// publishHeadFrozenLocked publishes a view over an already-frozen state
-// snapshot. The pipelined seal path calls it directly: the tail's
-// handed-off copy is frozen after rooting and doubles as the view's
-// snapshot, so installation costs no extra whole-state Copy.
-func (bc *Blockchain) publishHeadFrozenLocked(frozen *state.StateDB) {
-	head := bc.blocks[len(bc.blocks)-1]
 	now := time.Now()
 	v := &HeadView{
 		chainID:    bc.chainID,

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -321,6 +322,107 @@ func TestConcurrentReadersDuringMineBlock(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestConcurrentSendersAndMinerDuringReads runs three instant-seal
+// writers, one batch miner and two lock-free readers at once: the two
+// sealing paths interleave on bc.mu while views publish. Under -race it
+// is their memory-safety gate; supply conservation and per-account
+// nonces are the semantic cross-check.
+func TestConcurrentSendersAndMinerDuringReads(t *testing.T) {
+	accs := wallet.DevAccounts("senders and miner", 6)
+	g := DefaultGenesis()
+	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(100))
+	bc := New(g)
+
+	perWriter := 12
+	if race {
+		perWriter = 6
+	}
+	var writers, readers sync.WaitGroup
+	errc := make(chan error, 16)
+	// Three instant-seal writers, each owning one account.
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			acc := accs[w]
+			for i := 0; i < perWriter; i++ {
+				tx := signedTx(t, bc, acc, &accs[3].Address, uint256.NewUint64(uint64(i+1)), nil, 21000)
+				if _, err := bc.SendTransaction(tx); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(w)
+	}
+	// One batch miner over the remaining accounts, explicit nonces.
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		n4, n5 := uint64(0), uint64(0)
+		for i := 0; i < perWriter; i++ {
+			for k := 0; k < 2; k++ {
+				tx4 := rawTx(t, bc, accs[4], n4, &accs[5].Address, uint256.NewUint64(1), nil, 21000)
+				n4++
+				tx5 := rawTx(t, bc, accs[5], n5, &accs[4].Address, uint256.NewUint64(1), nil, 21000)
+				n5++
+				if _, err := bc.SubmitTransaction(tx4); err != nil {
+					errc <- err
+					return
+				}
+				if _, err := bc.SubmitTransaction(tx5); err != nil {
+					errc <- err
+					return
+				}
+			}
+			if _, failed := bc.MineBlock(); len(failed) != 0 {
+				errc <- fmt.Errorf("batch drops: %v", failed)
+				return
+			}
+		}
+	}()
+	// Lock-free readers riding the published views until writers finish.
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := bc.View()
+				v.GetBalance(accs[r].Address)
+				if n := v.BlockNumber(); n > 0 {
+					if _, ok := v.BlockByNumber(n); !ok {
+						errc <- fmt.Errorf("head block %d not resolvable in its own view", n)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bc.TotalSupply() != ethtypes.Ether(600) {
+		t.Fatalf("supply drifted: %s", ethtypes.FormatEther(bc.TotalSupply()))
+	}
+	for w := 0; w < 3; w++ {
+		if n := bc.GetNonce(accs[w].Address); n != uint64(perWriter) {
+			t.Fatalf("writer %d nonce %d, want %d", w, n, perWriter)
+		}
+	}
 }
 
 // TestPindex exercises the persistent index directly, including the

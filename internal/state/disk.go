@@ -231,9 +231,7 @@ func (s *StateDB) TakePending() *statestore.Batch {
 // storage tries) down to keepResident, then unloads the tries so
 // everything evicted reads back through the store's cache. Only safe
 // between transactions with the pending batch committed; accounts with
-// uncommitted dirt are skipped, so eviction composes with pipelined
-// sealing (the live state may be mid-block for *other* accounts).
-// Returns the number of accounts evicted.
+// uncommitted dirt are skipped. Returns the number of accounts evicted.
 func (s *StateDB) EvictCold(keepResident int) int {
 	if s.disk == nil || s.frozen || len(s.journal) > 0 {
 		return 0

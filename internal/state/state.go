@@ -162,12 +162,8 @@ type StateDB struct {
 
 	// base, when non-nil, makes this state an Overlay: getObject
 	// materialises copy-on-write clones of base accounts on first touch
-	// instead of requiring an up-front whole-world Copy. See access.go.
+	// instead of requiring an up-front whole-world Copy. See Overlay.
 	base *StateDB
-
-	// rec, when non-nil, records every read and write for optimistic
-	// concurrency validation. See access.go.
-	rec *AccessRecorder
 }
 
 // New returns an empty world state.
@@ -262,7 +258,6 @@ func (s *StateDB) getOrNewObject(addr ethtypes.Address) *stateObject {
 	if o := s.getObject(addr); o != nil {
 		return o
 	}
-	s.recWrite(AccessExist, addr)
 	o := newStateObject()
 	s.objects[addr] = o
 	// Recreation clears the deleted-since-commit marker; the journal
@@ -318,16 +313,11 @@ func (s *StateDB) markReset(addr ethtypes.Address) {
 
 // Exist reports whether the account exists in state.
 func (s *StateDB) Exist(addr ethtypes.Address) bool {
-	s.recRead(AccessExist, addr)
 	return s.getObject(addr) != nil
 }
 
 // Empty reports whether the account is absent or empty (EIP-161).
 func (s *StateDB) Empty(addr ethtypes.Address) bool {
-	s.recRead(AccessExist, addr)
-	s.recRead(AccessBalance, addr)
-	s.recRead(AccessNonce, addr)
-	s.recRead(AccessCode, addr)
 	o := s.getObject(addr)
 	return o == nil || o.empty()
 }
@@ -342,7 +332,6 @@ func (s *StateDB) CreateAccount(addr ethtypes.Address) {
 
 // GetBalance returns the account balance (zero for absent accounts).
 func (s *StateDB) GetBalance(addr ethtypes.Address) uint256.Int {
-	s.recRead(AccessBalance, addr)
 	if o := s.getObject(addr); o != nil {
 		return o.balance
 	}
@@ -352,9 +341,6 @@ func (s *StateDB) GetBalance(addr ethtypes.Address) uint256.Int {
 // AddBalance credits addr by amount.
 func (s *StateDB) AddBalance(addr ethtypes.Address, amount uint256.Int) {
 	s.mustMutable("AddBalance")
-	// The result depends on the prior balance, so this is a read too.
-	s.recRead(AccessBalance, addr)
-	s.recWrite(AccessBalance, addr)
 	o := s.getOrNewObject(addr)
 	prev := o.balance
 	s.journal = append(s.journal, func() {
@@ -369,8 +355,6 @@ func (s *StateDB) AddBalance(addr ethtypes.Address, amount uint256.Int) {
 // it panics on underflow to surface accounting bugs loudly.
 func (s *StateDB) SubBalance(addr ethtypes.Address, amount uint256.Int) {
 	s.mustMutable("SubBalance")
-	s.recRead(AccessBalance, addr)
-	s.recWrite(AccessBalance, addr)
 	o := s.getOrNewObject(addr)
 	next, under := o.balance.SubUnderflow(amount)
 	if under {
@@ -387,7 +371,6 @@ func (s *StateDB) SubBalance(addr ethtypes.Address, amount uint256.Int) {
 
 // GetNonce returns the account nonce.
 func (s *StateDB) GetNonce(addr ethtypes.Address) uint64 {
-	s.recRead(AccessNonce, addr)
 	if o := s.getObject(addr); o != nil {
 		return o.nonce
 	}
@@ -397,7 +380,6 @@ func (s *StateDB) GetNonce(addr ethtypes.Address) uint64 {
 // SetNonce sets the account nonce.
 func (s *StateDB) SetNonce(addr ethtypes.Address, nonce uint64) {
 	s.mustMutable("SetNonce")
-	s.recWrite(AccessNonce, addr)
 	o := s.getOrNewObject(addr)
 	prev := o.nonce
 	s.journal = append(s.journal, func() {
@@ -410,7 +392,6 @@ func (s *StateDB) SetNonce(addr ethtypes.Address, nonce uint64) {
 
 // GetCode returns the contract code at addr.
 func (s *StateDB) GetCode(addr ethtypes.Address) []byte {
-	s.recRead(AccessCode, addr)
 	if o := s.getObject(addr); o != nil {
 		return s.codeOf(o)
 	}
@@ -424,10 +405,6 @@ func (s *StateDB) GetCodeSize(addr ethtypes.Address) int {
 
 // GetCodeHash returns keccak(code), the zero hash for absent accounts.
 func (s *StateDB) GetCodeHash(addr ethtypes.Address) ethtypes.Hash {
-	// Distinguishes absent (zero hash) from existing code-less accounts
-	// (empty-code hash), so existence is part of the observed value.
-	s.recRead(AccessCode, addr)
-	s.recRead(AccessExist, addr)
 	if o := s.getObject(addr); o != nil {
 		return o.codeHash
 	}
@@ -437,7 +414,6 @@ func (s *StateDB) GetCodeHash(addr ethtypes.Address) ethtypes.Hash {
 // SetCode installs contract code at addr.
 func (s *StateDB) SetCode(addr ethtypes.Address, code []byte) {
 	s.mustMutable("SetCode")
-	s.recWrite(AccessCode, addr)
 	o := s.getOrNewObject(addr)
 	prevCode, prevHash := o.code, o.codeHash
 	s.journal = append(s.journal, func() {
@@ -451,7 +427,6 @@ func (s *StateDB) SetCode(addr ethtypes.Address, code []byte) {
 
 // GetState reads a storage slot.
 func (s *StateDB) GetState(addr ethtypes.Address, slot ethtypes.Hash) uint256.Int {
-	s.recReadSlot(addr, slot)
 	if o := s.getObject(addr); o != nil {
 		if v, ok := o.storage[slot]; ok || !o.partial {
 			return v
@@ -464,7 +439,6 @@ func (s *StateDB) GetState(addr ethtypes.Address, slot ethtypes.Hash) uint256.In
 // GetCommittedState reads the value the slot had at the start of the
 // current transaction (for SSTORE gas metering).
 func (s *StateDB) GetCommittedState(addr ethtypes.Address, slot ethtypes.Hash) uint256.Int {
-	s.recReadSlot(addr, slot)
 	o := s.getObject(addr)
 	if o == nil {
 		return uint256.Zero
@@ -481,7 +455,6 @@ func (s *StateDB) GetCommittedState(addr ethtypes.Address, slot ethtypes.Hash) u
 // SetState writes a storage slot.
 func (s *StateDB) SetState(addr ethtypes.Address, slot ethtypes.Hash, value uint256.Int) {
 	s.mustMutable("SetState")
-	s.recWriteSlot(addr, slot)
 	o := s.getOrNewObject(addr)
 	o.ensureOwned()
 	// Partial objects fault the committed value in before the first
@@ -515,11 +488,6 @@ func (s *StateDB) SetState(addr ethtypes.Address, slot ethtypes.Hash, value uint
 // and zeroes its balance (the caller moves funds first).
 func (s *StateDB) SelfDestruct(addr ethtypes.Address) {
 	s.mustMutable("SelfDestruct")
-	// Whether anything happens depends on existence; the effect zeroes
-	// the balance now and deletes the account at Finalise.
-	s.recRead(AccessExist, addr)
-	s.recWrite(AccessBalance, addr)
-	s.recWrite(AccessExist, addr)
 	o := s.getObject(addr)
 	if o == nil {
 		return
@@ -536,7 +504,6 @@ func (s *StateDB) SelfDestruct(addr ethtypes.Address) {
 
 // HasSelfDestructed reports the destruct flag.
 func (s *StateDB) HasSelfDestructed(addr ethtypes.Address) bool {
-	s.recRead(AccessExist, addr)
 	o := s.getObject(addr)
 	return o != nil && o.selfdestructed
 }
@@ -611,7 +578,6 @@ func (s *StateDB) Finalise() {
 	diskBacked := s.diskStore() != nil
 	for addr, o := range s.objects {
 		if o.deletable() {
-			s.recWrite(AccessExist, addr)
 			delete(s.objects, addr)
 			s.markReset(addr)
 			if diskBacked {
@@ -1037,8 +1003,8 @@ func (s *StateDB) Copy() *StateDB {
 		worldRoot:    s.worldRoot,
 		rootValid:    s.rootValid,
 		// The disk handle is shared; the pending batch is not — it
-		// belongs to whichever state Root()s the dirt (the sealing
-		// pipeline always roots on the copy).
+		// belongs to whichever state Root()s the dirt (the chain's live
+		// state; its published copies are taken after the root).
 		disk: s.disk,
 	}
 	if len(s.deleted) > 0 {
@@ -1067,6 +1033,27 @@ func (s *StateDB) Copy() *StateDB {
 		cp.dirties[addr] = ne
 	}
 	return cp
+}
+
+// Overlay returns an O(1) copy-on-read view over s for speculative
+// execution (eth_call, debug_traceCall, HeadView.Fork): account objects
+// are cloned lazily on first touch (maps shared copy-on-write exactly as
+// in Copy), so the cost of an overlay is proportional to the accounts
+// the execution actually visits, not to the size of the world state.
+//
+// The overlay supports the full execution surface (getters, mutators,
+// journal/revert, Finalise) but not root computation, snapshot encoding
+// or whole-state walks — it cannot enumerate untouched base accounts.
+// After a Finalise sweeps an account, a later read re-materialises the
+// base object. The base must not be mutated while the overlay is live;
+// concurrent overlays over one quiescent base are safe (materialisation
+// only performs atomic shared-flag stores on base objects).
+func (s *StateDB) Overlay() *StateDB {
+	return &StateDB{
+		objects: make(map[ethtypes.Address]*stateObject),
+		base:    s,
+		dirties: make(map[ethtypes.Address]*dirtyEntry),
+	}
 }
 
 // TotalBalance sums all account balances — a conservation-law hook for
