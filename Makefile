@@ -15,7 +15,8 @@ test:
 # check is the fast pre-merge gate: vet everything, run the
 # concurrency-sensitive suites (the sender and block-hash memos in
 # ethtypes, the read-only constructed ABI, the evm code-analysis cache,
-# state commit pipeline, chain read/write paths, rpc, app) under the
+# state commit pipeline, chain read/write paths, rpc, app, the node
+# assembly with its listeners and shutdown order) under the
 # race detector, the upgrade-guard suites
 # (layout-diff round-trip property included) plus the manager tier that
 # exercises them end to end, then the crash-recovery fault-injection
@@ -24,7 +25,7 @@ check:
 	$(MAKE) fmt-check
 	$(MAKE) metrics-doc
 	$(GO) vet ./...
-	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
+	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/node/... ./internal/xtrace/...
 	$(GO) test -race -count 1 ./internal/upgrade/... ./internal/core/...
 	$(MAKE) persistence-torture
 	$(MAKE) fuzz-smoke
@@ -98,7 +99,7 @@ persistence-torture:
 	$(GO) test -race -run 'Restart|Torture|Genesis|WAL' ./internal/chain/... ./internal/rpc/...
 
 race:
-	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/xtrace/...
+	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/node/... ./internal/xtrace/...
 
 # bench-host prints the parallelism the numbers were taken at (benchmark
 # name suffixes also carry GOMAXPROCS, but only implicitly).

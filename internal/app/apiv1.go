@@ -16,8 +16,8 @@ import (
 )
 
 // Versioned REST API for the contract manager, coexisting with the HTML
-// UI and the legacy /api/ endpoints. All endpoints require the session
-// cookie and speak a uniform error envelope:
+// UI. All endpoints require the session cookie and speak a uniform
+// error envelope:
 //
 //	{"error":{"code":"bad_request","message":"..."}}
 //
@@ -65,6 +65,12 @@ func writeV1ErrorData(w http.ResponseWriter, r *http.Request, status int, code, 
 		e["data"] = data
 	}
 	writeJSON(w, status, map[string]interface{}{"error": e})
+}
+
+func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }
 
 // maxV1Body caps a /api/v1 JSON request body; the largest legitimate

@@ -7,15 +7,61 @@ import (
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/obs"
 	"legalchain/internal/web3"
 	"legalchain/internal/xtrace"
 )
+
+// apiRig registers a landlord, deploys a rental through the HTML
+// form, and returns the authenticated browser and the contract address.
+func apiRig(t *testing.T) (*browser, *App, string) {
+	t.Helper()
+	return apiRigOn(t, rig(t))
+}
+
+// apiRigOn is apiRig over an app the caller built.
+func apiRigOn(t *testing.T, a *App) (*browser, *App, string) {
+	t.Helper()
+	// Mirror production wiring: the node serves the app behind
+	// obs.LogRequests, which assigns request IDs and opens root spans.
+	srv := httptest.NewServer(obs.LogRequests(nil, a.Handler()))
+	t.Cleanup(srv.Close)
+	landlord := newBrowser(t, srv)
+	landlord.register("api_landlord", "pw")
+	resp, body := landlord.post("/deploy", url.Values{
+		"artifact": {"BaseRental"}, "rent": {"1"}, "deposit": {"2"},
+		"months": {"12"}, "house": {"api-house"},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy: %d %s", resp.StatusCode, body)
+	}
+	_, dash := landlord.get("/dashboard")
+	addr := extractAddr(t, dash)
+	return landlord, a, addr
+}
+
+func getJSON(t *testing.T, b *browser, path string, out interface{}) int {
+	t.Helper()
+	resp, err := b.c.Get(b.url + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("bad JSON from %s: %v (%s)", path, err, data)
+		}
+	}
+	return resp.StatusCode
+}
 
 // postJSON sends a JSON body through the browser's cookie-carrying
 // client and decodes the JSON reply.

@@ -31,7 +31,6 @@ func (a *App) Handler() http.Handler {
 	handle("/deploy", a.withUser(a.handleDeploy))
 	handle("/contract/", a.withUser(a.handleContract))
 	handle("/doc/", a.withUser(a.handleDocument))
-	a.apiRoutes(handle)
 	a.apiV1Routes(handle)
 	return mux
 }
@@ -40,16 +39,12 @@ const sessionCookie = "legalchain_session"
 
 // withUser resolves the session and injects the user. HTML routes
 // redirect to the login page; /api/v1/ routes answer 401 with the v1
-// error envelope, legacy /api/ routes keep their flat 401 JSON.
+// error envelope.
 func (a *App) withUser(fn func(http.ResponseWriter, *http.Request, *User)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		deny := func() {
 			if strings.HasPrefix(r.URL.Path, "/api/v1/") {
 				writeV1Error(w, r, http.StatusUnauthorized, v1Unauthorized, "not logged in")
-				return
-			}
-			if strings.HasPrefix(r.URL.Path, "/api/") {
-				writeJSON(w, http.StatusUnauthorized, map[string]string{"error": "not logged in"})
 				return
 			}
 			http.Redirect(w, r, "/login", http.StatusSeeOther)

@@ -149,44 +149,35 @@ func (a *App) sseBackend() (web3.HeadViewer, web3.HeadSubscriber, bool) {
 	return hv, hs, ok1 && ok2
 }
 
-// v1Heads streams every sealed head: GET /api/v1/heads.
-func (a *App) v1Heads(w http.ResponseWriter, r *http.Request, u *User) {
+// sseServe runs one event stream. It subscribes to the hub and pins the
+// start view before the response headers go out: a client may act as
+// soon as it holds them, and a block sealed then must reach the stream
+// through the subscription instead of falling between view and
+// subscribe. from picks the high-water mark on the pinned view; deliver
+// emits what a view holds past a mark and returns the new one.
+func (a *App) sseServe(w http.ResponseWriter, r *http.Request, op string, from func(*chain.HeadView) uint64, deliver func(*sseStream, *chain.HeadView, uint64) (uint64, error)) {
+	hv, hs, ok := a.sseBackend()
+	var sub *chain.Subscription
+	var v *chain.HeadView
+	var last uint64
+	if ok {
+		sub = hs.SubscribeHeads(0)
+		defer sub.Close()
+		v = hv.HeadView()
+		last = from(v)
+	}
 	stream := startSSE(w, r)
 	if stream == nil {
 		return
 	}
-	hv, hs, ok := a.sseBackend()
 	if !ok {
 		stream.sendError(v1Internal, "backend cannot stream (remote JSON-RPC; use eth_subscribe over WebSocket)")
 		return
 	}
-	_, sp := xtrace.StartRoot(r.Context(), "web", "sseHeads", obs.RequestIDFrom(r.Context()))
+	_, sp := xtrace.StartRoot(r.Context(), "web", op, obs.RequestIDFrom(r.Context()))
 	defer sp.End()
-	sub := hs.SubscribeHeads(0)
-	defer sub.Close()
-
-	v := hv.HeadView()
-	last, resumed := sseSince(r)
-	if !resumed {
-		// Fresh stream: deliver the current head immediately so the
-		// consumer renders without waiting for the next seal.
-		if v.BlockNumber() > 0 {
-			last = v.BlockNumber() - 1
-		}
-	}
-	// Alert frames ride the head stream. A fresh stream starts at the
-	// current alert high-water mark (history is served by /api/v1/alerts,
-	// not replayed into every new stream).
-	var alertSeq uint64
-	if a.Watch != nil {
-		for _, al := range a.Watch.Alerts() {
-			if al.Seq > alertSeq {
-				alertSeq = al.Seq
-			}
-		}
-	}
 	var err error
-	if last, err = a.sseDeliverHeads(stream, v, last); err != nil {
+	if last, err = deliver(stream, v, last); err != nil {
 		return
 	}
 	heartbeat := time.NewTicker(sseHeartbeat)
@@ -209,10 +200,7 @@ func (a *App) v1Heads(w http.ResponseWriter, r *http.Request, u *User) {
 					v = hv.HeadView()
 				}
 				if v != nil {
-					if last, err = a.sseDeliverHeads(stream, v, last); err != nil {
-						return
-					}
-					if alertSeq, err = a.sseDeliverAlerts(stream, v, alertSeq); err != nil {
+					if last, err = deliver(stream, v, last); err != nil {
 						return
 					}
 				}
@@ -226,6 +214,35 @@ func (a *App) v1Heads(w http.ResponseWriter, r *http.Request, u *User) {
 			}
 		}
 	}
+}
+
+// v1Heads streams every sealed head: GET /api/v1/heads.
+func (a *App) v1Heads(w http.ResponseWriter, r *http.Request, u *User) {
+	var alertSeq uint64
+	from := func(v *chain.HeadView) uint64 {
+		// Alert frames ride the head stream. A fresh stream starts at the
+		// current alert high-water mark (history is served by
+		// /api/v1/alerts, not replayed into every new stream).
+		if a.Watch != nil {
+			for _, al := range a.Watch.Alerts() {
+				alertSeq = max(alertSeq, al.Seq)
+			}
+		}
+		last, resumed := sseSince(r)
+		if !resumed && v.BlockNumber() > 0 {
+			// Fresh stream: deliver the current head immediately so the
+			// consumer renders without waiting for the next seal.
+			last = v.BlockNumber() - 1
+		}
+		return last
+	}
+	a.sseServe(w, r, "sseHeads", from, func(s *sseStream, v *chain.HeadView, last uint64) (uint64, error) {
+		last, err := a.sseDeliverHeads(s, v, last)
+		if err == nil {
+			alertSeq, err = a.sseDeliverAlerts(s, v, alertSeq)
+		}
+		return last, err
+	})
 }
 
 // sseDeliverAlerts folds the watchtower to v's head and emits one
@@ -297,68 +314,21 @@ func (a *App) v1ContractEvents(w http.ResponseWriter, r *http.Request, u *User, 
 		writeV1Error(w, r, http.StatusNotFound, v1NotFound, err.Error())
 		return
 	}
-	stream := startSSE(w, r)
-	if stream == nil {
-		return
-	}
-	hv, hs, ok := a.sseBackend()
-	if !ok {
-		stream.sendError(v1Internal, "backend cannot stream (remote JSON-RPC; use eth_subscribe over WebSocket)")
-		return
-	}
-	_, sp := xtrace.StartRoot(r.Context(), "web", "sseContractEvents", obs.RequestIDFrom(r.Context()))
-	defer sp.End()
 	// Best-effort decoder: the bound version's ABI names the events.
 	var dec *web3.BoundContract
 	if bound, err := a.Manager.BindVersion(addr); err == nil {
 		dec = bound
 	}
-	sub := hs.SubscribeHeads(0)
-	defer sub.Close()
-
-	v := hv.HeadView()
-	last, resumed := sseSince(r)
-	if !resumed {
-		last = v.BlockNumber() // live stream: only future logs
-	}
-	var err error
-	if last, err = a.sseDeliverLogs(stream, v, addr, dec, last); err != nil {
-		return
-	}
-	heartbeat := time.NewTicker(sseHeartbeat)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			if stream.comment() != nil {
-				return
-			}
-		case <-sub.Wait():
-			for {
-				events, gap, alive := sub.Drain()
-				v = nil
-				if len(events) > 0 {
-					v = events[len(events)-1].View
-				} else if gap > 0 {
-					v = hv.HeadView()
-				}
-				if v != nil {
-					if last, err = a.sseDeliverLogs(stream, v, addr, dec, last); err != nil {
-						return
-					}
-				}
-				if !alive {
-					stream.sendError(v1Internal, "node shutting down")
-					return
-				}
-				if len(events) == 0 && gap == 0 {
-					break
-				}
-			}
+	from := func(v *chain.HeadView) uint64 {
+		last, resumed := sseSince(r)
+		if !resumed {
+			last = v.BlockNumber() // live stream: only future logs
 		}
+		return last
 	}
+	a.sseServe(w, r, "sseContractEvents", from, func(s *sseStream, v *chain.HeadView, last uint64) (uint64, error) {
+		return a.sseDeliverLogs(s, v, addr, dec, last)
+	})
 }
 
 // sseDeliverLogs emits every log of addr in blocks (last, head].

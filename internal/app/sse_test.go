@@ -9,10 +9,13 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"legalchain/internal/chain"
+	"legalchain/internal/core"
+	"legalchain/internal/ethtypes"
 	"legalchain/internal/web3"
 )
 
@@ -274,6 +277,67 @@ func TestSSEContractEventsStream(t *testing.T) {
 	resp, body := tenant.get("/api/v1/contracts/0x0000000000000000000000000000000000000001/events")
 	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, `"not_found"`) {
 		t.Fatalf("unknown contract: %d %s", resp.StatusCode, body)
+	}
+}
+
+// sealOnFlush runs seal right after the first flush of the response,
+// the moment a client holding the stream's headers could first act.
+type sealOnFlush struct {
+	http.ResponseWriter
+	seal func()
+}
+
+func (w sealOnFlush) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+func (w sealOnFlush) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	w.seal()
+}
+
+// TestSSELiveStreamKeepsBlockSealedAtHandshake seals the tenant's
+// confirmation while the live stream's headers are on the wire: its log
+// must arrive, not fall between the start view and the subscription.
+func TestSSELiveStreamKeepsBlockSealedAtHandshake(t *testing.T) {
+	a := rig(t)
+	landlord, err := a.Register("lessor", "", "pw1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := a.Register("lessee", "", "pw2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := a.Rental.DeployRental(landlord.Addr(), core.RentalTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12, House: "handshake",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ethtypes.HexToAddress(dep.Row.Address)
+
+	var once sync.Once
+	h := a.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			w = sealOnFlush{ResponseWriter: w, seal: func() {
+				once.Do(func() {
+					if err := a.Rental.Confirm(tenant.Addr(), addr); err != nil {
+						t.Error(err)
+					}
+				})
+			}}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	b := newBrowser(t, srv)
+	if resp, body := b.post("/login", url.Values{"name": {"lessee"}, "password": {"pw2"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("login: %d %s", resp.StatusCode, body)
+	}
+
+	stream := openStream(t, b, "/api/v1/contracts/"+dep.Row.Address+"/events", nil)
+	if f := stream.next(5 * time.Second); f.event != "log" {
+		t.Fatalf("first frame: %q %s", f.event, f.data)
 	}
 }
 

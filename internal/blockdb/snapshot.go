@@ -34,20 +34,9 @@ func snapPath(dir string, number uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%010d%s", snapPrefix, number, snapSuffix))
 }
 
-// DefaultSnapshotsKept is the retention used when a caller does not
-// configure one (see WriteSnapshotKeep).
-const DefaultSnapshotsKept = snapshotsKept
-
-// WriteSnapshot atomically writes a snapshot file and prunes old
-// generations beyond the default retention of snapshotsKept.
+// WriteSnapshot atomically writes a snapshot file (tmp + rename, CRC
+// framed) and prunes old generations beyond snapshotsKept.
 func WriteSnapshot(dir string, s *Snapshot) error {
-	return WriteSnapshotKeep(dir, s, snapshotsKept)
-}
-
-// WriteSnapshotKeep atomically writes a snapshot file (tmp + rename,
-// CRC framed) and prunes old generations beyond keep (values < 1 fall
-// back to the default retention).
-func WriteSnapshotKeep(dir string, s *Snapshot, keep int) error {
 	payload := rlp.Encode(rlp.List(
 		rlp.Uint(s.Number),
 		rlp.Bytes(s.BlockHash[:]),
@@ -78,7 +67,7 @@ func WriteSnapshotKeep(dir string, s *Snapshot, keep int) error {
 		os.Remove(tmp)
 		return fmt.Errorf("blockdb: snapshot rename: %w", err)
 	}
-	pruneSnapshots(dir, keep)
+	pruneSnapshots(dir)
 	return nil
 }
 
@@ -105,12 +94,9 @@ func listSnapshotFiles(dir string) []uint64 {
 	return nums
 }
 
-func pruneSnapshots(dir string, keep int) {
-	if keep < 1 {
-		keep = snapshotsKept
-	}
+func pruneSnapshots(dir string) {
 	nums := listSnapshotFiles(dir)
-	for _, n := range nums[min(len(nums), keep):] {
+	for _, n := range nums[min(len(nums), snapshotsKept):] {
 		os.Remove(snapPath(dir, n))
 	}
 }

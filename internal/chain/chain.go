@@ -99,7 +99,6 @@ type Blockchain struct {
 	// persist.go.
 	db           *blockdb.Log
 	snapInterval uint64
-	snapKeep     int
 	persistErr   error
 	recovery     *RecoveryReport
 

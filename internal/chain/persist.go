@@ -43,10 +43,6 @@ type PersistConfig struct {
 	SegmentSize int64
 	// NoSync skips per-block fsync. Tests and benchmarks only.
 	NoSync bool
-	// SnapshotsKeep is how many periodic state snapshots to retain on
-	// disk (0 = blockdb.DefaultSnapshotsKept). Ignored with StateStore,
-	// which replaces whole-world snapshots entirely.
-	SnapshotsKeep int
 	// StateStore enables the disk-backed state store under
 	// DataDir/state: accounts, storage slots and trie nodes live in
 	// append-only segments, the live state keeps only a bounded
@@ -185,7 +181,6 @@ func openPersistent(g *Genesis, cfg *openConfig) (*Blockchain, error) {
 	bc.db = db
 	bc.snapInterval = interval
 	bc.dataDir = p.DataDir
-	bc.snapKeep = p.SnapshotsKeep
 	bc.retainBlocks = p.RetainBlocks
 	if p.StateStore {
 		st, err := statestore.Open(filepath.Join(p.DataDir, "state"), statestore.Options{
@@ -362,26 +357,14 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 			}
 		}
 	} else if bc.dataDir != "" {
-		// Newest usable snapshot, loaded lazily newest-first: stop at the
-		// first one captured inside the prefix, bound to the block we
-		// actually have, and decoding to the exact committed root.
-		for _, n := range blockdb.SnapshotNumbers(bc.dataDir) {
-			if n >= uint64(limit) || n == 0 {
-				continue
-			}
-			sn, err := blockdb.LoadSnapshot(bc.dataDir, n)
-			if err != nil || sn.BlockHash != recs[n].Header.Hash() {
-				continue
-			}
-			snapSt, err := state.DecodeSnapshot(sn.State)
-			if err != nil || snapSt.Root() != recs[n].Header.StateRoot {
-				continue
-			}
+		snapSt, n := newestSnapshot(bc.dataDir, uint64(limit-1), func(n uint64) (*ethtypes.Header, bool) {
+			return recs[n].Header, true
+		})
+		if snapSt != nil {
 			bc.st = snapSt
 			base = int(n)
 			report.SnapshotUsed = true
 			report.SnapshotBlock = n
-			break
 		}
 	}
 
@@ -404,9 +387,12 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	bc.recoverSenders(suffix)
 	replayed := 0
 	for i := base + 1; i < limit; i++ {
-		if !bc.replayBlock(recs[i]) {
+		block := recs[i].Block()
+		receipts, err := replayBlock(context.Background(), bc.chainID, bc.st, block, bc.blockHashFnLocked(), nil)
+		if err != nil {
 			return false, i, nil
 		}
+		bc.installBlockLocked(block, receipts)
 		replayed++
 	}
 	report.BlocksReplayed = replayed
@@ -434,45 +420,32 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	return true, 0, nil
 }
 
-// replayBlock re-executes one journaled block against the live state
-// and verifies the outcome against the stored header: gas used, state
-// root and receipt root must all match. Execution panics (possible only
-// if the state diverged from the sealing-time lineage) are converted
-// into verification failures — recovery must never crash the node.
-func (bc *Blockchain) replayBlock(rec *blockdb.Record) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
+// newestSnapshot decodes the newest snapshot in dir at or below block
+// top that is bound to the header the caller holds at its height
+// (headerAt reports false where it holds none) and reproduces that
+// header's state root. Snapshots load lazily newest-first, so a damaged
+// or stale one costs replay, never a failure. A nil state means none
+// qualifies.
+func newestSnapshot(dir string, top uint64, headerAt func(uint64) (*ethtypes.Header, bool)) (*state.StateDB, uint64) {
+	for _, n := range blockdb.SnapshotNumbers(dir) {
+		if n > top || n == 0 {
+			continue
 		}
-	}()
-	header := rec.Header
-	var receipts []*ethtypes.Receipt
-	var cumulative uint64
-	for i, tx := range rec.Txs {
-		sender, err := tx.Sender(bc.chainID)
-		if err != nil {
-			return false
+		h, ok := headerAt(n)
+		if !ok {
+			continue
 		}
-		rcpt, err := bc.applyTransaction(context.Background(), header, tx, sender)
-		if err != nil {
-			return false
+		sn, err := blockdb.LoadSnapshot(dir, n)
+		if err != nil || sn.BlockHash != h.Hash() {
+			continue
 		}
-		rcpt.TxIndex = uint(i)
-		cumulative += rcpt.GasUsed
-		rcpt.CumulativeGasUsed = cumulative
-		for j, l := range rcpt.Logs {
-			l.TxIndex = rcpt.TxIndex
-			l.Index = uint(j)
+		st, err := state.DecodeSnapshot(sn.State)
+		if err != nil || st.Root() != h.StateRoot {
+			continue
 		}
-		receipts = append(receipts, rcpt)
+		return st, n
 	}
-	if cumulative != header.GasUsed ||
-		bc.st.Root() != header.StateRoot ||
-		DeriveReceiptRoot(receipts) != header.ReceiptRoot {
-		return false
-	}
-	bc.installBlockLocked(rec.Block(), receipts)
-	return true
+	return nil, 0
 }
 
 // persistBlockLocked journals a freshly sealed block and, on snapshot
@@ -529,11 +502,7 @@ func (bc *Blockchain) writeSnapshotLocked(head *ethtypes.Block) {
 		BlockHash: head.Hash(),
 		State:     bc.st.EncodeSnapshot(),
 	}
-	keep := bc.snapKeep
-	if keep <= 0 {
-		keep = blockdb.DefaultSnapshotsKept
-	}
-	if err := blockdb.WriteSnapshotKeep(bc.db.Dir(), snap, keep); err != nil {
+	if err := blockdb.WriteSnapshot(bc.db.Dir(), snap); err != nil {
 		bc.persistErr = err
 	}
 }

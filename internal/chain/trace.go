@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"legalchain/internal/blockdb"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/evm"
 	"legalchain/internal/state"
@@ -111,30 +110,32 @@ func (bc *Blockchain) traceBlock(ctx context.Context, view *HeadView, n uint64, 
 		return nil, err
 	}
 
-	traces := make([]*TxTrace, 0, len(block.Transactions))
-	replayed, err := replayBlockOn(ctx, bc.chainID, st, view, block, func(i int, tx *ethtypes.Transaction) evm.Tracer {
+	tracers := make([]evm.Tracer, len(block.Transactions))
+	receipts, err := replayBlock(ctx, bc.chainID, st, block, blockHashBefore(view, n), func(i int, tx *ethtypes.Transaction) evm.Tracer {
 		if factory == nil || (only != nil && tx.Hash() != *only) {
 			return nil
 		}
-		return factory()
+		tracers[i] = factory()
+		return tracers[i]
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, rr := range replayed {
+	traces := make([]*TxTrace, 0, len(receipts))
+	for i, rcpt := range receipts {
 		stored, ok := view.GetReceipt(block.Transactions[i].Hash())
 		if !ok {
 			return nil, fmt.Errorf("%w: no stored receipt for tx %d of block %d", ErrTraceDiverged, i, n)
 		}
-		if err := receiptsMatch(rr.receipt, stored); err != nil {
+		if err := receiptsMatch(rcpt, stored); err != nil {
 			return nil, fmt.Errorf("%w: block %d tx %d: %v", ErrTraceDiverged, n, i, err)
 		}
 		traces = append(traces, &TxTrace{
-			TxHash:      rr.receipt.TxHash,
+			TxHash:      rcpt.TxHash,
 			BlockNumber: n,
-			TxIndex:     rr.receipt.TxIndex,
-			Receipt:     rr.receipt,
-			Tracer:      rr.tracer,
+			TxIndex:     rcpt.TxIndex,
+			Receipt:     rcpt,
+			Tracer:      tracers[i],
 		})
 	}
 	return traces, nil
@@ -157,25 +158,15 @@ func (bc *Blockchain) stateBefore(ctx context.Context, view *HeadView, n uint64)
 	st, _ := genesisState(bc.genesis)
 	base := uint64(0)
 	if bc.dataDir != "" {
-		for _, n := range blockdb.SnapshotNumbers(bc.dataDir) {
-			if n > target || n == 0 {
-				continue
-			}
+		snapSt, n := newestSnapshot(bc.dataDir, target, func(n uint64) (*ethtypes.Header, bool) {
 			b, ok := view.BlockByNumber(n)
 			if !ok {
-				continue
+				return nil, false
 			}
-			sn, err := blockdb.LoadSnapshot(bc.dataDir, n)
-			if err != nil || sn.BlockHash != b.Hash() {
-				continue
-			}
-			snapSt, err := state.DecodeSnapshot(sn.State)
-			if err != nil || snapSt.Root() != b.Header.StateRoot {
-				continue
-			}
-			st = snapSt
-			base = n
-			break
+			return b.Header, true
+		})
+		if snapSt != nil {
+			st, base = snapSt, n
 		}
 	}
 
@@ -191,40 +182,44 @@ func (bc *Blockchain) stateBefore(ctx context.Context, view *HeadView, n uint64)
 		if !ok {
 			return nil, fmt.Errorf("%w: block %d", ErrTraceNotFound, h)
 		}
-		if _, err := replayBlockOn(ctx, bc.chainID, st, view, block, nil); err != nil {
+		if _, err := replayBlock(ctx, bc.chainID, st, block, blockHashBefore(view, h), nil); err != nil {
 			return nil, err
 		}
 	}
 	return st, nil
 }
 
-// replayedTx pairs a re-derived receipt with the tracer that watched it.
-type replayedTx struct {
-	receipt *ethtypes.Receipt
-	tracer  evm.Tracer
-}
-
-// replayBlockOn re-executes block against st, mirroring the sealing
-// paths exactly (per-tx receipts, cumulative gas, log indexes), and
-// verifies the block-level commitments: total gas, state root, receipt
-// root. tracerFor may be nil; otherwise it picks the tracer (possibly
-// nil) for each transaction.
-func replayBlockOn(ctx context.Context, chainID uint64, st *state.StateDB, view *HeadView, block *ethtypes.Block, tracerFor func(int, *ethtypes.Transaction) evm.Tracer) ([]replayedTx, error) {
-	header := block.Header
-	// BLOCKHASH at the original execution height: blocks below this one
-	// resolve, this block and later were not sealed yet.
-	getBlockHash := func(x uint64) ethtypes.Hash {
-		if x >= header.Number {
-			return ethtypes.Hash{}
-		}
-		if b, ok := view.BlockByNumber(x); ok {
-			return b.Hash()
+// blockHashBefore resolves BLOCKHASH on view as it resolved while block
+// n was sealed: blocks below n resolve, n and later did not exist yet.
+func blockHashBefore(view *HeadView, n uint64) func(uint64) ethtypes.Hash {
+	return func(x uint64) ethtypes.Hash {
+		if x < n {
+			if b, ok := view.BlockByNumber(x); ok {
+				return b.Hash()
+			}
 		}
 		return ethtypes.Hash{}
 	}
+}
 
-	out := make([]replayedTx, 0, len(block.Transactions))
-	receipts := make([]*ethtypes.Receipt, 0, len(block.Transactions))
+// replayBlock re-executes block against st through the sealer's own
+// execTransaction, mirroring the sealing paths exactly (per-tx
+// receipts, cumulative gas, log indexes), and verifies the block-level
+// commitments: total gas, state root, receipt root. Crash recovery and
+// historical tracing both replay through it; getBlockHash resolves
+// BLOCKHASH the way the block saw it when sealed. tracerFor may be nil;
+// otherwise it picks the tracer (possibly nil) for each transaction.
+// An execution panic, possible only when st has left the sealing-time
+// lineage, is reported as ErrTraceDiverged: a replay must never crash
+// the node.
+func replayBlock(ctx context.Context, chainID uint64, st *state.StateDB, block *ethtypes.Block, getBlockHash func(uint64) ethtypes.Hash, tracerFor func(int, *ethtypes.Transaction) evm.Tracer) (receipts []*ethtypes.Receipt, err error) {
+	header := block.Header
+	defer func() {
+		if p := recover(); p != nil {
+			receipts, err = nil, fmt.Errorf("%w: block %d: panic: %v", ErrTraceDiverged, header.Number, p)
+		}
+	}()
+	receipts = make([]*ethtypes.Receipt, 0, len(block.Transactions))
 	var cumulative uint64
 	for i, tx := range block.Transactions {
 		sender, err := tx.Sender(chainID)
@@ -249,7 +244,6 @@ func replayBlockOn(ctx context.Context, chainID uint64, st *state.StateDB, view 
 			l.BlockHash = rcpt.BlockHash
 		}
 		receipts = append(receipts, rcpt)
-		out = append(out, replayedTx{receipt: rcpt, tracer: env.tracer})
 	}
 	if cumulative != header.GasUsed {
 		return nil, fmt.Errorf("%w: block %d gas used %d, header says %d", ErrTraceDiverged, header.Number, cumulative, header.GasUsed)
@@ -260,7 +254,7 @@ func replayBlockOn(ctx context.Context, chainID uint64, st *state.StateDB, view 
 	if rr := DeriveReceiptRoot(receipts); rr != header.ReceiptRoot {
 		return nil, fmt.Errorf("%w: block %d receipt root %s, header says %s", ErrTraceDiverged, header.Number, rr.Hex(), header.ReceiptRoot.Hex())
 	}
-	return out, nil
+	return receipts, nil
 }
 
 // receiptsMatch verifies a replayed receipt against the stored one,

@@ -1,0 +1,248 @@
+package node
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"legalchain/internal/chain"
+	"legalchain/internal/ethtypes"
+	"legalchain/internal/rpc"
+	"legalchain/internal/wallet"
+	"legalchain/internal/ws"
+)
+
+// config builds a Config the way the binaries do: the shared flags
+// parsed from args on a fresh FlagSet (watch defaulting as given), then
+// a funded genesis.
+func config(t *testing.T, watch bool, args ...string) Config {
+	t.Helper()
+	cfg := Config{Watch: watch}
+	fs := flag.NewFlagSet("node", flag.ContinueOnError)
+	RegisterFlags(fs, &cfg)
+	if err := fs.Parse(append([]string{"-log-level", "error"}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Accounts = wallet.DevAccounts("node test", 2)
+	cfg.Genesis = chain.DefaultGenesis()
+	cfg.Genesis.Alloc = wallet.DevAlloc(cfg.Accounts, ethtypes.Ether(100))
+	return cfg
+}
+
+func start(t *testing.T, cfg Config) *Node {
+	t.Helper()
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func shutdown(t *testing.T, n *Node) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// transfer sends one signed value transfer over the node's JSON-RPC
+// listener; the devnet seals it into its own block.
+func transfer(t *testing.T, n *Node, from wallet.Account) {
+	t.Helper()
+	to := ethtypes.HexToAddress("0x00000000000000000000000000000000000000aa")
+	tx := &ethtypes.Transaction{Nonce: n.Chain.GetNonce(from.Address), GasPrice: ethtypes.Gwei(1), Gas: 21_000, To: &to, Value: ethtypes.Ether(1)}
+	if err := tx.Sign(from.Key, n.Chain.ChainID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rpc.Dial("http://" + n.RPCAddr).SendRawTransaction(tx.Encode()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// get fetches url and returns its status code and body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// watchFolded reads the watchtower's folded height from /healthz.
+func watchFolded(t *testing.T, n *Node) uint64 {
+	t.Helper()
+	code, body := get(t, "http://"+n.MetricsAddr+"/healthz")
+	var h struct {
+		Watch struct{ Folded uint64 } `json:"watch"`
+	}
+	if err := json.Unmarshal(body, &h); code != http.StatusOK || err != nil {
+		t.Fatalf("/healthz: %d %s", code, body)
+	}
+	return h.Watch.Folded
+}
+
+// TestRentaldProfile starts every tier in memory on ephemeral ports and
+// reaches each listener.
+func TestRentaldProfile(t *testing.T) {
+	cfg := config(t, true, "-ws-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0")
+	cfg.WebAddr, cfg.RPCAddr = "127.0.0.1:0", "127.0.0.1:0"
+	n := start(t, cfg)
+
+	if bn, err := rpc.Dial("http://" + n.RPCAddr).BlockNumber(); err != nil || bn != 0 {
+		t.Fatalf("eth_blockNumber = %d, %v", bn, err)
+	}
+
+	conn, err := ws.Dial("ws://"+n.WSAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close(ws.CloseNormal, "")
+	if err := conn.WriteText(`{"jsonrpc":"2.0","id":1,"method":"eth_subscribe","params":["newHeads"]}`); err != nil {
+		t.Fatal(err)
+	}
+	read := func() (msg struct {
+		ID     int    `json:"id"`
+		Method string `json:"method"`
+		Params struct {
+			Result struct{ Number string } `json:"result"`
+		} `json:"params"`
+	}) {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, payload, err := conn.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(payload, &msg); err != nil {
+			t.Fatalf("bad frame %s: %v", payload, err)
+		}
+		return msg
+	}
+	if msg := read(); msg.ID != 1 {
+		t.Fatalf("subscribe reply: %+v", msg)
+	}
+	transfer(t, n, cfg.Accounts[0])
+	if msg := read(); msg.Method != "eth_subscription" || msg.Params.Result.Number != "0x1" {
+		t.Fatalf("newHeads notification: %+v", msg)
+	}
+
+	if code, body := get(t, "http://"+n.MetricsAddr+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz: %d %s", code, body)
+	}
+	if code, _ := get(t, "http://"+n.WebAddr+"/login"); code != http.StatusOK {
+		t.Fatalf("/login: %d", code)
+	}
+	shutdown(t, n)
+}
+
+// TestDurableDevnetRestart seals blocks on a durable devnet profile,
+// restarts it and finds the same head, state and watchtower progress
+// under the one data directory layout.
+func TestDurableDevnetRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config(t, false, "-datadir", dir, "-watch", "-metrics-addr", "127.0.0.1:0")
+	cfg.RPCAddr = "127.0.0.1:0"
+	n := start(t, cfg)
+	for i := 0; i < 3; i++ {
+		transfer(t, n, cfg.Accounts[i%2])
+	}
+	head := n.Chain.View().Head()
+	if head.Number() != 3 {
+		t.Fatalf("head #%d after three transfers", head.Number())
+	}
+	for deadline := time.Now().Add(5 * time.Second); watchFolded(t, n) != 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("watchtower did not fold to the head")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	shutdown(t, n)
+	for _, pattern := range []string{"chain/blocks-*.seg", "watch/*"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) == 0 {
+			t.Fatalf("no %s in the data directory", pattern)
+		}
+	}
+
+	n = start(t, cfg)
+	defer shutdown(t, n)
+	got := n.Chain.View().Head()
+	if got.Hash() != head.Hash() || got.Header.StateRoot != head.Header.StateRoot {
+		t.Fatalf("restarted at #%d %s, want #%d %s", got.Number(), got.Hash().Hex(), head.Number(), head.Hash().Hex())
+	}
+	if folded := watchFolded(t, n); folded != 3 {
+		t.Fatalf("watchtower folded %d after restart, want 3", folded)
+	}
+}
+
+// TestStartFailureReleasesEverything occupies the last listener's port:
+// Start must fail, close the listeners it bound and close every tier
+// it opened.
+func TestStartFailureReleasesEverything(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpcAddr := probe.Addr().String()
+	probe.Close()
+
+	dir := t.TempDir()
+	cfg := config(t, true, "-datadir", dir, "-metrics-addr", busy.Addr().String())
+	cfg.WebAddr, cfg.RPCAddr = "127.0.0.1:0", rpcAddr
+	if _, err := Start(cfg); err == nil || !strings.Contains(err.Error(), "metrics") {
+		t.Fatalf("Start on an occupied port: %v", err)
+	}
+	// Closing the chain writes its final snapshot: the chain was closed.
+	if _, err := os.Stat(filepath.Join(dir, "chain", "state-0000000000.snap")); err != nil {
+		t.Fatalf("chain not closed: %v", err)
+	}
+	// The listener bound before the failure was released, and the data
+	// directory opens again.
+	cfg.MetricsAddr = ""
+	shutdown(t, start(t, cfg))
+}
+
+func TestOldDevnetLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "blocks-0000000000.seg"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Start(config(t, false, "-datadir", dir))
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "chain")) {
+		t.Fatalf("old layout: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "chain")); !os.IsNotExist(err) {
+		t.Fatalf("a fresh chain was opened beside the old one: %v", err)
+	}
+}
+
+func TestFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-state-store"},
+		{"-retain-blocks", "8"},
+		{"-state-cache", "0"},
+	} {
+		if _, err := Start(config(t, false, args...)); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}

@@ -222,7 +222,6 @@ func (sess *wsSession) subscribe(params []json.RawMessage) (string, error) {
 	sub := &wsSub{
 		id:   hexutil.EncodeUint64(sess.srv.subSeq.Add(1)),
 		kind: kind,
-		last: sess.srv.bc.BlockNumber(),
 	}
 	switch kind {
 	case wsKindHeads:
@@ -241,7 +240,6 @@ func (sess *wsSession) subscribe(params []json.RawMessage) (string, error) {
 	}
 
 	sess.mu.Lock()
-	sess.subs[sub.id] = sub
 	var startHeads, startPending bool
 	if kind == wsKindPending {
 		if sess.pendSub == nil {
@@ -254,6 +252,11 @@ func (sess *wsSession) subscribe(params []json.RawMessage) (string, error) {
 			startHeads = true
 		}
 	}
+	// The start height is read once the hub subscription exists, so a
+	// block sealed in between wakes the heads loop instead of waiting
+	// for the next seal.
+	sub.last = sess.srv.bc.BlockNumber()
+	sess.subs[sub.id] = sub
 	sess.mu.Unlock()
 	rpcSubscriptions.With(kind).Inc()
 	if startHeads {
