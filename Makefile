@@ -62,15 +62,17 @@ lint:
 
 # fuzz-smoke runs every native fuzz target for ten seconds from its
 # committed seed corpus (testdata/fuzz/): the unrolled Keccak sponge
-# against the loop-form oracle, uint256 byte I/O against math/big, and
-# the secp256k1 Jacobian ladder (then sign → Recover) against the affine
-# oracle. go test takes one -fuzz target and one package per invocation.
+# against the loop-form oracle, uint256 byte I/O against math/big, the
+# secp256k1 Jacobian ladder (then sign → Recover) against the affine
+# oracle, and the segment-log scan every durable store shares. go test
+# takes one -fuzz target and one package per invocation.
 # FuzzScalarMult costs ~15 ms an input, so minimising each
 # coverage-expanding one (60 s by default) would leave no time to fuzz.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
 	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
 	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
+	$(GO) test -run xxx -fuzz FuzzScan -fuzztime 10s ./internal/seglog/
 
 # fmt-check fails the build if any file is not gofmt-clean.
 fmt-check:
@@ -92,10 +94,11 @@ obs-check:
 	OBS_CHECK=1 $(GO) test -v -run 'TestEthCallInstrumentationOverhead|TestEthCallTracingOverhead' -count 1 ./internal/chain/
 
 # persistence-torture runs every fault-injection suite — torn log
-# tails, flipped bytes, deleted/corrupted snapshots, damaged WALs —
-# under the race detector.
+# tails, flipped bytes, numbering gaps, deleted/corrupted snapshots,
+# damaged journals, crash images of compaction — for the segment log
+# and each store on it, under the race detector.
 persistence-torture:
-	$(GO) test -race ./internal/blockdb/... ./internal/docstore/...
+	$(GO) test -race ./internal/seglog/... ./internal/blockdb/... ./internal/statestore/... ./internal/docstore/... ./internal/watch/...
 	$(GO) test -race -run 'Restart|Torture|Genesis|WAL' ./internal/chain/... ./internal/rpc/...
 
 race:

@@ -1,346 +1,120 @@
 // Package blockdb is the durable persistence layer of the devnet chain:
-// an append-only, segmented block log of length-prefixed, CRC32C-framed
-// RLP records, fsync'd on seal, plus periodic state snapshots that
-// bound startup replay. The chain journals every sealed block here and
-// recovers on open by loading the latest valid snapshot and
-// re-executing only the blocks after it.
+// an append-only block log of RLP records, one per sealed block, fsync'd
+// on seal, plus periodic state snapshots that bound startup replay. The
+// chain journals every sealed block here and recovers on open by loading
+// the latest valid snapshot and re-executing only the blocks after it.
 //
-// Corruption handling is prefix-oriented: opening the log scans every
-// segment in order and keeps the longest verifiable prefix of records —
-// a torn tail, a flipped byte inside a frame, or an undecodable record
-// stops the scan, the damaged bytes are truncated away, and later
-// segments are dropped. Open never fails because of a damaged tail; it
-// reports what was discarded instead.
+// The log is a seglog under the name prefix "blocks-": record n is the
+// log's frame n, so a segment is named by the number of its first block.
+// Corruption handling is seglog's, prefix-oriented: Open keeps the
+// longest verifiable prefix of records — a torn tail, a flipped byte
+// inside a frame, or an undecodable or misnumbered record stops the
+// scan, and everything after it is dropped. Open never fails because of
+// a damaged tail; it reports what was discarded instead.
 package blockdb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"legalchain/internal/seglog"
 )
 
-const (
-	segPrefix = "blocks-"
-	segSuffix = ".seg"
-	// DefaultSegmentSize rotates segments at 4 MiB — small enough that a
-	// damaged segment loses little, large enough to keep the directory
-	// tidy on long chains.
-	DefaultSegmentSize = 4 << 20
-)
+const segPrefix = "blocks-"
 
 // Options tunes the log.
 type Options struct {
-	// SegmentSize is the rotation threshold in bytes (0 = default).
+	// SegmentSize is the rotation threshold in bytes (0 = seglog's
+	// default, 4 MiB).
 	SegmentSize int64
 	// NoSync skips the per-append fsync. Only for tests and benchmarks;
 	// a production chain must keep the sync-on-seal guarantee.
 	NoSync bool
 }
 
-// OpenReport describes what an Open scan found and repaired.
-type OpenReport struct {
-	Segments        int    // segment files seen
-	Records         int    // valid records recovered
-	DroppedBytes    int64  // bytes truncated from the damaged segment
-	DroppedSegments int    // whole segments discarded after the damage
-	Reason          string // why the scan stopped early, if it did
-}
-
-// Dropped reports whether the open scan discarded anything.
-func (r *OpenReport) Dropped() bool {
-	return r.DroppedBytes > 0 || r.DroppedSegments > 0
-}
-
-// recLoc remembers where a record lives so Rewind can truncate there.
-type recLoc struct {
-	seg int   // index into segs
-	off int64 // byte offset of the record's frame within the segment
-}
-
-type segment struct {
-	path  string
-	first uint64 // number of the first record in the segment
-	size  int64
-}
-
-// Log is the segmented block log. Methods are safe for concurrent use.
+// Log is the block log. Methods are safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
 	dir  string
 	opts Options
-
-	segs []segment
-	locs []recLoc // one per record, in order
-	f    *os.File // active (last) segment, opened for append
-	size int64    // size of the active segment
-}
-
-func segPath(dir string, first uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%010d%s", segPrefix, first, segSuffix))
+	log  *seglog.Log
+	pos  []seglog.Pos // one per record, in order
 }
 
 // Open opens (creating if needed) the log in dir and returns the
 // longest verifiable prefix of records together with a report of
-// anything that had to be dropped to get there. The log file is
-// repaired in place: damaged tails are truncated, segments after the
-// damage are deleted.
-func Open(dir string, opts Options) (*Log, []*Record, *OpenReport, error) {
-	if opts.SegmentSize <= 0 {
-		opts.SegmentSize = DefaultSegmentSize
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// anything that had to be dropped to get there. The log is repaired in
+// place.
+func Open(dir string, opts Options) (*Log, []*Record, *seglog.Report, error) {
+	l := &Log{dir: dir, opts: opts}
+	var recs []*Record
+	log, rep, err := seglog.Open(dir, segPrefix, opts.SegmentSize, func(pos seglog.Pos, payload []byte) error {
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		if want := uint64(len(recs)); rec.Header.Number != want {
+			return fmt.Errorf("record number %d, want %d", rec.Header.Number, want)
+		}
+		recs = append(recs, rec)
+		l.pos = append(l.pos, pos)
+		return nil
+	})
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("blockdb: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts}
-	recs, report, err := l.scan()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := l.openActive(); err != nil {
-		return nil, nil, nil, err
-	}
-	return l, recs, report, nil
+	l.log = log
+	return l, recs, rep, nil
 }
 
-// listSegments returns the segment files in dir sorted by first-record
-// number. Files whose names don't parse are ignored.
-func listSegments(dir string) ([]segment, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("blockdb: %w", err)
-	}
-	var segs []segment
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		var first uint64
-		if _, err := fmt.Sscanf(name, segPrefix+"%010d"+segSuffix, &first); err != nil {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		segs = append(segs, segment{path: filepath.Join(dir, name), first: first, size: info.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	return segs, nil
-}
-
-// scan reads every segment in order, decoding records and validating
-// the numbering, and repairs the log down to the longest valid prefix.
-func (l *Log) scan() ([]*Record, *OpenReport, error) {
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	report := &OpenReport{Segments: len(segs)}
-	var recs []*Record
-	var locs []recLoc
-	next := uint64(0) // expected record number
-
-	damagedAt := -1 // index of the segment where scanning stopped
-	var keepBytes int64
-
-	for si := range segs {
-		seg := &segs[si]
-		if seg.first != next {
-			// Gap or overlap in segment numbering: everything from here on
-			// is unusable.
-			damagedAt = si
-			keepBytes = 0
-			report.Reason = fmt.Sprintf("segment %s starts at record %d, want %d", filepath.Base(seg.path), seg.first, next)
-			break
-		}
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("blockdb: read segment: %w", err)
-		}
-		var off int64
-		valid, scanErr := scanFrames(data, func(payload []byte) error {
-			rec, err := DecodeRecord(payload)
-			if err != nil {
-				return err
-			}
-			if rec.Header.Number != next {
-				return fmt.Errorf("record number %d, want %d", rec.Header.Number, next)
-			}
-			recs = append(recs, rec)
-			locs = append(locs, recLoc{seg: si, off: off})
-			off += frameSize(len(payload))
-			next++
-			return nil
-		})
-		if scanErr != nil {
-			damagedAt = si
-			keepBytes = valid
-			report.Reason = scanErr.Error()
-			report.DroppedBytes = int64(len(data)) - valid
-			break
-		}
-	}
-
-	if damagedAt >= 0 {
-		// Truncate the damaged segment to its valid prefix (or remove it
-		// entirely when nothing in it survived) and delete every later
-		// segment.
-		for si := len(segs) - 1; si > damagedAt; si-- {
-			fi, statErr := os.Stat(segs[si].path)
-			if statErr == nil {
-				report.DroppedBytes += fi.Size()
-			}
-			if err := os.Remove(segs[si].path); err != nil {
-				return nil, nil, fmt.Errorf("blockdb: drop segment: %w", err)
-			}
-			report.DroppedSegments++
-		}
-		seg := &segs[damagedAt]
-		if keepBytes == 0 {
-			if err := os.Remove(seg.path); err != nil {
-				return nil, nil, fmt.Errorf("blockdb: drop segment: %w", err)
-			}
-			report.DroppedSegments++
-			segs = segs[:damagedAt]
-		} else {
-			if err := os.Truncate(seg.path, keepBytes); err != nil {
-				return nil, nil, fmt.Errorf("blockdb: repair segment: %w", err)
-			}
-			seg.size = keepBytes
-			segs = segs[:damagedAt+1]
-		}
-	}
-
-	l.segs = segs
-	l.locs = locs
-	report.Records = len(recs)
-	return recs, report, nil
-}
-
-// openActive opens the last segment for appending, creating the first
-// segment when the log is empty.
-func (l *Log) openActive() error {
-	if len(l.segs) == 0 {
-		l.segs = append(l.segs, segment{path: segPath(l.dir, 0), first: 0})
-	}
-	seg := &l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("blockdb: open segment: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("blockdb: stat segment: %w", err)
-	}
-	l.f = f
-	l.size = fi.Size()
-	seg.size = fi.Size()
-	return nil
-}
-
-// Append journals one record, rotating to a fresh segment when the
-// active one is full and fsyncing before returning (unless NoSync).
+// Append journals one record and fsyncs before returning (unless
+// NoSync).
 func (l *Log) Append(rec *Record) error {
 	appendStart := time.Now()
 	defer mAppendSeconds.ObserveSince(appendStart)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return fmt.Errorf("blockdb: log is closed")
 	}
-	if want := uint64(len(l.locs)); rec.Header.Number != want {
+	if want := uint64(len(l.pos)); rec.Header.Number != want {
 		return fmt.Errorf("blockdb: append out of order: record %d, want %d", rec.Header.Number, want)
 	}
-	frame := appendFrame(nil, rec.Encode())
-	if l.size > 0 && l.size+int64(len(frame)) > l.opts.SegmentSize {
-		if err := l.rotateLocked(rec.Header.Number); err != nil {
-			return err
-		}
+	pos, err := l.log.Append(rec.Encode())
+	if err != nil {
+		return fmt.Errorf("blockdb: %w", err)
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("blockdb: append: %w", err)
+	if pos[0].Off == 0 && len(l.pos) > 0 {
+		mRotations.Inc() // only a rotation puts a later record at a segment's start
 	}
 	if !l.opts.NoSync {
 		syncStart := time.Now()
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("blockdb: sync: %w", err)
+		if err := l.log.Sync(); err != nil {
+			return fmt.Errorf("blockdb: %w", err)
 		}
 		mFsyncSeconds.ObserveSince(syncStart)
 	}
 	mAppends.Inc()
-	l.locs = append(l.locs, recLoc{seg: len(l.segs) - 1, off: l.size})
-	l.size += int64(len(frame))
-	l.segs[len(l.segs)-1].size = l.size
+	l.pos = append(l.pos, pos[0])
 	return nil
 }
 
-func (l *Log) rotateLocked(first uint64) error {
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("blockdb: sync before rotate: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("blockdb: close segment: %w", err)
-	}
-	l.segs = append(l.segs, segment{path: segPath(l.dir, first), first: first})
-	l.f = nil
-	l.size = 0
-	mRotations.Inc()
-	return l.openActiveLocked()
-}
-
-func (l *Log) openActiveLocked() error {
-	seg := &l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("blockdb: open segment: %w", err)
-	}
-	l.f = f
-	return nil
-}
-
-// ReadRecord re-reads record n from disk and decodes it — the
-// read-through path for block bodies that have been evicted from
-// memory. It opens the owning segment read-only, so it is safe
-// against the appender (frames are immutable once written; Rewind
-// only ever truncates records the caller no longer references).
+// ReadRecord re-reads record n from disk (CRC-checked) and decodes it —
+// the read-through path for block bodies that have been evicted from
+// memory. Frames are immutable once written, and Rewind only ever cuts
+// records the caller no longer references.
 func (l *Log) ReadRecord(n uint64) (*Record, error) {
 	l.mu.Lock()
-	if int(n) >= len(l.locs) {
+	if n >= uint64(len(l.pos)) || l.log == nil {
 		l.mu.Unlock()
-		return nil, fmt.Errorf("blockdb: record %d out of range (have %d)", n, len(l.locs))
+		return nil, fmt.Errorf("blockdb: record %d out of range (have %d)", n, len(l.pos))
 	}
-	loc := l.locs[n]
-	path := l.segs[loc.seg].path
+	pos, log := l.pos[n], l.log
 	l.mu.Unlock()
-
-	f, err := os.Open(path)
+	payload, err := log.Read(pos)
 	if err != nil {
-		return nil, fmt.Errorf("blockdb: read record: %w", err)
-	}
-	defer f.Close()
-	var hdr [frameHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], loc.off); err != nil {
-		return nil, fmt.Errorf("blockdb: read record header: %w", err)
-	}
-	size := int(binary.BigEndian.Uint32(hdr[0:4]))
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if size > maxFramePayload {
-		return nil, fmt.Errorf("blockdb: record %d frame length %d exceeds limit", n, size)
-	}
-	payload := make([]byte, size)
-	if _, err := f.ReadAt(payload, loc.off+frameHeaderSize); err != nil {
-		return nil, fmt.Errorf("blockdb: read record payload: %w", err)
-	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, fmt.Errorf("blockdb: record %d CRC mismatch", n)
+		return nil, fmt.Errorf("blockdb: record %d: %w", n, err)
 	}
 	rec, err := DecodeRecord(payload)
 	if err != nil {
@@ -349,83 +123,23 @@ func (l *Log) ReadRecord(n uint64) (*Record, error) {
 	return rec, nil
 }
 
-// Len returns the number of records in the log.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.locs)
-}
-
 // Rewind truncates the log to its first keep records — used when
 // recovery finds that records past some point fail state verification
 // even though their frames are intact.
 func (l *Log) Rewind(keep int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if keep < 0 || keep > len(l.locs) {
-		return fmt.Errorf("blockdb: rewind to %d out of range (have %d)", keep, len(l.locs))
+	if keep < 0 || keep > len(l.pos) {
+		return fmt.Errorf("blockdb: rewind to %d out of range (have %d)", keep, len(l.pos))
 	}
-	if keep == len(l.locs) {
+	if keep == len(l.pos) {
 		return nil
 	}
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
+	if err := l.log.Truncate(l.pos[keep]); err != nil {
+		return fmt.Errorf("blockdb: rewind: %w", err)
 	}
-	var cutSeg int
-	var cutOff int64
-	if keep == 0 {
-		cutSeg, cutOff = 0, 0
-	} else {
-		loc := l.locs[keep]
-		cutSeg, cutOff = loc.seg, loc.off
-	}
-	for si := len(l.segs) - 1; si > cutSeg; si-- {
-		if err := os.Remove(l.segs[si].path); err != nil {
-			return fmt.Errorf("blockdb: rewind: %w", err)
-		}
-	}
-	l.segs = l.segs[:cutSeg+1]
-	if cutOff == 0 && cutSeg > 0 {
-		// The cut lands exactly on a segment boundary: drop the whole
-		// segment and append to its predecessor.
-		if err := os.Remove(l.segs[cutSeg].path); err != nil {
-			return fmt.Errorf("blockdb: rewind: %w", err)
-		}
-		l.segs = l.segs[:cutSeg]
-	} else {
-		if err := os.Truncate(l.segs[cutSeg].path, cutOff); err != nil {
-			return fmt.Errorf("blockdb: rewind: %w", err)
-		}
-		l.segs[cutSeg].size = cutOff
-	}
-	l.locs = l.locs[:keep]
-	return l.reopenActiveLocked()
-}
-
-// reopenActiveLocked reopens the tail segment for append after a rewind
-// and refreshes the cached size.
-func (l *Log) reopenActiveLocked() error {
-	if err := l.openActiveLocked(); err != nil {
-		return err
-	}
-	fi, err := l.f.Stat()
-	if err != nil {
-		return fmt.Errorf("blockdb: stat segment: %w", err)
-	}
-	l.size = fi.Size()
-	l.segs[len(l.segs)-1].size = l.size
+	l.pos = l.pos[:keep]
 	return nil
-}
-
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
 }
 
 // Dir returns the directory the log lives in.
@@ -435,14 +149,13 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
-	syncErr := l.f.Sync()
-	closeErr := l.f.Close()
-	l.f = nil
-	if syncErr != nil {
-		return syncErr
+	err := l.log.Sync()
+	if cerr := l.log.Close(); err == nil {
+		err = cerr
 	}
-	return closeErr
+	l.log = nil
+	return err
 }

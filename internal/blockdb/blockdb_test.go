@@ -1,6 +1,8 @@
 package blockdb
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -79,14 +81,15 @@ func openFilled(t *testing.T, dir string, n int, opts Options) []*Record {
 	return recs
 }
 
-func reopen(t *testing.T, dir string, opts Options) (*Log, []*Record, *OpenReport) {
+// segments returns the log's segment files in name (= first record)
+// order.
+func segments(t *testing.T, dir string) []string {
 	t.Helper()
-	l, recs, rep, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*.seg"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no segments: %v", err)
 	}
-	t.Cleanup(func() { l.Close() })
-	return l, recs, rep
+	return names
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -129,11 +132,7 @@ func TestRoundTrip(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	openFilled(t, dir, 50, Options{SegmentSize: 2048})
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
+	if segs := segments(t, dir); len(segs) < 3 {
 		t.Fatalf("expected multiple segments, got %d", len(segs))
 	}
 	_, got, rep, err := Open(dir, Options{SegmentSize: 2048})
@@ -147,12 +146,8 @@ func TestSegmentRotation(t *testing.T) {
 
 // lastSegment returns the path of the newest segment file.
 func lastSegment(t *testing.T, dir string) string {
-	t.Helper()
-	segs, err := listSegments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments: %v", err)
-	}
-	return segs[len(segs)-1].path
+	segs := segments(t, dir)
+	return segs[len(segs)-1]
 }
 
 func TestTortureTornTail(t *testing.T) {
@@ -196,13 +191,17 @@ func TestTortureTornTail(t *testing.T) {
 func TestTortureFlippedByte(t *testing.T) {
 	dir := t.TempDir()
 	openFilled(t, dir, 20, Options{SegmentSize: 2048})
-	segs, _ := listSegments(dir)
+	segs := segments(t, dir)
 	if len(segs) < 2 {
 		t.Fatalf("need multiple segments, got %d", len(segs))
 	}
+	var second int
+	if _, err := fmt.Sscanf(filepath.Base(segs[1]), segPrefix+"%010d.seg", &second); err != nil {
+		t.Fatal(err)
+	}
 	// Flip a byte in the middle of the second segment: its prefix stays,
 	// everything after — including later segments — is dropped.
-	path := segs[1].path
+	path := segs[1]
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func TestTortureFlippedByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) >= 21 || len(got) < int(segs[1].first) {
+	if len(got) >= 21 || len(got) < second {
 		t.Fatalf("recovered %d records", len(got))
 	}
 	if !rep.Dropped() {
@@ -267,9 +266,6 @@ func TestRewind(t *testing.T) {
 	if err := l.Rewind(12); err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 12 {
-		t.Fatalf("Len after rewind = %d", l.Len())
-	}
 	// Appending record 12 continues the prefix.
 	next := &Record{Header: &ethtypes.Header{ParentHash: got[11].Header.Hash(), Number: 12, Time: 5000, GasLimit: 8_000_000}}
 	if err := l.Append(next); err != nil {
@@ -308,14 +304,18 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snaps := LoadSnapshots(dir)
-	if len(snaps) != snapshotsKept {
-		t.Fatalf("pruning kept %d snapshots, want %d", len(snaps), snapshotsKept)
+	nums := SnapshotNumbers(dir)
+	if len(nums) != snapshotsKept {
+		t.Fatalf("pruning kept %d snapshots, want %d", len(nums), snapshotsKept)
 	}
-	if snaps[0].Number != 40 || snaps[1].Number != 30 {
-		t.Fatalf("wrong generations kept: %d, %d", snaps[0].Number, snaps[1].Number)
+	if nums[0] != 40 || nums[1] != 30 {
+		t.Fatalf("wrong generations kept: %d, %d", nums[0], nums[1])
 	}
-	if snaps[0].State[0] != 4 || snaps[0].BlockHash != ethtypes.Keccak256([]byte{4}) {
+	newest, err := LoadSnapshot(dir, nums[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newest.Number != 40 || newest.State[0] != 4 || newest.BlockHash != ethtypes.Keccak256([]byte{4}) {
 		t.Fatal("snapshot payload mismatch")
 	}
 }
@@ -338,8 +338,32 @@ func TestSnapshotCorruptionSkipped(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snaps := LoadSnapshots(dir)
-	if len(snaps) != 1 || snaps[0].Number != 10 {
-		t.Fatalf("corrupt snapshot not skipped: %+v", snaps)
+	if _, err := LoadSnapshot(dir, 20); err == nil {
+		t.Fatal("corrupt snapshot loaded")
+	}
+	if s, err := LoadSnapshot(dir, 10); err != nil || s.Number != 10 {
+		t.Fatalf("intact snapshot: %+v, %v", s, err)
+	}
+}
+
+// TestSegmentBytesPinned pins the on-disk block log: the segment names
+// and bytes of makeRecords(50) at a 2 KiB segment size hash to the value
+// logs written before the log moved onto seglog hash to, so every
+// existing chain directory still opens.
+func TestSegmentBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	openFilled(t, dir, 50, Options{SegmentSize: 2048, NoSync: true})
+	h := sha256.New()
+	for _, path := range segments(t, dir) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(filepath.Base(path)))
+		h.Write(data)
+	}
+	const want = "9cbf309fb816bb543cebbc25bde70d693e9813d6a327302328545259dbc0ab5f"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("block-log bytes changed: sha256 %s, want %s", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/rlp"
+	"legalchain/internal/seglog"
 )
 
 const (
@@ -42,7 +43,7 @@ func WriteSnapshot(dir string, s *Snapshot) error {
 		rlp.Bytes(s.BlockHash[:]),
 		rlp.Bytes(s.State),
 	))
-	data := appendFrame(nil, payload)
+	data := seglog.EncodeFrame(payload)
 	final := snapPath(dir, s.Number)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -116,59 +117,32 @@ func LoadSnapshot(dir string, n uint64) (*Snapshot, error) {
 	return readSnapshot(snapPath(dir, n))
 }
 
-// LoadSnapshots reads every snapshot in dir, newest first, silently
-// skipping any that fail CRC or decode.
-//
-// Deprecated: this decodes every generation up front; use
-// SnapshotNumbers + LoadSnapshot to stop at the first usable one.
-func LoadSnapshots(dir string) []*Snapshot {
-	var out []*Snapshot
-	for _, n := range listSnapshotFiles(dir) {
-		s, err := readSnapshot(snapPath(dir, n))
-		if err != nil {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 func readSnapshot(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var s *Snapshot
-	valid, err := scanFrames(data, func(payload []byte) error {
-		if s != nil {
-			return errors.New("blockdb: snapshot has multiple frames")
-		}
-		it, err := rlp.Decode(payload)
-		if err != nil {
-			return err
-		}
-		if it.Kind() != rlp.KindList || it.Len() != 3 {
-			return errors.New("blockdb: snapshot must be a 3-item list")
-		}
-		snap := &Snapshot{}
-		if snap.Number, err = it.At(0).AsUint64(); err != nil {
-			return err
-		}
-		if snap.BlockHash, err = asHash(it.At(1)); err != nil {
-			return err
-		}
-		if it.At(2).Kind() != rlp.KindString {
-			return errors.New("blockdb: snapshot state must be a string item")
-		}
-		snap.State = append([]byte(nil), it.At(2).Str()...)
-		s = snap
-		return nil
-	})
+	payload, err := seglog.DecodeFrame(data)
+	if err != nil {
+		return nil, fmt.Errorf("blockdb: damaged snapshot: %w", err)
+	}
+	it, err := rlp.Decode(payload)
 	if err != nil {
 		return nil, err
 	}
-	if s == nil || valid != int64(len(data)) {
-		return nil, errors.New("blockdb: damaged snapshot")
+	if it.Kind() != rlp.KindList || it.Len() != 3 {
+		return nil, errors.New("blockdb: snapshot must be a 3-item list")
 	}
+	s := &Snapshot{}
+	if s.Number, err = it.At(0).AsUint64(); err != nil {
+		return nil, err
+	}
+	if s.BlockHash, err = asHash(it.At(1)); err != nil {
+		return nil, err
+	}
+	if it.At(2).Kind() != rlp.KindString {
+		return nil, errors.New("blockdb: snapshot state must be a string item")
+	}
+	s.State = append([]byte(nil), it.At(2).Str()...)
 	return s, nil
 }

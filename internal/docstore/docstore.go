@@ -1,22 +1,21 @@
 // Package docstore is the data tier of the paper's architecture (the
 // MySQL role in Table I): an embedded document database with named
-// tables, JSON values, write-ahead logging for durability and
-// snapshot compaction. The application stores users, contract rows and
-// legal documents (PDF bytes) here, off-chain.
+// tables and JSON values, journaled for durability. The application
+// stores users, contract rows and legal documents (PDF bytes) here,
+// off-chain.
 package docstore
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"legalchain/internal/seglog"
 )
 
 // Errors returned by the store.
@@ -25,7 +24,13 @@ var (
 	ErrClosed   = errors.New("docstore: store is closed")
 )
 
-// walRecord is one logged mutation.
+const (
+	segPrefix = "wal-"
+	// compactEvery is how many journaled records trigger a compaction.
+	compactEvery = 4096
+)
+
+// walRecord is one journaled mutation, the JSON payload of one frame.
 type walRecord struct {
 	Op    string          `json:"op"` // "put" | "del"
 	Table string          `json:"table"`
@@ -33,111 +38,57 @@ type walRecord struct {
 	Value json.RawMessage `json:"value,omitempty"`
 }
 
-// Store is the embedded database. In-memory state is authoritative;
-// the WAL and snapshot files recover it across restarts. A Store with
-// empty dir is purely in-memory (used by tests and the quickstart).
+// Store is the embedded database. In-memory state is authoritative; the
+// journal — a seglog of put/del records under the name prefix "wal-" —
+// recovers it across restarts. A Store with empty dir is purely
+// in-memory (used by tests and the quickstart).
 type Store struct {
 	mu     sync.RWMutex
 	dir    string
 	tables map[string]map[string]json.RawMessage
-	wal    *os.File
-	walN   int
+	log    *seglog.Log
+	walN   int // records since the last compaction (after Open: those holding no live row)
 	closed bool
 }
 
 // Open creates or recovers a store rooted at dir. Empty dir means
-// in-memory only.
+// in-memory only. A directory holding the JSONL journal layout this
+// version no longer reads is refused, naming the file.
 func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, tables: map[string]map[string]json.RawMessage{}}
 	if dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("docstore: %w", err)
+	for _, old := range []string{"wal.jsonl", "snapshot.json"} {
+		if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
+			return nil, fmt.Errorf("docstore: %s holds %s, from the JSONL journal layout this version does not read; move it out of the directory to start an empty store there",
+				dir, old)
+		}
 	}
-	if err := s.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := s.replayWAL(); err != nil {
-		return nil, err
-	}
-	wal, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("docstore: open wal: %w", err)
-	}
-	s.wal = wal
-	return s, nil
-}
-
-func (s *Store) walPath() string      { return filepath.Join(s.dir, "wal.jsonl") }
-func (s *Store) snapshotPath() string { return filepath.Join(s.dir, "snapshot.json") }
-
-func (s *Store) loadSnapshot() error {
-	data, err := os.ReadFile(s.snapshotPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("docstore: read snapshot: %w", err)
-	}
-	if err := json.Unmarshal(data, &s.tables); err != nil {
-		return fmt.Errorf("docstore: corrupt snapshot: %w", err)
-	}
-	return nil
-}
-
-// replayWAL applies the longest valid prefix of the WAL and truncates
-// anything after it. Stopping at the damage without truncating would
-// leave records appended by this process stranded behind the corrupt
-// line, silently lost on the NEXT restart.
-func (s *Store) replayWAL() error {
 	replayStart := time.Now()
-	defer mReplaySeconds.ObserveSince(replayStart)
-	f, err := os.OpenFile(s.walPath(), os.O_RDWR, 0o644)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("docstore: open wal: %w", err)
-	}
-	defer f.Close()
-	rd := bufio.NewReaderSize(f, 1<<20)
-	var offset, valid int64 // valid = end of the last applied record
-	for {
-		line, err := rd.ReadString('\n')
-		if err == io.EOF {
-			// An unterminated tail is a torn final write; drop it.
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("docstore: read wal: %w", err)
-		}
-		offset += int64(len(line))
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" {
-			valid = offset
-			continue
-		}
+	log, rep, err := seglog.Open(dir, segPrefix, 0, func(_ seglog.Pos, payload []byte) error {
 		var rec walRecord
-		if err := json.Unmarshal([]byte(trimmed), &rec); err != nil {
-			break
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("docstore: bad record: %w", err)
 		}
 		if rec.Op != "put" && rec.Op != "del" {
-			break
+			return fmt.Errorf("docstore: unknown op %q", rec.Op)
 		}
 		s.applyLocked(&rec)
-		s.walN++
-		valid = offset
+		return nil
+	})
+	mReplaySeconds.ObserveSince(replayStart)
+	if err != nil {
+		return nil, fmt.Errorf("docstore: %w", err)
 	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > valid {
-		if err := f.Truncate(valid); err != nil {
-			return fmt.Errorf("docstore: truncate damaged wal: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("docstore: sync wal: %w", err)
-		}
+	s.log = log
+	// The journal does not mark where the last compaction ended; count
+	// the records that hold no live row instead (zero right after one).
+	s.walN = rep.Frames
+	for _, tbl := range s.tables {
+		s.walN -= len(tbl)
 	}
-	return nil
+	return s, nil
 }
 
 func (s *Store) applyLocked(rec *walRecord) {
@@ -156,76 +107,73 @@ func (s *Store) applyLocked(rec *walRecord) {
 	}
 }
 
-// logLocked appends a record to the WAL (fsync'd) and compacts when the
-// log grows large.
-func (s *Store) logLocked(rec *walRecord) error {
-	if s.wal == nil {
+// writeLocked journals rec (appended and fsync'd) when the store is
+// durable, applies it, and compacts every compactEvery records.
+func (s *Store) writeLocked(rec *walRecord) error {
+	if s.log == nil {
+		s.applyLocked(rec)
 		return nil
 	}
 	appendStart := time.Now()
-	line, err := json.Marshal(rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := s.wal.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("docstore: wal write: %w", err)
+	if _, err := s.log.Append(payload); err != nil {
+		return fmt.Errorf("docstore: %w", err)
 	}
 	syncStart := time.Now()
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("docstore: wal sync: %w", err)
+	if err := s.log.Sync(); err != nil {
+		return fmt.Errorf("docstore: %w", err)
 	}
 	mWalFsyncSeconds.ObserveSince(syncStart)
 	mWalAppendSeconds.ObserveSince(appendStart)
+	s.applyLocked(rec)
 	s.walN++
-	if s.walN >= 4096 {
+	if s.walN >= compactEvery {
 		return s.compactLocked()
 	}
 	return nil
 }
 
-// compactLocked writes a snapshot and truncates the WAL.
+// compactLocked rewrites the journal as one put record per live row.
 func (s *Store) compactLocked() error {
 	mCompactions.Inc()
-	data, err := json.Marshal(s.tables)
+	err := s.log.Rewrite(func() error {
+		for table, tbl := range s.tables {
+			for key, value := range tbl {
+				payload, err := json.Marshal(&walRecord{Op: "put", Table: table, Key: key, Value: value})
+				if err != nil {
+					return err
+				}
+				if _, err := s.log.Append(payload); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("docstore: compact: %w", err)
 	}
-	tmp := s.snapshotPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.snapshotPath()); err != nil {
-		return err
-	}
-	if err := s.wal.Close(); err != nil {
-		return err
-	}
-	if err := os.Truncate(s.walPath(), 0); err != nil {
-		return err
-	}
-	wal, err := os.OpenFile(s.walPath(), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	s.wal = wal
 	s.walN = 0
 	return nil
 }
 
-// Compact forces a snapshot + WAL truncation.
+// Compact forces a compaction of the journal.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.dir == "" {
+	if s.log == nil {
 		return nil
 	}
 	return s.compactLocked()
 }
 
-// Close flushes and closes the store.
+// Close closes the store; every write was already synced.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,8 +181,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.wal != nil {
-		return s.wal.Close()
+	if s.log != nil {
+		return s.log.Close()
 	}
 	return nil
 }
@@ -250,9 +198,7 @@ func (s *Store) Put(table, key string, value interface{}) error {
 	if s.closed {
 		return ErrClosed
 	}
-	rec := &walRecord{Op: "put", Table: table, Key: key, Value: raw}
-	s.applyLocked(rec)
-	return s.logLocked(rec)
+	return s.writeLocked(&walRecord{Op: "put", Table: table, Key: key, Value: raw})
 }
 
 // Get unmarshals the value at table/key into out.
@@ -292,9 +238,7 @@ func (s *Store) Delete(table, key string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	rec := &walRecord{Op: "del", Table: table, Key: key}
-	s.applyLocked(rec)
-	return s.logLocked(rec)
+	return s.writeLocked(&walRecord{Op: "del", Table: table, Key: key})
 }
 
 // Keys lists the keys of a table, sorted.

@@ -1,15 +1,20 @@
 package docstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"legalchain/internal/seglog"
 )
 
-// walFile returns the WAL path of a store dir.
-func walFile(dir string) string { return filepath.Join(dir, "wal.jsonl") }
+// walFile returns the journal's first segment in a store dir; the
+// fault tests write fewer records than one segment holds.
+func walFile(dir string) string { return filepath.Join(dir, "wal-0000000000.seg") }
 
-// seedStore writes n rows and closes the store, leaving a WAL behind.
+// seedStore writes n rows and closes the store, leaving a journal behind.
 func seedStore(t *testing.T, dir string, n int) {
 	t.Helper()
 	s, err := Open(dir)
@@ -41,7 +46,7 @@ func TestWALTornTailRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 8)
 
-	// Tear the last line mid-record, as a crash mid-write would.
+	// Tear the last frame, as a crash mid-write would.
 	fi, err := os.Stat(walFile(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +66,8 @@ func TestWALTornTailRecoversPrefix(t *testing.T) {
 	}
 }
 
+// A flipped byte inside a record — even one that leaves valid JSON, as
+// a flip inside a string does — fails the frame's CRC and stops replay.
 func TestWALCorruptMiddleStopsThere(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 8)
@@ -69,7 +76,7 @@ func TestWALCorruptMiddleStopsThere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] = 0x00 // destroy a record in the middle
+	data[len(data)/2] ^= 0xff // damage a record in the middle
 	if err := os.WriteFile(walFile(dir), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func TestWALCorruptMiddleStopsThere(t *testing.T) {
 
 // TestWALAppendsAfterRecoverySurvive is the regression for the stranded-
 // records bug: without truncation, rows written after recovering from a
-// corrupt WAL sat behind the damage and vanished on the next restart.
+// corrupt journal sat behind the damage and vanished on the next restart.
 func TestWALAppendsAfterRecoverySurvive(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 4)
@@ -119,6 +126,8 @@ func TestWALAppendsAfterRecoverySurvive(t *testing.T) {
 	}
 }
 
+// An intact frame whose record names an unknown op is damage the CRC
+// cannot see: replay stops there.
 func TestWALUnknownOpTreatedAsDamage(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 3)
@@ -127,7 +136,7 @@ func TestWALUnknownOpTreatedAsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"op":"merge","table":"rows","key":"x"}` + "\n")
+	f.Write(seglog.EncodeFrame([]byte(`{"op":"merge","table":"rows","key":"x"}`)))
 	f.Close()
 
 	n, s := countRows(t, dir)
@@ -154,8 +163,8 @@ func TestWALWholeFileGarbage(t *testing.T) {
 	}
 }
 
-// TestWALSurvivesCompactionDamage: damage after a snapshot only loses
-// WAL-resident rows; the snapshot's rows stay.
+// TestWALSurvivesCompactionDamage: damage after a compaction only loses
+// the rows journaled after it; the compacted rows stay.
 func TestWALSurvivesCompactionDamage(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -170,6 +179,13 @@ func TestWALSurvivesCompactionDamage(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	// The compaction started a segment at frame 4 and dropped frame 0's.
+	seg := filepath.Join(dir, "wal-0000000004.seg")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted := fi.Size()
 	for i := 4; i < 8; i++ {
 		if err := s.Put("rows", key(i), map[string]int{"i": i}); err != nil {
 			t.Fatal(err)
@@ -179,13 +195,127 @@ func TestWALSurvivesCompactionDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Destroy the whole post-snapshot WAL.
-	if err := os.WriteFile(walFile(dir), []byte("garbage"), 0o644); err != nil {
+	// Destroy every record journaled after the compaction.
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := compacted; i < int64(len(data)); i++ {
+		data[i] = 'x'
+	}
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	n, s2 := countRows(t, dir)
 	defer s2.Close()
 	if n != 4 {
-		t.Fatalf("recovered %d rows, want the 4 snapshotted ones", n)
+		t.Fatalf("recovered %d rows, want the 4 compacted ones", n)
+	}
+}
+
+// A directory in the JSONL layout is refused, naming the file, rather
+// than opened as an empty store beside the old rows.
+func TestOldJournalLayoutRefused(t *testing.T) {
+	for _, old := range []string{"wal.jsonl", "snapshot.json"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, old), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), old) {
+			t.Fatalf("%s: %v", old, err)
+		}
+		if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) != 0 {
+			t.Fatalf("%s: a journal was created beside the old one: %v", old, segs)
+		}
+	}
+}
+
+// TestCompactionCrashImages reopens the images a crash during Compact
+// can leave — the directory before it (A) and after it (B) both present,
+// and the same with B's last segment torn mid-frame — and requires the
+// rows the compacted store holds.
+func TestCompactionCrashImages(t *testing.T) {
+	work := t.TempDir()
+	s, err := Open(work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 12; i++ {
+			if err := s.Put("rows", key(i), map[string]int{"i": i, "round": round}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Delete("rows", key(round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := rows(s)
+	imageA := t.TempDir()
+	copyDir(t, work, imageA)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	imageB := t.TempDir()
+	copyDir(t, work, imageB)
+	s.Close()
+
+	segsB, _ := filepath.Glob(filepath.Join(imageB, "wal-*.seg"))
+	if len(segsB) != 1 {
+		t.Fatalf("compaction left %d segments, want 1", len(segsB))
+	}
+	both := t.TempDir()
+	copyDir(t, imageA, both)
+	copyDir(t, imageB, both)
+	torn := t.TempDir()
+	copyDir(t, both, torn)
+	last := filepath.Join(torn, filepath.Base(segsB[0]))
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, image := range []struct{ name, dir string }{{"B", imageB}, {"A+B", both}, {"A+B torn", torn}} {
+		r, err := Open(image.dir)
+		if err != nil {
+			t.Fatalf("%s: %v", image.name, err)
+		}
+		if got := rows(r); got != want {
+			t.Errorf("%s reopened to rows\n%s\nwant\n%s", image.name, got, want)
+		}
+		r.Close()
+	}
+}
+
+// rows renders the "rows" table in key order.
+func rows(s *Store) string {
+	var b strings.Builder
+	for _, k := range s.Keys("rows") {
+		var v map[string]int
+		s.Get("rows", k, &v)
+		fmt.Fprintf(&b, "%s=%v ", k, v)
+	}
+	return b.String()
+}
+
+// copyDir copies the flat directory src into dst, overwriting files of
+// the same name.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

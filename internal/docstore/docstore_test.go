@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
+
+	"legalchain/internal/seglog"
 )
 
 type userRow struct {
@@ -109,10 +112,11 @@ func TestCompactionPreservesData(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// WAL should be empty now; snapshot holds the data.
-	fi, err := os.Stat(dir + "/wal.jsonl")
-	if err != nil || fi.Size() != 0 {
-		t.Fatalf("wal not truncated: %v %d", err, fi.Size())
+	// The journal is one segment of the 100 live rows, started at frame
+	// 100; the segment of the original 100 puts is gone.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 || filepath.Base(segs[0]) != "wal-0000000100.seg" {
+		t.Fatalf("journal after compaction: %v %v", segs, err)
 	}
 	s.Put("t", "after", "compact")
 	s.Close()
@@ -121,11 +125,11 @@ func TestCompactionPreservesData(t *testing.T) {
 	defer s2.Close()
 	var v int
 	if err := s2.Get("t", "k42", &v); err != nil || v != 42 {
-		t.Fatal("snapshot data lost")
+		t.Fatal("compacted data lost")
 	}
 	var str string
 	if err := s2.Get("t", "after", &str); err != nil || str != "compact" {
-		t.Fatal("post-compact WAL data lost")
+		t.Fatal("post-compact data lost")
 	}
 }
 
@@ -134,9 +138,10 @@ func TestTornWALTailIgnored(t *testing.T) {
 	s, _ := Open(dir)
 	s.Put("t", "good", 1)
 	s.Close()
-	// Simulate a crash mid-write: append garbage half-record.
-	f, _ := os.OpenFile(dir+"/wal.jsonl", os.O_APPEND|os.O_WRONLY, 0o644)
-	f.WriteString(`{"op":"put","table":"t","key":"torn","val`)
+	// Simulate a crash mid-write: append the first half of a frame.
+	frame := seglog.EncodeFrame([]byte(`{"op":"put","table":"t","key":"torn","value":2}`))
+	f, _ := os.OpenFile(walFile(dir), os.O_APPEND|os.O_WRONLY, 0o644)
+	f.Write(frame[:len(frame)/2])
 	f.Close()
 
 	s2, err := Open(dir)

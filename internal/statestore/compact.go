@@ -1,26 +1,24 @@
 package statestore
 
 import (
-	"errors"
 	"fmt"
-	"os"
 
-	"legalchain/internal/blockdb"
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/rlp"
+	"legalchain/internal/seglog"
 	"legalchain/internal/trie"
 )
 
-// Compaction reclaims space from the append-only segments: superseded
-// flat records and trie nodes no longer reachable from the anchored
-// state root accumulate until the live set is re-appended as fresh
-// segments and the old ones are deleted.
+// Compaction reclaims space from the log: superseded flat records and
+// trie nodes no longer reachable from the anchored state root
+// accumulate until the live set is rewritten (seglog's Rewrite) and the
+// old segments are deleted.
 //
-// Crash safety mirrors the commit protocol. The compacted dump ends
-// with the anchor record; a crash before it leaves the new segments
-// anchor-less (load deletes them, the old segments still carry the
-// previous anchor), a crash after it but before the old segments are
-// removed replays old-then-new, which converges to the same index.
+// Crash safety mirrors the commit protocol. The rewritten live set ends
+// with the anchor record; a crash before it leaves new frames with no
+// anchor after them (Open truncates them, the old segments still carry
+// the anchor), a crash after it but before the old segments are gone
+// replays old-then-new, and every live key's last record is then its
+// copy — the same anchor and the same live index.
 
 const (
 	// compactMinBytes is the floor below which MaybeCompact never
@@ -31,23 +29,23 @@ const (
 	compactWasteFactor = 2
 )
 
-// lockedResolver resolves trie nodes against the index with s.mu
+// indexResolver resolves trie nodes against the index with s.mu
 // already held (compaction runs entirely under the store lock).
-type lockedResolver struct{ s *Store }
+type indexResolver struct{ s *Store }
 
-func (r lockedResolver) ResolveNode(h ethtypes.Hash) ([]byte, error) {
-	l, ok := r.s.nodes[h]
+func (r indexResolver) ResolveNode(h ethtypes.Hash) ([]byte, error) {
+	p, ok := r.s.nodes[h]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return r.s.recordValueLocked(l, 2)
+	return r.s.recordValue(p, 2)
 }
 
 // MaybeCompact runs Compact when the store has accumulated enough
 // garbage to be worth rewriting. Returns whether it compacted.
 func (s *Store) MaybeCompact() (bool, error) {
 	s.mu.Lock()
-	total, live := s.totalBytes, s.liveBytes
+	total, live := s.log.Size(), s.liveBytes
 	anchored := s.hasAnchor
 	s.mu.Unlock()
 	if !anchored || total < compactMinBytes || total < compactWasteFactor*live {
@@ -65,16 +63,13 @@ func (s *Store) Compact() error {
 	if !s.hasAnchor {
 		return nil
 	}
-	if s.w == nil {
-		return errors.New("statestore: closed")
-	}
 
 	// Mark phase: walk the account trie from the anchored root; each
 	// account leaf contributes its code and its storage trie.
 	liveNodes := make(map[ethtypes.Hash]struct{})
 	liveCodes := make(map[ethtypes.Hash]struct{})
 	var storageRoots []ethtypes.Hash
-	res := lockedResolver{s}
+	res := indexResolver{s}
 	err := trie.WalkNodeGraph(s.anchor.Root, res,
 		func(h ethtypes.Hash, enc []byte) error {
 			liveNodes[h] = struct{}{}
@@ -103,162 +98,53 @@ func (s *Store) Compact() error {
 		}
 	}
 
-	// Sweep phase: dump the live set into fresh segments numbered past
-	// the current tail.
-	d := &dumper{s: s, next: s.segs[len(s.segs)-1] + 1}
-	newAccounts := make(map[ethtypes.Address]loc, len(s.accounts))
-	for addr, l := range s.accounts {
-		enc, err := s.recordValueLocked(l, 2)
-		if err != nil {
-			d.abort()
+	// Sweep phase: copy every live record verbatim (a payload names its
+	// own key) into the rewritten log, then the anchor.
+	var accounts map[ethtypes.Address]seglog.Pos
+	var slots map[slotKey]seglog.Pos
+	var codes, nodes map[ethtypes.Hash]seglog.Pos
+	err = s.log.Rewrite(func() (err error) {
+		if accounts, err = copyLive(s.log, s.accounts, nil); err != nil {
 			return err
 		}
-		nl, err := d.append(rlp.Encode(rlp.List(rlp.Uint(kindAccount), rlp.Bytes(addr[:]), rlp.Bytes(enc))))
-		if err != nil {
-			d.abort()
+		if slots, err = copyLive(s.log, s.slots, nil); err != nil {
 			return err
 		}
-		newAccounts[addr] = nl
-	}
-	newSlots := make(map[slotKey]loc, len(s.slots))
-	for k, l := range s.slots {
-		val, err := s.recordValueLocked(l, 3)
-		if err != nil {
-			d.abort()
+		if codes, err = copyLive(s.log, s.codes, liveCodes); err != nil {
 			return err
 		}
-		nl, err := d.append(rlp.Encode(rlp.List(rlp.Uint(kindSlot), rlp.Bytes(k.addr[:]), rlp.Bytes(k.slot[:]), rlp.Bytes(val))))
-		if err != nil {
-			d.abort()
+		if nodes, err = copyLive(s.log, s.nodes, liveNodes); err != nil {
 			return err
 		}
-		newSlots[k] = nl
-	}
-	newCodes := make(map[ethtypes.Hash]loc, len(liveCodes))
-	for h := range liveCodes {
-		code, err := s.recordValueLocked(s.codes[h], 2)
-		if err != nil {
-			d.abort()
-			return err
-		}
-		nl, err := d.append(rlp.Encode(rlp.List(rlp.Uint(kindCode), rlp.Bytes(h[:]), rlp.Bytes(code))))
-		if err != nil {
-			d.abort()
-			return err
-		}
-		newCodes[h] = nl
-	}
-	newNodes := make(map[ethtypes.Hash]loc, len(liveNodes))
-	for h := range liveNodes {
-		enc, err := s.recordValueLocked(s.nodes[h], 2)
-		if err != nil {
-			d.abort()
-			return err
-		}
-		nl, err := d.append(rlp.Encode(rlp.List(rlp.Uint(kindNode), rlp.Bytes(h[:]), rlp.Bytes(enc))))
-		if err != nil {
-			d.abort()
-			return err
-		}
-		newNodes[h] = nl
-	}
-	a := s.anchor
-	if _, err := d.append(rlp.Encode(rlp.List(
-		rlp.Uint(kindAnchor), rlp.Uint(a.Gen), rlp.Uint(a.Number),
-		rlp.Bytes(a.BlockHash[:]), rlp.Bytes(a.Root[:]),
-	))); err != nil {
-		d.abort()
+		_, err = s.log.Append(anchorRecord(s.anchor))
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("statestore: compact: %w", err)
 	}
-	if err := d.finish(s.opts.NoSync); err != nil {
-		d.abort()
-		return err
-	}
-
-	// Swap: retire the old segments, adopt the new index.
-	oldSegs := s.segs
-	for _, r := range s.readers {
-		r.Close()
-	}
-	s.readers = make(map[uint32]*os.File)
-	s.w.Close()
-	for _, seg := range oldSegs {
-		os.Remove(segPath(s.dir, seg))
-	}
-	s.segs = d.segs
-	s.w = d.w
-	s.wsize = d.wsize
-	for _, f := range d.files[:len(d.files)-1] {
-		// Earlier dump segments become read handles.
-		s.readers[d.segOf[f]] = f
-	}
-	s.accounts = newAccounts
-	s.slots = newSlots
-	s.codes = newCodes
-	s.nodes = newNodes
-	s.totalBytes = d.total
-	s.liveBytes = d.total
-	mDiskBytes.Set(s.totalBytes)
+	s.accounts, s.slots, s.codes, s.nodes = accounts, slots, codes, nodes
+	s.liveBytes = s.log.Size()
+	mDiskBytes.Set(s.liveBytes)
 	return nil
 }
 
-// dumper appends frames across rotating fresh segments.
-type dumper struct {
-	s     *Store
-	next  uint32
-	segs  []uint32
-	files []*os.File
-	segOf map[*os.File]uint32
-	w     *os.File
-	wsize int64
-	total int64
-}
-
-func (d *dumper) append(payload []byte) (loc, error) {
-	if d.w == nil || d.wsize >= d.s.opts.SegmentSize {
-		f, err := os.OpenFile(segPath(d.s.dir, d.next), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+// copyLive appends a copy of the record of every key of index that is
+// in live (nil: every key) and returns the index of the copies.
+func copyLive[K comparable](log *seglog.Log, index map[K]seglog.Pos, live map[K]struct{}) (map[K]seglog.Pos, error) {
+	out := make(map[K]seglog.Pos, len(index))
+	for k, p := range index {
+		if _, ok := live[k]; live != nil && !ok {
+			continue
+		}
+		payload, err := log.Read(p)
 		if err != nil {
-			return loc{}, fmt.Errorf("statestore: compact: %w", err)
+			return nil, err
 		}
-		if d.segOf == nil {
-			d.segOf = make(map[*os.File]uint32)
+		np, err := log.Append(payload)
+		if err != nil {
+			return nil, err
 		}
-		d.segs = append(d.segs, d.next)
-		d.files = append(d.files, f)
-		d.segOf[f] = d.next
-		d.next++
-		d.w = f
-		d.wsize = 0
+		out[k] = np[0]
 	}
-	frame := blockdb.AppendFrame(nil, payload)
-	if _, err := d.w.WriteAt(frame, d.wsize); err != nil {
-		return loc{}, fmt.Errorf("statestore: compact write: %w", err)
-	}
-	l := loc{seg: d.segs[len(d.segs)-1], off: d.wsize + frameHeader, n: uint32(len(payload))}
-	d.wsize += int64(len(frame))
-	d.total += int64(len(frame))
-	return l, nil
-}
-
-func (d *dumper) finish(noSync bool) error {
-	if noSync {
-		return nil
-	}
-	for _, f := range d.files {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("statestore: compact sync: %w", err)
-		}
-	}
-	return nil
-}
-
-// abort closes and removes the partial dump, leaving the store on its
-// original segments.
-func (d *dumper) abort() {
-	for _, f := range d.files {
-		seg := d.segOf[f]
-		f.Close()
-		os.Remove(segPath(d.s.dir, seg))
-	}
-	d.files = nil
+	return out, nil
 }

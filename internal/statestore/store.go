@@ -6,9 +6,8 @@
 // while preserving the incremental-root and lock-free-read invariants
 // of the in-memory state.
 //
-// Layout: append-only segments of CRC32-C framed records (the exact
-// frame format of the block journal, via blockdb.AppendFrame), so the
-// store inherits the journal's torn-write and bit-rot detection. Each
+// Layout: a seglog under the name prefix "kv-", so the store shares the
+// block journal's frames and its torn-write and bit-rot detection. Each
 // Commit appends one batch of records followed by an anchor record
 // naming the committed (generation, block, state root); the anchor is
 // the atomic commit marker. Recovery truncates everything after the
@@ -16,7 +15,7 @@
 // anchored state — mirroring the block journal's verified-prefix
 // guarantee.
 //
-// The full record index (key → segment/offset) lives in memory; the
+// The full record index (key → log position) lives in memory; the
 // values live on disk. For 1M accounts that is tens of MB of index
 // against hundreds of MB of state — the bounded-memory target is the
 // values, which dominate.
@@ -25,15 +24,11 @@ package statestore
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
-	"legalchain/internal/blockdb"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/rlp"
+	"legalchain/internal/seglog"
 )
 
 // Record kinds, the first element of every framed payload.
@@ -48,7 +43,6 @@ const (
 
 const (
 	segPrefix = "kv-"
-	segSuffix = ".seg"
 	// defaultSegmentSize rotates segments at 64 MiB, keeping compaction
 	// and truncation units manageable.
 	defaultSegmentSize = 64 << 20
@@ -198,14 +192,6 @@ type Options struct {
 	NoSync bool
 }
 
-// loc addresses a record payload on disk: segment number, payload
-// byte offset within the segment, payload length.
-type loc struct {
-	seg uint32
-	off int64
-	n   uint32
-}
-
 type slotKey struct {
 	addr ethtypes.Address
 	slot ethtypes.Hash
@@ -218,33 +204,25 @@ type Store struct {
 	mu   sync.Mutex
 	dir  string
 	opts Options
+	log  *seglog.Log // set by Open, never reassigned: reads use it unlocked
 
-	segs    []uint32            // segment numbers, ascending
-	readers map[uint32]*os.File // lazily opened read handles
-	w       *os.File            // write handle for segs[len-1]
-	wsize   int64               // current size of the write segment
-
-	accounts map[ethtypes.Address]loc
-	slots    map[slotKey]loc
-	codes    map[ethtypes.Hash]loc
-	nodes    map[ethtypes.Hash]loc
+	accounts map[ethtypes.Address]seglog.Pos
+	slots    map[slotKey]seglog.Pos
+	codes    map[ethtypes.Hash]seglog.Pos
+	nodes    map[ethtypes.Hash]seglog.Pos
 
 	anchor    Anchor
 	hasAnchor bool
 
-	totalBytes int64 // bytes across all segments
-	liveBytes  int64 // frame bytes still referenced by the index
+	liveBytes int64 // frame bytes still referenced by the index
 
 	cache *lruCache
 }
 
-func segPath(dir string, n uint32) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%010d%s", segPrefix, n, segSuffix))
-}
-
-// Open opens (creating if needed) the store in dir, rebuilding the
-// in-memory index from the segments and rolling back any un-anchored
-// tail left by a crash mid-commit.
+// Open opens (creating if needed) the store in dir and rebuilds the
+// in-memory index in one pass over the log: each record's index change
+// is staged and applied when the next anchor arrives, and the
+// un-anchored tail a crash mid-commit leaves is truncated away.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = defaultSegmentSize
@@ -252,226 +230,118 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = defaultCacheBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("statestore: %w", err)
-	}
 	s := &Store{
 		dir:      dir,
 		opts:     opts,
-		readers:  make(map[uint32]*os.File),
-		accounts: make(map[ethtypes.Address]loc),
-		slots:    make(map[slotKey]loc),
-		codes:    make(map[ethtypes.Hash]loc),
-		nodes:    make(map[ethtypes.Hash]loc),
+		accounts: make(map[ethtypes.Address]seglog.Pos),
+		slots:    make(map[slotKey]seglog.Pos),
+		codes:    make(map[ethtypes.Hash]seglog.Pos),
+		nodes:    make(map[ethtypes.Hash]seglog.Pos),
 		cache:    newLRUCache(opts.CacheBytes),
 	}
-	if err := s.load(); err != nil {
-		return nil, err
+	var staged []indexOp
+	var tail *seglog.Pos // first frame after the newest anchor
+	log, _, err := seglog.Open(dir, segPrefix, opts.SegmentSize, func(pos seglog.Pos, payload []byte) error {
+		op, a, err := decodeRecord(pos, payload)
+		if err != nil {
+			return err
+		}
+		if a != nil {
+			for _, op := range staged {
+				s.applyOp(op)
+			}
+			staged = staged[:0]
+			s.anchor, s.hasAnchor = *a, true
+			tail = nil
+			return nil
+		}
+		if tail == nil {
+			tail = &pos
+		}
+		staged = append(staged, op)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("statestore: %w", err)
 	}
-	if err := s.openWriter(); err != nil {
-		return nil, err
+	if tail != nil {
+		if err := log.Truncate(*tail); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("statestore: roll back to the last anchor: %w", err)
+		}
 	}
-	mDiskBytes.Set(s.totalBytes)
+	s.log = log
+	mDiskBytes.Set(log.Size())
 	return s, nil
 }
 
-func listSegments(dir string) ([]uint32, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []uint32
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		var n uint32
-		if _, err := fmt.Sscanf(name, segPrefix+"%010d"+segSuffix, &n); err != nil {
-			continue
-		}
-		segs = append(segs, n)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
+// indexOp is one record's change to the index. val is the value the
+// record carries, for the read cache; replay leaves it nil.
+type indexOp struct {
+	kind uint64
+	addr ethtypes.Address
+	key  ethtypes.Hash // slot, code hash or node hash
+	pos  seglog.Pos
+	del  bool
+	val  []byte
 }
 
-// load scans the segments twice: pass one finds the newest intact
-// anchor (scanning stops at the first damaged frame — nothing after
-// damage is trusted), pass two rebuilds the index from the prefix up
-// to that anchor. Segments past the anchor are deleted and the anchor
-// segment is truncated to the anchor's end, so the on-disk store and
-// the index agree exactly.
-func (s *Store) load() error {
-	segs, err := listSegments(s.dir)
-	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	if len(segs) == 0 {
-		return nil
-	}
+// recordItems is the list length of each record kind.
+var recordItems = map[uint64]int{kindAccount: 3, kindSlot: 4, kindCode: 3, kindNode: 3, kindClear: 2, kindAnchor: 5}
 
-	// Pass 1: locate the last anchor.
-	type anchorPos struct {
-		segIdx int
-		end    int64
-	}
-	var last *anchorPos
-	damaged := false
-	for i, seg := range segs {
-		if damaged {
-			break
-		}
-		data, err := os.ReadFile(segPath(s.dir, seg))
-		if err != nil {
-			return fmt.Errorf("statestore: %w", err)
-		}
-		var off int64
-		valid, scanErr := blockdb.ScanFrames(data, func(payload []byte) error {
-			off += blockdb.FrameSize(len(payload))
-			if len(payload) > 0 {
-				if it, err := rlp.Decode(payload); err == nil && it.Kind() == rlp.KindList && it.Len() > 0 {
-					if k, err := it.At(0).AsUint64(); err == nil && k == kindAnchor {
-						last = &anchorPos{segIdx: i, end: off}
-					}
-				}
-			}
-			return nil
-		})
-		if scanErr != nil || valid != int64(len(data)) {
-			damaged = true
-		}
-	}
-
-	if last == nil {
-		// No intact anchor anywhere: the store never completed a commit
-		// (or lost its prefix). Start fresh; the chain layer rebuilds
-		// from the genesis and the block journal.
-		for _, seg := range segs {
-			os.Remove(segPath(s.dir, seg))
-		}
-		return nil
-	}
-
-	// Roll back past the anchor: drop whole later segments, truncate
-	// the anchor segment.
-	for _, seg := range segs[last.segIdx+1:] {
-		os.Remove(segPath(s.dir, seg))
-	}
-	segs = segs[:last.segIdx+1]
-	if err := os.Truncate(segPath(s.dir, segs[last.segIdx]), last.end); err != nil {
-		return fmt.Errorf("statestore: truncate: %w", err)
-	}
-
-	// Pass 2: rebuild the index from the intact prefix.
-	for _, seg := range segs {
-		data, err := os.ReadFile(segPath(s.dir, seg))
-		if err != nil {
-			return fmt.Errorf("statestore: %w", err)
-		}
-		var off int64
-		_, scanErr := blockdb.ScanFrames(data, func(payload []byte) error {
-			payloadOff := off + frameHeader
-			off += blockdb.FrameSize(len(payload))
-			return s.applyRecord(seg, payloadOff, payload)
-		})
-		if scanErr != nil {
-			return fmt.Errorf("statestore: segment %d: %w", seg, scanErr)
-		}
-		s.totalBytes += int64(len(data))
-	}
-	s.segs = segs
-	return nil
-}
-
-// frameHeader is the size of the blockdb frame header preceding each
-// payload (length + CRC).
-var frameHeader = blockdb.FrameSize(0)
-
-// applyRecord indexes one scanned record during load.
-func (s *Store) applyRecord(seg uint32, off int64, payload []byte) error {
+// decodeRecord parses one record: an index change, or an anchor.
+func decodeRecord(pos seglog.Pos, payload []byte) (indexOp, *Anchor, error) {
+	op := indexOp{pos: pos}
 	it, err := rlp.Decode(payload)
 	if err != nil {
-		return err
+		return op, nil, err
 	}
 	if it.Kind() != rlp.KindList || it.Len() < 1 {
-		return errors.New("statestore: record must be a list")
+		return op, nil, errors.New("statestore: record must be a list")
 	}
-	kind, err := it.At(0).AsUint64()
-	if err != nil {
-		return err
+	if op.kind, err = it.At(0).AsUint64(); err != nil {
+		return op, nil, err
 	}
-	l := loc{seg: seg, off: off, n: uint32(len(payload))}
-	switch kind {
-	case kindAccount:
-		addr, err := asAddress(it.At(1))
-		if err != nil {
-			return err
+	n, known := recordItems[op.kind]
+	if !known {
+		return op, nil, fmt.Errorf("statestore: unknown record kind %d", op.kind)
+	}
+	if it.Len() != n || it.At(n-1).Kind() != rlp.KindString {
+		return op, nil, fmt.Errorf("statestore: malformed record of kind %d", op.kind)
+	}
+	switch op.kind {
+	case kindAccount, kindSlot, kindClear:
+		op.addr, err = asAddress(it.At(1))
+		if err == nil && op.kind == kindSlot {
+			op.key, err = asHash(it.At(2))
 		}
-		if it.Len() < 3 || len(it.At(2).Str()) == 0 {
-			s.dropAccount(addr)
-		} else {
-			setLocMap(s, s.accounts, addr, l)
-		}
-	case kindSlot:
-		addr, err := asAddress(it.At(1))
-		if err != nil {
-			return err
-		}
-		slot, err := asHash(it.At(2))
-		if err != nil {
-			return err
-		}
-		k := slotKey{addr: addr, slot: slot}
-		if it.Len() < 4 || len(it.At(3).Str()) == 0 {
-			if old, ok := s.slots[k]; ok {
-				s.liveBytes -= blockdb.FrameSize(int(old.n))
-				delete(s.slots, k)
-			}
-		} else {
-			setLocMap(s, s.slots, k, l)
-		}
-	case kindCode:
-		h, err := asHash(it.At(1))
-		if err != nil {
-			return err
-		}
-		setLocMap(s, s.codes, h, l)
-	case kindNode:
-		h, err := asHash(it.At(1))
-		if err != nil {
-			return err
-		}
-		setLocMap(s, s.nodes, h, l)
-	case kindClear:
-		addr, err := asAddress(it.At(1))
-		if err != nil {
-			return err
-		}
-		s.clearSlots(addr)
+		op.del = op.kind != kindClear && len(it.At(n-1).Str()) == 0
+	case kindCode, kindNode:
+		op.key, err = asHash(it.At(1))
 	case kindAnchor:
-		if it.Len() != 5 {
-			return errors.New("statestore: malformed anchor")
-		}
 		var a Anchor
 		if a.Gen, err = it.At(1).AsUint64(); err != nil {
-			return err
+			return op, nil, err
 		}
 		if a.Number, err = it.At(2).AsUint64(); err != nil {
-			return err
+			return op, nil, err
 		}
 		if a.BlockHash, err = asHash(it.At(3)); err != nil {
-			return err
+			return op, nil, err
 		}
 		if a.Root, err = asHash(it.At(4)); err != nil {
-			return err
+			return op, nil, err
 		}
-		s.anchor = a
-		s.hasAnchor = true
-	default:
-		return fmt.Errorf("statestore: unknown record kind %d", kind)
+		return op, &a, nil
 	}
-	return nil
+	return op, nil, err
+}
+
+func anchorRecord(a Anchor) []byte {
+	return rlp.Encode(rlp.List(
+		rlp.Uint(kindAnchor), rlp.Uint(a.Gen), rlp.Uint(a.Number),
+		rlp.Bytes(a.BlockHash[:]), rlp.Bytes(a.Root[:]),
+	))
 }
 
 func asAddress(it *rlp.Item) (ethtypes.Address, error) {
@@ -483,72 +353,70 @@ func asAddress(it *rlp.Item) (ethtypes.Address, error) {
 	return a, nil
 }
 
-// setLoc updates an index map entry, maintaining liveBytes.
-func setLocMap[K comparable](s *Store, m map[K]loc, k K, l loc) {
+// applyOp applies one index change, maintaining liveBytes.
+func (s *Store) applyOp(op indexOp) {
+	switch op.kind {
+	case kindAccount:
+		if op.del {
+			dropPos(s, s.accounts, op.addr)
+		} else {
+			setPos(s, s.accounts, op.addr, op.pos)
+		}
+	case kindSlot:
+		k := slotKey{addr: op.addr, slot: op.key}
+		if op.del {
+			dropPos(s, s.slots, k)
+		} else {
+			setPos(s, s.slots, k, op.pos)
+		}
+	case kindCode:
+		setPos(s, s.codes, op.key, op.pos)
+	case kindNode:
+		setPos(s, s.nodes, op.key, op.pos)
+	case kindClear:
+		for k := range s.slots {
+			if k.addr == op.addr {
+				dropPos(s, s.slots, k)
+			}
+		}
+	}
+}
+
+// cacheOp mirrors a committed index change into the read cache.
+func (s *Store) cacheOp(op indexOp) {
+	switch op.kind {
+	case kindAccount:
+		if op.del {
+			s.cache.remove(accountKey(op.addr))
+		} else {
+			s.cache.put(accountKey(op.addr), op.val)
+		}
+	case kindSlot:
+		if op.del {
+			s.cache.remove(storageKey(op.addr, op.key))
+		} else {
+			s.cache.put(storageKey(op.addr, op.key), op.val)
+		}
+	case kindCode:
+		s.cache.put(codeKey(op.key), op.val)
+	case kindNode:
+		s.cache.put(nodeKey(op.key), op.val)
+	case kindClear:
+		s.cache.dropSlots(op.addr)
+	}
+}
+
+func setPos[K comparable](s *Store, m map[K]seglog.Pos, k K, p seglog.Pos) {
+	dropPos(s, m, k)
+	m[k] = p
+	s.liveBytes += p.Bytes()
+}
+
+func dropPos[K comparable](s *Store, m map[K]seglog.Pos, k K) {
 	if old, ok := m[k]; ok {
-		s.liveBytes -= blockdb.FrameSize(int(old.n))
+		s.liveBytes -= old.Bytes()
+		delete(m, k)
 	}
-	m[k] = l
-	s.liveBytes += blockdb.FrameSize(int(l.n))
-}
-
-func (s *Store) dropAccount(addr ethtypes.Address) {
-	if old, ok := s.accounts[addr]; ok {
-		s.liveBytes -= blockdb.FrameSize(int(old.n))
-		delete(s.accounts, addr)
-	}
-}
-
-func (s *Store) clearSlots(addr ethtypes.Address) {
-	for k, l := range s.slots {
-		if k.addr == addr {
-			s.liveBytes -= blockdb.FrameSize(int(l.n))
-			delete(s.slots, k)
-		}
-	}
-}
-
-// openWriter opens (or creates) the newest segment for appending.
-func (s *Store) openWriter() error {
-	if len(s.segs) == 0 {
-		s.segs = []uint32{0}
-		f, err := os.OpenFile(segPath(s.dir, 0), os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("statestore: %w", err)
-		}
-		s.w = f
-		s.wsize = 0
-		return nil
-	}
-	seg := s.segs[len(s.segs)-1]
-	f, err := os.OpenFile(segPath(s.dir, seg), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("statestore: %w", err)
-	}
-	s.w = f
-	s.wsize = st.Size()
-	return nil
-}
-
-// rotateLocked closes the current write segment and starts the next.
-func (s *Store) rotateLocked() error {
-	seg := s.segs[len(s.segs)-1]
-	// The old write handle becomes a read handle; don't close it.
-	s.readers[seg] = s.w
-	next := seg + 1
-	f, err := os.OpenFile(segPath(s.dir, next), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	s.segs = append(s.segs, next)
-	s.w = f
-	s.wsize = 0
-	return nil
 }
 
 // Anchor returns the newest committed anchor, if any.
@@ -559,202 +427,75 @@ func (s *Store) Anchor() (Anchor, bool) {
 }
 
 // Commit durably applies one batch and advances the anchor to a: all
-// records are framed and appended, the anchor record lands last, and
-// a single fsync makes the commit atomic (recovery rolls back to the
-// previous anchor if the tail is torn). The in-memory index and the
-// read cache are updated only after the write succeeds.
+// records are framed and appended in one write, the anchor record lands
+// last, and a single fsync makes the commit atomic (recovery rolls back
+// to the previous anchor if the tail is torn). The in-memory index and
+// the read cache are updated only after the write succeeds.
 func (s *Store) Commit(b *Batch, a Anchor) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return errors.New("statestore: closed")
-	}
-	if s.wsize >= s.opts.SegmentSize {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	seg := s.segs[len(s.segs)-1]
-
-	// Build the commit buffer, remembering each record's payload loc.
-	type staged struct {
-		apply func(l loc)
-		cache func(l loc)
-		n     int
-	}
-	var buf []byte
-	var stages []staged
-	add := func(payload []byte, apply, cache func(l loc)) {
-		buf = blockdb.AppendFrame(buf, payload)
-		stages = append(stages, staged{apply: apply, cache: cache, n: len(payload)})
+	var ops []indexOp
+	var payloads [][]byte
+	add := func(op indexOp, fields ...*rlp.Item) {
+		ops = append(ops, op)
+		payloads = append(payloads, rlp.Encode(rlp.List(append([]*rlp.Item{rlp.Uint(op.kind)}, fields...)...)))
 	}
 	if b != nil {
 		for _, addr := range b.Clears {
-			addr := addr
-			add(rlp.Encode(rlp.List(rlp.Uint(kindClear), rlp.Bytes(addr[:]))),
-				func(loc) { s.clearSlots(addr); s.cache.dropSlots(addr) }, nil)
+			add(indexOp{kind: kindClear, addr: addr}, rlp.Bytes(addr[:]))
 		}
 		for addr, rec := range b.Accounts {
-			addr, rec := addr, rec
 			var enc []byte
 			if rec != nil {
 				enc = rec.Encode()
 			}
-			add(rlp.Encode(rlp.List(rlp.Uint(kindAccount), rlp.Bytes(addr[:]), rlp.Bytes(enc))),
-				func(l loc) {
-					if rec == nil {
-						s.dropAccount(addr)
-					} else {
-						setLocMap(s, s.accounts, addr, l)
-					}
-				},
-				func(loc) {
-					if rec == nil {
-						s.cache.remove(accountKey(addr))
-					} else {
-						s.cache.put(accountKey(addr), enc)
-					}
-				})
+			add(indexOp{kind: kindAccount, addr: addr, del: rec == nil, val: enc}, rlp.Bytes(addr[:]), rlp.Bytes(enc))
 		}
 		for addr, slots := range b.Slots {
 			for slot, val := range slots {
-				addr, slot, val := addr, slot, val
-				add(rlp.Encode(rlp.List(rlp.Uint(kindSlot), rlp.Bytes(addr[:]), rlp.Bytes(slot[:]), rlp.Bytes(val))),
-					func(l loc) {
-						k := slotKey{addr: addr, slot: slot}
-						if len(val) == 0 {
-							if old, ok := s.slots[k]; ok {
-								s.liveBytes -= blockdb.FrameSize(int(old.n))
-								delete(s.slots, k)
-							}
-						} else {
-							setLocMap(s, s.slots, k, l)
-						}
-					},
-					func(loc) {
-						if len(val) == 0 {
-							s.cache.remove(storageKey(addr, slot))
-						} else {
-							s.cache.put(storageKey(addr, slot), val)
-						}
-					})
+				add(indexOp{kind: kindSlot, addr: addr, key: slot, del: len(val) == 0, val: val},
+					rlp.Bytes(addr[:]), rlp.Bytes(slot[:]), rlp.Bytes(val))
 			}
 		}
 		for h, code := range b.Codes {
-			h, code := h, code
 			if _, dup := s.codes[h]; dup {
 				continue // code is content-addressed; first write wins
 			}
-			add(rlp.Encode(rlp.List(rlp.Uint(kindCode), rlp.Bytes(h[:]), rlp.Bytes(code))),
-				func(l loc) { setLocMap(s, s.codes, h, l) },
-				func(loc) { s.cache.put(codeKey(h), code) })
+			add(indexOp{kind: kindCode, key: h, val: code}, rlp.Bytes(h[:]), rlp.Bytes(code))
 		}
 		for _, nb := range b.Nodes {
-			nb := nb
 			if _, dup := s.nodes[nb.Hash]; dup {
 				continue // nodes are content-addressed too
 			}
-			add(rlp.Encode(rlp.List(rlp.Uint(kindNode), rlp.Bytes(nb.Hash[:]), rlp.Bytes(nb.Enc))),
-				func(l loc) { setLocMap(s, s.nodes, nb.Hash, l) },
-				func(loc) { s.cache.put(nodeKey(nb.Hash), nb.Enc) })
+			add(indexOp{kind: kindNode, key: nb.Hash, val: nb.Enc}, rlp.Bytes(nb.Hash[:]), rlp.Bytes(nb.Enc))
 		}
 	}
-	add(rlp.Encode(rlp.List(
-		rlp.Uint(kindAnchor), rlp.Uint(a.Gen), rlp.Uint(a.Number),
-		rlp.Bytes(a.BlockHash[:]), rlp.Bytes(a.Root[:]),
-	)), nil, nil)
-
-	if _, err := s.w.WriteAt(buf, s.wsize); err != nil {
-		return fmt.Errorf("statestore: commit write: %w", err)
+	pos, err := s.log.Append(append(payloads, anchorRecord(a))...)
+	if err != nil {
+		return fmt.Errorf("statestore: commit: %w", err)
 	}
 	if !s.opts.NoSync {
-		if err := s.w.Sync(); err != nil {
-			return fmt.Errorf("statestore: commit sync: %w", err)
+		if err := s.log.Sync(); err != nil {
+			return fmt.Errorf("statestore: commit: %w", err)
 		}
 	}
-
-	// Index and cache updates, now that the bytes are durable.
-	off := s.wsize
-	for _, st := range stages {
-		payloadOff := off + frameHeader
-		if st.apply != nil {
-			st.apply(loc{seg: seg, off: payloadOff, n: uint32(st.n)})
-		}
-		if st.cache != nil {
-			st.cache(loc{})
-		}
-		off += blockdb.FrameSize(st.n)
+	for i, op := range ops {
+		op.pos = pos[i]
+		s.applyOp(op)
+		s.cacheOp(op)
 	}
-	s.wsize += int64(len(buf))
-	s.totalBytes += int64(len(buf))
-	s.anchor = a
-	s.hasAnchor = true
-	mDiskBytes.Set(s.totalBytes)
+	s.anchor, s.hasAnchor = a, true
+	mDiskBytes.Set(s.log.Size())
 	return nil
 }
 
-// fileForLocked returns a read handle for l's segment. Caller holds
-// s.mu; the returned handle stays valid after the lock is released
-// (handles are only closed by Close, Reset and Compact, which never
-// race a read of the same generation's index).
-func (s *Store) fileForLocked(l loc) (*os.File, error) {
-	if len(s.segs) > 0 && l.seg == s.segs[len(s.segs)-1] {
-		return s.w, nil
-	}
-	if r, ok := s.readers[l.seg]; ok {
-		return r, nil
-	}
-	r, err := os.Open(segPath(s.dir, l.seg))
+// recordValue reads a record payload and returns the value item at
+// index vi (records store their value as the last list element).
+func (s *Store) recordValue(p seglog.Pos, vi int) ([]byte, error) {
+	payload, err := s.log.Read(p)
 	if err != nil {
 		return nil, fmt.Errorf("statestore: %w", err)
 	}
-	s.readers[l.seg] = r
-	return r, nil
-}
-
-// readLoc preads one record payload.
-func (s *Store) readLoc(l loc) ([]byte, error) {
-	s.mu.Lock()
-	f, err := s.fileForLocked(l)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return preadPayload(f, l)
-}
-
-func preadPayload(f *os.File, l loc) ([]byte, error) {
-	buf := make([]byte, l.n)
-	if _, err := f.ReadAt(buf, l.off); err != nil {
-		return nil, fmt.Errorf("statestore: read: %w", err)
-	}
-	return buf, nil
-}
-
-// recordValue preads a record payload and returns the value item at
-// index vi (records store their value as the last list element).
-func (s *Store) recordValue(l loc, vi int) ([]byte, error) {
-	payload, err := s.readLoc(l)
-	if err != nil {
-		return nil, err
-	}
-	return extractValue(payload, vi)
-}
-
-// recordValueLocked is recordValue with s.mu already held (compaction).
-func (s *Store) recordValueLocked(l loc, vi int) ([]byte, error) {
-	f, err := s.fileForLocked(l)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := preadPayload(f, l)
-	if err != nil {
-		return nil, err
-	}
-	return extractValue(payload, vi)
-}
-
-func extractValue(payload []byte, vi int) ([]byte, error) {
 	it, err := rlp.Decode(payload)
 	if err != nil {
 		return nil, fmt.Errorf("statestore: corrupt record: %w", err)
@@ -890,11 +631,7 @@ func (s *Store) AccountCount() int {
 }
 
 // DiskBytes returns the total on-disk size of the store's segments.
-func (s *Store) DiskBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalBytes
-}
+func (s *Store) DiskBytes() int64 { return s.log.Size() }
 
 // CacheStats returns (hits, misses, evictions) for observability and
 // tests.
@@ -905,59 +642,39 @@ func (s *Store) CacheStats() (hits, misses, evictions uint64) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Reset discards everything: segments, index, cache, anchor. Used
+// Reset discards everything: records, index, cache, anchor. Used
 // when recovery determines the anchored state is unusable (e.g. the
 // block journal lost the anchor's block) and the chain must rebuild
 // from the genesis.
 func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range s.readers {
-		r.Close()
+	if err := s.log.Truncate(seglog.Pos{}); err != nil {
+		return fmt.Errorf("statestore: reset: %w", err)
 	}
-	s.readers = make(map[uint32]*os.File)
-	if s.w != nil {
-		s.w.Close()
-		s.w = nil
-	}
-	for _, seg := range s.segs {
-		os.Remove(segPath(s.dir, seg))
-	}
-	s.segs = nil
-	s.accounts = make(map[ethtypes.Address]loc)
-	s.slots = make(map[slotKey]loc)
-	s.codes = make(map[ethtypes.Hash]loc)
-	s.nodes = make(map[ethtypes.Hash]loc)
+	s.accounts = make(map[ethtypes.Address]seglog.Pos)
+	s.slots = make(map[slotKey]seglog.Pos)
+	s.codes = make(map[ethtypes.Hash]seglog.Pos)
+	s.nodes = make(map[ethtypes.Hash]seglog.Pos)
 	s.anchor = Anchor{}
 	s.hasAnchor = false
-	s.totalBytes = 0
 	s.liveBytes = 0
 	s.cache.reset()
 	mDiskBytes.Set(0)
-	return s.openWriter()
+	return nil
 }
 
-// Close syncs and closes every handle. The store is unusable after.
+// Close syncs (unless NoSync) and closes the store. The store is
+// unusable after.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var firstErr error
-	for _, r := range s.readers {
-		if err := r.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	var err error
+	if !s.opts.NoSync {
+		err = s.log.Sync()
 	}
-	s.readers = make(map[uint32]*os.File)
-	if s.w != nil {
-		if !s.opts.NoSync {
-			if err := s.w.Sync(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := s.w.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		s.w = nil
+	if cerr := s.log.Close(); err == nil {
+		err = cerr
 	}
-	return firstErr
+	return err
 }

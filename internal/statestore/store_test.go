@@ -154,7 +154,7 @@ func TestTornTailRollsBackToAnchor(t *testing.T) {
 
 	// Tear the tail: chop bytes off the segment so the gen-2 anchor is
 	// damaged.
-	seg := segPath(dir, 0)
+	seg := filepath.Join(dir, "kv-0000000000.seg")
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := listSegments(dir)
+	segs, err := filepath.Glob(filepath.Join(dir, "kv-*.seg"))
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("expected rotation, got %d segments (%v)", len(segs), err)
 	}

@@ -6,14 +6,14 @@ import (
 	"os"
 	"path/filepath"
 
-	"legalchain/internal/blockdb"
+	"legalchain/internal/seglog"
 )
 
 // The watchtower's durable memory: an append-only log of structured
-// lifecycle events, one CRC-framed JSON record per event, using the
-// exact frame format of the block log (blockdb.AppendFrame) so torn
-// tails and bit rot are detected the same way in every store of the
-// system. The log is the watchtower's recovery anchor: on restart the
+// lifecycle events, one JSON record per frame of a seglog under the
+// name prefix "events-", so torn tails and bit rot are detected the
+// same way in every store of the system. The log is the watchtower's
+// recovery anchor: on restart the
 // tower replays it to rebuild every per-contract state machine and the
 // alert-rule counters, then resumes folding from the highest anchored
 // block — it never re-reads chain history it has already digested.
@@ -68,33 +68,27 @@ type Event struct {
 	RuleState map[string]RuleState `json:"ruleState,omitempty"`
 }
 
-// eventLog is the append-only CRC-framed file. A nil *eventLog (dir
-// unset) is valid and drops every append: the tower then lives purely
-// in memory and replays nothing on restart.
-type eventLog struct {
-	f     *os.File
-	bytes int64
-}
+// eventLog is the tower's seglog. A nil *eventLog (dir unset) is valid
+// and drops every append: the tower then lives purely in memory and
+// replays nothing on restart.
+type eventLog struct{ log *seglog.Log }
 
-const eventLogName = "events.log"
+const segPrefix = "events-"
 
 // openEventLog opens (creating if needed) the log under dir, replays
 // every intact record through fn, truncates any torn tail, and
-// positions for appends. dir == "" returns (nil, nil).
+// positions for appends. dir == "" returns (nil, nil). A directory
+// holding the single-file log of the earlier layout, events.log, is
+// refused.
 func openEventLog(dir string, fn func(*Event)) (*eventLog, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("watch: create dir: %w", err)
+	if _, err := os.Stat(filepath.Join(dir, "events.log")); err == nil {
+		return nil, fmt.Errorf("watch: %s holds events.log, the single-file event log this version does not read; move it out of the directory and the tower refolds the chain from block 1",
+			dir)
 	}
-	path := filepath.Join(dir, eventLogName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("watch: read log: %w", err)
-	}
-	l := &eventLog{}
-	valid, scanErr := blockdb.ScanFrames(data, func(payload []byte) error {
+	log, _, err := seglog.Open(dir, segPrefix, 0, func(_ seglog.Pos, payload []byte) error {
 		var ev Event
 		if err := json.Unmarshal(payload, &ev); err != nil {
 			// An intact frame with undecodable JSON is corruption the CRC
@@ -106,22 +100,10 @@ func openEventLog(dir string, fn func(*Event)) (*eventLog, error) {
 		}
 		return nil
 	})
-	_ = scanErr // a damaged tail is repaired by truncation, not fatal
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("watch: open log: %w", err)
+		return nil, fmt.Errorf("watch: %w", err)
 	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("watch: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("watch: seek: %w", err)
-	}
-	l.f = f
-	l.bytes = valid
-	return l, nil
+	return &eventLog{log: log}, nil
 }
 
 // append writes one framed record exactly as given (the tower owns the
@@ -134,11 +116,9 @@ func (l *eventLog) append(ev *Event) error {
 	if err != nil {
 		return err
 	}
-	frame := blockdb.AppendFrame(nil, payload)
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("watch: append: %w", err)
+	if _, err := l.log.Append(payload); err != nil {
+		return fmt.Errorf("watch: %w", err)
 	}
-	l.bytes += int64(len(frame))
 	return nil
 }
 
@@ -148,23 +128,23 @@ func (l *eventLog) sync() error {
 	if l == nil {
 		return nil
 	}
-	return l.f.Sync()
+	return l.log.Sync()
 }
 
 func (l *eventLog) size() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.bytes
+	return l.log.Size()
 }
 
 func (l *eventLog) close() error {
 	if l == nil {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
+	if err := l.log.Sync(); err != nil {
+		l.log.Close()
 		return err
 	}
-	return l.f.Close()
+	return l.log.Close()
 }

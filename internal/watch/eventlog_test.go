@@ -3,10 +3,15 @@ package watch
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"legalchain/internal/blockdb"
+	"legalchain/internal/seglog"
 )
+
+// logSegment is the event log's first segment; these tests write fewer
+// records than one segment holds.
+func logSegment(dir string) string { return filepath.Join(dir, "events-0000000000.seg") }
 
 func TestEventLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -73,7 +78,7 @@ func TestEventLogTornTail(t *testing.T) {
 	}
 
 	// Tear the last frame in half.
-	path := filepath.Join(dir, eventLogName)
+	path := logSegment(dir)
 	full, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, full[:intact+3], 0o644); err != nil {
 		t.Fatal(err)
@@ -124,9 +129,8 @@ func TestEventLogBadJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append a validly framed record that is not JSON.
-	path := filepath.Join(dir, eventLogName)
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.Write(blockdb.AppendFrame(nil, []byte("not json")))
+	f, _ := os.OpenFile(logSegment(dir), os.O_WRONLY|os.O_APPEND, 0o644)
+	f.Write(seglog.EncodeFrame([]byte("not json")))
 	f.Close()
 
 	count := 0
@@ -156,5 +160,17 @@ func TestEventLogNil(t *testing.T) {
 	}
 	if l2, err := openEventLog("", nil); l2 != nil || err != nil {
 		t.Fatal("empty dir should yield a nil log")
+	}
+}
+
+// A directory holding the earlier single-file log is refused, naming
+// the file, rather than refolded beside it.
+func TestEventLogOldLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "events.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(nil, Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "events.log") {
+		t.Fatalf("old layout: %v", err)
 	}
 }

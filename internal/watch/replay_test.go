@@ -151,14 +151,7 @@ func replayRun(t *testing.T, seed int64) {
 	}
 	// The durable logs must be byte-identical: same records, same seqs,
 	// same rule-state snapshots in every anchor.
-	rawA, err := os.ReadFile(filepath.Join(dirA, eventLogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawB, err := os.ReadFile(filepath.Join(dirB, eventLogName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rawA, rawB := logBytes(t, dirA), logBytes(t, dirB)
 	if !reflect.DeepEqual(rawA, rawB) {
 		t.Fatalf("seed %d: durable logs diverged (%d vs %d bytes)", seed, len(rawA), len(rawB))
 	}
@@ -186,4 +179,22 @@ func replayRun(t *testing.T, seed int64) {
 			}
 		}
 	}
+}
+
+// logBytes returns the names and contents of a tower's log segments.
+func logBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "events-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no event log in %s: %v", dir, err)
+	}
+	var out []byte
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, filepath.Base(seg)...), data...)
+	}
+	return out
 }
