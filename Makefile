@@ -64,14 +64,17 @@ lint:
 # committed seed corpus (testdata/fuzz/): the unrolled Keccak sponge
 # against the loop-form oracle, uint256 byte I/O against math/big, the
 # secp256k1 Jacobian ladder (then sign → Recover) against the affine
-# oracle, and the segment-log scan every durable store shares. go test
-# takes one -fuzz target and one package per invocation.
-# FuzzScalarMult costs ~15 ms an input, so minimising each
-# coverage-expanding one (60 s by default) would leave no time to fuzz.
+# oracle, Recover on hostile signature bytes (what the ecrecover
+# precompile passes it) against the three-multiplication oracle, and the
+# segment-log scan every durable store shares. go test takes one -fuzz
+# target and one package per invocation. The secp256k1 targets cost
+# ~5–15 ms an input, so minimising each coverage-expanding one (60 s by
+# default) would leave no time to fuzz.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
 	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
 	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
+	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzScan -fuzztime 10s ./internal/seglog/
 
 # fmt-check fails the build if any file is not gofmt-clean.
@@ -128,13 +131,14 @@ bench:
 # benchmarks (Keccak, uint256 word I/O, secp256k1 scalar multiplication,
 # Sign and Recover) at their default length, because one iteration of a
 # sub-microsecond function is timer noise and one of a millisecond one
-# says little more. Output lands in bench-smoke.txt (uploaded as a CI
-# artifact).
+# says little more; the secp256k1 ones with B/op and allocs/op, which
+# TestLadderAllocations also pins. Output lands in bench-smoke.txt
+# (uploaded as a CI artifact).
 bench-smoke:
 	@{ $(BENCH_HOST); \
 	$(GO) test -run xxx -bench 'StateRoot|EthCall|Recovery|ParallelEthCall|ReadsDuringSeal|MineBlock$$|MineLoopSubscribers' -benchtime 1x ./internal/state/ ./internal/chain/; \
 	$(GO) test -run xxx -bench 'Permute|Sum256_64|Bytes32' ./internal/keccak/ ./internal/uint256/; \
-	$(GO) test -run xxx -bench . ./internal/secp256k1/; } | tee bench-smoke.txt
+	$(GO) test -run xxx -bench . -benchmem ./internal/secp256k1/; } | tee bench-smoke.txt
 
 # bench-repo runs the repository benchmark BENCHMARK.json declares (see
 # bench/README.md): all five workloads, three sets, end-to-end metrics

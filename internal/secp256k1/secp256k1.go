@@ -7,7 +7,8 @@
 // covers the NIST curves), so the curve is implemented here over
 // math/big. Scalar multiplication is a double-and-add ladder on one
 // Jacobian accumulator (x/z², y/z³) that pays a single field inversion
-// when it converts back; Add and Double are the affine group law, one
+// when it converts back and reduces into scratch it carries, so a step
+// allocates nothing; Add and Double are the affine group law, one
 // inversion each, used where two finished points meet and as the tests'
 // oracle for the ladder. This is still not a constant-time
 // implementation — the ladder branches on every scalar bit — and must
@@ -134,45 +135,59 @@ func chord(p, q Point, lambda *big.Int) Point {
 // jacobian is the scalar-multiplication accumulator: the point
 // (x/z², y/z³), with z = 0 for the identity and x, y, z kept in [0, P).
 // The remaining fields are scratch the formulas reuse from step to step,
-// so all a step still allocates is the quotient each big.Int.Mod throws
-// away. big.Int.Mul allocates when its destination is also an operand,
-// which is why no product below is written into one of its own factors.
+// q among them: the quotient of every reduction, which big.Int.Mod would
+// allocate and discard each time. Once the first steps have grown the
+// fields to size, a step allocates nothing. big.Int.Mul allocates when
+// its destination is also an operand, which is why no product below is
+// written into one of its own factors.
 type jacobian struct {
 	x, y, z             big.Int
 	a, b, c, d, e, f, g big.Int
+	q                   big.Int
+}
+
+// reduce sets x = x mod P in [0, P), keeping the quotient in j.q.
+// QuoRem truncates where big.Int.Mod is Euclidean: the differences
+// double and addAffine reduce can be negative, and their remainder then
+// lies in (−P, 0), so P is added back.
+func (j *jacobian) reduce(x *big.Int) {
+	j.q.QuoRem(x, P, x)
+	if x.Sign() < 0 {
+		x.Add(x, P)
+	}
 }
 
 // mulMod sets dst = u·v mod P; dst must be neither u nor v.
-func mulMod(dst, u, v *big.Int) {
+func (j *jacobian) mulMod(dst, u, v *big.Int) {
 	dst.Mul(u, v)
-	dst.Mod(dst, P)
+	j.reduce(dst)
 }
 
 // double sets j = 2j: "dbl-2009-l" for a = 0, five squarings and two
 // products. The identity, and a point with y = 0, come out with z = 0.
 func (j *jacobian) double() {
-	mulMod(&j.a, &j.x, &j.x) // A = X²
-	mulMod(&j.b, &j.y, &j.y) // B = Y²
-	mulMod(&j.c, &j.b, &j.b) // C = B²
+	j.mulMod(&j.a, &j.x, &j.x) // A = X²
+	j.mulMod(&j.b, &j.y, &j.y) // B = Y²
+	j.mulMod(&j.c, &j.b, &j.b) // C = B²
 	j.e.Add(&j.x, &j.b)
-	mulMod(&j.d, &j.e, &j.e)
+	j.mulMod(&j.d, &j.e, &j.e)
 	j.d.Sub(&j.d, &j.a)
 	j.d.Sub(&j.d, &j.c)
 	j.d.Lsh(&j.d, 1) // D = 2((X+B)² − A − C)
 	j.e.Lsh(&j.a, 1)
-	j.e.Add(&j.e, &j.a)      // E = 3A
-	mulMod(&j.f, &j.e, &j.e) // F = E²
-	mulMod(&j.g, &j.y, &j.z)
+	j.e.Add(&j.e, &j.a)        // E = 3A
+	j.mulMod(&j.f, &j.e, &j.e) // F = E²
+	j.mulMod(&j.g, &j.y, &j.z)
 	j.z.Lsh(&j.g, 1) // Z' = 2YZ
-	j.z.Mod(&j.z, P)
+	j.reduce(&j.z)
 	j.x.Lsh(&j.d, 1)
 	j.x.Sub(&j.f, &j.x) // X' = F − 2D
-	j.x.Mod(&j.x, P)
+	j.reduce(&j.x)
 	j.d.Sub(&j.d, &j.x)
-	mulMod(&j.y, &j.e, &j.d)
+	j.mulMod(&j.y, &j.e, &j.d)
 	j.c.Lsh(&j.c, 3)
 	j.y.Sub(&j.y, &j.c) // Y' = E(D − X') − 8C
-	j.y.Mod(&j.y, P)
+	j.reduce(&j.y)
 }
 
 // addAffine sets j = j + (px, py) for an affine point other than the
@@ -185,14 +200,14 @@ func (j *jacobian) addAffine(px, py *big.Int) {
 		j.z.SetInt64(1)
 		return
 	}
-	mulMod(&j.a, &j.z, &j.z)
-	mulMod(&j.b, px, &j.a)
+	j.mulMod(&j.a, &j.z, &j.z)
+	j.mulMod(&j.b, px, &j.a)
 	j.b.Sub(&j.b, &j.x) // H = px·Z² − X
-	j.b.Mod(&j.b, P)
-	mulMod(&j.c, &j.z, &j.a)
-	mulMod(&j.d, py, &j.c)
+	j.reduce(&j.b)
+	j.mulMod(&j.c, &j.z, &j.a)
+	j.mulMod(&j.d, py, &j.c)
 	j.d.Sub(&j.d, &j.y) // R = py·Z³ − Y
-	j.d.Mod(&j.d, P)
+	j.reduce(&j.d)
 	if j.b.Sign() == 0 {
 		if j.d.Sign() == 0 {
 			j.double()
@@ -201,20 +216,20 @@ func (j *jacobian) addAffine(px, py *big.Int) {
 		}
 		return
 	}
-	mulMod(&j.c, &j.b, &j.b) // H²
-	mulMod(&j.e, &j.b, &j.c) // H³
-	mulMod(&j.f, &j.x, &j.c) // V = X·H²
-	mulMod(&j.x, &j.d, &j.d)
+	j.mulMod(&j.c, &j.b, &j.b) // H²
+	j.mulMod(&j.e, &j.b, &j.c) // H³
+	j.mulMod(&j.f, &j.x, &j.c) // V = X·H²
+	j.mulMod(&j.x, &j.d, &j.d)
 	j.x.Sub(&j.x, &j.e)
 	j.x.Sub(&j.x, &j.f)
 	j.x.Sub(&j.x, &j.f) // X' = R² − H³ − 2V
-	j.x.Mod(&j.x, P)
+	j.reduce(&j.x)
 	j.f.Sub(&j.f, &j.x)
-	mulMod(&j.g, &j.d, &j.f)
-	mulMod(&j.c, &j.y, &j.e)
+	j.mulMod(&j.g, &j.d, &j.f)
+	j.mulMod(&j.c, &j.y, &j.e)
 	j.y.Sub(&j.g, &j.c) // Y' = R(V − X') − Y·H³
-	j.y.Mod(&j.y, P)
-	mulMod(&j.g, &j.z, &j.b)
+	j.reduce(&j.y)
+	j.mulMod(&j.g, &j.z, &j.b)
 	j.z.Set(&j.g) // Z' = Z·H
 }
 
@@ -224,11 +239,11 @@ func (j *jacobian) affine() Point {
 		return Infinity()
 	}
 	j.a.ModInverse(&j.z, P)
-	mulMod(&j.b, &j.a, &j.a) // z⁻²
-	mulMod(&j.c, &j.b, &j.a) // z⁻³
+	j.mulMod(&j.b, &j.a, &j.a) // z⁻²
+	j.mulMod(&j.c, &j.b, &j.a) // z⁻³
 	x, y := new(big.Int), new(big.Int)
-	mulMod(x, &j.x, &j.b)
-	mulMod(y, &j.y, &j.c)
+	j.mulMod(x, &j.x, &j.b)
+	j.mulMod(y, &j.y, &j.c)
 	return Point{X: x, Y: y}
 }
 

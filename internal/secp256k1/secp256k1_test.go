@@ -197,6 +197,85 @@ func TestJacobianSpecialCases(t *testing.T) {
 	}
 }
 
+// TestReduceMatchesMod pins reduce's sign fix-up against big.Int.Mod.
+// QuoRem truncates, so a wrong fix-up shows only on negative inputs,
+// and exact multiples of P — where a random ladder almost never lands —
+// must come out 0, not P. The sweep spans (−16P, P²), wider than any
+// difference or product the ladder reduces; half of it is drawn from
+// (−16P, 16P), where the negative inputs are.
+func TestReduceMatchesMod(t *testing.T) {
+	var j jacobian // one accumulator throughout, as a ladder reuses its quotient
+	check := func(x *big.Int) {
+		t.Helper()
+		got := new(big.Int).Set(x)
+		j.reduce(got)
+		if want := new(big.Int).Mod(x, P); got.Cmp(want) != 0 {
+			t.Fatalf("reduce(%x) = %x, want %x", x, got, want)
+		}
+	}
+	one := big.NewInt(1)
+	pMinus1 := new(big.Int).Sub(P, one)
+	for _, x := range []*big.Int{
+		big.NewInt(0), one, pMinus1, P,
+		new(big.Int).Mul(P, P), new(big.Int).Mul(pMinus1, pMinus1),
+	} {
+		check(x)
+		check(new(big.Int).Neg(x))
+	}
+	for k := int64(2); k <= 16; k++ {
+		check(new(big.Int).Mul(P, big.NewInt(-k)))
+	}
+
+	rng := rand.New(rand.NewSource(28))
+	lo := new(big.Int).Mul(P, big.NewInt(-16))
+	wide := new(big.Int).Sub(new(big.Int).Mul(P, P), lo) // (−16P, P²)
+	narrow := new(big.Int).Sub(new(big.Int).Neg(lo), lo) // (−16P, 16P)
+	for i := 0; i < 20000; i++ {
+		span := wide
+		if i%2 == 0 {
+			span = narrow
+		}
+		x := new(big.Int).Rand(rng, new(big.Int).Sub(span, one))
+		check(x.Add(x, lo).Add(x, one))
+	}
+}
+
+// TestLadderAllocations pins the allocation floor: the ladder reduces
+// into the quotient its accumulator carries, so what a call allocates
+// is its set-up and its result, not its 256 steps. With big.Int.Mod
+// allocating a quotient per reduction, a multiplication allocated
+// ≈ 3.9k times, a signature ≈ 3.6k and a recovery ≈ 7.6k.
+func TestLadderAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops the sync.Pool entries big.Int's division reuses")
+	}
+	p := pointFromSeed(bytes.Repeat([]byte{0x5a}, 32))
+	k := new(big.Int).Rand(rand.New(rand.NewSource(24)), N)
+	key := PrivateKeyFromScalar(big.NewInt(0xabcdef))
+	digest := sha256.Sum256([]byte("bench"))
+	sig, err := key.Sign(digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		run     func()
+	}{
+		{"ScalarMult", 64, func() { sinkPoint = ScalarMult(p, k) }},
+		{"Sign", 192, func() { _, err = key.Sign(digest[:]) }},
+		{"Recover", 256, func() { sinkPoint, err = Recover(digest[:], sig) }},
+	} {
+		n := testing.AllocsPerRun(20, c.run)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n > c.ceiling {
+			t.Errorf("%s allocates %.0f times per call, ceiling %.0f", c.name, n, c.ceiling)
+		}
+	}
+}
+
 func TestGroupLaws(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {
@@ -574,5 +653,34 @@ func FuzzScalarMult(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkRecoverAgainstOracle(t, key, seed[:], sig)
+	})
+}
+
+// FuzzRecover feeds Recover what the ecrecover precompile passes it: a
+// digest and an [R‖S‖V] signature the caller chose, cut or zero-extended
+// to 32 and 65 bytes. Recover must not panic, must agree with the
+// three-multiplication oracle on refusal or point, and must return only
+// points on the curve.
+func FuzzRecover(f *testing.F) {
+	f.Fuzz(func(t *testing.T, digestIn, sigIn []byte) {
+		var digest [32]byte
+		var raw [65]byte
+		copy(digest[:], digestIn)
+		copy(raw[:], sigIn)
+		sig := &Signature{R: new(big.Int).SetBytes(raw[:32]), S: new(big.Int).SetBytes(raw[32:64]), V: raw[64]}
+		got, gotErr := Recover(digest[:], sig)
+		want, wantErr := recoverThreeMult(digest[:], sig)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("digest=%x sig=%x: Recover err %v, oracle err %v", digest, raw, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if !samePoint(got, want) {
+			t.Fatalf("digest=%x sig=%x: Recover disagrees with the three-multiplication oracle", digest, raw)
+		}
+		if got.IsInfinity() || !got.OnCurve() {
+			t.Fatalf("digest=%x sig=%x: recovered point off the curve", digest, raw)
+		}
 	})
 }

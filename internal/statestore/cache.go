@@ -35,6 +35,9 @@ type cacheShard struct {
 	ll    *list.List // front = most recent
 	items map[string]*list.Element
 	bytes int64
+	// slots counts the shard's cached slots per address (the key's bytes
+	// 1–20), so a storage wipe of an address with none costs nothing.
+	slots map[string]int
 }
 
 type lruCache struct {
@@ -56,12 +59,14 @@ func newLRUCache(budget int64) *lruCache {
 	for i := range c.shards {
 		c.shards[i].ll = list.New()
 		c.shards[i].items = make(map[string]*list.Element)
+		c.shards[i].slots = make(map[string]int)
 	}
 	return c
 }
 
 // shardOf picks a shard from the first content byte after the kind
-// prefix — addresses and hashes are uniformly distributed already.
+// prefix — addresses and hashes are uniformly distributed already. Every
+// slot of one address therefore lives in one shard.
 func (c *lruCache) shardOf(key string) *cacheShard {
 	var b byte
 	if len(key) > 1 {
@@ -114,8 +119,11 @@ func (c *lruCache) put(key string, val []byte) {
 		el := sh.ll.PushFront(&cacheEntry{key: key, val: val})
 		sh.items[key] = el
 		sh.bytes += sz
-		if key[0] == 'n' {
+		switch key[0] {
+		case 'n':
 			residentNodes.Add(1)
+		case 's':
+			sh.slots[slotOwner(key)]++
 		}
 	}
 	evicted := 0
@@ -124,13 +132,7 @@ func (c *lruCache) put(key string, val []byte) {
 		if oldest == nil {
 			break
 		}
-		e := oldest.Value.(*cacheEntry)
-		sh.ll.Remove(oldest)
-		delete(sh.items, e.key)
-		sh.bytes -= entrySize(e.key, e.val)
-		if e.key[0] == 'n' {
-			residentNodes.Add(-1)
-		}
+		sh.unlink(oldest)
 		evicted++
 	}
 	sh.mu.Unlock()
@@ -140,39 +142,51 @@ func (c *lruCache) put(key string, val []byte) {
 	}
 }
 
+// slotOwner returns the address bytes of a slot key.
+func slotOwner(key string) string { return key[1 : 1+ethtypes.AddressLength] }
+
+// unlink removes one entry from the shard; sh.mu must be held.
+func (sh *cacheShard) unlink(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	sh.ll.Remove(el)
+	delete(sh.items, e.key)
+	sh.bytes -= entrySize(e.key, e.val)
+	switch e.key[0] {
+	case 'n':
+		residentNodes.Add(-1)
+	case 's':
+		owner := slotOwner(e.key)
+		if sh.slots[owner]--; sh.slots[owner] == 0 {
+			delete(sh.slots, owner)
+		}
+	}
+}
+
 func (c *lruCache) remove(key string) {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
 	if el, ok := sh.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		sh.ll.Remove(el)
-		delete(sh.items, key)
-		sh.bytes -= entrySize(e.key, e.val)
-		if key[0] == 'n' {
-			residentNodes.Add(-1)
-		}
+		sh.unlink(el)
 	}
 	sh.mu.Unlock()
 }
 
-// dropSlots removes every cached slot of addr (storage wipe). Walks
-// all shards — wipes are rare (selfdestruct, account deletion).
+// dropSlots removes every cached slot of addr (storage wipe). A wipe
+// comes with every account creation, and the created account almost
+// never has a slot cached, so that case returns on the count alone;
+// otherwise only the address's shard is walked, until its last slot is
+// gone.
 func (c *lruCache) dropSlots(addr ethtypes.Address) {
-	prefix := "s" + string(addr[:])
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*cacheEntry)
-			if len(e.key) > len(prefix) && e.key[:len(prefix)] == prefix {
-				sh.ll.Remove(el)
-				delete(sh.items, e.key)
-				sh.bytes -= entrySize(e.key, e.val)
-			}
-			el = next
+	owner := string(addr[:])
+	sh := c.shardOf("s" + owner)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for el := sh.ll.Front(); el != nil && sh.slots[owner] > 0; {
+		next := el.Next()
+		if e := el.Value.(*cacheEntry); e.key[0] == 's' && slotOwner(e.key) == owner {
+			sh.unlink(el)
 		}
-		sh.mu.Unlock()
+		el = next
 	}
 }
 
@@ -187,6 +201,7 @@ func (c *lruCache) reset() {
 		}
 		sh.ll = list.New()
 		sh.items = make(map[string]*list.Element)
+		sh.slots = make(map[string]int)
 		sh.bytes = 0
 		sh.mu.Unlock()
 	}

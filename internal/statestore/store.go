@@ -210,6 +210,10 @@ type Store struct {
 	slots    map[slotKey]seglog.Pos
 	codes    map[ethtypes.Hash]seglog.Pos
 	nodes    map[ethtypes.Hash]seglog.Pos
+	// slotCount counts the indexed slots per address, so a storage wipe
+	// of an address with none — every account creation wipes — skips the
+	// walk of slots.
+	slotCount map[ethtypes.Address]int
 
 	anchor    Anchor
 	hasAnchor bool
@@ -231,13 +235,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts.CacheBytes = defaultCacheBytes
 	}
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		accounts: make(map[ethtypes.Address]seglog.Pos),
-		slots:    make(map[slotKey]seglog.Pos),
-		codes:    make(map[ethtypes.Hash]seglog.Pos),
-		nodes:    make(map[ethtypes.Hash]seglog.Pos),
-		cache:    newLRUCache(opts.CacheBytes),
+		dir:       dir,
+		opts:      opts,
+		accounts:  make(map[ethtypes.Address]seglog.Pos),
+		slots:     make(map[slotKey]seglog.Pos),
+		codes:     make(map[ethtypes.Hash]seglog.Pos),
+		nodes:     make(map[ethtypes.Hash]seglog.Pos),
+		slotCount: make(map[ethtypes.Address]int),
+		cache:     newLRUCache(opts.CacheBytes),
 	}
 	var staged []indexOp
 	var tail *seglog.Pos // first frame after the newest anchor
@@ -365,8 +370,11 @@ func (s *Store) applyOp(op indexOp) {
 	case kindSlot:
 		k := slotKey{addr: op.addr, slot: op.key}
 		if op.del {
-			dropPos(s, s.slots, k)
+			s.dropSlot(k)
 		} else {
+			if _, ok := s.slots[k]; !ok {
+				s.slotCount[k.addr]++
+			}
 			setPos(s, s.slots, k, op.pos)
 		}
 	case kindCode:
@@ -375,10 +383,24 @@ func (s *Store) applyOp(op indexOp) {
 		setPos(s, s.nodes, op.key, op.pos)
 	case kindClear:
 		for k := range s.slots {
+			if s.slotCount[op.addr] == 0 {
+				break
+			}
 			if k.addr == op.addr {
-				dropPos(s, s.slots, k)
+				s.dropSlot(k)
 			}
 		}
+	}
+}
+
+// dropSlot removes one slot from the index and from its address's count.
+func (s *Store) dropSlot(k slotKey) {
+	if _, ok := s.slots[k]; !ok {
+		return
+	}
+	dropPos(s, s.slots, k)
+	if s.slotCount[k.addr]--; s.slotCount[k.addr] == 0 {
+		delete(s.slotCount, k.addr)
 	}
 }
 
@@ -656,6 +678,7 @@ func (s *Store) Reset() error {
 	s.slots = make(map[slotKey]seglog.Pos)
 	s.codes = make(map[ethtypes.Hash]seglog.Pos)
 	s.nodes = make(map[ethtypes.Hash]seglog.Pos)
+	s.slotCount = make(map[ethtypes.Address]int)
 	s.anchor = Anchor{}
 	s.hasAnchor = false
 	s.liveBytes = 0

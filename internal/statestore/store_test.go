@@ -134,6 +134,64 @@ func TestTombstonesAndClear(t *testing.T) {
 	}
 }
 
+// TestClearKeepsSlotCounts wipes one address beside another with slots
+// and a fresh one with none, then deletes and rewrites slots: the wipe
+// takes exactly its address's slots, and the per-address counts that
+// let a wipe skip the index walk match the index, also after a reopen.
+func TestClearKeepsSlotCounts(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	checkCounts := func(s *Store) {
+		t.Helper()
+		want := map[ethtypes.Address]int{}
+		for k := range s.slots {
+			want[k.addr]++
+		}
+		if len(want) != len(s.slotCount) {
+			t.Fatalf("slot counts %v, index holds %v", s.slotCount, want)
+		}
+		for a, n := range want {
+			if s.slotCount[a] != n {
+				t.Fatalf("slot counts %v, index holds %v", s.slotCount, want)
+			}
+		}
+	}
+	wiped, kept, fresh := addr(1), addr(2), addr(3)
+	b := &Batch{}
+	for i := byte(0); i < 4; i++ {
+		b.PutSlot(wiped, h32(i), []byte{0xaa, i})
+		b.PutSlot(kept, h32(i), []byte{0xbb, i})
+	}
+	if err := s.Commit(b, testAnchor(1)); err != nil {
+		t.Fatal(err)
+	}
+	b = &Batch{}
+	b.Clear(wiped)
+	b.Clear(fresh)
+	b.PutSlot(kept, h32(0), nil)           // a deleted slot leaves the count
+	b.PutSlot(kept, h32(1), []byte{0xcc})  // a rewritten one does not add to it
+	b.PutSlot(wiped, h32(9), []byte{0xdd}) // written after the wipe: survives it
+	if err := s.Commit(b, testAnchor(2)); err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(s)
+	if s.slotCount[wiped] != 1 || s.slotCount[kept] != 3 || s.slotCount[fresh] != 0 {
+		t.Fatalf("slot counts after the wipe: %v", s.slotCount)
+	}
+	for i := byte(1); i < 4; i++ {
+		if _, err := s.Slot(wiped, h32(i)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("wiped slot %d: %v", i, err)
+		}
+		if _, err := s.Slot(kept, h32(i)); err != nil {
+			t.Fatalf("other address's slot %d: %v", i, err)
+		}
+	}
+	s.Close()
+	s = mustOpen(t, dir)
+	defer s.Close()
+	checkCounts(s)
+}
+
 // A torn tail (crash mid-commit) must roll back to the previous
 // anchor, not serve half a batch.
 func TestTornTailRollsBackToAnchor(t *testing.T) {
