@@ -149,19 +149,6 @@ func (a *App) v1Me(w http.ResponseWriter, r *http.Request, u *User) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// v1Terms is the JSON shape of rental terms for deploys and modifies.
-// Ether amounts are decimal strings ("1.5"), matching the HTML forms.
-type v1Terms struct {
-	RentEth        string `json:"rentEth"`
-	DepositEth     string `json:"depositEth"`
-	Months         uint64 `json:"months"`
-	House          string `json:"house"`
-	MaintenanceEth string `json:"maintenanceEth"`
-	DiscountEth    string `json:"discountEth"`
-	FineEth        string `json:"fineEth"`
-	Document       string `json:"document"`
-}
-
 func (a *App) v1Contracts(w http.ResponseWriter, r *http.Request, u *User) {
 	switch r.Method {
 	case http.MethodGet:
@@ -195,33 +182,12 @@ func (a *App) v1Contracts(w http.ResponseWriter, r *http.Request, u *User) {
 	case http.MethodPost:
 		var body struct {
 			Artifact string `json:"artifact"`
-			v1Terms
+			termsInput
 		}
 		if !decodeV1Body(w, r, &body) {
 			return
 		}
-		terms := core.RentalTerms{
-			Rent:    weiOf(body.RentEth),
-			Deposit: weiOf(body.DepositEth),
-			Months:  body.Months,
-			House:   body.House,
-		}
-		if body.Document != "" {
-			terms.LegalDoc = []byte(body.Document)
-		}
-		var dep *core.Deployment
-		var err error
-		if body.Artifact != "" && !strings.EqualFold(body.Artifact, "BaseRental") {
-			art, aerr := a.GetArtifact(body.Artifact)
-			if aerr != nil {
-				writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, aerr.Error())
-				return
-			}
-			dep, err = a.Manager.DeployVersion(u.Addr(), art, terms.LegalDoc,
-				terms.Rent, terms.Deposit, terms.Months, terms.House)
-		} else {
-			dep, err = a.Rental.DeployRental(u.Addr(), terms)
-		}
+		dep, err := a.deployAgreement(u, body.Artifact, body.termsInput)
 		if err != nil {
 			writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, err.Error())
 			return
@@ -398,60 +364,13 @@ func (a *App) v1ContractAction(w http.ResponseWriter, r *http.Request, u *User, 
 		return
 	}
 	var body struct {
-		Action string   `json:"action"`
-		Terms  *v1Terms `json:"terms"`
+		Action string      `json:"action"`
+		Terms  *termsInput `json:"terms"`
 	}
 	if !decodeV1Body(w, r, &body) {
 		return
 	}
-	result := map[string]interface{}{"action": body.Action, "status": "ok"}
-	var err error
-	switch body.Action {
-	case "confirm":
-		err = a.Rental.Confirm(u.Addr(), addr)
-	case "pay":
-		var rcpt *ethtypes.Receipt
-		rcpt, err = a.Rental.PayRentCtx(r.Context(), u.Addr(), addr)
-		if err == nil {
-			result["txHash"] = rcpt.TxHash.Hex()
-		}
-	case "maintenance":
-		_, err = a.Rental.PayMaintenance(u.Addr(), addr)
-	case "terminate":
-		err = a.Rental.Terminate(u.Addr(), addr)
-	case "confirm-modification":
-		err = a.Rental.ConfirmModification(u.Addr(), addr)
-	case "reject-modification":
-		err = a.Rental.RejectModification(u.Addr(), addr)
-	case "modify":
-		if body.Terms == nil {
-			writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, "modify requires terms")
-			return
-		}
-		terms := core.ModifiedTerms{
-			Rent:           weiOf(body.Terms.RentEth),
-			Deposit:        weiOf(body.Terms.DepositEth),
-			Months:         body.Terms.Months,
-			House:          body.Terms.House,
-			MaintenanceFee: weiOf(body.Terms.MaintenanceEth),
-			Discount:       weiOf(body.Terms.DiscountEth),
-			Fine:           weiOf(body.Terms.FineEth),
-		}
-		if body.Terms.Document != "" {
-			terms.LegalDoc = []byte(body.Terms.Document)
-		}
-		var dep *core.Deployment
-		dep, err = a.Rental.Modify(u.Addr(), addr, terms)
-		if err == nil {
-			result["newVersion"] = dep.Row
-		}
-	case "":
-		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, "missing action")
-		return
-	default:
-		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, fmt.Sprintf("unknown action %q", body.Action))
-		return
-	}
+	rcpt, dep, err := a.contractAction(r.Context(), u, addr, body.Action, body.Terms)
 	if err != nil {
 		var rej *upgrade.RejectionError
 		if errors.As(err, &rej) {
@@ -461,6 +380,13 @@ func (a *App) v1ContractAction(w http.ResponseWriter, r *http.Request, u *User, 
 		}
 		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, err.Error())
 		return
+	}
+	result := map[string]interface{}{"action": body.Action, "status": "ok"}
+	if rcpt != nil {
+		result["txHash"] = rcpt.TxHash.Hex()
+	}
+	if dep != nil {
+		result["newVersion"] = dep.Row
 	}
 	writeJSON(w, http.StatusOK, result)
 }

@@ -221,6 +221,38 @@ func TestV1Actions(t *testing.T) {
 	}
 }
 
+// TestV1TenantReadBeforeModify: a tenant reading the contract before
+// the first modification leaves the shared DataStorage undeployed, so
+// the landlord's modification (the first write) deploys it and owns it.
+func TestV1TenantReadBeforeModify(t *testing.T) {
+	landlord, a, addr := apiRig(t)
+	jar, _ := cookiejar.New(nil)
+	tenant := &browser{t: t, c: &http.Client{Jar: jar}, url: landlord.url}
+	tenant.register("early_reader", "pw")
+	var out map[string]interface{}
+	if code := postJSON(t, tenant, "/api/v1/contracts/"+addr+"/actions",
+		map[string]interface{}{"action": "confirm"}, &out); code != 200 {
+		t.Fatalf("confirm: code %d (%v)", code, out)
+	}
+	if code := getJSON(t, tenant, "/api/v1/contracts/"+addr, nil); code != 200 {
+		t.Fatalf("tenant detail: code %d", code)
+	}
+	if ds := a.Manager.DataStorageAddress(); !ds.IsZero() {
+		t.Fatalf("a read deployed DataStorage at %s", ds)
+	}
+
+	code := postJSON(t, landlord, "/api/v1/contracts/"+addr+"/actions", map[string]interface{}{
+		"action": "modify",
+		"terms": map[string]interface{}{
+			"rentEth": "1.5", "depositEth": "2", "months": 12, "house": "api-house",
+			"maintenanceEth": "0.1", "discountEth": "0", "fineEth": "1",
+		},
+	}, &out)
+	if code != 200 {
+		t.Fatalf("modify after a tenant read: code %d (%v)", code, out)
+	}
+}
+
 func TestV1ErrorEnvelope(t *testing.T) {
 	b, _, addr := apiRig(t)
 

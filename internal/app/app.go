@@ -6,6 +6,7 @@
 package app
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
@@ -202,6 +203,90 @@ func (a *App) Dashboard(u *User) ([]DashboardRow, error) {
 		out = append(out, dr)
 	}
 	return out, nil
+}
+
+// termsInput is rental terms as both surfaces receive them: ether
+// amounts as decimal strings ("1.5"), the legal document as text.
+type termsInput struct {
+	RentEth        string `json:"rentEth"`
+	DepositEth     string `json:"depositEth"`
+	Months         uint64 `json:"months"`
+	House          string `json:"house"`
+	MaintenanceEth string `json:"maintenanceEth"`
+	DiscountEth    string `json:"discountEth"`
+	FineEth        string `json:"fineEth"`
+	Document       string `json:"document"`
+}
+
+// legalDoc is the document's bytes, nil when none was given.
+func (t termsInput) legalDoc() []byte {
+	if t.Document == "" {
+		return nil
+	}
+	return []byte(t.Document)
+}
+
+// deployAgreement deploys a rental agreement for u: the built-in
+// BaseRental when artifact is empty or names it, otherwise the uploaded
+// artifact of that name with the same constructor terms.
+func (a *App) deployAgreement(u *User, artifact string, t termsInput) (*core.Deployment, error) {
+	terms := core.RentalTerms{
+		Rent:     weiOf(t.RentEth),
+		Deposit:  weiOf(t.DepositEth),
+		Months:   t.Months,
+		House:    t.House,
+		LegalDoc: t.legalDoc(),
+	}
+	if artifact == "" || strings.EqualFold(artifact, "BaseRental") {
+		return a.Rental.DeployRental(u.Addr(), terms)
+	}
+	art, err := a.GetArtifact(artifact)
+	if err != nil {
+		return nil, err
+	}
+	return a.Manager.DeployVersion(u.Addr(), art, terms.LegalDoc,
+		terms.Rent, terms.Deposit, terms.Months, terms.House)
+}
+
+// contractAction runs one lifecycle action of u on the contract at
+// addr. Only "modify" reads terms, and it needs them. A payment returns
+// its receipt, a modification the new version's deployment.
+func (a *App) contractAction(ctx context.Context, u *User, addr ethtypes.Address, action string, terms *termsInput) (*ethtypes.Receipt, *core.Deployment, error) {
+	switch action {
+	case "confirm":
+		return nil, nil, a.Rental.Confirm(u.Addr(), addr)
+	case "pay":
+		rcpt, err := a.Rental.PayRentCtx(ctx, u.Addr(), addr)
+		return rcpt, nil, err
+	case "maintenance":
+		_, err := a.Rental.PayMaintenance(u.Addr(), addr)
+		return nil, nil, err
+	case "terminate":
+		return nil, nil, a.Rental.Terminate(u.Addr(), addr)
+	case "confirm-modification":
+		return nil, nil, a.Rental.ConfirmModification(u.Addr(), addr)
+	case "reject-modification":
+		return nil, nil, a.Rental.RejectModification(u.Addr(), addr)
+	case "modify":
+		if terms == nil {
+			return nil, nil, errors.New("app: modify requires terms")
+		}
+		dep, err := a.Rental.Modify(u.Addr(), addr, core.ModifiedTerms{
+			Rent:           weiOf(terms.RentEth),
+			Deposit:        weiOf(terms.DepositEth),
+			Months:         terms.Months,
+			House:          terms.House,
+			MaintenanceFee: weiOf(terms.MaintenanceEth),
+			Discount:       weiOf(terms.DiscountEth),
+			Fine:           weiOf(terms.FineEth),
+			LegalDoc:       terms.legalDoc(),
+		})
+		return nil, dep, err
+	case "":
+		return nil, nil, errors.New("app: missing action")
+	default:
+		return nil, nil, fmt.Errorf("app: unknown action %q", action)
+	}
 }
 
 // suggestAction mirrors the paper's dashboard buttons: the available

@@ -145,28 +145,7 @@ func (a *App) handleUpload(w http.ResponseWriter, r *http.Request, u *User) {
 // built-in BaseRental) with rental terms.
 func (a *App) handleDeploy(w http.ResponseWriter, r *http.Request, u *User) {
 	if r.Method == http.MethodPost {
-		terms := core.RentalTerms{
-			Rent:    weiOf(r.FormValue("rent")),
-			Deposit: weiOf(r.FormValue("deposit")),
-			Months:  uintOf(r.FormValue("months")),
-			House:   r.FormValue("house"),
-		}
-		if pdf := r.FormValue("document"); pdf != "" {
-			terms.LegalDoc = []byte(pdf)
-		}
-		var err error
-		if name := r.FormValue("artifact"); name != "" && !strings.EqualFold(name, "BaseRental") {
-			art, aerr := a.GetArtifact(name)
-			if aerr != nil {
-				a.renderError(w, http.StatusBadRequest, aerr)
-				return
-			}
-			_, err = a.Manager.DeployVersion(u.Addr(), art, terms.LegalDoc,
-				terms.Rent, terms.Deposit, terms.Months, terms.House)
-		} else {
-			_, err = a.Rental.DeployRental(u.Addr(), terms)
-		}
-		if err != nil {
+		if _, err := a.deployAgreement(u, r.FormValue("artifact"), formTerms(r)); err != nil {
 			a.renderError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -192,7 +171,8 @@ func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User) {
 		action = parts[1]
 	}
 	if r.Method == http.MethodPost {
-		if err := a.doContractAction(u, addr, action, r); err != nil {
+		terms := formTerms(r)
+		if _, _, err := a.contractAction(r.Context(), u, addr, action, &terms); err != nil {
 			a.renderError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -202,39 +182,17 @@ func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User) {
 	a.renderContract(w, u, addr)
 }
 
-func (a *App) doContractAction(u *User, addr ethtypes.Address, action string, r *http.Request) error {
-	switch action {
-	case "confirm":
-		return a.Rental.Confirm(u.Addr(), addr)
-	case "pay":
-		_, err := a.Rental.PayRentCtx(r.Context(), u.Addr(), addr)
-		return err
-	case "maintenance":
-		_, err := a.Rental.PayMaintenance(u.Addr(), addr)
-		return err
-	case "terminate":
-		return a.Rental.Terminate(u.Addr(), addr)
-	case "modify":
-		terms := core.ModifiedTerms{
-			Rent:           weiOf(r.FormValue("rent")),
-			Deposit:        weiOf(r.FormValue("deposit")),
-			Months:         uintOf(r.FormValue("months")),
-			House:          r.FormValue("house"),
-			MaintenanceFee: weiOf(r.FormValue("maintenance")),
-			Discount:       weiOf(r.FormValue("discount")),
-			Fine:           weiOf(r.FormValue("fine")),
-		}
-		if pdf := r.FormValue("document"); pdf != "" {
-			terms.LegalDoc = []byte(pdf)
-		}
-		_, err := a.Rental.Modify(u.Addr(), addr, terms)
-		return err
-	case "confirm-modification":
-		return a.Rental.ConfirmModification(u.Addr(), addr)
-	case "reject-modification":
-		return a.Rental.RejectModification(u.Addr(), addr)
-	default:
-		return fmt.Errorf("app: unknown action %q", action)
+// formTerms reads the rental terms from the deploy and modify forms.
+func formTerms(r *http.Request) termsInput {
+	return termsInput{
+		RentEth:        r.FormValue("rent"),
+		DepositEth:     r.FormValue("deposit"),
+		Months:         uintOf(r.FormValue("months")),
+		House:          r.FormValue("house"),
+		MaintenanceEth: r.FormValue("maintenance"),
+		DiscountEth:    r.FormValue("discount"),
+		FineEth:        r.FormValue("fine"),
+		Document:       r.FormValue("document"),
 	}
 }
 

@@ -386,6 +386,21 @@ func (bc *Blockchain) applyTransaction(ctx context.Context, header *ethtypes.Hea
 	return execTransaction(ctx, bc.execEnvLocked(), header, tx, sender)
 }
 
+// blockContext is the EVM context of a message from origin executed in
+// the block with header h; getBlockHash resolves BLOCKHASH.
+func blockContext(chainID uint64, h *ethtypes.Header, origin ethtypes.Address, gasPrice uint256.Int, getBlockHash func(uint64) ethtypes.Hash) evm.Context {
+	return evm.Context{
+		ChainID:      chainID,
+		BlockNumber:  h.Number,
+		Time:         h.Time,
+		Coinbase:     h.Coinbase,
+		GasLimit:     h.GasLimit,
+		GasPrice:     gasPrice,
+		Origin:       origin,
+		GetBlockHash: getBlockHash,
+	}
+}
+
 // execTransaction executes tx against env.st, following the yellow-paper
 // gas flow (buy gas, execute, refund, pay coinbase). It is the single
 // execution routine shared by live sealing, crash-recovery replay and
@@ -406,16 +421,7 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 	// Buy gas.
 	env.st.SubBalance(sender, gasCost)
 
-	machine := evm.New(evm.Context{
-		ChainID:      env.chainID,
-		BlockNumber:  header.Number,
-		Time:         header.Time,
-		Coinbase:     header.Coinbase,
-		GasLimit:     header.GasLimit,
-		GasPrice:     tx.GasPrice,
-		Origin:       sender,
-		GetBlockHash: env.getBlockHash,
-	}, env.st)
+	machine := evm.New(blockContext(env.chainID, header, sender, tx.GasPrice, env.getBlockHash), env.st)
 	machine.Tracer = env.tracer
 	execGas := tx.Gas - intrinsic
 

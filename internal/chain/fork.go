@@ -1,9 +1,7 @@
 package chain
 
 import (
-	"legalchain/internal/abi"
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/evm"
 	"legalchain/internal/state"
 	"legalchain/internal/uint256"
 )
@@ -17,16 +15,15 @@ import (
 //
 // A Fork is not safe for concurrent use; take one per verification.
 type Fork struct {
-	view   *HeadView
-	st     *state.StateDB
-	header *ethtypes.Header
+	view *HeadView
+	st   *state.StateDB
 }
 
 // Fork creates a what-if overlay pinned to this view. Like Call, the
 // overlay materialises only what executions touch — O(touched), not
 // O(all accounts).
 func (v *HeadView) Fork() *Fork {
-	return &Fork{view: v, st: v.st.Overlay(), header: v.nextHeader()}
+	return &Fork{view: v, st: v.st.Overlay()}
 }
 
 // BlockNumber returns the height the fork branched from.
@@ -43,35 +40,14 @@ func (f *Fork) FundAccount(addr ethtypes.Address, amount uint256.Int) {
 // the fork and returns the resulting contract address. State changes
 // persist inside the fork for subsequent Create/Call invocations.
 func (f *Fork) Create(from ethtypes.Address, initCode []byte, gas uint64, value uint256.Int) (ethtypes.Address, *CallResult) {
-	if gas == 0 {
-		gas = f.view.gasLimit
-	}
-	machine := evm.New(f.view.evmContext(f.header, from, uint256.Zero), f.st)
-	ret, addr, left, err := machine.Create(from, initCode, gas, value)
-	res := &CallResult{Return: ret, GasUsed: gas - left, Err: err}
-	if err != nil {
-		if reason, ok := abi.UnpackRevertReason(ret); ok {
-			res.Reason = reason
-		}
-	}
-	return addr, res
+	return f.view.runMessage(f.st, nil, from, nil, initCode, value, gas)
 }
 
 // Call executes a message against the fork's accumulated state —
 // eth_call semantics, except that effects persist inside the fork so a
 // later call observes what an earlier one wrote.
 func (f *Fork) Call(from ethtypes.Address, to ethtypes.Address, data []byte, gas uint64, value uint256.Int) *CallResult {
-	if gas == 0 {
-		gas = f.view.gasLimit
-	}
-	machine := evm.New(f.view.evmContext(f.header, from, uint256.Zero), f.st)
-	ret, left, err := machine.Call(from, to, data, gas, value)
-	res := &CallResult{Return: ret, GasUsed: gas - left, Err: err}
-	if err != nil {
-		if reason, ok := abi.UnpackRevertReason(ret); ok {
-			res.Reason = reason
-		}
-	}
+	_, res := f.view.runMessage(f.st, nil, from, &to, data, value, gas)
 	return res
 }
 

@@ -194,9 +194,7 @@ func (bc *Blockchain) stateBefore(ctx context.Context, view *HeadView, n uint64)
 func blockHashBefore(view *HeadView, n uint64) func(uint64) ethtypes.Hash {
 	return func(x uint64) ethtypes.Hash {
 		if x < n {
-			if b, ok := view.BlockByNumber(x); ok {
-				return b.Hash()
-			}
+			return view.blockHash(x)
 		}
 		return ethtypes.Hash{}
 	}

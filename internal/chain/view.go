@@ -320,24 +320,12 @@ func (v *HeadView) nextHeader() *ethtypes.Header {
 	}
 }
 
-// evmContext builds the execution context for a speculative call; the
-// BLOCKHASH lookup resolves against the view's own block index.
-func (v *HeadView) evmContext(h *ethtypes.Header, origin ethtypes.Address, gasPrice uint256.Int) evm.Context {
-	return evm.Context{
-		ChainID:     v.chainID,
-		BlockNumber: h.Number,
-		Time:        h.Time,
-		Coinbase:    h.Coinbase,
-		GasLimit:    h.GasLimit,
-		GasPrice:    gasPrice,
-		Origin:      origin,
-		GetBlockHash: func(n uint64) ethtypes.Hash {
-			if b, ok := v.BlockByNumber(n); ok {
-				return b.Hash()
-			}
-			return ethtypes.Hash{}
-		},
+// blockHash resolves BLOCKHASH against the view's own block index.
+func (v *HeadView) blockHash(n uint64) ethtypes.Hash {
+	if b, ok := v.BlockByNumber(n); ok {
+		return b.Hash()
 	}
+	return ethtypes.Hash{}
 }
 
 // Call executes a read-only message against a mutable copy of the
@@ -353,40 +341,55 @@ func (v *HeadView) CallCtx(ctx context.Context, from ethtypes.Address, to *ethty
 	defer sp.End()
 	callStart := time.Now()
 	defer mCallSeconds.ObserveSince(callStart)
-	mViewReads.Inc()
-	// An overlay materialises only the accounts the call touches —
-	// O(touched) instead of Copy's O(all accounts).
-	stCopy := v.st.Overlay()
-	header := v.nextHeader()
+	st := v.callState(from)
+	_, evmSp := xtrace.Start(ctx, "evm", "call")
+	_, res := v.runMessage(st, nil, from, to, data, value, gas)
+	evmSp.SetError(res.Err)
+	evmSp.SetAttrUint("gasUsed", res.GasUsed)
+	evmSp.End()
+	sp.SetError(res.Err)
+	return res
+}
 
+// callState is the scratch state of one eth_call: an overlay that
+// materialises only the accounts the call touches — O(touched) instead
+// of Copy's O(all accounts) — with the caller given a balance so
+// value-bearing calls don't fail spuriously (ganache behaviour).
+func (v *HeadView) callState(from ethtypes.Address) *state.StateDB {
+	mViewReads.Inc()
+	st := v.st.Overlay()
+	st.AddBalance(from, ethtypes.Ether(1_000_000_000))
+	return st
+}
+
+// runMessage is the one speculative execution: it runs a message on st,
+// a mutable overlay of the view's state, in the block that would follow
+// the head — a create of data when to is nil, a call otherwise — with
+// tracer (possibly nil) attached. A gas of 0 means the block gas limit.
+// It returns the address a create ran at (zero for a call) and the
+// result with its revert reason decoded.
+func (v *HeadView) runMessage(st *state.StateDB, tracer evm.Tracer, from ethtypes.Address, to *ethtypes.Address, data []byte, value uint256.Int, gas uint64) (ethtypes.Address, *CallResult) {
 	if gas == 0 {
 		gas = v.gasLimit
 	}
-	// Give the caller a balance so value-bearing eth_calls don't fail
-	// spuriously (ganache behaviour).
-	stCopy.AddBalance(from, ethtypes.Ether(1_000_000_000))
-	machine := evm.New(v.evmContext(header, from, uint256.Zero), stCopy)
-
-	var ret []byte
-	var left uint64
-	var err error
-	_, evmSp := xtrace.Start(ctx, "evm", "call")
+	machine := evm.New(blockContext(v.chainID, v.nextHeader(), from, uint256.Zero, v.blockHash), st)
+	machine.Tracer = tracer
+	var (
+		addr ethtypes.Address
+		ret  []byte
+		left uint64
+		err  error
+	)
 	if to == nil {
-		ret, _, left, err = machine.Create(from, data, gas, value)
+		ret, addr, left, err = machine.Create(from, data, gas, value)
 	} else {
 		ret, left, err = machine.Call(from, *to, data, gas, value)
 	}
-	evmSp.SetError(err)
-	evmSp.SetAttrUint("gasUsed", gas-left)
-	evmSp.End()
 	res := &CallResult{Return: ret, GasUsed: gas - left, Err: err}
 	if err != nil {
-		sp.SetError(err)
-		if reason, ok := abi.UnpackRevertReason(ret); ok {
-			res.Reason = reason
-		}
+		res.Reason, _ = abi.UnpackRevertReason(ret)
 	}
-	return res
+	return addr, res
 }
 
 // EstimateGas executes the message against the view and returns the gas
@@ -411,32 +414,8 @@ func (v *HeadView) EstimateGas(from ethtypes.Address, to *ethtypes.Address, data
 // TraceCall executes a read-only message with a structured tracer
 // attached — the debug_traceCall facility, lock-free.
 func (v *HeadView) TraceCall(from ethtypes.Address, to *ethtypes.Address, data []byte, gas uint64) (*CallResult, *evm.StructLogger) {
-	mViewReads.Inc()
-	stCopy := v.st.Overlay()
-	header := v.nextHeader()
-
-	if gas == 0 {
-		gas = v.gasLimit
-	}
-	stCopy.AddBalance(from, ethtypes.Ether(1_000_000_000))
-	machine := evm.New(v.evmContext(header, from, uint256.Zero), stCopy)
 	tracer := evm.NewStructLogger()
-	machine.Tracer = tracer
-
-	var ret []byte
-	var left uint64
-	var err error
-	if to == nil {
-		ret, _, left, err = machine.Create(from, data, gas, uint256.Zero)
-	} else {
-		ret, left, err = machine.Call(from, *to, data, gas, uint256.Zero)
-	}
-	res := &CallResult{Return: ret, GasUsed: gas - left, Err: err}
-	if err != nil {
-		if reason, ok := abi.UnpackRevertReason(ret); ok {
-			res.Reason = reason
-		}
-	}
+	_, res := v.runMessage(v.callState(from), tracer, from, to, data, uint256.Zero, gas)
 	return res, tracer
 }
 

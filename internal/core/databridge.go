@@ -11,13 +11,14 @@ import (
 // The data bridge realises the paper's data/logic separation (Fig. 3):
 // contract state worth carrying across versions lives as key/value
 // strings in the shared DataStorage contract, namespaced by contract
-// address. A new logic version imports its predecessor's data either
-// in place — one adoptNamespace transaction makes the predecessor's
-// namespace visible under the new address (the FlexiContracts model) —
-// or by having the manager copy every pair to the new namespace (the
-// legacy path, ~96k gas per pair, kept for benchmarks and forced
-// copies). Reads resolve the alias chain off chain: a version's own
-// keys shadow adopted ones.
+// address. A modification imports its predecessor's data in place: one
+// adoptNamespace transaction makes the predecessor's namespace visible
+// under the new address (the FlexiContracts model). MigrateData, which
+// copies every pair to the new namespace (~96k gas per pair), is not on
+// that path; the data-separation ablation calls it directly. Reads
+// resolve the alias chain off chain: a version's own keys shadow
+// adopted ones. Writes deploy the shared contract on first use; reads
+// never do.
 
 // SetValue writes one key/value pair under the contract's namespace.
 func (m *Manager) SetValue(from, contractAddr ethtypes.Address, key, value string) (uint64, error) {
@@ -35,11 +36,7 @@ func (m *Manager) SetValue(from, contractAddr ethtypes.Address, key, value strin
 // aliasChain resolves the namespace-adoption chain starting at addr:
 // addr first, then each adopted ancestor, bounded like the version walk
 // so a (maliciously) cyclic alias chain terminates.
-func (m *Manager) aliasChain(from, addr ethtypes.Address) ([]ethtypes.Address, error) {
-	ds, err := m.EnsureDataStorage(from)
-	if err != nil {
-		return nil, err
-	}
+func aliasChain(ds *web3.BoundContract, from, addr ethtypes.Address) ([]ethtypes.Address, error) {
 	chain := []ethtypes.Address{addr}
 	seen := map[ethtypes.Address]bool{addr: true}
 	cur := addr
@@ -61,12 +58,13 @@ func (m *Manager) aliasChain(from, addr ethtypes.Address) ([]ethtypes.Address, e
 // GetValue reads one key from the contract's namespace, falling back
 // through adopted predecessor namespaces: the version's own value wins,
 // an ancestor's value surfaces when the version never overrode the key.
+// Before any DataStorage exists every key reads empty.
 func (m *Manager) GetValue(from, contractAddr ethtypes.Address, key string) (string, error) {
-	ds, err := m.EnsureDataStorage(from)
-	if err != nil {
-		return "", err
+	ds := m.boundDataStorage()
+	if ds == nil {
+		return "", nil
 	}
-	chain, err := m.aliasChain(from, contractAddr)
+	chain, err := aliasChain(ds, from, contractAddr)
 	if err != nil {
 		return "", err
 	}
@@ -85,16 +83,17 @@ func (m *Manager) GetValue(from, contractAddr ethtypes.Address, key string) (str
 // LoadSnapshot reads the whole key/value namespace of a contract using
 // the on-chain key enumeration, merged across adopted predecessor
 // namespaces (deepest ancestor first, so the version's own keys win).
+// Before any DataStorage exists the namespace is empty.
 func (m *Manager) LoadSnapshot(from, contractAddr ethtypes.Address) (map[string]string, error) {
-	ds, err := m.EnsureDataStorage(from)
-	if err != nil {
-		return nil, err
-	}
-	chain, err := m.aliasChain(from, contractAddr)
-	if err != nil {
-		return nil, err
-	}
 	out := map[string]string{}
+	ds := m.boundDataStorage()
+	if ds == nil {
+		return out, nil
+	}
+	chain, err := aliasChain(ds, from, contractAddr)
+	if err != nil {
+		return nil, err
+	}
 	for i := len(chain) - 1; i >= 0; i-- {
 		addr := chain[i]
 		count, err := ds.CallUint(from, "keyCount", addr)

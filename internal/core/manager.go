@@ -125,15 +125,23 @@ func (m *Manager) AttachDataStorage(addr ethtypes.Address) error {
 	return nil
 }
 
+// boundDataStorage returns the DataStorage binding, or nil while none
+// is deployed or attached. Reads go through it: only a write may deploy
+// the contract, because its deployer becomes the owner, the one account
+// allowed to write.
+func (m *Manager) boundDataStorage() *web3.BoundContract {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.dataStorage
+}
+
 // DataStorageAddress returns the shared data contract address (zero if
 // not deployed yet).
 func (m *Manager) DataStorageAddress() ethtypes.Address {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dataStorage == nil {
-		return ethtypes.Address{}
+	if ds := m.boundDataStorage(); ds != nil {
+		return ds.Address
 	}
-	return m.dataStorage.Address
+	return ethtypes.Address{}
 }
 
 // EnsureNotary deploys the payment notary on first use (bound to the
@@ -316,12 +324,9 @@ func (m *Manager) DeployVersion(from ethtypes.Address, art *minisol.Artifact, le
 // ModifyOptions tune ModifyContract.
 type ModifyOptions struct {
 	// MigrateData carries the predecessor's DataStorage key/value pairs
-	// over to the new version: by default in place, through one
-	// adoptNamespace transaction; see CopyMigration.
+	// over to the new version in place, through one adoptNamespace
+	// transaction.
 	MigrateData bool
-	// CopyMigration forces the legacy pair-by-pair setValue re-import
-	// (~96k gas per pair) instead of the in-place namespace adoption.
-	CopyMigration bool
 	// SnapshotKeys, when non-empty, are read from the old contract via
 	// its getters and written into DataStorage before migration, so the
 	// new version can import them (the paper's data/logic separation).
@@ -420,9 +425,8 @@ func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, er
 // recorded in the predecessor's evidence line and rejected with a
 // structured *upgrade.RejectionError. An admitted candidate is
 // deployed, linked into the doubly linked list on chain, its ABI and
-// layout published, data optionally snapshotted and migrated (in place
-// by default), and the registry rows updated (the old version becomes
-// inactive).
+// layout published, data optionally snapshotted and migrated in place,
+// and the registry rows updated (the old version becomes inactive).
 func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Address, art *minisol.Artifact, opts ModifyOptions, args ...interface{}) (*Deployment, error) {
 	prev, err := m.BindVersion(prevAddr)
 	if err != nil {
@@ -489,21 +493,13 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 	}
 
 	// Migrate data under the new address: one namespace-adoption
-	// transaction by default, the pair-by-pair re-import when forced.
+	// transaction.
 	if opts.MigrateData {
-		if opts.CopyMigration {
-			_, mgGas, err := m.MigrateData(from, prevAddr, bound.Address)
-			if err != nil {
-				return nil, err
-			}
-			gas += mgGas
-		} else {
-			mgGas, err := m.AdoptNamespace(from, bound.Address, prevAddr)
-			if err != nil {
-				return nil, err
-			}
-			gas += mgGas
+		mgGas, err := m.AdoptNamespace(from, bound.Address, prevAddr)
+		if err != nil {
+			return nil, err
 		}
+		gas += mgGas
 	}
 
 	// Registry rows: old becomes inactive, new becomes the active head.

@@ -80,6 +80,14 @@ func TestJumpdestBitmapMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzJumpdestBitmap checks the bitmap against the reference analysis
+// on arbitrary bytecode, at every position and past the end.
+func FuzzJumpdestBitmap(f *testing.F) {
+	f.Fuzz(func(t *testing.T, code []byte) {
+		checkAgainstReference(t, "fuzz", code)
+	})
+}
+
 func make5b(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {

@@ -113,9 +113,30 @@ func (e *EVM) frameTracer() FrameTracer {
 // Call executes the code at `to` with the given input, transferring
 // value from caller. It returns the output, the gas left, and an error
 // (ErrExecutionReverted keeps the output as the revert payload).
-func (e *EVM) Call(caller, to ethtypes.Address, input []byte, gas uint64, value uint256.Int) (retOut []byte, gasLeft uint64, retErr error) {
+func (e *EVM) Call(caller, to ethtypes.Address, input []byte, gas uint64, value uint256.Int) ([]byte, uint64, error) {
+	return e.call(CALL, nil, caller, to, input, gas, value)
+}
+
+// StaticCall executes code with state mutation disabled.
+func (e *EVM) StaticCall(caller, to ethtypes.Address, input []byte, gas uint64) ([]byte, uint64, error) {
+	return e.call(STATICCALL, nil, caller, to, input, gas, uint256.Zero)
+}
+
+// call is the one way into a message frame, for all four CALL kinds.
+// parent is the calling frame (nil for a message from outside the EVM),
+// caller the account that sends the message and value what it sends;
+// the code run is to's. The kind decides the frame's storage context,
+// CALLER and CALLVALUE:
+//
+//	CALL, STATICCALL  (to, caller, value)
+//	DELEGATECALL      (parent.contract, parent.caller, parent.value)
+//	CALLCODE          (parent.contract, parent.contract, value)
+//
+// A frame is static when it is a STATICCALL or its parent is static
+// (EIP-214), so nothing a static frame calls can write.
+func (e *EVM) call(kind OpCode, parent *frame, caller, to ethtypes.Address, input []byte, gas uint64, value uint256.Int) (retOut []byte, gasLeft uint64, retErr error) {
 	if ft := e.frameTracer(); ft != nil {
-		ft.CaptureEnter(CALL, caller, to, input, gas, value)
+		ft.CaptureEnter(kind, caller, to, input, gas, value)
 		defer func() { ft.CaptureExit(retOut, gas-gasLeft, retErr) }()
 	}
 	if e.depth > CallCreateDepth {
@@ -125,7 +146,9 @@ func (e *EVM) Call(caller, to ethtypes.Address, input []byte, gas uint64, value 
 		return nil, gas, ErrInsufficientBalance
 	}
 	snapshot := e.State.Snapshot()
-	e.transfer(caller, to, value)
+	if kind == CALL {
+		e.transfer(caller, to, value)
+	}
 
 	if p, ok := precompiles[to]; ok {
 		ret, left, err := runPrecompile(p, input, gas)
@@ -142,10 +165,27 @@ func (e *EVM) Call(caller, to ethtypes.Address, input []byte, gas uint64, value 
 	f := &frame{
 		contract: to, caller: caller, code: code, input: input,
 		value: value, gas: gas,
-		stack: newStack(), mem: newMemory(),
+		static: kind == STATICCALL || parent != nil && parent.static,
+		stack:  newStack(), mem: newMemory(),
 		jumpdests: e.jumpdestsOf(to, code),
 	}
-	outer := e.depth == 0
+	switch kind {
+	case DELEGATECALL:
+		f.contract, f.caller, f.value = parent.contract, parent.caller, parent.value
+	case CALLCODE:
+		f.contract, f.caller = parent.contract, parent.contract
+	}
+	ret, err := e.runFrame(f, snapshot)
+	if e.depth == 0 {
+		e.observeOuter(gas, f.gas)
+	}
+	return ret, f.gas, err
+}
+
+// runFrame runs f one level deeper than the current frame. A failure
+// reverts the state to snapshot, and any failure but REVERT consumes
+// the frame's gas.
+func (e *EVM) runFrame(f *frame, snapshot int) ([]byte, error) {
 	e.depth++
 	ret, err := e.run(f)
 	e.depth--
@@ -157,131 +197,7 @@ func (e *EVM) Call(caller, to ethtypes.Address, input []byte, gas uint64, value 
 			f.gas = 0
 		}
 	}
-	if outer {
-		e.observeOuter(gas, f.gas)
-	}
-	return ret, f.gas, err
-}
-
-// StaticCall executes code with state mutation disabled.
-func (e *EVM) StaticCall(caller, to ethtypes.Address, input []byte, gas uint64) (retOut []byte, gasLeft uint64, retErr error) {
-	if ft := e.frameTracer(); ft != nil {
-		ft.CaptureEnter(STATICCALL, caller, to, input, gas, uint256.Zero)
-		defer func() { ft.CaptureExit(retOut, gas-gasLeft, retErr) }()
-	}
-	if e.depth > CallCreateDepth {
-		return nil, gas, ErrMaxDepth
-	}
-	snapshot := e.State.Snapshot()
-	if p, ok := precompiles[to]; ok {
-		ret, left, err := runPrecompile(p, input, gas)
-		if err != nil {
-			e.State.RevertToSnapshot(snapshot)
-		}
-		return ret, left, err
-	}
-	code := e.State.GetCode(to)
-	if len(code) == 0 {
-		return nil, gas, nil
-	}
-	f := &frame{
-		contract: to, caller: caller, code: code, input: input,
-		gas: gas, static: true,
-		stack: newStack(), mem: newMemory(),
-		jumpdests: e.jumpdestsOf(to, code),
-	}
-	outer := e.depth == 0
-	e.depth++
-	ret, err := e.run(f)
-	e.depth--
-	if err != nil {
-		e.State.RevertToSnapshot(snapshot)
-		if errors.Is(err, ErrExecutionReverted) {
-			mReverts.Inc()
-		} else {
-			f.gas = 0
-		}
-	}
-	if outer {
-		e.observeOuter(gas, f.gas)
-	}
-	return ret, f.gas, err
-}
-
-// delegateCall runs to's code in the parent's storage context, keeping
-// the parent's caller and value.
-func (e *EVM) delegateCall(parent *frame, to ethtypes.Address, input []byte, gas uint64) (retOut []byte, gasLeft uint64, retErr error) {
-	if ft := e.frameTracer(); ft != nil {
-		ft.CaptureEnter(DELEGATECALL, parent.contract, to, input, gas, uint256.Zero)
-		defer func() { ft.CaptureExit(retOut, gas-gasLeft, retErr) }()
-	}
-	if e.depth > CallCreateDepth {
-		return nil, gas, ErrMaxDepth
-	}
-	snapshot := e.State.Snapshot()
-	if p, ok := precompiles[to]; ok {
-		ret, left, err := runPrecompile(p, input, gas)
-		if err != nil {
-			e.State.RevertToSnapshot(snapshot)
-		}
-		return ret, left, err
-	}
-	code := e.State.GetCode(to)
-	if len(code) == 0 {
-		return nil, gas, nil
-	}
-	f := &frame{
-		contract: parent.contract, caller: parent.caller, code: code,
-		input: input, value: parent.value, gas: gas, static: parent.static,
-		stack: newStack(), mem: newMemory(),
-		jumpdests: e.jumpdestsOf(to, code),
-	}
-	e.depth++
-	ret, err := e.run(f)
-	e.depth--
-	if err != nil {
-		e.State.RevertToSnapshot(snapshot)
-		if !errors.Is(err, ErrExecutionReverted) {
-			f.gas = 0
-		}
-	}
-	return ret, f.gas, err
-}
-
-// callCode runs to's code with the parent's storage but a fresh
-// caller/value (legacy CALLCODE).
-func (e *EVM) callCode(parent *frame, to ethtypes.Address, input []byte, gas uint64, value uint256.Int) (retOut []byte, gasLeft uint64, retErr error) {
-	if ft := e.frameTracer(); ft != nil {
-		ft.CaptureEnter(CALLCODE, parent.contract, to, input, gas, value)
-		defer func() { ft.CaptureExit(retOut, gas-gasLeft, retErr) }()
-	}
-	if e.depth > CallCreateDepth {
-		return nil, gas, ErrMaxDepth
-	}
-	if !value.IsZero() && !e.canTransfer(parent.contract, value) {
-		return nil, gas, ErrInsufficientBalance
-	}
-	snapshot := e.State.Snapshot()
-	code := e.State.GetCode(to)
-	if len(code) == 0 {
-		return nil, gas, nil
-	}
-	f := &frame{
-		contract: parent.contract, caller: parent.contract, code: code,
-		input: input, value: value, gas: gas, static: parent.static,
-		stack: newStack(), mem: newMemory(),
-		jumpdests: e.jumpdestsOf(to, code),
-	}
-	e.depth++
-	ret, err := e.run(f)
-	e.depth--
-	if err != nil {
-		e.State.RevertToSnapshot(snapshot)
-		if !errors.Is(err, ErrExecutionReverted) {
-			f.gas = 0
-		}
-	}
-	return ret, f.gas, err
+	return ret, err
 }
 
 // Create deploys a contract: runs the init code and installs its return
@@ -289,7 +205,7 @@ func (e *EVM) callCode(parent *frame, to ethtypes.Address, input []byte, gas uin
 func (e *EVM) Create(caller ethtypes.Address, initCode []byte, gas uint64, value uint256.Int) ([]byte, ethtypes.Address, uint64, error) {
 	nonce := e.State.GetNonce(caller)
 	addr := ethtypes.CreateAddress(caller, nonce)
-	return e.create(CREATE, caller, initCode, gas, value, addr, true)
+	return e.create(CREATE, caller, initCode, gas, value, addr)
 }
 
 // Create2 deploys at keccak(0xff ++ caller ++ salt ++ keccak(init))[12:].
@@ -298,10 +214,10 @@ func (e *EVM) Create2(caller ethtypes.Address, initCode []byte, gas uint64, valu
 	saltBytes := salt.Bytes32()
 	h := ethtypes.Keccak256([]byte{0xff}, caller[:], saltBytes[:], codeHash[:])
 	addr := ethtypes.BytesToAddress(h[12:])
-	return e.create(CREATE2, caller, initCode, gas, value, addr, true)
+	return e.create(CREATE2, caller, initCode, gas, value, addr)
 }
 
-func (e *EVM) create(typ OpCode, caller ethtypes.Address, initCode []byte, gas uint64, value uint256.Int, addr ethtypes.Address, bumpNonce bool) (retOut []byte, retAddr ethtypes.Address, gasLeft uint64, retErr error) {
+func (e *EVM) create(typ OpCode, caller ethtypes.Address, initCode []byte, gas uint64, value uint256.Int, addr ethtypes.Address) (retOut []byte, retAddr ethtypes.Address, gasLeft uint64, retErr error) {
 	if ft := e.frameTracer(); ft != nil {
 		ft.CaptureEnter(typ, caller, addr, initCode, gas, value)
 		defer func() { ft.CaptureExit(retOut, gas-gasLeft, retErr) }()
@@ -312,9 +228,7 @@ func (e *EVM) create(typ OpCode, caller ethtypes.Address, initCode []byte, gas u
 	if !value.IsZero() && !e.canTransfer(caller, value) {
 		return nil, ethtypes.Address{}, gas, ErrInsufficientBalance
 	}
-	if bumpNonce {
-		e.State.SetNonce(caller, e.State.GetNonce(caller)+1)
-	}
+	e.State.SetNonce(caller, e.State.GetNonce(caller)+1)
 	// Address collision check.
 	if e.State.GetNonce(addr) != 0 || e.State.GetCodeSize(addr) != 0 {
 		return nil, ethtypes.Address{}, 0, ErrContractAddressCollision
@@ -330,32 +244,24 @@ func (e *EVM) create(typ OpCode, caller ethtypes.Address, initCode []byte, gas u
 		stack: newStack(), mem: newMemory(),
 		jumpdests: analyzeJumpdests(initCode), // initcode runs once: not cached
 	}
-	outer := e.depth == 0
-	e.depth++
-	ret, err := e.run(f)
-	e.depth--
-	if outer {
-		defer func() { e.observeOuter(gas, f.gas) }()
-	}
-	if err != nil {
-		e.State.RevertToSnapshot(snapshot)
-		if errors.Is(err, ErrExecutionReverted) {
-			mReverts.Inc()
-		} else {
-			f.gas = 0
+	ret, err := e.runFrame(f, snapshot)
+	if err == nil {
+		// Deposit the runtime code.
+		switch {
+		case len(ret) > MaxCodeSize:
+			err = ErrCodeSizeExceeded
+		case !f.useGas(uint64(len(ret)) * GasCodeDepositByte):
+			err = ErrOutOfGas
+		default:
+			e.State.SetCode(addr, ret)
 		}
-		return ret, addr, f.gas, err
+		if err != nil {
+			e.State.RevertToSnapshot(snapshot)
+			ret, f.gas = nil, 0
+		}
 	}
-	// Deposit the runtime code.
-	if len(ret) > MaxCodeSize {
-		e.State.RevertToSnapshot(snapshot)
-		return nil, addr, 0, ErrCodeSizeExceeded
+	if e.depth == 0 {
+		e.observeOuter(gas, f.gas)
 	}
-	depositGas := uint64(len(ret)) * GasCodeDepositByte
-	if !f.useGas(depositGas) {
-		e.State.RevertToSnapshot(snapshot)
-		return nil, addr, 0, ErrOutOfGas
-	}
-	e.State.SetCode(addr, ret)
-	return ret, addr, f.gas, nil
+	return ret, addr, f.gas, err
 }

@@ -2,6 +2,7 @@ package evm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"math/big"
@@ -210,6 +211,130 @@ func TestDelegateCallPreservesCallerAndValue(t *testing.T) {
 	ret, _ := callIt(t, e, proxy, nil, uint256.Zero)
 	if got := wordToAddress(uint256.SetBytes(ret)); got != addrOf(0xEE) {
 		t.Fatalf("delegatecall caller = %s, want original sender", got)
+	}
+}
+
+// callTo appends a kind call to `to` with no input that copies up to
+// outSize bytes of the output to memory at outOff and leaves the
+// success flag on the stack. CALL and CALLCODE send value.
+func (a *asm) callTo(kind OpCode, to ethtypes.Address, value, outOff, outSize uint64) *asm {
+	a.push(outSize).push(outOff).push(0).push(0)
+	if kind == CALL || kind == CALLCODE {
+		a.push(value)
+	}
+	return a.pushBytes(to[:]).push(200_000).op(kind)
+}
+
+// TestFrameContextPerCallKind checks, for each of the four CALL kinds,
+// the ADDRESS, CALLER and CALLVALUE the callee sees, whose storage it
+// writes, and whether it may write at all. origin calls proxy with 7
+// wei; proxy makes a kind call with 3 wei to reader, which returns the
+// three words, then one to writer, which stores to slot 5.
+func TestFrameContextPerCallKind(t *testing.T) {
+	origin, proxy, reader, writer := addrOf(0xEE), addrOf(0x90), addrOf(0x91), addrOf(0x92)
+	slot := ethtypes.Hash(uint256.NewUint64(5).Bytes32())
+	for _, c := range []struct {
+		kind            OpCode
+		address, caller ethtypes.Address
+		value           uint64
+		writes          bool
+		storage         ethtypes.Address
+	}{
+		{CALL, reader, proxy, 3, true, writer},
+		{CALLCODE, proxy, proxy, 3, true, proxy},
+		{DELEGATECALL, proxy, origin, 7, true, proxy},
+		{STATICCALL, reader, proxy, 0, false, ethtypes.Address{}},
+	} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			e, st := testEVM()
+			st.AddBalance(origin, ethtypes.Ether(1))
+			deployRaw(st, reader, (&asm{}).
+				op(ADDRESS).push(0).op(MSTORE).
+				op(CALLER).push(32).op(MSTORE).
+				op(CALLVALUE).push(64).op(MSTORE).
+				push(96).push(0).op(RETURN).code)
+			deployRaw(st, writer, (&asm{}).push(1).push(5).op(SSTORE).op(STOP).code)
+			a := (&asm{}).callTo(c.kind, reader, 3, 0, 96).op(POP)
+			a.callTo(c.kind, writer, 3, 0, 0).push(96).op(MSTORE)
+			deployRaw(st, proxy, a.push(128).push(0).op(RETURN).code)
+
+			ret, _ := callIt(t, e, proxy, nil, uint256.NewUint64(7))
+			if len(ret) != 128 {
+				t.Fatalf("proxy returned %d bytes", len(ret))
+			}
+			if got := wordToAddress(uint256.SetBytes(ret[:32])); got != c.address {
+				t.Errorf("ADDRESS = %s, want %s", got, c.address)
+			}
+			if got := wordToAddress(uint256.SetBytes(ret[32:64])); got != c.caller {
+				t.Errorf("CALLER = %s, want %s", got, c.caller)
+			}
+			if got := uint256.SetBytes(ret[64:96]).Uint64(); got != c.value {
+				t.Errorf("CALLVALUE = %d, want %d", got, c.value)
+			}
+			if got := uint256.SetBytes(ret[96:]).Uint64() == 1; got != c.writes {
+				t.Errorf("write succeeded = %v, want %v", got, c.writes)
+			}
+			for _, acct := range []ethtypes.Address{proxy, reader, writer} {
+				wrote := st.GetState(acct, slot).Uint64() == 1
+				if want := c.writes && acct == c.storage; wrote != want {
+					t.Errorf("slot 5 of %s written = %v, want %v", acct, wrote, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStaticContextInheritedByCall: a value-0 CALL made inside a
+// STATICCALL is static too (EIP-214), so STATICCALL → CALL → SSTORE
+// fails and the slot stays zero.
+func TestStaticContextInheritedByCall(t *testing.T) {
+	e, st := testEVM()
+	outer, middle, writer := addrOf(0x93), addrOf(0x94), addrOf(0x95)
+	slot := ethtypes.Hash(uint256.NewUint64(1).Bytes32())
+	deployRaw(st, writer, (&asm{}).push(1).push(1).op(SSTORE).op(STOP).code)
+	// middle CALLs writer with value 0 and returns the success flag.
+	deployRaw(st, middle, (&asm{}).callTo(CALL, writer, 0, 0, 0).returnTop())
+	// outer STATICCALLs middle and returns middle's output.
+	deployRaw(st, outer, (&asm{}).callTo(STATICCALL, middle, 0, 0, 32).op(POP).
+		push(32).push(0).op(RETURN).code)
+
+	ret, _ := callIt(t, e, outer, nil, uint256.Zero)
+	if uint256.SetBytes(ret).Uint64() != 0 {
+		t.Fatal("CALL → SSTORE inside a STATICCALL succeeded")
+	}
+	ret, _, err := e.StaticCall(addrOf(0xEE), middle, nil, 200_000)
+	if err != nil || uint256.SetBytes(ret).Uint64() != 0 {
+		t.Fatalf("CALL → SSTORE inside StaticCall: ret %x err %v", ret, err)
+	}
+	if !st.GetState(writer, slot).IsZero() {
+		t.Fatal("write under a static frame persisted")
+	}
+}
+
+// TestCallcodeReachesPrecompiles: CALLCODE to identity (0x04) and to
+// sha256 (0x02) returns what the precompile computes.
+func TestCallcodeReachesPrecompiles(t *testing.T) {
+	input := []byte("legal smart contracts")
+	digest := sha256.Sum256(input)
+	for _, c := range []struct {
+		precompile byte
+		want       []byte
+	}{{4, input}, {2, digest[:]}} {
+		e, st := testEVM()
+		user := addrOf(0x96)
+		a := &asm{}
+		for i, b := range input {
+			a.push(uint64(b)).push(uint64(i)).op(MSTORE8)
+		}
+		a.push(0).push(0).push(uint64(len(input))).push(0).push(0) // outSize outOff inSize inOff value
+		a.pushBytes([]byte{c.precompile}).push(100_000).op(CALLCODE, POP)
+		a.op(RETURNDATASIZE).push(0).push(0).op(RETURNDATACOPY)
+		a.op(RETURNDATASIZE).push(0).op(RETURN)
+		deployRaw(st, user, a.code)
+		ret, _ := callIt(t, e, user, nil, uint256.Zero)
+		if !bytes.Equal(ret, c.want) {
+			t.Errorf("CALLCODE to 0x%02x returned %x, want %x", c.precompile, ret, c.want)
+		}
 	}
 }
 

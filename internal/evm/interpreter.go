@@ -924,21 +924,7 @@ func (e *EVM) opCall(f *frame, op OpCode) error {
 		childGas += GasCallStipend
 	}
 
-	input := f.mem.GetCopy(io, is)
-
-	var ret []byte
-	var left uint64
-	var cErr error
-	switch op {
-	case CALL:
-		ret, left, cErr = e.Call(f.contract, to, input, childGas, value)
-	case CALLCODE:
-		ret, left, cErr = e.callCode(f, to, input, childGas, value)
-	case DELEGATECALL:
-		ret, left, cErr = e.delegateCall(f, to, input, childGas)
-	case STATICCALL:
-		ret, left, cErr = e.StaticCall(f.contract, to, input, childGas)
-	}
+	ret, left, cErr := e.call(op, f, f.contract, to, f.mem.GetCopy(io, is), childGas, value)
 	f.gas += left
 	f.returnData = ret
 
