@@ -65,18 +65,21 @@ lint:
 # against the loop-form oracle, uint256 byte I/O against math/big, the
 # secp256k1 Jacobian ladder (then sign → Recover) against the affine
 # oracle, Recover on hostile signature bytes (what the ecrecover
-# precompile passes it) against the three-multiplication oracle, the
-# segment-log scan every durable store shares, and the EVM's jumpdest
-# bitmap against the reference analysis. go test takes one -fuzz
-# target and one package per invocation. The secp256k1 targets cost
-# ~5–15 ms an input, so minimising each coverage-expanding one (60 s by
-# default) would leave no time to fuzz; minimising one long bytecode
-# input stops the jumpdest target for seconds the same way.
+# precompile passes it) against the three-multiplication oracle,
+# transaction decoding and the sender memo against a from-scratch
+# recovery, the segment-log scan every durable store shares, and the
+# EVM's jumpdest bitmap against the reference analysis. go test takes
+# one -fuzz target and one package per invocation. The targets that
+# recover a key cost ~2–15 ms an input, so minimising each
+# coverage-expanding one (60 s by default) would leave no time to fuzz;
+# minimising one long bytecode input stops the jumpdest target for
+# seconds the same way.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
 	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
 	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
+	$(GO) test -run xxx -fuzz FuzzDecodeTransaction -fuzztime 10s -fuzzminimizetime 0s ./internal/ethtypes/
 	$(GO) test -run xxx -fuzz FuzzScan -fuzztime 10s ./internal/seglog/
 	$(GO) test -run xxx -fuzz FuzzJumpdestBitmap -fuzztime 10s -fuzzminimizetime 0s ./internal/evm/
 

@@ -188,6 +188,10 @@ func TestStatelessRefusalsNeverTakeTheLock(t *testing.T) {
 	highS := rawTx(t, bc, accs[0], 1, &accs[1].Address, uint256.One, nil, 21000)
 	highS.S = new(big.Int).Sub(secp256k1.N, highS.S)
 	highS.V = new(big.Int).SetUint64(2*(35+2*bc.ChainID()) + 1 - highS.V.Uint64())
+	// The same signature with 2⁶⁴ added to V: the low 64 bits still name
+	// the chain, the hash is new.
+	wideV := rawTx(t, bc, accs[0], 1, &accs[1].Address, uint256.One, nil, 21000)
+	wideV.V.Add(wideV.V, new(big.Int).Lsh(big.NewInt(1), 64))
 
 	cases := []struct {
 		name string
@@ -196,6 +200,7 @@ func TestStatelessRefusalsNeverTakeTheLock(t *testing.T) {
 	}{
 		{"invalid signature", otherChain, "chain: invalid signature: ethtypes: wrong chain id in v=" + otherChain.V.String() + " (want chain 1337)"},
 		{"high-S twin", highS, "chain: invalid signature: secp256k1: signature s not normalized (malleable)"},
+		{"wide-V twin", wideV, "chain: invalid signature: ethtypes: wrong chain id in v=" + wideV.V.String() + " (want chain 1337)"},
 		{"over the block gas limit", tooBig, "chain: transaction exceeds block gas limit"},
 		{"sealed hash", freshDecode(t, sealed), "chain: already known transaction"},
 	}

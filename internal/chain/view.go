@@ -365,11 +365,12 @@ func (v *HeadView) callState(from ethtypes.Address) *state.StateDB {
 // runMessage is the one speculative execution: it runs a message on st,
 // a mutable overlay of the view's state, in the block that would follow
 // the head — a create of data when to is nil, a call otherwise — with
-// tracer (possibly nil) attached. A gas of 0 means the block gas limit.
-// It returns the address a create ran at (zero for a call) and the
-// result with its revert reason decoded.
+// tracer (possibly nil) attached. A gas of 0, or one above the block gas
+// limit, means the block gas limit: no caller-chosen gas lets a loop run
+// longer than a block could. It returns the address a create ran at
+// (zero for a call) and the result with its revert reason decoded.
 func (v *HeadView) runMessage(st *state.StateDB, tracer evm.Tracer, from ethtypes.Address, to *ethtypes.Address, data []byte, value uint256.Int, gas uint64) (ethtypes.Address, *CallResult) {
-	if gas == 0 {
+	if gas == 0 || gas > v.gasLimit {
 		gas = v.gasLimit
 	}
 	machine := evm.New(blockContext(v.chainID, v.nextHeader(), from, uint256.Zero, v.blockHash), st)

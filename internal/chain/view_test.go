@@ -1,13 +1,17 @@
 package chain
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/evm"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 )
@@ -34,6 +38,21 @@ func TestViewCoherence(t *testing.T) {
 		}
 		if b, ok := v.BlockByHash(v.Head().Hash()); !ok || b != v.Head() {
 			t.Fatal("BlockByHash(head) disagrees with Head")
+		}
+	}
+}
+
+// TestCallGasCappedAtBlockLimit runs JUMPDEST PUSH1 0 JUMP, a loop that
+// only gas ends, as eth_call with caller-chosen gas above the block gas
+// limit. The gas is capped at the limit, so the call comes back out of
+// gas having spent at most a block's worth.
+func TestCallGasCappedAtBlockLimit(t *testing.T) {
+	bc, accs := devChain(t)
+	loop := []byte{0x5b, 0x60, 0x00, 0x56}
+	for _, gas := range []uint64{4 * bc.GasLimit(), math.MaxUint64} {
+		res := bc.View().CallCtx(context.Background(), accs[0].Address, nil, loop, uint256.Zero, gas)
+		if !errors.Is(res.Err, evm.ErrOutOfGas) || res.GasUsed > bc.GasLimit() {
+			t.Fatalf("gas %d: err %v, gas used %d; want out of gas within the block gas limit %d", gas, res.Err, res.GasUsed, bc.GasLimit())
 		}
 	}
 }

@@ -261,6 +261,11 @@ func DecodeTransaction(data []byte) (*Transaction, error) {
 	if tx.Gas, err = it.At(2).AsUint64(); err != nil {
 		return nil, fmt.Errorf("gas: %w", err)
 	}
+	// Str panics on a list item; nonce, gas and the big integers refuse
+	// one through their As* decoders, 'to' and data here.
+	if it.At(3).Kind() != rlp.KindString || it.At(5).Kind() != rlp.KindString {
+		return nil, errors.New("ethtypes: 'to' and data must be byte strings")
+	}
 	toRaw := it.At(3).Str()
 	switch len(toRaw) {
 	case 0:
@@ -316,10 +321,12 @@ func (tx *Transaction) Sender(chainID uint64) (Address, error) {
 	if tx.V == nil || tx.R == nil || tx.S == nil {
 		return Address{}, errors.New("ethtypes: transaction is unsigned")
 	}
+	// A V wider than 64 bits is refused, not truncated: V + 2⁶⁴ would
+	// otherwise pass as V, a second encoding (and hash) of one signature.
 	v := tx.V.Uint64()
 	base := 35 + 2*chainID
-	if v != base && v != base+1 {
-		return Address{}, fmt.Errorf("ethtypes: wrong chain id in v=%d (want chain %d)", v, chainID)
+	if !tx.V.IsUint64() || (v != base && v != base+1) {
+		return Address{}, fmt.Errorf("ethtypes: wrong chain id in v=%d (want chain %d)", tx.V, chainID)
 	}
 	digest := tx.SigHash(chainID)
 	if m := (*senderMemo)(atomic.LoadPointer(&tx.sender)); m != nil &&

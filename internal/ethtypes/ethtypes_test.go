@@ -2,10 +2,12 @@ package ethtypes
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
 
+	"legalchain/internal/rlp"
 	"legalchain/internal/secp256k1"
 	"legalchain/internal/uint256"
 )
@@ -119,6 +121,19 @@ func TestTransactionEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesListForBytes puts an empty list where 'to' or data
+// belongs: decoding refuses it instead of panicking in rlp's Str.
+func TestDecodeRefusesListForBytes(t *testing.T) {
+	for _, slot := range []int{3, 5} {
+		fields := []*rlp.Item{rlp.Uint(0), rlp.Uint(1), rlp.Uint(21000), rlp.Bytes(nil), rlp.Uint(0),
+			rlp.Bytes(nil), rlp.Uint(2709), rlp.Uint(1), rlp.Uint(1)}
+		fields[slot] = rlp.List()
+		if _, err := DecodeTransaction(rlp.Encode(rlp.List(fields...))); err == nil {
+			t.Fatalf("a list in slot %d decoded", slot)
+		}
+	}
+}
+
 func TestContractCreationTx(t *testing.T) {
 	key := secp256k1.PrivateKeyFromScalar(big.NewInt(55))
 	tx := &Transaction{Nonce: 0, GasPrice: Gwei(1), Gas: 1_000_000, To: nil, Data: []byte{0x60, 0x00}}
@@ -229,7 +244,7 @@ func bare(tx *Transaction) *Transaction {
 const memoChainID = 1337
 
 // memoTx returns a signed transaction whose sender is already memoised.
-func memoTx(t *testing.T) (*Transaction, Address) {
+func memoTx(t testing.TB) (*Transaction, Address) {
 	t.Helper()
 	key := secp256k1.PrivateKeyFromScalar(big.NewInt(0xfeed))
 	to := HexToAddress("0x3333333333333333333333333333333333333333")
@@ -264,6 +279,32 @@ func TestSenderRefusesHighSTwin(t *testing.T) {
 	for _, tw := range []*Transaction{tx, bare(tx)} {
 		if got, err := tw.Sender(memoChainID); err == nil || err.Error() != want {
 			t.Fatalf("Sender of the high-S twin = %s, %v; want %q", got, err, want)
+		}
+	}
+}
+
+// twoTo64 added to a signed transaction's V keeps V's low 64 bits and
+// the signing digest, and changes the encoding and the hash.
+var twoTo64 = new(big.Int).Lsh(big.NewInt(1), 64)
+
+// TestSenderRefusesWideV: a V that only matches the chain id once
+// truncated to 64 bits is refused — with the original's memo in place,
+// without one, and off the wire — so a signature has one encoding.
+func TestSenderRefusesWideV(t *testing.T) {
+	tx, _ := memoTx(t)
+	orig := tx.Hash()
+	tx.V.Add(tx.V, twoTo64) // in place, under the memo
+	back, err := DecodeTransaction(tx.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Hash() == orig {
+		t.Fatal("set-up: the wide-V twin hashes like the original")
+	}
+	want := fmt.Sprintf("ethtypes: wrong chain id in v=%s (want chain %d)", tx.V, memoChainID)
+	for _, tw := range []*Transaction{tx, bare(tx), back} {
+		if got, err := tw.Sender(memoChainID); err == nil || err.Error() != want {
+			t.Fatalf("Sender of the wide-V twin = %s, %v; want %q", got, err, want)
 		}
 	}
 }
@@ -404,6 +445,93 @@ func TestSenderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// senderFromScratch is what Sender must answer for tx, worked out with
+// neither the memo nor Sender's own checks: V compared as an integer of
+// any width with the two EIP-155 values, s with N/2, then the curve.
+func senderFromScratch(tx *Transaction, chainID uint64) (Address, bool) {
+	recid := new(big.Int).Sub(tx.V, new(big.Int).SetUint64(35+2*chainID))
+	if recid.Sign() < 0 || recid.Cmp(big.NewInt(1)) > 0 {
+		return Address{}, false
+	}
+	if tx.S.Cmp(new(big.Int).Rsh(secp256k1.N, 1)) > 0 {
+		return Address{}, false
+	}
+	digest := tx.SigHash(chainID)
+	pub, err := secp256k1.Recover(digest[:], &secp256k1.Signature{R: tx.R, S: tx.S, V: byte(recid.Uint64())})
+	if err != nil {
+		return Address{}, false
+	}
+	return PubkeyToAddress(pub), true
+}
+
+// flipByte xors one byte of x's big-endian magnitude in place; a zero x
+// counts as a single zero byte.
+func flipByte(x *big.Int, pos, flip byte) {
+	b := x.Bytes()
+	if len(b) == 0 {
+		b = []byte{0}
+	}
+	b[int(pos)%len(b)] ^= flip
+	x.SetBytes(b)
+}
+
+// FuzzDecodeTransaction feeds DecodeTransaction arbitrary bytes. Decoding
+// must not panic. On a decoded transaction Sender, asked twice (the
+// second answer from the memo), must agree with senderFromScratch; then,
+// with one byte of V, R, S or Data flipped in place, it must follow the
+// mutation rather than return the remembered sender. The chain id is the
+// one V names, so a well-formed input reaches the curve.
+func FuzzDecodeTransaction(f *testing.F) {
+	valid, _ := memoTx(f)
+	highS := bare(valid)
+	highS.S.Sub(secp256k1.N, highS.S)
+	highS.V.Sub(big.NewInt(2*(35+2*memoChainID)+1), highS.V)
+	wideV := bare(valid)
+	wideV.V.Add(wideV.V, twoTo64)
+	for field, seed := range []*Transaction{valid, highS, wideV} {
+		f.Add(seed.Encode(), byte(field), byte(0), byte(1)) // flip in V, R, S
+	}
+	f.Add(valid.Encode(), byte(3), byte(1), byte(0x80)) // flip in Data
+
+	f.Fuzz(func(t *testing.T, raw []byte, field, pos, flip byte) {
+		tx, err := DecodeTransaction(raw)
+		if err != nil {
+			return
+		}
+		chainID := uint64(memoChainID)
+		if v := tx.V.Uint64(); tx.V.IsUint64() && v >= 35 {
+			chainID = (v - 35) / 2
+		}
+		check := func(stage string) {
+			t.Helper()
+			want, ok := senderFromScratch(tx, chainID)
+			for call := 1; call <= 2; call++ {
+				if got, err := tx.Sender(chainID); (err == nil) != ok || got != want {
+					t.Fatalf("%s, call %d: Sender = %s, %v; from scratch %s (ok %v)", stage, call, got, err, want, ok)
+				}
+			}
+		}
+		check("decoded")
+		if flip == 0 {
+			return
+		}
+		switch field % 4 {
+		case 0:
+			flipByte(tx.V, pos, flip)
+		case 1:
+			flipByte(tx.R, pos, flip)
+		case 2:
+			flipByte(tx.S, pos, flip)
+		case 3:
+			if len(tx.Data) == 0 {
+				return
+			}
+			tx.Data[int(pos)%len(tx.Data)] ^= flip
+		}
+		check("mutated")
+	})
 }
 
 func memoBlock() *Block {

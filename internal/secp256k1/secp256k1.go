@@ -5,12 +5,14 @@
 //
 // The standard library does not ship secp256k1 (crypto/elliptic only
 // covers the NIST curves), so the curve is implemented here over
-// math/big. Scalar multiplication is a double-and-add ladder on one
-// Jacobian accumulator (x/z², y/z³) that pays a single field inversion
-// when it converts back and reduces into scratch it carries, so a step
-// allocates nothing; Add and Double are the affine group law, one
-// inversion each, used where two finished points meet and as the tests'
-// oracle for the ladder. This is still not a constant-time
+// math/big. Every scalar multiplication is one Strauss–Shamir ladder,
+// combine(a, P, b, Q) = a·P + b·Q: a single Jacobian accumulator
+// (x/z², y/z³) walks both scalars' bits at once, doubling once a step
+// and adding P, Q or the precomputed P+Q. So the u₁·G + u₂·R of
+// verification and recovery shares one doubling chain, and a plain k·P
+// is the same ladder with b = 0. The accumulator pays a field inversion
+// only when it converts back, and reduces into scratch it carries, so a
+// step allocates nothing. This is still not a constant-time
 // implementation — the ladder branches on every scalar bit — and must
 // not be used to guard production funds, a limitation shared with every
 // devnet keystore.
@@ -35,7 +37,6 @@ var (
 	Gy, _ = new(big.Int).SetString("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8", 16)
 
 	halfN = new(big.Int).Rsh(N, 1)
-	three = big.NewInt(3)
 	seven = big.NewInt(7)
 	// sqrtExp is (P+1)/4: since P ≡ 3 (mod 4), a^sqrtExp is a square
 	// root of a whenever a has one.
@@ -73,63 +74,6 @@ func (p Point) OnCurve() bool {
 
 func modInverse(a *big.Int, m *big.Int) *big.Int {
 	return new(big.Int).ModInverse(new(big.Int).Mod(a, m), m)
-}
-
-// Add returns p + q using the affine group law.
-func Add(p, q Point) Point {
-	if p.IsInfinity() {
-		return q
-	}
-	if q.IsInfinity() {
-		return p
-	}
-	if p.X.Cmp(q.X) == 0 {
-		sum := new(big.Int).Add(p.Y, q.Y)
-		sum.Mod(sum, P)
-		if sum.Sign() == 0 {
-			return Infinity() // p == -q
-		}
-		return Double(p)
-	}
-	// lambda = (qy - py) / (qx - px)
-	num := new(big.Int).Sub(q.Y, p.Y)
-	den := new(big.Int).Sub(q.X, p.X)
-	lambda := num.Mul(num, modInverse(den, P))
-	lambda.Mod(lambda, P)
-	return chord(p, q, lambda)
-}
-
-// Double returns 2p.
-func Double(p Point) Point {
-	if p.IsInfinity() || p.Y.Sign() == 0 {
-		return Infinity()
-	}
-	// lambda = 3x² / 2y
-	num := new(big.Int).Mul(p.X, p.X)
-	num.Mul(num, three)
-	den := new(big.Int).Lsh(p.Y, 1)
-	lambda := num.Mul(num, modInverse(den, P))
-	lambda.Mod(lambda, P)
-	return chord(p, p, lambda)
-}
-
-// chord completes point addition given the slope lambda.
-func chord(p, q Point, lambda *big.Int) Point {
-	x := new(big.Int).Mul(lambda, lambda)
-	x.Sub(x, p.X)
-	x.Sub(x, q.X)
-	x.Mod(x, P)
-	if x.Sign() < 0 {
-		x.Add(x, P)
-	}
-	y := new(big.Int).Sub(p.X, x)
-	y.Mul(y, lambda)
-	y.Sub(y, p.Y)
-	y.Mod(y, P)
-	if y.Sign() < 0 {
-		y.Add(y, P)
-	}
-	return Point{X: x, Y: y}
 }
 
 // jacobian is the scalar-multiplication accumulator: the point
@@ -233,7 +177,7 @@ func (j *jacobian) addAffine(px, py *big.Int) {
 	j.z.Set(&j.g) // Z' = Z·H
 }
 
-// affine converts j back, paying the ladder's one inversion.
+// affine converts j back, paying one field inversion.
 func (j *jacobian) affine() Point {
 	if j.z.Sign() == 0 {
 		return Infinity()
@@ -247,20 +191,49 @@ func (j *jacobian) affine() Point {
 	return Point{X: x, Y: y}
 }
 
-// ScalarMult returns k·p: double-and-add from the scalar's top bit down.
-func ScalarMult(p Point, k *big.Int) Point {
+// combine returns a·p + b·q (Strauss–Shamir): one accumulator walks the
+// longer scalar's bits from the top, doubling once a step, then adding
+// p, q or p+q as the two bits there say. p+q is summed on the
+// accumulator before the walk — addAffine doubles when q = p and gives
+// the identity when q = −p — so a joint ladder pays two inversions, that
+// one and the final conversion. Scalars are reduced mod N; an identity
+// operand contributes nothing, whatever its scalar.
+func combine(a *big.Int, p Point, b *big.Int, q Point) Point {
+	a, b = new(big.Int).Mod(a, N), new(big.Int).Mod(b, N)
 	if p.IsInfinity() {
-		return Infinity()
+		a.SetInt64(0)
 	}
-	k = new(big.Int).Mod(k, N)
+	if q.IsInfinity() {
+		b.SetInt64(0)
+	}
 	var acc jacobian
-	for i := k.BitLen() - 1; i >= 0; i-- {
+	var pq Point
+	if a.Sign() != 0 && b.Sign() != 0 {
+		acc.addAffine(p.X, p.Y)
+		acc.addAffine(q.X, q.Y)
+		pq = acc.affine()
+		acc.z.SetInt64(0)
+	}
+	for i := max(a.BitLen(), b.BitLen()) - 1; i >= 0; i-- {
 		acc.double()
-		if k.Bit(i) == 1 {
+		switch a.Bit(i)<<1 | b.Bit(i) {
+		case 0b11:
+			if !pq.IsInfinity() {
+				acc.addAffine(pq.X, pq.Y)
+			}
+		case 0b10:
 			acc.addAffine(p.X, p.Y)
+		case 0b01:
+			acc.addAffine(q.X, q.Y)
 		}
 	}
 	return acc.affine()
+}
+
+// ScalarMult returns k·p: the joint ladder with nothing on its second
+// input.
+func ScalarMult(p Point, k *big.Int) Point {
+	return combine(k, p, new(big.Int), Infinity())
 }
 
 // ScalarBaseMult returns k·G.
@@ -445,7 +418,7 @@ func Verify(pub Point, digest []byte, r, s *big.Int) bool {
 	u1.Mod(u1, N)
 	u2 := new(big.Int).Mul(r, w)
 	u2.Mod(u2, N)
-	pt := Add(ScalarBaseMult(u1), ScalarMult(pub, u2))
+	pt := combine(u1, Point{X: Gx, Y: Gy}, u2, pub)
 	if pt.IsInfinity() {
 		return false
 	}
@@ -469,13 +442,13 @@ func Recover(digest []byte, sig *Signature) (Point, error) {
 		return Point{}, err
 	}
 	rPoint := Point{X: x, Y: y}
-	// Q = r⁻¹(s·R − z·G), distributed so that it costs two scalar
-	// multiplications instead of three: Q = (s·r⁻¹)·R + (−z·r⁻¹)·G.
+	// Q = r⁻¹(s·R − z·G), distributed so that it costs one joint ladder
+	// instead of three multiplications: Q = (−z·r⁻¹)·G + (s·r⁻¹)·R.
 	z := hashToInt(digest)
 	rInv := modInverse(sig.R, N)
-	u1 := new(big.Int).Mul(new(big.Int).Neg(z), rInv) // ScalarMult reduces mod N
+	u1 := new(big.Int).Mul(new(big.Int).Neg(z), rInv) // combine reduces mod N
 	u2 := new(big.Int).Mul(sig.S, rInv)
-	q := Add(ScalarBaseMult(u1), ScalarMult(rPoint, u2))
+	q := combine(u1, Point{X: Gx, Y: Gy}, u2, rPoint)
 	if q.IsInfinity() || !q.OnCurve() {
 		return Point{}, errors.New("secp256k1: recovery produced invalid point")
 	}

@@ -11,6 +11,64 @@ import (
 	"testing"
 )
 
+// Add returns p + q using the affine group law, one field inversion per
+// call: the oracle the Jacobian formulas are checked against.
+func Add(p, q Point) Point {
+	if p.IsInfinity() {
+		return q
+	}
+	if q.IsInfinity() {
+		return p
+	}
+	if p.X.Cmp(q.X) == 0 {
+		sum := new(big.Int).Add(p.Y, q.Y)
+		sum.Mod(sum, P)
+		if sum.Sign() == 0 {
+			return Infinity() // p == -q
+		}
+		return Double(p)
+	}
+	// lambda = (qy - py) / (qx - px)
+	num := new(big.Int).Sub(q.Y, p.Y)
+	den := new(big.Int).Sub(q.X, p.X)
+	lambda := num.Mul(num, modInverse(den, P))
+	lambda.Mod(lambda, P)
+	return chord(p, q, lambda)
+}
+
+// Double returns 2p.
+func Double(p Point) Point {
+	if p.IsInfinity() || p.Y.Sign() == 0 {
+		return Infinity()
+	}
+	// lambda = 3x² / 2y
+	num := new(big.Int).Mul(p.X, p.X)
+	num.Mul(num, big.NewInt(3))
+	den := new(big.Int).Lsh(p.Y, 1)
+	lambda := num.Mul(num, modInverse(den, P))
+	lambda.Mod(lambda, P)
+	return chord(p, p, lambda)
+}
+
+// chord completes point addition given the slope lambda.
+func chord(p, q Point, lambda *big.Int) Point {
+	x := new(big.Int).Mul(lambda, lambda)
+	x.Sub(x, p.X)
+	x.Sub(x, q.X)
+	x.Mod(x, P)
+	if x.Sign() < 0 {
+		x.Add(x, P)
+	}
+	y := new(big.Int).Sub(p.X, x)
+	y.Mul(y, lambda)
+	y.Sub(y, p.Y)
+	y.Mod(y, P)
+	if y.Sign() < 0 {
+		y.Add(y, P)
+	}
+	return Point{X: x, Y: y}
+}
+
 // scalarMultAffine is ScalarMult as it was first written — LSB-first
 // double-and-add on the affine group law, a field inversion per step —
 // kept as the differential oracle for the Jacobian ladder in the build.
@@ -197,6 +255,65 @@ func TestJacobianSpecialCases(t *testing.T) {
 	}
 }
 
+// TestCombineMatchesAffine is the differential test for the joint
+// ladder: combine(a, p, b, q) against the sum of two affine-oracle
+// multiplications. Seeded random rows, some with q = ±p and some with one
+// scalar far shorter than the other, then every pair of edge scalars
+// with q ∈ {p, −p, ∞, an unrelated point}, and p = ∞.
+func TestCombineMatchesAffine(t *testing.T) {
+	check := func(a *big.Int, p Point, b *big.Int, q Point) {
+		t.Helper()
+		got := combine(a, p, b, q)
+		want := Add(scalarMultAffine(p, a), scalarMultAffine(q, b))
+		if !samePoint(got, want) {
+			t.Fatalf("a=%x p=(%x, %x) b=%x q=(%x, %x): combine = (%x, %x), affine oracle (%x, %x)",
+				a, p.X, p.Y, b, q.X, q.Y, got.X, got.Y, want.X, want.Y)
+		}
+		if !got.OnCurve() {
+			t.Fatalf("a=%x b=%x: result off the curve", a, b)
+		}
+	}
+	rows := 500
+	if testing.Short() {
+		rows = 48
+	}
+	rng := rand.New(rand.NewSource(30))
+	seed := make([]byte, 32)
+	for i := 0; i < rows; i++ {
+		rng.Read(seed)
+		p := pointFromSeed(seed)
+		rng.Read(seed)
+		q := pointFromSeed(seed)
+		switch i % 7 {
+		case 3:
+			q = p
+		case 4:
+			q = negate(p)
+		}
+		a, b := new(big.Int).Rand(rng, N), new(big.Int).Rand(rng, N)
+		switch i % 10 {
+		case 0:
+			a.Rsh(a, uint(128+rng.Intn(128)))
+		case 5:
+			b.Rsh(b, uint(128+rng.Intn(128)))
+		}
+		check(a, p, b, q)
+	}
+
+	one := big.NewInt(1)
+	edges := []*big.Int{big.NewInt(0), one, new(big.Int).Sub(N, one), N}
+	g := Point{X: Gx, Y: Gy}
+	other := pointFromSeed(bytes.Repeat([]byte{0x3c}, 32))
+	for _, a := range edges {
+		for _, b := range edges {
+			for _, q := range []Point{g, negate(g), Infinity(), other} {
+				check(a, g, b, q)
+			}
+			check(a, Infinity(), b, g)
+		}
+	}
+}
+
 // TestReduceMatchesMod pins reduce's sign fix-up against big.Int.Mod.
 // QuoRem truncates, so a wrong fix-up shows only on negative inputs,
 // and exact multiples of P — where a random ladder almost never lands —
@@ -244,7 +361,8 @@ func TestReduceMatchesMod(t *testing.T) {
 // into the quotient its accumulator carries, so what a call allocates
 // is its set-up and its result, not its 256 steps. With big.Int.Mod
 // allocating a quotient per reduction, a multiplication allocated
-// ≈ 3.9k times, a signature ≈ 3.6k and a recovery ≈ 7.6k.
+// ≈ 3.9k times, a signature ≈ 3.6k and a recovery ≈ 7.6k; with two
+// ladders instead of one joint ladder, a recovery allocated ≈ 150.
 func TestLadderAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops the sync.Pool entries big.Int's division reuses")
@@ -264,12 +382,18 @@ func TestLadderAllocations(t *testing.T) {
 	}{
 		{"ScalarMult", 64, func() { sinkPoint = ScalarMult(p, k) }},
 		{"Sign", 192, func() { _, err = key.Sign(digest[:]) }},
-		{"Recover", 256, func() { sinkPoint, err = Recover(digest[:], sig) }},
+		{"Recover", 136, func() { sinkPoint, err = Recover(digest[:], sig) }},
+		{"Verify", 112, func() {
+			if !Verify(key.Public, digest[:], sig.R, sig.S) {
+				err = errors.New("signature did not verify")
+			}
+		}},
 	} {
 		n := testing.AllocsPerRun(20, c.run)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		t.Logf("%s: %.0f allocs per call", c.name, n)
 		if n > c.ceiling {
 			t.Errorf("%s allocates %.0f times per call, ceiling %.0f", c.name, n, c.ceiling)
 		}
@@ -517,7 +641,7 @@ func TestRandomKeysSignVerifyRecover(t *testing.T) {
 
 // recoverThreeMult is Recover in the form it was first written,
 // Q = r⁻¹·(s·R − z·G) with three scalar multiplications, kept as the
-// differential oracle for the two-multiplication form in the build. Its
+// differential oracle for the joint-ladder form in the build. Its
 // multiplications are the affine oracle's, so it shares no ladder with
 // Recover either.
 func recoverThreeMult(digest []byte, sig *Signature) (Point, error) {
@@ -566,7 +690,7 @@ func checkRecoverAgainstOracle(t *testing.T, key *PrivateKey, digest []byte, sig
 }
 
 // TestRecoverMatchesThreeMultOracle is the differential test for the
-// two-multiplication Recover: random key/digest pairs (seeded, so a
+// joint-ladder Recover: random key/digest pairs (seeded, so a
 // failure reproduces) plus the fixed pairs the other suites sign —
 // this file's and the evm ecrecover precompile test's.
 func TestRecoverMatchesThreeMultOracle(t *testing.T) {
