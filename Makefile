@@ -66,9 +66,10 @@ lint:
 # secp256k1 Jacobian ladder (then sign → Recover) against the affine
 # oracle, Recover on hostile signature bytes (what the ecrecover
 # precompile passes it) against the three-multiplication oracle,
-# transaction decoding and the sender memo against a from-scratch
-# recovery, the segment-log scan every durable store shares, and the
-# EVM's jumpdest bitmap against the reference analysis. go test takes
+# transaction decoding (canonical re-encoding) and the sender memo
+# against a from-scratch recovery, ABI decoding of hostile bytes against
+# its own encoder, the segment-log scan every durable store shares, and
+# the EVM's jumpdest bitmap against the reference analysis. go test takes
 # one -fuzz target and one package per invocation. The targets that
 # recover a key cost ~2–15 ms an input, so minimising each
 # coverage-expanding one (60 s by default) would leave no time to fuzz;
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzDecodeTransaction -fuzztime 10s -fuzzminimizetime 0s ./internal/ethtypes/
+	$(GO) test -run xxx -fuzz FuzzDecodeArgs -fuzztime 10s ./internal/abi/
 	$(GO) test -run xxx -fuzz FuzzScan -fuzztime 10s ./internal/seglog/
 	$(GO) test -run xxx -fuzz FuzzJumpdestBitmap -fuzztime 10s -fuzzminimizetime 0s ./internal/evm/
 
@@ -105,10 +107,12 @@ obs-check:
 # persistence-torture runs every fault-injection suite — torn log
 # tails, flipped bytes, numbering gaps, deleted/corrupted snapshots,
 # damaged journals, crash images of compaction — for the segment log
-# and each store on it, under the race detector.
+# and each store on it, under the race detector, then the restarts of
+# the chain, the RPC tier and a whole node (business tier included).
 persistence-torture:
 	$(GO) test -race ./internal/seglog/... ./internal/blockdb/... ./internal/statestore/... ./internal/docstore/... ./internal/watch/...
 	$(GO) test -race -run 'Restart|Torture|Genesis|WAL' ./internal/chain/... ./internal/rpc/...
+	$(GO) test -race -run Restart ./internal/node/...
 
 race:
 	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/node/... ./internal/xtrace/...

@@ -16,6 +16,7 @@ import (
 	"legalchain/internal/contracts"
 	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/ipfs"
 	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/web3"
@@ -384,13 +385,11 @@ func BenchmarkA1_UpgradePatterns(b *testing.B) {
 	for _, s := range []int{0, 8, 32} {
 		b.Run(fmt.Sprintf("linkedlist/state=%d", s), func(b *testing.B) {
 			r := newRig(b)
-			prev, _, err := r.Client.Deploy(web3.TxOpts{From: r.Landlord}, counterArt.ABI, counterArt.Bytecode)
+			dep, err := r.Manager.DeployVersion(r.Landlord, counterArt, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := r.Manager.PublishABI(prev.Address, counterArt.ABIJSON); err != nil {
-				b.Fatal(err)
-			}
+			prev := dep.Contract
 			for i := 0; i < s; i++ {
 				if _, err := r.Manager.SetValue(r.Landlord, prev.Address, fmt.Sprintf("k%d", i), "v"); err != nil {
 					b.Fatal(err)
@@ -541,11 +540,9 @@ func BenchmarkA3_ABIResolution(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		r := newRig(b)
 		dep := r.deployV1(b)
-		raw, err := r.Manager.IPFS.GetByName(dep.Contract.Address.Hex())
-		if err != nil {
+		if _, err := r.Manager.IPFS.Blobs.Get(ipfs.CID(dep.Row.ABICID)); err != nil {
 			b.Fatal(err)
 		}
-		_ = raw
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Fresh manager each time: no ABI cache.

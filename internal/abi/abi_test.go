@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"legalchain/internal/ethtypes"
@@ -287,6 +288,29 @@ func TestRevertReason(t *testing.T) {
 	}
 }
 
+// lengthWraps is an Error(string) body whose length word is 2⁶⁴−1:
+// 32 + length wraps to 31, so a bound written as 32+n ≤ len passes and
+// the slice [32:31] panics.
+func lengthWraps() []byte {
+	data := make([]byte, 64)
+	data[31] = 0x20
+	for i := 56; i < 64; i++ {
+		data[i] = 0xff
+	}
+	return data
+}
+
+func TestRevertReasonLengthWraps(t *testing.T) {
+	payload := append(append([]byte(nil), revertSelector[:]...), lengthWraps()...)
+	if r, ok := UnpackRevertReason(payload); ok {
+		t.Fatalf("wrapping length decoded as %q", r)
+	}
+	// The same length word as a slice count.
+	if _, err := DecodeArgs([]Arg{{Type: SliceOf(Uint256Type)}}, lengthWraps()); err == nil {
+		t.Fatal("slice count 2⁶⁴−1 accepted")
+	}
+}
+
 func TestParseTypeErrors(t *testing.T) {
 	for _, s := range []string{"uint7", "uint512", "int0", "bytes0", "bytes33", "map", "uint256[][]x"} {
 		if _, err := ParseType(s); err == nil {
@@ -355,4 +379,59 @@ func TestDecodeRandomNeverPanics(t *testing.T) {
 			DecodeArgs([]Arg{{Name: "x", Type: tt}}, buf)
 		}()
 	}
+}
+
+// fuzzArgs are the argument lists FuzzDecodeArgs decodes every input
+// against: each length-prefixed kind, slices and tuples of them nested,
+// and static words beside a dynamic member.
+var fuzzArgs = [][]Arg{
+	{{Name: "s", Type: StringType}},
+	{{Name: "b", Type: BytesType}},
+	{{Name: "xs", Type: SliceOf(Uint256Type)}},
+	{{Name: "ss", Type: SliceOf(StringType)}},
+	{{Name: "t", Type: TupleOf(Arg{Name: "a", Type: Uint256Type}, Arg{Name: "s", Type: StringType})}},
+	{{Name: "ts", Type: SliceOf(TupleOf(Arg{Name: "b", Type: BytesType}, Arg{Name: "xs", Type: SliceOf(Uint256Type)}))}},
+	{{Name: "a", Type: AddressType}, {Name: "ok", Type: BoolType}, {Name: "h", Type: Bytes32Type}, {Name: "s", Type: StringType}},
+}
+
+// FuzzDecodeArgs feeds hostile bytes to DecodeArgs for every list in
+// fuzzArgs. Decoding must not panic, and whatever decodes must survive
+// a round trip: decode(encode(v)) == v.
+func FuzzDecodeArgs(f *testing.F) {
+	f.Add(lengthWraps())
+	for _, seed := range []struct {
+		args []Arg
+		vals []interface{}
+	}{
+		{fuzzArgs[0], []interface{}{"hello world"}},
+		{fuzzArgs[3], []interface{}{[]interface{}{"a", ""}}},
+		{fuzzArgs[5], []interface{}{[]interface{}{
+			[]interface{}{[]byte("deposit"), []interface{}{uint256.NewUint64(7)}},
+			[]interface{}{[]byte{}, []interface{}{}},
+		}}},
+		{fuzzArgs[6], []interface{}{ethtypes.Address{1}, true, make([]byte, 32), "rent"}},
+	} {
+		enc, err := EncodeArgs(seed.args, seed.vals)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, args := range fuzzArgs {
+			vals, err := DecodeArgs(args, data)
+			if err != nil {
+				continue
+			}
+			enc, err := EncodeArgs(args, vals)
+			if err != nil {
+				t.Fatalf("%v: decoded %v, which does not encode: %v", args, vals, err)
+			}
+			again, err := DecodeArgs(args, enc)
+			if err != nil || !reflect.DeepEqual(again, vals) {
+				t.Fatalf("%v: decode(encode(%v)) = %v, %v", args, vals, again, err)
+			}
+		}
+	})
 }

@@ -273,8 +273,10 @@ func decodeValue(t Type, data []byte) (interface{}, error) {
 		if len(data) < 32 {
 			return nil, fmt.Errorf("truncated slice length")
 		}
+		// Every element takes at least one 32-byte head word after the
+		// length word.
 		n := uint256.SetBytes(data[:32])
-		if !n.IsUint64() || n.Uint64() > uint64(len(data)) {
+		if !n.IsUint64() || n.Uint64() > uint64(len(data)-32)/32 {
 			return nil, fmt.Errorf("slice length out of range")
 		}
 		count := int(n.Uint64())
@@ -298,8 +300,10 @@ func decodeLengthPrefixed(data []byte) ([]byte, error) {
 	if len(data) < 32 {
 		return nil, fmt.Errorf("truncated length")
 	}
+	// Compared against the bytes left, not as 32+n: that sum wraps for a
+	// length near 2⁶⁴ and would pass.
 	n := uint256.SetBytes(data[:32])
-	if !n.IsUint64() || 32+n.Uint64() > uint64(len(data)) {
+	if !n.IsUint64() || n.Uint64() > uint64(len(data)-32) {
 		return nil, fmt.Errorf("length out of range")
 	}
 	return append([]byte(nil), data[32:32+n.Uint64()]...), nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/evm"
 	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
@@ -192,6 +193,46 @@ func TestRevertedTxMinesWithFailedReceipt(t *testing.T) {
 	// Nonce advanced anyway.
 	if bc.GetNonce(accs[0].Address) != 2 {
 		t.Fatal("nonce must advance on failed tx")
+	}
+}
+
+// TestRevertWithWrappingLengthKeepsSealing: a contract reverts with an
+// Error(string) payload whose length word is 2⁶⁴−1. Decoding the reason
+// runs under the writer lock, so a panic there would stop every later
+// write; the transaction must seal with a failed receipt, and the next
+// one seal after it.
+func TestRevertWithWrappingLengthKeepsSealing(t *testing.T) {
+	bc, accs := devChain(t)
+	// Runtime: memory = 08c379a0 ‖ word 0x20 ‖ word 2⁶⁴−1; REVERT(0, 68).
+	runtime := append([]byte{byte(evm.PUSH32), 0x08, 0xc3, 0x79, 0xa0}, make([]byte, 28)...)
+	runtime = append(runtime, byte(evm.PUSH1), 0, byte(evm.MSTORE),
+		byte(evm.PUSH1), 0x20, byte(evm.PUSH1), 4, byte(evm.MSTORE),
+		byte(evm.PUSH1)+7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, byte(evm.PUSH1), 36, byte(evm.MSTORE), // PUSH8
+		byte(evm.PUSH1), 68, byte(evm.PUSH1), 0, byte(evm.REVERT))
+	// Init code: copy the runtime that follows it into memory, return it.
+	initCode := []byte{byte(evm.PUSH1), byte(len(runtime)), byte(evm.PUSH1), 12, byte(evm.PUSH1), 0, byte(evm.CODECOPY),
+		byte(evm.PUSH1), byte(len(runtime)), byte(evm.PUSH1), 0, byte(evm.RETURN)}
+	hash, err := bc.SendTransaction(signedTx(t, bc, accs[0], nil, uint256.Zero, append(initCode, runtime...), 200_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcpt, _ := bc.GetReceipt(hash)
+	if !rcpt.Succeeded() || rcpt.ContractAddress == nil {
+		t.Fatalf("deploy: %+v", rcpt)
+	}
+	addr := *rcpt.ContractAddress
+
+	if hash, err = bc.SendTransaction(signedTx(t, bc, accs[1], &addr, uint256.Zero, nil, 100_000)); err != nil {
+		t.Fatal(err)
+	}
+	if rcpt, _ = bc.GetReceipt(hash); rcpt.Succeeded() {
+		t.Fatal("the reverting call got a success receipt")
+	}
+	if _, err := bc.SendTransaction(signedTx(t, bc, accs[2], &accs[0].Address, uint256.One, nil, 21_000)); err != nil {
+		t.Fatal(err)
+	}
+	if bc.BlockNumber() != 3 {
+		t.Fatalf("head #%d after three transactions", bc.BlockNumber())
 	}
 }
 

@@ -391,8 +391,9 @@ func TestWalkChainRequiresVersionPointers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := contracts.MustArtifact("DataStorage")
-	if _, err := m.PublishABI(ds.Address, art.ABIJSON); err != nil {
+	// Registered like a version, so the walk can bind it.
+	row := ContractRow{Address: ds.Address.Hex(), Name: "DataStorage", Version: 1, State: StateActive}
+	if _, err := m.publish(row, contracts.MustArtifact("DataStorage"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.WalkChain(ds.Address); !errors.Is(err, ErrNotVersioned) {
@@ -526,5 +527,32 @@ func TestNotaryRoutedPayRent(t *testing.T) {
 	}
 	if proxy2 != notary.Address {
 		t.Fatalf("v2 paymentProxy = %s", proxy2.Hex())
+	}
+}
+
+// TestNewManagerBindsRecordedSharedContracts: a manager opened over the
+// docstore another one wrote binds the same DataStorage and notary, so
+// its reads see the data written before and its writes deploy nothing.
+func TestNewManagerBindsRecordedSharedContracts(t *testing.T) {
+	m, accs := rig(t)
+	landlord := accs[0].Address
+	v1 := deployRental(t, m, landlord).Contract.Address
+	if _, err := m.SetValue(landlord, v1, "clause.pets", "allowed"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.EnsureNotary(landlord); err != nil {
+		t.Fatal(err)
+	}
+
+	again := NewManager(m.Client, m.IPFS, m.Store)
+	if again.DataStorageAddress() != m.DataStorageAddress() || again.NotaryAddress() != m.NotaryAddress() {
+		t.Fatalf("reopened manager binds DataStorage %s and notary %s, want %s and %s",
+			again.DataStorageAddress().Hex(), again.NotaryAddress().Hex(), m.DataStorageAddress().Hex(), m.NotaryAddress().Hex())
+	}
+	if v, err := again.GetValue(landlord, v1, "clause.pets"); err != nil || v != "allowed" {
+		t.Fatalf("GetValue after reopen = %q, %v", v, err)
+	}
+	if ds, err := again.EnsureDataStorage(landlord); err != nil || ds.Address != m.DataStorageAddress() {
+		t.Fatalf("EnsureDataStorage after reopen = %v, %v; want the recorded contract", ds, err)
 	}
 }

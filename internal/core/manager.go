@@ -5,13 +5,17 @@
 //   - the versioning mechanism of Fig. 2 — every modification deploys a
 //     new contract and links it into an on-chain doubly linked list whose
 //     traversal is the tamper-evident "evidence line" of changes,
-//   - ABI resolution through the content-addressed store (the paper
-//     stores each version's ABI in IPFS keyed by contract address, so an
-//     address recovered from a next/prev pointer suffices to rebuild a
-//     full binding),
+//   - the off-chain contract registry rows of the data tier: the row of
+//     each version names the CIDs of its ABI, storage layout and legal
+//     document in the content-addressed store (the paper's Contract table
+//     with its abi column beside IPFS), so an address recovered from a
+//     next/prev pointer suffices to rebuild a full binding. The row is the
+//     one durable record of that mapping, so bindings survive a restart,
 //   - data/logic separation through the DataStorage contract of Fig. 3,
-//     migrating the predecessor's key/value state to each new version,
-//   - the off-chain contract registry rows of the data tier.
+//     migrating the predecessor's key/value state to each new version.
+//     Its address, and the payment notary's, are recorded in one docstore
+//     row when they are deployed, and a manager opened over the same
+//     docstore binds them again.
 package core
 
 import (
@@ -52,9 +56,22 @@ const (
 // Table names in the docstore.
 const (
 	TableContracts = "contracts"
-	TableDocuments = "documents"
 	TableArtifacts = "artifacts"
 )
+
+// The system table holds one row, naming the shared contracts the
+// manager deployed.
+const (
+	systemTable = "system"
+	systemKey   = "contracts"
+)
+
+// systemRow is that row: the hex addresses of DataStorage and of the
+// payment notary, empty until deployed.
+type systemRow struct {
+	DataStorage string `json:"dataStorage,omitempty"`
+	Notary      string `json:"notary,omitempty"`
+}
 
 // ContractRow is the off-chain registry row for one deployed version —
 // the paper's Contract(landlord, tenant, version, state, abi) table.
@@ -66,6 +83,7 @@ type ContractRow struct {
 	Version     int    `json:"version"`
 	State       string `json:"state"`
 	ABICID      string `json:"abiCid"`
+	LayoutCID   string `json:"layoutCid,omitempty"`
 	DocumentCID string `json:"documentCid,omitempty"`
 	Prev        string `json:"prev,omitempty"`
 	Next        string `json:"next,omitempty"`
@@ -80,21 +98,55 @@ type Manager struct {
 	mu          sync.Mutex
 	dataStorage *web3.BoundContract
 	notary      *web3.BoundContract
-	abiCache    map[ethtypes.Address]*abi.ABI
+	parsed      map[ethtypes.Address]versionArtifacts
 }
 
-// NewManager wires the three tiers together.
+// versionArtifacts memoises what was parsed of one version's artifacts.
+// The blobs are content-addressed and a row's CIDs never change, so the
+// values are shared read-only with every caller.
+type versionArtifacts struct {
+	abi    *abi.ABI
+	layout *minisol.Layout
+}
+
+// NewManager wires the three tiers together and binds the shared
+// contracts the docstore's system row names.
 func NewManager(client *web3.Client, node *ipfs.Node, store *docstore.Store) *Manager {
-	return &Manager{
-		Client:   client,
-		IPFS:     node,
-		Store:    store,
-		abiCache: map[ethtypes.Address]*abi.ABI{},
+	m := &Manager{
+		Client: client,
+		IPFS:   node,
+		Store:  store,
+		parsed: map[ethtypes.Address]versionArtifacts{},
 	}
+	// No row (docstore.ErrNotFound) means neither is deployed yet.
+	var sys systemRow
+	if store.Get(systemTable, systemKey, &sys) == nil {
+		if sys.DataStorage != "" {
+			m.dataStorage = client.Bind(ethtypes.HexToAddress(sys.DataStorage), contracts.MustArtifact("DataStorage").ABI)
+		}
+		if sys.Notary != "" {
+			m.notary = client.Bind(ethtypes.HexToAddress(sys.Notary), contracts.NotaryABI())
+		}
+	}
+	return m
+}
+
+// putSystemLocked records the shared contracts bound so far. A crash
+// between a deployment and this write loses the contract: the next
+// manager deploys another one.
+func (m *Manager) putSystemLocked() error {
+	var sys systemRow
+	if m.dataStorage != nil {
+		sys.DataStorage = m.dataStorage.Address.Hex()
+	}
+	if m.notary != nil {
+		sys.Notary = m.notary.Address.Hex()
+	}
+	return m.Store.Put(systemTable, systemKey, sys)
 }
 
 // EnsureDataStorage deploys the shared DataStorage contract on first use
-// (owner = from) and returns its binding.
+// (owner = from), records it in the system row and returns its binding.
 func (m *Manager) EnsureDataStorage(from ethtypes.Address) (*web3.BoundContract, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -110,23 +162,14 @@ func (m *Manager) EnsureDataStorage(from ethtypes.Address) (*web3.BoundContract,
 		return nil, fmt.Errorf("core: deploying DataStorage: %w", err)
 	}
 	m.dataStorage = bound
+	if err := m.putSystemLocked(); err != nil {
+		return nil, err
+	}
 	return bound, nil
 }
 
-// AttachDataStorage binds to an existing DataStorage deployment.
-func (m *Manager) AttachDataStorage(addr ethtypes.Address) error {
-	art, err := contracts.Artifact("DataStorage")
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.dataStorage = m.Client.Bind(addr, art.ABI)
-	m.mu.Unlock()
-	return nil
-}
-
 // boundDataStorage returns the DataStorage binding, or nil while none
-// is deployed or attached. Reads go through it: only a write may deploy
+// is deployed. Reads go through it: only a write may deploy
 // the contract, because its deployer becomes the owner, the one account
 // allowed to write.
 func (m *Manager) boundDataStorage() *web3.BoundContract {
@@ -167,6 +210,9 @@ func (m *Manager) EnsureNotary(from ethtypes.Address) (*web3.BoundContract, erro
 		return nil, fmt.Errorf("core: authorizing notary: %w", err)
 	}
 	m.notary = bound
+	if err := m.putSystemLocked(); err != nil {
+		return nil, err
+	}
 	return bound, nil
 }
 
@@ -200,51 +246,70 @@ func (m *Manager) wireNotary(from ethtypes.Address, bound *web3.BoundContract) (
 	return rcpt.GasUsed, nil
 }
 
-// PublishABI pins the ABI JSON in the content store and publishes
-// address → CID in the name index.
-func (m *Manager) PublishABI(addr ethtypes.Address, abiJSON []byte) (ipfs.CID, error) {
-	cid, err := m.IPFS.AddDocument(addr.Hex(), abiJSON)
+// publish pins a version's ABI, its storage layout (when the artifact
+// has one) and its legal document (when given) in the content store,
+// and writes the registry row that names their CIDs.
+func (m *Manager) publish(row ContractRow, art *minisol.Artifact, legalDoc []byte) (ContractRow, error) {
+	cid, err := m.IPFS.Blobs.Add(art.ABIJSON)
 	if err != nil {
-		return "", fmt.Errorf("core: publishing ABI: %w", err)
+		return row, fmt.Errorf("core: publishing ABI: %w", err)
 	}
-	return cid, nil
+	row.ABICID = string(cid)
+	if art.Layout != nil {
+		if cid, err = m.IPFS.Blobs.Add(art.Layout.JSON()); err != nil {
+			return row, fmt.Errorf("core: publishing layout: %w", err)
+		}
+		row.LayoutCID = string(cid)
+	}
+	if len(legalDoc) > 0 {
+		if cid, err = m.IPFS.Blobs.Add(legalDoc); err != nil {
+			return row, fmt.Errorf("core: storing legal document: %w", err)
+		}
+		row.DocumentCID = string(cid)
+	}
+	return row, m.putRow(row)
 }
 
-// PublishLayout pins a version's storage layout next to its ABI, keyed
-// "layout:<address>", so the upgrade guard and the auditor can recover
-// it from an address alone the way ResolveABI recovers the interface.
-func (m *Manager) PublishLayout(addr ethtypes.Address, layout *minisol.Layout) (ipfs.CID, error) {
-	if layout == nil {
-		return "", nil
-	}
-	cid, err := m.IPFS.AddDocument("layout:"+addr.Hex(), layout.JSON())
+// blob fetches the content a version's registry row names in the field
+// cidOf picks: nil and no error when the row leaves that field empty.
+func (m *Manager) blob(addr ethtypes.Address, cidOf func(ContractRow) string) ([]byte, error) {
+	row, err := m.GetRow(addr)
 	if err != nil {
-		return "", fmt.Errorf("core: publishing layout: %w", err)
+		return nil, err
 	}
-	return cid, nil
+	if cid := cidOf(row); cid != "" {
+		return m.IPFS.Blobs.Get(ipfs.CID(cid))
+	}
+	return nil, nil
 }
 
-// ResolveLayout fetches a version's stored storage layout. Versions
-// deployed before layouts were published resolve to (nil, nil); the
-// guard then skips the layout check with a note instead of failing.
-func (m *Manager) ResolveLayout(addr ethtypes.Address) (*minisol.Layout, error) {
-	raw, err := m.IPFS.GetByName("layout:" + addr.Hex())
-	if err != nil {
-		return nil, nil
-	}
-	return minisol.ParseLayout(raw)
-}
-
-// ResolveABI fetches and parses the ABI of a deployed version from the
-// content store, given only its address — the IPFS lookup of Fig. 2.
-func (m *Manager) ResolveABI(addr ethtypes.Address) (*abi.ABI, error) {
+// memo returns what has been parsed of addr's artifacts so far.
+func (m *Manager) memo(addr ethtypes.Address) versionArtifacts {
 	m.mu.Lock()
-	if cached, ok := m.abiCache[addr]; ok {
-		m.mu.Unlock()
-		return cached, nil
-	}
+	defer m.mu.Unlock()
+	return m.parsed[addr]
+}
+
+// remember records one more parsed artifact of addr.
+func (m *Manager) remember(addr ethtypes.Address, set func(*versionArtifacts)) {
+	m.mu.Lock()
+	a := m.parsed[addr]
+	set(&a)
+	m.parsed[addr] = a
 	m.mu.Unlock()
-	raw, err := m.IPFS.GetByName(addr.Hex())
+}
+
+// ResolveABI fetches and parses the ABI of a deployed version given only
+// its address — the IPFS lookup of Fig. 2, through the CID its registry
+// row names.
+func (m *Manager) ResolveABI(addr ethtypes.Address) (*abi.ABI, error) {
+	if parsed := m.memo(addr).abi; parsed != nil {
+		return parsed, nil
+	}
+	raw, err := m.blob(addr, func(r ContractRow) string { return r.ABICID })
+	if err == nil && raw == nil {
+		err = errors.New("its registry row names no ABI")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%v)", ErrNoABI, addr, err)
 	}
@@ -252,10 +317,31 @@ func (m *Manager) ResolveABI(addr ethtypes.Address) (*abi.ABI, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: stored ABI for %s is invalid: %w", addr, err)
 	}
-	m.mu.Lock()
-	m.abiCache[addr] = parsed
-	m.mu.Unlock()
+	m.remember(addr, func(a *versionArtifacts) { a.abi = parsed })
 	return parsed, nil
+}
+
+// ResolveLayout fetches a version's storage layout the same way. A row
+// that names no layout (an artifact without one) resolves to (nil, nil),
+// and the guard skips the layout check with a note. A named layout that
+// is missing or does not parse is an error, so the guard fails closed.
+func (m *Manager) ResolveLayout(addr ethtypes.Address) (*minisol.Layout, error) {
+	if layout := m.memo(addr).layout; layout != nil {
+		return layout, nil
+	}
+	raw, err := m.blob(addr, func(r ContractRow) string { return r.LayoutCID })
+	if err != nil {
+		return nil, fmt.Errorf("core: layout of %s: %w", addr, err)
+	}
+	if raw == nil {
+		return nil, nil
+	}
+	layout, err := minisol.ParseLayout(raw)
+	if err != nil {
+		return nil, fmt.Errorf("core: stored layout for %s is invalid: %w", addr, err)
+	}
+	m.remember(addr, func(a *versionArtifacts) { a.layout = layout })
+	return layout, nil
 }
 
 // BindVersion reconstructs a full contract binding from an address
@@ -276,9 +362,8 @@ type Deployment struct {
 }
 
 // DeployVersion deploys a contract as version 1 of a new chain: the code
-// goes to the blockchain tier, the ABI to IPFS, the legal document (if
-// any) to IPFS plus the documents table, and the registry row to the
-// contracts table.
+// goes to the blockchain tier, the ABI, layout and legal document (if
+// any) to IPFS, and the registry row naming them to the contracts table.
 func (m *Manager) DeployVersion(from ethtypes.Address, art *minisol.Artifact, legalDoc []byte, args ...interface{}) (*Deployment, error) {
 	bound, rcpt, err := m.Client.Deploy(web3.TxOpts{From: from}, art.ABI, art.Bytecode, args...)
 	if err != nil {
@@ -290,32 +375,14 @@ func (m *Manager) DeployVersion(from ethtypes.Address, art *minisol.Artifact, le
 	} else {
 		gas += wireGas
 	}
-	cid, err := m.PublishABI(bound.Address, art.ABIJSON)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.PublishLayout(bound.Address, art.Layout); err != nil {
-		return nil, err
-	}
-	row := ContractRow{
+	row, err := m.publish(ContractRow{
 		Address:  bound.Address.Hex(),
 		Name:     art.Name,
 		Landlord: from.Hex(),
 		Version:  1,
 		State:    StateActive,
-		ABICID:   string(cid),
-	}
-	if len(legalDoc) > 0 {
-		docCID, err := m.IPFS.Blobs.Add(legalDoc)
-		if err != nil {
-			return nil, fmt.Errorf("core: storing legal document: %w", err)
-		}
-		row.DocumentCID = string(docCID)
-		if err := m.Store.Put(TableDocuments, row.Address, string(docCID)); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.putRow(row); err != nil {
+	}, art, legalDoc)
+	if err != nil {
 		return nil, err
 	}
 	return &Deployment{Contract: bound, Row: row, GasUsed: gas}, nil
@@ -424,9 +491,10 @@ func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, er
 // head) BEFORE anything is deployed or linked. A failing candidate is
 // recorded in the predecessor's evidence line and rejected with a
 // structured *upgrade.RejectionError. An admitted candidate is
-// deployed, linked into the doubly linked list on chain, its ABI and
-// layout published, data optionally snapshotted and migrated in place,
-// and the registry rows updated (the old version becomes inactive).
+// deployed, linked into the doubly linked list on chain, data optionally
+// snapshotted and migrated in place, and the registry rows updated (the
+// old version becomes inactive; the new one names its published ABI,
+// layout and document).
 func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Address, art *minisol.Artifact, opts ModifyOptions, args ...interface{}) (*Deployment, error) {
 	prev, err := m.BindVersion(prevAddr)
 	if err != nil {
@@ -484,14 +552,6 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 		gas += wireGas
 	}
 
-	cid, err := m.PublishABI(bound.Address, art.ABIJSON)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.PublishLayout(bound.Address, art.Layout); err != nil {
-		return nil, err
-	}
-
 	// Migrate data under the new address: one namespace-adoption
 	// transaction.
 	if opts.MigrateData {
@@ -508,25 +568,16 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 	if err := m.putRow(prevRow); err != nil {
 		return nil, err
 	}
-	row := ContractRow{
+	row, err := m.publish(ContractRow{
 		Address:  bound.Address.Hex(),
 		Name:     art.Name,
 		Landlord: from.Hex(),
 		Tenant:   prevRow.Tenant,
 		Version:  prevRow.Version + 1,
 		State:    StateActive,
-		ABICID:   string(cid),
 		Prev:     prevAddr.Hex(),
-	}
-	if len(opts.LegalDoc) > 0 {
-		docCID, err := m.IPFS.Blobs.Add(opts.LegalDoc)
-		if err != nil {
-			return nil, err
-		}
-		row.DocumentCID = string(docCID)
-		m.Store.Put(TableDocuments, row.Address, string(docCID))
-	}
-	if err := m.putRow(row); err != nil {
+	}, art, opts.LegalDoc)
+	if err != nil {
 		return nil, err
 	}
 	return &Deployment{Contract: bound, Row: row, GasUsed: gas}, nil
@@ -571,12 +622,9 @@ func (m *Manager) Rows() []ContractRow {
 // LegalDocument fetches the stored legal document of a version from the
 // content store.
 func (m *Manager) LegalDocument(addr ethtypes.Address) ([]byte, error) {
-	row, err := m.GetRow(addr)
-	if err != nil {
-		return nil, err
+	doc, err := m.blob(addr, func(r ContractRow) string { return r.DocumentCID })
+	if err == nil && doc == nil {
+		err = fmt.Errorf("core: no document for %s", addr)
 	}
-	if row.DocumentCID == "" {
-		return nil, fmt.Errorf("core: no document for %s", addr)
-	}
-	return m.IPFS.Blobs.Get(ipfs.CID(row.DocumentCID))
+	return doc, err
 }

@@ -7,6 +7,7 @@ import (
 
 	"legalchain/internal/contracts"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/ipfs"
 	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/upgrade"
@@ -335,5 +336,56 @@ func TestSkipVerifyEscapeHatch(t *testing.T) {
 	if _, err := m.ModifyContract(landlord, v1.Contract.Address, art,
 		ModifyOptions{SkipVerify: true}, ethtypes.Ether(1)); err != nil {
 		t.Fatalf("SkipVerify path failed: %v", err)
+	}
+}
+
+// lossyStore is a blob store that has lost one blob, as a damaged data
+// directory would have.
+type lossyStore struct {
+	ipfs.Store
+	lost ipfs.CID
+}
+
+func (s *lossyStore) Get(cid ipfs.CID) ([]byte, error) {
+	if cid == s.lost {
+		return nil, ipfs.ErrNotFound
+	}
+	return s.Store.Get(cid)
+}
+
+// TestVerifyUpgradeFailsClosedWithoutLayout: a registry row that names a
+// layout the content store no longer holds, or names a blob that is no
+// layout, makes the guard return an error instead of a report that
+// skipped the layout check. Only a row that names no layout at all gets
+// the note.
+func TestVerifyUpgradeFailsClosedWithoutLayout(t *testing.T) {
+	m, accs := rig(t)
+	landlord := accs[0].Address
+	v1 := deployRental(t, m, landlord).Contract.Address
+	row, err := m.GetRow(v1)
+	if err != nil || row.LayoutCID == "" {
+		t.Fatalf("row = %+v, %v; want a layout CID", row, err)
+	}
+	cand := contracts.MustArtifact("RentalAgreementV2")
+	verify := func(blobs ipfs.Store) (*upgrade.Report, error) {
+		// A fresh manager, so nothing parsed before is remembered.
+		return NewManager(m.Client, ipfs.NewNode(blobs), m.Store).VerifyUpgrade(landlord, v1, cand, nil, v2Args()...)
+	}
+
+	if report, err := verify(&lossyStore{Store: m.IPFS.Blobs, lost: ipfs.CID(row.LayoutCID)}); err == nil {
+		t.Fatalf("deleted layout blob: report %+v, want an error", report)
+	}
+	if err := m.UpdateRow(v1, func(r *ContractRow) { r.LayoutCID = r.ABICID }); err != nil {
+		t.Fatal(err)
+	}
+	if report, err := verify(m.IPFS.Blobs); err == nil {
+		t.Fatalf("ABI blob named as the layout: report %+v, want an error", report)
+	}
+	if err := m.UpdateRow(v1, func(r *ContractRow) { r.LayoutCID = "" }); err != nil {
+		t.Fatal(err)
+	}
+	report, err := verify(m.IPFS.Blobs)
+	if err != nil || report.LayoutChecked || len(report.Notes) != 1 || !strings.Contains(report.Notes[0], "layout check skipped") {
+		t.Fatalf("row without a layout: report %+v, %v; want one skipped-layout note", report, err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package docstore is the data tier of the paper's architecture (the
 // MySQL role in Table I): an embedded document database with named
 // tables and JSON values, journaled for durability. The application
-// stores users, contract rows and legal documents (PDF bytes) here,
-// off-chain.
+// stores users, uploaded artifacts and the contract registry here,
+// off-chain; a registry row names the IPFS CIDs of its version's ABI,
+// storage layout and legal document.
 package docstore
 
 import (

@@ -253,11 +253,9 @@ func DecodeTransaction(data []byte) (*Transaction, error) {
 	if tx.Nonce, err = it.At(0).AsUint64(); err != nil {
 		return nil, fmt.Errorf("nonce: %w", err)
 	}
-	gp, err := it.At(1).AsBigInt()
-	if err != nil {
+	if tx.GasPrice, err = asUint256(it.At(1)); err != nil {
 		return nil, fmt.Errorf("gasPrice: %w", err)
 	}
-	tx.GasPrice = uint256.FromBig(gp)
 	if tx.Gas, err = it.At(2).AsUint64(); err != nil {
 		return nil, fmt.Errorf("gas: %w", err)
 	}
@@ -275,11 +273,9 @@ func DecodeTransaction(data []byte) (*Transaction, error) {
 	default:
 		return nil, errors.New("ethtypes: bad 'to' length")
 	}
-	val, err := it.At(4).AsBigInt()
-	if err != nil {
+	if tx.Value, err = asUint256(it.At(4)); err != nil {
 		return nil, fmt.Errorf("value: %w", err)
 	}
-	tx.Value = uint256.FromBig(val)
 	tx.Data = append([]byte(nil), it.At(5).Str()...)
 	if tx.V, err = it.At(6).AsBigInt(); err != nil {
 		return nil, fmt.Errorf("v: %w", err)
@@ -291,6 +287,20 @@ func DecodeTransaction(data []byte) (*Transaction, error) {
 		return nil, fmt.Errorf("s: %w", err)
 	}
 	return tx, nil
+}
+
+// asUint256 decodes an RLP integer of at most 256 bits. A wider one is
+// refused, not reduced mod 2²⁵⁶: the reduced transaction would re-encode
+// to other bytes, so its hash would not be the keccak of the bytes sent.
+func asUint256(it *rlp.Item) (uint256.Int, error) {
+	b, err := it.AsBigInt()
+	if err != nil {
+		return uint256.Zero, err
+	}
+	if b.BitLen() > 256 {
+		return uint256.Zero, errors.New("ethtypes: integer wider than 256 bits")
+	}
+	return uint256.FromBig(b), nil
 }
 
 // Sign attaches an EIP-155 signature from key to the transaction.

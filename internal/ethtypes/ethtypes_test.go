@@ -1,6 +1,7 @@
 package ethtypes
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/big"
@@ -477,8 +478,27 @@ func flipByte(x *big.Int, pos, flip byte) {
 	x.SetBytes(b)
 }
 
+// TestDecodeTransactionRefusesWideIntegers: a gas price or value of
+// 2²⁵⁶ plus the signed one would decode, reduced mod 2²⁵⁶, to the signed
+// transaction under a hash that is not the keccak of the bytes sent.
+func TestDecodeTransactionRefusesWideIntegers(t *testing.T) {
+	tx, _ := memoTx(t)
+	twoTo256 := new(big.Int).Lsh(big.NewInt(1), 256)
+	for field, name := range map[int]string{1: "gasPrice", 4: "value"} {
+		items := []*rlp.Item{rlp.Uint(tx.Nonce), rlp.BigInt(tx.GasPrice.ToBig()), rlp.Uint(tx.Gas), toItem(tx.To),
+			rlp.BigInt(tx.Value.ToBig()), rlp.Bytes(tx.Data), rlp.BigInt(tx.V), rlp.BigInt(tx.R), rlp.BigInt(tx.S)}
+		wide, _ := items[field].AsBigInt()
+		items[field] = rlp.BigInt(wide.Add(wide, twoTo256))
+		if got, err := DecodeTransaction(rlp.Encode(rlp.List(items...))); err == nil {
+			t.Errorf("%s + 2²⁵⁶ decoded as %+v", name, got)
+		}
+	}
+}
+
 // FuzzDecodeTransaction feeds DecodeTransaction arbitrary bytes. Decoding
-// must not panic. On a decoded transaction Sender, asked twice (the
+// must not panic, and a decoded transaction must re-encode to exactly
+// its input: one transaction, one encoding, one hash. On a decoded
+// transaction Sender, asked twice (the
 // second answer from the memo), must agree with senderFromScratch; then,
 // with one byte of V, R, S or Data flipped in place, it must follow the
 // mutation rather than return the remembered sender. The chain id is the
@@ -499,6 +519,9 @@ func FuzzDecodeTransaction(f *testing.F) {
 		tx, err := DecodeTransaction(raw)
 		if err != nil {
 			return
+		}
+		if enc := tx.Encode(); !bytes.Equal(enc, raw) {
+			t.Fatalf("decoded %x, which re-encodes to %x", raw, enc)
 		}
 		chainID := uint64(memoChainID)
 		if v := tx.V.Uint64(); tx.V.IsUint64() && v >= 35 {

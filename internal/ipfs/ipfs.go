@@ -1,21 +1,20 @@
 // Package ipfs implements a content-addressable store with the
 // properties the paper relies on from the InterPlanetary File System:
 // blobs are addressed by a CID derived from their content (a CIDv0-style
-// base58btc sha2-256 multihash), retrieval is integrity-checked, and a
-// name index maps contract addresses to the CID of their ABI document so
-// that a client holding only an address recovered from a version link
-// can reconstruct a full contract binding.
+// base58btc sha2-256 multihash), and retrieval is integrity-checked. It
+// is the CID store only: the registry row of a contract version names
+// the CIDs of its ABI, storage layout and legal document, so a client
+// holding only an address recovered from a version link reads the row
+// and fetches the blobs here.
 package ipfs
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -107,10 +106,6 @@ type Store interface {
 	Add(data []byte) (CID, error)
 	// Get retrieves and integrity-checks the blob.
 	Get(cid CID) ([]byte, error)
-	// Has reports whether the blob is present.
-	Has(cid CID) bool
-	// Pins lists stored CIDs, sorted.
-	Pins() []CID
 }
 
 // MemStore keeps blobs in memory.
@@ -147,26 +142,6 @@ func (m *MemStore) Get(cid CID) ([]byte, error) {
 		return nil, ErrCorrupted
 	}
 	return append([]byte(nil), data...), nil
-}
-
-// Has implements Store.
-func (m *MemStore) Has(cid CID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.blobs[cid]
-	return ok
-}
-
-// Pins implements Store.
-func (m *MemStore) Pins() []CID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]CID, 0, len(m.blobs))
-	for c := range m.blobs {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // FileStore persists blobs under a directory, one file per CID.
@@ -224,106 +199,14 @@ func (f *FileStore) Get(cid CID) ([]byte, error) {
 	return data, nil
 }
 
-// Has implements Store.
-func (f *FileStore) Has(cid CID) bool {
-	if cid.Validate() != nil {
-		return false
-	}
-	_, err := os.Stat(f.path(cid))
-	return err == nil
-}
-
-// Pins implements Store.
-func (f *FileStore) Pins() []CID {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil
-	}
-	var out []CID
-	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		cid := CID(e.Name())
-		if cid.Validate() == nil {
-			out = append(out, cid)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// NameIndex maps names (contract addresses, in the paper's use) to CIDs.
-// It is the mutable companion to the immutable blob store.
-type NameIndex struct {
-	mu    sync.RWMutex
-	names map[string]CID
-}
-
-// NewNameIndex returns an empty index.
-func NewNameIndex() *NameIndex {
-	return &NameIndex{names: map[string]CID{}}
-}
-
-// Publish points name at cid, replacing any previous target.
-func (n *NameIndex) Publish(name string, cid CID) {
-	n.mu.Lock()
-	n.names[strings.ToLower(name)] = cid
-	n.mu.Unlock()
-}
-
-// Resolve returns the CID for name.
-func (n *NameIndex) Resolve(name string) (CID, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	cid, ok := n.names[strings.ToLower(name)]
-	return cid, ok
-}
-
-// Names lists published names, sorted.
-func (n *NameIndex) Names() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.names))
-	for k := range n.names {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Node bundles a blob store with a name index — the "IPFS node" of the
-// paper's architecture.
+// Node is the "IPFS node" of the paper's architecture: the blob store
+// every tier shares. Which CID belongs to which contract version is the
+// registry's record (core.ContractRow), not the node's.
 type Node struct {
 	Blobs Store
-	Names *NameIndex
 }
 
 // NewNode builds a node over the given blob store.
 func NewNode(blobs Store) *Node {
-	return &Node{Blobs: blobs, Names: NewNameIndex()}
+	return &Node{Blobs: blobs}
 }
-
-// AddDocument stores data and publishes name → CID in one step.
-func (n *Node) AddDocument(name string, data []byte) (CID, error) {
-	cid, err := n.Blobs.Add(data)
-	if err != nil {
-		return "", err
-	}
-	n.Names.Publish(name, cid)
-	return cid, nil
-}
-
-// GetByName resolves and fetches in one step.
-func (n *Node) GetByName(name string) ([]byte, error) {
-	cid, ok := n.Names.Resolve(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: name %q", ErrNotFound, name)
-	}
-	return n.Blobs.Get(cid)
-}
-
-// Equal reports whether two blobs would share a CID without storing.
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) || ComputeCID(a) == ComputeCID(b) }

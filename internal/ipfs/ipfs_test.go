@@ -61,9 +61,6 @@ func testStore(t *testing.T, s Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(cid) {
-		t.Fatal("Has after Add")
-	}
 	back, err := s.Get(cid)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("Get: %q %v", back, err)
@@ -77,10 +74,12 @@ func testStore(t *testing.T, s Store) {
 	if _, err := s.Get(ComputeCID([]byte("other"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing: %v", err)
 	}
-	// Pins.
-	s.Add([]byte("second blob"))
-	if len(s.Pins()) != 2 {
-		t.Fatalf("pins = %v", s.Pins())
+	// A second blob leaves the first in place.
+	if _, err := s.Add([]byte("second blob")); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := s.Get(cid); err != nil || !bytes.Equal(back, data) {
+		t.Fatalf("Get after a second Add: %q %v", back, err)
 	}
 }
 
@@ -96,8 +95,8 @@ func TestFileStore(t *testing.T) {
 	// Persistence across reopen.
 	cid := ComputeCID([]byte("rental agreement ABI document"))
 	fs2, _ := NewFileStore(dir)
-	if !fs2.Has(cid) {
-		t.Fatal("content lost across reopen")
+	if _, err := fs2.Get(cid); err != nil {
+		t.Fatalf("content lost across reopen: %v", err)
 	}
 }
 
@@ -112,38 +111,6 @@ func TestFileStoreDetectsCorruption(t *testing.T) {
 	}
 	if _, err := fs.Get(cid); !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("corruption not detected: %v", err)
-	}
-}
-
-func TestNameIndex(t *testing.T) {
-	n := NewNode(NewMemStore())
-	cid, err := n.AddDocument("0xABCDEF", []byte(`[{"type":"function"}]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Case-insensitive address resolution.
-	got, ok := n.Names.Resolve("0xabcdef")
-	if !ok || got != cid {
-		t.Fatal("resolve failed")
-	}
-	data, err := n.GetByName("0xAbCdEf")
-	if err != nil || string(data) != `[{"type":"function"}]` {
-		t.Fatal("GetByName failed")
-	}
-	if _, err := n.GetByName("0x999"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("missing name must 404")
-	}
-	// Republish points to new content; old blob remains pinned.
-	cid2, _ := n.AddDocument("0xabcdef", []byte("v2"))
-	if cid2 == cid {
-		t.Fatal("different content same CID")
-	}
-	data, _ = n.GetByName("0xabcdef")
-	if string(data) != "v2" {
-		t.Fatal("republish not effective")
-	}
-	if !n.Blobs.Has(cid) {
-		t.Fatal("old version garbage-collected (should stay pinned)")
 	}
 }
 

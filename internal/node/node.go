@@ -106,6 +106,10 @@ func (c *Config) validate() error {
 // Node is one running node.
 type Node struct {
 	Chain *chain.Blockchain
+	// Manager is the business tier's contract manager, nil without a web
+	// address. It binds what the docstore's registry and system rows
+	// name, so a restarted node resolves every version deployed before.
+	Manager *core.Manager
 	// The bound listen addresses ("" when off): a ":0" resolves here.
 	RPCAddr, WSAddr, WebAddr, MetricsAddr string
 
@@ -208,7 +212,8 @@ func (n *Node) open() error {
 		if err != nil {
 			return err
 		}
-		webApp := app.New(core.NewManager(client, ipfs.NewNode(blobs), n.store))
+		n.Manager = core.NewManager(client, ipfs.NewNode(blobs), n.store)
+		webApp := app.New(n.Manager)
 		webApp.Faucet, webApp.Watch = cfg.Accounts[0].Address, n.tower
 		eps = append(eps, endpoint{"web", cfg.WebAddr, &n.WebAddr, obs.LogRequests(n.log, webApp.Handler())})
 	}

@@ -14,8 +14,11 @@ import (
 	"time"
 
 	"legalchain/internal/chain"
+	"legalchain/internal/contracts"
+	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/rpc"
+	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 	"legalchain/internal/ws"
 )
@@ -186,6 +189,83 @@ func TestDurableDevnetRestart(t *testing.T) {
 	}
 	if folded := watchFolded(t, n); folded != 3 {
 		t.Fatalf("watchtower folded %d after restart, want 3", folded)
+	}
+}
+
+// TestRentaldRestartKeepsBusinessTier runs a rental agreement on the
+// durable rentald profile, restarts the node and carries on with it: the
+// modification's guard checks the predecessor's storage layout, the
+// audit resolves every version's ABI and layout, the new version reads
+// the data written before the restart through the same DataStorage, and
+// the first version's legal document is still served.
+func TestRentaldRestartKeepsBusinessTier(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config(t, false, "-datadir", dir)
+	cfg.WebAddr = "127.0.0.1:0"
+	landlord, tenant := cfg.Accounts[0].Address, cfg.Accounts[1].Address
+	doc := []byte("%PDF-1.4 rental agreement v1")
+
+	n := start(t, cfg)
+	svc := core.NewRentalService(n.Manager)
+	dep, err := svc.DeployRental(landlord, core.RentalTerms{Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2),
+		Months: 12, House: "10115-Berlin-42", LegalDoc: doc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := dep.Contract.Address
+	if err := svc.Confirm(tenant, v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.PayRent(tenant, v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Manager.SetValue(landlord, v1, "clause.pets", "allowed"); err != nil {
+		t.Fatal(err)
+	}
+	dataStorage := n.Manager.DataStorageAddress()
+	shutdown(t, n)
+
+	n = start(t, cfg)
+	defer shutdown(t, n)
+	m := n.Manager
+	svc = core.NewRentalService(m)
+	if got := m.DataStorageAddress(); got != dataStorage {
+		t.Fatalf("DataStorage after restart = %s, want %s", got.Hex(), dataStorage.Hex())
+	}
+	terms := core.ModifiedTerms{Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12, House: "10115-Berlin-42",
+		MaintenanceFee: ethtypes.Ether(1), Discount: uint256.Zero, Fine: ethtypes.Ether(1)}
+	report, err := m.VerifyUpgrade(landlord, v1, contracts.MustArtifact("RentalAgreementV2"), nil,
+		terms.Rent, terms.Deposit, terms.Months, terms.House, terms.MaintenanceFee, terms.Discount, terms.Fine)
+	if err != nil {
+		t.Fatalf("guard after restart: %v", err)
+	}
+	if !report.OK() || !report.LayoutChecked || strings.Contains(strings.Join(report.Notes, "\n"), "layout check skipped") {
+		t.Fatalf("guard after restart: ok %v, layout checked %v, notes %q", report.OK(), report.LayoutChecked, report.Notes)
+	}
+	next, err := svc.Modify(landlord, v1, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := next.Contract.Address
+
+	audit, err := m.AuditChain(tenant, v2)
+	if err != nil || !audit.ChainVerified || len(audit.Versions) != 2 {
+		t.Fatalf("audit after restart: %+v, %v", audit, err)
+	}
+	for _, v := range audit.Versions {
+		if !v.HasABI || !v.HasLayout {
+			t.Fatalf("version %s after restart: ABI %v, layout %v", v.Address, v.HasABI, v.HasLayout)
+		}
+	}
+	snap, err := m.LoadSnapshot(landlord, v2)
+	if err != nil || snap["clause.pets"] != "allowed" {
+		t.Fatalf("v2 snapshot after restart = %v, %v; want the key written before it", snap, err)
+	}
+	if got := m.DataStorageAddress(); got != dataStorage {
+		t.Fatalf("the modification deployed DataStorage %s; want %s kept", got.Hex(), dataStorage.Hex())
+	}
+	if got, err := m.LegalDocument(v1); err != nil || string(got) != string(doc) {
+		t.Fatalf("v1 document after restart = %q, %v", got, err)
 	}
 }
 
