@@ -63,13 +63,14 @@ lint:
 # fuzz-smoke runs every native fuzz target for ten seconds from its
 # committed seed corpus (testdata/fuzz/): the unrolled Keccak sponge
 # against the loop-form oracle, uint256 byte I/O against math/big, the
-# secp256k1 Jacobian ladder (then sign → Recover) against the affine
-# oracle, Recover on hostile signature bytes (what the ecrecover
-# precompile passes it) against the three-multiplication oracle,
-# transaction decoding (canonical re-encoding) and the sender memo
-# against a from-scratch recovery, ABI decoding of hostile bytes against
-# its own encoder, the segment-log scan every durable store shares, and
-# the EVM's jumpdest bitmap against the reference analysis. go test takes
+# secp256k1 limb field against math/big, the secp256k1 Jacobian ladder
+# (then sign → Recover) against the affine oracle, Recover on hostile
+# signature bytes (what the ecrecover precompile passes it) against the
+# three-multiplication oracle, transaction decoding (canonical
+# re-encoding) and the sender memo against a from-scratch recovery, ABI
+# decoding of hostile bytes against its own encoder, the segment-log
+# scan every durable store shares, and the EVM's jumpdest bitmap
+# against the reference analysis. go test takes
 # one -fuzz target and one package per invocation. The targets that
 # recover a key cost ~2–15 ms an input, so minimising each
 # coverage-expanding one (60 s by default) would leave no time to fuzz;
@@ -78,6 +79,7 @@ lint:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
 	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
+	$(GO) test -run xxx -fuzz FuzzField -fuzztime 10s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzDecodeTransaction -fuzztime 10s -fuzzminimizetime 0s ./internal/ethtypes/
@@ -138,8 +140,9 @@ bench:
 # bench-smoke is the CI-sized benchmark run: one iteration of each
 # tracked benchmark, enough to catch panics and pathological
 # regressions without burning runner minutes — and the kernel
-# benchmarks (Keccak, uint256 word I/O, secp256k1 scalar multiplication,
-# Sign and Recover) at their default length, because one iteration of a
+# benchmarks (Keccak, uint256 word I/O, the secp256k1 field multiply and
+# squaring, scalar multiplication, Sign, Verify and Recover) at their
+# default length, because one iteration of a
 # sub-microsecond function is timer noise and one of a millisecond one
 # says little more; the secp256k1 ones with B/op and allocs/op, which
 # TestLadderAllocations also pins. Output lands in bench-smoke.txt

@@ -164,7 +164,7 @@ func nonceErr(have, want uint64) error {
 // pool. For a mined batch each call is a memo hit — SubmitTransaction
 // already recovered the sender before taking bc.mu — so the fan-out
 // only spreads sixteen signing digests. It pays real ECDSA recoveries
-// (milliseconds of math/big arithmetic each, embarrassingly parallel)
+// (≈ 0.15 ms of curve arithmetic each, embarrassingly parallel)
 // when recovery replay warms the transactions of a journal suffix, which
 // were decoded from disk without a memo. Transactions whose signature
 // does not recover are silently skipped.

@@ -4,18 +4,21 @@
 // recoverable signature (the ecrecover primitive).
 //
 // The standard library does not ship secp256k1 (crypto/elliptic only
-// covers the NIST curves), so the curve is implemented here over
-// math/big. Every scalar multiplication is one Strauss–Shamir ladder,
+// covers the NIST curves), so the curve is implemented here. Every
+// scalar multiplication is one Strauss–Shamir ladder,
 // combine(a, P, b, Q) = a·P + b·Q: a single Jacobian accumulator
 // (x/z², y/z³) walks both scalars' bits at once, doubling once a step
 // and adding P, Q or the precomputed P+Q. So the u₁·G + u₂·R of
 // verification and recovery shares one doubling chain, and a plain k·P
-// is the same ladder with b = 0. The accumulator pays a field inversion
-// only when it converts back, and reduces into scratch it carries, so a
-// step allocates nothing. This is still not a constant-time
-// implementation — the ladder branches on every scalar bit — and must
-// not be used to guard production funds, a limitation shared with every
-// devnet keystore.
+// is the same ladder with b = 0. The ladder's field arithmetic is native:
+// fe holds an element of F_P in four 64-bit limbs and reduces a product
+// by folding with 2²⁵⁶ ≡ 2³² + 977 (mod P), so a step allocates nothing.
+// math/big stays at the edges — the exported Point and Signature, the
+// one field inversion each conversion back to affine pays, the mod-N
+// scalar arithmetic of signing, verification and recovery, and OnCurve.
+// This is still not a constant-time implementation — the ladder branches
+// on every scalar bit — and must not be used to guard production funds,
+// a limitation shared with every devnet keystore.
 package secp256k1
 
 import (
@@ -38,9 +41,6 @@ var (
 
 	halfN = new(big.Int).Rsh(N, 1)
 	seven = big.NewInt(7)
-	// sqrtExp is (P+1)/4: since P ≡ 3 (mod 4), a^sqrtExp is a square
-	// root of a whenever a has one.
-	sqrtExp = new(big.Int).Rsh(new(big.Int).Add(P, big.NewInt(1)), 2)
 )
 
 // Point is an affine curve point; the point at infinity is represented
@@ -77,118 +77,89 @@ func modInverse(a *big.Int, m *big.Int) *big.Int {
 }
 
 // jacobian is the scalar-multiplication accumulator: the point
-// (x/z², y/z³), with z = 0 for the identity and x, y, z kept in [0, P).
-// The remaining fields are scratch the formulas reuse from step to step,
-// q among them: the quotient of every reduction, which big.Int.Mod would
-// allocate and discard each time. Once the first steps have grown the
-// fields to size, a step allocates nothing. big.Int.Mul allocates when
-// its destination is also an operand, which is why no product below is
-// written into one of its own factors.
+// (x/z², y/z³) with field-element coordinates, z = 0 for the identity.
+// The zero value is the identity.
 type jacobian struct {
-	x, y, z             big.Int
-	a, b, c, d, e, f, g big.Int
-	q                   big.Int
-}
-
-// reduce sets x = x mod P in [0, P), keeping the quotient in j.q.
-// QuoRem truncates where big.Int.Mod is Euclidean: the differences
-// double and addAffine reduce can be negative, and their remainder then
-// lies in (−P, 0), so P is added back.
-func (j *jacobian) reduce(x *big.Int) {
-	j.q.QuoRem(x, P, x)
-	if x.Sign() < 0 {
-		x.Add(x, P)
-	}
-}
-
-// mulMod sets dst = u·v mod P; dst must be neither u nor v.
-func (j *jacobian) mulMod(dst, u, v *big.Int) {
-	dst.Mul(u, v)
-	j.reduce(dst)
+	x, y, z fe
 }
 
 // double sets j = 2j: "dbl-2009-l" for a = 0, five squarings and two
 // products. The identity, and a point with y = 0, come out with z = 0.
 func (j *jacobian) double() {
-	j.mulMod(&j.a, &j.x, &j.x) // A = X²
-	j.mulMod(&j.b, &j.y, &j.y) // B = Y²
-	j.mulMod(&j.c, &j.b, &j.b) // C = B²
-	j.e.Add(&j.x, &j.b)
-	j.mulMod(&j.d, &j.e, &j.e)
-	j.d.Sub(&j.d, &j.a)
-	j.d.Sub(&j.d, &j.c)
-	j.d.Lsh(&j.d, 1) // D = 2((X+B)² − A − C)
-	j.e.Lsh(&j.a, 1)
-	j.e.Add(&j.e, &j.a)        // E = 3A
-	j.mulMod(&j.f, &j.e, &j.e) // F = E²
-	j.mulMod(&j.g, &j.y, &j.z)
-	j.z.Lsh(&j.g, 1) // Z' = 2YZ
-	j.reduce(&j.z)
-	j.x.Lsh(&j.d, 1)
-	j.x.Sub(&j.f, &j.x) // X' = F − 2D
-	j.reduce(&j.x)
-	j.d.Sub(&j.d, &j.x)
-	j.mulMod(&j.y, &j.e, &j.d)
-	j.c.Lsh(&j.c, 3)
-	j.y.Sub(&j.y, &j.c) // Y' = E(D − X') − 8C
-	j.reduce(&j.y)
+	var a, b, c, d, e, f fe
+	a.sqr(&j.x) // A = X²
+	b.sqr(&j.y) // B = Y²
+	c.sqr(&b)   // C = B²
+	d.add(&j.x, &b)
+	d.sqr(&d)
+	d.sub(&d, &a)
+	d.sub(&d, &c)
+	d.add(&d, &d) // D = 2((X+B)² − A − C)
+	e.add(&a, &a)
+	e.add(&e, &a) // E = 3A
+	f.sqr(&e)     // F = E²
+	j.z.mul(&j.y, &j.z)
+	j.z.add(&j.z, &j.z) // Z' = 2YZ
+	a.add(&d, &d)
+	j.x.sub(&f, &a) // X' = F − 2D
+	d.sub(&d, &j.x)
+	j.y.mul(&e, &d)
+	c.add(&c, &c)
+	c.add(&c, &c)
+	c.add(&c, &c)
+	j.y.sub(&j.y, &c) // Y' = E(D − X') − 8C
 }
 
 // addAffine sets j = j + (px, py) for an affine point other than the
 // identity (mixed addition, the addend's z being 1). Adding a point to
 // itself doubles; adding it to its negation gives the identity.
-func (j *jacobian) addAffine(px, py *big.Int) {
-	if j.z.Sign() == 0 {
-		j.x.Set(px)
-		j.y.Set(py)
-		j.z.SetInt64(1)
+func (j *jacobian) addAffine(px, py *fe) {
+	if j.z.isZero() {
+		j.x, j.y, j.z = *px, *py, fe{1}
 		return
 	}
-	j.mulMod(&j.a, &j.z, &j.z)
-	j.mulMod(&j.b, px, &j.a)
-	j.b.Sub(&j.b, &j.x) // H = px·Z² − X
-	j.reduce(&j.b)
-	j.mulMod(&j.c, &j.z, &j.a)
-	j.mulMod(&j.d, py, &j.c)
-	j.d.Sub(&j.d, &j.y) // R = py·Z³ − Y
-	j.reduce(&j.d)
-	if j.b.Sign() == 0 {
-		if j.d.Sign() == 0 {
+	var a, h, c, r, e, v fe
+	a.sqr(&j.z)
+	h.mul(px, &a)
+	h.sub(&h, &j.x) // H = px·Z² − X
+	c.mul(&j.z, &a)
+	r.mul(py, &c)
+	r.sub(&r, &j.y) // R = py·Z³ − Y
+	if h.isZero() {
+		if r.isZero() {
 			j.double()
 		} else {
-			j.z.SetInt64(0)
+			j.z = fe{}
 		}
 		return
 	}
-	j.mulMod(&j.c, &j.b, &j.b) // H²
-	j.mulMod(&j.e, &j.b, &j.c) // H³
-	j.mulMod(&j.f, &j.x, &j.c) // V = X·H²
-	j.mulMod(&j.x, &j.d, &j.d)
-	j.x.Sub(&j.x, &j.e)
-	j.x.Sub(&j.x, &j.f)
-	j.x.Sub(&j.x, &j.f) // X' = R² − H³ − 2V
-	j.reduce(&j.x)
-	j.f.Sub(&j.f, &j.x)
-	j.mulMod(&j.g, &j.d, &j.f)
-	j.mulMod(&j.c, &j.y, &j.e)
-	j.y.Sub(&j.g, &j.c) // Y' = R(V − X') − Y·H³
-	j.reduce(&j.y)
-	j.mulMod(&j.g, &j.z, &j.b)
-	j.z.Set(&j.g) // Z' = Z·H
+	c.sqr(&h)     // H²
+	e.mul(&h, &c) // H³
+	v.mul(&j.x, &c)
+	j.x.sqr(&r)
+	j.x.sub(&j.x, &e)
+	j.x.sub(&j.x, &v)
+	j.x.sub(&j.x, &v) // X' = R² − H³ − 2V, V = X·H²
+	v.sub(&v, &j.x)
+	v.mul(&r, &v)
+	c.mul(&j.y, &e)
+	j.y.sub(&v, &c)   // Y' = R(V − X') − Y·H³
+	j.z.mul(&j.z, &h) // Z' = Z·H
 }
 
-// affine converts j back, paying one field inversion.
+// affine converts j back, paying one field inversion through
+// big.Int.ModInverse.
 func (j *jacobian) affine() Point {
-	if j.z.Sign() == 0 {
+	if j.z.isZero() {
 		return Infinity()
 	}
-	j.a.ModInverse(&j.z, P)
-	j.mulMod(&j.b, &j.a, &j.a) // z⁻²
-	j.mulMod(&j.c, &j.b, &j.a) // z⁻³
-	x, y := new(big.Int), new(big.Int)
-	j.mulMod(x, &j.x, &j.b)
-	j.mulMod(y, &j.y, &j.c)
-	return Point{X: x, Y: y}
+	var inv, inv2, x, y fe
+	inv.setBig(new(big.Int).ModInverse(j.z.big(), P))
+	inv2.sqr(&inv)       // z⁻²
+	inv.mul(&inv2, &inv) // z⁻³
+	x.mul(&j.x, &inv2)
+	y.mul(&j.y, &inv)
+	return Point{X: x.big(), Y: y.big()}
 }
 
 // combine returns a·p + b·q (Strauss–Shamir): one accumulator walks the
@@ -197,34 +168,46 @@ func (j *jacobian) affine() Point {
 // accumulator before the walk — addAffine doubles when q = p and gives
 // the identity when q = −p — so a joint ladder pays two inversions, that
 // one and the final conversion. Scalars are reduced mod N; an identity
-// operand contributes nothing, whatever its scalar.
+// operand contributes nothing, whatever its scalar. The points enter the
+// field as limbs here and leave it in affine().
 func combine(a *big.Int, p Point, b *big.Int, q Point) Point {
 	a, b = new(big.Int).Mod(a, N), new(big.Int).Mod(b, N)
+	var px, py, qx, qy, sx, sy fe
 	if p.IsInfinity() {
 		a.SetInt64(0)
+	} else {
+		px.setBig(p.X)
+		py.setBig(p.Y)
 	}
 	if q.IsInfinity() {
 		b.SetInt64(0)
+	} else {
+		qx.setBig(q.X)
+		qy.setBig(q.Y)
 	}
 	var acc jacobian
-	var pq Point
+	sum := false // whether p+q is a point to add
 	if a.Sign() != 0 && b.Sign() != 0 {
-		acc.addAffine(p.X, p.Y)
-		acc.addAffine(q.X, q.Y)
-		pq = acc.affine()
-		acc.z.SetInt64(0)
+		acc.addAffine(&px, &py)
+		acc.addAffine(&qx, &qy)
+		if pq := acc.affine(); !pq.IsInfinity() {
+			sx.setBig(pq.X)
+			sy.setBig(pq.Y)
+			sum = true
+		}
+		acc = jacobian{}
 	}
 	for i := max(a.BitLen(), b.BitLen()) - 1; i >= 0; i-- {
 		acc.double()
 		switch a.Bit(i)<<1 | b.Bit(i) {
 		case 0b11:
-			if !pq.IsInfinity() {
-				acc.addAffine(pq.X, pq.Y)
+			if sum {
+				acc.addAffine(&sx, &sy)
 			}
 		case 0b10:
-			acc.addAffine(p.X, p.Y)
+			acc.addAffine(&px, &py)
 		case 0b01:
-			acc.addAffine(q.X, q.Y)
+			acc.addAffine(&qx, &qy)
 		}
 	}
 	return acc.affine()
@@ -369,8 +352,9 @@ func (k *PrivateKey) Sign(digest []byte) (*Signature, error) {
 		return nil, errors.New("secp256k1: digest must be 32 bytes")
 	}
 	z := hashToInt(digest)
+	z.Mod(z, N)
 	for attempt := 0; ; attempt++ {
-		kNonce := rfc6979Nonce(k.D, digest, attempt)
+		kNonce := rfc6979Nonce(k.D, z, attempt)
 		if kNonce.Sign() == 0 || kNonce.Cmp(N) >= 0 {
 			continue
 		}
@@ -460,33 +444,35 @@ func liftX(x *big.Int, parity byte) (*big.Int, error) {
 	if x.Cmp(P) >= 0 {
 		return nil, errors.New("secp256k1: x out of field")
 	}
-	// y² = x³ + 7, then its candidate root.
-	y2 := new(big.Int).Mul(x, x)
-	y2.Mul(y2, x)
-	y2.Add(y2, seven)
-	y2.Mod(y2, P)
-	y := new(big.Int).Exp(y2, sqrtExp, P)
-	// Check y is actually a root.
-	chk := new(big.Int).Mul(y, y)
-	chk.Mod(chk, P)
-	if chk.Cmp(y2) != 0 {
+	// y² = x³ + 7, then its root if it has one.
+	var fx, y2, y fe
+	fx.setBig(x)
+	y2.sqr(&fx)
+	y2.mul(&y2, &fx)
+	y2.add(&y2, &fe{7})
+	if !y.sqrt(&y2) {
 		return nil, errors.New("secp256k1: x has no square root (invalid signature)")
 	}
-	if byte(y.Bit(0)) != parity {
-		y.Sub(P, y)
+	if byte(y[0]&1) != parity {
+		y.sub(&fe{}, &y)
 	}
-	return y, nil
+	return y.big(), nil
 }
 
 func hashToInt(digest []byte) *big.Int {
 	return new(big.Int).SetBytes(digest)
 }
 
-// rfc6979Nonce derives the deterministic nonce k for signing. The extra
-// counter folds in retry attempts (RFC 6979 §3.2 step h loop).
-func rfc6979Nonce(d *big.Int, digest []byte, attempt int) *big.Int {
+// rfc6979Nonce derives the deterministic nonce k for signing from the
+// key d and the digest z reduced mod N — RFC 6979's bits2octets(h1)
+// (§2.3.4), so digests that differ by N share a nonce as they share a
+// signature. The extra counter folds in retry attempts (RFC 6979 §3.2
+// step h loop).
+func rfc6979Nonce(d, z *big.Int, attempt int) *big.Int {
 	x := make([]byte, 32)
 	d.FillBytes(x)
+	digest := make([]byte, 32)
+	z.FillBytes(digest)
 
 	v := make([]byte, 32)
 	kk := make([]byte, 32)

@@ -207,34 +207,43 @@ func TestJacobianMatchesAffine(t *testing.T) {
 	}
 }
 
+// feOf returns x as a field element.
+func feOf(x *big.Int) *fe {
+	var z fe
+	z.setBig(x)
+	return &z
+}
+
 // TestJacobianSpecialCases drives the branches of addAffine a ladder with
 // k < N never takes — the accumulator meeting the addend itself, or its
 // negation, at z ≠ 1 — and double on the identity.
 func TestJacobianSpecialCases(t *testing.T) {
 	g := Point{X: Gx, Y: Gy}
+	gx, gy := feOf(g.X), feOf(g.Y)
 	five := scalarMultAffine(g, big.NewInt(5))
+	fx, fy := feOf(five.X), feOf(five.Y)
 	// 5·G the way the ladder reaches it (101b), which leaves z ≠ 1.
 	fiveJ := func() *jacobian {
 		var j jacobian
-		j.addAffine(g.X, g.Y)
+		j.addAffine(gx, gy)
 		j.double()
 		j.double()
-		j.addAffine(g.X, g.Y)
-		if j.z.Cmp(big.NewInt(1)) == 0 || !samePoint(j.affine(), five) {
+		j.addAffine(gx, gy)
+		if j.z == (fe{1}) || !samePoint(j.affine(), five) {
 			t.Fatal("set-up: accumulator is not 5·G at z ≠ 1")
 		}
 		return &j
 	}
 
 	j := fiveJ()
-	j.addAffine(five.X, five.Y)
+	j.addAffine(fx, fy)
 	if want := scalarMultAffine(g, big.NewInt(10)); !samePoint(j.affine(), want) {
 		t.Fatal("accumulator + itself is not its double")
 	}
 
 	j = fiveJ()
 	neg := negate(five)
-	j.addAffine(neg.X, neg.Y)
+	j.addAffine(feOf(neg.X), feOf(neg.Y))
 	if !j.affine().IsInfinity() {
 		t.Fatal("accumulator + its negation is not the identity")
 	}
@@ -243,7 +252,7 @@ func TestJacobianSpecialCases(t *testing.T) {
 	if !j.affine().IsInfinity() {
 		t.Fatal("doubling the identity left it")
 	}
-	j.addAffine(five.X, five.Y)
+	j.addAffine(fx, fy)
 	if !samePoint(j.affine(), five) {
 		t.Fatal("identity + p is not p")
 	}
@@ -314,55 +323,117 @@ func TestCombineMatchesAffine(t *testing.T) {
 	}
 }
 
-// TestReduceMatchesMod pins reduce's sign fix-up against big.Int.Mod.
-// QuoRem truncates, so a wrong fix-up shows only on negative inputs,
-// and exact multiples of P — where a random ladder almost never lands —
-// must come out 0, not P. The sweep spans (−16P, P²), wider than any
-// difference or product the ladder reduces; half of it is drawn from
-// (−16P, 16P), where the negative inputs are.
-func TestReduceMatchesMod(t *testing.T) {
-	var j jacobian // one accumulator throughout, as a ladder reuses its quotient
-	check := func(x *big.Int) {
-		t.Helper()
-		got := new(big.Int).Set(x)
-		j.reduce(got)
-		if want := new(big.Int).Mod(x, P); got.Cmp(want) != 0 {
-			t.Fatalf("reduce(%x) = %x, want %x", x, got, want)
-		}
-	}
-	one := big.NewInt(1)
-	pMinus1 := new(big.Int).Sub(P, one)
-	for _, x := range []*big.Int{
-		big.NewInt(0), one, pMinus1, P,
-		new(big.Int).Mul(P, P), new(big.Int).Mul(pMinus1, pMinus1),
+// checkField compares mul, sqr, add and sub on x, y with big.Int mod P,
+// each result also read back as exactly its value (so in [0, P)).
+func checkField(t *testing.T, x, y *big.Int) {
+	t.Helper()
+	fx, fy := feOf(x), feOf(y)
+	for _, c := range []struct {
+		op   string
+		got  func(z *fe)
+		want *big.Int
+	}{
+		{"mul", func(z *fe) { z.mul(fx, fy) }, new(big.Int).Mul(x, y)},
+		{"sqr", func(z *fe) { z.sqr(fx) }, new(big.Int).Mul(x, x)},
+		{"add", func(z *fe) { z.add(fx, fy) }, new(big.Int).Add(x, y)},
+		{"sub", func(z *fe) { z.sub(fx, fy) }, new(big.Int).Sub(x, y)},
 	} {
-		check(x)
-		check(new(big.Int).Neg(x))
-	}
-	for k := int64(2); k <= 16; k++ {
-		check(new(big.Int).Mul(P, big.NewInt(-k)))
-	}
-
-	rng := rand.New(rand.NewSource(28))
-	lo := new(big.Int).Mul(P, big.NewInt(-16))
-	wide := new(big.Int).Sub(new(big.Int).Mul(P, P), lo) // (−16P, P²)
-	narrow := new(big.Int).Sub(new(big.Int).Neg(lo), lo) // (−16P, 16P)
-	for i := 0; i < 20000; i++ {
-		span := wide
-		if i%2 == 0 {
-			span = narrow
+		var z fe
+		c.got(&z)
+		if want := c.want.Mod(c.want, P); z.big().Cmp(want) != 0 {
+			t.Fatalf("%s(%x, %x) = %x, want %x", c.op, x, y, z.big(), want)
 		}
-		x := new(big.Int).Rand(rng, new(big.Int).Sub(span, one))
-		check(x.Add(x, lo).Add(x, one))
 	}
 }
 
-// TestLadderAllocations pins the allocation floor: the ladder reduces
-// into the quotient its accumulator carries, so what a call allocates
-// is its set-up and its result, not its 256 steps. With big.Int.Mod
-// allocating a quotient per reduction, a multiplication allocated
-// ≈ 3.9k times, a signature ≈ 3.6k and a recovery ≈ 7.6k; with two
-// ladders instead of one joint ladder, a recovery allocated ≈ 150.
+// TestFieldMatchesBig is the field's oracle: every pair of edge operands
+// — 0, 1, 2³²+977 (2²⁵⁶ mod P), P−2, P−1 and values made of all-ones
+// limbs — then a seeded sweep, a quarter of it just below P. (P−1)²
+// reaches the second fold and ends in the subtraction of P;
+// (P−1)·(2²⁵⁶−2⁶⁴) is an edge pair whose second fold carries out of
+// 2²⁵⁶; (P−1)+(P−1) carries out of the sum.
+func TestFieldMatchesBig(t *testing.T) {
+	one := big.NewInt(1)
+	limbs := func(l ...uint64) *big.Int {
+		x := new(big.Int)
+		for i := len(l) - 1; i >= 0; i-- {
+			x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(l[i]))
+		}
+		return x
+	}
+	const ones = ^uint64(0)
+	edges := []*big.Int{
+		big.NewInt(0), one, big.NewInt(foldC),
+		new(big.Int).Sub(P, big.NewInt(2)), new(big.Int).Sub(P, one),
+		limbs(ones), limbs(ones, ones), limbs(ones, ones, ones),
+		limbs(0, ones, ones, ones), limbs(0, 0, ones, ones), limbs(0, 0, 0, ones),
+		limbs(ones, 0, ones, 0), limbs(0, ones, 0, ones),
+	}
+	for _, x := range edges {
+		for _, y := range edges {
+			checkField(t, x, y)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(32))
+	near := new(big.Int).Lsh(one, 40)
+	for i := 0; i < 20000; i++ {
+		x, y := new(big.Int).Rand(rng, P), new(big.Int).Rand(rng, P)
+		switch i % 4 {
+		case 1: // just below P
+			x.Sub(P, x.Rand(rng, near).Add(x, one))
+		case 2: // short operands
+			y.Rsh(y, uint(rng.Intn(256)))
+		}
+		checkField(t, x, y)
+	}
+
+	// sqrt against big.Int.Exp by (P+1)/4, on the edges and a sweep that
+	// is half squares, so both answers of sqrt are reached.
+	sqrtExp := new(big.Int).Rsh(new(big.Int).Add(P, one), 2)
+	checkSqrt := func(x *big.Int) {
+		t.Helper()
+		var z fe
+		ok := z.sqrt(feOf(x))
+		want := new(big.Int).Exp(x, sqrtExp, P)
+		root := new(big.Int).Mul(want, want)
+		if wantOK := root.Mod(root, P).Cmp(x) == 0; ok != wantOK || z.big().Cmp(want) != 0 {
+			t.Fatalf("sqrt(%x) = %x, %v; want %x, %v", x, z.big(), ok, want, wantOK)
+		}
+	}
+	for _, x := range edges {
+		checkSqrt(x)
+	}
+	for i := 0; i < 2000; i++ {
+		x := new(big.Int).Rand(rng, P)
+		if i%2 == 0 {
+			x.Mul(x, x).Mod(x, P)
+		}
+		checkSqrt(x)
+	}
+}
+
+// FuzzField compares the four field operations with big.Int mod P on two
+// fuzzer-chosen operands, each cut or zero-extended to 32 bytes and
+// reduced mod P.
+func FuzzField(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var ab, bb [32]byte
+		copy(ab[:], a)
+		copy(bb[:], b)
+		x := new(big.Int).SetBytes(ab[:])
+		y := new(big.Int).SetBytes(bb[:])
+		checkField(t, x.Mod(x, P), y.Mod(y, P))
+	})
+}
+
+// TestLadderAllocations pins the allocation floor. The ladder's field
+// elements are limb arrays on the stack, so what a call allocates is its
+// big.Int set-up, the two inversions and its result, not its 256 steps.
+// With the field in math/big, reducing into a quotient the accumulator
+// carried, a multiplication allocated 33 times, a signature 95 and a
+// recovery 111; with big.Int.Mod allocating a quotient per reduction, a
+// multiplication allocated ≈ 3.9k times and a recovery ≈ 7.6k.
 func TestLadderAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops the sync.Pool entries big.Int's division reuses")
@@ -380,10 +451,11 @@ func TestLadderAllocations(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"ScalarMult", 64, func() { sinkPoint = ScalarMult(p, k) }},
-		{"Sign", 192, func() { _, err = key.Sign(digest[:]) }},
-		{"Recover", 136, func() { sinkPoint, err = Recover(digest[:], sig) }},
-		{"Verify", 112, func() {
+		{"ScalarMult", 26, func() { sinkPoint = ScalarMult(p, k) }},
+		{"ScalarBaseMult", 26, func() { sinkPoint = ScalarBaseMult(k) }},
+		{"Sign", 96, func() { _, err = key.Sign(digest[:]) }},
+		{"Recover", 84, func() { sinkPoint, err = Recover(digest[:], sig) }},
+		{"Verify", 80, func() {
 			if !Verify(key.Public, digest[:], sig.R, sig.S) {
 				err = errors.New("signature did not verify")
 			}
@@ -455,6 +527,30 @@ func TestSignVerifyRecover(t *testing.T) {
 		// Low-s normalization.
 		if sig.S.Cmp(halfN) > 0 {
 			t.Fatal("signature s not normalized")
+		}
+	}
+}
+
+// TestSignReducesDigestModN pins RFC 6979's bits2octets: the nonce is
+// derived from the digest reduced mod N, so a digest d ≥ N signs exactly
+// as d − N does — the two already share z mod N.
+func TestSignReducesDigestModN(t *testing.T) {
+	key := PrivateKeyFromScalar(big.NewInt(0x1337))
+	one := big.NewInt(1)
+	for _, d := range []*big.Int{N, new(big.Int).Add(N, one), new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)} {
+		var hi, lo [32]byte
+		d.FillBytes(hi[:])
+		new(big.Int).Sub(d, N).FillBytes(lo[:])
+		a, err := key.Sign(hi[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := key.Sign(lo[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.R.Cmp(b.R) != 0 || a.S.Cmp(b.S) != 0 || a.V != b.V {
+			t.Fatalf("d=%x: Sign(d) = (%x, %x, %d), Sign(d−N) = (%x, %x, %d)", d, a.R, a.S, a.V, b.R, b.S, b.V)
 		}
 	}
 }
@@ -595,6 +691,34 @@ func BenchmarkSign(b *testing.B) {
 		if _, err := key.Sign(digest[:]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkVerify(b *testing.B) {
+	key := PrivateKeyFromScalar(big.NewInt(0xabcdef))
+	digest := sha256.Sum256([]byte("bench"))
+	sig, _ := key.Sign(digest[:])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !Verify(key.Public, digest[:], sig.R, sig.S) {
+			b.Fatal("signature did not verify")
+		}
+	}
+}
+
+var sinkFe fe
+
+func BenchmarkFieldMul(b *testing.B) {
+	x, y := feOf(Gx), feOf(Gy)
+	for i := 0; i < b.N; i++ {
+		sinkFe.mul(x, y)
+	}
+}
+
+func BenchmarkFieldSqr(b *testing.B) {
+	x := feOf(Gx)
+	for i := 0; i < b.N; i++ {
+		sinkFe.sqr(x)
 	}
 }
 
