@@ -66,8 +66,9 @@ lint:
 # secp256k1 limb field against math/big, the secp256k1 Jacobian ladder
 # (then sign → Recover) against the affine oracle, Recover on hostile
 # signature bytes (what the ecrecover precompile passes it) against the
-# three-multiplication oracle, transaction decoding (canonical
-# re-encoding) and the sender memo against a from-scratch recovery, ABI
+# three-multiplication oracle, RLP decoding of hostile bytes (canonical
+# re-encoding), transaction decoding (canonical re-encoding) and the
+# sender memo against a from-scratch recovery, ABI
 # decoding of hostile bytes against its own encoder, the segment-log
 # scan every durable store shares, and the EVM's jumpdest bitmap
 # against the reference analysis. go test takes
@@ -82,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzField -fuzztime 10s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 10s ./internal/rlp/
 	$(GO) test -run xxx -fuzz FuzzDecodeTransaction -fuzztime 10s -fuzzminimizetime 0s ./internal/ethtypes/
 	$(GO) test -run xxx -fuzz FuzzDecodeArgs -fuzztime 10s ./internal/abi/
 	$(GO) test -run xxx -fuzz FuzzScan -fuzztime 10s ./internal/seglog/

@@ -522,6 +522,7 @@ func (e *RevertError) Error() string {
 type CallResult struct {
 	Return  []byte
 	GasUsed uint64
+	Steps   uint64 // interpreter steps over every frame (evm.EVM.Steps)
 	Err     error
 	Reason  string // decoded revert reason, if any
 }

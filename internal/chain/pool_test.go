@@ -124,6 +124,14 @@ func TestTraceCall(t *testing.T) {
 	if trace.OpCount["SSTORE"] == 0 {
 		t.Fatalf("increment trace lacks SSTORE: %v", trace.OpCount)
 	}
+	// The result counts the steps the tracer recorded, and an untraced
+	// call counts the same.
+	if res.Steps != uint64(len(trace.Logs)) {
+		t.Fatalf("result counts %d steps, trace has %d", res.Steps, len(trace.Logs))
+	}
+	if plain := bc.Call(accs[0].Address, &addr, input, uint256.Zero, 0); plain.Steps != res.Steps || plain.GasUsed != res.GasUsed {
+		t.Fatalf("untraced call: %d steps, %d gas; traced: %d, %d", plain.Steps, plain.GasUsed, res.Steps, res.GasUsed)
+	}
 	// Tracing is read-only: state untouched.
 	q, _ := art.ABI.Pack("count")
 	out := bc.Call(accs[0].Address, &addr, q, uint256.Zero, 0)

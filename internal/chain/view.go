@@ -368,7 +368,8 @@ func (v *HeadView) callState(from ethtypes.Address) *state.StateDB {
 // tracer (possibly nil) attached. A gas of 0, or one above the block gas
 // limit, means the block gas limit: no caller-chosen gas lets a loop run
 // longer than a block could. It returns the address a create ran at
-// (zero for a call) and the result with its revert reason decoded.
+// (zero for a call) and the result with its step count and revert
+// reason.
 func (v *HeadView) runMessage(st *state.StateDB, tracer evm.Tracer, from ethtypes.Address, to *ethtypes.Address, data []byte, value uint256.Int, gas uint64) (ethtypes.Address, *CallResult) {
 	if gas == 0 || gas > v.gasLimit {
 		gas = v.gasLimit
@@ -386,7 +387,7 @@ func (v *HeadView) runMessage(st *state.StateDB, tracer evm.Tracer, from ethtype
 	} else {
 		ret, left, err = machine.Call(from, *to, data, gas, value)
 	}
-	res := &CallResult{Return: ret, GasUsed: gas - left, Err: err}
+	res := &CallResult{Return: ret, GasUsed: gas - left, Steps: machine.Steps(), Err: err}
 	if err != nil {
 		res.Reason, _ = abi.UnpackRevertReason(ret)
 	}

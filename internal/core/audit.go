@@ -24,9 +24,9 @@ func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport,
 		ChainVerified: VerifyChain(chain) == nil,
 	}
 
-	var tb upgrade.TraceBackend
+	var runs *upgrade.Runs
 	if hv, ok := m.Client.Backend().(web3.HeadViewer); ok {
-		tb = hv.HeadView()
+		runs = upgrade.NewRuns(hv.HeadView(), from)
 	}
 
 	for i, node := range chain {
@@ -67,7 +67,7 @@ func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport,
 		newABI, errNew := m.ResolveABI(newAddr)
 		if errOld == nil && errNew == nil {
 			pair.ABI = upgrade.DiffABI(oldABI, newABI)
-			pair.Behaviour = upgrade.DiffBehaviour(tb, from, oldAddr, newAddr, oldABI, newABI)
+			pair.Behaviour = upgrade.DiffBehaviour(runs, oldAddr, newAddr, oldABI, newABI)
 		}
 
 		oldLayout, _ := m.ResolveLayout(oldAddr)

@@ -99,6 +99,7 @@ type Manager struct {
 	dataStorage *web3.BoundContract
 	notary      *web3.BoundContract
 	parsed      map[ethtypes.Address]versionArtifacts
+	artifacts   map[artifactKey]any
 }
 
 // versionArtifacts memoises what was parsed of one version's artifacts.
@@ -109,14 +110,33 @@ type versionArtifacts struct {
 	layout *minisol.Layout
 }
 
+// artifactKind says what a blob is parsed as.
+type artifactKind uint8
+
+const (
+	kindABI artifactKind = iota
+	kindLayout
+)
+
+// artifactKey names one parsed blob. The CID alone is not enough: a row
+// may name one blob under two fields, and it parses as one kind only.
+type artifactKey struct {
+	kind artifactKind
+	cid  ipfs.CID
+}
+
+// errUnparsable marks a fetched blob that does not parse as its kind.
+var errUnparsable = errors.New("does not parse")
+
 // NewManager wires the three tiers together and binds the shared
 // contracts the docstore's system row names.
 func NewManager(client *web3.Client, node *ipfs.Node, store *docstore.Store) *Manager {
 	m := &Manager{
-		Client: client,
-		IPFS:   node,
-		Store:  store,
-		parsed: map[ethtypes.Address]versionArtifacts{},
+		Client:    client,
+		IPFS:      node,
+		Store:     store,
+		parsed:    map[ethtypes.Address]versionArtifacts{},
+		artifacts: map[artifactKey]any{},
 	}
 	// No row (docstore.ErrNotFound) means neither is deployed yet.
 	var sys systemRow
@@ -270,19 +290,6 @@ func (m *Manager) publish(row ContractRow, art *minisol.Artifact, legalDoc []byt
 	return row, m.putRow(row)
 }
 
-// blob fetches the content a version's registry row names in the field
-// cidOf picks: nil and no error when the row leaves that field empty.
-func (m *Manager) blob(addr ethtypes.Address, cidOf func(ContractRow) string) ([]byte, error) {
-	row, err := m.GetRow(addr)
-	if err != nil {
-		return nil, err
-	}
-	if cid := cidOf(row); cid != "" {
-		return m.IPFS.Blobs.Get(ipfs.CID(cid))
-	}
-	return nil, nil
-}
-
 // memo returns what has been parsed of addr's artifacts so far.
 func (m *Manager) memo(addr ethtypes.Address) versionArtifacts {
 	m.mu.Lock()
@@ -299,6 +306,36 @@ func (m *Manager) remember(addr ethtypes.Address, set func(*versionArtifacts)) {
 	m.mu.Unlock()
 }
 
+// parseBlob returns the blob cid parsed as kind by parse, fetching and
+// parsing it only the first time the manager meets (kind, cid): versions
+// that publish the same blob share one parse. Callers that miss at once
+// both parse, and all of them keep the value stored first. A blob that
+// does not parse is errUnparsable.
+func parseBlob[T any](m *Manager, kind artifactKind, cid ipfs.CID, parse func([]byte) (T, error)) (T, error) {
+	key := artifactKey{kind, cid}
+	m.mu.Lock()
+	v, ok := m.artifacts[key]
+	m.mu.Unlock()
+	if !ok {
+		var zero T
+		raw, err := m.IPFS.Blobs.Get(cid)
+		if err != nil {
+			return zero, err
+		}
+		parsed, err := parse(raw)
+		if err != nil {
+			return zero, fmt.Errorf("%w: %v", errUnparsable, err)
+		}
+		m.mu.Lock()
+		if v, ok = m.artifacts[key]; !ok {
+			v = parsed
+			m.artifacts[key] = v
+		}
+		m.mu.Unlock()
+	}
+	return v.(T), nil
+}
+
 // ResolveABI fetches and parses the ABI of a deployed version given only
 // its address — the IPFS lookup of Fig. 2, through the CID its registry
 // row names.
@@ -306,16 +343,19 @@ func (m *Manager) ResolveABI(addr ethtypes.Address) (*abi.ABI, error) {
 	if parsed := m.memo(addr).abi; parsed != nil {
 		return parsed, nil
 	}
-	raw, err := m.blob(addr, func(r ContractRow) string { return r.ABICID })
-	if err == nil && raw == nil {
+	row, err := m.GetRow(addr)
+	if err == nil && row.ABICID == "" {
 		err = errors.New("its registry row names no ABI")
+	}
+	var parsed *abi.ABI
+	if err == nil {
+		parsed, err = parseBlob(m, kindABI, ipfs.CID(row.ABICID), abi.ParseJSON)
+	}
+	if errors.Is(err, errUnparsable) {
+		return nil, fmt.Errorf("core: stored ABI for %s is invalid: %w", addr, err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%v)", ErrNoABI, addr, err)
-	}
-	parsed, err := abi.ParseJSON(raw)
-	if err != nil {
-		return nil, fmt.Errorf("core: stored ABI for %s is invalid: %w", addr, err)
 	}
 	m.remember(addr, func(a *versionArtifacts) { a.abi = parsed })
 	return parsed, nil
@@ -329,16 +369,19 @@ func (m *Manager) ResolveLayout(addr ethtypes.Address) (*minisol.Layout, error) 
 	if layout := m.memo(addr).layout; layout != nil {
 		return layout, nil
 	}
-	raw, err := m.blob(addr, func(r ContractRow) string { return r.LayoutCID })
+	row, err := m.GetRow(addr)
 	if err != nil {
 		return nil, fmt.Errorf("core: layout of %s: %w", addr, err)
 	}
-	if raw == nil {
+	if row.LayoutCID == "" {
 		return nil, nil
 	}
-	layout, err := minisol.ParseLayout(raw)
-	if err != nil {
+	layout, err := parseBlob(m, kindLayout, ipfs.CID(row.LayoutCID), minisol.ParseLayout)
+	if errors.Is(err, errUnparsable) {
 		return nil, fmt.Errorf("core: stored layout for %s is invalid: %w", addr, err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: layout of %s: %w", addr, err)
 	}
 	m.remember(addr, func(a *versionArtifacts) { a.layout = layout })
 	return layout, nil
@@ -622,9 +665,12 @@ func (m *Manager) Rows() []ContractRow {
 // LegalDocument fetches the stored legal document of a version from the
 // content store.
 func (m *Manager) LegalDocument(addr ethtypes.Address) ([]byte, error) {
-	doc, err := m.blob(addr, func(r ContractRow) string { return r.DocumentCID })
-	if err == nil && doc == nil {
-		err = fmt.Errorf("core: no document for %s", addr)
+	row, err := m.GetRow(addr)
+	if err != nil {
+		return nil, err
 	}
-	return doc, err
+	if row.DocumentCID == "" {
+		return nil, fmt.Errorf("core: no document for %s", addr)
+	}
+	return m.IPFS.Blobs.Get(ipfs.CID(row.DocumentCID))
 }

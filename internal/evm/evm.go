@@ -50,14 +50,20 @@ type EVM struct {
 	Tracer Tracer
 	depth  int
 	// steps accumulates interpreter iterations across the frames of the
-	// current outermost call, for the per-transaction step histogram.
-	steps uint64
+	// current outermost call, for the per-transaction step histogram;
+	// lastSteps keeps the total of the last outermost call (Steps).
+	steps, lastSteps uint64
 }
 
 // New returns an EVM bound to ctx and st.
 func New(ctx Context, st *state.StateDB) *EVM {
 	return &EVM{Context: ctx, State: st}
 }
+
+// Steps returns the interpreter steps the last outermost call or create
+// executed, over every frame it opened: the number of CaptureStep calls
+// a tracer would have seen. It is 0 for a message that ran no code.
+func (e *EVM) Steps() uint64 { return e.lastSteps }
 
 // frame is one call frame.
 type frame struct {
@@ -135,6 +141,9 @@ func (e *EVM) StaticCall(caller, to ethtypes.Address, input []byte, gas uint64) 
 // A frame is static when it is a STATICCALL or its parent is static
 // (EIP-214), so nothing a static frame calls can write.
 func (e *EVM) call(kind OpCode, parent *frame, caller, to ethtypes.Address, input []byte, gas uint64, value uint256.Int) (retOut []byte, gasLeft uint64, retErr error) {
+	if e.depth == 0 {
+		e.lastSteps = 0
+	}
 	if ft := e.frameTracer(); ft != nil {
 		ft.CaptureEnter(kind, caller, to, input, gas, value)
 		defer func() { ft.CaptureExit(retOut, gas-gasLeft, retErr) }()
@@ -218,6 +227,9 @@ func (e *EVM) Create2(caller ethtypes.Address, initCode []byte, gas uint64, valu
 }
 
 func (e *EVM) create(typ OpCode, caller ethtypes.Address, initCode []byte, gas uint64, value uint256.Int, addr ethtypes.Address) (retOut []byte, retAddr ethtypes.Address, gasLeft uint64, retErr error) {
+	if e.depth == 0 {
+		e.lastSteps = 0
+	}
 	if ft := e.frameTracer(); ft != nil {
 		ft.CaptureEnter(typ, caller, addr, initCode, gas, value)
 		defer func() { ft.CaptureExit(retOut, gas-gasLeft, retErr) }()

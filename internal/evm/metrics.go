@@ -22,9 +22,10 @@ var (
 )
 
 // observeOuter records the per-transaction distributions when an
-// outermost frame finishes, and resets the step accumulator.
+// outermost frame finishes, keeps its step count for Steps, and resets
+// the step accumulator.
 func (e *EVM) observeOuter(gasBefore, gasAfter uint64) {
 	mGasUsed.Observe(float64(gasBefore - gasAfter))
 	mSteps.Observe(float64(e.steps))
-	e.steps = 0
+	e.lastSteps, e.steps = e.steps, 0
 }

@@ -110,46 +110,51 @@ const (
 	SELFDESTRUCT OpCode = 0xff
 )
 
-var opNames = map[OpCode]string{
-	STOP: "STOP", ADD: "ADD", MUL: "MUL", SUB: "SUB", DIV: "DIV", SDIV: "SDIV",
-	MOD: "MOD", SMOD: "SMOD", ADDMOD: "ADDMOD", MULMOD: "MULMOD", EXP: "EXP",
-	SIGNEXTEND: "SIGNEXTEND", LT: "LT", GT: "GT", SLT: "SLT", SGT: "SGT",
-	EQ: "EQ", ISZERO: "ISZERO", AND: "AND", OR: "OR", XOR: "XOR", NOT: "NOT",
-	BYTE: "BYTE", SHL: "SHL", SHR: "SHR", SAR: "SAR", SHA3: "SHA3",
-	ADDRESS: "ADDRESS", BALANCE: "BALANCE", ORIGIN: "ORIGIN", CALLER: "CALLER",
-	CALLVALUE: "CALLVALUE", CALLDATALOAD: "CALLDATALOAD", CALLDATASIZE: "CALLDATASIZE",
-	CALLDATACOPY: "CALLDATACOPY", CODESIZE: "CODESIZE", CODECOPY: "CODECOPY",
-	GASPRICE: "GASPRICE", EXTCODESIZE: "EXTCODESIZE", EXTCODECOPY: "EXTCODECOPY",
-	RETURNDATASIZE: "RETURNDATASIZE", RETURNDATACOPY: "RETURNDATACOPY",
-	EXTCODEHASH: "EXTCODEHASH", BLOCKHASH: "BLOCKHASH", COINBASE: "COINBASE",
-	TIMESTAMP: "TIMESTAMP", NUMBER: "NUMBER", DIFFICULTY: "DIFFICULTY",
-	GASLIMIT: "GASLIMIT", CHAINID: "CHAINID", SELFBALANCE: "SELFBALANCE",
-	POP: "POP", MLOAD: "MLOAD", MSTORE: "MSTORE", MSTORE8: "MSTORE8",
-	SLOAD: "SLOAD", SSTORE: "SSTORE", JUMP: "JUMP", JUMPI: "JUMPI", PC: "PC",
-	MSIZE: "MSIZE", GAS: "GAS", JUMPDEST: "JUMPDEST",
-	LOG0: "LOG0", OpCode(0xa1): "LOG1", OpCode(0xa2): "LOG2",
-	OpCode(0xa3): "LOG3", LOG4: "LOG4",
-	CREATE: "CREATE", CALL: "CALL", CALLCODE: "CALLCODE", RETURN: "RETURN",
-	DELEGATECALL: "DELEGATECALL", CREATE2: "CREATE2", STATICCALL: "STATICCALL",
-	REVERT: "REVERT", INVALID: "INVALID", SELFDESTRUCT: "SELFDESTRUCT",
-}
+// opNames holds the mnemonic of every byte, built once so that String
+// is an index: a traced step names its opcode without formatting.
+var opNames = func() [256]string {
+	names := [256]string{
+		STOP: "STOP", ADD: "ADD", MUL: "MUL", SUB: "SUB", DIV: "DIV", SDIV: "SDIV",
+		MOD: "MOD", SMOD: "SMOD", ADDMOD: "ADDMOD", MULMOD: "MULMOD", EXP: "EXP",
+		SIGNEXTEND: "SIGNEXTEND", LT: "LT", GT: "GT", SLT: "SLT", SGT: "SGT",
+		EQ: "EQ", ISZERO: "ISZERO", AND: "AND", OR: "OR", XOR: "XOR", NOT: "NOT",
+		BYTE: "BYTE", SHL: "SHL", SHR: "SHR", SAR: "SAR", SHA3: "SHA3",
+		ADDRESS: "ADDRESS", BALANCE: "BALANCE", ORIGIN: "ORIGIN", CALLER: "CALLER",
+		CALLVALUE: "CALLVALUE", CALLDATALOAD: "CALLDATALOAD", CALLDATASIZE: "CALLDATASIZE",
+		CALLDATACOPY: "CALLDATACOPY", CODESIZE: "CODESIZE", CODECOPY: "CODECOPY",
+		GASPRICE: "GASPRICE", EXTCODESIZE: "EXTCODESIZE", EXTCODECOPY: "EXTCODECOPY",
+		RETURNDATASIZE: "RETURNDATASIZE", RETURNDATACOPY: "RETURNDATACOPY",
+		EXTCODEHASH: "EXTCODEHASH", BLOCKHASH: "BLOCKHASH", COINBASE: "COINBASE",
+		TIMESTAMP: "TIMESTAMP", NUMBER: "NUMBER", DIFFICULTY: "DIFFICULTY",
+		GASLIMIT: "GASLIMIT", CHAINID: "CHAINID", SELFBALANCE: "SELFBALANCE",
+		POP: "POP", MLOAD: "MLOAD", MSTORE: "MSTORE", MSTORE8: "MSTORE8",
+		SLOAD: "SLOAD", SSTORE: "SSTORE", JUMP: "JUMP", JUMPI: "JUMPI", PC: "PC",
+		MSIZE: "MSIZE", GAS: "GAS", JUMPDEST: "JUMPDEST",
+		LOG0: "LOG0", OpCode(0xa1): "LOG1", OpCode(0xa2): "LOG2",
+		OpCode(0xa3): "LOG3", LOG4: "LOG4",
+		CREATE: "CREATE", CALL: "CALL", CALLCODE: "CALLCODE", RETURN: "RETURN",
+		DELEGATECALL: "DELEGATECALL", CREATE2: "CREATE2", STATICCALL: "STATICCALL",
+		REVERT: "REVERT", INVALID: "INVALID", SELFDESTRUCT: "SELFDESTRUCT",
+	}
+	for i, name := range names {
+		op := OpCode(i)
+		switch {
+		case name != "":
+		case op >= PUSH1 && op <= PUSH32:
+			names[i] = fmt.Sprintf("PUSH%d", op-PUSH1+1)
+		case op >= DUP1 && op <= DUP16:
+			names[i] = fmt.Sprintf("DUP%d", op-DUP1+1)
+		case op >= SWAP1 && op <= SWAP16:
+			names[i] = fmt.Sprintf("SWAP%d", op-SWAP1+1)
+		default:
+			names[i] = fmt.Sprintf("opcode(0x%02x)", i)
+		}
+	}
+	return names
+}()
 
 // String renders the mnemonic.
-func (op OpCode) String() string {
-	if name, ok := opNames[op]; ok {
-		return name
-	}
-	if op >= PUSH1 && op <= PUSH32 {
-		return fmt.Sprintf("PUSH%d", op-PUSH1+1)
-	}
-	if op >= DUP1 && op <= DUP16 {
-		return fmt.Sprintf("DUP%d", op-DUP1+1)
-	}
-	if op >= SWAP1 && op <= SWAP16 {
-		return fmt.Sprintf("SWAP%d", op-SWAP1+1)
-	}
-	return fmt.Sprintf("opcode(0x%02x)", byte(op))
-}
+func (op OpCode) String() string { return opNames[op] }
 
 // IsPush reports whether op is PUSH1..PUSH32.
 func (op OpCode) IsPush() bool { return op >= PUSH1 && op <= PUSH32 }

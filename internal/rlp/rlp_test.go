@@ -238,3 +238,22 @@ func TestDecodeRandomNeverPanics(t *testing.T) {
 		}()
 	}
 }
+
+// FuzzDecode: hostile bytes decode or fail, never panic, and a decode
+// that succeeds re-encodes to exactly its input (only canonical
+// encodings are accepted). The committed corpus (testdata/fuzz/FuzzDecode)
+// holds the non-canonical forms: leading zeros in a length, a long form
+// for a length ≤ 55, and single bytes under 0x80 in the 0x81 form.
+func FuzzDecode(f *testing.F) {
+	f.Add(Encode(List(String("cat"), List(Uint(1024), Bytes(nil)), Bytes(bytes.Repeat([]byte{0x61}, 56)))))
+	f.Add(Encode(List(List(), List(List()), List(List(), List(List())))))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		it, err := Decode(raw)
+		if err != nil {
+			return
+		}
+		if enc := Encode(it); !bytes.Equal(enc, raw) {
+			t.Fatalf("decoded %x, which re-encodes to %x", raw, enc)
+		}
+	})
+}

@@ -4,15 +4,15 @@ import (
 	"legalchain/internal/abi"
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/evm"
 	"legalchain/internal/minisol"
+	"legalchain/internal/uint256"
 )
 
 // Audit report types. `legalctl audit <addr>` and the REST audit
 // endpoint walk an evidence line's doubly linked version list and
 // render, for every adjacent pair, what actually changed between the
 // versions: bytecode, public ABI surface, storage layout, and observed
-// behaviour (traced execution of the shared read-only methods). The
+// behaviour (gas, steps and outcome of the shared read-only methods). The
 // core tier assembles AuditReport; this package owns the pairwise
 // diffing so the shapes stay next to the rules they report on.
 
@@ -28,7 +28,7 @@ type VersionNode struct {
 	Layout    *minisol.Layout `json:"layout,omitempty"`
 }
 
-// BehaviourDelta compares one shared read-only method traced on both
+// BehaviourDelta compares one shared read-only method run on both
 // versions: gas burned, instruction steps, and revert outcome.
 type BehaviourDelta struct {
 	Method      string `json:"method"`
@@ -62,20 +62,55 @@ type AuditReport struct {
 	Rejections    []*Report     `json:"rejections,omitempty"` // rejected candidates recorded in evidence
 }
 
-// TraceBackend is the slice of the chain tier behaviour diffing needs.
-// *chain.HeadView satisfies it.
+// TraceBackend is the slice of the chain tier behaviour diffing needs:
+// one read-only call whose result carries its gas and the interpreter's
+// own step count. *chain.HeadView satisfies it.
 type TraceBackend interface {
-	TraceCall(from ethtypes.Address, to *ethtypes.Address, data []byte, gas uint64) (*chain.CallResult, *evm.StructLogger)
+	Call(from ethtypes.Address, to *ethtypes.Address, data []byte, value uint256.Int, gas uint64) *chain.CallResult
 }
 
-// DiffBehaviour traces every zero-argument read-only method the two
-// versions share, on both, and reports the execution deltas. Methods
+// Runs runs the read-only calls of one audit, each (address, calldata)
+// once. A middle version of a line is the new side of one pair and the
+// old side of the next; its views run once, not twice. The backend is
+// one immutable head view, so a second run could not differ. A Runs
+// lives for one audit and is not safe for concurrent use: a later
+// audit runs everything again.
+type Runs struct {
+	tb   TraceBackend
+	from ethtypes.Address
+	done map[runKey]*chain.CallResult
+}
+
+type runKey struct {
+	to   ethtypes.Address
+	data string
+}
+
+// NewRuns returns an empty Runs that calls tb from from.
+func NewRuns(tb TraceBackend, from ethtypes.Address) *Runs {
+	return &Runs{tb: tb, from: from, done: map[runKey]*chain.CallResult{}}
+}
+
+// call returns the result of calling to with data, running it the first
+// time only.
+func (r *Runs) call(to ethtypes.Address, data []byte) *chain.CallResult {
+	k := runKey{to, string(data)}
+	res, ok := r.done[k]
+	if !ok {
+		res = r.tb.Call(r.from, &to, data, uint256.Zero, 0)
+		r.done[k] = res
+	}
+	return res
+}
+
+// DiffBehaviour runs every zero-argument read-only method the two
+// versions share, on both, and reports the execution deltas; with nil
+// runs (a backend with no head view to call) it reports none. Methods
 // with inputs are skipped (no meaningful common argument exists), as is
-// anything state-changing (tracing must not suggest the audit mutated
-// the chain — it never does, but the report shouldn't invite the
-// question).
-func DiffBehaviour(tb TraceBackend, from ethtypes.Address, oldAddr, newAddr ethtypes.Address, oldABI, newABI *abi.ABI) []BehaviourDelta {
-	if tb == nil || oldABI == nil || newABI == nil {
+// anything state-changing (the report shouldn't suggest the audit
+// mutated the chain — it never does).
+func DiffBehaviour(runs *Runs, oldAddr, newAddr ethtypes.Address, oldABI, newABI *abi.ABI) []BehaviourDelta {
+	if runs == nil || oldABI == nil || newABI == nil {
 		return nil
 	}
 	var out []BehaviourDelta
@@ -89,14 +124,13 @@ func DiffBehaviour(tb TraceBackend, from ethtypes.Address, oldAddr, newAddr etht
 		if err != nil {
 			continue
 		}
-		oldRes, oldTr := tb.TraceCall(from, &oldAddr, data, 0)
-		newRes, newTr := tb.TraceCall(from, &newAddr, data, 0)
+		oldRes, newRes := runs.call(oldAddr, data), runs.call(newAddr, data)
 		d := BehaviourDelta{
 			Method:      om.Signature(),
 			OldGas:      oldRes.GasUsed,
 			NewGas:      newRes.GasUsed,
-			OldSteps:    len(oldTr.Logs),
-			NewSteps:    len(newTr.Logs),
+			OldSteps:    int(oldRes.Steps),
+			NewSteps:    int(newRes.Steps),
 			OldReverted: oldRes.Err != nil,
 			NewReverted: newRes.Err != nil,
 		}
