@@ -15,7 +15,8 @@ test:
 # check is the fast pre-merge gate: vet everything, run the
 # concurrency-sensitive suites (the sender and block-hash memos in
 # ethtypes, the read-only constructed ABI, the evm code-analysis cache,
-# state commit pipeline, chain read/write paths, rpc, app, the node
+# the trie node caches that snapshots hash concurrently, the state
+# commit pipeline, chain read/write paths, rpc, app, the node
 # assembly with its listeners and shutdown order) under the
 # race detector, the upgrade-guard suites
 # (layout-diff round-trip property included) plus the manager tier that
@@ -25,7 +26,7 @@ check:
 	$(MAKE) fmt-check
 	$(MAKE) metrics-doc
 	$(GO) vet ./...
-	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/node/... ./internal/xtrace/...
+	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/trie/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/node/... ./internal/xtrace/...
 	$(GO) test -race -count 1 ./internal/upgrade/... ./internal/core/...
 	$(MAKE) persistence-torture
 	$(MAKE) fuzz-smoke
@@ -70,13 +71,15 @@ lint:
 # re-encoding), transaction decoding (canonical re-encoding) and the
 # sender memo against a from-scratch recovery, ABI
 # decoding of hostile bytes against its own encoder, the segment-log
-# scan every durable store shares, and the EVM's jumpdest bitmap
-# against the reference analysis. go test takes
-# one -fuzz target and one package per invocation. The targets that
-# recover a key cost ~2–15 ms an input, so minimising each
+# scan every durable store shares, the EVM's jumpdest bitmap
+# against the reference analysis, and Merkle proof verification of
+# hostile proof elements (no panic; fresh proofs agree with Get).
+# go test takes one -fuzz target and one package per invocation.
+# The targets that recover a key cost ~2–15 ms an input, so minimising each
 # coverage-expanding one (60 s by default) would leave no time to fuzz;
 # minimising one long bytecode input stops the jumpdest target for
-# seconds the same way.
+# seconds the same way, and minimising the three inputs of the proof
+# target stalls it too.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
 	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
@@ -88,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeArgs -fuzztime 10s ./internal/abi/
 	$(GO) test -run xxx -fuzz FuzzScan -fuzztime 10s ./internal/seglog/
 	$(GO) test -run xxx -fuzz FuzzJumpdestBitmap -fuzztime 10s -fuzzminimizetime 0s ./internal/evm/
+	$(GO) test -run xxx -fuzz FuzzVerifyProof -fuzztime 10s -fuzzminimizetime 0s ./internal/trie/
 
 # fmt-check fails the build if any file is not gofmt-clean.
 fmt-check:
@@ -119,7 +123,7 @@ persistence-torture:
 	$(GO) test -race -run Restart ./internal/node/...
 
 race:
-	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/node/... ./internal/xtrace/...
+	$(GO) test -race ./internal/ethtypes/... ./internal/abi/... ./internal/evm/... ./internal/trie/... ./internal/state/... ./internal/chain/... ./internal/rpc/... ./internal/app/... ./internal/node/... ./internal/xtrace/...
 
 # bench-host prints the parallelism the numbers were taken at (benchmark
 # name suffixes also carry GOMAXPROCS, but only implicitly).

@@ -288,6 +288,11 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			map[string]interface{}{}, 400, "bad_request"},
 		{"modify without terms", "POST", "/api/v1/contracts/" + addr + "/actions",
 			map[string]interface{}{"action": "modify"}, 400, "bad_request"},
+		{"deploy with negative rent", "POST", "/api/v1/contracts",
+			map[string]interface{}{"artifact": "BaseRental", "rentEth": "-1", "depositEth": "2", "months": 12}, 400, "bad_request"},
+		{"modify with a 19th fraction digit", "POST", "/api/v1/contracts/" + addr + "/actions",
+			map[string]interface{}{"action": "modify", "terms": map[string]interface{}{
+				"rentEth": "1", "fineEth": "0.0000000000000000001"}}, 400, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

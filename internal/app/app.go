@@ -17,6 +17,7 @@ import (
 
 	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/uint256"
 	"legalchain/internal/watch"
 	"legalchain/internal/web3"
 )
@@ -218,25 +219,38 @@ type termsInput struct {
 	Document       string `json:"document"`
 }
 
-// legalDoc is the document's bytes, nil when none was given.
-func (t termsInput) legalDoc() []byte {
-	if t.Document == "" {
-		return nil
+// parse converts the terms to wei amounts and the document's bytes
+// (nil when none was given), refusing a malformed amount.
+func (t termsInput) parse() (core.ModifiedTerms, error) {
+	m := core.ModifiedTerms{Months: t.Months, House: t.House}
+	if t.Document != "" {
+		m.LegalDoc = []byte(t.Document)
 	}
-	return []byte(t.Document)
+	for _, f := range []struct {
+		dst *uint256.Int
+		eth string
+	}{
+		{&m.Rent, t.RentEth}, {&m.Deposit, t.DepositEth},
+		{&m.MaintenanceFee, t.MaintenanceEth}, {&m.Discount, t.DiscountEth}, {&m.Fine, t.FineEth},
+	} {
+		w, err := weiOf(f.eth)
+		if err != nil {
+			return core.ModifiedTerms{}, err
+		}
+		*f.dst = w
+	}
+	return m, nil
 }
 
 // deployAgreement deploys a rental agreement for u: the built-in
 // BaseRental when artifact is empty or names it, otherwise the uploaded
 // artifact of that name with the same constructor terms.
 func (a *App) deployAgreement(u *User, artifact string, t termsInput) (*core.Deployment, error) {
-	terms := core.RentalTerms{
-		Rent:     weiOf(t.RentEth),
-		Deposit:  weiOf(t.DepositEth),
-		Months:   t.Months,
-		House:    t.House,
-		LegalDoc: t.legalDoc(),
+	m, err := t.parse()
+	if err != nil {
+		return nil, err
 	}
+	terms := core.RentalTerms{Rent: m.Rent, Deposit: m.Deposit, Months: m.Months, House: m.House, LegalDoc: m.LegalDoc}
 	if artifact == "" || strings.EqualFold(artifact, "BaseRental") {
 		return a.Rental.DeployRental(u.Addr(), terms)
 	}
@@ -271,16 +285,11 @@ func (a *App) contractAction(ctx context.Context, u *User, addr ethtypes.Address
 		if terms == nil {
 			return nil, nil, errors.New("app: modify requires terms")
 		}
-		dep, err := a.Rental.Modify(u.Addr(), addr, core.ModifiedTerms{
-			Rent:           weiOf(terms.RentEth),
-			Deposit:        weiOf(terms.DepositEth),
-			Months:         terms.Months,
-			House:          terms.House,
-			MaintenanceFee: weiOf(terms.MaintenanceEth),
-			Discount:       weiOf(terms.DiscountEth),
-			Fine:           weiOf(terms.FineEth),
-			LegalDoc:       terms.legalDoc(),
-		})
+		m, err := terms.parse()
+		if err != nil {
+			return nil, nil, err
+		}
+		dep, err := a.Rental.Modify(u.Addr(), addr, m)
 		return nil, dep, err
 	case "":
 		return nil, nil, errors.New("app: missing action")

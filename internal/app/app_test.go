@@ -146,6 +146,16 @@ func TestFullWebLifecycle(t *testing.T) {
 	tenant := newBrowser(t, srv)
 	tenant.register("eleana_kafeza", "pw2")
 
+	// Malformed terms get the error page, not a contract.
+	for _, bad := range []url.Values{
+		{"artifact": {"BaseRental"}, "rent": {"-1"}, "deposit": {"2"}, "months": {"12"}},
+		{"artifact": {"BaseRental"}, "rent": {"1"}, "deposit": {"2"}, "months": {"12abc"}},
+	} {
+		if resp, body := landlord.post("/deploy", bad); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "app: bad") {
+			t.Fatalf("malformed deploy %v: %d %s", bad, resp.StatusCode, body)
+		}
+	}
+
 	// Landlord deploys with a legal document (Fig. 10).
 	resp, body := landlord.post("/deploy", url.Values{
 		"artifact": {"BaseRental"},
@@ -299,16 +309,42 @@ func TestAuthRequired(t *testing.T) {
 }
 
 func TestWeiOfParsing(t *testing.T) {
+	maxWei := "115792089237316195423570985008687907853269984665640564039457584007913129639935" // 2^256 - 1
 	cases := map[string]string{
-		"1":    ethtypes.Ether(1).String(),
-		"0.5":  "500000000000000000",
-		"2.25": "2250000000000000000",
-		"":     "0",
-		"abc":  "0",
+		"1":                    ethtypes.Ether(1).String(),
+		"0.5":                  "500000000000000000",
+		"2.25":                 "2250000000000000000",
+		" 3 ":                  "3000000000000000000",
+		".5":                   "500000000000000000",
+		"0.000000000000000001": "1",
+		"":                     "0",
+		maxWei[:len(maxWei)-18] + "." + maxWei[len(maxWei)-18:]: maxWei,
 	}
 	for in, want := range cases {
-		if got := weiOf(in).String(); got != want {
-			t.Errorf("weiOf(%q) = %s, want %s", in, got, want)
+		got, err := weiOf(in)
+		if err != nil || got.String() != want {
+			t.Errorf("weiOf(%q) = %s, %v; want %s", in, got.String(), err, want)
+		}
+	}
+	for _, in := range []string{
+		"-1", "+1", "abc", "1e3", "12abc", "1.2.3", ".", "1 000",
+		"0.0000000000000000001", // a 19th fraction digit
+		strings.Repeat("9", 60), // wraps modulo 2^256
+		"115792089237316195423570985008687907853269984665640564039457.584007913129639936", // 2^256 wei
+	} {
+		if got, err := weiOf(in); err == nil {
+			t.Errorf("weiOf(%q) = %s, want an error", in, got.String())
+		}
+	}
+
+	for in, want := range map[string]uint64{"": 0, "12": 12, " 7 ": 7, "18446744073709551615": 1<<64 - 1} {
+		if got, err := uintOf(in); err != nil || got != want {
+			t.Errorf("uintOf(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"12abc", "-1", "+1", "abc", "1.5", "18446744073709551616"} {
+		if got, err := uintOf(in); err == nil {
+			t.Errorf("uintOf(%q) = %d, want an error", in, got)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"html/template"
 	"math/big"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"legalchain/internal/core"
@@ -145,7 +146,11 @@ func (a *App) handleUpload(w http.ResponseWriter, r *http.Request, u *User) {
 // built-in BaseRental) with rental terms.
 func (a *App) handleDeploy(w http.ResponseWriter, r *http.Request, u *User) {
 	if r.Method == http.MethodPost {
-		if _, err := a.deployAgreement(u, r.FormValue("artifact"), formTerms(r)); err != nil {
+		terms, err := formTerms(r)
+		if err == nil {
+			_, err = a.deployAgreement(u, r.FormValue("artifact"), terms)
+		}
+		if err != nil {
 			a.renderError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -171,8 +176,11 @@ func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User) {
 		action = parts[1]
 	}
 	if r.Method == http.MethodPost {
-		terms := formTerms(r)
-		if _, _, err := a.contractAction(r.Context(), u, addr, action, &terms); err != nil {
+		terms, err := formTerms(r)
+		if err == nil {
+			_, _, err = a.contractAction(r.Context(), u, addr, action, &terms)
+		}
+		if err != nil {
 			a.renderError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -183,17 +191,18 @@ func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User) {
 }
 
 // formTerms reads the rental terms from the deploy and modify forms.
-func formTerms(r *http.Request) termsInput {
+func formTerms(r *http.Request) (termsInput, error) {
+	months, err := uintOf(r.FormValue("months"))
 	return termsInput{
 		RentEth:        r.FormValue("rent"),
 		DepositEth:     r.FormValue("deposit"),
-		Months:         uintOf(r.FormValue("months")),
+		Months:         months,
 		House:          r.FormValue("house"),
 		MaintenanceEth: r.FormValue("maintenance"),
 		DiscountEth:    r.FormValue("discount"),
 		FineEth:        r.FormValue("fine"),
 		Document:       r.FormValue("document"),
-	}
+	}, err
 }
 
 // ContractView is the detail-page model.
@@ -266,33 +275,37 @@ func (a *App) handleDocument(w http.ResponseWriter, r *http.Request, u *User) {
 
 // --- helpers ----------------------------------------------------------------
 
-// weiOf parses a decimal ether amount ("1.5") into wei.
-func weiOf(s string) uint256.Int {
+// weiOf parses a decimal ether amount ("1.5") into wei. Empty input
+// is zero (the optional clauses); a sign, any other non-digit, more
+// than 18 fraction digits or an amount of 2²⁵⁶ wei or more is an error.
+func weiOf(s string) (uint256.Int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return uint256.Zero
+		return uint256.Zero, nil
 	}
-	whole, frac := s, ""
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		whole, frac = s[:i], s[i+1:]
+	whole, frac, _ := strings.Cut(s, ".")
+	digits := whole + frac
+	if digits == "" || len(frac) > 18 || strings.Trim(digits, "0123456789") != "" {
+		return uint256.Zero, fmt.Errorf("app: bad ether amount %q", s)
 	}
-	if len(frac) > 18 {
-		frac = frac[:18]
+	w, _ := new(big.Int).SetString(digits+strings.Repeat("0", 18-len(frac)), 10)
+	if w.BitLen() > 256 {
+		return uint256.Zero, fmt.Errorf("app: ether amount %q is 2^256 wei or more", s)
 	}
-	frac += strings.Repeat("0", 18-len(frac))
-	w, ok1 := new(big.Int).SetString(whole, 10)
-	f, ok2 := new(big.Int).SetString(frac, 10)
-	if !ok1 || !ok2 {
-		return uint256.Zero
-	}
-	w.Mul(w, new(big.Int).Exp(big.NewInt(10), big.NewInt(18), nil))
-	return uint256.FromBig(w.Add(w, f))
+	return uint256.FromBig(w), nil
 }
 
-func uintOf(s string) uint64 {
-	var n uint64
-	fmt.Sscanf(strings.TrimSpace(s), "%d", &n)
-	return n
+// uintOf parses a whole number; empty input is zero.
+func uintOf(s string) (uint64, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("app: bad whole number %q", s)
+	}
+	return n, nil
 }
 
 func (a *App) render(w http.ResponseWriter, t *template.Template, data interface{}) {

@@ -17,5 +17,5 @@ func DeriveReceiptRoot(receipts []*ethtypes.Receipt) ethtypes.Hash {
 	for i, r := range receipts {
 		tr.Put(rlp.Encode(rlp.Uint(uint64(i))), r.EncodeRLP())
 	}
-	return tr.Hash(nil)
+	return tr.Hash()
 }

@@ -263,8 +263,8 @@ func (s *StateDB) EvictCold(keepResident int) int {
 		evicted++
 	}
 	if evicted > 0 {
-		// The tries are fully hashed (every Root/StorageRoot in disk
-		// mode hashes through HashCollect before the batch commits), so
+		// The tries are fully hashed (every Root in disk mode hashes
+		// through HashCollect with its sink before the batch commits), so
 		// Unload is a pure release: resident nodes collapse to hash
 		// references that re-resolve through the store.
 		s.accountTrie.Unload()

@@ -138,7 +138,7 @@ type StateDB struct {
 	frozen bool
 
 	// Incremental commit pipeline: persistent tries, synced from the
-	// dirty set on Root()/StorageRoot().
+	// dirty set on Root().
 	accountTrie  *trie.Secure
 	storageTries map[ethtypes.Address]*trie.Secure
 	// rootCache holds each account's storage root as of its last sync.
@@ -629,78 +629,6 @@ func residentSlots(o *stateObject) []ethtypes.Hash {
 	return out
 }
 
-// StorageRoot computes the Merkle root of one account's storage trie,
-// syncing any pending dirty slots for that account first.
-func (s *StateDB) StorageRoot(addr ethtypes.Address) ethtypes.Hash {
-	if s.disk != nil {
-		// Disk mode: every hash computation must route through
-		// HashCollect so fresh nodes land in the pending batch — a
-		// plain Hash here would cache them as already-emitted and they
-		// would never reach the store. Delegate to the full sync.
-		s.Root()
-		if h, ok := s.rootCache[addr]; ok {
-			return h
-		}
-		if o := s.getObject(addr); o != nil && o.partial {
-			return o.storageRoot
-		}
-		return trie.EmptyRoot
-	}
-	o := s.getObject(addr)
-	e := s.dirties[addr]
-	if o == nil || (!o.partial && len(o.storage) == 0) {
-		if e != nil {
-			delete(s.storageTries, addr)
-			delete(s.rootCache, addr)
-			e.reset, e.slots = false, nil // account leaf stays marked
-		}
-		return trie.EmptyRoot
-	}
-	if e != nil && (e.reset || len(e.slots) > 0) {
-		tr := s.storageTries[addr]
-		full := false
-		var slots []ethtypes.Hash
-		switch {
-		case e.reset || (tr == nil && !o.partial):
-			tr = s.newStorageTrie()
-			full = true
-		case tr == nil:
-			// Partial object without a materialised trie: anchor a lazy
-			// trie at the committed root and sync every resident slot
-			// (an overlay trie is never collected, so Hash is fine).
-			tr = trie.NewSecureFromRoot(o.storageRoot, s.diskStore())
-			slots = residentSlots(o)
-		default:
-			slots = make([]ethtypes.Hash, 0, len(e.slots))
-			for slot := range e.slots {
-				slots = append(slots, slot)
-			}
-		}
-		applyStorageDirt(tr, o, slots, full)
-		s.storageTries[addr] = tr
-		s.rootCache[addr] = tr.Hash(nil)
-		e.reset, e.slots = false, nil
-	}
-	if h, ok := s.rootCache[addr]; ok {
-		return h
-	}
-	// Cold path: storage present but never synced (e.g. a Copy taken
-	// before any root computation). Full rebuild — or, for a partial
-	// object, resident slots over the committed anchor.
-	var tr *trie.Secure
-	if o.partial {
-		tr = trie.NewSecureFromRoot(o.storageRoot, s.diskStore())
-		applyStorageDirt(tr, o, residentSlots(o), false)
-	} else {
-		tr = s.newStorageTrie()
-		applyStorageDirt(tr, o, nil, true)
-	}
-	s.storageTries[addr] = tr
-	h := tr.Hash(nil)
-	s.rootCache[addr] = h
-	return h
-}
-
 // storageJob is one dirty account's storage-trie sync, runnable in
 // parallel with other accounts' jobs (their tries share no nodes).
 type storageJob struct {
@@ -735,13 +663,13 @@ func (j *storageJob) run() {
 		return
 	}
 	applyStorageDirt(j.tr, j.obj, j.slots, j.full)
+	var sink func(ethtypes.Hash, []byte)
 	if j.collect {
-		j.root = j.tr.HashCollect(func(h ethtypes.Hash, enc []byte) {
-			j.nodes = append(j.nodes, statestore.NodeBlob{Hash: h, Enc: append([]byte(nil), enc...)})
-		})
-		return
+		sink = func(h ethtypes.Hash, enc []byte) {
+			j.nodes = append(j.nodes, statestore.NodeBlob{Hash: h, Enc: enc})
+		}
 	}
-	j.root = j.tr.Hash(nil)
+	j.root = j.tr.HashCollect(sink)
 }
 
 // Root computes the world-state Merkle root over all accounts by syncing
@@ -907,13 +835,11 @@ func (s *StateDB) Root() ethtypes.Hash {
 	}
 
 	s.dirties = make(map[ethtypes.Address]*dirtyEntry)
+	var sink func(ethtypes.Hash, []byte)
 	if p != nil {
-		s.worldRoot = s.accountTrie.HashCollect(func(h ethtypes.Hash, enc []byte) {
-			p.PutNode(h, append([]byte(nil), enc...))
-		})
-	} else {
-		s.worldRoot = s.accountTrie.Hash(nil)
+		sink = p.PutNode
 	}
+	s.worldRoot = s.accountTrie.HashCollect(sink)
 	s.rootValid = true
 	return s.worldRoot
 }
@@ -932,7 +858,7 @@ func (s *StateDB) RebuildRoot() ethtypes.Hash {
 		for slot, val := range o.storage {
 			st.Put(slot[:], rlp.Encode(rlp.Bytes(val.Bytes())))
 		}
-		storageRoot := st.Hash(nil)
+		storageRoot := st.Hash()
 		enc := rlp.Encode(rlp.List(
 			rlp.Uint(o.nonce),
 			rlp.BigInt(o.balance.ToBig()),
@@ -941,7 +867,7 @@ func (s *StateDB) RebuildRoot() ethtypes.Hash {
 		))
 		at.Put(addr[:], enc)
 	}
-	return at.Hash(nil)
+	return at.Hash()
 }
 
 // Accounts returns the addresses present in state, sorted, for
@@ -969,19 +895,6 @@ func (s *StateDB) Accounts() []ethtypes.Address {
 		}
 		return false
 	})
-	return out
-}
-
-// StorageSlots returns the non-zero slots of one account, for tooling.
-func (s *StateDB) StorageSlots(addr ethtypes.Address) map[ethtypes.Hash]uint256.Int {
-	o := s.getObject(addr)
-	if o == nil {
-		return nil
-	}
-	out := make(map[ethtypes.Hash]uint256.Int, len(o.storage))
-	for k, v := range o.storage {
-		out[k] = v
-	}
 	return out
 }
 
@@ -1074,51 +987,4 @@ func (s *StateDB) TotalBalance() uint256.Int {
 		total = total.Add(o.balance)
 	}
 	return total
-}
-
-// AccountDump is a JSON-friendly rendering of one account, for
-// inspection tooling.
-type AccountDump struct {
-	Address  string            `json:"address"`
-	Nonce    uint64            `json:"nonce"`
-	Balance  string            `json:"balance"`
-	CodeSize int               `json:"codeSize,omitempty"`
-	Storage  map[string]string `json:"storage,omitempty"`
-}
-
-// Dump renders the whole world state (sorted by address) for debugging
-// and the inspection CLI. Not for consensus use.
-func (s *StateDB) Dump() []AccountDump {
-	addrs := s.Accounts()
-	out := make([]AccountDump, 0, len(addrs))
-	for _, addr := range addrs {
-		o := s.objects[addr]
-		if o == nil && s.disk != nil {
-			// Non-resident disk account: render the flat record. Slot
-			// keys are keccak-hashed in the storage trie and the dump
-			// is resident-oriented, so storage is omitted here.
-			o = loadDiskObject(s.disk, addr)
-		}
-		if o == nil || (o.empty() && len(o.storage) == 0 &&
-			(o.storageRoot == (ethtypes.Hash{}) || o.storageRoot == trie.EmptyRoot)) {
-			continue
-		}
-		d := AccountDump{
-			Address:  addr.Hex(),
-			Nonce:    o.nonce,
-			Balance:  o.balance.String(),
-			CodeSize: len(s.codeOf(o)),
-		}
-		if len(o.storage) > 0 {
-			d.Storage = make(map[string]string, len(o.storage))
-			for k, v := range o.storage {
-				if v.IsZero() {
-					continue // partial-object tombstone
-				}
-				d.Storage[k.Hex()] = v.Hex()
-			}
-		}
-		out = append(out, d)
-	}
-	return out
 }

@@ -199,7 +199,7 @@ func TestAccountRecreationAfterSelfDestruct(t *testing.T) {
 	if got, want := s.Root(), s.RebuildRoot(); got != want {
 		t.Fatalf("post-recreate root %s != oracle %s", got, want)
 	}
-	if got := s.StorageRoot(a); got == trie.EmptyRoot {
+	if got := storageRootOf(t, s, a); got == trie.EmptyRoot {
 		t.Fatal("recreated storage root is empty")
 	}
 	if !s.GetState(a, slot(1)).IsZero() {

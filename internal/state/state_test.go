@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/rlp"
 	"legalchain/internal/trie"
 	"legalchain/internal/uint256"
 )
@@ -188,29 +189,52 @@ func TestRootDeterministic(t *testing.T) {
 	}
 }
 
+// storageRootOf returns the storage root Root() commits for a: the
+// third field of its account leaf, or the empty root without a leaf.
+func storageRootOf(t *testing.T, s *StateDB, a ethtypes.Address) ethtypes.Hash {
+	t.Helper()
+	s.Root()
+	enc, ok, err := s.accountTrie.TryGet(a[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		return trie.EmptyRoot
+	}
+	leaf, err := rlp.Decode(enc)
+	if err != nil || leaf.Kind() != rlp.KindList || leaf.Len() != 4 {
+		t.Fatalf("account leaf %x: %v", enc, err)
+	}
+	return ethtypes.BytesToHash(leaf.At(2).Str())
+}
+
 func TestStorageRootCaching(t *testing.T) {
 	s := New()
 	a := addr(8)
 	s.SetState(a, slot(1), uint256.NewUint64(1))
-	r1 := s.StorageRoot(a)
-	if s.StorageRoot(a) != r1 {
+	r1 := storageRootOf(t, s, a)
+	if r1 == trie.EmptyRoot || storageRootOf(t, s, a) != r1 {
 		t.Fatal("cached root differs")
 	}
 	s.SetState(a, slot(2), uint256.NewUint64(2))
-	if s.StorageRoot(a) == r1 {
+	if storageRootOf(t, s, a) == r1 {
 		t.Fatal("cache not invalidated by write")
+	}
+	if got, want := s.Root(), s.RebuildRoot(); got != want {
+		t.Fatalf("root %s != oracle %s", got, want)
 	}
 }
 
 func TestZeroWriteDeletesSlot(t *testing.T) {
 	s := New()
 	a := addr(6)
+	s.AddBalance(a, uint256.NewUint64(1))
 	s.SetState(a, slot(1), uint256.NewUint64(5))
 	s.SetState(a, slot(1), uint256.Zero)
-	if len(s.StorageSlots(a)) != 0 {
+	if _, kept := s.getObject(a).storage[slot(1)]; kept {
 		t.Fatal("zero write must delete the slot")
 	}
-	if s.StorageRoot(a) != trie.EmptyRoot {
+	if storageRootOf(t, s, a) != trie.EmptyRoot {
 		t.Fatal("zeroed storage must have the empty root")
 	}
 }
@@ -334,23 +358,5 @@ func BenchmarkRoot100Accounts(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Root()
-	}
-}
-
-func TestDump(t *testing.T) {
-	s := New()
-	s.AddBalance(addr(1), uint256.NewUint64(500))
-	s.SetNonce(addr(1), 3)
-	s.SetCode(addr(2), []byte{1, 2, 3})
-	s.SetState(addr(2), slot(7), uint256.NewUint64(9))
-	dump := s.Dump()
-	if len(dump) != 2 {
-		t.Fatalf("dump = %d accounts", len(dump))
-	}
-	if dump[0].Balance != "500" || dump[0].Nonce != 3 {
-		t.Fatalf("account 1: %+v", dump[0])
-	}
-	if dump[1].CodeSize != 3 || len(dump[1].Storage) != 1 {
-		t.Fatalf("account 2: %+v", dump[1])
 	}
 }

@@ -1,4 +1,4 @@
-// Incremental trie hashing.
+// Trie hashing: one node encoder with an optional sink.
 //
 // Every shortNode/fullNode memoises the *reference form* of its RLP
 // encoding — the bytes a parent embeds for it: the encoding itself when
@@ -7,8 +7,12 @@
 // nodes already linked into a trie are never mutated), a memoised entry
 // can never go stale: re-hashing after k updates recomputes only the
 // O(k·depth) nodes along the changed paths and serves every untouched
-// subtree from its cache. The byte output is identical to the
-// rlp.Encode(encodeNode(...)) path used when a NodeStore is requested.
+// subtree from its cache.
+//
+// cachedRef is the only encoder. Given a sink it also emits every
+// freshly hashed node as (hash, full encoding) — what a disk store
+// persists; Prove rebuilds the full encoding of a cached node from the
+// same payload builder, appendPayload.
 //
 // Caches are published through atomic pointers so snapshots sharing
 // structure with a live trie can be hashed concurrently: racing writers
@@ -17,6 +21,7 @@ package trie
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"legalchain/internal/ethtypes"
 )
@@ -37,21 +42,46 @@ var encBufPool = sync.Pool{
 	},
 }
 
-// fastHash returns the root hash of n using the memoised encoder.
-func fastHash(n node) ethtypes.Hash {
-	if v, ok := n.(valueNode); ok {
-		// A bare value at the root cannot arise from keyed inserts
-		// (keys always carry the terminator nibble) but is handled for
-		// completeness.
-		return ethtypes.Keccak256(appendRLPString(nil, v))
+// Hash computes the Merkle root. The computation is incremental: every
+// node memoises its encoding, and because mutations path-copy (never
+// edit nodes in place) a re-hash after k updates touches only the
+// O(k·depth) fresh nodes — unchanged subtrees are served from their
+// caches.
+func (t *Trie) Hash() ethtypes.Hash { return t.HashCollect(nil) }
+
+// HashCollect computes the root like Hash while emitting every
+// *freshly hashed* node — a node whose encoding is >= 32 bytes and
+// whose cache was empty when visited — to sink as (hash, encoding).
+// A nil sink emits nothing. Because mutations path-copy and caches
+// persist, repeated HashCollect calls after k updates emit only the
+// O(k·depth) new nodes: exactly the set a disk store needs to persist
+// to keep the trie resolvable from its root. Already-cached nodes are
+// assumed persisted by the HashCollect (or store load) that cached
+// them, so a disk-backed trie must be hashed with its sink every time.
+//
+// The encoding passed to sink is freshly allocated and never reused.
+// A sub-32-byte root is also emitted (it is still referenced by hash
+// at the top level); this may re-emit on every call, which stores
+// treat as an idempotent overwrite.
+func (t *Trie) HashCollect(sink func(h ethtypes.Hash, enc []byte)) ethtypes.Hash {
+	switch root := t.root.(type) {
+	case nil:
+		return EmptyRoot
+	case hashNode:
+		// Fully unloaded trie: the root hash is the reference itself.
+		return ethtypes.Hash(root)
 	}
-	c := cachedRef(n)
+	c := cachedRef(t.root, sink)
 	if c.hashed {
 		return c.hash
 	}
 	// Root encoding under 32 bytes: the root is still referenced by
 	// hash, so hash its (inline) encoding.
-	return ethtypes.Keccak256(c.ref)
+	h := ethtypes.Keccak256(c.ref)
+	if sink != nil {
+		sink(h, append([]byte(nil), c.ref...))
+	}
+	return h
 }
 
 // hashRefCache builds the (trivial) cache entry for an unresolved
@@ -59,90 +89,105 @@ func fastHash(n node) ethtypes.Hash {
 // rlp(hash). hashNodes only ever stand in for >=32-byte encodings, so
 // the hash reference form is always correct.
 func hashRefCache(h hashNode) *encCache {
+	return &encCache{ref: hashRef(ethtypes.Hash(h)), hash: ethtypes.Hash(h), hashed: true}
+}
+
+// hashRef is the reference form of a hash-referenced node: rlp(hash).
+func hashRef(h ethtypes.Hash) []byte {
 	ref := make([]byte, 33)
 	ref[0] = 0x80 + 32
 	copy(ref[1:], h[:])
-	return &encCache{ref: ref, hash: ethtypes.Hash(h), hashed: true}
+	return ref
 }
 
 // cachedRef returns the memoised reference of a shortNode or fullNode,
-// computing and publishing it on first use.
-func cachedRef(n node) *encCache {
+// computing and publishing it on first use. Freshly hashed nodes (the
+// node itself and any uncached descendant) go to sink when it is
+// non-nil.
+func cachedRef(n node, sink func(ethtypes.Hash, []byte)) *encCache {
+	var slot *atomic.Pointer[encCache]
 	switch cur := n.(type) {
 	case hashNode:
 		return hashRefCache(cur)
 	case *shortNode:
-		if c := cur.cache.Load(); c != nil {
-			return c
-		}
-		c := buildCache(func(payload []byte) []byte {
-			payload = appendRLPString(payload, hexPrefix(cur.Key))
-			return appendChildRef(payload, cur.Val)
-		})
-		cur.cache.Store(c)
-		return c
+		slot = &cur.cache
 	case *fullNode:
-		if c := cur.cache.Load(); c != nil {
-			return c
-		}
-		c := buildCache(func(payload []byte) []byte {
-			for i := 0; i < 16; i++ {
-				payload = appendChildRef(payload, cur.Children[i])
-			}
-			if v, ok := cur.Children[16].(valueNode); ok {
-				payload = appendRLPString(payload, v)
-			} else {
-				payload = appendRLPString(payload, nil)
-			}
-			return payload
-		})
-		cur.cache.Store(c)
-		return c
+		slot = &cur.cache
 	default:
 		panic("trie: cachedRef on non-cacheable node")
 	}
-}
-
-// buildCache assembles a node's list payload with fill, wraps it in the
-// list header and produces the cache entry.
-func buildCache(fill func([]byte) []byte) *encCache {
+	if c := slot.Load(); c != nil {
+		return c
+	}
 	bufp := encBufPool.Get().(*[]byte)
-	payload := fill((*bufp)[:0])
+	payload := appendPayload((*bufp)[:0], n, sink)
 
 	var header [9]byte
 	hn := putListHeader(header[:], len(payload))
 
 	c := &encCache{}
 	if hn+len(payload) < 32 {
-		c.ref = make([]byte, 0, hn+len(payload))
-		c.ref = append(c.ref, header[:hn]...)
-		c.ref = append(c.ref, payload...)
+		c.ref = joined(header[:hn], payload)
 	} else {
 		c.hash = ethtypes.Keccak256(header[:hn], payload)
-		ref := make([]byte, 33)
-		ref[0] = 0x80 + 32
-		copy(ref[1:], c.hash[:])
-		c.ref = ref
+		c.ref = hashRef(c.hash)
 		c.hashed = true
+		if sink != nil {
+			sink(c.hash, joined(header[:hn], payload))
+		}
 	}
 
 	*bufp = payload[:0]
 	encBufPool.Put(bufp)
+	slot.Store(c)
 	return c
 }
 
-// appendChildRef appends the reference form of a child node: value nodes
-// are embedded as strings (mirroring refItem), cacheable nodes via their
-// memoised reference.
-func appendChildRef(dst []byte, n node) []byte {
+// appendPayload appends the RLP list payload of a shortNode or fullNode:
+// its fields in order, each child in reference form.
+func appendPayload(dst []byte, n node, sink func(ethtypes.Hash, []byte)) []byte {
+	switch cur := n.(type) {
+	case *shortNode:
+		dst = appendRLPString(dst, hexPrefix(cur.Key))
+		return appendChildRef(dst, cur.Val, sink)
+	case *fullNode:
+		for i := 0; i < 16; i++ {
+			dst = appendChildRef(dst, cur.Children[i], sink)
+		}
+		v, _ := cur.Children[16].(valueNode)
+		return appendRLPString(dst, v)
+	default:
+		panic("trie: appendPayload on non-cacheable node")
+	}
+}
+
+// appendChildRef appends the reference form of a child node: value
+// nodes are embedded as strings, cacheable nodes via their memoised
+// reference.
+func appendChildRef(dst []byte, n node, sink func(ethtypes.Hash, []byte)) []byte {
 	switch cur := n.(type) {
 	case nil:
 		return append(dst, 0x80)
 	case valueNode:
 		return appendRLPString(dst, cur)
 	default:
-		return append(dst, cachedRef(n).ref...)
+		return append(dst, cachedRef(n, sink).ref...)
 	}
+}
+
+// encoding returns the full RLP encoding of a resident shortNode or
+// fullNode, freshly allocated, built from its children's memoised
+// references.
+func encoding(n node) []byte {
+	payload := appendPayload(nil, n, nil)
+	var header [9]byte
+	hn := putListHeader(header[:], len(payload))
+	return joined(header[:hn], payload)
+}
+
+// joined returns a freshly allocated a followed by b.
+func joined(a, b []byte) []byte {
+	return append(append(make([]byte, 0, len(a)+len(b)), a...), b...)
 }
 
 // appendRLPString appends the canonical RLP encoding of byte string s,
@@ -182,130 +227,4 @@ func putListHeader(dst []byte, n int) int {
 	dst[0] = 0xf7 + byte(8-i)
 	copy(dst[1:], lenBytes[i:])
 	return 1 + (8 - i)
-}
-
-// HashCollect computes the root like Hash(nil) while emitting every
-// *freshly hashed* node — a node whose encoding is >= 32 bytes and
-// whose cache was empty when visited — to sink as (hash, encoding).
-// Because mutations path-copy and caches persist, repeated
-// HashCollect calls after k updates emit only the O(k·depth) new
-// nodes: exactly the set a disk store needs to persist to keep the
-// trie resolvable from its root. Already-cached nodes are assumed
-// persisted by the HashCollect (or store load) that cached them, so a
-// disk-backed trie must be hashed exclusively through HashCollect.
-//
-// The encoding passed to sink is freshly allocated and never reused.
-// A sub-32-byte root is also emitted (it is still referenced by hash
-// at the top level); this may re-emit on every call, which stores
-// treat as an idempotent overwrite.
-func (t *Trie) HashCollect(sink func(h ethtypes.Hash, enc []byte)) ethtypes.Hash {
-	if t.root == nil {
-		return EmptyRoot
-	}
-	if hn, ok := t.root.(hashNode); ok {
-		return ethtypes.Hash(hn)
-	}
-	if v, ok := t.root.(valueNode); ok {
-		enc := appendRLPString(nil, v)
-		h := ethtypes.Keccak256(enc)
-		sink(h, enc)
-		return h
-	}
-	c := cachedRefCollect(t.root, sink)
-	if c.hashed {
-		return c.hash
-	}
-	enc := append([]byte(nil), c.ref...)
-	h := ethtypes.Keccak256(enc)
-	sink(h, enc)
-	return h
-}
-
-// cachedRefCollect is cachedRef with fresh-node emission.
-func cachedRefCollect(n node, sink func(ethtypes.Hash, []byte)) *encCache {
-	switch cur := n.(type) {
-	case hashNode:
-		return hashRefCache(cur)
-	case *shortNode:
-		if c := cur.cache.Load(); c != nil {
-			return c
-		}
-		c, enc := buildCacheCollect(func(payload []byte) []byte {
-			payload = appendRLPString(payload, hexPrefix(cur.Key))
-			return appendChildRefCollect(payload, cur.Val, sink)
-		})
-		if c.hashed {
-			sink(c.hash, enc)
-		}
-		cur.cache.Store(c)
-		return c
-	case *fullNode:
-		if c := cur.cache.Load(); c != nil {
-			return c
-		}
-		c, enc := buildCacheCollect(func(payload []byte) []byte {
-			for i := 0; i < 16; i++ {
-				payload = appendChildRefCollect(payload, cur.Children[i], sink)
-			}
-			if v, ok := cur.Children[16].(valueNode); ok {
-				payload = appendRLPString(payload, v)
-			} else {
-				payload = appendRLPString(payload, nil)
-			}
-			return payload
-		})
-		if c.hashed {
-			sink(c.hash, enc)
-		}
-		cur.cache.Store(c)
-		return c
-	default:
-		panic("trie: cachedRefCollect on non-cacheable node")
-	}
-}
-
-// buildCacheCollect is buildCache, additionally returning the full
-// encoding (header+payload, freshly allocated) when the node is
-// hash-referenced, so the caller can persist it.
-func buildCacheCollect(fill func([]byte) []byte) (*encCache, []byte) {
-	bufp := encBufPool.Get().(*[]byte)
-	payload := fill((*bufp)[:0])
-
-	var header [9]byte
-	hn := putListHeader(header[:], len(payload))
-
-	c := &encCache{}
-	var full []byte
-	if hn+len(payload) < 32 {
-		c.ref = make([]byte, 0, hn+len(payload))
-		c.ref = append(c.ref, header[:hn]...)
-		c.ref = append(c.ref, payload...)
-	} else {
-		full = make([]byte, 0, hn+len(payload))
-		full = append(full, header[:hn]...)
-		full = append(full, payload...)
-		c.hash = ethtypes.Keccak256(full)
-		ref := make([]byte, 33)
-		ref[0] = 0x80 + 32
-		copy(ref[1:], c.hash[:])
-		c.ref = ref
-		c.hashed = true
-	}
-
-	*bufp = payload[:0]
-	encBufPool.Put(bufp)
-	return c, full
-}
-
-// appendChildRefCollect mirrors appendChildRef through the collecting
-// path.
-func appendChildRefCollect(dst []byte, n node, sink func(ethtypes.Hash, []byte)) []byte {
-	switch cur := n.(type) {
-	case nil:
-		return append(dst, 0x80)
-	case valueNode:
-		return appendRLPString(dst, cur)
-	default:
-		return append(dst, cachedRefCollect(n, sink).ref...)
-	}
 }

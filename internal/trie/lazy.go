@@ -8,7 +8,7 @@ package trie
 // untouched siblings stay as 32-byte hash references, and Unload
 // collapses a fully hashed trie back to a single reference.
 //
-// Resolution failures on the read/iteration/proof paths surface as
+// Resolution failures on the read and proof paths surface as
 // *MissingNodeError; the mutation paths (Put/Delete) panic with the
 // same typed value since their signatures predate lazy tries and a
 // missing node there means the backing store is corrupt.
@@ -55,9 +55,8 @@ func (e *MissingNodeError) Unwrap() error { return e.Err }
 
 // NewFromRoot returns a lazy trie rooted at root; nodes are resolved
 // through r on demand. A zero or EmptyRoot hash yields an empty trie.
-// Len is unknown for lazy tries and reports -1.
 func NewFromRoot(root ethtypes.Hash, r Resolver) *Trie {
-	t := &Trie{resolver: r, size: -1}
+	t := &Trie{resolver: r}
 	if root != (ethtypes.Hash{}) && root != EmptyRoot {
 		t.root = hashNode(root)
 	}
@@ -69,30 +68,36 @@ func NewSecureFromRoot(root ethtypes.Hash, r Resolver) *Secure {
 	return &Secure{t: NewFromRoot(root, r)}
 }
 
-// resolve expands a hashNode through the trie's resolver, verifying
-// the content hash of what comes back. Non-reference nodes pass
-// through unchanged.
+// resolve expands a hashNode through the trie's resolver (see load).
+// Non-reference nodes pass through unchanged.
 func (t *Trie) resolve(n node) (node, error) {
 	hn, ok := n.(hashNode)
 	if !ok {
 		return n, nil
 	}
+	_, dec, err := t.load(hn)
+	return dec, err
+}
+
+// load fetches the encoding hn references through the trie's resolver,
+// verifies its content hash and decodes it.
+func (t *Trie) load(hn hashNode) ([]byte, node, error) {
 	h := ethtypes.Hash(hn)
 	if t.resolver == nil {
-		return nil, &MissingNodeError{Hash: h, Err: errNoResolver}
+		return nil, nil, &MissingNodeError{Hash: h, Err: errNoResolver}
 	}
 	enc, err := t.resolver.ResolveNode(h)
 	if err != nil {
-		return nil, &MissingNodeError{Hash: h, Err: err}
+		return nil, nil, &MissingNodeError{Hash: h, Err: err}
 	}
 	if got := ethtypes.Keccak256(enc); got != h {
-		return nil, &MissingNodeError{Hash: h, Err: fmt.Errorf("content hash mismatch (got %s)", got)}
+		return nil, nil, &MissingNodeError{Hash: h, Err: fmt.Errorf("content hash mismatch (got %s)", got)}
 	}
 	dec, err := decodeNode(enc)
 	if err != nil {
-		return nil, &MissingNodeError{Hash: h, Err: err}
+		return nil, nil, &MissingNodeError{Hash: h, Err: err}
 	}
-	return dec, nil
+	return enc, dec, nil
 }
 
 // mustResolve is resolve for the mutation paths, which have no error
@@ -124,7 +129,7 @@ func nodeFromItem(item *rlp.Item) (node, error) {
 	}
 	switch item.Len() {
 	case 2:
-		nibbles, err := compactToNibbles(item.At(0).Str())
+		nibbles, err := keyFromItem(item.At(0))
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +190,7 @@ func childFromItem(c *rlp.Item) (node, error) {
 // Unload collapses the trie to a single hash reference, releasing
 // every resident node. The trie must have a resolver (or stay
 // read-only) to be useful afterwards; callers persist all fresh nodes
-// (HashCollect) before unloading. Len reports -1 after an Unload.
+// (HashCollect) before unloading.
 func (t *Trie) Unload() {
 	if t.root == nil {
 		return
@@ -193,109 +198,12 @@ func (t *Trie) Unload() {
 	if _, ok := t.root.(hashNode); ok {
 		return
 	}
-	h := t.Hash(nil)
-	t.size = -1
+	h := t.Hash()
 	if h == EmptyRoot {
 		t.root = nil
 		return
 	}
 	t.root = hashNode(h)
-}
-
-// Iterator walks the trie in lexicographic key order, resolving lazy
-// subtrees on demand. Unlike Walk it surfaces resolution failures via
-// Err instead of panicking:
-//
-//	it := t.NewIterator()
-//	for it.Next() {
-//	    use(it.Key(), it.Value())
-//	}
-//	if err := it.Err(); err != nil { ... }
-type Iterator struct {
-	t     *Trie
-	stack []iterFrame
-	key   []byte
-	value []byte
-	err   error
-}
-
-// iterFrame is one pending position in the traversal. For fullNodes,
-// next tracks the child sequence: 0 visits the branch value (slot 16,
-// shortest key first), 1..16 visit children 0..15.
-type iterFrame struct {
-	n    node
-	path []byte
-	next int
-}
-
-// NewIterator returns an iterator positioned before the first key.
-func (t *Trie) NewIterator() *Iterator {
-	it := &Iterator{t: t}
-	if t.root != nil {
-		it.stack = append(it.stack, iterFrame{n: t.root})
-	}
-	return it
-}
-
-// Next advances to the next key/value pair, returning false at the end
-// of the trie or on a resolution error (check Err).
-func (it *Iterator) Next() bool {
-	if it.err != nil {
-		return false
-	}
-	for len(it.stack) > 0 {
-		top := &it.stack[len(it.stack)-1]
-		switch cur := top.n.(type) {
-		case nil:
-			it.stack = it.stack[:len(it.stack)-1]
-		case hashNode:
-			dec, err := it.t.resolve(cur)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			top.n = dec
-		case valueNode:
-			it.key = nibblesToKey(top.path)
-			it.value = cur
-			it.stack = it.stack[:len(it.stack)-1]
-			return true
-		case *shortNode:
-			// Replace the frame in place: a short node contributes no
-			// further branches once descended.
-			path := append(append([]byte(nil), top.path...), cur.Key...)
-			*top = iterFrame{n: cur.Val, path: path}
-		case *fullNode:
-			if top.next == 0 {
-				top.next = 1
-				if v, ok := cur.Children[16].(valueNode); ok {
-					it.key = nibblesToKey(top.path)
-					it.value = v
-					return true
-				}
-			}
-			advanced := false
-			for top.next <= 16 {
-				idx := top.next - 1
-				top.next++
-				if cur.Children[idx] == nil {
-					continue
-				}
-				path := append(append([]byte(nil), top.path...), byte(idx))
-				it.stack = append(it.stack, iterFrame{n: cur.Children[idx], path: path})
-				advanced = true
-				break
-			}
-			if !advanced {
-				// Note: top may be stale after append; recompute.
-				it.stack = it.stack[:len(it.stack)-1]
-			}
-		default:
-			it.err = fmt.Errorf("trie: unknown node %T during iteration", top.n)
-			return false
-		}
-	}
-	return false
 }
 
 // WalkNodeGraph visits every hash-referenced node reachable from root,
@@ -308,24 +216,14 @@ func WalkNodeGraph(root ethtypes.Hash, r Resolver, visit func(h ethtypes.Hash, e
 	if root == (ethtypes.Hash{}) || root == EmptyRoot {
 		return nil
 	}
-	if r == nil {
-		return &MissingNodeError{Hash: root, Err: errNoResolver}
-	}
-	enc, err := r.ResolveNode(root)
+	enc, dec, err := (&Trie{resolver: r}).load(hashNode(root))
 	if err != nil {
-		return &MissingNodeError{Hash: root, Err: err}
-	}
-	if got := ethtypes.Keccak256(enc); got != root {
-		return &MissingNodeError{Hash: root, Err: fmt.Errorf("content hash mismatch (got %s)", got)}
+		return err
 	}
 	if visit != nil {
 		if err := visit(root, enc); err != nil {
 			return err
 		}
-	}
-	dec, err := decodeNode(enc)
-	if err != nil {
-		return &MissingNodeError{Hash: root, Err: err}
 	}
 	return walkDecoded(dec, r, visit, leaf)
 }
@@ -357,12 +255,3 @@ func walkDecoded(n node, r Resolver, visit func(h ethtypes.Hash, enc []byte) err
 		return fmt.Errorf("trie: unknown node %T in graph walk", n)
 	}
 }
-
-// Key returns the current key. Valid until the next call to Next.
-func (it *Iterator) Key() []byte { return it.key }
-
-// Value returns the current value. Valid until the next call to Next.
-func (it *Iterator) Value() []byte { return it.value }
-
-// Err returns the resolution error that terminated iteration, if any.
-func (it *Iterator) Err() error { return it.err }

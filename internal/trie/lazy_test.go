@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"legalchain/internal/ethtypes"
@@ -46,81 +48,84 @@ var lazyKeys = []string{
 }
 
 func TestLazyIteratorResolvesUnloadedNodes(t *testing.T) {
-	lazy, _, _ := buildLazyFixture(t, lazyKeys)
+	lazy, _, root := buildLazyFixture(t, lazyKeys)
 
-	want := append([]string(nil), lazyKeys...)
-	sort.Strings(want)
-
-	it := lazy.NewIterator()
-	var got []string
-	for it.Next() {
-		got = append(got, string(it.Key()))
-		if want := "v:" + string(it.Key()); string(it.Value()) != want {
-			t.Fatalf("key %q: value %q, want %q", it.Key(), it.Value(), want)
+	for _, k := range lazyKeys {
+		v, ok, err := lazy.TryGet([]byte(k))
+		if err != nil || !ok || string(v) != "v:"+k {
+			t.Fatalf("TryGet(%q) over intact store = %q, %v, %v", k, v, ok, err)
 		}
 	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("iteration over intact store failed: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("iterated %d keys, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("key %d = %q, want %q (order broken)", i, got[i], want[i])
+	for _, k := range []string{"", "d", "doing", "hors", "key-4"} {
+		if _, ok, err := lazy.TryGet([]byte(k)); err != nil || ok {
+			t.Fatalf("TryGet(%q) of an absent key: ok=%v err=%v", k, ok, err)
 		}
+	}
+	// Reads resolve into throwaway nodes: the trie stays unloaded.
+	if _, unloaded := lazy.root.(hashNode); !unloaded || lazy.Hash() != root {
+		t.Fatal("reads materialised the lazy trie")
 	}
 }
 
 func TestLazyIteratorAfterPartialMutation(t *testing.T) {
-	// Mutating a lazy trie materialises only the touched path; the
-	// iterator must still see old (still-unloaded) and new entries.
+	// Mutating a lazy trie materialises only the touched path; reads
+	// must still see old (still-unloaded) and new entries, and the root
+	// must be that of the same key set built in memory.
 	lazy, _, _ := buildLazyFixture(t, lazyKeys)
 	lazy.Put([]byte("zebra"), []byte("v:zebra"))
 	lazy.Delete([]byte("doom"))
 
-	seen := map[string]bool{}
-	it := lazy.NewIterator()
-	for it.Next() {
-		seen[string(it.Key())] = true
+	oracle := New()
+	for _, k := range append(lazyKeys, "zebra") {
+		if k != "doom" {
+			oracle.Put([]byte(k), []byte("v:"+k))
+		}
 	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
+	if got, want := lazy.Hash(), oracle.Hash(); got != want {
+		t.Fatalf("mutated lazy root %s, oracle %s", got, want)
 	}
-	if !seen["zebra"] || seen["doom"] {
-		t.Fatalf("mutations not reflected: %v", seen)
+	for _, k := range []string{"zebra", "horse", "key-42"} {
+		if v, ok, err := lazy.TryGet([]byte(k)); err != nil || !ok || string(v) != "v:"+k {
+			t.Fatalf("TryGet(%q) after mutation = %q, %v, %v", k, v, ok, err)
+		}
 	}
-	if !seen["horse"] || !seen["key-42"] {
-		t.Fatal("untouched lazy subtrees lost")
+	if _, ok, err := lazy.TryGet([]byte("doom")); err != nil || ok {
+		t.Fatalf("deleted key still read: ok=%v err=%v", ok, err)
 	}
+}
+
+// firstMissing reads every fixture key and returns the first
+// resolution failure, which must be a *MissingNodeError.
+func firstMissing(t *testing.T, lazy *Trie) *MissingNodeError {
+	t.Helper()
+	for _, k := range lazyKeys {
+		if _, _, err := lazy.TryGet([]byte(k)); err != nil {
+			var miss *MissingNodeError
+			if !errors.As(err, &miss) {
+				t.Fatalf("TryGet(%q): err = %v, want *MissingNodeError", k, err)
+			}
+			return miss
+		}
+	}
+	t.Fatal("no read touched the damaged node")
+	return nil
 }
 
 func TestLazyIteratorMissingNodeTypedError(t *testing.T) {
 	lazy, store, root := buildLazyFixture(t, lazyKeys)
 
-	// Drop a non-root node so iteration starts fine and fails mid-walk.
+	// Drop one non-root node so reads start fine and fail mid-walk,
+	// naming the dropped node.
+	var dropped ethtypes.Hash
 	for h := range store {
 		if h != root {
+			dropped = h
 			delete(store, h)
 			break
 		}
 	}
-	it := lazy.NewIterator()
-	for it.Next() {
-	}
-	var miss *MissingNodeError
-	if err := it.Err(); !errors.As(err, &miss) {
-		t.Fatalf("iterator over corrupt store: err = %v, want *MissingNodeError", err)
-	}
-	if miss.Hash == (ethtypes.Hash{}) {
-		t.Fatal("MissingNodeError carries no hash")
-	}
-	// The error latches: further Next calls stay false with the same error.
-	if it.Next() {
-		t.Fatal("Next advanced past a resolution error")
-	}
-	if !errors.As(it.Err(), &miss) {
-		t.Fatal("error not sticky")
+	if miss := firstMissing(t, lazy); miss.Hash != dropped || !errors.Is(miss, errNodeGone) {
+		t.Fatalf("missing node error %v, want hash %s and the store's cause", miss, dropped)
 	}
 }
 
@@ -129,6 +134,7 @@ func TestLazyIteratorCorruptEncodingTypedError(t *testing.T) {
 
 	// Flip a byte: content-hash verification must reject the node with
 	// a typed error, not decode garbage.
+	var tampered ethtypes.Hash
 	for h, enc := range store {
 		if h == root {
 			continue
@@ -136,14 +142,11 @@ func TestLazyIteratorCorruptEncodingTypedError(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		bad[len(bad)/2] ^= 0x01
 		store[h] = bad
+		tampered = h
 		break
 	}
-	it := lazy.NewIterator()
-	for it.Next() {
-	}
-	var miss *MissingNodeError
-	if err := it.Err(); !errors.As(err, &miss) {
-		t.Fatalf("tampered node: err = %v, want *MissingNodeError", err)
+	if miss := firstMissing(t, lazy); miss.Hash != tampered {
+		t.Fatalf("tampered node: error names %s, want %s", miss.Hash, tampered)
 	}
 }
 
@@ -235,12 +238,8 @@ func TestLazyNoResolverTypedError(t *testing.T) {
 	if !errors.As(err, &miss) {
 		t.Fatalf("resolver-less TryGet: err = %v, want *MissingNodeError", err)
 	}
-	it := orphan.NewIterator()
-	if it.Next() {
-		t.Fatal("resolver-less iteration yielded a key")
-	}
-	if !errors.As(it.Err(), &miss) {
-		t.Fatalf("resolver-less iterator: err = %v, want *MissingNodeError", it.Err())
+	if _, _, err := orphan.Prove([]byte("dog")); !errors.As(err, &miss) || !errors.Is(err, errNoResolver) {
+		t.Fatalf("resolver-less Prove: err = %v, want *MissingNodeError", err)
 	}
 }
 
@@ -285,10 +284,7 @@ func TestLazyUnloadRoundTrip(t *testing.T) {
 		store[h] = append([]byte(nil), enc...)
 	})
 	tr.Unload()
-	if tr.Len() != -1 {
-		t.Fatalf("Len after Unload = %d, want -1", tr.Len())
-	}
-	if got := tr.Hash(nil); got != root {
+	if got := tr.Hash(); got != root {
 		t.Fatalf("root after Unload = %s, want %s", got, root)
 	}
 	for _, k := range keys {
@@ -306,7 +302,112 @@ func TestLazyUnloadRoundTrip(t *testing.T) {
 		oracle.Put([]byte(k), []byte("v:"+k))
 	}
 	oracle.Put([]byte("account-99"), []byte("v:account-99"))
-	if got, want := tr.Hash(nil), oracle.Hash(nil); got != want {
+	if got, want := tr.Hash(), oracle.Hash(); got != want {
 		t.Fatalf("mutated unloaded trie root %s, oracle %s", got, want)
+	}
+}
+
+// The Walk tests drive WalkNodeGraph, the one walk over a stored trie
+// (node stores mark their live set with it during compaction).
+
+// storedFixture hashes a trie of keys, each mapping to "v:<key>", into
+// a node store and returns the store and root.
+func storedFixture(keys []string) (mapResolver, ethtypes.Hash) {
+	tr := New()
+	for _, k := range keys {
+		tr.Put([]byte(k), []byte("v:"+k))
+	}
+	store := mapResolver{}
+	root := tr.HashCollect(func(h ethtypes.Hash, enc []byte) { store[h] = enc })
+	return store, root
+}
+
+func TestWalkOrderAndCompleteness(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	model := map[string]bool{}
+	var keys []string
+	for i := 0; i < 300; i++ {
+		k := fmt.Sprintf("key-%03d", r.Intn(500))
+		if !model[k] {
+			model[k] = true
+			keys = append(keys, k)
+		}
+	}
+	store, root := storedFixture(keys)
+	visited := map[ethtypes.Hash]bool{}
+	var leaves []string
+	err := WalkNodeGraph(root, store, func(h ethtypes.Hash, enc []byte) error {
+		if ethtypes.Keccak256(enc) != h || visited[h] {
+			t.Fatalf("node %s visited twice or with a foreign encoding", h)
+		}
+		visited[h] = true
+		return nil
+	}, func(v []byte) error {
+		leaves = append(leaves, strings.TrimPrefix(string(v), "v:"))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(visited) != len(store) {
+		t.Fatalf("visited %d nodes, store holds %d", len(visited), len(store))
+	}
+	// Keys of one length put no value in a branch, so leaves come in
+	// key order.
+	sort.Strings(keys)
+	if strings.Join(leaves, ",") != strings.Join(keys, ",") {
+		t.Fatalf("leaves %v, want %v", leaves, keys)
+	}
+}
+
+func TestWalkPrefixKeys(t *testing.T) {
+	keys := []string{"a", "ab", "abc", "b", ""}
+	store, root := storedFixture(keys)
+	var leaves []string
+	if err := WalkNodeGraph(root, store, nil, func(v []byte) error {
+		leaves = append(leaves, strings.TrimPrefix(string(v), "v:"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(leaves)
+	sort.Strings(keys)
+	if strings.Join(leaves, ",") != strings.Join(keys, ",") {
+		t.Fatalf("leaves %q, want %q", leaves, keys)
+	}
+}
+
+func TestWalkEarlyStop(t *testing.T) {
+	var keys []string
+	for i := 0; i < 50; i++ {
+		keys = append(keys, fmt.Sprintf("%02d", i))
+	}
+	store, root := storedFixture(keys)
+	errStop := errors.New("stop")
+	n := 0
+	err := WalkNodeGraph(root, store, nil, func([]byte) error {
+		n++
+		if n == 7 {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) || n != 7 {
+		t.Fatalf("walk returned %v after %d leaves, want the callback's error after 7", err, n)
+	}
+}
+
+func TestWalkEmptyTrie(t *testing.T) {
+	for _, root := range []ethtypes.Hash{{}, EmptyRoot} {
+		err := WalkNodeGraph(root, nil, func(ethtypes.Hash, []byte) error {
+			t.Fatal("empty trie visited a node")
+			return nil
+		}, func([]byte) error {
+			t.Fatal("empty trie yielded a leaf")
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("walk of root %s: %v", root, err)
+		}
 	}
 }

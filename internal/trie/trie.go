@@ -9,9 +9,9 @@
 // expanded to nibbles with a terminator nibble (16) so that keys may be
 // prefixes of one another.
 //
-// Trie keeps all nodes in memory (a devnet fits comfortably); Hash
-// additionally records every hash-referenced node in an optional node
-// store so Merkle proofs can be produced and verified.
+// One memoised encoder (hasher.go) computes every root; given a sink
+// it also emits each freshly hashed node for a disk store. Prove walks
+// the node tree and VerifyProof checks the result without a trie.
 package trie
 
 import (
@@ -55,16 +55,11 @@ const terminator = 16
 // subtrees lazily through their Resolver (see lazy.go).
 type Trie struct {
 	root     node
-	size     int
 	resolver Resolver
 }
 
 // New returns an empty trie.
 func New() *Trie { return &Trie{} }
-
-// Len returns the number of keys stored, or -1 when unknown (lazy
-// tries never enumerate cold subtrees just to count them).
-func (t *Trie) Len() int { return t.size }
 
 // keyNibbles converts a byte key to its nibble expansion plus terminator.
 func keyNibbles(key []byte) []byte {
@@ -135,11 +130,6 @@ func (t *Trie) TryGet(key []byte) ([]byte, bool, error) {
 // Put inserts or updates key with value. Empty values are legal and
 // distinct from absence (use Delete to remove).
 func (t *Trie) Put(key, value []byte) {
-	if t.size >= 0 {
-		if _, exists := t.Get(key); !exists {
-			t.size++
-		}
-	}
 	v := valueNode(append([]byte(nil), value...))
 	t.root = t.insert(t.root, keyNibbles(key), v)
 }
@@ -193,9 +183,6 @@ func (t *Trie) Delete(key []byte) bool {
 	newRoot, deleted := t.del(t.root, keyNibbles(key))
 	if deleted {
 		t.root = newRoot
-		if t.size > 0 {
-			t.size--
-		}
 	}
 	return deleted
 }
@@ -320,205 +307,70 @@ func compactToNibbles(compact []byte) ([]byte, error) {
 	return nibbles, nil
 }
 
-// NodeStore records hash-referenced node encodings, enough to serve and
-// verify Merkle proofs.
-type NodeStore map[ethtypes.Hash][]byte
-
-// Hash computes the Merkle root. If store is non-nil, every node that is
-// referenced by hash (including the root) is recorded in it.
-//
-// With store == nil the computation is incremental: every node memoises
-// its encoding/hash, and because mutations path-copy (never edit nodes
-// in place) a re-hash after k updates touches only the O(k·depth) fresh
-// nodes — unchanged subtrees are served from their caches.
-func (t *Trie) Hash(store NodeStore) ethtypes.Hash {
-	if t.root == nil {
-		return EmptyRoot
-	}
-	if hn, ok := t.root.(hashNode); ok {
-		// Fully unloaded trie: the root hash is the reference itself.
-		return ethtypes.Hash(hn)
-	}
-	if store == nil {
-		return fastHash(t.root)
-	}
-	enc := rlp.Encode(encodeNode(t.root, store))
-	h := ethtypes.Keccak256(enc)
-	if store != nil {
-		store[h] = enc
-	}
-	return h
-}
-
 // Snapshot returns an O(1) logical copy of the trie. Nodes are immutable
 // once linked in (Put/Delete path-copy), so the snapshot and the parent
 // can both be read, mutated and hashed independently — including from
 // different goroutines (the encoding caches are updated atomically).
-func (t *Trie) Snapshot() *Trie { return &Trie{root: t.root, size: t.size, resolver: t.resolver} }
+func (t *Trie) Snapshot() *Trie { return &Trie{root: t.root, resolver: t.resolver} }
 
 // SetResolver attaches r for lazy hash-reference resolution, making the
 // trie safe to Unload: a fully in-memory trie whose nodes are also
 // persisted elsewhere becomes collapsible to its root hash.
 func (t *Trie) SetResolver(r Resolver) { t.resolver = r }
 
-// encodeNode renders a node as its RLP item, replacing large children by
-// hash references.
-func encodeNode(n node, store NodeStore) *rlp.Item {
-	switch cur := n.(type) {
-	case nil:
-		return rlp.Bytes(nil)
-	case hashNode:
-		panic("trie: encodeNode on an unresolved reference")
-	case valueNode:
-		return rlp.Bytes(cur)
-	case *shortNode:
-		return rlp.List(rlp.Bytes(hexPrefix(cur.Key)), refItem(cur.Val, store))
-	case *fullNode:
-		items := make([]*rlp.Item, 17)
-		for i := 0; i < 16; i++ {
-			items[i] = refItem(cur.Children[i], store)
-		}
-		if v, ok := cur.Children[16].(valueNode); ok {
-			items[16] = rlp.Bytes(v)
-		} else {
-			items[16] = rlp.Bytes(nil)
-		}
-		return rlp.List(items...)
-	default:
-		panic(fmt.Sprintf("trie: unknown node %T", n))
-	}
-}
-
-// refItem returns the reference form of a child: the node itself when
-// its encoding is under 32 bytes, otherwise its keccak hash.
-func refItem(n node, store NodeStore) *rlp.Item {
-	if n == nil {
-		return rlp.Bytes(nil)
-	}
-	if v, ok := n.(valueNode); ok {
-		return rlp.Bytes(v)
-	}
-	if h, ok := n.(hashNode); ok {
-		// Unresolved subtree: the reference is already the hash. Its
-		// nodes are not recorded in store — proof walks fall back to
-		// the trie's resolver (see Prove).
-		return rlp.Bytes(h[:])
-	}
-	item := encodeNode(n, store)
-	enc := rlp.Encode(item)
-	if len(enc) < 32 {
-		return item
-	}
-	h := ethtypes.Keccak256(enc)
-	if store != nil {
-		store[h] = enc
-	}
-	return rlp.Bytes(h[:])
-}
-
 // Prove returns the ordered list of RLP node encodings from the root to
-// the node proving key (inclusive), suitable for VerifyProof. The trie
-// is hashed as a side effect. On a lazy trie, nodes of unloaded
-// subtrees are fetched through the resolver; a node that cannot be
-// fetched yields a *MissingNodeError.
+// the node proving key (inclusive), suitable for VerifyProof: the root
+// and every node on the key's path whose encoding is 32 bytes or more.
+// It walks the node tree the way TryGet does; on a lazy trie, nodes of
+// unloaded subtrees are fetched through the resolver and a node that
+// cannot be fetched yields a *MissingNodeError. The trie is hashed as a
+// side effect (like Hash, without a sink), so a disk-backed trie must
+// be HashCollect'ed first.
 func (t *Trie) Prove(key []byte) (ethtypes.Hash, [][]byte, error) {
-	store := NodeStore{}
-	root := t.Hash(store)
-	// Walk like VerifyProof does, collecting the stored encodings.
+	root := t.Hash()
+	if t.root == nil {
+		return root, nil, errors.New("trie: no proof in an empty trie")
+	}
 	var proof [][]byte
-	h := root
-	k := keyNibbles(key)
+	n, k := t.root, keyNibbles(key)
+	byHash := true // n is referenced by hash, so its encoding is an element
 	for {
-		enc, ok := store[h]
-		if !ok && t.resolver != nil {
-			loaded, err := t.resolver.ResolveNode(h)
-			if err != nil {
-				return root, nil, &MissingNodeError{Hash: h, Err: err}
-			}
-			if got := ethtypes.Keccak256(loaded); got != h {
-				return root, nil, &MissingNodeError{Hash: h, Err: fmt.Errorf("content hash mismatch (got %s)", got)}
-			}
-			enc, ok = loaded, true
-		}
-		if !ok {
-			return root, nil, &MissingNodeError{Hash: h, Err: errNoResolver}
-		}
-		proof = append(proof, enc)
-		item, err := rlp.Decode(enc)
-		if err != nil {
-			return root, nil, err
-		}
-		next, rest, err := stepProof(item, k)
-		if err != nil {
-			return root, nil, err
-		}
-		if next == nil { // terminated (found or proven absent)
-			return root, proof, nil
-		}
-		if nh, ok := next.(proofHashRef); ok {
-			h = ethtypes.Hash(nh)
-			k = rest
-			continue
-		}
-		// Inline node: keep stepping within the same proof element.
-		item = next.(*rlp.Item)
-		k = rest
-		for {
-			next, rest, err = stepProof(item, k)
+		if hn, ok := n.(hashNode); ok {
+			enc, dec, err := t.load(hn)
 			if err != nil {
 				return root, nil, err
 			}
-			if next == nil {
-				return root, proof, nil
+			proof = append(proof, enc)
+			n = dec
+		} else if byHash {
+			proof = append(proof, encoding(n))
+		}
+		switch cur := n.(type) {
+		case *shortNode:
+			if len(k) < len(cur.Key) || !bytes.Equal(cur.Key, k[:len(cur.Key)]) {
+				return root, proof, nil // diverged: key absent
 			}
-			if nh, ok := next.(proofHashRef); ok {
-				h = ethtypes.Hash(nh)
-				k = rest
-				break
-			}
-			item = next.(*rlp.Item)
-			k = rest
+			k = k[len(cur.Key):]
+			n = cur.Val
+		case *fullNode:
+			n = cur.Children[k[0]]
+			k = k[1:]
+		default: // a value or an empty slot ends the walk
+			return root, proof, nil
+		}
+		switch n.(type) {
+		case *shortNode, *fullNode:
+			// Resident, or inline in a node just loaded: the cache
+			// says whether its parent embeds it or its hash.
+			byHash = cachedRef(n, nil).hashed
+		default:
+			byHash = false
 		}
 	}
 }
 
 // proofHashRef marks a 32-byte hash reference during proof walking.
 type proofHashRef ethtypes.Hash
-
-// stepProof advances one node: given a decoded node item and remaining
-// nibbles, it returns the next reference (hash or inline item) and the
-// remaining key, or (nil, nil) when the walk terminates at this node.
-func stepProof(item *rlp.Item, k []byte) (interface{}, []byte, error) {
-	if item.Kind() != rlp.KindList {
-		return nil, nil, errors.New("trie: proof node is not a list")
-	}
-	switch item.Len() {
-	case 2: // short node
-		nibbles, err := compactToNibbles(item.At(0).Str())
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(k) < len(nibbles) || !bytes.Equal(nibbles, k[:len(nibbles)]) {
-			return nil, nil, nil // diverged: key absent
-		}
-		rest := k[len(nibbles):]
-		child := item.At(1)
-		if len(rest) == 0 {
-			return nil, nil, nil // leaf value (or proven absence)
-		}
-		return childRef(child, rest)
-	case 17: // full node
-		if len(k) == 0 {
-			return nil, nil, errors.New("trie: key exhausted at branch")
-		}
-		if k[0] == terminator {
-			return nil, nil, nil // value slot
-		}
-		return childRef(item.At(int(k[0])), k[1:])
-	default:
-		return nil, nil, fmt.Errorf("trie: proof node has %d items", item.Len())
-	}
-}
 
 func childRef(child *rlp.Item, rest []byte) (interface{}, []byte, error) {
 	if child.Kind() == rlp.KindList {
@@ -546,48 +398,24 @@ func VerifyProof(root ethtypes.Hash, key []byte, proof [][]byte) (value []byte, 
 		nodes[ethtypes.Keccak256(enc)] = enc
 	}
 	k := keyNibbles(key)
-	want := root
-	for {
-		enc, found := nodes[want]
-		if !found {
-			return nil, false, fmt.Errorf("trie: proof missing node %s", want)
-		}
-		item, err := rlp.Decode(enc)
-		if err != nil {
-			return nil, false, err
-		}
-		val, next, rest, err := walkProofNode(item, k)
-		if err != nil {
-			return nil, false, err
-		}
-		if next == nil {
-			return val, val != nil, nil
-		}
-		if nh, isHash := next.(proofHashRef); isHash {
-			want = ethtypes.Hash(nh)
-			k = rest
-			continue
-		}
-		// Inline node: walk within the current element.
-		item = next.(*rlp.Item)
-		k = rest
-		for {
-			val, next, rest, err = walkProofNode(item, k)
-			if err != nil {
+	var next interface{} = proofHashRef(root)
+	for next != nil {
+		item, isInline := next.(*rlp.Item)
+		if !isInline {
+			want := ethtypes.Hash(next.(proofHashRef))
+			enc, found := nodes[want]
+			if !found {
+				return nil, false, fmt.Errorf("trie: proof missing node %s", want)
+			}
+			if item, err = rlp.Decode(enc); err != nil {
 				return nil, false, err
 			}
-			if next == nil {
-				return val, val != nil, nil
-			}
-			if nh, isHash := next.(proofHashRef); isHash {
-				want = ethtypes.Hash(nh)
-				k = rest
-				break
-			}
-			item = next.(*rlp.Item)
-			k = rest
+		}
+		if value, next, k, err = walkProofNode(item, k); err != nil {
+			return nil, false, err
 		}
 	}
+	return value, value != nil, nil
 }
 
 // walkProofNode resolves one node for verification, returning either a
@@ -598,7 +426,7 @@ func walkProofNode(item *rlp.Item, k []byte) (value []byte, next interface{}, re
 	}
 	switch item.Len() {
 	case 2:
-		nibbles, err := compactToNibbles(item.At(0).Str())
+		nibbles, err := keyFromItem(item.At(0))
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -645,6 +473,15 @@ func walkProofNode(item *rlp.Item, k []byte) (value []byte, next interface{}, re
 	}
 }
 
+// keyFromItem decodes the hex-prefix key of a short node's RLP item,
+// refusing a list where the key string belongs.
+func keyFromItem(key *rlp.Item) ([]byte, error) {
+	if key.Kind() != rlp.KindString {
+		return nil, errors.New("trie: short node key is a list")
+	}
+	return compactToNibbles(key.Str())
+}
+
 // Secure wraps a Trie so that all keys are hashed with Keccak-256 before
 // use, bounding path depth and preventing key-grinding attacks — the
 // construction used by the Ethereum state trie.
@@ -673,8 +510,8 @@ func (s *Secure) Delete(key []byte) bool {
 	return s.t.Delete(h[:])
 }
 
-// Hash computes the root, recording nodes in store when non-nil.
-func (s *Secure) Hash(store NodeStore) ethtypes.Hash { return s.t.Hash(store) }
+// Hash computes the root (see Trie.Hash).
+func (s *Secure) Hash() ethtypes.Hash { return s.t.Hash() }
 
 // HashCollect computes the root, emitting freshly hashed nodes to
 // sink (see Trie.HashCollect).
@@ -694,15 +531,8 @@ func (s *Secure) TryGet(key []byte) ([]byte, bool, error) {
 	return s.t.TryGet(h[:])
 }
 
-// NewIterator iterates the underlying trie; keys yielded are the
-// keccak-hashed forms of the inserted keys.
-func (s *Secure) NewIterator() *Iterator { return s.t.NewIterator() }
-
 // Snapshot returns an O(1) logical copy (see Trie.Snapshot).
 func (s *Secure) Snapshot() *Secure { return &Secure{t: s.t.Snapshot()} }
-
-// Len returns the number of keys stored.
-func (s *Secure) Len() int { return s.t.Len() }
 
 // Prove produces a proof for the hashed key.
 func (s *Secure) Prove(key []byte) (ethtypes.Hash, [][]byte, error) {
