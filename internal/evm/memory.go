@@ -9,8 +9,6 @@ type Memory struct {
 	data []byte
 }
 
-func newMemory() *Memory { return &Memory{} }
-
 // Len returns the current size in bytes (always a multiple of 32).
 func (m *Memory) Len() int { return len(m.data) }
 
