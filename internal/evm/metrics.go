@@ -5,9 +5,9 @@ import (
 )
 
 // EVM-tier metrics: distributions of gas and interpreter steps per
-// outermost call/create, observed only at depth 0 so inner frames never
-// double-count and the interpreter loop itself stays untouched beyond a
-// local step counter.
+// outermost call/create and the frame count, recorded only at depth 0
+// so inner frames never double-count and the interpreter loop itself
+// stays untouched beyond a local step counter.
 var (
 	mGasUsed = metrics.Default.Histogram("legalchain_evm_gas_used",
 		"Gas consumed per outermost EVM call or create.",
@@ -21,11 +21,12 @@ var (
 		"Frames that ended in REVERT (all call depths).")
 )
 
-// observeOuter records the per-transaction distributions when an
-// outermost frame finishes, keeps its step count for Steps, and resets
-// the step accumulator.
+// observeOuter records the per-transaction distributions and the frame
+// count when an outermost frame finishes, keeps its step count for
+// Steps, and resets the accumulators.
 func (e *EVM) observeOuter(gasBefore, gasAfter uint64) {
 	mGasUsed.Observe(float64(gasBefore - gasAfter))
 	mSteps.Observe(float64(e.steps))
-	e.lastSteps, e.steps = e.steps, 0
+	mFrames.Add(e.frames)
+	e.lastSteps, e.steps, e.frames = e.steps, 0, 0
 }

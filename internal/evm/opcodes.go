@@ -76,26 +76,10 @@ const (
 	GAS      OpCode = 0x5a
 	JUMPDEST OpCode = 0x5b
 
-	PUSH1  OpCode = 0x60
-	PUSH2  OpCode = 0x61
-	PUSH4  OpCode = 0x63
-	PUSH32 OpCode = 0x7f
-	DUP1   OpCode = 0x80
-	DUP2   OpCode = 0x81
-	DUP3   OpCode = 0x82
-	DUP4   OpCode = 0x83
-	DUP5   OpCode = 0x84
-	DUP6   OpCode = 0x85
-	DUP7   OpCode = 0x86
-	DUP8   OpCode = 0x87
-	DUP16  OpCode = 0x8f
-	SWAP1  OpCode = 0x90
-	SWAP2  OpCode = 0x91
-	SWAP3  OpCode = 0x92
-	SWAP4  OpCode = 0x93
-	SWAP16 OpCode = 0x9f
-
 	LOG0 OpCode = 0xa0
+	LOG1 OpCode = 0xa1
+	LOG2 OpCode = 0xa2
+	LOG3 OpCode = 0xa3
 	LOG4 OpCode = 0xa4
 
 	CREATE       OpCode = 0xf0
@@ -108,6 +92,74 @@ const (
 	REVERT       OpCode = 0xfd
 	INVALID      OpCode = 0xfe
 	SELFDESTRUCT OpCode = 0xff
+)
+
+// PUSH1..PUSH32, DUP1..DUP16 and SWAP1..SWAP16 are consecutive bytes.
+const (
+	PUSH1 OpCode = 0x60 + iota
+	PUSH2
+	PUSH3
+	PUSH4
+	PUSH5
+	PUSH6
+	PUSH7
+	PUSH8
+	PUSH9
+	PUSH10
+	PUSH11
+	PUSH12
+	PUSH13
+	PUSH14
+	PUSH15
+	PUSH16
+	PUSH17
+	PUSH18
+	PUSH19
+	PUSH20
+	PUSH21
+	PUSH22
+	PUSH23
+	PUSH24
+	PUSH25
+	PUSH26
+	PUSH27
+	PUSH28
+	PUSH29
+	PUSH30
+	PUSH31
+	PUSH32
+	DUP1
+	DUP2
+	DUP3
+	DUP4
+	DUP5
+	DUP6
+	DUP7
+	DUP8
+	DUP9
+	DUP10
+	DUP11
+	DUP12
+	DUP13
+	DUP14
+	DUP15
+	DUP16
+	SWAP1
+	SWAP2
+	SWAP3
+	SWAP4
+	SWAP5
+	SWAP6
+	SWAP7
+	SWAP8
+	SWAP9
+	SWAP10
+	SWAP11
+	SWAP12
+	SWAP13
+	SWAP14
+	SWAP15
+	SWAP16
 )
 
 // opNames holds the mnemonic of every byte, built once so that String
@@ -130,8 +182,7 @@ var opNames = func() [256]string {
 		POP: "POP", MLOAD: "MLOAD", MSTORE: "MSTORE", MSTORE8: "MSTORE8",
 		SLOAD: "SLOAD", SSTORE: "SSTORE", JUMP: "JUMP", JUMPI: "JUMPI", PC: "PC",
 		MSIZE: "MSIZE", GAS: "GAS", JUMPDEST: "JUMPDEST",
-		LOG0: "LOG0", OpCode(0xa1): "LOG1", OpCode(0xa2): "LOG2",
-		OpCode(0xa3): "LOG3", LOG4: "LOG4",
+		LOG0: "LOG0", LOG1: "LOG1", LOG2: "LOG2", LOG3: "LOG3", LOG4: "LOG4",
 		CREATE: "CREATE", CALL: "CALL", CALLCODE: "CALLCODE", RETURN: "RETURN",
 		DELEGATECALL: "DELEGATECALL", CREATE2: "CREATE2", STATICCALL: "STATICCALL",
 		REVERT: "REVERT", INVALID: "INVALID", SELFDESTRUCT: "SELFDESTRUCT",
