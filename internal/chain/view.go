@@ -351,6 +351,10 @@ func (v *HeadView) CallCtx(ctx context.Context, from ethtypes.Address, to *ethty
 	return res
 }
 
+// callCredit is what callState credits the caller: 10⁹ ether, computed
+// once rather than through math/big on every call.
+var callCredit = ethtypes.Ether(1_000_000_000)
+
 // callState is the scratch state of one eth_call: an overlay that
 // materialises only the accounts the call touches — O(touched) instead
 // of Copy's O(all accounts) — with the caller given a balance so
@@ -358,7 +362,7 @@ func (v *HeadView) CallCtx(ctx context.Context, from ethtypes.Address, to *ethty
 func (v *HeadView) callState(from ethtypes.Address) *state.StateDB {
 	mViewReads.Inc()
 	st := v.st.Overlay()
-	st.AddBalance(from, ethtypes.Ether(1_000_000_000))
+	st.AddBalance(from, callCredit)
 	return st
 }
 
