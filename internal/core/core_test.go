@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -269,6 +270,72 @@ func svcConfirmAndPay(t *testing.T, svc *RentalService, tenant, addr ethtypes.Ad
 			t.Fatal(err)
 		}
 	}
+}
+
+// afterSendBackend runs after, once, when the next raw transaction has
+// gone through.
+type afterSendBackend struct {
+	*web3.LocalBackend
+	after func()
+}
+
+func (b *afterSendBackend) SendRawTransactionCtx(ctx context.Context, raw []byte) (ethtypes.Hash, error) {
+	h, err := b.LocalBackend.SendRawTransactionCtx(ctx, raw)
+	if f := b.after; f != nil {
+		b.after = nil
+		f()
+	}
+	return h, err
+}
+
+// TestRegistryRowWriteFailuresSurface: a registry row write that fails
+// in ConfirmModification (marking the superseded version terminated) or
+// in ModifyWithConsent's refusal (marking the new version rejected)
+// returns its error. The store is closed at the moment of the write.
+func TestRegistryRowWriteFailuresSurface(t *testing.T) {
+	terms := ModifiedTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(1), Months: 12,
+		House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+		Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+	}
+	t.Run("ConfirmModification", func(t *testing.T) {
+		var b *afterSendBackend
+		m, accs := rigOver(t, func(lb *web3.LocalBackend) web3.Backend {
+			b = &afterSendBackend{LocalBackend: lb}
+			return b
+		})
+		landlord, tenant := accs[0].Address, accs[1].Address
+		svc := NewRentalService(m)
+		v1 := deployRental(t, m, landlord)
+		svcConfirmAndPay(t, svc, tenant, v1.Contract.Address, 1)
+		v2, err := svc.Modify(landlord, v1.Contract.Address, terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.after = func() { m.Store.Close() } // once v1's termination is sent
+		if err := svc.ConfirmModification(tenant, v2.Contract.Address); !errors.Is(err, docstore.ErrClosed) {
+			t.Fatalf("ConfirmModification = %v, want the row write's %v", err, docstore.ErrClosed)
+		}
+		// It stopped at the failed write: v2 was not confirmed.
+		if st, err := v2.Contract.CallUint(tenant, "state"); err != nil || st.Uint64() != 0 {
+			t.Fatalf("v2 state = %v (%v), want 0 (never confirmed)", st, err)
+		}
+	})
+	t.Run("ModifyWithConsent", func(t *testing.T) {
+		m, accs := rig(t)
+		landlord, tenant := accs[0].Address, accs[1].Address
+		svc := NewRentalService(m)
+		v1 := deployRental(t, m, landlord)
+		svcConfirmAndPay(t, svc, tenant, v1.Contract.Address, 1)
+		ks := m.Client.Keystore()
+		_, err := svc.ModifyWithConsent(landlord, v1.Contract.Address, terms, func(newAddr ethtypes.Address) ([]byte, error) {
+			m.Store.Close()
+			return SignConsent(ks, accs[2].Address, v1.Contract.Address, newAddr)
+		})
+		if !errors.Is(err, ErrBadConsent) || !errors.Is(err, docstore.ErrClosed) {
+			t.Fatalf("refused consent with the store closed = %v, want %v and %v", err, ErrBadConsent, docstore.ErrClosed)
+		}
+	})
 }
 
 func TestConfirmModificationTerminatesOld(t *testing.T) {

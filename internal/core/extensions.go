@@ -171,8 +171,8 @@ func (s *RentalService) ModifyWithConsent(landlord, prevAddr ethtypes.Address, t
 	}
 	if err := s.VerifyConsent(landlord, prevAddr, dep.Contract.Address, consent); err != nil {
 		// The deployment exists but is not consented: mark it rejected.
-		s.M.UpdateRow(dep.Contract.Address, func(r *ContractRow) { r.State = StateRejected })
-		return nil, err
+		rowErr := s.M.UpdateRow(dep.Contract.Address, func(r *ContractRow) { r.State = StateRejected })
+		return nil, errors.Join(err, rowErr)
 	}
 	return dep, nil
 }

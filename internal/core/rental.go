@@ -228,7 +228,9 @@ func (s *RentalService) ConfirmModification(tenant, newAddr ethtypes.Address) er
 					return fmt.Errorf("core: terminating superseded version: %w", err)
 				}
 			}
-			s.M.UpdateRow(prevAddr, func(r *ContractRow) { r.State = StateTerminated })
+			if err := s.M.UpdateRow(prevAddr, func(r *ContractRow) { r.State = StateTerminated }); err != nil {
+				return fmt.Errorf("core: marking superseded version terminated: %w", err)
+			}
 		}
 	}
 	return s.Confirm(tenant, newAddr)
