@@ -322,17 +322,3 @@ func suggestAction(row core.ContractRow, role string) string {
 	}
 	return "VIEW"
 }
-
-// sessionCount is exposed for tests.
-func (a *App) sessionCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.sessions)
-}
-
-// cleanupSessions removes all sessions (used on shutdown).
-func (a *App) cleanupSessions() {
-	a.mu.Lock()
-	a.sessions = map[string]string{}
-	a.mu.Unlock()
-}

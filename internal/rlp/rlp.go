@@ -97,14 +97,6 @@ func (it *Item) At(i int) *Item {
 	return it.list[i]
 }
 
-// Children returns the child slice of a list item (not copied).
-func (it *Item) Children() []*Item {
-	if it.kind != KindList {
-		panic("rlp: Children called on string item")
-	}
-	return it.list
-}
-
 // AsUint64 interprets a string item as a big-endian unsigned integer.
 func (it *Item) AsUint64() (uint64, error) {
 	if it.kind != KindString {
@@ -137,14 +129,6 @@ func (it *Item) AsBigInt() (*big.Int, error) {
 // Encode serialises the item tree to its canonical RLP encoding.
 func Encode(it *Item) []byte {
 	return appendItem(nil, it)
-}
-
-// AppendEncode serialises the item tree onto dst and returns the
-// extended slice, letting callers that frame many records (the block
-// log, snapshot writers) reuse one buffer instead of allocating per
-// encode.
-func AppendEncode(dst []byte, it *Item) []byte {
-	return appendItem(dst, it)
 }
 
 func appendItem(dst []byte, it *Item) []byte {

@@ -71,9 +71,6 @@ func NewWithDisk(disk DiskStore, root ethtypes.Hash) *StateDB {
 	return s
 }
 
-// DiskBacked reports whether the state reads through a disk store.
-func (s *StateDB) DiskBacked() bool { return s.disk != nil }
-
 // diskStore returns the store this state (or its overlay base) reads
 // through.
 func (s *StateDB) diskStore() DiskStore {

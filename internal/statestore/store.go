@@ -611,14 +611,6 @@ func (s *Store) ResolveNode(h ethtypes.Hash) ([]byte, error) {
 	return enc, nil
 }
 
-// HasAccount reports index membership without a disk read.
-func (s *Store) HasAccount(addr ethtypes.Address) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.accounts[addr]
-	return ok
-}
-
 // ForEachAccount calls fn for every account in the store (index
 // order, unspecified). fn returning false stops the walk. Each call
 // costs a disk read for cold accounts; this is for dumps, audits and
