@@ -28,14 +28,18 @@ func rig(t *testing.T) *App {
 // the calls the pages make.
 func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) *App {
 	t.Helper()
+	// Persistence on: the cross-tier trace test expects blockdb spans,
+	// which only a durable chain produces.
+	return rigPersist(t, wrap, chain.PersistConfig{DataDir: t.TempDir(), NoSync: true})
+}
+
+// rigPersist is rigOver on a chain persisted as pc says.
+func rigPersist(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend, pc chain.PersistConfig) *App {
+	t.Helper()
 	faucet := wallet.DevAccounts("app faucet", 1)[0]
 	g := chain.DefaultGenesis()
 	g.Alloc = wallet.DevAlloc([]wallet.Account{faucet}, ethtypes.Ether(1_000_000))
-	// Persistence on: the cross-tier trace test expects blockdb spans,
-	// which only a durable chain produces.
-	bc, err := chain.Open(g, chain.WithPersistence(chain.PersistConfig{
-		DataDir: t.TempDir(), NoSync: true,
-	}))
+	bc, err := chain.Open(g, chain.WithPersistence(pc))
 	if err != nil {
 		t.Fatal(err)
 	}

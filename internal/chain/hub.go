@@ -45,7 +45,7 @@ const defaultSubBuffer = 64
 // hubQueueMax bounds the hub's own event queue between pump runs. The
 // pump's per-event work is tiny (ring appends), so the queue only grows
 // if the host is badly oversubscribed; overflow drops the oldest events
-// and surfaces as a gap on every subscriber.
+// and surfaces as a gap on every subscriber of the dropped events' kind.
 const hubQueueMax = 4096
 
 // SubKind selects what a subscription observes.
@@ -68,6 +68,14 @@ type Event struct {
 	View *HeadView
 	// TxHash is the admitted transaction (SubPendingTxs).
 	TxHash ethtypes.Hash
+}
+
+// kind is the subscription kind that receives ev.
+func (ev Event) kind() SubKind {
+	if ev.View == nil {
+		return SubPendingTxs
+	}
+	return SubHeads
 }
 
 // Subscription is one subscriber's bounded event ring. Obtain one from
@@ -170,7 +178,7 @@ type hub struct {
 	subs     map[uint64]*Subscription
 	nextID   uint64
 	queue    []Event
-	qDropped uint64
+	qDropped [2]uint64 // events shed from the queue, by SubKind
 	closed   bool
 
 	pumpOnce sync.Once
@@ -238,9 +246,9 @@ func (h *hub) enqueue(ev Event) {
 	if len(h.queue) >= hubQueueMax {
 		// Shed the oldest event; every subscriber learns the loss as a
 		// gap notice rather than the publisher ever blocking.
+		h.qDropped[h.queue[0].kind()]++
 		copy(h.queue, h.queue[1:])
 		h.queue = h.queue[:len(h.queue)-1]
-		h.qDropped++
 		mSubDropped.Inc()
 	}
 	h.queue = append(h.queue, ev)
@@ -285,27 +293,24 @@ func (h *hub) pump() {
 			h.mu.Lock()
 			batch := h.queue
 			h.queue = nil
-			gap := h.qDropped
-			h.qDropped = 0
+			gaps := h.qDropped
+			h.qDropped = [2]uint64{}
 			subs := make([]*Subscription, 0, len(h.subs))
 			for _, s := range h.subs {
 				subs = append(subs, s)
 			}
 			h.mu.Unlock()
-			if len(batch) == 0 && gap == 0 {
+			if len(batch) == 0 && gaps == [2]uint64{} {
 				break
 			}
 			_, sp := xtrace.StartRoot(context.Background(), "chain", "subFanout", "")
 			for _, s := range subs {
-				if gap > 0 && s.kind == SubHeads {
+				if gap := gaps[s.kind]; gap > 0 {
 					s.addGap(gap)
 				}
 			}
 			for _, ev := range batch {
-				kind := SubHeads
-				if ev.View == nil {
-					kind = SubPendingTxs
-				}
+				kind := ev.kind()
 				for _, s := range subs {
 					if s.kind == kind {
 						s.push(ev)

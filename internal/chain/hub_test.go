@@ -303,3 +303,53 @@ func TestHubCloseWakesSubscribers(t *testing.T) {
 		t.Fatal("subscription on a closed chain is alive")
 	}
 }
+
+// TestHubQueueOverflowIsAGap: when the pump falls more than hubQueueMax
+// events behind, the hub queue sheds its oldest events and every
+// subscriber learns how many of its kind were shed as a gap
+// (Subscription.addGap); the events kept are the newest.
+func TestHubQueueOverflowIsAGap(t *testing.T) {
+	bc, accs := hubRig(t, 2)
+	bc.hub.pumpOnce.Do(func() {}) // hold the pump: events pile up in the queue
+	heads := bc.SubscribeHeads(2 * hubQueueMax)
+	defer heads.Close()
+	pending := bc.SubscribePendingTxs(16)
+	defer pending.Close()
+
+	// hubQueueMax+shed events: an admitted transaction, the block that
+	// seals it, then head events from time adjustments. The first shed
+	// go: the pending event, block 1's and shed-2 adjustments.
+	const shed = 10
+	tx := rawTx(t, bc, accs[0], 0, &accs[1].Address, uint256.NewUint64(1), nil, 21000)
+	if _, err := bc.SubmitTransaction(tx); err != nil {
+		t.Fatal(err)
+	}
+	bc.MineBlock()
+	for i := 0; i < hubQueueMax+shed-2; i++ {
+		bc.AdjustTime(1)
+	}
+	go bc.hub.pump() // the queue already woke the pump channel
+
+	events, gap := drainUntil(t, heads, hubQueueMax)
+	if gap != shed-1 || len(events) != hubQueueMax {
+		t.Errorf("heads: %d events, gap %d; want the %d kept and a gap of %d", len(events), gap, hubQueueMax, shed-1)
+	}
+	if n := events[0].View.BlockNumber(); n != 1 {
+		t.Errorf("first kept event's view is at block %d, want 1", n)
+	}
+	if _, gap := drainAll(t, pending, 5*time.Second); gap != 1 {
+		t.Errorf("pending gap = %d, want the 1 shed transaction", gap)
+	}
+}
+
+// drainUntil drains sub until it holds at least n events, summing gaps.
+func drainUntil(t *testing.T, sub *Subscription, n int) ([]Event, uint64) {
+	t.Helper()
+	var events []Event
+	var gap uint64
+	for len(events) < n {
+		evs, g := drainAll(t, sub, 5*time.Second)
+		events, gap = append(events, evs...), gap+g
+	}
+	return events, gap
+}
