@@ -201,3 +201,12 @@ func expose(r *Registry) string {
 	r.WritePrometheus(&b)
 	return b.String()
 }
+
+// BenchmarkHistogramObserve is one observation on a ten-bucket
+// histogram, the cost every eth_call pays a few times over.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := newHistogram([]float64{10, 50, 100, 500, 1_000, 5_000, 10_000, 100_000, 1_000_000})
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i & 4095))
+	}
+}
