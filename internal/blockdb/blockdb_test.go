@@ -367,3 +367,66 @@ func TestSegmentBytesPinned(t *testing.T) {
 		t.Fatalf("block-log bytes changed: sha256 %s, want %s", got, want)
 	}
 }
+
+// FuzzBlockHash decodes a journaled record into its block and reads
+// Block.Hash, which is memoised on the block, against the un-memoised
+// Header.Hash: first as decoded (twice, the second answer from the
+// memo), then with one header field changed in place (the memo must
+// follow the header, not return the remembered hash), then with the
+// field restored (the original hash again).
+func FuzzBlockHash(f *testing.F) {
+	for i, rec := range makeRecords(3) {
+		f.Add(rec.Encode(), byte(i), byte(i+1), byte(0x80))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, field, pos, flip byte) {
+		rec, err := DecodeRecord(raw)
+		if err != nil {
+			return
+		}
+		b := rec.Block()
+		check := func(stage string) {
+			t.Helper()
+			want := b.Header.Hash()
+			for call := 1; call <= 2; call++ {
+				if got := b.Hash(); got != want {
+					t.Fatalf("%s, call %d: Hash = %s, Header.Hash = %s", stage, call, got, want)
+				}
+			}
+		}
+		check("decoded")
+		if flip == 0 {
+			return
+		}
+		h := b.Header
+		orig := *h
+		switch field % 10 {
+		case 0:
+			h.ParentHash[pos%32] ^= flip
+		case 1:
+			h.Number ^= uint64(flip) << (pos % 64)
+		case 2:
+			h.Time ^= uint64(flip) << (pos % 64)
+		case 3:
+			h.GasLimit ^= uint64(flip) << (pos % 64)
+		case 4:
+			h.GasUsed ^= uint64(flip) << (pos % 64)
+		case 5:
+			h.Coinbase[pos%20] ^= flip
+		case 6:
+			h.StateRoot[pos%32] ^= flip
+		case 7:
+			h.TxRoot[pos%32] ^= flip
+		case 8:
+			h.ReceiptRoot[pos%32] ^= flip
+		case 9:
+			// A new header, not an edit of the old one.
+			cp := orig
+			cp.Number ^= uint64(flip)
+			b.Header = &cp
+		}
+		check("mutated")
+		*h = orig
+		b.Header = h
+		check("restored")
+	})
+}

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"legalchain/internal/abi"
@@ -130,6 +131,11 @@ type HeadView struct {
 
 	timeOffset uint64 // pending AdjustTime offset for speculative headers
 	published  time.Time
+
+	// callCtx is the EVM context of every speculative message on the
+	// view (the block after the head, BLOCKHASH bound to the view), built
+	// once at publication; runMessage sets only its Origin.
+	callCtx evm.Context
 }
 
 // Head returns the view's sealed head block.
@@ -336,14 +342,21 @@ func (v *HeadView) Call(from ethtypes.Address, to *ethtypes.Address, data []byte
 
 // CallCtx is Call with span propagation: when ctx carries a sampled
 // trace, the call and its EVM execution show up as child spans.
+//
+// The call's scratch state is an overlay that materialises only the
+// accounts the call touches, with the caller credited callCredit so
+// that value-bearing calls don't fail spuriously (ganache behaviour).
+// The overlay goes back to its pool once runMessage has returned: the
+// result holds nothing of it.
 func (v *HeadView) CallCtx(ctx context.Context, from ethtypes.Address, to *ethtypes.Address, data []byte, value uint256.Int, gas uint64) *CallResult {
 	ctx, sp := xtrace.Start(ctx, "chain", "call")
 	defer sp.End()
 	callStart := time.Now()
-	defer mCallSeconds.ObserveSince(callStart)
-	st := v.callState(from)
+	defer mCallSeconds.ObserveSince(callStart) // counts the call as a view read too
+	st := v.st.CreditedOverlay(from, callCredit)
 	_, evmSp := xtrace.Start(ctx, "evm", "call")
 	_, res := v.runMessage(st, nil, from, to, data, value, gas)
+	st.Release()
 	evmSp.SetError(res.Err)
 	evmSp.SetAttrUint("gasUsed", res.GasUsed)
 	evmSp.End()
@@ -351,20 +364,13 @@ func (v *HeadView) CallCtx(ctx context.Context, from ethtypes.Address, to *ethty
 	return res
 }
 
-// callCredit is what callState credits the caller: 10⁹ ether, computed
-// once rather than through math/big on every call.
+// callCredit is what an eth_call credits its caller: 10⁹ ether,
+// computed once rather than through math/big on every call.
 var callCredit = ethtypes.Ether(1_000_000_000)
 
-// callState is the scratch state of one eth_call: an overlay that
-// materialises only the accounts the call touches — O(touched) instead
-// of Copy's O(all accounts) — with the caller given a balance so
-// value-bearing calls don't fail spuriously (ganache behaviour).
-func (v *HeadView) callState(from ethtypes.Address) *state.StateDB {
-	mViewReads.Inc()
-	st := v.st.Overlay()
-	st.AddBalance(from, callCredit)
-	return st
-}
+// machines pools the EVMs of runMessage. A reused EVM keeps each call
+// depth's stack array and memory buffer (evm.EVM.Reset).
+var machines = sync.Pool{New: func() any { return new(evm.EVM) }}
 
 // runMessage is the one speculative execution: it runs a message on st,
 // a mutable overlay of the view's state, in the block that would follow
@@ -378,7 +384,10 @@ func (v *HeadView) runMessage(st *state.StateDB, tracer evm.Tracer, from ethtype
 	if gas == 0 || gas > v.gasLimit {
 		gas = v.gasLimit
 	}
-	machine := evm.New(blockContext(v.chainID, v.nextHeader(), from, uint256.Zero, v.blockHash), st)
+	bctx := v.callCtx
+	bctx.Origin = from
+	machine := machines.Get().(*evm.EVM)
+	machine.Reset(bctx, st)
 	machine.Tracer = tracer
 	var (
 		addr ethtypes.Address
@@ -392,6 +401,10 @@ func (v *HeadView) runMessage(st *state.StateDB, tracer evm.Tracer, from ethtype
 		ret, left, err = machine.Call(from, *to, data, gas, value)
 	}
 	res := &CallResult{Return: ret, GasUsed: gas - left, Steps: machine.Steps(), Err: err}
+	// Unbind before pooling: an idle EVM must not keep a state or a view
+	// alive.
+	machine.Reset(evm.Context{}, nil)
+	machines.Put(machine)
 	if err != nil {
 		res.Reason, _ = abi.UnpackRevertReason(ret)
 	}
@@ -420,8 +433,9 @@ func (v *HeadView) EstimateGas(from ethtypes.Address, to *ethtypes.Address, data
 // TraceCall executes a read-only message with a structured tracer
 // attached — the debug_traceCall facility, lock-free.
 func (v *HeadView) TraceCall(from ethtypes.Address, to *ethtypes.Address, data []byte, gas uint64) (*CallResult, *evm.StructLogger) {
+	mViewReads.Inc()
 	tracer := evm.NewStructLogger()
-	_, res := v.runMessage(v.callState(from), tracer, from, to, data, uint256.Zero, gas)
+	_, res := v.runMessage(v.st.CreditedOverlay(from, callCredit), tracer, from, to, data, uint256.Zero, gas)
 	return res, tracer
 }
 
@@ -463,6 +477,7 @@ func (bc *Blockchain) publishHeadLocked() {
 		timeOffset: bc.timeOffset,
 		published:  now,
 	}
+	v.callCtx = blockContext(v.chainID, v.nextHeader(), ethtypes.Address{}, uint256.Zero, v.blockHash)
 	bc.view.Store(v)
 	// Hand the view to the subscription hub: one O(1) enqueue, fanned
 	// out to subscriber rings off the seal path (hub.go).

@@ -42,10 +42,6 @@ func TestViewCoherence(t *testing.T) {
 	}
 }
 
-// TestCallGasCappedAtBlockLimit runs JUMPDEST PUSH1 0 JUMP, a loop that
-// only gas ends, as eth_call with caller-chosen gas above the block gas
-// limit. The gas is capped at the limit, so the call comes back out of
-// gas having spent at most a block's worth.
 // TestCallCreditIsComputedOnce: the credit every eth_call gives its
 // caller is a package constant equal to 10⁹ ether.
 func TestCallCreditIsComputedOnce(t *testing.T) {
@@ -54,6 +50,10 @@ func TestCallCreditIsComputedOnce(t *testing.T) {
 	}
 }
 
+// TestCallGasCappedAtBlockLimit runs JUMPDEST PUSH1 0 JUMP, a loop that
+// only gas ends, as eth_call with caller-chosen gas above the block gas
+// limit. The gas is capped at the limit, so the call comes back out of
+// gas having spent at most a block's worth.
 func TestCallGasCappedAtBlockLimit(t *testing.T) {
 	bc, accs := devChain(t)
 	loop := []byte{0x5b, 0x60, 0x00, 0x56}

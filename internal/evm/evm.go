@@ -56,11 +56,35 @@ type EVM struct {
 	// interp, when non-nil, runs every frame in place of exec. Only
 	// tests set it, to run a reference loop under the same frame code.
 	interp func(frame) (frame, []byte, error)
+	// bufs[d] is the stack array and memory buffer of the frames at
+	// depth d, kept between them (runFrame). Memory leaves a frame only
+	// through Memory.GetCopy, so nothing outside the frame sees a buffer
+	// reused.
+	bufs []frameBuffers
 }
+
+// frameBuffers is one call depth's stack array and memory buffer,
+// emptied, between two frames.
+type frameBuffers struct {
+	stack []uint256.Int
+	mem   []byte
+}
+
+// keptMemory bounds the memory buffer a depth keeps after its frame:
+// one frame that grew memory to megabytes must not pin them.
+const keptMemory = 64 << 10
 
 // New returns an EVM bound to ctx and st.
 func New(ctx Context, st *state.StateDB) *EVM {
 	return &EVM{Context: ctx, State: st}
+}
+
+// Reset rebinds e to ctx and st for another message, leaving it as New
+// would have made it except that each depth's stack array and memory
+// buffer are kept: a reused EVM runs a frame without allocating either.
+func (e *EVM) Reset(ctx Context, st *state.StateDB) {
+	e.Context, e.State, e.Tracer = ctx, st, nil
+	e.depth, e.steps, e.frames, e.lastSteps = 0, 0, 0, 0
 }
 
 // Steps returns the interpreter steps the last outermost call or create
@@ -178,7 +202,6 @@ func (e *EVM) call(kind OpCode, parent *frame, caller, to ethtypes.Address, inpu
 		contract: to, caller: caller, code: code, input: input,
 		value: value, gas: gas,
 		static:    kind == STATICCALL || parent != nil && parent.static,
-		stack:     newStack(),
 		jumpdests: e.jumpdestsOf(to, code),
 	}
 	switch kind {
@@ -194,14 +217,25 @@ func (e *EVM) call(kind OpCode, parent *frame, caller, to ethtypes.Address, inpu
 	return ret, f.gas, err
 }
 
-// runFrame runs f one level deeper than the current frame. A failure
-// reverts the state to snapshot, and any failure but REVERT consumes
-// the frame's gas.
+// runFrame runs f one level deeper than the current frame, on the
+// stack array and memory buffer that depth kept from its last frame. A
+// failure reverts the state to snapshot, and any failure but REVERT
+// consumes the frame's gas.
 func (e *EVM) runFrame(f *frame, snapshot int) ([]byte, error) {
+	d := e.depth
+	if d == len(e.bufs) {
+		e.bufs = append(e.bufs, frameBuffers{stack: newStack().data})
+	}
+	f.stack.data, f.mem.data = e.bufs[d].stack[:0], e.bufs[d].mem[:0]
 	e.frames++
 	e.depth++
 	ret, err := e.run(f)
 	e.depth--
+	// Deeper frames may have moved e.bufs: index it afresh.
+	e.bufs[d].stack = f.stack.data[:0]
+	if cap(f.mem.data) <= keptMemory {
+		e.bufs[d].mem = f.mem.data[:0]
+	}
 	if err != nil {
 		e.State.RevertToSnapshot(snapshot)
 		if errors.Is(err, ErrExecutionReverted) {
@@ -257,7 +291,6 @@ func (e *EVM) create(typ OpCode, caller ethtypes.Address, initCode []byte, gas u
 	f := &frame{
 		contract: addr, caller: caller, code: initCode, input: nil,
 		value: value, gas: gas,
-		stack:     newStack(),
 		jumpdests: analyzeJumpdests(initCode), // initcode runs once: not cached
 	}
 	ret, err := e.runFrame(f, snapshot)

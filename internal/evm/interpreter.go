@@ -24,10 +24,11 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 	if e.interp != nil {
 		// The hook takes the frame by value: a frame handed to a
 		// function value by pointer escapes, and every production frame
-		// would go to the heap with it. The caller reads gas and pc back.
+		// would go to the heap with it. The caller reads gas and pc back,
+		// and the buffers for runFrame to keep.
 		var out frame
 		out, ret, err = e.interp(*f)
-		f.gas, f.pc = out.gas, out.pc
+		f.gas, f.pc, f.stack, f.mem = out.gas, out.pc, out.stack, out.mem
 	} else {
 		ret, err = e.exec(f)
 	}
@@ -54,6 +55,8 @@ func (e *EVM) exec(f *frame) ([]byte, error) {
 	// folded into the EVM-wide accumulator once per frame.
 	var steps uint64
 	defer func() { e.steps += steps }()
+	// The tracer is fixed for the message: read it once, not per step.
+	tracer := e.Tracer
 
 	for {
 		steps++
@@ -61,8 +64,8 @@ func (e *EVM) exec(f *frame) ([]byte, error) {
 		if f.pc < uint64(len(f.code)) {
 			op = OpCode(f.code[f.pc])
 		}
-		if e.Tracer != nil {
-			e.Tracer.CaptureStep(e.depth, f.pc, op, f.gas, st.Len())
+		if tracer != nil {
+			tracer.CaptureStep(e.depth, f.pc, op, f.gas, st.Len())
 		}
 
 		var err error // set by the cases that end in one call

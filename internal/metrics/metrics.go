@@ -110,7 +110,13 @@ func (h *Histogram) Observe(v float64) {
 	if !enabled.Load() {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	// The first bound ≥ v, as sort.SearchFloat64s would find it (NaN
+	// falls through to +Inf), by a scan: bounds are few, and the values
+	// hot paths observe sit in the first buckets.
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.counts[i].Add(1)
 	for {
 		old := h.sum.Load()
@@ -321,6 +327,14 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 		}
 	}})
 	return v
+}
+
+// CounterFunc registers a counter computed at scrape time, for a count
+// that other instruments already hold.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.register(&family{name: name, help: help, typ: "counter", write: func(w io.Writer) {
+		fmt.Fprintf(w, "%s %s\n", name, formatFloat(float64(fn())))
+	}})
 }
 
 // GaugeFunc registers a gauge computed at scrape time.

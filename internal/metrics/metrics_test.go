@@ -210,3 +210,28 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(float64(i & 4095))
 	}
 }
+
+// BenchmarkHistogramObserveCallLatency is the eth_call latency
+// observation: a few microseconds on the default buckets, all of it in
+// the first one.
+func BenchmarkHistogramObserveCallLatency(b *testing.B) {
+	h := newHistogram(DefBuckets)
+	for i := 0; i < b.N; i++ {
+		h.Observe(3e-6 + float64(i&7)*1e-7)
+	}
+}
+
+// TestCounterFunc: a counter computed at scrape time is exposed as a
+// counter with the value its function returns then.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var n uint64 = 41
+	r.CounterFunc("derived_total", "derived", func() uint64 { return n })
+	n++
+	out := expose(r)
+	for _, want := range []string{"# TYPE derived_total counter", "derived_total 42"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}

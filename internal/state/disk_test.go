@@ -309,3 +309,36 @@ func TestDiskStateDeletionNoResurrection(t *testing.T) {
 		t.Fatalf("world trie still proves the account: ok=%v err=%v", ok, err)
 	}
 }
+
+// TestCreditedOverlayOverDisk: the credit lands on an account the
+// frozen base holds only on disk exactly as an up-front AddBalance
+// would, and the base keeps answering its committed balance.
+func TestCreditedOverlayOverDisk(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	s := NewWithDisk(st, ethtypes.Hash{})
+	a := testAddr(1)
+	s.AddBalance(a, uint256.NewUint64(1000))
+	s.SetCode(a, []byte{0xde, 0xad})
+	s.Finalise()
+	commitPending(t, s, st, 1, s.Root())
+	s.EvictCold(0)
+	s.Freeze()
+
+	credit := uint256.NewUint64(5)
+	eager := s.Overlay()
+	eager.AddBalance(a, credit)
+	lazy := s.CreditedOverlay(a, credit)
+	defer lazy.Release()
+	for i := 0; i < 2; i++ {
+		if got, want := lazy.GetBalance(a), eager.GetBalance(a); got != want {
+			t.Fatalf("read %d: balance %v, eager credit %v", i, got, want)
+		}
+	}
+	if got, want := string(lazy.GetCode(a)), string(eager.GetCode(a)); got != want {
+		t.Fatalf("code %x, eager credit %x", got, want)
+	}
+	if got := s.GetBalance(a).Uint64(); got != 1000 {
+		t.Fatalf("frozen base balance %d, want 1000", got)
+	}
+}

@@ -164,6 +164,15 @@ type StateDB struct {
 	// materialises copy-on-write clones of base accounts on first touch
 	// instead of requiring an up-front whole-world Copy. See Overlay.
 	base *StateDB
+
+	// On an overlay from CreditedOverlay: credit is added to creditTo's
+	// balance when getObject first materialises creditTo, and
+	// creditPending clears once it has been. pooled marks the overlay as
+	// one Release may return to the pool.
+	creditTo      ethtypes.Address
+	credit        uint256.Int
+	creditPending bool
+	pooled        bool
 }
 
 // New returns an empty world state.
@@ -207,23 +216,22 @@ func (s *StateDB) getObject(addr ethtypes.Address) *stateObject {
 		return o
 	}
 	if s.base != nil {
-		// Overlay copy-on-read: materialise a private clone of the base
-		// account. Cloning even for pure reads keeps every caller that
-		// mutates the returned object (SelfDestruct, SetState after a
-		// getObject hit) isolated from the base. No journal entry: the
-		// clone is indistinguishable from having copied up front.
-		if bo := s.base.objects[addr]; bo != nil {
-			no := cloneShared(bo)
-			s.objects[addr] = no
-			return no
-		}
-		if s.base.disk != nil && !s.isDeleted(addr) && !s.base.isDeleted(addr) {
-			if o := loadDiskObject(s.base.disk, addr); o != nil {
-				s.objects[addr] = o
-				return o
+		o := s.fromBase(addr)
+		if s.creditPending && addr == s.creditTo {
+			// The credit lands on the account exactly as an AddBalance
+			// made before the message would have left it, but with no
+			// journal entry (nothing reverts below the message) and no
+			// dirty mark (an overlay has no root).
+			s.creditPending = false
+			if o == nil {
+				o = newStateObject()
 			}
+			o.balance = o.balance.Add(s.credit)
 		}
-		return nil
+		if o != nil {
+			s.objects[addr] = o
+		}
+		return o
 	}
 	if s.disk != nil && !s.isDeleted(addr) {
 		o := loadDiskObject(s.disk, addr)
@@ -238,6 +246,21 @@ func (s *StateDB) getObject(addr ethtypes.Address) *stateObject {
 		}
 		s.objects[addr] = o
 		return o
+	}
+	return nil
+}
+
+// fromBase is an overlay's copy-on-read: a private clone of the base
+// account, or nil when the base has none. Cloning even for pure reads
+// keeps every caller that mutates the returned object (SelfDestruct,
+// SetState after a getObject hit) isolated from the base. No journal
+// entry: the clone is indistinguishable from having copied up front.
+func (s *StateDB) fromBase(addr ethtypes.Address) *stateObject {
+	if bo := s.base.objects[addr]; bo != nil {
+		return cloneShared(bo)
+	}
+	if s.base.disk != nil && !s.isDeleted(addr) && !s.base.isDeleted(addr) {
+		return loadDiskObject(s.base.disk, addr)
 	}
 	return nil
 }
@@ -949,7 +972,8 @@ func (s *StateDB) Copy() *StateDB {
 }
 
 // Overlay returns an O(1) copy-on-read view over s for speculative
-// execution (eth_call, debug_traceCall, HeadView.Fork): account objects
+// execution (HeadView.Fork; eth_call and debug_traceCall take theirs
+// from CreditedOverlay): account objects
 // are cloned lazily on first touch (maps shared copy-on-write exactly as
 // in Copy), so the cost of an overlay is proportional to the accounts
 // the execution actually visits, not to the size of the world state.
@@ -967,6 +991,52 @@ func (s *StateDB) Overlay() *StateDB {
 		base:    s,
 		dirties: make(map[ethtypes.Address]*dirtyEntry),
 	}
+}
+
+// callOverlays holds released CreditedOverlay overlays, maps emptied
+// but kept, for the next call.
+var callOverlays = sync.Pool{New: func() any {
+	return &StateDB{
+		objects: make(map[ethtypes.Address]*stateObject),
+		dirties: make(map[ethtypes.Address]*dirtyEntry),
+		pooled:  true,
+	}
+}}
+
+// CreditedOverlay is Overlay for a single message from addr that must
+// not fail on addr's balance (eth_call, debug_traceCall): addr holds
+// amount more than in s. The credit is applied when the overlay first
+// materialises addr, so a message that never touches addr never pays
+// for it. The overlay comes from a pool; whoever is done with it, and
+// with everything read from it, may hand it back with Release.
+func (s *StateDB) CreditedOverlay(addr ethtypes.Address, amount uint256.Int) *StateDB {
+	ov := callOverlays.Get().(*StateDB)
+	ov.base = s
+	ov.creditTo, ov.credit, ov.creditPending = addr, amount, true
+	return ov
+}
+
+// pooledOverlayObjects bounds the accounts an overlay may have touched
+// and still go back to the pool: clearing a map costs its capacity, so
+// one call that touched thousands of accounts must not make every later
+// call pay for it.
+const pooledOverlayObjects = 256
+
+// Release empties an overlay from CreditedOverlay and returns it to the
+// pool. Neither the overlay nor any object, log or slice taken from it
+// may be used afterwards.
+func (s *StateDB) Release() {
+	if !s.pooled {
+		panic("state: Release of a state not from CreditedOverlay")
+	}
+	if len(s.objects) > pooledOverlayObjects || len(s.dirties) > pooledOverlayObjects {
+		return
+	}
+	clear(s.objects)
+	clear(s.dirties)
+	clear(s.journal)
+	*s = StateDB{objects: s.objects, dirties: s.dirties, journal: s.journal[:0], pooled: true}
+	callOverlays.Put(s)
 }
 
 // TotalBalance sums all account balances — a conservation-law hook for
