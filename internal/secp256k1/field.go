@@ -27,11 +27,17 @@ func (z *fe) setBig(x *big.Int) {
 	if x.Sign() < 0 || x.Cmp(P) >= 0 {
 		x = new(big.Int).Mod(x, P)
 	}
+	*z = limbs(x)
+}
+
+// limbs returns the non-negative x < 2²⁵⁶ in four little-endian limbs.
+func limbs(x *big.Int) (l [4]uint64) {
 	var b [32]byte
 	x.FillBytes(b[:])
-	for i := range z {
-		z[i] = binary.BigEndian.Uint64(b[24-8*i:])
+	for i := range l {
+		l[i] = binary.BigEndian.Uint64(b[24-8*i:])
 	}
+	return l
 }
 
 // big returns z as a new big.Int.
@@ -173,13 +179,13 @@ func (z *fe) fold(t0, t1, t2, t3, t4, t5, t6, t7 uint64) {
 	z.subP(r0, r1, r2, r3, c)
 }
 
-// sqrt sets z to a square root of x and reports whether x has one.
-// Since P ≡ 3 (mod 4), x^((P+1)/4) is a root whenever one exists. The
-// exponent's bits are three runs of ones, 223, 22 and 2 long; the chain
-// builds x^(2^k − 1) for k = 2, 3, 6, 9, 11, 22, 44, 88, 176, 220, 223
-// and shifts the runs into place: 253 squarings and 13 products.
-func (z *fe) sqrt(x *fe) bool {
-	var x2, x3, x6, x9, x11, x22, x44, x88, x176, x220, x223, t fe
+// pow246 sets z = x^(2²⁴⁶ − 2²² − 1), the exponent that sqrt and inv
+// share: 223 ones, a zero and 22 ones, the high bits of both P − 2 and
+// (P + 1)/4. It builds x^(2^k − 1) for k = 2, 3, 6, 9, 11, 22, 44, 88,
+// 176, 220, 223 and shifts the runs into place — 245 squarings and 12
+// products — and returns x^(2² − 1) = x³ for the tails.
+func (z *fe) pow246(x *fe) (x2 fe) {
+	var x3, x6, x9, x11, x22, x44, x88, x176, x220, x223 fe
 	x2.sqr(x)
 	x2.mul(&x2, x)
 	x3.sqr(&x2)
@@ -202,14 +208,37 @@ func (z *fe) sqrt(x *fe) bool {
 	x220.mul(&x220, &x44)
 	x223.sqrN(&x220, 3)
 	x223.mul(&x223, &x3)
-	t.sqrN(&x223, 23)
-	t.mul(&t, &x22)
+	z.sqrN(&x223, 23)
+	z.mul(z, &x22)
+	return x2
+}
+
+// sqrt sets z to a square root of x and reports whether x has one.
+// Since P ≡ 3 (mod 4), x^((P+1)/4) is a root whenever one exists; the
+// exponent is pow246's followed by 000011 and 00.
+func (z *fe) sqrt(x *fe) bool {
+	var t, r fe
+	x2 := t.pow246(x)
 	t.sqrN(&t, 6)
 	t.mul(&t, &x2)
 	t.sqrN(&t, 2)
-	x2.sqr(&t)
+	r.sqr(&t)
 	*z = t
-	return x2 == *x
+	return r == *x
+}
+
+// inv sets z = x⁻¹ = x^(P−2) (Fermat), and 0 for x = 0. The exponent is
+// pow246's followed by 0000101101: 255 squarings and 15 products.
+func (z *fe) inv(x *fe) {
+	var t fe
+	x2 := t.pow246(x)
+	t.sqrN(&t, 5)
+	t.mul(&t, x)
+	t.sqrN(&t, 3)
+	t.mul(&t, &x2)
+	t.sqrN(&t, 2)
+	t.mul(&t, x)
+	*z = t
 }
 
 // sqrN sets z = x^(2^n), n ≥ 1.

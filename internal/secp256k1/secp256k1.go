@@ -5,20 +5,25 @@
 //
 // The standard library does not ship secp256k1 (crypto/elliptic only
 // covers the NIST curves), so the curve is implemented here. Every
-// scalar multiplication is one Strauss–Shamir ladder,
-// combine(a, P, b, Q) = a·P + b·Q: a single Jacobian accumulator
-// (x/z², y/z³) walks both scalars' bits at once, doubling once a step
-// and adding P, Q or the precomputed P+Q. So the u₁·G + u₂·R of
-// verification and recovery shares one doubling chain, and a plain k·P
-// is the same ladder with b = 0. The ladder's field arithmetic is native:
-// fe holds an element of F_P in four 64-bit limbs and reduces a product
-// by folding with 2²⁵⁶ ≡ 2³² + 977 (mod P), so a step allocates nothing.
-// math/big stays at the edges — the exported Point and Signature, the
-// one field inversion each conversion back to affine pays, the mod-N
-// scalar arithmetic of signing, verification and recovery, and OnCurve.
-// This is still not a constant-time implementation — the ladder branches
-// on every scalar bit — and must not be used to guard production funds,
-// a limitation shared with every devnet keystore.
+// scalar multiplication is one call of combine(a, P, b, Q) = a·P + b·Q,
+// so the u₁·G + u₂·R of verification and recovery shares one doubling
+// chain, and a plain k·P is the same routine with b = 0. Each scalar is
+// split with the GLV endomorphism, k ≡ k₁ + k₂·λ (mod N) with both
+// halves below 2¹²⁸, λ·(x, y) being (β·x, y); each half is recoded in
+// width-5 wNAF over a table of the odd multiples P, 3P, …, 15P (λP's is
+// P's with x times β). G's tables are built once; any other point's per
+// call, normalised to affine with one inversion. One Jacobian
+// accumulator (x/z², y/z³) then walks up to four digit strings at once:
+// ≈ 129 doublings and ≈ 22 mixed additions per string. The field is
+// native: fe holds an element of F_P in four 64-bit limbs and reduces a
+// product by folding with 2²⁵⁶ ≡ 2³² + 977 (mod P), and inverts by
+// Fermat along an addition chain, so a multiplication allocates only its
+// result. math/big stays at the edges — the exported Point and
+// Signature, the mod-N scalar arithmetic of signing, verification and
+// recovery, and OnCurve. This is not a constant-time implementation —
+// the digit strings, and so the additions, follow the scalar — and must
+// not be used to guard production funds, a limitation shared with every
+// devnet keystore.
 package secp256k1
 
 import (
@@ -147,14 +152,13 @@ func (j *jacobian) addAffine(px, py *fe) {
 	j.z.mul(&j.z, &h) // Z' = Z·H
 }
 
-// affine converts j back, paying one field inversion through
-// big.Int.ModInverse.
+// affine converts j back, paying one field inversion.
 func (j *jacobian) affine() Point {
 	if j.z.isZero() {
 		return Infinity()
 	}
 	var inv, inv2, x, y fe
-	inv.setBig(new(big.Int).ModInverse(j.z.big(), P))
+	inv.inv(&j.z)
 	inv2.sqr(&inv)       // z⁻²
 	inv.mul(&inv2, &inv) // z⁻³
 	x.mul(&j.x, &inv2)
@@ -162,52 +166,134 @@ func (j *jacobian) affine() Point {
 	return Point{X: x.big(), Y: y.big()}
 }
 
-// combine returns a·p + b·q (Strauss–Shamir): one accumulator walks the
-// longer scalar's bits from the top, doubling once a step, then adding
-// p, q or p+q as the two bits there say. p+q is summed on the
-// accumulator before the walk — addAffine doubles when q = p and gives
-// the identity when q = −p — so a joint ladder pays two inversions, that
-// one and the final conversion. Scalars are reduced mod N; an identity
-// operand contributes nothing, whatever its scalar. The points enter the
-// field as limbs here and leave it in affine().
-func combine(a *big.Int, p Point, b *big.Int, q Point) Point {
-	a, b = new(big.Int).Mod(a, N), new(big.Int).Mod(b, N)
-	var px, py, qx, qy, sx, sy fe
-	if p.IsInfinity() {
-		a.SetInt64(0)
-	} else {
-		px.setBig(p.X)
-		py.setBig(p.Y)
+// oddTable holds the odd multiples P, 3P, …, 15P of a point in affine
+// form: entry i is (2i+1)·P, which a wNAF digit ±(2i+1) adds.
+type oddTable [tableSize]struct{ x, y fe }
+
+// build fills t from the affine point (px, py), which must be on the
+// curve. 2P is left in Jacobian form (X, Y, Z); on the isomorphic curve
+// (x, y) ↦ (x·Z², y·Z³) it is the affine (X, Y), so the seven additions
+// are mixed ones there, and each sum's z times Z is its z on the curve.
+// One inversion (Montgomery's trick) brings all eight back.
+func (t *oddTable) build(px, py *fe) {
+	d := jacobian{*px, *py, fe{1}}
+	d.double()
+	var acc [tableSize]jacobian
+	var zz fe
+	zz.sqr(&d.z)
+	acc[0].x.mul(px, &zz)
+	zz.mul(&zz, &d.z)
+	acc[0].y.mul(py, &zz)
+	acc[0].z = fe{1}
+	for i := 1; i < tableSize; i++ {
+		acc[i] = acc[i-1]
+		acc[i].addAffine(&d.x, &d.y)
 	}
-	if q.IsInfinity() {
-		b.SetInt64(0)
-	} else {
-		qx.setBig(q.X)
-		qy.setBig(q.Y)
+	// prod[i] = z₀·…·zᵢ with the curve's z; invert the whole product,
+	// then peel one z off per entry from the top.
+	var prod [tableSize]fe
+	for i := range acc {
+		acc[i].z.mul(&acc[i].z, &d.z)
+		prod[i] = acc[i].z
+		if i > 0 {
+			prod[i].mul(&prod[i-1], &acc[i].z)
+		}
+	}
+	var inv, zi, zi2 fe
+	inv.inv(&prod[tableSize-1])
+	for i := tableSize - 1; i >= 0; i-- {
+		if i > 0 {
+			zi.mul(&inv, &prod[i-1]) // zᵢ⁻¹
+			inv.mul(&inv, &acc[i].z) // (z₀·…·zᵢ₋₁)⁻¹
+		} else {
+			zi = inv
+		}
+		zi2.sqr(&zi)
+		t[i].x.mul(&acc[i].x, &zi2)
+		zi2.mul(&zi2, &zi)
+		t[i].y.mul(&acc[i].y, &zi2)
+	}
+}
+
+// addDigit adds d·P for a wNAF digit d (odd, |d| < 16, or 0 for
+// nothing) from P's table.
+func (j *jacobian) addDigit(t *oddTable, d int8) {
+	switch {
+	case d > 0:
+		j.addAffine(&t[d>>1].x, &t[d>>1].y)
+	case d < 0:
+		var y fe
+		y.sub(&y, &t[-d>>1].y)
+		j.addAffine(&t[-d>>1].x, &y)
+	}
+}
+
+var (
+	feBeta = fe(limbs(beta))
+	// gTable and gLambdaTable are G's and λG's, built once: 1 KiB.
+	gTable, gLambdaTable = baseTables()
+)
+
+func baseTables() (g, lg oddTable) {
+	g.fill(Point{X: Gx, Y: Gy}, &lg)
+	return g, lg
+}
+
+// fill sets t to p's odd multiples and lt to λp's, (2i+1)·λp being
+// (β·xᵢ, yᵢ).
+func (t *oddTable) fill(p Point, lt *oddTable) {
+	var x, y fe
+	x.setBig(p.X)
+	y.setBig(p.Y)
+	t.build(&x, &y)
+	for i := range t {
+		lt[i].x.mul(&feBeta, &t[i].x)
+		lt[i].y = t[i].y
+	}
+}
+
+// combine returns a·p + b·q. Each scalar, reduced mod N, splits into
+// two halves below 2¹²⁸ (splitScalar), each half recoded as width-5 wNAF
+// digits over the odd multiples of p, λp, q or λq — G's tables are built
+// once, any other point's per call. One Jacobian accumulator then walks
+// the four digit strings from the top: ≈ 129 doublings shared by all
+// four, and one mixed addition per nonzero digit (≈ 22 a string). An
+// identity operand, or a zero scalar, adds no string. The points enter
+// the field as limbs in fill and leave it in affine().
+func combine(a *big.Int, p Point, b *big.Int, q Point) Point {
+	var (
+		digits [4][wnafLen]int8
+		tabs   [4]oddTable // p's, λp's, q's and λq's, unless the point is G
+		tab    [4]*oddTable
+		n, top int
+	)
+	for _, op := range [2]struct {
+		k *big.Int
+		p Point
+	}{{a, p}, {b, q}} {
+		k := op.k
+		if k.Sign() < 0 || k.Cmp(N) >= 0 {
+			k = new(big.Int).Mod(k, N)
+		}
+		if op.p.IsInfinity() || k.Sign() == 0 {
+			continue
+		}
+		if op.p.X.Cmp(Gx) == 0 && op.p.Y.Cmp(Gy) == 0 {
+			tab[n], tab[n+1] = &gTable, &gLambdaTable
+		} else {
+			tabs[n].fill(op.p, &tabs[n+1])
+			tab[n], tab[n+1] = &tabs[n], &tabs[n+1]
+		}
+		kl := limbs(k)
+		k1, neg1, k2, neg2 := splitScalar(&kl)
+		top = max(top, wnaf(&digits[n], k1, neg1), wnaf(&digits[n+1], k2, neg2))
+		n += 2
 	}
 	var acc jacobian
-	sum := false // whether p+q is a point to add
-	if a.Sign() != 0 && b.Sign() != 0 {
-		acc.addAffine(&px, &py)
-		acc.addAffine(&qx, &qy)
-		if pq := acc.affine(); !pq.IsInfinity() {
-			sx.setBig(pq.X)
-			sy.setBig(pq.Y)
-			sum = true
-		}
-		acc = jacobian{}
-	}
-	for i := max(a.BitLen(), b.BitLen()) - 1; i >= 0; i-- {
+	for i := top - 1; i >= 0; i-- {
 		acc.double()
-		switch a.Bit(i)<<1 | b.Bit(i) {
-		case 0b11:
-			if sum {
-				acc.addAffine(&sx, &sy)
-			}
-		case 0b10:
-			acc.addAffine(&px, &py)
-		case 0b01:
-			acc.addAffine(&qx, &qy)
+		for s := 0; s < n; s++ {
+			acc.addDigit(tab[s], digits[s][i])
 		}
 	}
 	return acc.affine()

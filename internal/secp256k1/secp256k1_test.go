@@ -323,7 +323,7 @@ func TestCombineMatchesAffine(t *testing.T) {
 	}
 }
 
-// checkField compares mul, sqr, add and sub on x, y with big.Int mod P,
+// checkField compares mul, sqr, add, sub and inv on x, y with big.Int mod P,
 // each result also read back as exactly its value (so in [0, P)).
 func checkField(t *testing.T, x, y *big.Int) {
 	t.Helper()
@@ -337,6 +337,7 @@ func checkField(t *testing.T, x, y *big.Int) {
 		{"sqr", func(z *fe) { z.sqr(fx) }, new(big.Int).Mul(x, x)},
 		{"add", func(z *fe) { z.add(fx, fy) }, new(big.Int).Add(x, y)},
 		{"sub", func(z *fe) { z.sub(fx, fy) }, new(big.Int).Sub(x, y)},
+		{"inv", func(z *fe) { z.inv(fx) }, modInverseOrZero(x)},
 	} {
 		var z fe
 		c.got(&z)
@@ -344,6 +345,15 @@ func checkField(t *testing.T, x, y *big.Int) {
 			t.Fatalf("%s(%x, %x) = %x, want %x", c.op, x, y, z.big(), want)
 		}
 	}
+}
+
+// modInverseOrZero is x⁻¹ mod P, and 0 for x ≡ 0, which is what inv's
+// x^(P−2) gives there.
+func modInverseOrZero(x *big.Int) *big.Int {
+	if inv := new(big.Int).ModInverse(x, P); inv != nil {
+		return inv
+	}
+	return new(big.Int)
 }
 
 // TestFieldMatchesBig is the field's oracle: every pair of edge operands
@@ -413,7 +423,7 @@ func TestFieldMatchesBig(t *testing.T) {
 	}
 }
 
-// FuzzField compares the four field operations with big.Int mod P on two
+// FuzzField compares the field operations with big.Int mod P on two
 // fuzzer-chosen operands, each cut or zero-extended to 32 bytes and
 // reduced mod P.
 func FuzzField(f *testing.F) {
@@ -427,13 +437,229 @@ func FuzzField(f *testing.F) {
 	})
 }
 
-// TestLadderAllocations pins the allocation floor. The ladder's field
-// elements are limb arrays on the stack, so what a call allocates is its
-// big.Int set-up, the two inversions and its result, not its 256 steps.
-// With the field in math/big, reducing into a quotient the accumulator
-// carried, a multiplication allocated 33 times, a signature 95 and a
-// recovery 111; with big.Int.Mod allocating a quotient per reduction, a
-// multiplication allocated ≈ 3.9k times and a recovery ≈ 7.6k.
+// limbsOf returns the non-negative x < 2²⁵⁶ in limbs, by masks and
+// shifts in big.Int rather than through limbs().
+func limbsOf(x *big.Int) (l [4]uint64) {
+	w := new(big.Int).Set(x)
+	mask := new(big.Int).SetUint64(^uint64(0))
+	for i := range l {
+		l[i] = new(big.Int).And(w, mask).Uint64()
+		w.Rsh(w, 64)
+	}
+	return l
+}
+
+// bigOf returns the limbs l as a big.Int, negated when neg.
+func bigOf(l [4]uint64, neg bool) *big.Int {
+	x := new(big.Int)
+	for i := len(l) - 1; i >= 0; i-- {
+		x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(l[i]))
+	}
+	if neg {
+		x.Neg(x)
+	}
+	return x
+}
+
+// TestSplitScalar is the oracle for the GLV split: for each k, k₁ and k₂
+// must be exactly what the fixed-point formula gives in big.Int —
+// c = ⌊(k·g + 2³⁸³) / 2³⁸⁴⌋ with g₁, g₂ rounded from the basis here, not
+// taken from the package — and so satisfy k₁ + k₂·λ ≡ k (mod N), each
+// below 2¹²⁸ in magnitude. The scalars: 0, 1, λ, N−1, N−λ, the basis
+// vectors' multiples and the points where round(k·b₂/N) or
+// round(k·(−b₁)/N) changes, each ±2, and a seeded sweep.
+func TestSplitScalar(t *testing.T) {
+	one := big.NewInt(1)
+	half := new(big.Int).Lsh(one, 383)
+	roundG := func(x *big.Int) *big.Int {
+		q, r := new(big.Int).DivMod(new(big.Int).Lsh(x, 384), N, new(big.Int))
+		if r.Lsh(r, 1).Cmp(N) >= 0 {
+			q.Add(q, one)
+		}
+		return q
+	}
+	negB1 := new(big.Int).Neg(lattB1)
+	g1, g2 := roundG(lattB2), roundG(negB1)
+	bound := new(big.Int).Lsh(one, 128)
+	check := func(k *big.Int) {
+		t.Helper()
+		kl := limbsOf(k)
+		l1, neg1, l2, neg2 := splitScalar(&kl)
+		k1, k2 := bigOf(l1, neg1), bigOf(l2, neg2)
+		c1 := new(big.Int).Mul(k, g1)
+		c1.Add(c1, half).Rsh(c1, 384)
+		c2 := new(big.Int).Mul(k, g2)
+		c2.Add(c2, half).Rsh(c2, 384)
+		want1 := new(big.Int).Sub(k, new(big.Int).Mul(c1, lattA1))
+		want1.Sub(want1, new(big.Int).Mul(c2, lattA2))
+		want2 := new(big.Int).Mul(c1, negB1)
+		want2.Sub(want2, new(big.Int).Mul(c2, lattB2))
+		if k1.Cmp(want1) != 0 || k2.Cmp(want2) != 0 {
+			t.Fatalf("k=%x: split (%x, %x), want (%x, %x)", k, k1, k2, want1, want2)
+		}
+		sum := new(big.Int).Mul(k2, lambda)
+		if sum.Add(sum, k1).Sub(sum, k).Mod(sum, N).Sign() != 0 {
+			t.Fatalf("k=%x: k₁ + k₂·λ = k + %x (mod N)", k, sum)
+		}
+		if new(big.Int).Abs(k1).Cmp(bound) >= 0 || new(big.Int).Abs(k2).Cmp(bound) >= 0 {
+			t.Fatalf("k=%x: split (%x, %x) not below 2¹²⁸", k, k1, k2)
+		}
+	}
+	ks := []*big.Int{big.NewInt(0), one, lambda, new(big.Int).Sub(N, one), new(big.Int).Sub(N, lambda)}
+	// k at which k·b/N crosses m + ½: ⌈(2m+1)·N / 2b⌉. The last such k
+	// below N has m = b − 1.
+	boundary := func(m, b *big.Int) *big.Int {
+		x := new(big.Int).Lsh(m, 1)
+		x.Add(x, one).Mul(x, N)
+		d := new(big.Int).Lsh(b, 1)
+		return x.Add(x, d).Sub(x, one).Div(x, d)
+	}
+	for _, b := range []*big.Int{lattB2, negB1} {
+		ms := []*big.Int{new(big.Int).Sub(b, one), new(big.Int).Sub(b, big.NewInt(2)), new(big.Int).Rsh(b, 1)}
+		for _, m := range []int64{0, 1, 2, 3, 1 << 20, 1<<40 + 7} {
+			ms = append(ms, big.NewInt(m))
+		}
+		for _, m := range ms {
+			for d := int64(-2); d <= 2; d++ {
+				ks = append(ks, new(big.Int).Add(boundary(m, b), big.NewInt(d)))
+			}
+		}
+	}
+	for _, m := range []int64{1, 2, 3, 4, 1 << 20, 1<<40 + 7, 1<<62 + 11} {
+		for _, a := range []*big.Int{lattA1, lattA2} {
+			for d := int64(-2); d <= 2; d++ {
+				ks = append(ks, new(big.Int).Add(new(big.Int).Mul(big.NewInt(m), a), big.NewInt(d)))
+			}
+		}
+	}
+	for _, k := range ks {
+		check(k.Mod(k, N))
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 10000; i++ {
+		check(new(big.Int).Rand(rng, N))
+	}
+}
+
+// TestWNAF is the oracle for the recoding: on edge and seeded values
+// below 2¹²⁸, both signs, the digits sum back to ±k, every nonzero digit
+// is odd and below 16 in magnitude, any five consecutive digits hold at
+// most one nonzero, and the length ends at the top nonzero digit.
+func TestWNAF(t *testing.T) {
+	one := big.NewInt(1)
+	top := new(big.Int).Lsh(one, 128)
+	check := func(k *big.Int, neg bool) {
+		t.Helper()
+		var d [wnafLen]int8
+		for i := range d {
+			d[i] = 99 // wnaf must clear what it does not set
+		}
+		n := wnaf(&d, limbsOf(k), neg)
+		sum, last := new(big.Int), -5
+		for i := len(d) - 1; i >= 0; i-- {
+			sum.Lsh(sum, 1).Add(sum, big.NewInt(int64(d[i])))
+			if d[i] == 0 {
+				continue
+			}
+			if d[i]%2 == 0 || d[i] >= 16 || d[i] <= -16 {
+				t.Fatalf("k=%x: digit %d at %d", k, d[i], i)
+			}
+			if last >= 0 && last-i < wnafWidth {
+				t.Fatalf("k=%x: nonzero digits at %d and %d", k, i, last)
+			}
+			if last < 0 && n != i+1 {
+				t.Fatalf("k=%x: length %d, top digit at %d", k, n, i)
+			}
+			last = i
+		}
+		if last < 0 && n != 0 {
+			t.Fatalf("k=0: length %d", n)
+		}
+		if neg {
+			sum.Neg(sum)
+		}
+		if sum.Cmp(k) != 0 {
+			t.Fatalf("k=%x neg=%v: digits sum to %x", k, neg, sum)
+		}
+	}
+	ks := []*big.Int{
+		big.NewInt(0), one, big.NewInt(15), big.NewInt(16), big.NewInt(17), big.NewInt(31), big.NewInt(0x5555),
+		new(big.Int).Sub(top, one), new(big.Int).Rsh(top, 1), new(big.Int).Sub(new(big.Int).Rsh(top, 1), one),
+		new(big.Int).Lsh(big.NewInt(0xffff), 60), new(big.Int).Lsh(big.NewInt(0xbbbb), 120-16),
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 10000; i++ {
+		k := new(big.Int).Rand(rng, top)
+		if i%8 == 0 {
+			k.Rsh(k, uint(rng.Intn(128)))
+		}
+		ks = append(ks, k)
+	}
+	for _, k := range ks {
+		check(k, false)
+		check(k, true)
+	}
+}
+
+// TestEndomorphism checks the endomorphism's constants, λ·(x, y) =
+// (β·x, y) against the affine oracle for G and seeded points, and each
+// odd-multiple table — G's, λG's, and ones built per call — entry by
+// entry against the oracle.
+func TestEndomorphism(t *testing.T) {
+	one := big.NewInt(1)
+	three := big.NewInt(3)
+	if new(big.Int).Exp(lambda, three, N).Cmp(one) != 0 || new(big.Int).Exp(beta, three, P).Cmp(one) != 0 {
+		t.Fatal("λ or β is not a cube root of unity")
+	}
+	for _, v := range [][2]*big.Int{{lattA1, lattB1}, {lattA2, lattB2}} {
+		if x := new(big.Int).Mul(v[1], lambda); x.Add(x, v[0]).Mod(x, N).Sign() != 0 {
+			t.Fatalf("(%x, %x) is not in the lattice", v[0], v[1])
+		}
+	}
+	checkTable := func(tab *oddTable, p Point) {
+		t.Helper()
+		for i := range tab {
+			want := scalarMultAffine(p, big.NewInt(int64(2*i+1)))
+			if got := (Point{X: tab[i].x.big(), Y: tab[i].y.big()}); !samePoint(got, want) {
+				t.Fatalf("p=(%x, %x): entry %d is not %d·p", p.X, p.Y, i, 2*i+1)
+			}
+		}
+	}
+	g := Point{X: Gx, Y: Gy}
+	points := []Point{g}
+	rng := rand.New(rand.NewSource(3))
+	seed := make([]byte, 32)
+	for i := 0; i < 8; i++ {
+		rng.Read(seed)
+		points = append(points, pointFromSeed(seed))
+	}
+	for i, p := range points {
+		want := scalarMultAffine(p, lambda)
+		bx := new(big.Int).Mul(beta, p.X)
+		if !samePoint(Point{X: bx.Mod(bx, P), Y: p.Y}, want) {
+			t.Fatalf("p=(%x, %x): (β·x, y) is not λ·p", p.X, p.Y)
+		}
+		var tab, ltab oddTable
+		tab.fill(p, &ltab)
+		checkTable(&tab, p)
+		checkTable(&ltab, want)
+		if i == 0 {
+			checkTable(&gTable, g)
+			checkTable(&gLambdaTable, want)
+		}
+	}
+}
+
+// TestLadderAllocations pins the allocation floor. The field elements,
+// the odd-multiple tables, the wNAF digits and the inversions are limb
+// arrays on the stack, so what a multiplication allocates is its
+// result's two big.Ints; the rest of a signature or a recovery is its
+// mod-N big.Int arithmetic and RFC 6979's HMACs. With the Jacobian
+// ladder paying two inversions through big.Int.ModInverse, a
+// multiplication allocated 22 times, a signature 85 and a recovery 75;
+// with the field in math/big, 33, 95 and 111; with big.Int.Mod
+// allocating a quotient per reduction, a multiplication ≈ 3.9k times
+// and a recovery ≈ 7.6k.
 func TestLadderAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops the sync.Pool entries big.Int's division reuses")
@@ -451,11 +677,11 @@ func TestLadderAllocations(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"ScalarMult", 26, func() { sinkPoint = ScalarMult(p, k) }},
-		{"ScalarBaseMult", 26, func() { sinkPoint = ScalarBaseMult(k) }},
-		{"Sign", 96, func() { _, err = key.Sign(digest[:]) }},
-		{"Recover", 84, func() { sinkPoint, err = Recover(digest[:], sig) }},
-		{"Verify", 80, func() {
+		{"ScalarMult", 4, func() { sinkPoint = ScalarMult(p, k) }},
+		{"ScalarBaseMult", 4, func() { sinkPoint = ScalarBaseMult(k) }},
+		{"Sign", 72, func() { _, err = key.Sign(digest[:]) }},
+		{"Recover", 41, func() { sinkPoint, err = Recover(digest[:], sig) }},
+		{"Verify", 38, func() {
 			if !Verify(key.Public, digest[:], sig.R, sig.S) {
 				err = errors.New("signature did not verify")
 			}
@@ -719,6 +945,22 @@ func BenchmarkFieldSqr(b *testing.B) {
 	x := feOf(Gx)
 	for i := 0; i < b.N; i++ {
 		sinkFe.sqr(x)
+	}
+}
+
+func BenchmarkFieldInv(b *testing.B) {
+	x := feOf(Gx)
+	for i := 0; i < b.N; i++ {
+		sinkFe.inv(x)
+	}
+}
+
+var sinkLimbs [4]uint64
+
+func BenchmarkSplitScalar(b *testing.B) {
+	k := limbsOf(new(big.Int).Rand(rand.New(rand.NewSource(24)), N))
+	for i := 0; i < b.N; i++ {
+		sinkLimbs, _, _, _ = splitScalar(&k)
 	}
 }
 

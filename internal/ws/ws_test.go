@@ -1,8 +1,11 @@
 package ws
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -190,4 +193,65 @@ func TestMessageSizeLimit(t *testing.T) {
 	if _, _, err := s.ReadMessage(); err == nil {
 		t.Fatal("oversize message accepted")
 	}
+}
+
+// fuzzMaxMessage is FuzzReadMessage's message limit: past the 16-bit
+// length form, so a frame in any of the three forms can be accepted, and
+// small enough that a hostile length allocates little.
+const fuzzMaxMessage = 1<<16 + 64
+
+// FuzzReadMessage reads fuzzer bytes as a stream of frames, as the
+// server (client false: frames must be masked) or the client. Pongs and
+// the close echo go into a net.Pipe whose far end is drained. Reading
+// must never panic nor return a message above the limit. Then the input,
+// cut to the limit, is written as one frame by the other side through a
+// net.Pipe and must read back as it was sent.
+func FuzzReadMessage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, client bool, input []byte) {
+		near, far := net.Pipe()
+		go io.Copy(io.Discard, far)
+		defer far.Close()
+		c := &Conn{conn: near, br: bufio.NewReader(bytes.NewReader(input)), client: client, MaxMessage: fuzzMaxMessage}
+		for {
+			_, payload, err := c.ReadMessage()
+			if err != nil {
+				break
+			}
+			if len(payload) > fuzzMaxMessage {
+				t.Fatalf("read a %d-byte message, limit %d", len(payload), fuzzMaxMessage)
+			}
+		}
+		near.Close()
+
+		payload := input[:min(len(input), fuzzMaxMessage)]
+		op := byte(OpText)
+		if len(input)%2 == 1 {
+			op = OpBinary
+		}
+		near, far = net.Pipe()
+		defer near.Close()
+		defer far.Close()
+		w := &Conn{conn: near, client: !client}
+		r := &Conn{conn: far, br: bufio.NewReader(far), client: client, MaxMessage: fuzzMaxMessage}
+		werr := make(chan error, 1)
+		go func() {
+			werr <- w.writeFrame(op, payload)
+			near.Close()
+		}()
+		gotOp, got, err := r.ReadMessage()
+		if err != nil {
+			t.Fatalf("reading back a %d-byte frame: %v", len(payload), err)
+		}
+		// Drain to the writer's close: a pipe write, even an empty one,
+		// waits for its read.
+		if n, _ := io.Copy(io.Discard, r.br); n != 0 {
+			t.Fatalf("%d bytes follow the frame", n)
+		}
+		if err := <-werr; err != nil {
+			t.Fatalf("writing a %d-byte frame: %v", len(payload), err)
+		}
+		if gotOp != op || !bytes.Equal(got, payload) {
+			t.Fatalf("wrote op %#x, %d bytes; read op %#x, %d bytes", op, len(payload), gotOp, len(got))
+		}
+	})
 }
