@@ -214,7 +214,7 @@ func runDemo() {
 	check(svc.ConfirmModification(tenant.Address, v2.Contract.Address))
 
 	fmt.Println("5. walking the on-chain evidence line from v2:")
-	chainInfo, err := m.WalkChain(v2.Contract.Address)
+	chainInfo, err := m.WalkStates(v2.Contract.Address)
 	check(err)
 	check(core.VerifyChain(chainInfo))
 	for _, node := range chainInfo {

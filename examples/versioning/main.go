@@ -83,7 +83,7 @@ func main() {
 
 	// Walk the evidence line starting from the MIDDLE version.
 	fmt.Println("\nevidence line (walked from v2, verified):")
-	line, err := manager.WalkChain(v2.Contract.Address)
+	line, err := manager.WalkStates(v2.Contract.Address)
 	must(err)
 	must(core.VerifyChain(line))
 	for _, node := range line {

@@ -149,9 +149,8 @@ func TestFig4_SequenceOfActions(t *testing.T) {
 	if got := r.BC.GetBalance(dep.Contract.Address); !got.IsZero() {
 		t.Fatalf("contract kept %s after termination", ethtypes.FormatEther(got))
 	}
-	row, _ := r.Manager.GetRow(dep.Contract.Address)
-	if row.State != core.StateTerminated {
-		t.Fatal("registry row not terminated")
+	if row := r.describe(t, dep.Contract.Address); row.State != core.StateTerminated {
+		t.Fatal("version not terminated")
 	}
 }
 
@@ -341,7 +340,7 @@ func TestFig11_TerminateModify(t *testing.T) {
 	if err := r.Rental.ConfirmModification(r.Tenant, a2.Contract.Address); err != nil {
 		t.Fatal(err)
 	}
-	row, _ := r.Manager.GetRow(a2.Contract.Address)
+	row := r.describe(t, a2.Contract.Address)
 	if row.State != core.StateActive || row.Tenant == "" {
 		t.Fatalf("accepted modification row: %+v", row)
 	}
@@ -358,8 +357,8 @@ func TestFig11_TerminateModify(t *testing.T) {
 	if err := r.Rental.RejectModification(r.Tenant, b2.Contract.Address); err != nil {
 		t.Fatal(err)
 	}
-	oldRow, _ := r.Manager.GetRow(b1.Contract.Address)
-	newRow, _ := r.Manager.GetRow(b2.Contract.Address)
+	oldRow := r.describe(t, b1.Contract.Address)
+	newRow := r.describe(t, b2.Contract.Address)
 	if oldRow.State != core.StateTerminated || newRow.State != core.StateRejected {
 		t.Fatalf("reject states: old=%s new=%s", oldRow.State, newRow.State)
 	}
@@ -372,7 +371,7 @@ func TestFig11_TerminateModify(t *testing.T) {
 	if err := r.Rental.Terminate(r.Landlord, c1.Contract.Address); err != nil {
 		t.Fatal(err)
 	}
-	cRow, _ := r.Manager.GetRow(c1.Contract.Address)
+	cRow := r.describe(t, c1.Contract.Address)
 	if cRow.State != core.StateTerminated {
 		t.Fatal("terminate branch")
 	}

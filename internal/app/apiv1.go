@@ -192,10 +192,11 @@ func (a *App) v1Contracts(w http.ResponseWriter, r *http.Request, u *User) {
 			writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, err.Error())
 			return
 		}
+		row, _ := a.Manager.Describe(dep.Row, nil)
 		writeJSON(w, http.StatusCreated, map[string]interface{}{
 			"address": dep.Row.Address,
 			"gasUsed": dep.GasUsed,
-			"row":     dep.Row,
+			"row":     row,
 		})
 
 	default:
@@ -264,6 +265,8 @@ func (a *App) v1ContractDetail(w http.ResponseWriter, r *http.Request, u *User, 
 		writeV1Error(w, r, http.StatusNotFound, v1NotFound, err.Error())
 		return
 	}
+	line, walkErr := a.Manager.WalkStates(addr)
+	row, _ = a.Manager.Describe(row, line)
 	out := map[string]interface{}{"row": row}
 	if head := a.v1Head(); head != nil {
 		out["head"] = head
@@ -287,7 +290,7 @@ func (a *App) v1ContractDetail(w http.ResponseWriter, r *http.Request, u *User, 
 		out["rejections"] = rej
 	}
 
-	if line, err := a.Manager.WalkChain(addr); err == nil {
+	if walkErr == nil {
 		type nodeJSON struct {
 			Address string `json:"address"`
 			Version int    `json:"version"`
@@ -386,7 +389,7 @@ func (a *App) v1ContractAction(w http.ResponseWriter, r *http.Request, u *User, 
 		result["txHash"] = rcpt.TxHash.Hex()
 	}
 	if dep != nil {
-		result["newVersion"] = dep.Row
+		result["newVersion"], _ = a.Manager.Describe(dep.Row, nil)
 	}
 	writeJSON(w, http.StatusOK, result)
 }

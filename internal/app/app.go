@@ -179,6 +179,7 @@ func (a *App) Dashboard(u *User) ([]DashboardRow, error) {
 	var out []DashboardRow
 	viewer := u.Addr()
 	for _, row := range a.Manager.Rows() {
+		row, _ = a.Manager.Describe(row, nil) // an unreadable version shows no state
 		dr := DashboardRow{
 			Address: row.Address, Name: row.Name,
 			Version: row.Version, State: row.State,

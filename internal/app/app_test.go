@@ -381,3 +381,75 @@ func hexOf(b []byte) string {
 	}
 	return string(out)
 }
+
+// TestDashboardReadsStateFromChain: the dashboard shows each version's
+// state and tenant as the version contract holds them. An unconfirmed
+// successor has no tenant yet, so its old tenant is not offered PAY
+// RENT (a call that reverts), and a stored row carrying a stale state
+// shows the state the chain holds.
+func TestDashboardReadsStateFromChain(t *testing.T) {
+	a := rig(t)
+	landlord, err := a.Register("dash_landlord", "", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := a.Register("dash_tenant", "", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := a.Rental.DeployRental(landlord.Addr(), core.RentalTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12, House: "dash-house",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Rental.Confirm(tenant.Addr(), v1.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := a.Rental.Modify(landlord.Addr(), v1.Contract.Address, core.ModifiedTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12, House: "dash-house",
+		MaintenanceFee: ethtypes.Ether(1), Fine: ethtypes.Ether(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions := func(u *User) map[string]DashboardRow {
+		t.Helper()
+		rows, err := a.Dashboard(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]DashboardRow{}
+		for _, r := range rows {
+			out[strings.ToLower(r.Address)] = r
+		}
+		return out
+	}
+	key := func(addr ethtypes.Address) string { return strings.ToLower(addr.Hex()) }
+
+	rows := actions(tenant)
+	if r := rows[key(v2.Contract.Address)]; r.Role == "tenant" || r.Action == "PAY RENT" || r.State != core.StateActive {
+		t.Fatalf("old tenant's row for unconfirmed v2: %+v", r)
+	}
+	if r := rows[key(v1.Contract.Address)]; r.Role != "tenant" || r.State != core.StateSuperseded {
+		t.Fatalf("tenant's row for v1: %+v", r)
+	}
+
+	if err := a.Rental.ConfirmModification(tenant.Addr(), v2.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Rental.Terminate(tenant.Addr(), v2.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := a.Manager.GetRow(v2.Contract.Address)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale.State = core.StateActive
+	if err := a.Manager.Store.Put(core.TableContracts, key(v2.Contract.Address), stale); err != nil {
+		t.Fatal(err)
+	}
+	if r := actions(tenant)[key(v2.Contract.Address)]; r.State != core.StateTerminated || r.Action != "TERMINATED" {
+		t.Fatalf("terminated v2 stored as active shows %+v", r)
+	}
+}

@@ -227,6 +227,8 @@ func (a *App) renderContract(w http.ResponseWriter, u *User, addr ethtypes.Addre
 		a.renderError(w, http.StatusNotFound, err)
 		return
 	}
+	versions, walkErr := a.Manager.WalkStates(addr)
+	row, _ = a.Manager.Describe(row, versions)
 	view := ContractView{User: u, Row: row,
 		IsLandlord: strings.EqualFold(row.Landlord, u.Address),
 		IsTenant:   strings.EqualFold(row.Tenant, u.Address),
@@ -251,7 +253,7 @@ func (a *App) renderContract(w http.ResponseWriter, u *User, addr ethtypes.Addre
 	if due, err := a.Rental.RentDue(viewer, addr); err == nil {
 		view.DueEth = ethtypes.FormatEther(due)
 	}
-	if versions, err := a.Manager.WalkChain(addr); err == nil {
+	if walkErr == nil {
 		view.Versions = versions
 		if hist, err := a.Rental.RentHistoryOf(viewer, versions); err == nil {
 			view.Paid = hist

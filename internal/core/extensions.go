@@ -153,9 +153,10 @@ func (s *RentalService) VerifyConsent(viewer, oldAddr, newAddr ethtypes.Address,
 	return nil
 }
 
-// ModifyWithConsent is Modify plus the trust extension: the tenant's
-// signed approval is verified before anything is deployed, then the
-// predecessor's executed history is sealed.
+// ModifyWithConsent is Modify plus the trust extension: the
+// predecessor's executed history is sealed, and the tenant's signed
+// approval of the new version's address is verified once it is deployed
+// and linked.
 func (s *RentalService) ModifyWithConsent(landlord, prevAddr ethtypes.Address, terms ModifiedTerms, consentFor func(newAddr ethtypes.Address) ([]byte, error)) (*Deployment, error) {
 	// Seal the executed part of the old contract first (future work #1).
 	if _, err := s.SealHistory(landlord, prevAddr); err != nil {
@@ -169,10 +170,10 @@ func (s *RentalService) ModifyWithConsent(landlord, prevAddr ethtypes.Address, t
 	if err != nil {
 		return nil, err
 	}
+	// Without consent the linked version stays what the chain holds, an
+	// open modification that the tenant may still confirm or reject.
 	if err := s.VerifyConsent(landlord, prevAddr, dep.Contract.Address, consent); err != nil {
-		// The deployment exists but is not consented: mark it rejected.
-		rowErr := s.M.UpdateRow(dep.Contract.Address, func(r *ContractRow) { r.State = StateRejected })
-		return nil, errors.Join(err, rowErr)
+		return nil, err
 	}
 	return dep, nil
 }

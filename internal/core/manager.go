@@ -43,9 +43,10 @@ var (
 	ErrChainCorrupted = errors.New("core: version chain pointers are inconsistent")
 )
 
-// Row states in the contracts table (the paper's active / inactive /
+// Lifecycle states of a version (the paper's active / inactive /
 // terminated states, with "rejected" for a modification the tenant
-// refused).
+// refused). They are derived from the chain (Describe, WalkStates), never
+// stored.
 const (
 	StateActive     = "active"
 	StateSuperseded = "inactive"
@@ -74,14 +75,17 @@ type systemRow struct {
 }
 
 // ContractRow is the off-chain registry row for one deployed version —
-// the paper's Contract(landlord, tenant, version, state, abi) table.
+// the paper's Contract(landlord, tenant, version, state, abi) table. It
+// is written once, when the version is published. Tenant, State and Next
+// are what the version contract holds: Describe fills them for display,
+// and they are never stored.
 type ContractRow struct {
 	Address     string `json:"address"`
 	Name        string `json:"name"`
 	Landlord    string `json:"landlord"`
 	Tenant      string `json:"tenant,omitempty"`
 	Version     int    `json:"version"`
-	State       string `json:"state"`
+	State       string `json:"state,omitempty"`
 	ABICID      string `json:"abiCid"`
 	LayoutCID   string `json:"layoutCid,omitempty"`
 	DocumentCID string `json:"documentCid,omitempty"`
@@ -287,7 +291,7 @@ func (m *Manager) publish(row ContractRow, art *minisol.Artifact, legalDoc []byt
 		}
 		row.DocumentCID = string(cid)
 	}
-	return row, m.putRow(row)
+	return row, m.Store.Put(TableContracts, strings.ToLower(row.Address), row.registered())
 }
 
 // memo returns what has been parsed of addr's artifacts so far.
@@ -423,7 +427,6 @@ func (m *Manager) DeployVersion(from ethtypes.Address, art *minisol.Artifact, le
 		Name:     art.Name,
 		Landlord: from.Hex(),
 		Version:  1,
-		State:    StateActive,
 	}, art, legalDoc)
 	if err != nil {
 		return nil, err
@@ -535,9 +538,9 @@ func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, er
 // recorded in the predecessor's evidence line and rejected with a
 // structured *upgrade.RejectionError. An admitted candidate is
 // deployed, linked into the doubly linked list on chain, data optionally
-// snapshotted and migrated in place, and the registry rows updated (the
-// old version becomes inactive; the new one names its published ABI,
-// layout and document).
+// snapshotted and migrated in place, and its registry row written (it
+// names the published ABI, layout and document). The old version's row
+// is not touched: that it is inactive now is read from its next pointer.
 func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Address, art *minisol.Artifact, opts ModifyOptions, args ...interface{}) (*Deployment, error) {
 	prev, err := m.BindVersion(prevAddr)
 	if err != nil {
@@ -605,19 +608,11 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 		gas += mgGas
 	}
 
-	// Registry rows: old becomes inactive, new becomes the active head.
-	prevRow.State = StateSuperseded
-	prevRow.Next = bound.Address.Hex()
-	if err := m.putRow(prevRow); err != nil {
-		return nil, err
-	}
 	row, err := m.publish(ContractRow{
 		Address:  bound.Address.Hex(),
 		Name:     art.Name,
 		Landlord: from.Hex(),
-		Tenant:   prevRow.Tenant,
 		Version:  prevRow.Version + 1,
-		State:    StateActive,
 		Prev:     prevAddr.Hex(),
 	}, art, opts.LegalDoc)
 	if err != nil {
@@ -628,34 +623,29 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 
 // --- registry rows ----------------------------------------------------------
 
-func (m *Manager) putRow(row ContractRow) error {
-	return m.Store.Put(TableContracts, strings.ToLower(row.Address), row)
+// registered returns the row as the registry holds it: without the
+// derived fields, so that none is stored, and a stale one that an older
+// build stored is never shown.
+func (r ContractRow) registered() ContractRow {
+	r.Tenant, r.State, r.Next = "", "", ""
+	return r
 }
 
-// GetRow fetches the registry row of a version.
+// GetRow fetches the registry row of a version, without its derived
+// fields.
 func (m *Manager) GetRow(addr ethtypes.Address) (ContractRow, error) {
 	var row ContractRow
 	err := m.Store.Get(TableContracts, strings.ToLower(addr.Hex()), &row)
-	return row, err
+	return row.registered(), err
 }
 
-// UpdateRow mutates a registry row through fn.
-func (m *Manager) UpdateRow(addr ethtypes.Address, fn func(*ContractRow)) error {
-	row, err := m.GetRow(addr)
-	if err != nil {
-		return err
-	}
-	fn(&row)
-	return m.putRow(row)
-}
-
-// Rows lists all registry rows.
+// Rows lists all registry rows, without their derived fields.
 func (m *Manager) Rows() []ContractRow {
 	var out []ContractRow
 	m.Store.Scan(TableContracts, func(key string, raw json.RawMessage) bool {
 		var row ContractRow
 		if json.Unmarshal(raw, &row) == nil {
-			out = append(out, row)
+			out = append(out, row.registered())
 		}
 		return true
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"legalchain/internal/contracts"
@@ -53,10 +54,8 @@ func (s *RentalService) Confirm(tenant, contractAddr ethtypes.Address) error {
 	if err != nil {
 		return fmt.Errorf("core: reading deposit: %w", err)
 	}
-	if _, err := bound.Transact(web3.TxOpts{From: tenant, Value: deposit}, "confirmAgreement"); err != nil {
-		return err
-	}
-	return s.M.UpdateRow(contractAddr, func(r *ContractRow) { r.Tenant = tenant.Hex() })
+	_, err = bound.Transact(web3.TxOpts{From: tenant, Value: deposit}, "confirmAgreement")
+	return err
 }
 
 // RentDue computes the amount payRent expects: the rent, minus the
@@ -135,16 +134,14 @@ func (s *RentalService) PayMaintenance(tenant, contractAddr ethtypes.Address) (*
 }
 
 // Terminate ends the agreement (either party; the contract settles the
-// deposit and any early-exit penalty) and updates the registry row.
+// deposit and any early-exit penalty).
 func (s *RentalService) Terminate(party, contractAddr ethtypes.Address) error {
 	bound, err := s.M.BindVersion(contractAddr)
 	if err != nil {
 		return err
 	}
-	if _, err := bound.Transact(web3.TxOpts{From: party}, "terminateContract"); err != nil {
-		return err
-	}
-	return s.M.UpdateRow(contractAddr, func(r *ContractRow) { r.State = StateTerminated })
+	_, err = bound.Transact(web3.TxOpts{From: party}, "terminateContract")
+	return err
 }
 
 // ModifiedTerms are the parameters of an upgraded agreement (Fig. 6).
@@ -205,66 +202,45 @@ func (s *RentalService) ModifyWithArtifact(landlord, prevAddr ethtypes.Address, 
 // deposit). The old version is terminated by the tenant, recovering the
 // old deposit per its clauses.
 func (s *RentalService) ConfirmModification(tenant, newAddr ethtypes.Address) error {
-	row, err := s.M.GetRow(newAddr)
-	if err != nil {
+	if err := s.endPredecessor(tenant, newAddr); err != nil && !errors.Is(err, errNotModification) {
 		return err
-	}
-	if row.Prev != "" {
-		prevAddr := ethtypes.HexToAddress(row.Prev)
-		prevRow, err := s.M.GetRow(prevAddr)
-		if err == nil && prevRow.State != StateTerminated {
-			bound, err := s.M.BindVersion(prevAddr)
-			if err != nil {
-				return err
-			}
-			// Terminate the old version if it had started; a never-
-			// confirmed old version has no deposit to settle.
-			st, err := bound.CallUint(tenant, "state")
-			if err != nil {
-				return err
-			}
-			if st.Uint64() == 1 { // Started
-				if _, err := bound.Transact(web3.TxOpts{From: tenant}, "terminateContract"); err != nil {
-					return fmt.Errorf("core: terminating superseded version: %w", err)
-				}
-			}
-			if err := s.M.UpdateRow(prevAddr, func(r *ContractRow) { r.State = StateTerminated }); err != nil {
-				return fmt.Errorf("core: marking superseded version terminated: %w", err)
-			}
-		}
 	}
 	return s.Confirm(tenant, newAddr)
 }
 
 // RejectModification implements the paper's rejection branch: "if the
 // tenant rejects the contract the previous contract is terminated". The
-// new version is marked rejected and never starts.
+// new version never starts, and reads rejected once its predecessor is
+// terminated.
 func (s *RentalService) RejectModification(tenant, newAddr ethtypes.Address) error {
+	return s.endPredecessor(tenant, newAddr)
+}
+
+var errNotModification = errors.New("core: version is not a modification")
+
+// endPredecessor is the step that accepting and rejecting a modification
+// share: the tenant terminates newAddr's predecessor if it is Started,
+// settling its deposit. A predecessor that never started has none.
+func (s *RentalService) endPredecessor(tenant, newAddr ethtypes.Address) error {
 	row, err := s.M.GetRow(newAddr)
 	if err != nil {
 		return err
 	}
 	if row.Prev == "" {
-		return fmt.Errorf("core: %s is not a modification", newAddr)
+		return fmt.Errorf("%w: %s", errNotModification, newAddr)
 	}
-	prevAddr := ethtypes.HexToAddress(row.Prev)
-	bound, err := s.M.BindVersion(prevAddr)
+	bound, err := s.M.BindVersion(ethtypes.HexToAddress(row.Prev))
 	if err != nil {
 		return err
 	}
 	st, err := bound.CallUint(tenant, "state")
-	if err != nil {
+	if err != nil || st.Uint64() != enumStarted {
 		return err
 	}
-	if st.Uint64() == 1 {
-		if _, err := bound.Transact(web3.TxOpts{From: tenant}, "terminateContract"); err != nil {
-			return err
-		}
+	if _, err := bound.Transact(web3.TxOpts{From: tenant}, "terminateContract"); err != nil {
+		return fmt.Errorf("core: terminating superseded version: %w", err)
 	}
-	if err := s.M.UpdateRow(prevAddr, func(r *ContractRow) { r.State = StateTerminated }); err != nil {
-		return err
-	}
-	return s.M.UpdateRow(newAddr, func(r *ContractRow) { r.State = StateRejected })
+	return nil
 }
 
 // PaymentRecord is one entry of the on-chain rent history.

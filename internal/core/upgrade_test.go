@@ -68,11 +68,14 @@ func requireUnlinked(t *testing.T, m *Manager, viewer, prevAddr ethtypes.Address
 		t.Fatalf("rejected candidate was still linked: next = %s", next)
 	}
 	row, err := m.GetRow(prevAddr)
+	if err == nil {
+		row, err = m.Describe(row, nil)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row.State != StateActive {
-		t.Fatalf("predecessor row state = %q after rejection", row.State)
+		t.Fatalf("predecessor state = %q after rejection", row.State)
 	}
 }
 
@@ -375,13 +378,16 @@ func TestVerifyUpgradeFailsClosedWithoutLayout(t *testing.T) {
 	if report, err := verify(&lossyStore{Store: m.IPFS.Blobs, lost: ipfs.CID(row.LayoutCID)}); err == nil {
 		t.Fatalf("deleted layout blob: report %+v, want an error", report)
 	}
-	if err := m.UpdateRow(v1, func(r *ContractRow) { r.LayoutCID = r.ABICID }); err != nil {
+	tampered := row
+	tampered.LayoutCID = row.ABICID
+	if err := m.Store.Put(TableContracts, strings.ToLower(row.Address), tampered); err != nil {
 		t.Fatal(err)
 	}
 	if report, err := verify(m.IPFS.Blobs); err == nil {
 		t.Fatalf("ABI blob named as the layout: report %+v, want an error", report)
 	}
-	if err := m.UpdateRow(v1, func(r *ContractRow) { r.LayoutCID = "" }); err != nil {
+	tampered.LayoutCID = ""
+	if err := m.Store.Put(TableContracts, strings.ToLower(row.Address), tampered); err != nil {
 		t.Fatal(err)
 	}
 	report, err := verify(m.IPFS.Blobs)

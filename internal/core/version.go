@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"legalchain/internal/ethtypes"
 )
@@ -14,8 +15,9 @@ type VersionInfo struct {
 	Next    ethtypes.Address // zero when tail
 	// Registry enrichment (may be empty if the row is unknown locally).
 	Version int
-	State   string
 	Name    string
+	// State is empty after WalkChain; WalkStates derives it.
+	State string
 }
 
 // maxChainLength bounds walks so a (maliciously) cyclic chain terminates.
@@ -92,7 +94,6 @@ func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
 		info := VersionInfo{Address: cur, Prev: l.prev, Next: l.next}
 		if row, err := m.GetRow(cur); err == nil {
 			info.Version = row.Version
-			info.State = row.State
 			info.Name = row.Name
 		}
 		out = append(out, info)
@@ -102,6 +103,95 @@ func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
 		cur = l.next
 	}
 	return out, nil
+}
+
+// WalkStates is WalkChain with each version's State derived from the
+// chain: prev and next come from the walk, and each version adds one
+// state() read.
+func (m *Manager) WalkStates(start ethtypes.Address) ([]VersionInfo, error) {
+	line, err := m.WalkChain(start)
+	if err == nil {
+		err = m.deriveStates(line)
+	}
+	return line, err
+}
+
+// A rental version's state() enum (BaseRental's State).
+const enumCreated, enumStarted, enumTerminated = 0, 1, 2
+
+// deriveStates is the one derivation of lifecycle state. Only a
+// rental-shaped version, whose ABI has state and terminateContract, has
+// its state() enum read; line[i-1] is line[i]'s predecessor.
+//
+//	state() is Terminated                                    terminated
+//	next ≠ 0                                                 inactive
+//	last, Created, and the predecessor's state() Terminated  rejected
+//	otherwise                                                active
+func (m *Manager) deriveStates(line []VersionInfo) error {
+	prevEnum := -1
+	for i, v := range line {
+		bound, err := m.BindVersion(v.Address)
+		if err != nil {
+			return err
+		}
+		enum := -1 // not rental-shaped
+		_, st := bound.ABI.Methods["state"]
+		if _, term := bound.ABI.Methods["terminateContract"]; st && term {
+			n, err := bound.CallUint(v.Address, "state")
+			if err != nil {
+				return err
+			}
+			enum = int(n.Uint64())
+		}
+		switch {
+		case enum == enumTerminated:
+			line[i].State = StateTerminated
+		case !v.Next.IsZero():
+			line[i].State = StateSuperseded
+		case enum == enumCreated && prevEnum == enumTerminated:
+			line[i].State = StateRejected
+		default:
+			line[i].State = StateActive
+		}
+		prevEnum = enum
+	}
+	return nil
+}
+
+// Describe returns row, as GetRow or Rows returns it, with the fields its
+// version contract holds: Next, State and Tenant (empty while zero). State and Next come from line, a
+// line from WalkStates, when it holds the version. Without a walk, getNext
+// is read and the version is derived after its predecessor.
+func (m *Manager) Describe(row ContractRow, line []VersionInfo) (ContractRow, error) {
+	v := VersionInfo{Address: ethtypes.HexToAddress(row.Address)}
+	bound, err := m.BindVersion(v.Address)
+	if i := slices.IndexFunc(line, func(w VersionInfo) bool { return w.Address == v.Address }); i >= 0 {
+		v = line[i]
+	} else if err == nil {
+		if _, ok := bound.ABI.Methods["getNext"]; ok {
+			v.Next, err = bound.CallAddress(v.Address, "getNext")
+		}
+		pair := []VersionInfo{v}
+		if row.Prev != "" {
+			v.Prev = ethtypes.HexToAddress(row.Prev)
+			pair = []VersionInfo{{Address: v.Prev}, v}
+		}
+		if err == nil {
+			err = m.deriveStates(pair)
+		}
+		v = pair[len(pair)-1]
+	}
+	if err != nil {
+		return row, err
+	}
+	row.State = v.State
+	if !v.Next.IsZero() {
+		row.Next = v.Next.Hex()
+	}
+	if tenant, err := bound.CallAddress(v.Address, "tenant"); err == nil && !tenant.IsZero() {
+		row.Tenant = tenant.Hex()
+	}
+	return row, nil
 }
 
 // VerifyChain checks the doubly-linked-list invariants of a walked

@@ -3,6 +3,7 @@ package minisol
 import (
 	"fmt"
 	"math/big"
+	"runtime"
 	"strings"
 )
 
@@ -12,14 +13,25 @@ type parser struct {
 	pos  int
 }
 
-// Parse parses a minisol source unit.
-func Parse(src string) (*SourceUnit, error) {
+// Parse parses a minisol source unit. Parse errors deep in the grammar
+// are raised as panics and recovered here; a runtime error is a bug and
+// is not recovered.
+func Parse(src string) (unit *SourceUnit, err error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(error)
+			if _, bug := r.(runtime.Error); !ok || bug {
+				panic(r)
+			}
+			unit, err = nil, e
+		}
+	}()
 	p := &parser{toks: toks}
-	unit := &SourceUnit{}
+	unit = &SourceUnit{}
 	for !p.at(TokEOF, "") {
 		switch {
 		case p.at(TokKeyword, "pragma"):
@@ -29,11 +41,7 @@ func Parse(src string) (*SourceUnit, error) {
 			}
 			p.expect(TokPunct, ";")
 		case p.at(TokKeyword, "contract"):
-			c, err := p.parseContract()
-			if err != nil {
-				return nil, err
-			}
-			unit.Contracts = append(unit.Contracts, c)
+			unit.Contracts = append(unit.Contracts, p.parseContract())
 		default:
 			return nil, p.errf("expected 'pragma' or 'contract', got %q", p.cur().Text)
 		}
@@ -72,21 +80,11 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("minisol: %d:%d: %s", t.Line, t.Col, fmt.Sprintf(format, args...))
 }
 
-// parseContract handles `contract Name [is Base] { ... }`. Parse errors
-// deep in the grammar are raised as panics and recovered here.
-func (p *parser) parseContract() (c *ContractDef, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = e
-				return
-			}
-			panic(r)
-		}
-	}()
+// parseContract handles `contract Name [is Base] { ... }`.
+func (p *parser) parseContract() *ContractDef {
 	tok := p.expect(TokKeyword, "contract")
 	name := p.expectIdent()
-	c = &ContractDef{Name: name, Line: tok.Line}
+	c := &ContractDef{Name: name, Line: tok.Line}
 	if p.accept(TokKeyword, "is") {
 		c.Parent = p.expectIdent()
 	}
@@ -105,7 +103,7 @@ func (p *parser) parseContract() (c *ContractDef, err error) {
 			c.Vars = append(c.Vars, p.parseStateVars()...)
 		}
 	}
-	return c, nil
+	return c
 }
 
 func (p *parser) expectIdent() string {

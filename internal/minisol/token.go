@@ -146,10 +146,10 @@ func lex(src string) ([]Token, error) {
 			text := src[i:j]
 			advance(j - i)
 			toks = append(toks, Token{TokNumber, text, startLine, startCol})
-		case unicode.IsLetter(rune(c)) || c == '_' || c == '$':
+		case isIdentByte(c, true):
 			startLine, startCol := line, col
 			j := i
-			for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_' || src[j] == '$') {
+			for j < len(src) && isIdentByte(src[j], false) {
 				j++
 			}
 			text := src[i:j]
@@ -183,6 +183,13 @@ func lex(src string) ([]Token, error) {
 	}
 	toks = append(toks, Token{TokEOF, "", line, col})
 	return toks, nil
+}
+
+// isIdentByte reports whether c may start (first) or continue an
+// identifier. Identifiers are ASCII, as in Solidity: no byte of a
+// multi-byte UTF-8 sequence is a letter, so a name always survives JSON.
+func isIdentByte(c byte, first bool) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || c == '$' || !first && c >= '0' && c <= '9'
 }
 
 func isHexDigit(c byte) bool {

@@ -94,6 +94,19 @@ func standardTerms() core.ModifiedTerms {
 
 // buildChainOfVersions deploys v1 and extends it with k-1 modifications,
 // returning the deployments in order.
+// describe reads a version's registry row with its state, tenant and
+// next pointer derived from the chain.
+func (r *rig) describe(t tb, addr ethtypes.Address) core.ContractRow {
+	row, err := r.Manager.GetRow(addr)
+	if err == nil {
+		row, err = r.Manager.Describe(row, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
 func (r *rig) buildChainOfVersions(t tb, k int) []*core.Deployment {
 	t.Helper()
 	deps := make([]*core.Deployment, 0, k)
