@@ -74,8 +74,8 @@ func fetchWatchStatus(url string) watch.Status {
 }
 
 func printWatchStatus(st watch.Status) {
-	fmt.Printf("head #%d   folded #%d   lag %d   events %d   log %s\n",
-		st.Head, st.Folded, st.LagBlocks, st.Events, byteSize(st.LogBytes))
+	fmt.Printf("head #%d   folded #%d   lag %d   events %d\n",
+		st.Head, st.Folded, st.LagBlocks, st.Events)
 	states := make([]string, 0, 5)
 	for _, s := range []string{"drafted", "signed", "active", "modified-pending", "terminated"} {
 		if n := st.States[s]; n > 0 {
@@ -87,9 +87,6 @@ func printWatchStatus(st watch.Status) {
 	}
 	fmt.Printf("contracts %d   [%s]   overdue %d   alerts firing %d / fired %d\n",
 		st.Tracked, strings.Join(states, " "), st.Overdue, st.AlertsFiring, st.AlertsTotal)
-	if st.Error != "" {
-		fmt.Printf("ERROR: %s\n", st.Error)
-	}
 
 	if len(st.Rules) > 0 {
 		fmt.Println("\nRULES")
@@ -121,16 +118,5 @@ func printWatchStatus(st watch.Status) {
 	}
 	if len(st.Contracts) == 0 {
 		fmt.Println("(no tracked contracts yet)")
-	}
-}
-
-func byteSize(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
 	}
 }

@@ -5,10 +5,10 @@
 // the full four-tier architecture of the paper's Fig. 1 in one process.
 //
 // With -datadir every tier is durable: the chain under <datadir>/chain,
-// the watchtower under <datadir>/watch, agreements in the write-ahead-
-// logged document store under <datadir>/db and ABI blobs under
-// <datadir>/ipfs, so a restarted rentald resumes with the same
-// contracts, balances and agreement history. The flags rentald shares
+// agreements in the write-ahead-logged document store under
+// <datadir>/db and ABI blobs under <datadir>/ipfs, so a restarted
+// rentald resumes with the same contracts, balances and agreement
+// history; the watchtower refolds the chain when it starts. The flags rentald shares
 // with devnet are internal/node's.
 //
 // Usage:

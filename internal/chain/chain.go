@@ -76,6 +76,7 @@ type Blockchain struct {
 	blocks   []*ethtypes.Block // blocks[i] is block number blocksBase+i
 	byHash   *pindex[uint64]
 	receipts *pindex[*ethtypes.Receipt]
+	rcpts    [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts, in order
 	txs      *pindex[*ethtypes.Transaction]
 	allLogs  []*ethtypes.Log
 	pending  []*ethtypes.Transaction // batch-mining queue (SubmitTransaction)
@@ -157,6 +158,7 @@ func newMemory(g *Genesis, cfg *openConfig) *Blockchain {
 		coinbase:    g.Coinbase,
 		st:          st,
 		blocks:      []*ethtypes.Block{genesisBlock},
+		rcpts:       [][]*ethtypes.Receipt{nil},
 		byHash:      (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0),
 		genesis:     copyGenesis(g),
 		execWorkers: cfg.execWorkers,

@@ -114,9 +114,13 @@ func checkBlockHashes(t *testing.T, v *HeadView) []ethtypes.Hash {
 		if byHash, ok := v.BlockByHash(fresh); !ok || byHash.Number() != n {
 			t.Fatalf("block %d not found by its hash", n)
 		}
-		for _, rcpt := range v.ReceiptsOf(n) {
-			if rcpt.BlockHash != fresh {
-				t.Fatalf("block %d: receipt stamped %s, want %s", n, rcpt.BlockHash, fresh)
+		rcpts := v.ReceiptsOf(n)
+		if len(rcpts) != len(b.Transactions) {
+			t.Fatalf("block %d: %d receipts for %d transactions", n, len(rcpts), len(b.Transactions))
+		}
+		for i, rcpt := range rcpts {
+			if rcpt.BlockHash != fresh || rcpt.TxHash != b.Transactions[i].Hash() {
+				t.Fatalf("block %d: receipt %d stamped %s for tx %s, want %s for %s", n, i, rcpt.BlockHash, rcpt.TxHash, fresh, b.Transactions[i].Hash())
 			}
 		}
 		hashes = append(hashes, fresh)

@@ -324,6 +324,7 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	st, genesisBlock := genesisState(g)
 	bc.st = st
 	bc.blocks = []*ethtypes.Block{genesisBlock}
+	bc.rcpts = [][]*ethtypes.Receipt{nil}
 	bc.blocksBase = 0
 	bc.byHash = (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0)
 	bc.receipts = nil

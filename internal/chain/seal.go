@@ -60,6 +60,9 @@ func (bc *Blockchain) evictColdLocked() {
 	nb := make([]*ethtypes.Block, len(bc.blocks)-cut)
 	copy(nb, bc.blocks[cut:])
 	bc.blocks = nb
+	nr := make([][]*ethtypes.Receipt, len(bc.rcpts)-cut)
+	copy(nr, bc.rcpts[cut:])
+	bc.rcpts = nr
 	bc.blocksBase = newBase
 	mBlocksEvicted.Add(uint64(cut))
 	keep := 0
@@ -92,6 +95,7 @@ func (bc *Blockchain) installBlockLocked(block *ethtypes.Block, receipts []*etht
 	bc.receipts = bc.receipts.with(newReceipts)
 	bc.txs = bc.txs.with(newTxs)
 	bc.blocks = append(bc.blocks, block)
+	bc.rcpts = append(bc.rcpts, receipts)
 	bc.byHash = bc.byHash.with1(blockHash, block.Number())
 }
 

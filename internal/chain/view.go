@@ -120,6 +120,7 @@ type HeadView struct {
 	st       *state.StateDB    // frozen (state.Freeze) snapshot at head
 	byHash   *pindex[uint64]   // block hash → number (resident or evicted)
 	receipts *pindex[*ethtypes.Receipt]
+	rcpts    [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts; same sharing as blocks
 	txs      *pindex[*ethtypes.Transaction]
 	logs     []*ethtypes.Log // same sharing as blocks; logs of evicted blocks live in db
 
@@ -223,11 +224,12 @@ func (v *HeadView) GetReceipt(txHash ethtypes.Hash) (*ethtypes.Receipt, bool) {
 	return v.receipts.get(txHash)
 }
 
-// ReceiptsOf returns the receipts of block n in transaction order.
-// Resident blocks resolve through the receipt index; evicted blocks
-// read the persisted record, which carries its receipts verbatim.
-// Consumers folding whole blocks (the watchtower) use this instead of
-// per-hash GetReceipt lookups.
+// ReceiptsOf returns the receipts of block n in transaction order; the
+// slice is the view's and must not be modified. Resident blocks keep
+// their receipts beside them, so no transaction is hashed; evicted
+// blocks read the persisted record, which carries its receipts
+// verbatim. Consumers folding whole blocks (the watchtower) use this
+// instead of per-hash GetReceipt lookups.
 func (v *HeadView) ReceiptsOf(n uint64) []*ethtypes.Receipt {
 	mViewReads.Inc()
 	if n < v.blocksBase {
@@ -241,17 +243,10 @@ func (v *HeadView) ReceiptsOf(n uint64) []*ethtypes.Receipt {
 		mBlockReadThrough.Inc()
 		return rec.Receipts
 	}
-	b, ok := v.BlockByNumber(n)
-	if !ok || len(b.Transactions) == 0 {
+	if n > v.head.Number() {
 		return nil
 	}
-	out := make([]*ethtypes.Receipt, 0, len(b.Transactions))
-	for _, tx := range b.Transactions {
-		if r, ok := v.receipts.get(tx.Hash()); ok {
-			out = append(out, r)
-		}
-	}
-	return out
+	return v.rcpts[n-v.blocksBase]
 }
 
 // GetTransaction returns a mined transaction by hash.
@@ -470,6 +465,7 @@ func (bc *Blockchain) publishHeadLocked() {
 		st:         frozen,
 		byHash:     bc.byHash,
 		receipts:   bc.receipts,
+		rcpts:      bc.rcpts,
 		txs:        bc.txs,
 		logs:       bc.allLogs,
 		db:         bc.db,

@@ -3,7 +3,8 @@
 // sidecar and, when a web address is set, the IPFS, docstore, manager
 // and web application tiers of the paper's Fig. 1. cmd/devnet and
 // cmd/rentald are two flag profiles of it. A data directory holds one
-// subdirectory per durable tier: chain/, watch/, db/ and ipfs/.
+// subdirectory per durable tier: chain/, db/ and ipfs/. The watchtower
+// stores nothing: it refolds the chain when the node starts.
 package node
 
 import (
@@ -66,7 +67,7 @@ type Config struct {
 // default is fixed here. Start validates the result.
 func RegisterFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.StringVar(&cfg.WSAddr, "ws-addr", "", "listen address for WebSocket JSON-RPC + eth_subscribe (empty = disabled)")
-	fs.StringVar(&cfg.DataDir, "datadir", "", "directory for durable data: chain/, watch/, db/, ipfs/ (empty = in-memory)")
+	fs.StringVar(&cfg.DataDir, "datadir", "", "directory for durable data: chain/, db/, ipfs/ (empty = in-memory)")
 	fs.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "listen address for /metrics and /healthz (empty = disabled)")
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "expose /debug/pprof/ on the metrics listener")
 	fs.StringVar(&cfg.LogLevel, "log-level", "info", "log level: debug, info, warn, error")
@@ -186,9 +187,11 @@ func (n *Node) open() error {
 				return fmt.Errorf("node: -watch-rules: %w", err)
 			}
 		}
-		if n.tower, err = watch.New(n.Chain, watch.Config{Dir: n.dir("watch"), RentPeriod: cfg.WatchRentPeriod, Rules: rules}); err != nil {
+		if n.tower, err = watch.New(n.Chain, watch.Config{RentPeriod: cfg.WatchRentPeriod, Rules: rules}); err != nil {
 			return err
 		}
+		// The consumer starts by refolding the chain, beside the rest of
+		// open; the Sync at the end waits for it.
 		n.tower.Start()
 	}
 
@@ -238,6 +241,11 @@ func (n *Node) open() error {
 		n.servers = append(n.servers, &http.Server{Handler: ep.h, ReadHeaderTimeout: readHeaderTimeout})
 		n.log.Info("listening", "service", ep.name, "addr", *ep.bound)
 	}
+	if n.tower != nil {
+		// No listener serves before the tower has refolded the chain, so
+		// a restarted node shows a caught-up tower.
+		n.tower.Sync()
+	}
 	return nil
 }
 
@@ -273,8 +281,8 @@ func (n *Node) ready() (bool, string) {
 
 // Shutdown stops the node and returns the first error. Listeners stop
 // first, so no request arrives mid-teardown. The watchtower closes
-// before the chain: its final fold flushes the event log, and its hub
-// subscription must drain before the chain closes the hub. Closing the
+// before the chain: its hub subscription must drain before the chain
+// closes the hub. Closing the
 // chain writes the final snapshot, syncs the log and, by closing the
 // hub, ends hijacked WebSocket connections, which http.Server.Shutdown
 // cannot see. The docstore closes last.
@@ -284,7 +292,7 @@ func (n *Node) Shutdown(ctx context.Context) error {
 		errs = append(errs, srv.Shutdown(ctx))
 	}
 	if n.tower != nil {
-		errs = append(errs, n.tower.Close())
+		n.tower.Close()
 	}
 	if n.Chain != nil {
 		errs = append(errs, n.Chain.Close())

@@ -9,8 +9,10 @@ import "legalchain/internal/metrics"
 // tenants pay, and whether any declared alert rule is firing.
 //
 // Registered in metrics.Default like every tier, so one scrape carries
-// the full story. Gauges are recomputed after each folded block by the
-// (single) live tower; counters are cumulative across the process.
+// the full story. Gauges are recomputed after each fold pass by the
+// (single) live tower; counters are cumulative across the process and
+// include the start-up refold: a restarted tower counts again every
+// block, event, alert and payment of the chain it refolds.
 var (
 	mContracts = metrics.Default.GaugeVec("legalchain_watch_contracts",
 		"Tracked contracts by lifecycle state.", "state")
@@ -29,6 +31,4 @@ var (
 		"Blocks sealed but not yet folded by the watchtower.")
 	mBlocksFolded = metrics.Default.Counter("legalchain_watch_blocks_folded_total",
 		"Blocks folded into the watchtower state machines.")
-	mLogBytes = metrics.Default.Gauge("legalchain_watch_log_bytes",
-		"Size of the durable watch event log in bytes.")
 )

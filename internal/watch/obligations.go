@@ -28,34 +28,53 @@ type Obligation struct {
 	Detail    string `json:"detail,omitempty"`
 }
 
-// obligationsOf derives the outstanding obligations of one contract at
-// folded head block `head`.
-func (t *Tower) obligationsOf(cs *contractState, head uint64) []Obligation {
-	var out []Obligation
-	add := func(kind string, due uint64, detail string) {
-		o := Obligation{Contract: cs.Addr.Hex(), Kind: kind, DueBlock: due, Detail: detail}
-		if head > due {
-			o.Overdue = true
-			o.OverdueBy = head - due
-		}
-		out = append(out, o)
-	}
+// Obligation kinds.
+const (
+	kindRentDue       = "rent-due"
+	kindConfirmMod    = "confirm-modification"
+	kindSettleDeposit = "settle-termination"
+)
+
+// dueOf returns the kind and due block of cs's open obligation; a
+// contract owes at most one thing at a time.
+func (t *Tower) dueOf(cs *contractState) (kind string, due uint64, ok bool) {
 	switch cs.State {
 	case StateActive, StateSigned:
 		// The rent clock starts when the agreement is signed and resets
 		// on every payment. Serving the full term converts the duty into
 		// the deposit settlement of terminateContract.
 		if cs.Months > 0 && cs.MonthsPaid >= cs.Months {
-			add("settle-termination", cs.LastPayBlock+t.cfg.RentPeriod,
-				fmt.Sprintf("term served (%d/%d months): deposit of %s wei refundable on termination",
-					cs.MonthsPaid, cs.Months, cs.DepositWei))
-		} else if cs.State == StateActive || cs.MonthsPaid > 0 || cs.SignedBlock > 0 {
-			add("rent-due", cs.LastPayBlock+t.cfg.RentPeriod,
-				fmt.Sprintf("month %d of %d: %s wei", cs.MonthsPaid+1, cs.Months, cs.RentWei))
+			return kindSettleDeposit, cs.LastPayBlock + t.cfg.RentPeriod, true
+		}
+		if cs.State == StateActive || cs.MonthsPaid > 0 || cs.SignedBlock > 0 {
+			return kindRentDue, cs.LastPayBlock + t.cfg.RentPeriod, true
 		}
 	case StateModifiedPending:
-		add("confirm-modification", cs.ModifiedBlock+t.cfg.ModifyGrace,
-			fmt.Sprintf("successor linked at block %d awaits tenant confirmation", cs.ModifiedBlock))
+		return kindConfirmMod, cs.ModifiedBlock + t.cfg.ModifyGrace, true
 	}
-	return out
+	return "", 0, false
+}
+
+// obligationsOf derives the outstanding obligations of one contract at
+// folded head block `head`.
+func (t *Tower) obligationsOf(cs *contractState, head uint64) []Obligation {
+	kind, due, ok := t.dueOf(cs)
+	if !ok {
+		return nil
+	}
+	o := Obligation{Contract: cs.Addr.Hex(), Kind: kind, DueBlock: due}
+	if head > due {
+		o.Overdue = true
+		o.OverdueBy = head - due
+	}
+	switch kind {
+	case kindSettleDeposit:
+		o.Detail = fmt.Sprintf("term served (%d/%d months): deposit of %s wei refundable on termination",
+			cs.MonthsPaid, cs.Months, cs.DepositWei)
+	case kindRentDue:
+		o.Detail = fmt.Sprintf("month %d of %d: %s wei", cs.MonthsPaid+1, cs.Months, cs.RentWei)
+	case kindConfirmMod:
+		o.Detail = fmt.Sprintf("successor linked at block %d awaits tenant confirmation", cs.ModifiedBlock)
+	}
+	return []Obligation{o}
 }

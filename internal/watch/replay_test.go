@@ -1,21 +1,45 @@
 package watch
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
+	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/wallet"
 	"legalchain/internal/web3"
 )
 
+// openDurable opens the durable chain in dir (creating it on first use)
+// and a client over it. The caller closes the chain.
+func openDurable(t *testing.T, dir string, accs []wallet.Account) (*chain.Blockchain, *web3.Client) {
+	t.Helper()
+	bc, err := chain.Open(rigGenesis(accs), chain.WithPersistence(chain.PersistConfig{DataDir: dir, NoSync: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bc, clientFor(t, bc, accs)
+}
+
+// reopened is a Source over whichever chain is open now, so one tower
+// can watch across a chain restart.
+type reopened struct{ bc *chain.Blockchain }
+
+func (s *reopened) View() *chain.HeadView                      { return s.bc.View() }
+func (s *reopened) SubscribeHeads(buf int) *chain.Subscription { return s.bc.SubscribeHeads(buf) }
+
 // TestReplayConvergence is the restart property: for fuzzed lifecycle
-// schedules, a tower that is stopped mid-stream and reopened over its
-// event log must converge to the same per-contract states, the same
-// event sequence and the same durable log as a tower that watched the
-// whole run uninterrupted.
+// schedules over a durable chain that is closed and reopened
+// mid-stream, a tower rebuilt after the reopen must converge to the
+// same per-contract states, the same event sequence and the same alerts
+// as a tower that watched the whole run uninterrupted — with a
+// fold_lag rule that a refold counted as lag would fire.
 func TestReplayConvergence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -26,7 +50,7 @@ func TestReplayConvergence(t *testing.T) {
 // fuzzContract mirrors what the schedule has done to one deployment so
 // the generator only picks valid next moves.
 type fuzzContract struct {
-	bound      *web3.BoundContract
+	addr       ethtypes.Address
 	confirmed  bool
 	terminated bool
 	linked     bool
@@ -35,25 +59,40 @@ type fuzzContract struct {
 }
 
 func replayRun(t *testing.T, seed int64) {
-	bc, client, accs := rig(t, 4)
+	accs := wallet.DevAccounts("watch test", 4)
 	landlord, tenant, other := accs[0], accs[1], accs[2]
+	dir := t.TempDir()
+	bc, client := openDurable(t, dir, accs)
+	defer func() { bc.Close() }()
+	src := &reopened{bc}
 	rng := rand.New(rand.NewSource(seed))
 
-	rules, err := ParseRules("missed: overdue > 0 for 3 blocks")
+	rules, err := ParseRules("missed: overdue > 0 for 3 blocks\nlagging: fold_lag > 16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := func(dir string) Config {
-		return Config{Dir: dir, RentPeriod: 2, ModifyGrace: 2, Rules: rules}
-	}
-	dirA, dirB := t.TempDir(), t.TempDir()
+	cfg := Config{RentPeriod: 2, ModifyGrace: 2, Rules: rules}
 
-	// Tower B watches live and is killed mid-stream.
-	b1, err := New(bc, cfg(dirB))
+	// Tower A watches the whole run, across the chain restart.
+	a, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Close()
 
+	rental := func(c *fuzzContract) *web3.BoundContract { return client.Bind(c.addr, loadRentalABI()) }
+	transact := func(b *web3.BoundContract, opts web3.TxOpts, method string, args ...interface{}) {
+		t.Helper()
+		if _, err := b.Transact(opts, method, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	transfer := func() {
+		t.Helper()
+		if _, err := client.Transfer(web3.TxOpts{From: other.Address, Value: ethtypes.Ether(1)}, landlord.Address); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var live []*fuzzContract
 	step := func() {
 		// Pick a valid move: deploy, or act on a random live contract,
@@ -67,134 +106,206 @@ func replayRun(t *testing.T, seed int64) {
 		switch {
 		case roll < 2 || c == nil:
 			months := uint64(2 + rng.Intn(4))
-			live = append(live, &fuzzContract{bound: deployRental(t, client, landlord, months), months: months})
+			live = append(live, &fuzzContract{addr: deployRental(t, client, landlord, months).Address, months: months})
 		case roll < 4:
-			if _, err := client.Transfer(web3.TxOpts{From: other.Address, Value: ethtypes.Ether(1)}, landlord.Address); err != nil {
-				t.Fatal(err)
-			}
+			transfer()
 		case !c.confirmed && !c.terminated:
-			if _, err := c.bound.Transact(web3.TxOpts{From: tenant.Address, Value: ethtypes.Ether(2)}, "confirmAgreement"); err != nil {
-				t.Fatal(err)
-			}
+			transact(rental(c), web3.TxOpts{From: tenant.Address, Value: ethtypes.Ether(2)}, "confirmAgreement")
 			c.confirmed = true
 		case c.terminated:
 			// Nothing left for this contract; burn the turn on a transfer.
-			if _, err := client.Transfer(web3.TxOpts{From: other.Address, Value: ethtypes.Ether(1)}, landlord.Address); err != nil {
-				t.Fatal(err)
-			}
+			transfer()
 		case roll < 7 && c.paid < c.months:
-			if _, err := c.bound.Transact(web3.TxOpts{From: tenant.Address, Value: ethtypes.Ether(1)}, "payRent"); err != nil {
-				t.Fatal(err)
-			}
+			transact(rental(c), web3.TxOpts{From: tenant.Address, Value: ethtypes.Ether(1)}, "payRent")
 			c.paid++
 		case roll < 9 && !c.linked:
-			succ := deployRental(t, client, landlord, c.months)
-			live = append(live, &fuzzContract{bound: succ, months: c.months})
-			if _, err := c.bound.Transact(web3.TxOpts{From: landlord.Address}, "setNext", succ.Address); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := succ.Transact(web3.TxOpts{From: landlord.Address}, "setPrev", c.bound.Address); err != nil {
-				t.Fatal(err)
-			}
+			succ := &fuzzContract{addr: deployRental(t, client, landlord, c.months).Address, months: c.months}
+			live = append(live, succ)
+			transact(rental(c), web3.TxOpts{From: landlord.Address}, "setNext", succ.addr)
+			transact(rental(succ), web3.TxOpts{From: landlord.Address}, "setPrev", c.addr)
 			c.linked = true
 		default:
-			if _, err := c.bound.Transact(web3.TxOpts{From: tenant.Address}, "terminateContract"); err != nil {
-				t.Fatal(err)
-			}
+			transact(rental(c), web3.TxOpts{From: tenant.Address}, "terminateContract")
 			c.terminated = true
 		}
 	}
 
+	// Every step seals at least one block, so the cut lies past block
+	// 17: a refold counting history as lag would fire "lagging".
 	total := 30 + rng.Intn(20)
-	cut := 5 + rng.Intn(total-10) // restart somewhere strictly mid-stream
+	cut := 18 + rng.Intn(total-22)
 	for i := 0; i < cut; i++ {
 		step()
-	}
-	b1.Sync() // fold everything sealed so far, then die
-	if err := b1.Close(); err != nil {
-		t.Fatal(err)
+		a.Sync()
 	}
 
+	// The chain restarts; tower B is built over the reopened chain the
+	// way a node builds it.
+	if err := bc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bc, client = openDurable(t, dir, accs)
+	src.bc = bc
+	b, err := New(bc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Sync()
 	for i := cut; i < total; i++ {
 		step()
+		a.Sync()
+		b.Sync()
 	}
 
-	// B reopens over its log and catches up; A watches the whole chain
-	// in one uninterrupted pass.
-	b2, err := New(bc, cfg(dirB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	b2.Sync()
-	a, err := New(bc, cfg(dirA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.Sync()
-
-	stA, stB := a.Status(), b2.Status()
+	stA, stB := a.Status(), b.Status()
 	if !reflect.DeepEqual(stA, stB) {
-		t.Fatalf("seed %d: status diverged\nuninterrupted: %+v\nrestarted:     %+v", seed, stA, stB)
+		t.Fatalf("seed %d: status diverged\nuninterrupted: %+v\nrebuilt:       %+v", seed, stA, stB)
 	}
-	evA, evB := a.Events(0), b2.Events(0)
-	if !reflect.DeepEqual(evA, evB) {
-		if len(evA) != len(evB) {
-			t.Fatalf("seed %d: %d events uninterrupted vs %d restarted", seed, len(evA), len(evB))
-		}
-		for i := range evA {
-			if !reflect.DeepEqual(evA[i], evB[i]) {
-				t.Fatalf("seed %d: event %d diverged\nuninterrupted: %+v\nrestarted:     %+v", seed, i, evA[i], evB[i])
-			}
+	evA, evB := a.Events(0), b.Events(0)
+	if len(evA) != len(evB) {
+		t.Fatalf("seed %d: %d events uninterrupted vs %d rebuilt", seed, len(evA), len(evB))
+	}
+	for i := range evA {
+		if !reflect.DeepEqual(evA[i], evB[i]) {
+			t.Fatalf("seed %d: event %d diverged\nuninterrupted: %+v\nrebuilt:       %+v", seed, i, evA[i], evB[i])
 		}
 	}
-	// The durable logs must be byte-identical: same records, same seqs,
-	// same rule-state snapshots in every anchor.
-	rawA, rawB := logBytes(t, dirA), logBytes(t, dirB)
-	if !reflect.DeepEqual(rawA, rawB) {
-		t.Fatalf("seed %d: durable logs diverged (%d vs %d bytes)", seed, len(rawA), len(rawB))
+	if alA, alB := a.Alerts(), b.Alerts(); !reflect.DeepEqual(alA, alB) {
+		t.Fatalf("seed %d: alerts diverged\nuninterrupted: %+v\nrebuilt:       %+v", seed, alA, alB)
+	}
+	// The kept per-state count agrees with a recount of the contracts.
+	recount := map[string]int{}
+	for _, s := range allStates {
+		recount[s] = 0
+	}
+	for _, cs := range stB.Contracts {
+		recount[cs.State]++
+	}
+	if !reflect.DeepEqual(stB.States, recount) {
+		t.Fatalf("seed %d: state count %v, recount %v", seed, stB.States, recount)
 	}
 	// And both agree with the chain: every tracked contract's on-chain
 	// state matches the folded machine.
 	for _, cs := range stA.Contracts {
 		addr, _ := parseAddr(cs.Address)
-		bound := client.Bind(addr, loadRentalABI())
-		onchain, err := bound.CallUint(accs[3].Address, "state")
+		onchain, err := client.Bind(addr, loadRentalABI()).CallUint(accs[3].Address, "state")
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch cs.State {
-		case StateDrafted:
-			if onchain.Uint64() != 0 {
-				t.Fatalf("%s folded drafted, chain says %d", cs.Address, onchain.Uint64())
-			}
-		case StateSigned, StateActive, StateModifiedPending:
-			if onchain.Uint64() != 1 {
-				t.Fatalf("%s folded %s, chain says %d", cs.Address, cs.State, onchain.Uint64())
-			}
-		case StateTerminated:
-			if onchain.Uint64() != 2 {
-				t.Fatalf("%s folded terminated, chain says %d", cs.Address, onchain.Uint64())
-			}
+		want := map[string]uint64{StateDrafted: 0, StateSigned: 1, StateActive: 1, StateModifiedPending: 1, StateTerminated: 2}[cs.State]
+		if onchain.Uint64() != want {
+			t.Fatalf("%s folded %s, chain says %d", cs.Address, cs.State, onchain.Uint64())
 		}
 	}
 }
 
-// logBytes returns the names and contents of a tower's log segments.
-func logBytes(t *testing.T, dir string) []byte {
-	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "events-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no event log in %s: %v", dir, err)
+// TestDamagedChainTailRefolds: a durable chain that loses its newest
+// blocks to a damaged log tail reopens shorter. The tower rebuilt over
+// it must agree with a fresh fold of what survived, not with what it
+// saw before the crash, and must fold the blocks sealed again at the
+// lost heights.
+func TestDamagedChainTailRefolds(t *testing.T) {
+	accs := wallet.DevAccounts("watch test", 2)
+	landlord, tenant := accs[0], accs[1]
+	dir := t.TempDir()
+	bc, client := openDurable(t, dir, accs)
+	tower, err := New(bc, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var out []byte
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
+
+	rental := deployRental(t, client, landlord, 12) // block 1
+	if _, err := rental.Transact(web3.TxOpts{From: tenant.Address, Value: ethtypes.Ether(2)}, "confirmAgreement"); err != nil {
+		t.Fatal(err)
+	}
+	const confirmBlock = 2
+	segs, _ := filepath.Glob(filepath.Join(dir, "blocks-*.seg"))
+	if len(segs) == 0 {
+		t.Fatal("no block log")
+	}
+	seg := segs[len(segs)-1]
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := fi.Size() // the log through the confirm block
+	if _, err := rental.Transact(web3.TxOpts{From: tenant.Address, Value: ethtypes.Ether(1)}, "payRent"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rental.Transact(web3.TxOpts{From: tenant.Address}, "terminateContract"); err != nil {
+		t.Fatal(err)
+	}
+	tower.Sync()
+	if st := tower.Status(); st.Folded != 4 || st.States[StateTerminated] != 1 {
+		t.Fatalf("before the crash: %+v", st)
+	}
+	tower.Close()
+	if err := bc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Damage the tail: the pay and terminate blocks are lost, the first
+	// torn mid-frame, along with the snapshots that describe them.
+	if err := os.Truncate(seg, intact+3); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "state-*.snap"))
+	for _, p := range snaps {
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "state-"), ".snap"), 10, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(append(out, filepath.Base(seg)...), data...)
+		if n > confirmBlock {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	return out
+
+	bc, client = openDurable(t, dir, accs)
+	defer bc.Close()
+	if head := bc.BlockNumber(); head != confirmBlock {
+		t.Fatalf("reopened head #%d, want the confirm block #%d", head, confirmBlock)
+	}
+	tower, err = New(bc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tower.Close()
+	tower.Sync()
+	agrees := func(want string) {
+		t.Helper()
+		fresh, err := New(bc, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		fresh.Sync()
+		st, fst := tower.Status(), fresh.Status()
+		if !reflect.DeepEqual(st, fst) {
+			t.Fatalf("reopened tower %+v\nfresh fold     %+v", st, fst)
+		}
+		if st.Folded != bc.BlockNumber() || len(st.Contracts) != 1 || st.Contracts[0].State != want {
+			t.Fatalf("reopened tower at #%d folded %d: %+v, want one %s rental", bc.BlockNumber(), st.Folded, st.Contracts, want)
+		}
+	}
+	agrees(StateSigned)
+
+	// A payment sealed at the lost height is folded.
+	if _, err := client.Bind(rental.Address, loadRentalABI()).Transact(web3.TxOpts{From: tenant.Address, Value: ethtypes.Ether(1)}, "payRent"); err != nil {
+		t.Fatal(err)
+	}
+	if head := bc.BlockNumber(); head != confirmBlock+1 {
+		t.Fatalf("payment sealed at #%d, want #%d", head, confirmBlock+1)
+	}
+	tower.Sync()
+	agrees(StateActive)
+	var types []string
+	for _, ev := range tower.Timeline(rental.Address) {
+		types = append(types, fmt.Sprintf("%s@%d", ev.Type, ev.Block))
+	}
+	if got := strings.Join(types, " "); got != "created@1 signed@2 payment@3" {
+		t.Fatalf("timeline %s", got)
+	}
 }

@@ -121,47 +121,23 @@ func ParseRules(text string) ([]Rule, error) {
 	return out, nil
 }
 
-// RuleState is the engine's per-rule counter, snapshotted into every
-// anchor record so a restarted tower resumes for-duration counting
-// exactly where it stopped (the replay-convergence invariant).
-type RuleState struct {
+// ruleState is the engine's per-rule counter. A restarted tower
+// rebuilds it by refolding the chain, so it resumes for-duration
+// counting exactly where an uninterrupted tower would be.
+type ruleState struct {
 	Consecutive uint64 `json:"consecutive"` // blocks the condition has held
 	Firing      bool   `json:"firing"`
 }
 
-// ruleEngine evaluates the configured rules once per folded block.
+// ruleEngine evaluates the configured rules once per folded block;
+// state[i] counts for rules[i].
 type ruleEngine struct {
 	rules []Rule
-	state map[string]*RuleState
+	state []ruleState
 }
 
 func newRuleEngine(rules []Rule) *ruleEngine {
-	e := &ruleEngine{rules: rules, state: map[string]*RuleState{}}
-	for _, r := range rules {
-		e.state[r.Name] = &RuleState{}
-	}
-	return e
-}
-
-// restore overwrites the engine counters from an anchor snapshot.
-func (e *ruleEngine) restore(snap map[string]RuleState) {
-	for name, st := range snap {
-		if s, ok := e.state[name]; ok {
-			*s = st
-		}
-	}
-}
-
-// snapshot copies the counters for the next anchor record.
-func (e *ruleEngine) snapshot() map[string]RuleState {
-	if len(e.rules) == 0 {
-		return nil
-	}
-	out := make(map[string]RuleState, len(e.state))
-	for name, st := range e.state {
-		out[name] = *st
-	}
-	return out
+	return &ruleEngine{rules: rules, state: make([]ruleState, len(rules))}
 }
 
 // firing counts the rules currently in the firing state.
@@ -198,8 +174,8 @@ func (r Rule) compare(v float64) bool {
 // tripped them.
 func (e *ruleEngine) eval(signals map[string]float64) []firedRule {
 	var fired []firedRule
-	for _, r := range e.rules {
-		st := e.state[r.Name]
+	for i, r := range e.rules {
+		st := &e.state[i]
 		if r.compare(signals[r.Signal]) {
 			st.Consecutive++
 			need := r.ForBlocks

@@ -1,6 +1,9 @@
 package watch
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -105,28 +108,22 @@ func TestRuleEngineFireOnce(t *testing.T) {
 	}
 }
 
-func TestRuleEngineSnapshotRestore(t *testing.T) {
+// TestRuleEngineRefoldResumesCounters: a restarted tower keeps no
+// rule counters; a fresh engine fed the same signals from block 1 is
+// where the stopped one was, one block short of firing.
+func TestRuleEngineRefoldResumesCounters(t *testing.T) {
 	r, _ := ParseRule("overdue > 0 for 3 blocks")
-	e := newRuleEngine([]Rule{r})
-	sig := map[string]float64{"overdue": 1}
-	e.eval(sig)
-	e.eval(sig) // consecutive = 2, one short of firing
-
-	snap := e.snapshot()
-	e2 := newRuleEngine([]Rule{r})
-	e2.restore(snap)
-	if f := e2.eval(sig); len(f) != 1 {
-		t.Fatal("restored engine lost the consecutive count")
+	history := []map[string]float64{{"overdue": 0}, {"overdue": 1}, {"overdue": 1}}
+	e, refold := newRuleEngine([]Rule{r}), newRuleEngine([]Rule{r})
+	for _, sig := range history {
+		e.eval(sig)
+		refold.eval(sig)
 	}
-
-	// Snapshots ignore rules that no longer exist.
-	e3 := newRuleEngine(nil)
-	e3.restore(snap)
-	if e3.firing() != 0 {
-		t.Fatal("ghost rule")
+	if !reflect.DeepEqual(e.state, refold.state) || refold.state[0].Consecutive != 2 {
+		t.Fatalf("counters %+v, refolded %+v", e.state, refold.state)
 	}
-	if e3.snapshot() != nil {
-		t.Fatal("empty engine should snapshot nil")
+	if f := refold.eval(map[string]float64{"overdue": 1}); len(f) != 1 {
+		t.Fatal("refolded engine lost the consecutive count")
 	}
 }
 
@@ -149,4 +146,64 @@ func TestRuleCompareOps(t *testing.T) {
 			t.Fatalf("%g %s 0 = %v", c.v, c.op, !c.want)
 		}
 	}
+}
+
+// FuzzParseRules feeds -watch-rules text to the parser: no panic, and
+// every parsed rule, re-rendered as "name: Expr()", parses back to a
+// rule with the same name and signal that evaluates the same way.
+func FuzzParseRules(f *testing.F) {
+	for _, seed := range []string{
+		"overdue > 0 for 2 blocks",
+		"stale-rentals: modified_pending >= 3",
+		"# watchtower alerts\noverdue > 0 for 2 blocks\n\nlagging: fold_lag >= 5",
+		"missed: overdue > 0 for 3 blocks\nlagging: fold_lag > 16",
+		"overdue > NaN",
+		"tracked < Inf",
+		"active != -Inf",
+		"signed == 0x1p-2",
+		"drafted > 0x10",
+		": overdue > 0",
+		"my rule: overdue > 0 for 1 block",
+		"  spaced  name : terminated <= 1e3 for 3 blocks",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		rules, err := ParseRules(text)
+		if err != nil {
+			return
+		}
+		lines := make([]string, len(rules))
+		for i, r := range rules {
+			lines[i] = r.Name + ": " + r.Expr()
+		}
+		again, err := ParseRules(strings.Join(lines, "\n"))
+		if err != nil {
+			t.Fatalf("%q re-rendered as %q: %v", text, lines, err)
+		}
+		if len(again) != len(rules) {
+			t.Fatalf("%q: %d rules, re-rendered %d", text, len(rules), len(again))
+		}
+		for i, r := range rules {
+			q := again[i]
+			if q.Name != r.Name || q.Signal != r.Signal {
+				t.Fatalf("%q: rule %+v re-parsed as %+v", text, r, q)
+			}
+			// The same signal sequence drives both engines through the
+			// same counters: each probe value held for three blocks.
+			e, eq := newRuleEngine([]Rule{r}), newRuleEngine([]Rule{q})
+			for _, v := range []float64{r.Threshold, math.Nextafter(r.Threshold, math.Inf(1)), math.Nextafter(r.Threshold, math.Inf(-1)),
+				0, -1, 1, math.Inf(1), math.Inf(-1), math.NaN()} {
+				for k := 0; k < 3; k++ {
+					sig := map[string]float64{r.Signal: v}
+					if f, fq := e.eval(sig), eq.eval(sig); len(f) != len(fq) || e.state[0] != eq.state[0] {
+						t.Fatalf("%q: %s and %s disagree at %g: %+v vs %+v", text, lines[i], q.Expr(), v, e.state[0], eq.state[0])
+					}
+				}
+			}
+			if maxU64(r.ForBlocks, 1) != maxU64(q.ForBlocks, 1) {
+				t.Fatalf("%q: window %d re-parsed as %d", text, r.ForBlocks, q.ForBlocks)
+			}
+		}
+	})
 }

@@ -6,20 +6,20 @@
 // deadlines (next rent due, unconfirmed modification age, deposit at
 // termination), and emits what it learns three ways:
 //
-//  1. a durable, CRC-framed, append-only event log (eventlog.go) that
-//     doubles as the restart anchor and feeds the /timeline endpoint
-//     and the legalctl watch/top terminal views;
+//  1. a bounded in-memory event buffer that feeds the /timeline
+//     endpoint and the legalctl watch/top terminal views;
 //  2. a metric surface (metrics.go) in the process-wide registry —
 //     contracts by state, overdue obligations, payment lag;
 //  3. an alert rule engine (rules.go) whose firings become event:alert
 //     SSE frames, log records and the watch_alerts_firing gauge.
 //
 // The tower is a pure consumer: it takes a hub subscription like any
-// dashboard and costs the seal path nothing. Restart replays the event
-// log to rebuild every state machine and rule counter, then folds only
-// the blocks past the last anchor — converging to the same states and
-// the same event log an uninterrupted tower would have produced (the
-// replay property test in replay_test.go).
+// dashboard and costs the seal path nothing. It stores nothing either:
+// its state is the fold of the chain from block 1, so a restarted tower
+// refolds the chain it watches and cannot disagree with it, even when
+// the chain itself lost blocks in a crash. A refold gives the same
+// states, events and alerts as a tower that never stopped (the restart
+// property test in replay_test.go).
 package watch
 
 import (
@@ -37,8 +37,8 @@ import (
 	"legalchain/internal/uint256"
 )
 
-// parseAddr decodes a hex address without the panic of HexToAddress —
-// event records cross a disk boundary, so parse defensively.
+// parseAddr decodes a hex address without the panic of HexToAddress;
+// an alert's empty Contract field parses as no address.
 func parseAddr(s string) (ethtypes.Address, bool) {
 	b, err := hexutil.Decode(s)
 	if err != nil || len(b) != len(ethtypes.Address{}) {
@@ -67,9 +67,6 @@ type Source interface {
 
 // Config tunes one tower.
 type Config struct {
-	// Dir holds the durable event log; empty keeps the tower in memory
-	// (no replay on restart).
-	Dir string
 	// RentPeriod is the rent deadline in blocks: after a payment (or the
 	// signing) the next month is due within this many blocks. Blocks are
 	// the devnet's month-proxy — the only clock all parties share.
@@ -80,8 +77,8 @@ type Config struct {
 	ModifyGrace uint64
 	// Rules are the alert rules evaluated after every folded block.
 	Rules []Rule
-	// MemEvents bounds the in-memory event buffer serving /timeline
-	// (the durable log keeps everything). 0 picks the default.
+	// MemEvents bounds the in-memory event buffer serving /timeline.
+	// 0 picks the default.
 	MemEvents int
 }
 
@@ -107,6 +104,50 @@ type contractState struct {
 	Months        uint64
 	RentWei       string
 	DepositWei    string
+
+	// due is the open obligation's due block when owes is set; applyLocked
+	// refreshes both after every event, so the per-block overdue scan
+	// derives nothing.
+	due  uint64
+	owes bool
+}
+
+// Event is one structured watchtower record, served by the /timeline
+// endpoint and the in-memory event buffer. Types (Event.Type):
+//
+//	created            contract deployment recognised as a tracked template
+//	signed             agreementConfirmed: tenant paid the deposit
+//	payment            paidRent: one month of rent settled
+//	maintenance        paidMaintenance (V2 clause)
+//	modify-pending     versionLinked(direction=1): a successor was linked
+//	version-linked     versionLinked(direction=0) on the successor
+//	terminated         contractTerminated
+//	alert              an alert rule transitioned to firing
+type Event struct {
+	Seq      uint64 `json:"seq"`
+	Block    uint64 `json:"block"`
+	Time     uint64 `json:"time,omitempty"` // block timestamp (unix seconds)
+	Type     string `json:"type"`
+	Contract string `json:"contract,omitempty"` // hex address
+	Template string `json:"template,omitempty"`
+	State    string `json:"state,omitempty"` // lifecycle state after the event
+	TxHash   string `json:"txHash,omitempty"`
+
+	// Terms, carried on "created".
+	RentWei    string `json:"rentWei,omitempty"`
+	DepositWei string `json:"depositWei,omitempty"`
+	Months     uint64 `json:"months,omitempty"`
+
+	// Payment fields.
+	Month     uint64 `json:"month,omitempty"`
+	AmountWei string `json:"amountWei,omitempty"`
+
+	// Alert fields: the rule, the observed signal value, and every
+	// contract implicated (so per-contract timelines include the alert).
+	Rule      string   `json:"rule,omitempty"`
+	Value     float64  `json:"value,omitempty"`
+	Detail    string   `json:"detail,omitempty"`
+	Contracts []string `json:"contracts,omitempty"`
 }
 
 // Alert is one rule firing, kept in a bounded history for the API and
@@ -130,17 +171,21 @@ type Tower struct {
 	src Source
 	cfg Config
 
+	// rebuilt is the head when the tower was built: folding up to it is
+	// a rebuild of history, not lag, so those blocks fold with fold_lag 0.
+	rebuilt uint64
+
 	mu        sync.Mutex
-	log       *eventLog
 	seq       uint64
-	folded    uint64 // highest folded block (the anchor)
+	folded    uint64 // highest folded block
 	contracts map[ethtypes.Address]*contractState
-	events    []Event // bounded in-memory buffer (anchors excluded)
+	tracked   []*contractState // the same contracts in creation order, for scans
+	states    map[string]int   // tracked contracts per lifecycle state
+	events    []Event          // bounded in-memory buffer
 	alerts    []Alert
-	fired     uint64 // cumulative alert firings (incl. replayed)
+	fired     uint64 // cumulative alert firings
 	skipped   uint64 // blocks whose bodies were unavailable during fold
 	rules     *ruleEngine
-	foldErr   error // first event-log append failure (log keeps folding)
 
 	// Convergence accounting: residual backlog (head − folded) observed
 	// at the end of each fold batch. Unlike an arbitrary instantaneous
@@ -185,9 +230,9 @@ func loadRentalABI() *abi.ABI {
 	return rentalABI
 }
 
-// New builds a tower over src. With cfg.Dir set, the durable event log
-// is replayed first: per-contract states, alert history and rule
-// counters are rebuilt, and folding resumes just past the last anchor.
+// New builds a tower over src. It reads nothing, so it cannot fail (the
+// error result is always nil): the first Sync, or Start, folds the chain
+// from block 1.
 func New(src Source, cfg Config) (*Tower, error) {
 	if cfg.RentPeriod == 0 {
 		cfg.RentPeriod = defaultRentPeriod
@@ -198,38 +243,28 @@ func New(src Source, cfg Config) (*Tower, error) {
 	if cfg.MemEvents == 0 {
 		cfg.MemEvents = defaultMemEvents
 	}
-	t := &Tower{
+	loadRentalABI()
+	return &Tower{
 		src:       src,
 		cfg:       cfg,
+		rebuilt:   src.View().BlockNumber(),
 		contracts: map[ethtypes.Address]*contractState{},
+		states:    map[string]int{},
 		rules:     newRuleEngine(cfg.Rules),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-	}
-	loadRentalABI()
-	log, err := openEventLog(cfg.Dir, func(ev *Event) {
-		if ev.Seq > t.seq {
-			t.seq = ev.Seq
-		}
-		t.applyLocked(ev)
-		t.bufferLocked(ev)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.log = log
-	return t, nil
+	}, nil
 }
 
 // Start launches the background hub consumer. The tower immediately
-// catches up from its anchor to the current head, then folds each
-// published view as it arrives.
+// catches up to the current head, then folds each published view as it
+// arrives.
 func (t *Tower) Start() {
 	go t.run()
 }
 
-// Close stops the consumer (if started) and closes the event log.
-func (t *Tower) Close() error {
+// Close stops the consumer, if started.
+func (t *Tower) Close() {
 	select {
 	case <-t.stop:
 	default:
@@ -240,11 +275,6 @@ func (t *Tower) Close() error {
 	default:
 		// Start was never called; nothing to wait for.
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := t.log.close()
-	t.log = nil
-	return err
 }
 
 func (t *Tower) run() {
@@ -286,7 +316,7 @@ func (t *Tower) run() {
 func (t *Tower) Sync() { t.SyncView(t.src.View()) }
 
 // SyncView folds everything up to v's head. A view at or behind the
-// anchor is a no-op, so concurrent callers never double-fold.
+// folded height is a no-op, so concurrent callers never double-fold.
 func (t *Tower) SyncView(v *chain.HeadView) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -314,8 +344,8 @@ func (t *Tower) SyncView(v *chain.HeadView) {
 }
 
 // foldBlockLocked digests one block: creations are probed for tracked
-// templates, logs are decoded into lifecycle events, obligations and
-// alert rules are re-evaluated, and the block is anchored in the log.
+// templates, logs are decoded into lifecycle events, and, when rules
+// are set, obligations and the rules are evaluated at this height.
 func (t *Tower) foldBlockLocked(v *chain.HeadView, n uint64) {
 	var blockTime uint64
 	b, ok := v.BlockByNumber(n)
@@ -326,7 +356,7 @@ func (t *Tower) foldBlockLocked(v *chain.HeadView, n uint64) {
 				if ev := t.probeCreation(v, rcpt.From, *rcpt.ContractAddress); ev != nil {
 					ev.Block, ev.Time = n, blockTime
 					ev.TxHash = rcpt.TxHash.Hex()
-					t.recordLocked(ev, true)
+					t.recordLocked(ev)
 				}
 			}
 			for _, lg := range rcpt.Logs {
@@ -340,19 +370,32 @@ func (t *Tower) foldBlockLocked(v *chain.HeadView, n uint64) {
 				}
 				ev.Block, ev.Time = n, blockTime
 				ev.TxHash = rcpt.TxHash.Hex()
-				t.recordLocked(ev, true)
+				t.recordLocked(ev)
 			}
 		}
 	} else {
 		// Body unavailable (evicted with no journal): the block's events
-		// are unrecoverable. Anchor anyway so the tower keeps pace.
+		// are unrecoverable. Count it folded anyway so the tower keeps pace.
 		t.skipped++
+	}
+	t.folded = n
+	mBlocksFolded.Inc()
+	if len(t.rules.rules) == 0 {
+		return
 	}
 
 	// Domain signals at this height, then the alert rules over them.
-	overdue, perContract := t.overdueLocked(n)
-	signals := t.signalsLocked(n, v.BlockNumber(), overdue)
-	for _, f := range t.rules.eval(signals) {
+	// Blocks up to the build-time head are a rebuild, not lag.
+	lag := v.BlockNumber() - n
+	if n <= t.rebuilt {
+		lag = 0
+	}
+	overdue := t.overdueLocked(n)
+	var implicated []string
+	for _, f := range t.rules.eval(t.signalsLocked(lag, overdue)) {
+		if implicated == nil {
+			implicated = t.overdueContractsLocked(n)
+		}
 		ev := &Event{
 			Type:      "alert",
 			Block:     n,
@@ -360,23 +403,17 @@ func (t *Tower) foldBlockLocked(v *chain.HeadView, n uint64) {
 			Rule:      f.rule.Name,
 			Value:     f.value,
 			Detail:    fmt.Sprintf("%s: %s (value %g) held %d block(s)", f.rule.Name, f.rule.Expr(), f.value, maxU64(f.rule.ForBlocks, 1)),
-			Contracts: perContract,
+			Contracts: implicated,
 		}
-		t.recordLocked(ev, true)
+		t.recordLocked(ev)
 		mAlertsTotal.Inc()
 	}
-	anchor := &Event{Type: "anchor", Block: n, Time: blockTime, RuleState: t.rules.snapshot()}
-	t.recordLocked(anchor, true)
-	if err := t.log.sync(); err != nil && t.foldErr == nil {
-		t.foldErr = err
-	}
-	mBlocksFolded.Inc()
 }
 
-// recordLocked is the single write path for live and derived events:
-// assign a sequence number, apply to the state machines, stamp the
-// resulting state, persist, buffer.
-func (t *Tower) recordLocked(ev *Event, live bool) {
+// recordLocked is the single write path for lifecycle and alert
+// events: assign a sequence number, apply to the state machines, stamp
+// the resulting state, buffer, count.
+func (t *Tower) recordLocked(ev *Event) {
 	t.seq++
 	ev.Seq = t.seq
 	t.applyLocked(ev)
@@ -387,31 +424,27 @@ func (t *Tower) recordLocked(ev *Event, live bool) {
 	if cs != nil {
 		ev.State = cs.State
 	}
-	if err := t.log.append(ev); err != nil && t.foldErr == nil {
-		t.foldErr = err
-	}
 	t.bufferLocked(ev)
-	if live && ev.Type != "anchor" {
-		tmpl := ev.Template
-		if cs != nil {
-			tmpl = cs.Template
-		}
-		if tmpl == "" {
-			tmpl = "-"
-		}
-		mEvents.With(tmpl, ev.Type).Inc()
+	tmpl := ev.Template
+	if cs != nil {
+		tmpl = cs.Template
 	}
+	if tmpl == "" {
+		tmpl = "-"
+	}
+	mEvents.With(tmpl, ev.Type).Inc()
 }
 
-// applyLocked folds one event into the state machines. Replay and live
-// folding share this transition function — that identity is what makes
-// log replay converge with an uninterrupted run.
+// applyLocked folds one event into the state machines and keeps the
+// per-state count in step with them.
 func (t *Tower) applyLocked(ev *Event) {
 	addr, _ := parseAddr(ev.Contract)
 	cs := t.contracts[addr]
 	switch ev.Type {
 	case "created":
-		t.contracts[addr] = &contractState{
+		// A creation receipt's address derives from the sender's nonce,
+		// so no address is created twice.
+		cs = &contractState{
 			Addr:         addr,
 			Template:     ev.Template,
 			State:        StateDrafted,
@@ -420,9 +453,12 @@ func (t *Tower) applyLocked(ev *Event) {
 			RentWei:      ev.RentWei,
 			DepositWei:   ev.DepositWei,
 		}
+		t.contracts[addr] = cs
+		t.tracked = append(t.tracked, cs)
+		t.states[StateDrafted]++
 	case "signed":
 		if cs != nil {
-			cs.State = StateSigned
+			t.setStateLocked(cs, StateSigned)
 			cs.SignedBlock = ev.Block
 			cs.LastPayBlock = ev.Block
 			cs.LastPayTime = ev.Time
@@ -433,19 +469,19 @@ func (t *Tower) applyLocked(ev *Event) {
 			cs.LastPayBlock = ev.Block
 			cs.LastPayTime = ev.Time
 			if cs.State == StateSigned {
-				cs.State = StateActive
+				t.setStateLocked(cs, StateActive)
 			}
 		}
 	case "modify-pending":
 		if cs != nil {
 			if cs.State == StateSigned || cs.State == StateActive {
-				cs.State = StateModifiedPending
+				t.setStateLocked(cs, StateModifiedPending)
 			}
 			cs.ModifiedBlock = ev.Block
 		}
 	case "terminated":
 		if cs != nil {
-			cs.State = StateTerminated
+			t.setStateLocked(cs, StateTerminated)
 			cs.TermBlock = ev.Block
 		}
 	case "alert":
@@ -457,18 +493,21 @@ func (t *Tower) applyLocked(ev *Event) {
 		if len(t.alerts) > maxAlertHistory {
 			t.alerts = t.alerts[len(t.alerts)-maxAlertHistory:]
 		}
-	case "anchor":
-		t.folded = ev.Block
-		t.rules.restore(ev.RuleState)
+	}
+	if cs != nil {
+		_, cs.due, cs.owes = t.dueOf(cs)
 	}
 }
 
-// bufferLocked appends ev to the bounded in-memory buffer (anchors are
-// bookkeeping, not timeline content).
+// setStateLocked moves cs to state s.
+func (t *Tower) setStateLocked(cs *contractState, s string) {
+	t.states[cs.State]--
+	t.states[s]++
+	cs.State = s
+}
+
+// bufferLocked appends ev to the bounded in-memory buffer.
 func (t *Tower) bufferLocked(ev *Event) {
-	if ev.Type == "anchor" {
-		return
-	}
 	t.events = append(t.events, *ev)
 	if over := len(t.events) - t.cfg.MemEvents; over > 0 {
 		t.events = append(t.events[:0], t.events[over:]...)
@@ -582,59 +621,55 @@ func (t *Tower) observePaymentLag(v *chain.HeadView, cs *contractState, payBlock
 	mPaymentLag.Observe(float64(pb.Header.Time - dueBlock.Header.Time))
 }
 
-// overdueLocked counts overdue obligations at head and collects the
-// contracts carrying them (for alert attribution).
-func (t *Tower) overdueLocked(head uint64) (int, []string) {
+// overdueLocked counts the obligations overdue at head.
+func (t *Tower) overdueLocked(head uint64) int {
 	count := 0
+	for _, cs := range t.tracked {
+		if cs.owes && head > cs.due {
+			count++
+		}
+	}
+	return count
+}
+
+// overdueContractsLocked lists the contracts with an obligation overdue
+// at head, sorted, for alert attribution.
+func (t *Tower) overdueContractsLocked(head uint64) []string {
 	var addrs []string
-	for _, cs := range t.contracts {
-		for _, o := range t.obligationsOf(cs, head) {
-			if o.Overdue {
-				count++
-				addrs = append(addrs, o.Contract)
-			}
+	for _, cs := range t.tracked {
+		if cs.owes && head > cs.due {
+			addrs = append(addrs, cs.Addr.Hex())
 		}
 	}
 	sort.Strings(addrs)
-	return count, addrs
+	return addrs
 }
 
-// signalsLocked computes the rule-engine inputs at folded block n with
-// the chain head at head.
-func (t *Tower) signalsLocked(n, head uint64, overdue int) map[string]float64 {
-	counts := map[string]int{}
-	for _, cs := range t.contracts {
-		counts[cs.State]++
-	}
+// signalsLocked computes the rule-engine inputs for one folded block.
+func (t *Tower) signalsLocked(lag uint64, overdue int) map[string]float64 {
 	return map[string]float64{
 		"overdue":          float64(overdue),
 		"tracked":          float64(len(t.contracts)),
-		"fold_lag":         float64(head - n),
+		"fold_lag":         float64(lag),
 		"alerts_firing":    float64(t.rules.firing()),
-		"drafted":          float64(counts[StateDrafted]),
-		"signed":           float64(counts[StateSigned]),
-		"active":           float64(counts[StateActive]),
-		"modified_pending": float64(counts[StateModifiedPending]),
-		"terminated":       float64(counts[StateTerminated]),
+		"drafted":          float64(t.states[StateDrafted]),
+		"signed":           float64(t.states[StateSigned]),
+		"active":           float64(t.states[StateActive]),
+		"modified_pending": float64(t.states[StateModifiedPending]),
+		"terminated":       float64(t.states[StateTerminated]),
 	}
 }
 
 // updateGaugesLocked refreshes the metric surface after a fold pass.
 func (t *Tower) updateGaugesLocked(head uint64) {
-	counts := map[string]int{}
-	for _, cs := range t.contracts {
-		counts[cs.State]++
-	}
 	for _, s := range allStates {
-		mContracts.With(s).Set(int64(counts[s]))
+		mContracts.With(s).Set(int64(t.states[s]))
 	}
-	overdue, _ := t.overdueLocked(t.folded)
-	mOverdue.Set(int64(overdue))
+	mOverdue.Set(int64(t.overdueLocked(t.folded)))
 	mAlertsFiring.Set(int64(t.rules.firing()))
 	if head >= t.folded {
 		mFoldLag.Set(int64(head - t.folded))
 	}
-	mLogBytes.Set(t.log.size())
 }
 
 // --- read surface ----------------------------------------------------------
@@ -652,10 +687,8 @@ type Status struct {
 	AlertsTotal  uint64           `json:"alertsTotal"`
 	Events       uint64           `json:"events"`
 	SkippedBlks  uint64           `json:"skippedBlocks,omitempty"`
-	LogBytes     int64            `json:"logBytes,omitempty"`
 	Rules        []RuleStatus     `json:"rules,omitempty"`
 	Contracts    []ContractStatus `json:"contracts,omitempty"`
-	Error        string           `json:"error,omitempty"`
 }
 
 // RuleStatus is one rule plus its live engine counters.
@@ -693,17 +726,13 @@ func (t *Tower) Status() Status {
 		AlertsTotal: t.fired,
 		Events:      t.seq,
 		SkippedBlks: t.skipped,
-		LogBytes:    t.log.size(),
 	}
 	if head > t.folded {
 		st.LagBlocks = head - t.folded
 		mFoldLag.Set(int64(st.LagBlocks))
 	}
-	if t.foldErr != nil {
-		st.Error = t.foldErr.Error()
-	}
 	for _, s := range allStates {
-		st.States[s] = 0
+		st.States[s] = t.states[s]
 	}
 	addrs := make([]ethtypes.Address, 0, len(t.contracts))
 	for a := range t.contracts {
@@ -714,7 +743,6 @@ func (t *Tower) Status() Status {
 	})
 	for _, a := range addrs {
 		cs := t.contracts[a]
-		st.States[cs.State]++
 		obl := t.obligationsOf(cs, t.folded)
 		c := ContractStatus{
 			Address:    cs.Addr.Hex(),
@@ -735,8 +763,8 @@ func (t *Tower) Status() Status {
 		st.Contracts = append(st.Contracts, c)
 	}
 	st.AlertsFiring = t.rules.firing()
-	for _, r := range t.rules.rules {
-		rs := t.rules.state[r.Name]
+	for i, r := range t.rules.rules {
+		rs := t.rules.state[i]
 		st.Rules = append(st.Rules, RuleStatus{Rule: r, Firing: rs.Firing, Consecutive: rs.Consecutive})
 	}
 	return st

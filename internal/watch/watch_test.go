@@ -15,10 +15,20 @@ import (
 func rig(t *testing.T, n int) (*chain.Blockchain, *web3.Client, []wallet.Account) {
 	t.Helper()
 	accs := wallet.DevAccounts("watch test", n)
+	bc := chain.New(rigGenesis(accs))
+	t.Cleanup(func() { bc.Close() })
+	return bc, clientFor(t, bc, accs), accs
+}
+
+func rigGenesis(accs []wallet.Account) *chain.Genesis {
 	g := chain.DefaultGenesis()
 	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1000))
-	bc := chain.New(g)
-	t.Cleanup(func() { bc.Close() })
+	return g
+}
+
+// clientFor returns a web3 client over bc that signs for accs.
+func clientFor(t *testing.T, bc *chain.Blockchain, accs []wallet.Account) *web3.Client {
+	t.Helper()
 	ks := wallet.NewKeystore()
 	for _, a := range accs {
 		ks.Import(a.Key)
@@ -27,7 +37,7 @@ func rig(t *testing.T, n int) (*chain.Blockchain, *web3.Client, []wallet.Account
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bc, client, accs
+	return client
 }
 
 func deployRental(t *testing.T, client *web3.Client, landlord wallet.Account, months uint64) *web3.BoundContract {
