@@ -65,21 +65,20 @@ type Blockchain struct {
 	gasLimit uint64
 	coinbase ethtypes.Address
 
-	// Writer-owned canonical chain. blocks and allLogs are shared with
+	// Writer-owned canonical chain. blocks and rcpts are shared with
 	// published views: appends never overwrite a published element, and
 	// cold-data eviction replaces the slice headers with reallocated
 	// suffixes (never truncating in place), so a published view's slices
 	// stay intact. The hash indexes are persistent generation chains
-	// whose published generations are immutable; byHash maps to block
-	// numbers (not bodies) so evicted blocks don't stay pinned.
-	st       *state.StateDB
-	blocks   []*ethtypes.Block // blocks[i] is block number blocksBase+i
-	byHash   *pindex[uint64]
-	receipts *pindex[*ethtypes.Receipt]
-	rcpts    [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts, in order
-	txs      *pindex[*ethtypes.Transaction]
-	allLogs  []*ethtypes.Log
-	pending  []*ethtypes.Transaction // batch-mining queue (SubmitTransaction)
+	// whose published generations are immutable; they map to block
+	// numbers and positions (not bodies) so evicted blocks don't stay
+	// pinned.
+	st      *state.StateDB
+	blocks  []*ethtypes.Block // blocks[i] is block number blocksBase+i
+	byHash  *pindex[uint64]
+	rcpts   [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts, in order
+	txPos   *pindex[txPos]
+	pending []*ethtypes.Transaction // batch-mining queue (SubmitTransaction)
 	// pendingSet mirrors pending's hashes for O(1) duplicate checks.
 	pendingSet map[ethtypes.Hash]struct{}
 
@@ -303,7 +302,7 @@ func (bc *Blockchain) admitStateless(tx *ethtypes.Transaction) (ethtypes.Hash, e
 	if tx.Gas > bc.gasLimit {
 		return ethtypes.Hash{}, ethtypes.Address{}, ErrGasLimitExceeded
 	}
-	if _, known := bc.View().txs.get(hash); known {
+	if _, known := bc.View().txPos.get(hash); known {
 		return hash, ethtypes.Address{}, ErrKnownTransaction
 	}
 	sender, err := tx.Sender(bc.chainID)
@@ -317,7 +316,7 @@ func (bc *Blockchain) admitStateless(tx *ethtypes.Transaction) (ethtypes.Hash, e
 // view admitStateless consulted may be blocks behind by the time bc.mu
 // is held, and only the writer sees the pool.
 func (bc *Blockchain) knownLocked(hash ethtypes.Hash) bool {
-	if _, sealed := bc.txs.get(hash); sealed {
+	if _, sealed := bc.txPos.get(hash); sealed {
 		return true
 	}
 	_, queued := bc.pendingSet[hash]

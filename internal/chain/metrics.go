@@ -39,7 +39,7 @@ var (
 	mBlocksEvicted = metrics.Default.Counter("legalchain_chain_blocks_evicted_total",
 		"Cold block bodies evicted from memory to the block log.")
 	mBlockReadThrough = metrics.Default.Counter("legalchain_chain_block_read_through_total",
-		"Reads of evicted blocks or logs served from the block log.")
+		"Reads of evicted blocks, transactions, receipts or logs served from the block log.")
 	mSubscribers = metrics.Default.Gauge("legalchain_chain_subscribers",
 		"Live hub subscriptions (WS + SSE + in-process).")
 	mSubEvents = metrics.Default.Counter("legalchain_chain_sub_events_total",

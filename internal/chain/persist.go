@@ -56,9 +56,9 @@ type PersistConfig struct {
 	// in the live state between blocks (0 = DefaultMaxResidentAccounts).
 	// Only meaningful with StateStore.
 	MaxResidentAccounts int
-	// RetainBlocks bounds how many recent block bodies (and their logs)
-	// stay resident; older blocks evict to the block log and read back
-	// through on demand (0 = keep everything resident).
+	// RetainBlocks bounds how many recent block bodies (and their
+	// receipts) stay resident; older blocks evict to the block log and
+	// read back through on demand (0 = keep everything resident).
 	RetainBlocks uint64
 }
 
@@ -327,9 +327,7 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	bc.rcpts = [][]*ethtypes.Receipt{nil}
 	bc.blocksBase = 0
 	bc.byHash = (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0)
-	bc.receipts = nil
-	bc.txs = nil
-	bc.allLogs = nil
+	bc.txPos = nil
 	bc.timeOffset = 0
 
 	base := 0

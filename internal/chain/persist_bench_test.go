@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"legalchain/internal/ethtypes"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 )
@@ -97,6 +99,52 @@ func BenchmarkRecovery(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("replayAll/blocks=%d", n), func(b *testing.B) {
 			benchRecovery(b, n, false)
+		})
+	}
+}
+
+// BenchmarkRetainedHeap seals 9 000 transfers carrying 256 bytes of
+// data into a durable chain and reports the heap in use afterwards and
+// its growth per transaction, with every block resident (retain=0) and
+// with 16 resident (retain=16). With eviction on, what stays is the
+// hash → position and hash → number index entries.
+func BenchmarkRetainedHeap(b *testing.B) {
+	const txs = 9_000
+	data := make([]byte, 256)
+	for i := range data {
+		data[i] = byte(i) | 1
+	}
+	for _, retain := range []uint64{0, 16} {
+		b.Run(fmt.Sprintf("retain=%d", retain), func(b *testing.B) {
+			var before, after runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				accs := wallet.DevAccounts("bench heap", 2)
+				bc, err := Open(persistGenesis(accs), WithPersistence(PersistConfig{
+					DataDir: b.TempDir(), NoSync: true, RetainBlocks: retain,
+				}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for n := uint64(0); n < txs; n++ {
+					tx := &ethtypes.Transaction{
+						Nonce: n, GasPrice: ethtypes.Gwei(1), Gas: 30_000,
+						To: &accs[1].Address, Value: uint256.One, Data: data,
+					}
+					tx.Sign(accs[0].Key, bc.ChainID())
+					if _, err := bc.SendTransaction(tx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				if err := bc.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(after.HeapInuse)/(1<<20), "heap-MiB")
+			b.ReportMetric(float64(int64(after.HeapInuse)-int64(before.HeapInuse))/txs, "heap-B/tx")
 		})
 	}
 }

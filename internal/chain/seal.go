@@ -36,11 +36,11 @@ func (bc *Blockchain) sealLocked(ctx context.Context, header *ethtypes.Header, i
 // evictColdLocked bounds resident memory after a block lands: clean
 // account objects beyond maxResident drop out of the live state (they
 // read back through the state store's cache), and block bodies older
-// than retainBlocks evict to the block log together with their logs.
-// Both evictions require the evicted data to be durably committed, so
-// a latched persist error freezes eviction. Slices are reallocated,
-// never truncated in place — published views keep their own headers
-// over the old backing array.
+// than retainBlocks evict to the block log together with their
+// receipts. Both evictions require the evicted data to be durably
+// committed, so a latched persist error freezes eviction. Slices are
+// reallocated, never truncated in place — published views keep their
+// own headers over the old backing array.
 func (bc *Blockchain) evictColdLocked() {
 	if bc.persistErr != nil {
 		return
@@ -65,57 +65,32 @@ func (bc *Blockchain) evictColdLocked() {
 	bc.rcpts = nr
 	bc.blocksBase = newBase
 	mBlocksEvicted.Add(uint64(cut))
-	keep := 0
-	for keep < len(bc.allLogs) && bc.allLogs[keep].BlockNumber < newBase {
-		keep++
-	}
-	if keep > 0 {
-		nl := make([]*ethtypes.Log, len(bc.allLogs)-keep)
-		copy(nl, bc.allLogs[keep:])
-		bc.allLogs = nl
-	}
 }
 
 // installBlockLocked appends a sealed or replayed block and its
-// receipts to the writer-owned indexes, stamping the block hash into
-// every receipt and log.
+// receipts to the writer-owned chain, stamping the block hash into
+// every receipt and log and each transaction's position into the
+// position index.
 func (bc *Blockchain) installBlockLocked(block *ethtypes.Block, receipts []*ethtypes.Receipt) {
 	blockHash := block.Hash()
-	newReceipts := make(map[ethtypes.Hash]*ethtypes.Receipt, len(receipts))
-	newTxs := make(map[ethtypes.Hash]*ethtypes.Transaction, len(block.Transactions))
+	positions := make(map[ethtypes.Hash]txPos, len(block.Transactions))
 	for i, rcpt := range receipts {
 		rcpt.BlockHash = blockHash
 		for _, l := range rcpt.Logs {
 			l.BlockHash = blockHash
 		}
-		newReceipts[rcpt.TxHash] = rcpt
-		newTxs[block.Transactions[i].Hash()] = block.Transactions[i]
-		bc.allLogs = append(bc.allLogs, rcpt.Logs...)
+		positions[block.Transactions[i].Hash()] = txPos{block: block.Number(), index: i}
 	}
-	bc.receipts = bc.receipts.with(newReceipts)
-	bc.txs = bc.txs.with(newTxs)
+	bc.txPos = bc.txPos.with(positions)
 	bc.blocks = append(bc.blocks, block)
 	bc.rcpts = append(bc.rcpts, receipts)
 	bc.byHash = bc.byHash.with1(blockHash, block.Number())
 }
 
 // blockHashFnLocked captures a BLOCKHASH resolver over the writer-owned
-// chain: resident blocks resolve against the captured slice, evicted
-// ones through the block log.
+// chain: the view's own resolver, over the writer's slices as they are
+// now.
 func (bc *Blockchain) blockHashFnLocked() func(uint64) ethtypes.Hash {
-	blocks := bc.blocks
-	base := bc.blocksBase
-	db := bc.db
-	return func(n uint64) ethtypes.Hash {
-		if n >= base && n-base < uint64(len(blocks)) {
-			return blocks[n-base].Hash()
-		}
-		if n < base && db != nil {
-			// Evicted to the block log; reads are lock-free (pread).
-			if rec, err := db.ReadRecord(n); err == nil {
-				return rec.Block().Hash()
-			}
-		}
-		return ethtypes.Hash{}
-	}
+	v := &HeadView{head: bc.blocks[len(bc.blocks)-1], blocks: bc.blocks, rcpts: bc.rcpts, db: bc.db, blocksBase: bc.blocksBase}
+	return v.blockHash
 }

@@ -101,7 +101,7 @@ func (bc *Blockchain) traceBlock(ctx context.Context, view *HeadView, n uint64, 
 	if n == 0 {
 		return nil, fmt.Errorf("%w: genesis holds no transactions", ErrTraceNotFound)
 	}
-	block, ok := view.BlockByNumber(n)
+	block, stored, ok := view.blockAt(n)
 	if !ok {
 		return nil, fmt.Errorf("%w: block %d", ErrTraceNotFound, n)
 	}
@@ -121,13 +121,12 @@ func (bc *Blockchain) traceBlock(ctx context.Context, view *HeadView, n uint64, 
 	if err != nil {
 		return nil, err
 	}
+	if len(stored) != len(receipts) {
+		return nil, fmt.Errorf("%w: block %d has %d stored receipts for %d transactions", ErrTraceDiverged, n, len(stored), len(receipts))
+	}
 	traces := make([]*TxTrace, 0, len(receipts))
 	for i, rcpt := range receipts {
-		stored, ok := view.GetReceipt(block.Transactions[i].Hash())
-		if !ok {
-			return nil, fmt.Errorf("%w: no stored receipt for tx %d of block %d", ErrTraceDiverged, i, n)
-		}
-		if err := receiptsMatch(rcpt, stored); err != nil {
+		if err := receiptsMatch(rcpt, stored[i]); err != nil {
 			return nil, fmt.Errorf("%w: block %d tx %d: %v", ErrTraceDiverged, n, i, err)
 		}
 		traces = append(traces, &TxTrace{

@@ -17,12 +17,13 @@ import (
 // Lock-free read path. On every seal (and on recovery and time
 // adjustment) the writer publishes an immutable HeadView through an
 // atomic pointer: the sealed head block, a frozen copy-on-write state
-// snapshot, and persistent (structurally shared) indexes over blocks,
-// transactions, receipts and logs. Readers load the pointer once and
-// resolve entirely against the view — no mutex, no map shared with the
-// writer — so a landlord deploying a contract (SendTransaction holds
-// bc.mu across EVM execution, state-root hashing and fsync) never
-// stalls a tenant's dashboard query.
+// snapshot, the sealed blocks with their receipts, and persistent
+// (structurally shared) hash indexes over block numbers and transaction
+// positions. Readers load the pointer once and resolve entirely against
+// the view — no mutex, no map shared with the writer — so a landlord
+// deploying a contract (SendTransaction holds bc.mu across EVM
+// execution, state-root hashing and fsync) never stalls a tenant's
+// dashboard query.
 //
 // Safety rests on three invariants:
 //
@@ -30,7 +31,7 @@ import (
 //     The state snapshot is Freeze()-d (mutators panic), blocks,
 //     receipts and logs are never touched after their seal, and the
 //     index generations are never mutated after linking.
-//  2. The blocks and logs slices are shared with the writer, which only
+//  2. The blocks and rcpts slices are shared with the writer, which only
 //     ever appends. A view captures the slice value (pointer, length);
 //     appends either write past every published length or reallocate,
 //     so no published element is ever overwritten.
@@ -115,16 +116,14 @@ type HeadView struct {
 	gasLimit uint64
 	coinbase ethtypes.Address
 
-	head     *ethtypes.Block
-	blocks   []*ethtypes.Block // blocks[i] is block blocksBase+i; frozen, writer appends past len
-	st       *state.StateDB    // frozen (state.Freeze) snapshot at head
-	byHash   *pindex[uint64]   // block hash → number (resident or evicted)
-	receipts *pindex[*ethtypes.Receipt]
-	rcpts    [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts; same sharing as blocks
-	txs      *pindex[*ethtypes.Transaction]
-	logs     []*ethtypes.Log // same sharing as blocks; logs of evicted blocks live in db
+	head   *ethtypes.Block
+	blocks []*ethtypes.Block     // blocks[i] is block blocksBase+i; frozen, writer appends past len
+	rcpts  [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts; same sharing as blocks
+	st     *state.StateDB        // frozen (state.Freeze) snapshot at head
+	byHash *pindex[uint64]       // block hash → number (resident or evicted)
+	txPos  *pindex[txPos]        // transaction hash → position (resident or evicted)
 
-	// Cold-data read-through: blocks (and their logs) older than
+	// Cold-data read-through: blocks (and their receipts) older than
 	// blocksBase were evicted from memory and are served from the block
 	// log. db reads are lock-free (positional pread on sealed segments).
 	db         *blockdb.Log
@@ -155,10 +154,6 @@ func (v *HeadView) StateRoot() ethtypes.Hash {
 	return v.st.Root()
 }
 
-// State returns the frozen state snapshot at the view's head. Mutating
-// it panics; Copy() it for speculative execution.
-func (v *HeadView) State() *state.StateDB { return v.st }
-
 // PublishedAt returns when the view was published.
 func (v *HeadView) PublishedAt() time.Time { return v.published }
 
@@ -166,21 +161,30 @@ func (v *HeadView) PublishedAt() time.Time { return v.published }
 // read back through the block log.
 func (v *HeadView) BlockByNumber(n uint64) (*ethtypes.Block, bool) {
 	mViewReads.Inc()
-	if n >= v.blocksBase+uint64(len(v.blocks)) {
-		return nil, false
+	b, _, ok := v.blockAt(n)
+	return b, ok
+}
+
+// blockAt is the one read of a sealed block: block n and its receipts
+// in transaction order, from the view's slices while resident, read
+// back through the block log once evicted. The slices are the view's
+// (or the decoded record's) and must not be modified.
+func (v *HeadView) blockAt(n uint64) (*ethtypes.Block, []*ethtypes.Receipt, bool) {
+	if n > v.head.Number() {
+		return nil, nil, false
 	}
 	if n >= v.blocksBase {
-		return v.blocks[n-v.blocksBase], true
+		return v.blocks[n-v.blocksBase], v.rcpts[n-v.blocksBase], true
 	}
 	if v.db == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	rec, err := v.db.ReadRecord(n)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
 	mBlockReadThrough.Inc()
-	return rec.Block(), true
+	return rec.Block(), rec.Receipts, true
 }
 
 // BlockByHash returns a block by hash.
@@ -217,42 +221,50 @@ func (v *HeadView) GetStorageAt(addr ethtypes.Address, slot ethtypes.Hash) uint2
 	return v.st.GetState(addr, slot)
 }
 
+// txPos is where a sealed transaction sits: the number of its block and
+// its index there, which is also its receipt's index.
+type txPos struct {
+	block uint64
+	index int
+}
+
 // GetReceipt returns the receipt of a transaction mined at or before
 // the view's head.
 func (v *HeadView) GetReceipt(txHash ethtypes.Hash) (*ethtypes.Receipt, bool) {
 	mViewReads.Inc()
-	return v.receipts.get(txHash)
+	p, ok := v.txPos.get(txHash)
+	if !ok {
+		return nil, false
+	}
+	_, rcpts, ok := v.blockAt(p.block)
+	if !ok {
+		return nil, false
+	}
+	return rcpts[p.index], true
 }
 
 // ReceiptsOf returns the receipts of block n in transaction order; the
-// slice is the view's and must not be modified. Resident blocks keep
-// their receipts beside them, so no transaction is hashed; evicted
-// blocks read the persisted record, which carries its receipts
-// verbatim. Consumers folding whole blocks (the watchtower) use this
-// instead of per-hash GetReceipt lookups.
+// slice is the view's and must not be modified. Consumers folding whole
+// blocks (the watchtower) use this instead of per-hash GetReceipt
+// lookups.
 func (v *HeadView) ReceiptsOf(n uint64) []*ethtypes.Receipt {
 	mViewReads.Inc()
-	if n < v.blocksBase {
-		if v.db == nil {
-			return nil
-		}
-		rec, err := v.db.ReadRecord(n)
-		if err != nil {
-			return nil
-		}
-		mBlockReadThrough.Inc()
-		return rec.Receipts
-	}
-	if n > v.head.Number() {
-		return nil
-	}
-	return v.rcpts[n-v.blocksBase]
+	_, rcpts, _ := v.blockAt(n)
+	return rcpts
 }
 
 // GetTransaction returns a mined transaction by hash.
 func (v *HeadView) GetTransaction(txHash ethtypes.Hash) (*ethtypes.Transaction, bool) {
 	mViewReads.Inc()
-	return v.txs.get(txHash)
+	p, ok := v.txPos.get(txHash)
+	if !ok {
+		return nil, false
+	}
+	b, _, ok := v.blockAt(p.block)
+	if !ok {
+		return nil, false
+	}
+	return b.Transactions[p.index], true
 }
 
 // TotalSupply sums all balances at the view's head.
@@ -263,46 +275,31 @@ func (v *HeadView) TotalSupply() uint256.Int {
 
 // FilterLogs returns the mined logs matching q, in order. The result is
 // owned by the view: logs sealed after the view was published are never
-// observed, even mid-append.
+// observed, even mid-append. It walks blocks max(from, 1)..min(to, head)
+// — the genesis holds no logs — so a one-block query costs one block.
 func (v *HeadView) FilterLogs(q FilterQuery) []*ethtypes.Log {
 	mViewReads.Inc()
 	to := v.head.Number()
 	if q.ToBlock != nil {
-		to = *q.ToBlock
+		to = min(to, *q.ToBlock)
 	}
 	var out []*ethtypes.Log
-	// Evicted range first (log order is block order): logs of blocks
-	// below blocksBase read back through their journaled receipts.
-	if v.db != nil && v.blocksBase > 0 && q.FromBlock < v.blocksBase {
-		for n := max(q.FromBlock, 1); n < v.blocksBase && n <= to; n++ {
-			rec, err := v.db.ReadRecord(n)
-			if err != nil {
-				continue
-			}
-			mBlockReadThrough.Inc()
-			for _, rcpt := range rec.Receipts {
-				for _, l := range rcpt.Logs {
-					if logMatches(q, l, to) {
-						out = append(out, l)
-					}
+	for n := max(q.FromBlock, 1); n <= to; n++ {
+		_, rcpts, _ := v.blockAt(n)
+		for _, rcpt := range rcpts {
+			for _, l := range rcpt.Logs {
+				if logMatches(q, l) {
+					out = append(out, l)
 				}
 			}
-		}
-	}
-	for _, l := range v.logs {
-		if logMatches(q, l, to) {
-			out = append(out, l)
 		}
 	}
 	return out
 }
 
-// logMatches reports whether l satisfies q's range, address and topic
-// constraints (to is the resolved upper block bound).
-func logMatches(q FilterQuery, l *ethtypes.Log, to uint64) bool {
-	if l.BlockNumber < q.FromBlock || l.BlockNumber > to {
-		return false
-	}
+// logMatches reports whether l satisfies q's address and topic
+// constraints.
+func logMatches(q FilterQuery, l *ethtypes.Log) bool {
 	if len(q.Addresses) > 0 && !containsAddr(q.Addresses, l.Address) {
 		return false
 	}
@@ -321,9 +318,10 @@ func (v *HeadView) nextHeader() *ethtypes.Header {
 	}
 }
 
-// blockHash resolves BLOCKHASH against the view's own block index.
+// blockHash resolves BLOCKHASH against the view's own blocks. The
+// writer's sealing paths resolve through it too (blockHashFnLocked).
 func (v *HeadView) blockHash(n uint64) ethtypes.Hash {
-	if b, ok := v.BlockByNumber(n); ok {
+	if b, _, ok := v.blockAt(n); ok {
 		return b.Hash()
 	}
 	return ethtypes.Hash{}
@@ -462,12 +460,10 @@ func (bc *Blockchain) publishHeadLocked() {
 		coinbase:   bc.coinbase,
 		head:       head,
 		blocks:     bc.blocks,
+		rcpts:      bc.rcpts,
 		st:         frozen,
 		byHash:     bc.byHash,
-		receipts:   bc.receipts,
-		rcpts:      bc.rcpts,
-		txs:        bc.txs,
-		logs:       bc.allLogs,
+		txPos:      bc.txPos,
 		db:         bc.db,
 		blocksBase: bc.blocksBase,
 		timeOffset: bc.timeOffset,

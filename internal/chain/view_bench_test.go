@@ -1,11 +1,13 @@
 package chain
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 )
@@ -118,5 +120,76 @@ func BenchmarkReadsDuringSeal(b *testing.B) {
 	wg.Wait()
 	if sealErr != nil {
 		b.Fatal(sealErr)
+	}
+}
+
+// logViews are the views of one memory chain at 1 000 and 10 000
+// blocks, one Counter log in every block after the deploy; built once
+// for every BenchmarkFilterLogs case.
+var logViews struct {
+	once  sync.Once
+	views map[int]*HeadView
+	addr  ethtypes.Address
+	err   error
+}
+
+func buildLogViews(b *testing.B) {
+	accs := wallet.DevAccounts("bench-logs", 1)
+	g := DefaultGenesis()
+	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1_000_000))
+	bc := New(g)
+	logViews.views = map[int]*HeadView{}
+	logViews.addr, _ = deployCounter(b, bc, accs[0])
+	art, err := minisol.CompileContract(counterSrc, "Counter")
+	if err != nil {
+		logViews.err = err
+		return
+	}
+	inc, _ := art.ABI.Pack("increment")
+	for n := 2; n <= 10_000; n++ {
+		tx := &ethtypes.Transaction{
+			Nonce: uint64(n - 1), GasPrice: ethtypes.Gwei(1), Gas: 200_000,
+			To: &logViews.addr, Data: inc,
+		}
+		tx.Sign(accs[0].Key, bc.ChainID())
+		if _, err := bc.SendTransaction(tx); err != nil {
+			logViews.err = err
+			return
+		}
+		if n == 1_000 || n == 10_000 {
+			logViews.views[n] = bc.View()
+		}
+	}
+}
+
+// BenchmarkFilterLogs measures one-block queries (what a logs
+// subscription, an SSE event stream or a polling filter runs per head)
+// and full-range queries, by address, on a chain with a log in every
+// block.
+func BenchmarkFilterLogs(b *testing.B) {
+	logViews.once.Do(func() { buildLogViews(b) })
+	if logViews.err != nil {
+		b.Fatal(logViews.err)
+	}
+	for _, blocks := range []int{1_000, 10_000} {
+		v := logViews.views[blocks]
+		head := v.BlockNumber()
+		for _, r := range []struct {
+			name string
+			q    FilterQuery
+			want int
+		}{
+			{"one", FilterQuery{FromBlock: head, ToBlock: &head, Addresses: []ethtypes.Address{logViews.addr}}, 1},
+			{"full", FilterQuery{Addresses: []ethtypes.Address{logViews.addr}}, blocks - 1},
+		} {
+			b.Run(fmt.Sprintf("blocks=%d/range=%s", blocks, r.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if got := len(v.FilterLogs(r.q)); got != r.want {
+						b.Fatalf("%d logs, want %d", got, r.want)
+					}
+				}
+			})
+		}
 	}
 }

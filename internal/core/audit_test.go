@@ -65,7 +65,7 @@ func TestAuditStepsMatchStructLogger(t *testing.T) {
 	}
 	head := dep.Contract.Address
 	for n := uint64(2); n <= 3; n++ {
-		next, err := m.ModifyContract(landlord, head, art, ModifyOptions{SkipVerify: true}, uint256.NewUint64(n))
+		next, err := m.ModifyContract(landlord, head, art, ModifyOptions{}, uint256.NewUint64(n))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -448,9 +448,6 @@ type ModifyOptions struct {
 	// must satisfy when deployed on a fork of the live head, checked by
 	// the upgrade guard before the versions are linked.
 	Properties []upgrade.Property
-	// SkipVerify bypasses the upgrade guard entirely (tests and
-	// benchmarks of the unguarded path only).
-	SkipVerify bool
 	// LegalDoc is the updated legal document (PDF) for the new version.
 	LegalDoc []byte
 }
@@ -552,17 +549,15 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 	}
 
 	// The upgrade guard: verify the candidate before any state changes.
-	if !opts.SkipVerify {
-		report, err := m.VerifyUpgrade(from, prevAddr, art, opts.Properties, args...)
-		if err != nil {
-			return nil, err
+	report, err := m.VerifyUpgrade(from, prevAddr, art, opts.Properties, args...)
+	if err != nil {
+		return nil, err
+	}
+	if !report.OK() {
+		if rerr := m.recordRejection(from, prevAddr, report); rerr != nil {
+			return nil, fmt.Errorf("core: recording upgrade rejection: %w", rerr)
 		}
-		if !report.OK() {
-			if rerr := m.recordRejection(from, prevAddr, report); rerr != nil {
-				return nil, fmt.Errorf("core: recording upgrade rejection: %w", rerr)
-			}
-			return nil, &upgrade.RejectionError{Report: report}
-		}
+		return nil, &upgrade.RejectionError{Report: report}
 	}
 
 	// Optional: snapshot selected fields of the old version into the

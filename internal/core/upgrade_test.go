@@ -325,23 +325,6 @@ func TestAuditChainReportsDiffs(t *testing.T) {
 	}
 }
 
-// TestSkipVerifyEscapeHatch: the unguarded path still works for callers
-// that explicitly opt out (benchmarks of the legacy flow).
-func TestSkipVerifyEscapeHatch(t *testing.T) {
-	m, accs := rig(t)
-	landlord := accs[0].Address
-	v1 := deployRental(t, m, landlord)
-
-	art, err := minisol.CompileContract(degradedSrc, "Degraded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ModifyContract(landlord, v1.Contract.Address, art,
-		ModifyOptions{SkipVerify: true}, ethtypes.Ether(1)); err != nil {
-		t.Fatalf("SkipVerify path failed: %v", err)
-	}
-}
-
 // lossyStore is a blob store that has lost one blob, as a damaged data
 // directory would have.
 type lossyStore struct {

@@ -171,6 +171,61 @@ func TestLogFilterPolling(t *testing.T) {
 	}
 }
 
+// TestGetLogsNamedFromBlock: every named fromBlock tag resolves through
+// the same rule as toBlock — "latest", "pending" and "safe" are the
+// head, not genesis. A polling filter created at "latest" still watches
+// only later blocks; eth_getFilterLogs reads it from the head it was
+// created at.
+func TestGetLogsNamedFromBlock(t *testing.T) {
+	client, accs, srv := rig(t)
+	art, err := minisol.CompileContract(rpcCounterSrc, "Counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, _, err := client.Deploy(web3.TxOpts{From: accs[0].Address}, art.ABI, art.Bytecode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	increment := func() {
+		t.Helper()
+		if _, err := bound.Transact(web3.TxOpts{From: accs[1].Address}, "increment"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		increment()
+	}
+	var logs []struct {
+		BlockHash string `json:"blockHash"`
+	}
+	for tag, want := range map[string]int{"latest": 1, "pending": 1, "safe": 1, "finalized": 1, "earliest": 3} {
+		call(t, srv.URL, "eth_getLogs", `[{"fromBlock":"`+tag+`"}]`, &logs)
+		if len(logs) != want {
+			t.Fatalf("fromBlock %q: %d logs, want %d", tag, len(logs), want)
+		}
+		if logs[want-1].BlockHash != headHash(t, srv.URL) {
+			t.Fatalf("fromBlock %q: newest log is not the head's", tag)
+		}
+	}
+
+	var id string
+	call(t, srv.URL, "eth_newFilter", `[{"fromBlock":"latest","address":"`+bound.Address.Hex()+`"}]`, &id)
+	call(t, srv.URL, "eth_getFilterChanges", `["`+id+`"]`, &logs)
+	if len(logs) != 0 {
+		t.Fatalf("a filter created at latest reported %d earlier logs", len(logs))
+	}
+	increment()
+	call(t, srv.URL, "eth_getFilterChanges", `["`+id+`"]`, &logs)
+	if len(logs) != 1 {
+		t.Fatalf("changes = %d logs, want 1", len(logs))
+	}
+	// The head at creation and the block sealed since.
+	call(t, srv.URL, "eth_getFilterLogs", `["`+id+`"]`, &logs)
+	if len(logs) != 2 {
+		t.Fatalf("getFilterLogs = %d logs, want 2", len(logs))
+	}
+}
+
 func TestGetBlockFullTransactions(t *testing.T) {
 	client, accs, srv := rig(t)
 	client.Transfer(web3.TxOpts{From: accs[0].Address, Value: ethtypes.Ether(1)}, accs[1].Address)

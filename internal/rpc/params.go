@@ -99,7 +99,7 @@ func filterParam(params []json.RawMessage, i int, latest uint64) (chain.FilterQu
 		return q, invalidParams("bad filter object: %v", err)
 	}
 	var err error
-	if obj.FromBlock != "" && obj.FromBlock != "latest" && obj.FromBlock != "pending" {
+	if obj.FromBlock != "" {
 		if q.FromBlock, err = parseBlockTag(obj.FromBlock, latest); err != nil {
 			return q, err
 		}

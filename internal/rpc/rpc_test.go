@@ -9,6 +9,7 @@ import (
 
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/hexutil"
 	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
@@ -83,12 +84,21 @@ func TestGetTransactionByHashReusesAdmissionRecovery(t *testing.T) {
 	}
 	for read := 1; read <= 2; read++ {
 		var tx struct {
-			Hash string `json:"hash"`
-			From string `json:"from"`
+			Hash             string `json:"hash"`
+			From             string `json:"from"`
+			BlockHash        string `json:"blockHash"`
+			BlockNumber      string `json:"blockNumber"`
+			TransactionIndex string `json:"transactionIndex"`
 		}
 		call(t, srv.URL, "eth_getTransactionByHash", `["`+rcpt.TxHash.Hex()+`"]`, &tx)
 		if tx.Hash != rcpt.TxHash.Hex() || tx.From != accs[0].Address.Hex() {
 			t.Fatalf("read %d: hash %s from %s", read, tx.Hash, tx.From)
+		}
+		// A mined transaction carries its position, as in a full block.
+		if tx.BlockHash != rcpt.BlockHash.Hex() || tx.BlockHash != headHash(t, srv.URL) ||
+			tx.BlockNumber != hexutil.EncodeUint64(rcpt.BlockNumber) || tx.TransactionIndex != "0x0" {
+			t.Fatalf("read %d: position block %s number %s index %s, want %s %d 0",
+				read, tx.BlockHash, tx.BlockNumber, tx.TransactionIndex, rcpt.BlockHash.Hex(), rcpt.BlockNumber)
 		}
 		if r, _ := ethtypes.SenderStats(); r != r0+1 {
 			t.Fatalf("read %d recovered %d more senders, want 0", read, r-r0-1)

@@ -368,11 +368,15 @@ func (s *Server) dispatch(ctx context.Context, method string, params []json.RawM
 		if err != nil {
 			return nil, err
 		}
-		tx, ok := s.bc.GetTransaction(h)
-		if !ok {
+		// One view, so the transaction and its receipt's position come
+		// from the same chain.
+		v := s.bc.View()
+		tx, ok := v.GetTransaction(h)
+		rcpt, found := v.GetReceipt(h)
+		if !ok || !found {
 			return nil, nil
 		}
-		return txJSON(tx, s.bc.ChainID()), nil
+		return txJSON(tx, s.bc.ChainID(), rcpt.BlockHash, rcpt.BlockNumber, rcpt.TxIndex), nil
 
 	case "eth_getBlockByNumber":
 		tag, err := strParam(params, 0)
@@ -592,14 +596,19 @@ func logJSON(l *ethtypes.Log) map[string]interface{} {
 	}
 }
 
-func txJSON(tx *ethtypes.Transaction, chainID uint64) map[string]interface{} {
+// txJSON renders a sealed transaction at its position: the block it
+// sits in and its index there.
+func txJSON(tx *ethtypes.Transaction, chainID uint64, blockHash ethtypes.Hash, blockNumber uint64, index uint) map[string]interface{} {
 	out := map[string]interface{}{
-		"hash":     tx.Hash().Hex(),
-		"nonce":    hexutil.EncodeUint64(tx.Nonce),
-		"gas":      hexutil.EncodeUint64(tx.Gas),
-		"gasPrice": hexutil.EncodeBig(tx.GasPrice.ToBig()),
-		"value":    hexutil.EncodeBig(tx.Value.ToBig()),
-		"input":    hexutil.Encode(tx.Data),
+		"hash":             tx.Hash().Hex(),
+		"nonce":            hexutil.EncodeUint64(tx.Nonce),
+		"gas":              hexutil.EncodeUint64(tx.Gas),
+		"gasPrice":         hexutil.EncodeBig(tx.GasPrice.ToBig()),
+		"value":            hexutil.EncodeBig(tx.Value.ToBig()),
+		"input":            hexutil.Encode(tx.Data),
+		"blockHash":        blockHash.Hex(),
+		"blockNumber":      hexutil.EncodeUint64(blockNumber),
+		"transactionIndex": hexutil.EncodeUint64(uint64(index)),
 	}
 	if tx.To != nil {
 		out["to"] = tx.To.Hex()
@@ -615,11 +624,7 @@ func blockJSON(b *ethtypes.Block, fullTx bool, chainID uint64) map[string]interf
 	if fullTx {
 		objs := make([]interface{}, len(b.Transactions))
 		for i, tx := range b.Transactions {
-			obj := txJSON(tx, chainID)
-			obj["blockHash"] = b.Hash().Hex()
-			obj["blockNumber"] = hexutil.EncodeUint64(b.Number())
-			obj["transactionIndex"] = hexutil.EncodeUint64(uint64(i))
-			objs[i] = obj
+			objs[i] = txJSON(tx, chainID, b.Hash(), b.Number(), uint(i))
 		}
 		txs = objs
 	} else {
