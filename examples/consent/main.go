@@ -79,6 +79,14 @@ func main() {
 	must(rentals.VerifyHistory(tenant.Address, v1.Contract.Address))
 	fmt.Println("v1 executed history verifies against its sealed commitment")
 
+	// v2 adopted v1's data namespace, but not its commitment: nothing of
+	// v2 has been sealed yet.
+	if err := rentals.VerifyHistory(tenant.Address, v2.Contract.Address); errors.Is(err, core.ErrNoCommitment) {
+		fmt.Println("v2 has no sealed commitment of its own: v1's seal is not inherited")
+	} else {
+		log.Fatalf("expected no commitment for v2, got %v", err)
+	}
+
 	// The tenant confirms v2 so it records them on chain.
 	must(rentals.ConfirmModification(tenant.Address, v2.Contract.Address))
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,15 +48,47 @@ func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) (*Manager
 	return NewManager(client, ipfs.NewNode(ipfs.NewMemStore()), store), accs
 }
 
-// countingBackend counts the eth_calls that reach the node.
+// countingBackend counts the eth_calls that reach the node, in total
+// and per DataStorage getter.
 type countingBackend struct {
 	*web3.LocalBackend
-	calls int
+	calls   int
+	methods map[string]int
 }
+
+var dataStorageABI = contracts.MustArtifact("DataStorage").ABI
 
 func (b *countingBackend) CallContract(msg web3.CallMsg) ([]byte, error) {
 	b.calls++
+	if len(msg.Data) >= 4 {
+		if method, ok := dataStorageABI.MethodByID(msg.Data[:4]); ok {
+			if b.methods == nil {
+				b.methods = map[string]int{}
+			}
+			b.methods[method.Name]++
+		}
+	}
 	return b.LocalBackend.CallContract(msg)
+}
+
+// mark returns the counts so far, for a caller to subtract later.
+func (b *countingBackend) mark() (int, map[string]int) {
+	methods := make(map[string]int, len(b.methods))
+	for name, n := range b.methods {
+		methods[name] = n
+	}
+	return b.calls, methods
+}
+
+// countingRig is rig over a countingBackend.
+func countingRig(t *testing.T) (*Manager, []wallet.Account, *countingBackend) {
+	t.Helper()
+	var node *countingBackend
+	m, accs := rigOver(t, func(b *web3.LocalBackend) web3.Backend {
+		node = &countingBackend{LocalBackend: b}
+		return node
+	})
+	return m, accs, node
 }
 
 func deployRental(t *testing.T, m *Manager, landlord ethtypes.Address) *Deployment {
@@ -186,11 +220,7 @@ func TestModifyBuildsEvidenceLine(t *testing.T) {
 // getNext once per version, the same from every starting point — the
 // forward pass must not re-read what the backward pass already holds.
 func TestWalkChainReadsEachVersionOnce(t *testing.T) {
-	var node *countingBackend
-	m, accs := rigOver(t, func(b *web3.LocalBackend) web3.Backend {
-		node = &countingBackend{LocalBackend: b}
-		return node
-	})
+	m, accs, node := countingRig(t)
 	landlord, tenant := accs[0].Address, accs[1].Address
 	svc := NewRentalService(m)
 	line := []ethtypes.Address{deployRental(t, m, landlord).Contract.Address}
@@ -222,6 +252,146 @@ func TestWalkChainReadsEachVersionOnce(t *testing.T) {
 		}
 		if got, want := node.calls-before, 2*len(line); got != want {
 			t.Errorf("walk from v%d made %d calls, want %d (getPrev+getNext per version)", i+1, got, want)
+		}
+	}
+}
+
+// Shape of the audit benchmark's evidence line: eight versions, four
+// data keys written on the first.
+const (
+	lineVersions  = 8
+	lineExtraKeys = 4
+)
+
+// evidenceLine builds one agreement as the audit benchmark does: v1
+// confirmed with lineExtraKeys data keys, then modified and confirmed up
+// to lineVersions versions, each paid once. Every modification
+// snapshots the rental keys of the superseded version and adopts its
+// namespace, so the newest version reads v1's keys seven levels deep.
+func evidenceLine(t *testing.T, m *Manager, landlord, tenant ethtypes.Address) []ethtypes.Address {
+	t.Helper()
+	svc := NewRentalService(m)
+	line := []ethtypes.Address{deployRental(t, m, landlord).Contract.Address}
+	if err := svc.Confirm(tenant, line[0]); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < lineExtraKeys; k++ {
+		if _, err := m.SetValue(landlord, line[0], fmt.Sprintf("clause-%d", k), fmt.Sprintf("term %d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 1; ; v++ {
+		cur := line[len(line)-1]
+		if _, err := svc.PayRent(tenant, cur); err != nil {
+			t.Fatal(err)
+		}
+		if v == lineVersions {
+			return line
+		}
+		next, err := svc.Modify(landlord, cur, ModifiedTerms{
+			Rent: ethtypes.Ether(int64(v)), Deposit: ethtypes.Ether(2), Months: 12,
+			House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+			Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.ConfirmModification(tenant, next.Contract.Address); err != nil {
+			t.Fatal(err)
+		}
+		line = append(line, next.Contract.Address)
+	}
+}
+
+// TestLoadSnapshotReadsEachValueOnce pins the cost of LoadSnapshot on the
+// newest version of an eight-version line: every key of every namespace
+// is enumerated, but each distinct key's value is read once, from the
+// newest namespace that holds it. The map is the one the oldest-first
+// merge returns, for every version of the line.
+func TestLoadSnapshotReadsEachValueOnce(t *testing.T) {
+	m, accs, node := countingRig(t)
+	landlord := accs[0].Address
+	line := evidenceLine(t, m, landlord, accs[1].Address)
+	head := line[len(line)-1]
+
+	calls, methods := node.mark()
+	snap, err := m.LoadSnapshot(landlord, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := node.methods["getValue"] - methods["getValue"]
+	if want := lineExtraKeys + len(rentalSnapshotKeys); len(snap) != want || got != want {
+		t.Errorf("snapshot of v%d: %d keys, %d getValue calls; want %d of each", len(line), len(snap), got, want)
+	}
+	// Per namespace: aliasOf and keyCount; per key held: keyAt. Seven
+	// superseded versions snapshot the rental keys, v1 holds the rest.
+	held := (len(line)-1)*len(rentalSnapshotKeys) + lineExtraKeys
+	if got, want := node.calls-calls, 2*len(line)+held+len(snap); got != want || want != 72 {
+		t.Errorf("LoadSnapshot made %d calls, want %d (72)", got, want)
+	}
+	if snap["rent"] != ethtypes.Ether(int64(len(line)-2)).String() || snap["clause-0"] != "term 0" {
+		t.Errorf("snapshot = %v", snap)
+	}
+	for i, addr := range line {
+		if got, err := m.LoadSnapshot(landlord, addr); err != nil || !reflect.DeepEqual(got, loadSnapshotOldestFirst(t, m, landlord, addr)) {
+			t.Errorf("v%d: newest-first snapshot %v differs from the oldest-first merge (%v)", i+1, got, err)
+		}
+	}
+}
+
+// TestAuditChainReadsEvidenceOncePerVersion pins AuditChain's node reads:
+// the walk's two pointer reads per version and one read of the
+// version's own rejection count — no alias resolution, since evidence
+// is never inherited.
+func TestAuditChainReadsEvidenceOncePerVersion(t *testing.T) {
+	m, accs, node := countingRig(t)
+	landlord := accs[0].Address
+	line := evidenceLine(t, m, landlord, accs[1].Address)
+
+	calls, methods := node.mark()
+	report, err := m.AuditChain(landlord, line[len(line)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Versions) != len(line) || len(report.Rejections) != 0 {
+		t.Fatalf("audit: %d versions, %d rejections", len(report.Versions), len(report.Rejections))
+	}
+	if got, want := node.calls-calls, 3*len(line); got != want || want != 24 {
+		t.Errorf("AuditChain made %d calls, want %d (24)", got, want)
+	}
+	if got := node.methods["getValue"] - methods["getValue"]; got != len(line) {
+		t.Errorf("AuditChain made %d getValue calls, want %d", got, len(line))
+	}
+	for _, name := range []string{"aliasOf", "hasKey"} {
+		if got := node.methods[name] - methods[name]; got != 0 {
+			t.Errorf("AuditChain made %d %s calls, want none", got, name)
+		}
+	}
+}
+
+// TestGetValueFollowsAliasOnlyOnMiss pins GetValue's cost: a key in the
+// version's own namespace is hasKey + getValue; a key seven levels deep
+// adds one hasKey miss and one aliasOf per level above it.
+func TestGetValueFollowsAliasOnlyOnMiss(t *testing.T) {
+	m, accs, node := countingRig(t)
+	landlord := accs[0].Address
+	line := evidenceLine(t, m, landlord, accs[1].Address)
+	for _, c := range []struct {
+		addr      ethtypes.Address
+		key, want string
+		calls     int
+	}{
+		{line[len(line)-2], "house", "10115-Berlin-42", 2},
+		{line[len(line)-1], "clause-1", "term 1", 2 + 2*(len(line)-1)},
+		{line[len(line)-1], "no-such-key", "", 2 * len(line)},
+	} {
+		before := node.calls
+		got, err := m.GetValue(landlord, c.addr, c.key)
+		if err != nil || got != c.want {
+			t.Fatalf("GetValue(%s) = %q, %v; want %q", c.key, got, err, c.want)
+		}
+		if n := node.calls - before; n != c.calls {
+			t.Errorf("GetValue(%s) made %d calls, want %d", c.key, n, c.calls)
 		}
 	}
 }

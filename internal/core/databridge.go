@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/uint256"
@@ -15,10 +16,12 @@ import (
 // adoptNamespace transaction makes the predecessor's namespace visible
 // under the new address (the FlexiContracts model). MigrateData, which
 // copies every pair to the new namespace (~96k gas per pair), is not on
-// that path; the data-separation ablation calls it directly. Reads
-// resolve the alias chain off chain: a version's own keys shadow
-// adopted ones. Writes deploy the shared contract on first use; reads
-// never do.
+// that path; the data-separation ablation calls it directly. Carried
+// data is read through the alias chain, resolved off chain newest
+// first: a version's own keys shadow adopted ones. Per-version evidence
+// (rejection reports, the history commitment) is read from the
+// version's own namespace only and is never inherited. Writes deploy
+// the shared contract on first use; reads never do.
 
 // SetValue writes one key/value pair under the contract's namespace.
 func (m *Manager) SetValue(from, contractAddr ethtypes.Address, key, value string) (uint64, error) {
@@ -33,84 +36,97 @@ func (m *Manager) SetValue(from, contractAddr ethtypes.Address, key, value strin
 	return rcpt.GasUsed, nil
 }
 
-// aliasChain resolves the namespace-adoption chain starting at addr:
-// addr first, then each adopted ancestor, bounded like the version walk
-// so a (maliciously) cyclic alias chain terminates.
-func aliasChain(ds *web3.BoundContract, from, addr ethtypes.Address) ([]ethtypes.Address, error) {
-	chain := []ethtypes.Address{addr}
-	seen := map[ethtypes.Address]bool{addr: true}
-	cur := addr
-	for len(chain) <= maxChainLength {
+// eachNamespace visits addr's namespace and then each adopted
+// ancestor's, newest first, resolving the next alias only while visit
+// has not reported done. It is bounded like the version walk so a
+// (maliciously) cyclic alias chain terminates.
+func eachNamespace(ds *web3.BoundContract, from, addr ethtypes.Address, visit func(ethtypes.Address) (bool, error)) error {
+	seen := map[ethtypes.Address]bool{}
+	for cur := addr; ; {
+		if len(seen) == maxChainLength {
+			return fmt.Errorf("core: alias chain from %s exceeds %d", addr, maxChainLength)
+		}
+		seen[cur] = true
+		if done, err := visit(cur); done || err != nil {
+			return err
+		}
 		next, err := ds.CallAddress(from, "aliasOf", cur)
 		if err != nil {
-			return nil, fmt.Errorf("core: resolving alias of %s: %w", cur, err)
+			return fmt.Errorf("core: resolving alias of %s: %w", cur, err)
 		}
 		if next.IsZero() || seen[next] {
-			return chain, nil
+			return nil
 		}
-		chain = append(chain, next)
-		seen[next] = true
 		cur = next
 	}
-	return nil, fmt.Errorf("core: alias chain from %s exceeds %d", addr, maxChainLength)
 }
 
-// GetValue reads one key from the contract's namespace, falling back
-// through adopted predecessor namespaces: the version's own value wins,
-// an ancestor's value surfaces when the version never overrode the key.
-// Before any DataStorage exists every key reads empty.
+// GetValue reads one key of the contract's carried data (Fig. 3),
+// falling back through adopted predecessor namespaces: the version's
+// own value wins, an ancestor's value surfaces when the version never
+// overrode the key. An alias is followed only on a miss, so an own key
+// costs two calls. Before any DataStorage exists every key reads empty.
 func (m *Manager) GetValue(from, contractAddr ethtypes.Address, key string) (string, error) {
 	ds := m.boundDataStorage()
 	if ds == nil {
 		return "", nil
 	}
-	chain, err := aliasChain(ds, from, contractAddr)
-	if err != nil {
-		return "", err
-	}
-	for _, addr := range chain {
-		has, err := ds.CallBool(from, "hasKey", addr, key)
-		if err != nil {
-			return "", err
+	var val string
+	err := eachNamespace(ds, from, contractAddr, func(ns ethtypes.Address) (bool, error) {
+		has, err := ds.CallBool(from, "hasKey", ns, key)
+		if err != nil || !has {
+			return false, err
 		}
-		if has {
-			return ds.CallString(from, "getValue", addr, key)
-		}
+		val, err = ds.CallString(from, "getValue", ns, key)
+		return true, err
+	})
+	return val, err
+}
+
+// ownValue reads one key from the contract's own namespace only, never
+// through an adopted one: per-version evidence (rejection reports, the
+// history commitment) is not inherited. An absent key reads "".
+func (m *Manager) ownValue(from, contractAddr ethtypes.Address, key string) (string, error) {
+	ds := m.boundDataStorage()
+	if ds == nil {
+		return "", nil
 	}
-	return "", nil
+	return ds.CallString(from, "getValue", contractAddr, key)
 }
 
 // LoadSnapshot reads the whole key/value namespace of a contract using
 // the on-chain key enumeration, merged across adopted predecessor
-// namespaces (deepest ancestor first, so the version's own keys win).
-// Before any DataStorage exists the namespace is empty.
+// namespaces. It reads newest first: every key is enumerated, but a
+// value is read only for a key no newer namespace already set, so the
+// version's own keys win and each key's value is read once. Before any
+// DataStorage exists the namespace is empty.
 func (m *Manager) LoadSnapshot(from, contractAddr ethtypes.Address) (map[string]string, error) {
 	out := map[string]string{}
 	ds := m.boundDataStorage()
 	if ds == nil {
 		return out, nil
 	}
-	chain, err := aliasChain(ds, from, contractAddr)
-	if err != nil {
-		return nil, err
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		addr := chain[i]
-		count, err := ds.CallUint(from, "keyCount", addr)
+	err := eachNamespace(ds, from, contractAddr, func(ns ethtypes.Address) (bool, error) {
+		count, err := ds.CallUint(from, "keyCount", ns)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		for j := uint64(0); j < count.Uint64(); j++ {
-			key, err := ds.CallString(from, "keyAt", addr, j)
+			key, err := ds.CallString(from, "keyAt", ns, j)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			val, err := ds.CallString(from, "getValue", addr, key)
-			if err != nil {
-				return nil, err
+			if _, ok := out[key]; ok {
+				continue
 			}
-			out[key] = val
+			if out[key], err = ds.CallString(from, "getValue", ns, key); err != nil {
+				return false, err
+			}
 		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -132,15 +148,22 @@ func (m *Manager) AdoptNamespace(from, newAddr, oldAddr ethtypes.Address) (uint6
 }
 
 // MigrateData copies every key/value pair from the old contract's
-// namespace to the new one, returning the pair count and gas spent.
+// namespace to the new one in key order, so the same data always yields
+// the same transactions and state root; it returns the pair count and
+// gas spent.
 func (m *Manager) MigrateData(from, oldAddr, newAddr ethtypes.Address) (int, uint64, error) {
 	snapshot, err := m.LoadSnapshot(from, oldAddr)
 	if err != nil {
 		return 0, 0, err
 	}
+	keys := make([]string, 0, len(snapshot))
+	for key := range snapshot {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 	var gas uint64
-	for key, val := range snapshot {
-		g, err := m.SetValue(from, newAddr, key, val)
+	for _, key := range keys {
+		g, err := m.SetValue(from, newAddr, key, snapshot[key])
 		if err != nil {
 			return 0, gas, err
 		}

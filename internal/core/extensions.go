@@ -87,9 +87,10 @@ func (s *RentalService) SealHistory(from, addr ethtypes.Address) (ethtypes.Hash,
 }
 
 // VerifyHistory re-reads the version's executed payments and checks
-// them against the sealed commitment.
+// them against the commitment sealed in the version's own namespace; a
+// successor never inherits its predecessor's.
 func (s *RentalService) VerifyHistory(viewer, addr ethtypes.Address) error {
-	sealed, err := s.M.GetValue(viewer, addr, HistoryCommitmentKey)
+	sealed, err := s.M.ownValue(viewer, addr, HistoryCommitmentKey)
 	if err != nil {
 		return err
 	}

@@ -46,6 +46,33 @@ func TestVerifyHistoryNoCommitment(t *testing.T) {
 	}
 }
 
+// TestVerifyHistoryNotInherited: sealing v1 and linking v2 leaves v2
+// without a commitment of its own, so verifying v2 reports none instead
+// of checking v2's history against v1's digest.
+func TestVerifyHistoryNotInherited(t *testing.T) {
+	m, accs := rig(t)
+	landlord, tenant := accs[0].Address, accs[1].Address
+	svc := NewRentalService(m)
+	v1 := deployRental(t, m, landlord)
+	svcConfirmAndPay(t, svc, tenant, v1.Contract.Address, 2)
+	v2, err := svc.ModifyWithConsent(landlord, v1.Contract.Address, ModifiedTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+		House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+		Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+	}, func(newAddr ethtypes.Address) ([]byte, error) {
+		return SignConsent(m.Client.Keystore(), tenant, v1.Contract.Address, newAddr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.VerifyHistory(tenant, v1.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.VerifyHistory(tenant, v2.Contract.Address); !errors.Is(err, ErrNoCommitment) {
+		t.Fatalf("VerifyHistory(v2) = %v, want %v", err, ErrNoCommitment)
+	}
+}
+
 func TestHistoryDigestSensitivity(t *testing.T) {
 	addr := ethtypes.HexToAddress("0x00000000000000000000000000000000000000aa")
 	recs := []PaymentRecord{{Month: 1, Amount: uint256.NewUint64(100)}, {Month: 2, Amount: uint256.NewUint64(100)}}

@@ -488,7 +488,7 @@ const (
 // part of the tamper-evident modification history.
 func (m *Manager) recordRejection(from, prevAddr ethtypes.Address, report *upgrade.Report) error {
 	n := 0
-	if s, err := m.GetValue(from, prevAddr, rejectionCountKey); err == nil && s != "" {
+	if s, err := m.ownValue(from, prevAddr, rejectionCountKey); err == nil && s != "" {
 		n, _ = strconv.Atoi(s)
 	}
 	raw, err := json.Marshal(report)
@@ -503,9 +503,11 @@ func (m *Manager) recordRejection(from, prevAddr ethtypes.Address, report *upgra
 }
 
 // Rejections returns the upgrade-rejection reports recorded in a
-// version's evidence line, oldest first.
+// version's own namespace, oldest first; a successor does not inherit
+// them. A report that does not parse, or whose index lives only in an
+// ancestor's namespace, is skipped.
 func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, error) {
-	s, err := m.GetValue(from, addr, rejectionCountKey)
+	s, err := m.ownValue(from, addr, rejectionCountKey)
 	if err != nil || s == "" {
 		return nil, err
 	}
@@ -515,7 +517,7 @@ func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, er
 	}
 	out := make([]*upgrade.Report, 0, n)
 	for i := 0; i < n; i++ {
-		raw, err := m.GetValue(from, addr, rejectionKeyPrefix+strconv.Itoa(i))
+		raw, err := m.ownValue(from, addr, rejectionKeyPrefix+strconv.Itoa(i))
 		if err != nil {
 			return nil, err
 		}

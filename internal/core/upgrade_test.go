@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -108,6 +109,67 @@ func TestModifyRejectsRemovedSelector(t *testing.T) {
 	}
 	if len(rejs) != 1 || rejs[0].Candidate != "Degraded" {
 		t.Fatalf("recorded rejections = %+v", rejs)
+	}
+}
+
+// TestRejectionsNotInherited: a rejection stays in the evidence line of
+// the version it was recorded against. After reject, modify, reject
+// again, each version reports its own one and the audit lists two.
+func TestRejectionsNotInherited(t *testing.T) {
+	m, accs := rig(t)
+	landlord := accs[0].Address
+	v1 := deployRental(t, m, landlord).Contract.Address
+	art, err := minisol.CompileContract(degradedSrc, "Degraded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectRejection(t, m, landlord, v1, art, ModifyOptions{}, ethtypes.Ether(1))
+	next, err := NewRentalService(m).Modify(landlord, v1, ModifiedTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+		House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+		Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := next.Contract.Address
+	expectRejection(t, m, landlord, v2, art, ModifyOptions{}, ethtypes.Ether(1))
+
+	for _, v := range []ethtypes.Address{v1, v2} {
+		if rejs, err := m.Rejections(landlord, v); err != nil || len(rejs) != 1 {
+			t.Errorf("Rejections(%s) = %d reports, %v; want 1", v, len(rejs), err)
+		}
+		// The count starts afresh in each namespace, not from v1's.
+		if n, err := m.ownValue(landlord, v, rejectionCountKey); err != nil || n != "1" {
+			t.Errorf("rejection count of %s = %q, %v; want 1", v, n, err)
+		}
+	}
+	report, err := m.AuditChain(landlord, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Rejections) != 2 {
+		t.Errorf("audit lists %d rejections, want 2", len(report.Rejections))
+	}
+
+	// The layout an inheriting reader wrote: v2's count went on from
+	// v1's, so v2 holds count 2 and index 1 only. Index 0 lives in v1's
+	// namespace alone and is skipped.
+	raw, err := json.Marshal(report.Rejections[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := ethtypes.HexToAddress("0x00000000000000000000000000000000000000c3")
+	if _, err := m.AdoptNamespace(landlord, v3, v2); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]string{rejectionKeyPrefix + "1": string(raw), rejectionCountKey: "2"} {
+		if _, err := m.SetValue(landlord, v3, k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rejs, err := m.Rejections(landlord, v3); err != nil || len(rejs) != 1 {
+		t.Errorf("Rejections of an inherited count = %d reports, %v; want 1", len(rejs), err)
 	}
 }
 
