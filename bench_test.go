@@ -325,16 +325,23 @@ func BenchmarkFig8_DeployTransact(b *testing.B) {
 
 // --- Fig. 11: modify flow ----------------------------------------------------------
 
-// BenchmarkFig11_ModifyFlow measures one complete modification: deploy
-// the new version, link both pointers, snapshot + migrate the data and
-// update the registry — the paper's core operation.
-func BenchmarkFig11_ModifyFlow(b *testing.B) {
+// BenchmarkModifyContract measures one complete modification (Fig. 11):
+// snapshot the old version's fields in one setValues transaction,
+// deploy the new version, link both pointers, adopt the namespace and
+// write the registry row — the paper's core operation. It reports the
+// gas and the transactions each modification sends (all from the
+// landlord, so the landlord's nonce counts them).
+func BenchmarkModifyContract(b *testing.B) {
 	r := newRig(b)
 	v1 := r.deployV1(b)
 	if err := r.Rental.Confirm(r.Tenant, v1.Contract.Address); err != nil {
 		b.Fatal(err)
 	}
+	if _, err := r.Manager.EnsureDataStorage(r.Landlord); err != nil {
+		b.Fatal(err)
+	}
 	prev := v1.Contract.Address
+	nonce := r.BC.GetNonce(r.Landlord)
 	b.ResetTimer()
 	var gas uint64
 	for i := 0; i < b.N; i++ {
@@ -346,6 +353,7 @@ func BenchmarkFig11_ModifyFlow(b *testing.B) {
 		prev = dep.Contract.Address
 	}
 	b.ReportMetric(float64(gas)/float64(b.N), "gas/op")
+	b.ReportMetric(float64(r.BC.GetNonce(r.Landlord)-nonce)/float64(b.N), "txs/op")
 }
 
 // --- A1: upgrade-pattern ablation ---------------------------------------------------

@@ -51,13 +51,7 @@ contract DataStorage {
 
 	function setValue(address contractAddr, string memory key, string memory value) public {
 		require(msg.sender == owner, "only the manager may write");
-		if (!hasKey[contractAddr][key]) {
-			hasKey[contractAddr][key] = true;
-			keyAt[contractAddr][keyCount[contractAddr]] = key;
-			keyCount[contractAddr] += 1;
-		}
-		keyValuePairs[contractAddr][key] = value;
-		emit valueSet(contractAddr, key, value);
+		put(contractAddr, key, value);
 	}
 
 	function getValue(address contractAddr, string memory key) public view returns (string memory) {
@@ -73,6 +67,27 @@ contract DataStorage {
 		require(newAddr != oldAddr, "namespace cannot adopt itself");
 		aliasOf[newAddr] = oldAddr;
 		emit namespaceAdopted(newAddr, oldAddr);
+	}
+
+	/* One-transaction snapshot: every pair is written in call order, as
+	   the same setValue calls would write them, or none is. */
+	function setValues(address contractAddr, string[] memory keys, string[] memory values) public {
+		require(msg.sender == owner, "only the manager may write");
+		require(keys.length == values.length, "keys and values differ in length");
+		for (uint i = 0; i < keys.length; i++) {
+			put(contractAddr, keys[i], values[i]);
+		}
+	}
+
+	/* The one write rule: a new key is enumerated once, at the end. */
+	function put(address contractAddr, string memory key, string memory value) internal {
+		if (!hasKey[contractAddr][key]) {
+			hasKey[contractAddr][key] = true;
+			keyAt[contractAddr][keyCount[contractAddr]] = key;
+			keyCount[contractAddr] += 1;
+		}
+		keyValuePairs[contractAddr][key] = value;
+		emit valueSet(contractAddr, key, value);
 	}
 
 	function authorize(address notary) public {

@@ -49,11 +49,19 @@ func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) (*Manager
 }
 
 // countingBackend counts the eth_calls that reach the node, in total
-// and per DataStorage getter.
+// and per DataStorage getter, and the transactions sent to it.
 type countingBackend struct {
 	*web3.LocalBackend
 	calls   int
 	methods map[string]int
+	sends   int
+}
+
+// SendRawTransactionCtx is the eth_sendRawTransaction the client sends
+// through when the backend has it, as LocalBackend does.
+func (b *countingBackend) SendRawTransactionCtx(ctx context.Context, raw []byte) (ethtypes.Hash, error) {
+	b.sends++
+	return b.LocalBackend.SendRawTransactionCtx(ctx, raw)
 }
 
 var dataStorageABI = contracts.MustArtifact("DataStorage").ABI
@@ -681,6 +689,86 @@ func TestWalkChainDetectsCycle(t *testing.T) {
 	}
 	if _, err := m.WalkChain(a.Contract.Address); !errors.Is(err, ErrChainCorrupted) {
 		t.Fatalf("cycle walk: %v", err)
+	}
+}
+
+// TestLifecycleTransactionCounts pins the transactions of one Fig. 4
+// lifecycle once DataStorage exists, as the repository benchmark runs
+// it: deploy 1, confirm 1, two payments 2, modify 5 (snapshot, deploy,
+// two links, namespace adoption), confirm the modification 2 (the
+// predecessor ends, the successor starts), terminate 1. The snapshot is
+// one setValues transaction whatever the number of keys. With a payment
+// notary, a modification also wires it into the new version: 6.
+func TestLifecycleTransactionCounts(t *testing.T) {
+	m, accs, node := countingRig(t)
+	landlord, tenant := accs[0].Address, accs[1].Address
+	svc := NewRentalService(m)
+	terms := ModifiedTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+		House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+		Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+	}
+	if _, err := m.EnsureDataStorage(landlord); err != nil {
+		t.Fatal(err)
+	}
+	start := node.sends
+	v1 := deployRental(t, m, landlord).Contract.Address
+	svcConfirmAndPay(t, svc, tenant, v1, 2)
+	before := node.sends
+	v2, err := svc.Modify(landlord, v1, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := node.sends - before; got != 5 {
+		t.Errorf("Modify sent %d transactions, want 5", got)
+	}
+	if err := svc.ConfirmModification(tenant, v2.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Terminate(tenant, v2.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.sends - start; got != 12 {
+		t.Errorf("a lifecycle sent %d transactions, want 12", got)
+	}
+
+	if _, err := m.EnsureNotary(landlord); err != nil {
+		t.Fatal(err)
+	}
+	v3 := deployRental(t, m, landlord).Contract.Address
+	svcConfirmAndPay(t, svc, tenant, v3, 1)
+	before = node.sends
+	if _, err := svc.Modify(landlord, v3, terms); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.sends - before; got != 6 {
+		t.Errorf("Modify with a notary sent %d transactions, want 6", got)
+	}
+}
+
+// TestSnapshotContractIsAtomic: a snapshot whose second key has no
+// getter fails before anything is written, so the namespace does not
+// keep the first key's value.
+func TestSnapshotContractIsAtomic(t *testing.T) {
+	m, accs := rig(t)
+	landlord := accs[0].Address
+	dep := deployRental(t, m, landlord)
+	ds, err := m.EnsureDataStorage(landlord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SnapshotContract(landlord, dep.Contract, []string{"rent", "nosuch"}); err == nil {
+		t.Fatal("unknown getter accepted")
+	}
+	if n, err := ds.CallUint(landlord, "keyCount", dep.Contract.Address); err != nil || !n.IsZero() {
+		t.Fatalf("keyCount after a failed snapshot = %v (%v), want 0", n, err)
+	}
+	if _, err := m.SnapshotContract(landlord, dep.Contract, []string{"rent", "house"}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.LoadSnapshot(landlord, dep.Contract.Address)
+	if err != nil || len(snap) != 2 || snap["rent"] != ethtypes.Ether(1).String() || snap["house"] != "10115-Berlin-42" {
+		t.Fatalf("snapshot = %v (%v)", snap, err)
 	}
 }
 

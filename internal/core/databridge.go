@@ -12,7 +12,8 @@ import (
 // The data bridge realises the paper's data/logic separation (Fig. 3):
 // contract state worth carrying across versions lives as key/value
 // strings in the shared DataStorage contract, namespaced by contract
-// address. A modification imports its predecessor's data in place: one
+// address. A modification snapshots its predecessor's fields with one
+// setValues transaction and imports the predecessor's data in place: one
 // adoptNamespace transaction makes the predecessor's namespace visible
 // under the new address (the FlexiContracts model). MigrateData, which
 // copies every pair to the new namespace (~96k gas per pair), is not on
@@ -23,7 +24,8 @@ import (
 // version's own namespace only and is never inherited. Writes deploy
 // the shared contract on first use; reads never do.
 
-// SetValue writes one key/value pair under the contract's namespace.
+// SetValue writes one key/value pair under the contract's namespace, in
+// a transaction of its own.
 func (m *Manager) SetValue(from, contractAddr ethtypes.Address, key, value string) (uint64, error) {
 	ds, err := m.EnsureDataStorage(from)
 	if err != nil {
@@ -175,35 +177,42 @@ func (m *Manager) MigrateData(from, oldAddr, newAddr ethtypes.Address) (int, uin
 // SnapshotContract reads the named public getters of a live contract
 // version and writes their values into DataStorage under its address, so
 // the data survives the version's retirement. Word values are rendered
-// decimal, addresses as hex, strings verbatim.
+// decimal, addresses as hex, strings verbatim. Every getter is read
+// before anything is written, and the pairs go out in one setValues
+// transaction, in keys order: a snapshot lands whole or not at all.
 func (m *Manager) SnapshotContract(from ethtypes.Address, bound *web3.BoundContract, keys []string) (uint64, error) {
-	var gas uint64
-	for _, key := range keys {
+	names := make([]interface{}, len(keys))
+	values := make([]interface{}, len(keys))
+	for i, key := range keys {
 		method, ok := bound.ABI.Methods[key]
 		if !ok {
-			return gas, fmt.Errorf("core: contract has no getter %q", key)
+			return 0, fmt.Errorf("core: contract has no getter %q", key)
 		}
 		if len(method.Inputs) != 0 {
-			return gas, fmt.Errorf("core: getter %q takes arguments; snapshot only plain values", key)
+			return 0, fmt.Errorf("core: getter %q takes arguments; snapshot only plain values", key)
 		}
 		out, err := bound.Call(from, key)
 		if err != nil {
-			return gas, fmt.Errorf("core: reading %q: %w", key, err)
+			return 0, fmt.Errorf("core: reading %q: %w", key, err)
 		}
 		if len(out) != 1 {
-			return gas, fmt.Errorf("core: getter %q returned %d values", key, len(out))
+			return 0, fmt.Errorf("core: getter %q returned %d values", key, len(out))
 		}
 		rendered, err := renderValue(out[0])
 		if err != nil {
-			return gas, fmt.Errorf("core: %q: %w", key, err)
+			return 0, fmt.Errorf("core: %q: %w", key, err)
 		}
-		g, err := m.SetValue(from, bound.Address, key, rendered)
-		if err != nil {
-			return gas, err
-		}
-		gas += g
+		names[i], values[i] = key, rendered
 	}
-	return gas, nil
+	ds, err := m.EnsureDataStorage(from)
+	if err != nil {
+		return 0, err
+	}
+	rcpt, err := ds.Transact(web3.TxOpts{From: from}, "setValues", bound.Address, names, values)
+	if err != nil {
+		return 0, fmt.Errorf("core: setValues(%d pairs): %w", len(keys), err)
+	}
+	return rcpt.GasUsed, nil
 }
 
 func renderValue(v interface{}) (string, error) {

@@ -563,9 +563,10 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 	}
 
 	// Optional: snapshot selected fields of the old version into the
-	// shared data contract under the old address.
+	// shared data contract under the old address, in one transaction.
+	var gas uint64
 	if len(opts.SnapshotKeys) > 0 {
-		if _, err := m.SnapshotContract(from, prev, opts.SnapshotKeys); err != nil {
+		if gas, err = m.SnapshotContract(from, prev, opts.SnapshotKeys); err != nil {
 			return nil, err
 		}
 	}
@@ -575,7 +576,7 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 	if err != nil {
 		return nil, fmt.Errorf("core: deploy new version: %w", err)
 	}
-	gas := rcpt.GasUsed
+	gas += rcpt.GasUsed
 
 	// Link the versions on chain (Fig. 2): the contract manager sets the
 	// next and previous pointers whenever a new version is deployed.

@@ -72,7 +72,7 @@ type codegen struct {
 	loopStack []loopLabels
 
 	// which runtime helper subroutines are referenced
-	needMcopy, needStoreStr, needLoadStr, needMapStr bool
+	needMcopy, needStoreStr, needLoadStr, needMapStr, needStrArr bool
 }
 
 // loopLabels are the jump targets of one enclosing loop.
@@ -222,9 +222,12 @@ func (cg *codegen) genInit(runtime []byte) ([]byte, error) {
 	ctor := cg.info.Ctor
 	if ctor != nil && len(ctor.Params) > 0 {
 		// argSize = CODESIZE - __end; copy args to dynBase.
-		a.op(evm.CODESIZE)
-		a.pushLabel("__end")
-		a.op(evm.SWAP1, evm.SUB) // codesize - end
+		argSize := func() {
+			a.op(evm.CODESIZE)
+			a.pushLabel("__end")
+			a.op(evm.SWAP1, evm.SUB) // codesize - end
+		}
+		argSize()
 		// CODECOPY(dest=dynBase, offset=__end, len=argSize)
 		a.op(evm.DUP1) // keep argSize for freeptr bump
 		a.pushLabel("__end")
@@ -236,7 +239,7 @@ func (cg *codegen) genInit(runtime []byte) ([]byte, error) {
 		a.op(evm.ADD)
 		a.mstoreTo(freePtrSlot)
 		// Decode params into the ctor frame.
-		if err := cg.decodeArgsFromMemory(ctor, cg.dynBase); err != nil {
+		if err := cg.decodeArgsFromMemory(ctor, cg.dynBase, argSize); err != nil {
 			return nil, err
 		}
 	}
@@ -342,7 +345,7 @@ func (cg *codegen) genRuntime(contractABI *abi.ABI) ([]byte, error) {
 		// Copy calldata args to dynBase and decode into the frame.
 		if len(f.Params) > 0 {
 			cg.emitCopyCalldataArgs()
-			if err := cg.decodeArgsFromMemory(f, cg.dynBase); err != nil {
+			if err := cg.decodeArgsFromMemory(f, cg.dynBase, cg.emitCalldataArgSize); err != nil {
 				return nil, err
 			}
 		}
@@ -418,10 +421,8 @@ func (cg *codegen) emitNonPayableCheck() {
 // pointer past it.
 func (cg *codegen) emitCopyCalldataArgs() {
 	a := cg.a
-	a.op(evm.CALLDATASIZE)
-	a.pushU(4)
-	a.op(evm.SWAP1, evm.SUB) // n = cds - 4
-	a.op(evm.DUP1)           // keep n for bump
+	cg.emitCalldataArgSize()
+	a.op(evm.DUP1) // keep n for bump
 	a.pushU(4)
 	a.pushU(uint64(cg.dynBase))
 	a.op(evm.CALLDATACOPY) // (dest, offset, len)
@@ -429,6 +430,13 @@ func (cg *codegen) emitCopyCalldataArgs() {
 	a.pushU(uint64(cg.dynBase))
 	a.op(evm.ADD)
 	a.mstoreTo(freePtrSlot)
+}
+
+// emitCalldataArgSize pushes the argument blob's size, calldatasize - 4.
+func (cg *codegen) emitCalldataArgSize() {
+	cg.a.op(evm.CALLDATASIZE)
+	cg.a.pushU(4)
+	cg.a.op(evm.SWAP1, evm.SUB)
 }
 
 // emitPad32 rounds the stack top up to a multiple of 32.
@@ -443,9 +451,14 @@ func (cg *codegen) emitPad32() {
 }
 
 // decodeArgsFromMemory decodes an ABI blob located at base into the
-// function's parameter slots. Strings become pointers into the blob
-// (the ABI layout of a string equals the memory layout).
-func (cg *codegen) decodeArgsFromMemory(f *FuncInfo, base int) error {
+// function's parameter slots; pushSize pushes the blob's byte size.
+// Strings become pointers into the blob (the ABI layout of a string
+// equals the memory layout), and so do string arrays: a string[] is its
+// length word followed by one offset per element, relative to the word
+// after the length, so element i lives at ptr + 32 + offset_i. A string
+// array is checked whole against the blob before the body runs
+// (__strarr), so indexing it never reads past the arguments.
+func (cg *codegen) decodeArgsFromMemory(f *FuncInfo, base int, pushSize func()) error {
 	a := cg.a
 	head := 0
 	for _, p := range f.Params {
@@ -457,6 +470,17 @@ func (cg *codegen) decodeArgsFromMemory(f *FuncInfo, base int) error {
 			a.mload(base + head) // relative offset
 			a.pushU(uint64(base))
 			a.op(evm.ADD)
+			a.mstoreTo(p.Offset)
+		case isStringArray(p.Type):
+			cg.needStrArr = true
+			ret := cg.fresh("sarr")
+			a.pushLabel(ret)
+			a.pushU(uint64(base))
+			pushSize()
+			a.mload(base + head) // relative offset
+			a.pushLabel("__strarr")
+			a.op(evm.JUMP)
+			a.label(ret) // [ptr]
 			a.mstoreTo(p.Offset)
 		default:
 			return fmt.Errorf("parameter %s: type %s not supported in external signatures", p.Name, p.Type)

@@ -213,6 +213,9 @@ func (cg *codegen) resolveLocalType(t TypeName, line int) (*SemType, error) {
 	if st.Kind == TMapping {
 		return nil, cg.errf(line, "mappings cannot be local variables")
 	}
+	if st.Kind == TArray {
+		return nil, cg.errf(line, "arrays cannot be local variables")
+	}
 	return st, nil
 }
 
@@ -547,6 +550,9 @@ func (cg *codegen) compileExpr(e Expr) (*SemType, error) {
 		return cg.compileMember(x)
 
 	case *Index:
+		if li := cg.stringArrayParam(x.X); li != nil {
+			return cg.emitStringArrayIndex(li, x)
+		}
 		lv, err := cg.compileLValue(x)
 		if err != nil {
 			return nil, err
@@ -634,6 +640,11 @@ func (cg *codegen) compileMember(x *Member) (*SemType, error) {
 			a.pushU(uint64(idx))
 			return &SemType{Kind: TEnum, Enum: en}, nil
 		}
+		if li := cg.stringArrayParam(id); li != nil && x.Name == "length" {
+			a.mload(li.Offset)
+			a.op(evm.MLOAD)
+			return &SemType{Kind: TUint, Bits: 256}, nil
+		}
 		// array length: ident is a state array
 		if vi, ok := cg.info.VarMap[id.Name]; ok && vi.Type.Kind == TArray && x.Name == "length" {
 			a.pushU(uint64(vi.Slot))
@@ -671,6 +682,44 @@ func (cg *codegen) compileMember(x *Member) (*SemType, error) {
 		return nil, err
 	}
 	return cg.loadLValue(lv, x.Line)
+}
+
+// stringArrayParam returns the string[] parameter e names, or nil.
+func (cg *codegen) stringArrayParam(e Expr) *LocalInfo {
+	if id, ok := e.(*Ident); ok {
+		if li, ok := cg.fn.locals[id.Name]; ok && isStringArray(li.Type) {
+			return li
+		}
+	}
+	return nil
+}
+
+// emitStringArrayIndex reads element x.I of a string[] parameter with a
+// bounds check: [] -> [ptr + 32 + offset_i], a string pointer.
+func (cg *codegen) emitStringArrayIndex(li *LocalInfo, x *Index) (*SemType, error) {
+	a := cg.a
+	a.mload(li.Offset) // [ptr]
+	it, err := cg.compileExpr(x.I)
+	if err != nil {
+		return nil, err
+	}
+	if it == nil || !it.IsWord() {
+		return nil, cg.errf(x.Line, "array index must be numeric")
+	}
+	ok := cg.fresh("sbnd")
+	a.op(evm.DUP2, evm.MLOAD) // [ptr, i, n]
+	a.op(evm.DUP2, evm.LT)    // i < n
+	a.pushLabel(ok)
+	a.op(evm.JUMPI)
+	a.revertZero()
+	a.label(ok)
+	a.pushU(32)
+	a.op(evm.MUL, evm.DUP2, evm.ADD) // [ptr, ptr+32i]
+	a.pushU(32)
+	a.op(evm.ADD, evm.MLOAD, evm.ADD) // ptr + offset_i
+	a.pushU(32)
+	a.op(evm.ADD)
+	return li.Type.Elem, nil
 }
 
 // compileBinary emits binary operations (short-circuit for && and ||).
@@ -1053,6 +1102,9 @@ func (cg *codegen) compileEmit(st *EmitStmt) error {
 	var dataSrcs []encodeSrc
 	for i, p := range ev.Params {
 		if p.Indexed {
+			if !p.Type.IsWord() && p.Type.Kind != TString {
+				return cg.errf(st.Line, "indexed event parameter of type %s is unsupported", p.Type)
+			}
 			indexed = append(indexed, i)
 		} else {
 			dataSrcs = append(dataSrcs, encodeSrc{offset: temps[i], typ: p.Type})

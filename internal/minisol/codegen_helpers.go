@@ -120,6 +120,9 @@ func (cg *codegen) emitHelpers() {
 	if cg.needMapStr {
 		cg.emitMapString()
 	}
+	if cg.needStrArr {
+		cg.emitStringArray()
+	}
 }
 
 // emitMcopy: word-granular memory copy.
@@ -375,4 +378,68 @@ func (cg *codegen) emitMapString() {
 	a.op(evm.SWAP2) // [ret,hash,ptr,slot]
 	a.op(evm.POP, evm.POP)
 	a.op(evm.SWAP1, evm.JUMP)
+}
+
+// emitStringArray checks a string[] argument against its blob and
+// returns its memory pointer. Every bound is a comparison or a division,
+// never a sum of two hostile words, so no length or offset can wrap:
+// the array's length word must lie in the blob, its offset words must
+// fit in what follows (n <= rem/32), and each element's length word and
+// bytes must lie in the same remainder. Anything else reverts.
+// In: [ret, base, size, off] (off on top). Out: [ptr] (jumps ret).
+func (cg *codegen) emitStringArray() {
+	a := cg.a
+	a.label("__strarr")
+	a.pushU(32)
+	a.op(evm.DUP3, evm.LT) // size < 32
+	a.pushLabel("__strarr_bad")
+	a.op(evm.JUMPI)
+	a.pushU(32)
+	a.op(evm.DUP3, evm.SUB)  // [ret,base,size,off,s32]
+	a.op(evm.DUP2, evm.DUP2) // [.., off, s32, off, s32]
+	a.op(evm.LT)             // s32 < off
+	a.pushLabel("__strarr_bad")
+	a.op(evm.JUMPI)
+	a.op(evm.DUP2, evm.DUP2, evm.SUB) // rem = s32 - off
+	a.op(evm.SWAP3, evm.POP, evm.POP) // [ret,base,rem,off]
+	a.op(evm.DUP3, evm.ADD)           // [ret,base,rem,ptr]
+	a.op(evm.SWAP2, evm.POP)          // [ret,ptr,rem]
+	a.op(evm.DUP2, evm.MLOAD)         // [ret,ptr,rem,n]
+	a.pushU(32)
+	a.op(evm.DUP3, evm.DIV) // [ret,ptr,rem,n,rem/32]
+	a.op(evm.DUP2, evm.GT)  // n > rem/32
+	a.pushLabel("__strarr_bad")
+	a.op(evm.JUMPI) // [ret,ptr,rem,i], elements i-1 .. 0 left to check
+	a.label("__strarr_loop")
+	a.op(evm.DUP1, evm.ISZERO)
+	a.pushLabel("__strarr_done")
+	a.op(evm.JUMPI)
+	a.pushU(1)
+	a.op(evm.SWAP1, evm.SUB) // [ret,ptr,rem,j]
+	// e = mload(ptr + 32 + 32j), the element's offset
+	a.op(evm.DUP1)
+	a.pushU(32)
+	a.op(evm.MUL, evm.DUP4, evm.ADD)
+	a.pushU(32)
+	a.op(evm.ADD, evm.MLOAD) // [ret,ptr,rem,j,e]
+	a.pushU(32)
+	a.op(evm.DUP4, evm.SUB)  // r32 = rem - 32 (rem >= 32n >= 32)
+	a.op(evm.DUP2, evm.DUP2) // [.., e, r32, e, r32]
+	a.op(evm.LT)             // r32 < e
+	a.pushLabel("__strarr_bad")
+	a.op(evm.JUMPI)
+	a.op(evm.DUP2, evm.SWAP1, evm.SUB) // left = r32 - e; [ret,ptr,rem,j,e,left]
+	a.op(evm.SWAP1, evm.DUP5, evm.ADD)
+	a.pushU(32)
+	a.op(evm.ADD, evm.MLOAD) // [ret,ptr,rem,j,left,len]
+	a.op(evm.GT)             // len > left
+	a.pushLabel("__strarr_bad")
+	a.op(evm.JUMPI)
+	a.pushLabel("__strarr_loop")
+	a.op(evm.JUMP)
+	a.label("__strarr_done")
+	a.op(evm.POP, evm.POP) // [ret,ptr]
+	a.op(evm.SWAP1, evm.JUMP)
+	a.label("__strarr_bad")
+	a.revertZero()
 }

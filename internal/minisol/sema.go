@@ -43,6 +43,13 @@ func (t *SemType) IsWord() bool {
 	return false
 }
 
+// isStringArray reports whether t is string[], the one array type a
+// function parameter may have: a pointer into the argument blob that
+// supports only .length and bounds-checked indexing.
+func isStringArray(t *SemType) bool {
+	return t.Kind == TArray && t.Elem.Kind == TString
+}
+
 // Slots returns the number of storage slots a value occupies.
 func (t *SemType) Slots() int {
 	if t.Kind == TStruct {
