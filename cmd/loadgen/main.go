@@ -193,7 +193,7 @@ func main() {
 			tick := time.NewTicker(100 * time.Millisecond)
 			defer tick.Stop()
 			for ctx.Err() == nil {
-				st := tower.Status()
+				st := tower.Summary()
 				lagSamples.Add(1)
 				sumLag.Add(st.LagBlocks)
 				if st.LagBlocks > maxLag.Load() {
@@ -305,7 +305,7 @@ func main() {
 	var convMean float64
 	var convMax, convN uint64
 	if tower != nil {
-		st := tower.Status()
+		st := tower.Summary()
 		convMean, convMax, convN = tower.ConvergenceLag()
 		report["watch"] = map[string]interface{}{
 			"tracked": st.Tracked, "folded": st.Folded, "head": st.Head,

@@ -27,19 +27,14 @@ func (a *App) v1ContractTimeline(w http.ResponseWriter, r *http.Request, u *User
 		return
 	}
 	a.Watch.Sync()
-	events := a.Watch.Timeline(addr)
+	events, c, tracked := a.Watch.ContractTimeline(addr)
 	out := map[string]interface{}{
 		"address": addr.Hex(),
 		"events":  events,
 		"count":   len(events),
 	}
-	st := a.Watch.Status()
-	for _, c := range st.Contracts {
-		if c.Address == addr.Hex() {
-			c := c
-			out["contract"] = &c
-			break
-		}
+	if tracked {
+		out["contract"] = &c
 	}
 	if head := a.v1Head(); head != nil {
 		out["head"] = head
@@ -70,7 +65,7 @@ func (a *App) v1Alerts(w http.ResponseWriter, r *http.Request, u *User) {
 		since = n
 	}
 	alerts := a.Watch.AlertsSince(since)
-	st := a.Watch.Status()
+	st := a.Watch.Summary()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"alerts": alerts,
 		"count":  len(alerts),

@@ -99,6 +99,20 @@ func TestV1Timeline(t *testing.T) {
 		t.Fatalf("contract summary: %+v", out.Contract)
 	}
 
+	// An address the tower does not track has an empty timeline and no
+	// "contract" key.
+	resp, body = b.get("/api/v1/contracts/" + landlady.Hex() + "/timeline")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("untracked timeline: %d %s", resp.StatusCode, body)
+	}
+	var untracked map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &untracked); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := untracked["contract"]; ok || string(untracked["count"]) != "0" {
+		t.Fatalf("untracked timeline: %s", body)
+	}
+
 	// Unknown sub-routes keep 404ing.
 	resp, _ = b.get("/api/v1/contracts/" + addr + "/nonsense")
 	if resp.StatusCode != http.StatusNotFound {

@@ -257,7 +257,7 @@ func (n *Node) health() map[string]interface{} {
 		h["contracts"] = n.store.Count("contracts")
 	}
 	if n.tower != nil {
-		st := n.tower.Status()
+		st := n.tower.Summary()
 		h["watch"] = map[string]interface{}{"folded": st.Folded, "lagBlocks": st.LagBlocks,
 			"tracked": st.Tracked, "alertsFiring": st.AlertsFiring}
 	}
@@ -272,7 +272,7 @@ func (n *Node) ready() (bool, string) {
 		}
 	}
 	if maxLag := n.cfg.MaxWatchLag; n.tower != nil && maxLag > 0 {
-		if st := n.tower.Status(); st.LagBlocks > maxLag {
+		if st := n.tower.Summary(); st.LagBlocks > maxLag {
 			return false, fmt.Sprintf("watchtower %d blocks behind (max %d)", st.LagBlocks, maxLag)
 		}
 	}

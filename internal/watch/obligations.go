@@ -56,13 +56,13 @@ func (t *Tower) dueOf(cs *contractState) (kind string, due uint64, ok bool) {
 }
 
 // obligationsOf derives the outstanding obligations of one contract at
-// folded head block `head`.
-func (t *Tower) obligationsOf(cs *contractState, head uint64) []Obligation {
+// folded head block `head`; hex is cs.Addr.Hex().
+func (t *Tower) obligationsOf(cs *contractState, hex string, head uint64) []Obligation {
 	kind, due, ok := t.dueOf(cs)
 	if !ok {
 		return nil
 	}
-	o := Obligation{Contract: cs.Addr.Hex(), Kind: kind, DueBlock: due}
+	o := Obligation{Contract: hex, Kind: kind, DueBlock: due}
 	if head > due {
 		o.Overdue = true
 		o.OverdueBy = head - due

@@ -24,6 +24,7 @@ package watch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -181,7 +182,8 @@ type Tower struct {
 	contracts map[ethtypes.Address]*contractState
 	tracked   []*contractState // the same contracts in creation order, for scans
 	states    map[string]int   // tracked contracts per lifecycle state
-	events    []Event          // bounded in-memory buffer
+	events    []Event          // ring of at most MemEvents; the oldest is events[next]
+	next      int
 	alerts    []Alert
 	fired     uint64 // cumulative alert firings
 	skipped   uint64 // blocks whose bodies were unavailable during fold
@@ -506,12 +508,20 @@ func (t *Tower) setStateLocked(cs *contractState, s string) {
 	cs.State = s
 }
 
-// bufferLocked appends ev to the bounded in-memory buffer.
+// bufferLocked adds ev to the bounded in-memory buffer. The buffer
+// grows to MemEvents slots, then each event overwrites the oldest.
 func (t *Tower) bufferLocked(ev *Event) {
-	t.events = append(t.events, *ev)
-	if over := len(t.events) - t.cfg.MemEvents; over > 0 {
-		t.events = append(t.events[:0], t.events[over:]...)
+	if len(t.events) < t.cfg.MemEvents {
+		t.events = append(t.events, *ev)
+		return
 	}
+	t.events[t.next] = *ev
+	t.next = (t.next + 1) % len(t.events)
+}
+
+// bufferedLocked returns the buffered events, oldest first, as two runs.
+func (t *Tower) bufferedLocked() [2][]Event {
+	return [2][]Event{t.events[t.next:], t.events[:t.next]}
 }
 
 // probeCreation classifies a fresh deployment. A contract answering the
@@ -675,7 +685,7 @@ func (t *Tower) updateGaugesLocked(head uint64) {
 // --- read surface ----------------------------------------------------------
 
 // Status is the tower's summary, served by legal_watchStatus and the
-// legalctl watch/top views.
+// legalctl watch/top views. Summary fills every field but Contracts.
 type Status struct {
 	Head         uint64           `json:"head"`
 	Folded       uint64           `json:"folded"`
@@ -711,21 +721,53 @@ type ContractStatus struct {
 	Obligations []Obligation `json:"obligations,omitempty"`
 }
 
-// Status reports the tower's state. Lag is measured against the
-// source's newest head, so a stalled tower shows a growing number even
-// between folds.
+// Summary reports the tower's counters: Status without Contracts. Lag
+// is measured against the source's newest head, so a stalled tower
+// shows a growing number even between folds.
+func (t *Tower) Summary() Status {
+	head := t.src.View().BlockNumber()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.summaryLocked(head)
+}
+
+// Status is Summary plus every tracked contract, sorted by address (the
+// hex form sorts as the bytes do).
 func (t *Tower) Status() Status {
 	head := t.src.View().BlockNumber()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	st := t.summaryLocked(head)
+	if len(t.tracked) == 0 {
+		return st
+	}
+	type keyed struct {
+		hex  string
+		addr ethtypes.Address
+	}
+	keys := make([]keyed, len(t.tracked))
+	for i, cs := range t.tracked {
+		keys[i] = keyed{cs.Addr.Hex(), cs.Addr}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int { return strings.Compare(a.hex, b.hex) })
+	st.Contracts = make([]ContractStatus, len(keys))
+	for i, k := range keys {
+		st.Contracts[i], _ = t.contractStatusLocked(k.addr, k.hex)
+	}
+	return st
+}
+
+func (t *Tower) summaryLocked(head uint64) Status {
 	st := Status{
-		Head:        head,
-		Folded:      t.folded,
-		Tracked:     len(t.contracts),
-		States:      map[string]int{},
-		AlertsTotal: t.fired,
-		Events:      t.seq,
-		SkippedBlks: t.skipped,
+		Head:         head,
+		Folded:       t.folded,
+		Tracked:      len(t.contracts),
+		States:       make(map[string]int, len(allStates)),
+		Overdue:      t.overdueLocked(t.folded),
+		AlertsFiring: t.rules.firing(),
+		AlertsTotal:  t.fired,
+		Events:       t.seq,
+		SkippedBlks:  t.skipped,
 	}
 	if head > t.folded {
 		st.LagBlocks = head - t.folded
@@ -734,40 +776,42 @@ func (t *Tower) Status() Status {
 	for _, s := range allStates {
 		st.States[s] = t.states[s]
 	}
-	addrs := make([]ethtypes.Address, 0, len(t.contracts))
-	for a := range t.contracts {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return strings.Compare(addrs[i].Hex(), addrs[j].Hex()) < 0
-	})
-	for _, a := range addrs {
-		cs := t.contracts[a]
-		obl := t.obligationsOf(cs, t.folded)
-		c := ContractStatus{
-			Address:    cs.Addr.Hex(),
-			Template:   cs.Template,
-			State:      cs.State,
-			MonthsPaid: cs.MonthsPaid,
-			Months:     cs.Months,
-			RentWei:    cs.RentWei,
-			DepositWei: cs.DepositWei,
-		}
-		for _, o := range obl {
-			if o.Overdue {
-				c.Overdue = true
-				st.Overdue++
-			}
-		}
-		c.Obligations = obl
-		st.Contracts = append(st.Contracts, c)
-	}
-	st.AlertsFiring = t.rules.firing()
 	for i, r := range t.rules.rules {
 		rs := t.rules.state[i]
 		st.Rules = append(st.Rules, RuleStatus{Rule: r, Firing: rs.Firing, Consecutive: rs.Consecutive})
 	}
 	return st
+}
+
+// ContractStatus reports addr's entry of Status().Contracts; false if
+// the tower does not track addr.
+func (t *Tower) ContractStatus(addr ethtypes.Address) (ContractStatus, bool) {
+	hex := addr.Hex()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.contractStatusLocked(addr, hex)
+}
+
+// contractStatusLocked builds addr's entry; hex is addr.Hex().
+func (t *Tower) contractStatusLocked(addr ethtypes.Address, hex string) (ContractStatus, bool) {
+	cs := t.contracts[addr]
+	if cs == nil {
+		return ContractStatus{}, false
+	}
+	c := ContractStatus{
+		Address:     hex,
+		Template:    cs.Template,
+		State:       cs.State,
+		MonthsPaid:  cs.MonthsPaid,
+		Months:      cs.Months,
+		RentWei:     cs.RentWei,
+		DepositWei:  cs.DepositWei,
+		Obligations: t.obligationsOf(cs, hex, t.folded),
+	}
+	for _, o := range c.Obligations {
+		c.Overdue = c.Overdue || o.Overdue
+	}
+	return c, true
 }
 
 // Timeline returns the buffered events involving addr, oldest first:
@@ -776,16 +820,26 @@ func (t *Tower) Timeline(addr ethtypes.Address) []Event {
 	hex := addr.Hex()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.timelineLocked(hex)
+}
+
+// ContractTimeline is Timeline and ContractStatus read under one lock,
+// so the events and the entry describe the same folded height.
+func (t *Tower) ContractTimeline(addr ethtypes.Address) ([]Event, ContractStatus, bool) {
+	hex := addr.Hex()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.contractStatusLocked(addr, hex)
+	return t.timelineLocked(hex), c, ok
+}
+
+func (t *Tower) timelineLocked(hex string) []Event {
 	var out []Event
-	for _, ev := range t.events {
-		if ev.Contract == hex {
-			out = append(out, ev)
-			continue
-		}
-		for _, c := range ev.Contracts {
-			if c == hex {
-				out = append(out, ev)
-				break
+	for _, run := range t.bufferedLocked() {
+		for i := range run {
+			ev := &run[i]
+			if ev.Contract == hex || slices.Contains(ev.Contracts, hex) {
+				out = append(out, *ev)
 			}
 		}
 	}
@@ -797,11 +851,18 @@ func (t *Tower) Timeline(addr ethtypes.Address) []Event {
 func (t *Tower) Events(n int) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	evs := t.events
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
+	size := len(t.events)
+	if n <= 0 || n > size {
+		n = size
 	}
-	return append([]Event(nil), evs...)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = t.events[(t.next+size-n+i)%size]
+	}
+	return out
 }
 
 // Alerts returns the bounded alert history, oldest first.
