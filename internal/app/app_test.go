@@ -449,6 +449,9 @@ func TestDashboardReadsStateFromChain(t *testing.T) {
 	if err := a.Manager.Store.Put(core.TableContracts, key(v2.Contract.Address), stale); err != nil {
 		t.Fatal(err)
 	}
+	// A fresh manager decodes the stored bytes; a.Manager answers from
+	// its memo.
+	a = New(core.NewManager(a.Manager.Client, a.Manager.IPFS, a.Manager.Store))
 	if r := actions(tenant)[key(v2.Contract.Address)]; r.State != core.StateTerminated || r.Action != "TERMINATED" {
 		t.Fatalf("terminated v2 stored as active shows %+v", r)
 	}

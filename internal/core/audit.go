@@ -29,11 +29,13 @@ func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport,
 		runs = upgrade.NewRuns(hv.HeadView(), from)
 	}
 
+	codes := make([][]byte, len(chain))
 	for i, node := range chain {
 		code, err := m.Client.Backend().GetCode(node.Address)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading code of %s: %w", node.Address, err)
 		}
+		codes[i] = code
 		vn := upgrade.VersionNode{
 			Address:  node.Address.Hex(),
 			Index:    i,
@@ -58,8 +60,7 @@ func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport,
 		oldAddr, newAddr := chain[i].Address, chain[i+1].Address
 		pair := upgrade.PairDiff{From: oldAddr.Hex(), To: newAddr.Hex()}
 
-		oldCode, _ := m.Client.Backend().GetCode(oldAddr)
-		newCode, _ := m.Client.Backend().GetCode(newAddr)
+		oldCode, newCode := codes[i], codes[i+1]
 		pair.BytecodeChanged = string(oldCode) != string(newCode)
 		pair.CodeSizeDelta = len(newCode) - len(oldCode)
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"legalchain/internal/chain"
@@ -49,12 +50,20 @@ func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) (*Manager
 }
 
 // countingBackend counts the eth_calls that reach the node, in total
-// and per DataStorage getter, and the transactions sent to it.
+// and per DataStorage getter, the transactions sent to it and the code
+// reads.
 type countingBackend struct {
 	*web3.LocalBackend
-	calls   int
-	methods map[string]int
-	sends   int
+	calls    int
+	methods  map[string]int
+	sends    int
+	getCodes int
+}
+
+// GetCode counts the code reads that reach the node.
+func (b *countingBackend) GetCode(addr ethtypes.Address) ([]byte, error) {
+	b.getCodes++
+	return b.LocalBackend.GetCode(addr)
 }
 
 // SendRawTransactionCtx is the eth_sendRawTransaction the client sends
@@ -264,6 +273,133 @@ func TestWalkChainReadsEachVersionOnce(t *testing.T) {
 	}
 }
 
+// TestWalkChainDecodesEachRowOnce pins the row memo: a manager reads a
+// registry row from the docstore once, the writer's manager not at all,
+// and a miss is read again, so a row published later is found. Rows
+// renamed in the docstore behind the managers' backs tell which answered:
+// a manager's memo keeps the name it first read, a docstore read sees
+// the new one.
+func TestWalkChainDecodesEachRowOnce(t *testing.T) {
+	m, accs := rig(t)
+	landlord := accs[0].Address
+	line := evidenceLine(t, m, landlord, accs[1].Address)
+	starts := []int{4, 0, 7, 2, 7, 5, 0, 3, 6, 1}
+	rename := func(addr ethtypes.Address, name string) {
+		t.Helper()
+		key := strings.ToLower(addr.Hex())
+		var row ContractRow
+		if err := m.Store.Get(TableContracts, key, &row); err != nil {
+			t.Fatal(err)
+		}
+		row.Name = name
+		if err := m.Store.Put(TableContracts, key, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	renameLine := func(tag string) []string {
+		t.Helper()
+		names := make([]string, len(line))
+		for j, addr := range line {
+			names[j] = fmt.Sprintf("%s-v%d", tag, j+1)
+			rename(addr, names[j])
+		}
+		return names
+	}
+	walkAll := func(mgr *Manager, what string, names []string) {
+		t.Helper()
+		for _, i := range starts {
+			walked, err := mgr.WalkChain(line[i])
+			if err != nil || len(walked) != len(line) {
+				t.Fatalf("%s: walk from v%d: %d versions, %v", what, i+1, len(walked), err)
+			}
+			for j, v := range walked {
+				if v.Address != line[j] || v.Version != j+1 || v.Name != names[j] {
+					t.Fatalf("%s: walk from v%d: position %d is %s v%d %q, want %q", what, i+1, j+1, v.Address, v.Version, v.Name, names[j])
+				}
+			}
+		}
+	}
+	var published []string // read by another manager: m must read none
+	reader := NewManager(m.Client, m.IPFS, m.Store)
+	for _, addr := range line {
+		row, err := reader.GetRow(addr)
+		if err != nil || row.Name == "" {
+			t.Fatalf("row of %s: %+v, %v", addr, row, err)
+		}
+		published = append(published, row.Name)
+	}
+
+	// The writer published every row, so it reads none, and a caller's
+	// change to a returned row stays with that caller.
+	renamed := renameLine("renamed")
+	walkAll(m, "writer", published)
+	row, err := m.GetRow(line[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	row.Name = "changed"
+	if again, _ := m.GetRow(line[0]); again.Name != published[0] {
+		t.Fatalf("after a caller changed its copy, the row reads %q, want %q", again.Name, published[0])
+	}
+
+	// A cold manager reads each row, and reads it once, however many
+	// walks it makes and wherever they start.
+	cold := NewManager(m.Client, m.IPFS, m.Store)
+	walkAll(cold, "cold", renamed)
+	renameLine("renamed again")
+	walkAll(cold, "cold, rows renamed again", renamed)
+
+	// Walks and a publish on one cold manager at once (-race).
+	busy := NewManager(m.Client, m.IPFS, m.Store)
+	var dep *Deployment
+	var wg sync.WaitGroup
+	for _, i := range starts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if walked, err := busy.WalkChain(line[i]); err != nil || len(walked) != len(line) {
+				t.Errorf("concurrent walk from v%d: %d versions, %v", i+1, len(walked), err)
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		dep, err = NewRentalService(busy).DeployRental(landlord, RentalTerms{
+			Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12, House: "10115-Berlin-43",
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	if dep == nil {
+		t.FailNow()
+	}
+	rename(dep.Contract.Address, "renamed")
+	if row, err := busy.GetRow(dep.Contract.Address); err != nil || row != dep.Row.registered() {
+		t.Errorf("the row it published reads %+v, %v; want %+v", row, err, dep.Row.registered())
+	}
+
+	// A miss is not remembered: another manager's publish is seen.
+	absent := ethtypes.HexToAddress("0x00000000000000000000000000000000000000ab")
+	for i := 0; i < 2; i++ {
+		if _, err := cold.GetRow(absent); !errors.Is(err, docstore.ErrNotFound) {
+			t.Fatalf("miss %d: %v, want docstore.ErrNotFound", i+1, err)
+		}
+	}
+	want, err := NewManager(m.Client, m.IPFS, m.Store).publish(ContractRow{
+		Address: absent.Hex(), Name: "BaseRental", Landlord: landlord.Hex(), Version: 1,
+	}, contracts.MustArtifact("BaseRental"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cold.GetRow(absent); err != nil || got != want {
+		t.Fatalf("row published by another manager reads %+v, %v; want %+v", got, err, want)
+	}
+}
+
 // Shape of the audit benchmark's evidence line: eight versions, four
 // data keys written on the first.
 const (
@@ -350,13 +486,15 @@ func TestLoadSnapshotReadsEachValueOnce(t *testing.T) {
 // TestAuditChainReadsEvidenceOncePerVersion pins AuditChain's node reads:
 // the walk's two pointer reads per version and one read of the
 // version's own rejection count — no alias resolution, since evidence
-// is never inherited.
+// is never inherited — and one code read per version, which the pair
+// diffs reuse.
 func TestAuditChainReadsEvidenceOncePerVersion(t *testing.T) {
 	m, accs, node := countingRig(t)
 	landlord := accs[0].Address
 	line := evidenceLine(t, m, landlord, accs[1].Address)
 
 	calls, methods := node.mark()
+	codes := node.getCodes
 	report, err := m.AuditChain(landlord, line[len(line)-1])
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +507,9 @@ func TestAuditChainReadsEvidenceOncePerVersion(t *testing.T) {
 	}
 	if got := node.methods["getValue"] - methods["getValue"]; got != len(line) {
 		t.Errorf("AuditChain made %d getValue calls, want %d", got, len(line))
+	}
+	if got := node.getCodes - codes; got != len(line) || got != 8 {
+		t.Errorf("AuditChain read code %d times, want %d (8)", got, len(line))
 	}
 	for _, name := range []string{"aliasOf", "hasKey"} {
 		if got := node.methods[name] - methods[name]; got != 0 {

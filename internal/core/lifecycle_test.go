@@ -161,11 +161,13 @@ func TestStaleStoredStateIgnored(t *testing.T) {
 	if err := m.Store.Put(TableContracts, strings.ToLower(addr.Hex()), raw); err != nil {
 		t.Fatal(err)
 	}
-	row := describe(t, m, addr)
+	// A fresh manager decodes the stored bytes; m answers from its memo.
+	fresh := NewManager(m.Client, m.IPFS, m.Store)
+	row := describe(t, fresh, addr)
 	if row.State != StateTerminated || row.Tenant != tenant.Hex() || row.Next != "" {
 		t.Fatalf("stale row shows state %q tenant %q next %q; want %q, %s and none", row.State, row.Tenant, row.Next, StateTerminated, tenant.Hex())
 	}
-	if rows := m.Rows(); len(rows) != 1 || rows[0].State != "" || rows[0].Tenant != "" || rows[0].Next != "" {
+	if rows := NewManager(m.Client, m.IPFS, m.Store).Rows(); len(rows) != 1 || rows[0].State != "" || rows[0].Tenant != "" || rows[0].Next != "" {
 		t.Fatalf("Rows() = %+v, want one row without derived fields", rows)
 	}
 }

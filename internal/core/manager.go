@@ -106,10 +106,12 @@ type Manager struct {
 	artifacts   map[artifactKey]any
 }
 
-// versionArtifacts memoises what was parsed of one version's artifacts.
-// The blobs are content-addressed and a row's CIDs never change, so the
-// values are shared read-only with every caller.
+// versionArtifacts memoises what was read of one version: its registry
+// row and its parsed artifacts. A row is written once and the blobs are
+// content-addressed, so nothing here goes stale; the artifacts are
+// shared read-only with every caller, the row is copied out.
 type versionArtifacts struct {
+	row    *ContractRow
 	abi    *abi.ABI
 	layout *minisol.Layout
 }
@@ -291,17 +293,22 @@ func (m *Manager) publish(row ContractRow, art *minisol.Artifact, legalDoc []byt
 		}
 		row.DocumentCID = string(cid)
 	}
-	return row, m.Store.Put(TableContracts, strings.ToLower(row.Address), row.registered())
+	stored := row.registered()
+	if err := m.Store.Put(TableContracts, strings.ToLower(row.Address), stored); err != nil {
+		return row, err
+	}
+	m.remember(ethtypes.HexToAddress(row.Address), func(a *versionArtifacts) { a.row = &stored })
+	return row, nil
 }
 
-// memo returns what has been parsed of addr's artifacts so far.
+// memo returns what has been read of addr so far.
 func (m *Manager) memo(addr ethtypes.Address) versionArtifacts {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.parsed[addr]
 }
 
-// remember records one more parsed artifact of addr.
+// remember records one more thing read of addr.
 func (m *Manager) remember(addr ethtypes.Address, set func(*versionArtifacts)) {
 	m.mu.Lock()
 	a := m.parsed[addr]
@@ -629,12 +636,21 @@ func (r ContractRow) registered() ContractRow {
 	return r
 }
 
-// GetRow fetches the registry row of a version, without its derived
-// fields.
+// GetRow returns the registry row of a version, without its derived
+// fields. The docstore is read until a read succeeds; from then on the
+// manager answers from its memo, since the row never changes. A miss is
+// not remembered, so a row published later is found.
 func (m *Manager) GetRow(addr ethtypes.Address) (ContractRow, error) {
+	if row := m.memo(addr).row; row != nil {
+		return *row, nil
+	}
 	var row ContractRow
 	err := m.Store.Get(TableContracts, strings.ToLower(addr.Hex()), &row)
-	return row.registered(), err
+	row = row.registered()
+	if err == nil {
+		m.remember(addr, func(a *versionArtifacts) { a.row = &row })
+	}
+	return row, err
 }
 
 // Rows lists all registry rows, without their derived fields.

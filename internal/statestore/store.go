@@ -88,7 +88,9 @@ func (a *AccountRecord) Encode() []byte {
 	))
 }
 
-// DecodeAccountRecord parses a canonical account leaf encoding.
+// DecodeAccountRecord parses a canonical account leaf encoding. A
+// balance that is a list, or longer than the 32 bytes of a uint256, is an
+// error.
 func DecodeAccountRecord(enc []byte) (*AccountRecord, error) {
 	it, err := rlp.Decode(enc)
 	if err != nil {
@@ -101,7 +103,11 @@ func DecodeAccountRecord(enc []byte) (*AccountRecord, error) {
 	if a.Nonce, err = it.At(0).AsUint64(); err != nil {
 		return nil, err
 	}
-	a.Balance = append([]byte(nil), it.At(1).Str()...)
+	bal := it.At(1)
+	if bal.Kind() != rlp.KindString || bal.Len() > 32 {
+		return nil, errors.New("statestore: account balance must be a string of at most 32 bytes")
+	}
+	a.Balance = append([]byte(nil), bal.Str()...)
 	if a.StorageRoot, err = asHash(it.At(2)); err != nil {
 		return nil, err
 	}
@@ -342,11 +348,13 @@ func decodeRecord(pos seglog.Pos, payload []byte) (indexOp, *Anchor, error) {
 	return op, nil, err
 }
 
+// record renders one record payload: the kind, then its fields.
+func record(kind uint64, fields ...*rlp.Item) []byte {
+	return rlp.Encode(rlp.List(append([]*rlp.Item{rlp.Uint(kind)}, fields...)...))
+}
+
 func anchorRecord(a Anchor) []byte {
-	return rlp.Encode(rlp.List(
-		rlp.Uint(kindAnchor), rlp.Uint(a.Gen), rlp.Uint(a.Number),
-		rlp.Bytes(a.BlockHash[:]), rlp.Bytes(a.Root[:]),
-	))
+	return record(kindAnchor, rlp.Uint(a.Gen), rlp.Uint(a.Number), rlp.Bytes(a.BlockHash[:]), rlp.Bytes(a.Root[:]))
 }
 
 func asAddress(it *rlp.Item) (ethtypes.Address, error) {
@@ -460,7 +468,7 @@ func (s *Store) Commit(b *Batch, a Anchor) error {
 	var payloads [][]byte
 	add := func(op indexOp, fields ...*rlp.Item) {
 		ops = append(ops, op)
-		payloads = append(payloads, rlp.Encode(rlp.List(append([]*rlp.Item{rlp.Uint(op.kind)}, fields...)...)))
+		payloads = append(payloads, record(op.kind, fields...))
 	}
 	if b != nil {
 		for _, addr := range b.Clears {
