@@ -39,6 +39,7 @@ const (
 	v1NotAllowed      = "method_not_allowed"
 	v1Internal        = "internal"
 	v1UpgradeRejected = "upgrade_rejected"
+	v1Superseded      = "superseded"
 )
 
 // writeV1Error emits the uniform v1 error envelope. The request ID the
@@ -379,6 +380,10 @@ func (a *App) v1ContractAction(w http.ResponseWriter, r *http.Request, u *User, 
 		if errors.As(err, &rej) {
 			writeV1ErrorData(w, r, http.StatusUnprocessableEntity, v1UpgradeRejected,
 				rej.Error(), map[string]interface{}{"report": rej.Report})
+			return
+		}
+		if errors.Is(err, core.ErrSuperseded) {
+			writeV1Error(w, r, http.StatusConflict, v1Superseded, err.Error())
 			return
 		}
 		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, err.Error())

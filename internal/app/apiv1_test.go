@@ -253,6 +253,38 @@ func TestV1TenantReadBeforeModify(t *testing.T) {
 	}
 }
 
+// TestModifySupersededConflict: once a version has a successor, a
+// second modification of it is refused as a conflict, 409, on /api/v1
+// (code "superseded") and on the HTML form, and the line keeps two
+// versions.
+func TestModifySupersededConflict(t *testing.T) {
+	landlord, a, addr := apiRig(t)
+	terms := map[string]interface{}{
+		"rentEth": "1.5", "depositEth": "2", "months": 12, "house": "api-house",
+		"maintenanceEth": "0.1", "discountEth": "0", "fineEth": "1",
+	}
+	var out map[string]interface{}
+	if code := postJSON(t, landlord, "/api/v1/contracts/"+addr+"/actions",
+		map[string]interface{}{"action": "modify", "terms": terms}, &out); code != http.StatusOK {
+		t.Fatalf("first modify: code %d (%v)", code, out)
+	}
+	var env v1Envelope
+	if code := postJSON(t, landlord, "/api/v1/contracts/"+addr+"/actions",
+		map[string]interface{}{"action": "modify", "terms": terms}, &env); code != http.StatusConflict || env.Error.Code != v1Superseded {
+		t.Fatalf("second modify: code %d, envelope %+v; want 409 %s", code, env.Error, v1Superseded)
+	}
+	resp, body := landlord.post("/contract/"+addr+"/modify", url.Values{
+		"rent": {"1"}, "deposit": {"2"}, "months": {"12"}, "house": {"api-house"},
+		"maintenance": {"0.5"}, "discount": {"0"}, "fine": {"1"},
+	})
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("second modify by form: %d %s", resp.StatusCode, body)
+	}
+	if line, err := a.Manager.WalkChain(ethtypes.HexToAddress(addr)); err != nil || len(line) != 2 {
+		t.Fatalf("line = %d versions, %v; want 2", len(line), err)
+	}
+}
+
 func TestV1ErrorEnvelope(t *testing.T) {
 	b, _, addr := apiRig(t)
 

@@ -180,6 +180,10 @@ func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User) {
 		if err == nil {
 			_, _, err = a.contractAction(r.Context(), u, addr, action, &terms)
 		}
+		if errors.Is(err, core.ErrSuperseded) {
+			a.renderError(w, http.StatusConflict, err)
+			return
+		}
 		if err != nil {
 			a.renderError(w, http.StatusBadRequest, err)
 			return

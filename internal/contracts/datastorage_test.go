@@ -53,30 +53,38 @@ func (d *dsEVM) call(from ethtypes.Address, method string, args ...interface{}) 
 	return d.st.Logs()[before:], err
 }
 
+// get runs one DataStorage getter and returns its one output.
+func (d *dsEVM) get(method string, args ...interface{}) interface{} {
+	d.t.Helper()
+	a := MustArtifact("DataStorage").ABI
+	input, err := a.Pack(method, args...)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	ret, _, err := d.e.Call(dsOwner, d.addr, input, 5_000_000, uint256.Zero)
+	if err != nil {
+		d.t.Fatalf("%s: %v", method, err)
+	}
+	out, err := a.Unpack(method, ret)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	return out[0]
+}
+
+// StorageAt serves the slot reader from the same state the getters run on.
+func (d *dsEVM) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.Hash, error) {
+	return d.st.GetState(addr, slot).Bytes32(), nil
+}
+
 // keys enumerates ns through keyCount/keyAt, each with its value.
 func (d *dsEVM) keys(ns ethtypes.Address) []string {
 	d.t.Helper()
-	read := func(method string, args ...interface{}) interface{} {
-		a := MustArtifact("DataStorage").ABI
-		input, err := a.Pack(method, args...)
-		if err != nil {
-			d.t.Fatal(err)
-		}
-		ret, _, err := d.e.Call(dsOwner, d.addr, input, 5_000_000, uint256.Zero)
-		if err != nil {
-			d.t.Fatalf("%s: %v", method, err)
-		}
-		out, err := a.Unpack(method, ret)
-		if err != nil {
-			d.t.Fatal(err)
-		}
-		return out[0]
-	}
-	n := read("keyCount", ns).(uint256.Int).Uint64()
+	n := d.get("keyCount", ns).(uint256.Int).Uint64()
 	out := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
-		k := read("keyAt", ns, i).(string)
-		out = append(out, k+"="+read("getValue", ns, k).(string))
+		k := d.get("keyAt", ns, i).(string)
+		out = append(out, k+"="+d.get("getValue", ns, k).(string))
 	}
 	return out
 }

@@ -50,14 +50,39 @@ func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) (*Manager
 }
 
 // countingBackend counts the eth_calls that reach the node, in total
-// and per DataStorage getter, the transactions sent to it and the code
-// reads.
+// and per DataStorage getter, the transactions sent to it, the code
+// reads and the storage words read, in total and per slot.
 type countingBackend struct {
 	*web3.LocalBackend
-	calls    int
-	methods  map[string]int
-	sends    int
-	getCodes int
+	calls        int
+	methods      map[string]int
+	sends        int
+	getCodes     int
+	storageReads int
+	slots        map[ethtypes.Hash]int
+}
+
+// StorageAt counts the storage words read, and how often each slot.
+func (b *countingBackend) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.Hash, error) {
+	b.storageReads++
+	if b.slots == nil {
+		b.slots = map[ethtypes.Hash]int{}
+	}
+	b.slots[slot]++
+	return b.LocalBackend.StorageAt(addr, slot)
+}
+
+// rereads forgets the per-slot counts and returns how many slots had
+// been read more than once since the last call.
+func (b *countingBackend) rereads() int {
+	n := 0
+	for _, k := range b.slots {
+		if k > 1 {
+			n++
+		}
+	}
+	b.slots = nil
+	return n
 }
 
 // GetCode counts the code reads that reach the node.
@@ -447,31 +472,58 @@ func evidenceLine(t *testing.T, m *Manager, landlord, tenant ethtypes.Address) [
 	}
 }
 
+// storedWords is the number of storage words a string occupies:
+// one in the short form (under 32 bytes), else the length word and one
+// per 32 bytes.
+func storedWords(s string) int {
+	if len(s) < 32 {
+		return 1
+	}
+	return 1 + (len(s)+31)/32
+}
+
 // TestLoadSnapshotReadsEachValueOnce pins the cost of LoadSnapshot on the
 // newest version of an eight-version line: every key of every namespace
 // is enumerated, but each distinct key's value is read once, from the
-// newest namespace that holds it. The map is the one the oldest-first
-// merge returns, for every version of the line.
+// newest namespace that holds it. The reads are DataStorage storage
+// words, none of them twice, and no getter runs. The map is the one the
+// oldest-first merge returns, for every version of the line.
 func TestLoadSnapshotReadsEachValueOnce(t *testing.T) {
 	m, accs, node := countingRig(t)
 	landlord := accs[0].Address
 	line := evidenceLine(t, m, landlord, accs[1].Address)
 	head := line[len(line)-1]
 
-	calls, methods := node.mark()
+	calls, reads := node.calls, node.storageReads
+	node.rereads()
 	snap, err := m.LoadSnapshot(landlord, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := node.methods["getValue"] - methods["getValue"]
-	if want := lineExtraKeys + len(rentalSnapshotKeys); len(snap) != want || got != want {
-		t.Errorf("snapshot of v%d: %d keys, %d getValue calls; want %d of each", len(line), len(snap), got, want)
+	if got := node.calls - calls; got != 0 {
+		t.Errorf("LoadSnapshot made %d eth_calls, want none", got)
 	}
-	// Per namespace: aliasOf and keyCount; per key held: keyAt. Seven
-	// superseded versions snapshot the rental keys, v1 holds the rest.
-	held := (len(line)-1)*len(rentalSnapshotKeys) + lineExtraKeys
-	if got, want := node.calls-calls, 2*len(line)+held+len(snap); got != want || want != 72 {
-		t.Errorf("LoadSnapshot made %d calls, want %d (72)", got, want)
+	if n := node.rereads(); n != 0 {
+		t.Errorf("LoadSnapshot read %d storage slots more than once", n)
+	}
+	if want := lineExtraKeys + len(rentalSnapshotKeys); len(snap) != want {
+		t.Errorf("snapshot of v%d: %d keys, want %d", len(line), len(snap), want)
+	}
+	// Per namespace: the aliasOf and keyCount words. Per key held: its
+	// keyAt string. Per distinct key: its value, once. Seven superseded
+	// versions snapshot the rental keys, v1 holds the clauses as well.
+	want := 2 * len(line)
+	for _, k := range rentalSnapshotKeys {
+		want += (len(line) - 1) * storedWords(k)
+	}
+	for k := 0; k < lineExtraKeys; k++ {
+		want += storedWords(fmt.Sprintf("clause-%d", k))
+	}
+	for _, v := range snap {
+		want += storedWords(v)
+	}
+	if got := node.storageReads - reads; got != want || want != 76 {
+		t.Errorf("LoadSnapshot read %d storage words, want %d (76)", got, want)
 	}
 	if snap["rent"] != ethtypes.Ether(int64(len(line)-2)).String() || snap["clause-0"] != "term 0" {
 		t.Errorf("snapshot = %v", snap)
@@ -484,17 +536,19 @@ func TestLoadSnapshotReadsEachValueOnce(t *testing.T) {
 }
 
 // TestAuditChainReadsEvidenceOncePerVersion pins AuditChain's node reads:
-// the walk's two pointer reads per version and one read of the
-// version's own rejection count — no alias resolution, since evidence
-// is never inherited — and one code read per version, which the pair
-// diffs reuse.
+// the walk's two pointer reads per version, one code read per version,
+// which the pair diffs reuse, and one storage word per version, the
+// empty rejection count in the version's own namespace. There is no
+// alias resolution, since evidence is never inherited, and no
+// DataStorage getter runs.
 func TestAuditChainReadsEvidenceOncePerVersion(t *testing.T) {
 	m, accs, node := countingRig(t)
 	landlord := accs[0].Address
 	line := evidenceLine(t, m, landlord, accs[1].Address)
 
 	calls, methods := node.mark()
-	codes := node.getCodes
+	codes, reads := node.getCodes, node.storageReads
+	node.rereads()
 	report, err := m.AuditChain(landlord, line[len(line)-1])
 	if err != nil {
 		t.Fatal(err)
@@ -502,25 +556,29 @@ func TestAuditChainReadsEvidenceOncePerVersion(t *testing.T) {
 	if len(report.Versions) != len(line) || len(report.Rejections) != 0 {
 		t.Fatalf("audit: %d versions, %d rejections", len(report.Versions), len(report.Rejections))
 	}
-	if got, want := node.calls-calls, 3*len(line); got != want || want != 24 {
-		t.Errorf("AuditChain made %d calls, want %d (24)", got, want)
+	if got, want := node.calls-calls, 2*len(line); got != want || want != 16 {
+		t.Errorf("AuditChain made %d calls, want %d (16)", got, want)
 	}
-	if got := node.methods["getValue"] - methods["getValue"]; got != len(line) {
-		t.Errorf("AuditChain made %d getValue calls, want %d", got, len(line))
+	for name, n := range node.methods {
+		if got := n - methods[name]; got != 0 {
+			t.Errorf("AuditChain made %d %s calls, want none", got, name)
+		}
+	}
+	if got := node.storageReads - reads; got != len(line) || got != 8 {
+		t.Errorf("AuditChain read %d storage words, want %d (8)", got, len(line))
+	}
+	if n := node.rereads(); n != 0 {
+		t.Errorf("AuditChain read %d storage slots more than once", n)
 	}
 	if got := node.getCodes - codes; got != len(line) || got != 8 {
 		t.Errorf("AuditChain read code %d times, want %d (8)", got, len(line))
 	}
-	for _, name := range []string{"aliasOf", "hasKey"} {
-		if got := node.methods[name] - methods[name]; got != 0 {
-			t.Errorf("AuditChain made %d %s calls, want none", got, name)
-		}
-	}
 }
 
-// TestGetValueFollowsAliasOnlyOnMiss pins GetValue's cost: a key in the
-// version's own namespace is hasKey + getValue; a key seven levels deep
-// adds one hasKey miss and one aliasOf per level above it.
+// TestGetValueFollowsAliasOnlyOnMiss pins GetValue's cost in storage
+// words: a key in the version's own namespace is its hasKey word and
+// its (short) value; a key seven levels deep adds one hasKey miss and
+// one aliasOf word per level above it. No getter runs.
 func TestGetValueFollowsAliasOnlyOnMiss(t *testing.T) {
 	m, accs, node := countingRig(t)
 	landlord := accs[0].Address
@@ -528,19 +586,22 @@ func TestGetValueFollowsAliasOnlyOnMiss(t *testing.T) {
 	for _, c := range []struct {
 		addr      ethtypes.Address
 		key, want string
-		calls     int
+		reads     int
 	}{
 		{line[len(line)-2], "house", "10115-Berlin-42", 2},
 		{line[len(line)-1], "clause-1", "term 1", 2 + 2*(len(line)-1)},
 		{line[len(line)-1], "no-such-key", "", 2 * len(line)},
 	} {
-		before := node.calls
+		calls, reads := node.calls, node.storageReads
 		got, err := m.GetValue(landlord, c.addr, c.key)
 		if err != nil || got != c.want {
 			t.Fatalf("GetValue(%s) = %q, %v; want %q", c.key, got, err, c.want)
 		}
-		if n := node.calls - before; n != c.calls {
-			t.Errorf("GetValue(%s) made %d calls, want %d", c.key, n, c.calls)
+		if n := node.storageReads - reads; n != c.reads {
+			t.Errorf("GetValue(%s) read %d storage words, want %d", c.key, n, c.reads)
+		}
+		if n := node.calls - calls; n != 0 {
+			t.Errorf("GetValue(%s) made %d eth_calls, want none", c.key, n)
 		}
 	}
 }
@@ -830,6 +891,99 @@ func TestWalkChainDetectsCycle(t *testing.T) {
 	}
 	if _, err := m.WalkChain(a.Contract.Address); !errors.Is(err, ErrChainCorrupted) {
 		t.Fatalf("cycle walk: %v", err)
+	}
+}
+
+// TestModifyOnlyAtTheTail: after v1 → v2, modifying v1 again would link
+// a second successor and fork the evidence line. It is refused with
+// ErrSuperseded before the guard runs: no transaction is sent, no
+// rejection is recorded, and the line still reads v1, v2.
+func TestModifyOnlyAtTheTail(t *testing.T) {
+	m, accs, node := countingRig(t)
+	landlord, tenant := accs[0].Address, accs[1].Address
+	svc := NewRentalService(m)
+	v1 := deployRental(t, m, landlord).Contract.Address
+	if err := svc.Confirm(tenant, v1); err != nil {
+		t.Fatal(err)
+	}
+	terms := ModifiedTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+		House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+		Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+	}
+	v2, err := svc.Modify(landlord, v1, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := node.sends
+	if _, err := svc.Modify(landlord, v1, terms); !errors.Is(err, ErrSuperseded) {
+		t.Fatalf("second modification of v1: %v, want ErrSuperseded", err)
+	}
+	if n := node.sends - sends; n != 0 {
+		t.Errorf("the refused modification sent %d transactions, want none", n)
+	}
+	if rejs, err := m.Rejections(landlord, v1); err != nil || len(rejs) != 0 {
+		t.Errorf("v1 records %d rejections (%v), want none", len(rejs), err)
+	}
+	for _, start := range []ethtypes.Address{v1, v2.Contract.Address} {
+		line, err := m.WalkChain(start)
+		if err != nil || len(line) != 2 || line[0].Address != v1 || line[1].Address != v2.Contract.Address {
+			t.Fatalf("WalkChain(%s) = %v, %v; want v1, v2", start, line, err)
+		}
+	}
+	// The tail still takes a modification.
+	if _, err := svc.Modify(landlord, v2.Contract.Address, terms); err != nil {
+		t.Fatalf("modifying the tail: %v", err)
+	}
+}
+
+// TestWalkChainRefusesForkedLine: v1 → v2 → v3, then v1 is linked to a
+// second successor w with raw setNext/setPrev transactions, which the
+// contracts allow. Every version the fork cut off (v2, v3) walks to a
+// line that does not contain it, and WalkChain, and with it every
+// reader of that line, fails with ErrChainCorrupted instead of
+// reporting v1, w as its line. From v1 and w the pointers read one
+// consistent line, v1, w.
+func TestWalkChainRefusesForkedLine(t *testing.T) {
+	m, accs := rig(t)
+	landlord, tenant := accs[0].Address, accs[1].Address
+	svc := NewRentalService(m)
+	v1 := deployRental(t, m, landlord)
+	line := []ethtypes.Address{v1.Contract.Address}
+	for i := 0; i < 2; i++ {
+		next, err := svc.Modify(landlord, line[len(line)-1], ModifiedTerms{
+			Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+			House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1),
+			Discount: uint256.Zero, Fine: ethtypes.Ether(1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line = append(line, next.Contract.Address)
+	}
+	w := deployRental(t, m, landlord)
+	if _, err := v1.Contract.Transact(web3.TxOpts{From: landlord}, "setNext", w.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Contract.Transact(web3.TxOpts{From: landlord}, "setPrev", line[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range line[1:] {
+		if got, err := m.WalkChain(start); !errors.Is(err, ErrChainCorrupted) {
+			t.Errorf("WalkChain(%s) = %d versions, %v; want ErrChainCorrupted", start, len(got), err)
+		}
+		if _, err := m.AuditChain(landlord, start); !errors.Is(err, ErrChainCorrupted) {
+			t.Errorf("AuditChain(%s): %v, want ErrChainCorrupted", start, err)
+		}
+		if _, err := svc.RentHistory(tenant, start); !errors.Is(err, ErrChainCorrupted) {
+			t.Errorf("RentHistory(%s): %v, want ErrChainCorrupted", start, err)
+		}
+	}
+	for _, start := range []ethtypes.Address{line[0], w.Contract.Address} {
+		got, err := m.WalkChain(start)
+		if err != nil || len(got) != 2 || got[0].Address != line[0] || got[1].Address != w.Contract.Address {
+			t.Errorf("WalkChain(%s) = %v, %v; want v1, w", start, got, err)
+		}
 	}
 }
 

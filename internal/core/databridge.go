@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"legalchain/internal/contracts"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/uint256"
 	"legalchain/internal/web3"
@@ -22,7 +23,10 @@ import (
 // first: a version's own keys shadow adopted ones. Per-version evidence
 // (rejection reports, the history commitment) is read from the
 // version's own namespace only and is never inherited. Writes deploy
-// the shared contract on first use; reads never do.
+// the shared contract on first use; reads never do. Reads go to
+// DataStorage's storage slots (contracts.DataStorageState), not through
+// its getters: the words are the same, and no getter runs, so the from
+// of a read (GetValue, LoadSnapshot, Rejections) names no sender.
 
 // SetValue writes one key/value pair under the contract's namespace, in
 // a transaction of its own.
@@ -42,7 +46,7 @@ func (m *Manager) SetValue(from, contractAddr ethtypes.Address, key, value strin
 // ancestor's, newest first, resolving the next alias only while visit
 // has not reported done. It is bounded like the version walk so a
 // (maliciously) cyclic alias chain terminates.
-func eachNamespace(ds *web3.BoundContract, from, addr ethtypes.Address, visit func(ethtypes.Address) (bool, error)) error {
+func eachNamespace(ds *contracts.DataStorageState, addr ethtypes.Address, visit func(ethtypes.Address) (bool, error)) error {
 	seen := map[ethtypes.Address]bool{}
 	for cur := addr; ; {
 		if len(seen) == maxChainLength {
@@ -52,7 +56,7 @@ func eachNamespace(ds *web3.BoundContract, from, addr ethtypes.Address, visit fu
 		if done, err := visit(cur); done || err != nil {
 			return err
 		}
-		next, err := ds.CallAddress(from, "aliasOf", cur)
+		next, err := ds.AliasOf(cur)
 		if err != nil {
 			return fmt.Errorf("core: resolving alias of %s: %w", cur, err)
 		}
@@ -66,20 +70,20 @@ func eachNamespace(ds *web3.BoundContract, from, addr ethtypes.Address, visit fu
 // GetValue reads one key of the contract's carried data (Fig. 3),
 // falling back through adopted predecessor namespaces: the version's
 // own value wins, an ancestor's value surfaces when the version never
-// overrode the key. An alias is followed only on a miss, so an own key
-// costs two calls. Before any DataStorage exists every key reads empty.
+// overrode the key. An alias is followed only on a miss. Before any
+// DataStorage exists every key reads empty.
 func (m *Manager) GetValue(from, contractAddr ethtypes.Address, key string) (string, error) {
-	ds := m.boundDataStorage()
+	ds := m.dataState()
 	if ds == nil {
 		return "", nil
 	}
 	var val string
-	err := eachNamespace(ds, from, contractAddr, func(ns ethtypes.Address) (bool, error) {
-		has, err := ds.CallBool(from, "hasKey", ns, key)
+	err := eachNamespace(ds, contractAddr, func(ns ethtypes.Address) (bool, error) {
+		has, err := ds.HasKey(ns, key)
 		if err != nil || !has {
 			return false, err
 		}
-		val, err = ds.CallString(from, "getValue", ns, key)
+		val, err = ds.Value(ns, key)
 		return true, err
 	})
 	return val, err
@@ -88,12 +92,12 @@ func (m *Manager) GetValue(from, contractAddr ethtypes.Address, key string) (str
 // ownValue reads one key from the contract's own namespace only, never
 // through an adopted one: per-version evidence (rejection reports, the
 // history commitment) is not inherited. An absent key reads "".
-func (m *Manager) ownValue(from, contractAddr ethtypes.Address, key string) (string, error) {
-	ds := m.boundDataStorage()
+func (m *Manager) ownValue(contractAddr ethtypes.Address, key string) (string, error) {
+	ds := m.dataState()
 	if ds == nil {
 		return "", nil
 	}
-	return ds.CallString(from, "getValue", contractAddr, key)
+	return ds.Value(contractAddr, key)
 }
 
 // LoadSnapshot reads the whole key/value namespace of a contract using
@@ -104,24 +108,24 @@ func (m *Manager) ownValue(from, contractAddr ethtypes.Address, key string) (str
 // DataStorage exists the namespace is empty.
 func (m *Manager) LoadSnapshot(from, contractAddr ethtypes.Address) (map[string]string, error) {
 	out := map[string]string{}
-	ds := m.boundDataStorage()
+	ds := m.dataState()
 	if ds == nil {
 		return out, nil
 	}
-	err := eachNamespace(ds, from, contractAddr, func(ns ethtypes.Address) (bool, error) {
-		count, err := ds.CallUint(from, "keyCount", ns)
+	err := eachNamespace(ds, contractAddr, func(ns ethtypes.Address) (bool, error) {
+		count, err := ds.KeyCount(ns)
 		if err != nil {
 			return false, err
 		}
-		for j := uint64(0); j < count.Uint64(); j++ {
-			key, err := ds.CallString(from, "keyAt", ns, j)
+		for j := uint64(0); j < count; j++ {
+			key, err := ds.KeyAt(ns, j)
 			if err != nil {
 				return false, err
 			}
 			if _, ok := out[key]; ok {
 				continue
 			}
-			if out[key], err = ds.CallString(from, "getValue", ns, key); err != nil {
+			if out[key], err = ds.Value(ns, key); err != nil {
 				return false, err
 			}
 		}

@@ -90,7 +90,7 @@ func (s *RentalService) SealHistory(from, addr ethtypes.Address) (ethtypes.Hash,
 // them against the commitment sealed in the version's own namespace; a
 // successor never inherits its predecessor's.
 func (s *RentalService) VerifyHistory(viewer, addr ethtypes.Address) error {
-	sealed, err := s.M.ownValue(viewer, addr, HistoryCommitmentKey)
+	sealed, err := s.M.ownValue(addr, HistoryCommitmentKey)
 	if err != nil {
 		return err
 	}

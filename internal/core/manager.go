@@ -41,6 +41,9 @@ var (
 	ErrNoABI          = errors.New("core: no ABI published for address")
 	ErrNotVersioned   = errors.New("core: contract lacks version pointers")
 	ErrChainCorrupted = errors.New("core: version chain pointers are inconsistent")
+	// ErrSuperseded refuses to modify a version that already has a
+	// successor: the evidence line grows at its tail only.
+	ErrSuperseded = errors.New("core: version already has a successor")
 )
 
 // Lifecycle states of a version (the paper's active / inactive /
@@ -202,6 +205,16 @@ func (m *Manager) boundDataStorage() *web3.BoundContract {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.dataStorage
+}
+
+// dataState reads the deployed DataStorage's storage, nil while none is
+// deployed. Each read of the data tier takes a state of its own.
+func (m *Manager) dataState() *contracts.DataStorageState {
+	bound := m.boundDataStorage()
+	if bound == nil {
+		return nil
+	}
+	return &contracts.DataStorageState{Addr: bound.Address, Node: m.Client.Backend()}
 }
 
 // DataStorageAddress returns the shared data contract address (zero if
@@ -495,7 +508,7 @@ const (
 // part of the tamper-evident modification history.
 func (m *Manager) recordRejection(from, prevAddr ethtypes.Address, report *upgrade.Report) error {
 	n := 0
-	if s, err := m.ownValue(from, prevAddr, rejectionCountKey); err == nil && s != "" {
+	if s, err := m.ownValue(prevAddr, rejectionCountKey); err == nil && s != "" {
 		n, _ = strconv.Atoi(s)
 	}
 	raw, err := json.Marshal(report)
@@ -514,7 +527,7 @@ func (m *Manager) recordRejection(from, prevAddr ethtypes.Address, report *upgra
 // them. A report that does not parse, or whose index lives only in an
 // ancestor's namespace, is skipped.
 func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, error) {
-	s, err := m.ownValue(from, addr, rejectionCountKey)
+	s, err := m.ownValue(addr, rejectionCountKey)
 	if err != nil || s == "" {
 		return nil, err
 	}
@@ -524,7 +537,7 @@ func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, er
 	}
 	out := make([]*upgrade.Report, 0, n)
 	for i := 0; i < n; i++ {
-		raw, err := m.ownValue(from, addr, rejectionKeyPrefix+strconv.Itoa(i))
+		raw, err := m.ownValue(addr, rejectionKeyPrefix+strconv.Itoa(i))
 		if err != nil {
 			return nil, err
 		}
@@ -547,10 +560,21 @@ func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, er
 // snapshotted and migrated in place, and its registry row written (it
 // names the published ABI, layout and document). The old version's row
 // is not touched: that it is inactive now is read from its next pointer.
+// Only the tail of a line may be modified: a predecessor whose next
+// pointer is set is refused with ErrSuperseded before the guard runs or
+// anything is sent, since linking it again would fork the line.
 func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Address, art *minisol.Artifact, opts ModifyOptions, args ...interface{}) (*Deployment, error) {
 	prev, err := m.BindVersion(prevAddr)
 	if err != nil {
 		return nil, err
+	}
+	if _, ok := prev.ABI.Methods["getNext"]; !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotVersioned, prevAddr)
+	}
+	if next, err := prev.CallAddress(from, "getNext"); err != nil {
+		return nil, err
+	} else if !next.IsZero() {
+		return nil, fmt.Errorf("%w: %s is followed by %s", ErrSuperseded, prevAddr, next)
 	}
 	prevRow, err := m.GetRow(prevAddr)
 	if err != nil {

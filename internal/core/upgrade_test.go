@@ -140,7 +140,7 @@ func TestRejectionsNotInherited(t *testing.T) {
 			t.Errorf("Rejections(%s) = %d reports, %v; want 1", v, len(rejs), err)
 		}
 		// The count starts afresh in each namespace, not from v1's.
-		if n, err := m.ownValue(landlord, v, rejectionCountKey); err != nil || n != "1" {
+		if n, err := m.ownValue(v, rejectionCountKey); err != nil || n != "1" {
 			t.Errorf("rejection count of %s = %q, %v; want 1", v, n, err)
 		}
 	}

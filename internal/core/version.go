@@ -49,7 +49,10 @@ func (m *Manager) pointers(addr ethtypes.Address) (prev, next ethtypes.Address, 
 //
 // Every version's pointers are read from the chain once: the forward
 // pass reuses what the backward pass read, so a walk costs one pointer
-// read per version wherever in the line it starts.
+// read per version wherever in the line it starts. A forward pass that
+// does not pass start means the line forked at or before start (a
+// predecessor linked to a second successor), and the walk fails with
+// ErrChainCorrupted rather than report another line.
 func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
 	type links struct{ prev, next ethtypes.Address }
 	// Find the head.
@@ -101,6 +104,9 @@ func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
 			break
 		}
 		cur = l.next
+	}
+	if !fwd[start] {
+		return nil, fmt.Errorf("%w: the line from %s does not pass %s", ErrChainCorrupted, head, start)
 	}
 	return out, nil
 }

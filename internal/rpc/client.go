@@ -138,6 +138,15 @@ func (c *Client) GetCode(addr ethtypes.Address) ([]byte, error) {
 	return hexutil.Decode(s)
 }
 
+// StorageAt implements web3.Backend via eth_getStorageAt.
+func (c *Client) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.Hash, error) {
+	var s string
+	if err := c.call(&s, "eth_getStorageAt", addr.Hex(), slot.Hex(), "latest"); err != nil {
+		return ethtypes.Hash{}, err
+	}
+	return decodeHash(s)
+}
+
 // GasPrice implements web3.Backend.
 func (c *Client) GasPrice() (uint256.Int, error) {
 	var s string

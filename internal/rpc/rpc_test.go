@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"legalchain/internal/chain"
@@ -113,6 +114,44 @@ contract Counter {
 	function increment() public { count += 1; emit bumped(msg.sender, count); }
 	function guarded() public { require(false, "nope"); }
 }`
+
+// TestStorageAtOverHTTP: the client's StorageAt reads a slot through
+// eth_getStorageAt. The server takes a slot as a 32-byte word (leading
+// zeros included) or as a quantity, and refuses one wider than 256 bits
+// as a bad parameter.
+func TestStorageAtOverHTTP(t *testing.T) {
+	client, accs, srv := rig(t)
+	art, err := minisol.CompileContract(rpcCounterSrc, "Counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, _, err := client.Deploy(web3.TxOpts{From: accs[0].Address}, art.ABI, art.Bytecode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := bound.Transact(web3.TxOpts{From: accs[1].Address}, "increment"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count, err := client.Backend().StorageAt(bound.Address, minisol.StorageSlot(0))
+	if err != nil || uint256.SetBytes(count[:]) != uint256.NewUint64(2) {
+		t.Fatalf("count slot = %s, %v; want 2", count, err)
+	}
+	if empty, err := client.Backend().StorageAt(bound.Address, minisol.StorageSlot(1)); err != nil || !empty.IsZero() {
+		t.Fatalf("unused slot = %s, %v", empty, err)
+	}
+	var out string
+	for _, form := range []string{"0x0", "0x" + strings.Repeat("0", 64)} {
+		if err := Dial(srv.URL).Call(&out, "eth_getStorageAt", bound.Address.Hex(), form, "latest"); err != nil || out != count.Hex() {
+			t.Fatalf("slot 0 as %s = %q, %v; want %s", form, out, err, count.Hex())
+		}
+	}
+	wide := "0x1" + strings.Repeat("0", 64)
+	if err := Dial(srv.URL).Call(&out, "eth_getStorageAt", bound.Address.Hex(), wide, "latest"); err == nil || !strings.Contains(err.Error(), "bad storage slot") {
+		t.Fatalf("257-bit slot: %q, %v; want a bad storage slot error", out, err)
+	}
+}
 
 func TestContractLifecycleOverHTTP(t *testing.T) {
 	client, accs, _ := rig(t)

@@ -299,12 +299,16 @@ func (s *Server) dispatch(ctx context.Context, method string, params []json.RawM
 		if err != nil {
 			return nil, err
 		}
-		raw, err := hexutil.DecodeBig(slotHex)
-		if err != nil {
+		// A slot comes as a 32-byte word or as a quantity of at most
+		// 256 bits.
+		var slot ethtypes.Hash
+		if word, err := hexutil.Decode(slotHex); err == nil && len(word) == len(slot) {
+			copy(slot[:], word)
+		} else if n, err := hexutil.DecodeBig(slotHex); err == nil && n.BitLen() <= 256 {
+			n.FillBytes(slot[:])
+		} else {
 			return nil, invalidParams("parameter 1: bad storage slot")
 		}
-		var slot ethtypes.Hash
-		raw.FillBytes(slot[:])
 		v := s.bc.GetStorageAt(addr, slot).Bytes32()
 		return hexutil.Encode(v[:]), nil
 

@@ -41,6 +41,7 @@ type Backend interface {
 	GetBalance(addr ethtypes.Address) (uint256.Int, error)
 	GetNonce(addr ethtypes.Address) (uint64, error)
 	GetCode(addr ethtypes.Address) ([]byte, error)
+	StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.Hash, error)
 	GasPrice() (uint256.Int, error)
 	SendRawTransaction(raw []byte) (ethtypes.Hash, error)
 	CallContract(msg CallMsg) ([]byte, error)
@@ -118,6 +119,11 @@ func (l *LocalBackend) GetNonce(addr ethtypes.Address) (uint64, error) {
 // GetCode implements Backend.
 func (l *LocalBackend) GetCode(addr ethtypes.Address) ([]byte, error) {
 	return l.BC.GetCode(addr), nil
+}
+
+// StorageAt implements Backend: one storage word at the head.
+func (l *LocalBackend) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.Hash, error) {
+	return l.BC.GetStorageAt(addr, slot).Bytes32(), nil
 }
 
 // GasPrice implements Backend.
@@ -377,22 +383,6 @@ func (b *BoundContract) CallString(from ethtypes.Address, method string, args ..
 		return "", fmt.Errorf("web3: %s returned %T, not string", method, out[0])
 	}
 	return s, nil
-}
-
-// CallBool is Call for single-bool-returning methods.
-func (b *BoundContract) CallBool(from ethtypes.Address, method string, args ...interface{}) (bool, error) {
-	out, err := b.Call(from, method, args...)
-	if err != nil {
-		return false, err
-	}
-	if len(out) != 1 {
-		return false, fmt.Errorf("web3: %s returned %d values", method, len(out))
-	}
-	v, ok := out[0].(bool)
-	if !ok {
-		return false, fmt.Errorf("web3: %s returned %T, not bool", method, out[0])
-	}
-	return v, nil
 }
 
 // FilterEvents returns the decoded occurrences of one event since
