@@ -12,8 +12,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"legalchain/internal/contracts"
 	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/minisol"
 	"legalchain/internal/obs"
 	"legalchain/internal/web3"
 	"legalchain/internal/xtrace"
@@ -479,24 +481,31 @@ func TestV1ErrorRequestID(t *testing.T) {
 	}
 }
 
-// pointerCounter counts the eth_calls that read a version's getPrev or
-// getNext pointer — the calls a walk of the evidence line is made of.
+// pointerCounter counts the storage words that hold a version's
+// previous or next pointer — the reads a walk of the evidence line is
+// made of.
 type pointerCounter struct {
 	*web3.LocalBackend
-	selectors map[[4]byte]bool // set once, before the counted requests
-	reads     atomic.Int64
+	pointers map[pointerWord]bool // set once, before the counted requests
+	reads    atomic.Int64
 }
 
-func (b *pointerCounter) CallContract(msg web3.CallMsg) ([]byte, error) {
-	if len(msg.Data) >= 4 && b.selectors[[4]byte(msg.Data[:4])] {
+// pointerWord is one storage slot of one version.
+type pointerWord struct {
+	addr ethtypes.Address
+	slot ethtypes.Hash
+}
+
+func (b *pointerCounter) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.Hash, error) {
+	if b.pointers[pointerWord{addr, slot}] {
 		b.reads.Add(1)
 	}
-	return b.LocalBackend.CallContract(msg)
+	return b.LocalBackend.StorageAt(addr, slot)
 }
 
 // TestContractPagesWalkChainOnce pins the cost of the two contract pages
 // that show both the version line and the cross-version rent history:
-// one pointer read per version and direction, whichever version the page
+// one pointer word per version and direction, whichever version the page
 // is asked for — the history must reuse the line the page walked.
 func TestContractPagesWalkChainOnce(t *testing.T) {
 	var node *pointerCounter
@@ -520,13 +529,19 @@ func TestContractPagesWalkChainOnce(t *testing.T) {
 		}
 		line = append(line, next.Contract.Address)
 	}
-	bound, err := a.Manager.BindVersion(line[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.selectors = map[[4]byte]bool{
-		bound.ABI.Methods["getPrev"].ID(): true,
-		bound.ABI.Methods["getNext"].ID(): true,
+	node.pointers = map[pointerWord]bool{}
+	for i, v := range line {
+		art := contracts.MustArtifact("RentalAgreementV2")
+		if i == 0 {
+			art = contracts.MustArtifact("BaseRental")
+		}
+		for _, name := range []string{"previous", "next"} {
+			decl, ok := art.Layout.Var(name)
+			if !ok {
+				t.Fatalf("%s declares no %s", art.Name, name)
+			}
+			node.pointers[pointerWord{v, minisol.StorageSlot(decl.Slot)}] = true
+		}
 	}
 	for _, page := range []string{"/api/v1/contracts/", "/contract/"} {
 		for i, v := range line {
@@ -535,8 +550,8 @@ func TestContractPagesWalkChainOnce(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET %s%s: %d %s", page, v.Hex(), resp.StatusCode, body)
 			}
-			if got, want := node.reads.Load()-before, int64(2*len(line)); got != want {
-				t.Errorf("GET %sv%d read %d pointers, want %d (getPrev+getNext per version)", page, i+1, got, want)
+			if got, want := node.reads.Load()-before, int64(2*len(line)); got != want || want != 6 {
+				t.Errorf("GET %sv%d read %d pointer words, want %d (6: previous+next per version)", page, i+1, got, want)
 			}
 		}
 	}

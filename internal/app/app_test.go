@@ -1,6 +1,7 @@
 package app
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
@@ -289,6 +290,49 @@ func TestUploadArtifactFlow(t *testing.T) {
 	resp, _ = b.post("/upload", url.Values{"name": {"bad"}, "abi": {"not json"}, "bytecode": {"0x00"}})
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("invalid ABI accepted")
+	}
+}
+
+// TestCompiledUploadIsVersioned: an artifact compiled on the upload
+// page keeps its storage layout, so the version deployed from it
+// publishes the layout and its pointers are read at the slots it names.
+// The same bytecode uploaded raw has no layout, and its version is not
+// versioned.
+func TestCompiledUploadIsVersioned(t *testing.T) {
+	a := rig(t)
+	u, err := a.Register("uploader", "", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := `contract Linked { uint public x; address public next; address public previous;
+		function setNext(address n) public { next = n; } }`
+	if _, err := a.CompileArtifact(u, src, "Linked"); err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := a.GetArtifact("linked")
+	if err != nil || compiled.Layout == nil {
+		t.Fatalf("compiled artifact: layout %v, %v", compiled.Layout, err)
+	}
+	if _, err := a.UploadArtifact(u, "raw", string(compiled.ABIJSON), "0x"+hexOf(compiled.Bytecode)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := a.GetArtifact("raw")
+	if err != nil || raw.Layout != nil {
+		t.Fatalf("raw artifact: layout %v, %v", raw.Layout, err)
+	}
+	for _, c := range []struct {
+		art  string
+		want error
+	}{{"linked", nil}, {"raw", core.ErrNotVersioned}} {
+		art, _ := a.GetArtifact(c.art)
+		dep, err := a.Manager.DeployVersion(u.Addr(), art, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := a.Manager.WalkChain(dep.Contract.Address)
+		if !errors.Is(err, c.want) || (c.want == nil && len(line) != 1) {
+			t.Errorf("%s: WalkChain = %d versions, %v; want %v", c.art, len(line), err, c.want)
+		}
 	}
 }
 

@@ -13,11 +13,16 @@ import (
 
 // ArtifactRow is an uploaded (or compiled) contract artifact, the
 // object of the paper's upload screen (Fig. 9): a name, the deployment
-// bytecode and the ABI document.
+// bytecode and the ABI document. A compiled artifact also keeps its
+// storage layout, which a deployed version publishes: the manager reads
+// a version's next and previous pointers at the slots it names, so an
+// uploaded artifact without one deploys as a version that cannot be
+// linked.
 type ArtifactRow struct {
 	Name     string `json:"name"`
 	ABIJSON  string `json:"abi"`
 	Bytecode string `json:"bytecode"` // 0x-hex deployment code
+	Layout   string `json:"layout,omitempty"`
 	Source   string `json:"source,omitempty"`
 	Owner    string `json:"owner"`
 }
@@ -53,6 +58,7 @@ func (a *App) CompileArtifact(owner *User, source, contractName string) (*Artifa
 		Name:     art.Name,
 		ABIJSON:  string(art.ABIJSON),
 		Bytecode: hexutil.Encode(art.Bytecode),
+		Layout:   string(art.Layout.JSON()),
 		Source:   source,
 		Owner:    owner.Name,
 	}
@@ -77,11 +83,18 @@ func (a *App) GetArtifact(name string) (*minisol.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	var layout *minisol.Layout
+	if row.Layout != "" {
+		if layout, err = minisol.ParseLayout([]byte(row.Layout)); err != nil {
+			return nil, err
+		}
+	}
 	return &minisol.Artifact{
 		Name:     row.Name,
 		ABI:      parsed,
 		ABIJSON:  []byte(row.ABIJSON),
 		Bytecode: code,
+		Layout:   layout,
 	}, nil
 }
 

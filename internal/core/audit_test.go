@@ -136,8 +136,9 @@ func (s *countingStore) Get(cid ipfs.CID) ([]byte, error) {
 
 // TestColdManagerParsesEachArtifactOnce: a manager that has parsed
 // nothing walks an eight-version line and binds every version. Versions
-// 2 to 8 publish the same ABI blob, so two ABI fetches serve all eight,
-// and concurrent binds of versions 2 to 8 share one parsed ABI.
+// 2 to 8 publish the same ABI and layout blobs, so the walk's two layout
+// fetches and the binds' two ABI fetches serve all eight, and concurrent
+// binds of versions 2 to 8 share one parsed ABI.
 func TestColdManagerParsesEachArtifactOnce(t *testing.T) {
 	m, accs := rig(t)
 	landlord, tenant := accs[0].Address, accs[1].Address
@@ -155,16 +156,17 @@ func TestColdManagerParsesEachArtifactOnce(t *testing.T) {
 		}
 		line = append(line, next.Contract.Address)
 	}
-	abiCIDs := map[ipfs.CID]bool{}
+	abiCIDs, layoutCIDs := map[ipfs.CID]bool{}, map[ipfs.CID]bool{}
 	for _, addr := range line {
 		row, err := m.GetRow(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		abiCIDs[ipfs.CID(row.ABICID)] = true
+		layoutCIDs[ipfs.CID(row.LayoutCID)] = true
 	}
-	if len(abiCIDs) != 2 {
-		t.Fatalf("the line publishes %d ABI blobs, want 2", len(abiCIDs))
+	if len(abiCIDs) != 2 || len(layoutCIDs) != 2 {
+		t.Fatalf("the line publishes %d ABI and %d layout blobs, want 2 of each", len(abiCIDs), len(layoutCIDs))
 	}
 
 	blobs := &countingStore{Store: m.IPFS.Blobs, gets: map[ipfs.CID]int{}}
@@ -178,12 +180,17 @@ func TestColdManagerParsesEachArtifactOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fetches := 0
-	for cid := range abiCIDs {
-		fetches += blobs.gets[cid]
+	for what, cids := range map[string]map[ipfs.CID]bool{"ABI": abiCIDs, "layout": layoutCIDs} {
+		fetches := 0
+		for cid := range cids {
+			fetches += blobs.gets[cid]
+		}
+		if fetches != 2 {
+			t.Fatalf("a cold walk and bind of %d versions fetched the %s %d times, want 2: %v", len(line), what, fetches, blobs.gets)
+		}
 	}
-	if fetches != 2 {
-		t.Fatalf("a cold walk and bind of %d versions fetched the ABI %d times, want 2: %v", len(line), fetches, blobs.gets)
+	if len(blobs.gets) != 4 {
+		t.Fatalf("a cold walk and bind fetched %d blobs, want the 2 ABIs and 2 layouts: %v", len(blobs.gets), blobs.gets)
 	}
 
 	// Concurrent first binds on another cold manager: every version

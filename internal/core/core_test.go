@@ -14,6 +14,7 @@ import (
 	"legalchain/internal/docstore"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/ipfs"
+	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 	"legalchain/internal/web3"
@@ -27,7 +28,7 @@ func rig(t *testing.T) (*Manager, []wallet.Account) {
 
 // rigOver is rig with the node wrapped by the caller, for tests that
 // watch what the manager asks of it.
-func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) (*Manager, []wallet.Account) {
+func rigOver(t testing.TB, wrap func(*web3.LocalBackend) web3.Backend) (*Manager, []wallet.Account) {
 	t.Helper()
 	accs := wallet.DevAccounts("core test", 4)
 	g := chain.DefaultGenesis()
@@ -49,30 +50,36 @@ func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) (*Manager
 	return NewManager(client, ipfs.NewNode(ipfs.NewMemStore()), store), accs
 }
 
-// countingBackend counts the eth_calls that reach the node, in total
-// and per DataStorage getter, the transactions sent to it, the code
-// reads and the storage words read, in total and per slot.
+// countingBackend counts the eth_calls that reach the node, the
+// transactions sent to it, the code reads and the storage words read,
+// in total and per contract slot.
 type countingBackend struct {
 	*web3.LocalBackend
 	calls        int
-	methods      map[string]int
 	sends        int
 	getCodes     int
 	storageReads int
-	slots        map[ethtypes.Hash]int
+	slots        map[contractSlot]int
 }
 
-// StorageAt counts the storage words read, and how often each slot.
+// contractSlot is one storage word: a slot of one contract. Versions
+// share their pointer slots, so a slot alone does not name a word.
+type contractSlot struct {
+	addr ethtypes.Address
+	slot ethtypes.Hash
+}
+
+// StorageAt counts the storage words read, and how often each word.
 func (b *countingBackend) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.Hash, error) {
 	b.storageReads++
 	if b.slots == nil {
-		b.slots = map[ethtypes.Hash]int{}
+		b.slots = map[contractSlot]int{}
 	}
-	b.slots[slot]++
+	b.slots[contractSlot{addr, slot}]++
 	return b.LocalBackend.StorageAt(addr, slot)
 }
 
-// rereads forgets the per-slot counts and returns how many slots had
+// rereads forgets the per-word counts and returns how many words had
 // been read more than once since the last call.
 func (b *countingBackend) rereads() int {
 	n := 0
@@ -98,28 +105,9 @@ func (b *countingBackend) SendRawTransactionCtx(ctx context.Context, raw []byte)
 	return b.LocalBackend.SendRawTransactionCtx(ctx, raw)
 }
 
-var dataStorageABI = contracts.MustArtifact("DataStorage").ABI
-
 func (b *countingBackend) CallContract(msg web3.CallMsg) ([]byte, error) {
 	b.calls++
-	if len(msg.Data) >= 4 {
-		if method, ok := dataStorageABI.MethodByID(msg.Data[:4]); ok {
-			if b.methods == nil {
-				b.methods = map[string]int{}
-			}
-			b.methods[method.Name]++
-		}
-	}
 	return b.LocalBackend.CallContract(msg)
-}
-
-// mark returns the counts so far, for a caller to subtract later.
-func (b *countingBackend) mark() (int, map[string]int) {
-	methods := make(map[string]int, len(b.methods))
-	for name, n := range b.methods {
-		methods[name] = n
-	}
-	return b.calls, methods
 }
 
 // countingRig is rig over a countingBackend.
@@ -258,9 +246,10 @@ func TestModifyBuildsEvidenceLine(t *testing.T) {
 	}
 }
 
-// TestWalkChainReadsEachVersionOnce pins the cost of a walk: getPrev and
-// getNext once per version, the same from every starting point — the
-// forward pass must not re-read what the backward pass already holds.
+// TestWalkChainReadsEachVersionOnce pins the cost of a walk: the
+// previous and next storage words once per version, and no eth_call,
+// the same from every starting point — the forward pass must not re-read
+// what the backward pass already holds.
 func TestWalkChainReadsEachVersionOnce(t *testing.T) {
 	m, accs, node := countingRig(t)
 	landlord, tenant := accs[0].Address, accs[1].Address
@@ -279,7 +268,8 @@ func TestWalkChainReadsEachVersionOnce(t *testing.T) {
 		line = append(line, next.Contract.Address)
 	}
 	for i, start := range line {
-		before := node.calls
+		calls, reads := node.calls, node.storageReads
+		node.rereads()
 		walked, err := m.WalkChain(start)
 		if err != nil {
 			t.Fatal(err)
@@ -292,8 +282,14 @@ func TestWalkChainReadsEachVersionOnce(t *testing.T) {
 				t.Fatalf("walk from v%d: position %d is %s, want %s", i+1, j+1, v.Address, line[j])
 			}
 		}
-		if got, want := node.calls-before, 2*len(line); got != want {
-			t.Errorf("walk from v%d made %d calls, want %d (getPrev+getNext per version)", i+1, got, want)
+		if got := node.calls - calls; got != 0 {
+			t.Errorf("walk from v%d made %d eth_calls, want none", i+1, got)
+		}
+		if got, want := node.storageReads-reads, 2*len(line); got != want || want != 8 {
+			t.Errorf("walk from v%d read %d storage words, want %d (8: previous+next per version)", i+1, got, want)
+		}
+		if n := node.rereads(); n != 0 {
+			t.Errorf("walk from v%d read %d storage words more than once", i+1, n)
 		}
 	}
 }
@@ -536,18 +532,16 @@ func TestLoadSnapshotReadsEachValueOnce(t *testing.T) {
 }
 
 // TestAuditChainReadsEvidenceOncePerVersion pins AuditChain's node reads:
-// the walk's two pointer reads per version, one code read per version,
-// which the pair diffs reuse, and one storage word per version, the
-// empty rejection count in the version's own namespace. There is no
-// alias resolution, since evidence is never inherited, and no
-// DataStorage getter runs.
+// three storage words per version — the walk's previous and next words
+// and the empty rejection count in the version's own namespace — and
+// one code read per version, which the pair diffs reuse. There is no
+// alias resolution, since evidence is never inherited, and no eth_call.
 func TestAuditChainReadsEvidenceOncePerVersion(t *testing.T) {
 	m, accs, node := countingRig(t)
 	landlord := accs[0].Address
 	line := evidenceLine(t, m, landlord, accs[1].Address)
 
-	calls, methods := node.mark()
-	codes, reads := node.getCodes, node.storageReads
+	calls, codes, reads := node.calls, node.getCodes, node.storageReads
 	node.rereads()
 	report, err := m.AuditChain(landlord, line[len(line)-1])
 	if err != nil {
@@ -556,19 +550,14 @@ func TestAuditChainReadsEvidenceOncePerVersion(t *testing.T) {
 	if len(report.Versions) != len(line) || len(report.Rejections) != 0 {
 		t.Fatalf("audit: %d versions, %d rejections", len(report.Versions), len(report.Rejections))
 	}
-	if got, want := node.calls-calls, 2*len(line); got != want || want != 16 {
-		t.Errorf("AuditChain made %d calls, want %d (16)", got, want)
+	if got := node.calls - calls; got != 0 {
+		t.Errorf("AuditChain made %d eth_calls, want none", got)
 	}
-	for name, n := range node.methods {
-		if got := n - methods[name]; got != 0 {
-			t.Errorf("AuditChain made %d %s calls, want none", got, name)
-		}
-	}
-	if got := node.storageReads - reads; got != len(line) || got != 8 {
-		t.Errorf("AuditChain read %d storage words, want %d (8)", got, len(line))
+	if got, want := node.storageReads-reads, 3*len(line); got != want || want != 24 {
+		t.Errorf("AuditChain read %d storage words, want %d (24)", got, want)
 	}
 	if n := node.rereads(); n != 0 {
-		t.Errorf("AuditChain read %d storage slots more than once", n)
+		t.Errorf("AuditChain read %d storage words more than once", n)
 	}
 	if got := node.getCodes - codes; got != len(line) || got != 8 {
 		t.Errorf("AuditChain read code %d times, want %d (8)", got, len(line))
@@ -841,20 +830,85 @@ func TestVerifyChainDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestWalkChainRequiresVersionPointers: a version is versioned when its
+// published layout declares next and previous, each an address in one
+// slot; its getters do not count. A BaseRental published without its
+// layout, layouts without previous or with a uint256 next, and
+// DataStorage are not, whatever their next holds: WalkChain and
+// ModifyContract return ErrNotVersioned, ModifyContract before it sends
+// a transaction, and Describe shows the row without a Next.
 func TestWalkChainRequiresVersionPointers(t *testing.T) {
-	m, accs := rig(t)
-	// DataStorage has no getNext/getPrev.
-	ds, err := m.EnsureDataStorage(accs[0].Address)
+	m, accs, node := countingRig(t)
+	landlord, elsewhere := accs[0].Address, accs[3].Address
+	noLayout := *contracts.MustArtifact("BaseRental")
+	noLayout.Layout = nil
+	compile := func(src, name string) *minisol.Artifact {
+		t.Helper()
+		art, err := minisol.CompileContract(src, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art
+	}
+	type notVersioned struct {
+		name string
+		art  *minisol.Artifact // nil: DataStorage, deployed below
+		args []interface{}
+	}
+	var addrs []ethtypes.Address
+	cases := []notVersioned{
+		{"no layout", &noLayout, []interface{}{ethtypes.Ether(1), ethtypes.Ether(2), uint256.NewUint64(12), "10115-Berlin-42"}},
+		{"no previous", compile(`contract NoPrev { address public next; address public before;
+	function setNext(address _next) public { next = _next; }
+	function getNext() public view returns (address addr) { return next; }
+	function getPrev() public view returns (address addr) { return before; }
+}`, "NoPrev"), nil},
+		{"uint256 next", compile(`contract WideNext { uint public next; address public previous;
+	function setNext(address _next) public { next = uint(_next); }
+	function getNext() public view returns (address addr) { return address(next); }
+	function getPrev() public view returns (address addr) { return previous; }
+}`, "WideNext"), nil},
+	}
+	for _, c := range cases {
+		dep, err := m.DeployVersion(landlord, c.art, nil, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := dep.Contract.Transact(web3.TxOpts{From: landlord}, "setNext", elsewhere); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		addrs = append(addrs, dep.Contract.Address)
+	}
+	ds, err := m.EnsureDataStorage(landlord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Registered like a version, so the walk can bind it.
+	// Registered like a version, so the walk can resolve it.
 	row := ContractRow{Address: ds.Address.Hex(), Name: "DataStorage", Version: 1, State: StateActive}
 	if _, err := m.publish(row, contracts.MustArtifact("DataStorage"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WalkChain(ds.Address); !errors.Is(err, ErrNotVersioned) {
-		t.Fatalf("err = %v", err)
+	cases = append(cases, notVersioned{name: "DataStorage"})
+	addrs = append(addrs, ds.Address)
+
+	for i, c := range cases {
+		if _, err := m.WalkChain(addrs[i]); !errors.Is(err, ErrNotVersioned) {
+			t.Errorf("%s: WalkChain = %v, want ErrNotVersioned", c.name, err)
+		}
+		sends := node.sends
+		if _, err := m.ModifyContract(landlord, addrs[i], contracts.MustArtifact("RentalAgreementV2"), ModifyOptions{}, v2Args()...); !errors.Is(err, ErrNotVersioned) {
+			t.Errorf("%s: ModifyContract = %v, want ErrNotVersioned", c.name, err)
+		}
+		if n := node.sends - sends; n != 0 {
+			t.Errorf("%s: ModifyContract sent %d transactions, want none", c.name, n)
+		}
+		row, err := m.GetRow(addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := m.Describe(row, nil); err != nil || got.Next != "" || got.State != StateActive {
+			t.Errorf("%s: Describe = %+v, %v; want the row, active, without a Next", c.name, got, err)
+		}
 	}
 }
 

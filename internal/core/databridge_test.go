@@ -14,6 +14,7 @@ import (
 
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/hexutil"
 	"legalchain/internal/minisol"
 	"legalchain/internal/rpc"
 	"legalchain/internal/web3"
@@ -280,21 +281,35 @@ func TestSlotReadsMatchGetters(t *testing.T) {
 	}
 }
 
-// methodCounter counts the JSON-RPC methods an HTTP handler is asked.
+// methodCounter counts the JSON-RPC methods an HTTP handler is asked,
+// and the eth_calls by selector.
 type methodCounter struct {
-	next http.Handler
-	mu   sync.Mutex
-	n    map[string]int
+	next      http.Handler
+	mu        sync.Mutex
+	n         map[string]int
+	selectors map[[4]byte]int
 }
 
 func (c *methodCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, _ := io.ReadAll(r.Body)
 	var req struct {
-		Method string `json:"method"`
+		Method string            `json:"method"`
+		Params []json.RawMessage `json:"params"`
 	}
 	if json.Unmarshal(body, &req) == nil {
+		var msg struct {
+			Data string `json:"data"`
+		}
 		c.mu.Lock()
 		c.n[req.Method]++
+		if req.Method == "eth_call" && len(req.Params) > 0 && json.Unmarshal(req.Params[0], &msg) == nil {
+			if data, err := hexutil.Decode(msg.Data); err == nil && len(data) >= 4 {
+				if c.selectors == nil {
+					c.selectors = map[[4]byte]int{}
+				}
+				c.selectors[[4]byte(data)]++
+			}
+		}
 		c.mu.Unlock()
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))

@@ -568,10 +568,7 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := prev.ABI.Methods["getNext"]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotVersioned, prevAddr)
-	}
-	if next, err := prev.CallAddress(from, "getNext"); err != nil {
+	if _, next, err := m.pointers(prevAddr); err != nil {
 		return nil, err
 	} else if !next.IsZero() {
 		return nil, fmt.Errorf("%w: %s is followed by %s", ErrSuperseded, prevAddr, next)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/minisol"
 )
 
 // VersionInfo is one node of the on-chain version chain, resolved during
@@ -23,37 +25,63 @@ type VersionInfo struct {
 // maxChainLength bounds walks so a (maliciously) cyclic chain terminates.
 const maxChainLength = 4096
 
-// pointers reads the next/prev pointers of one version through its
-// published ABI.
+// pointers reads a version's previous and next pointers: two storage
+// words, at the slots its published layout names. A version is versioned
+// when its layout declares next and previous, each one address wide; a
+// version without that layout is ErrNotVersioned. No getter runs, so a
+// contract whose getPrev or getNext answers other than its storage is
+// read by its storage.
 func (m *Manager) pointers(addr ethtypes.Address) (prev, next ethtypes.Address, err error) {
-	bound, err := m.BindVersion(addr)
+	layout, err := m.ResolveLayout(addr)
 	if err != nil {
 		return prev, next, err
 	}
-	if _, ok := bound.ABI.Methods["getPrev"]; !ok {
+	prevVar, okPrev := pointerVar(layout, "previous")
+	nextVar, okNext := pointerVar(layout, "next")
+	if !okPrev || !okNext {
 		return prev, next, fmt.Errorf("%w: %s", ErrNotVersioned, addr)
 	}
-	if prev, err = bound.CallAddress(addr, "getPrev"); err != nil {
+	node := m.Client.Backend()
+	w, err := node.StorageAt(addr, minisol.StorageSlot(prevVar.Slot))
+	if err != nil {
 		return prev, next, err
 	}
-	if next, err = bound.CallAddress(addr, "getNext"); err != nil {
+	prev = minisol.WordAddress(w)
+	if w, err = node.StorageAt(addr, minisol.StorageSlot(nextVar.Slot)); err != nil {
 		return prev, next, err
 	}
-	return prev, next, nil
+	return prev, minisol.WordAddress(w), nil
+}
+
+// pointerVar returns the layout's variable name and whether it is a
+// version pointer: an address in one slot.
+func pointerVar(layout *minisol.Layout, name string) (minisol.LayoutVar, bool) {
+	if layout == nil {
+		return minisol.LayoutVar{}, false
+	}
+	v, ok := layout.Var(name)
+	return v, ok && v.Type == "address" && v.Slots == 1
 }
 
 // WalkChain traverses the doubly linked version list from any member:
-// backwards to the first version, then forwards to the last, resolving
-// each hop's ABI from the content store. The returned slice is ordered
-// v1..vN — the paper's evidence line of modifications.
+// backwards to the first version, then forwards to the last, reading
+// each hop's pointers at the slots of the layout its registry row
+// names. The returned slice is ordered v1..vN — the paper's evidence
+// line of modifications.
 //
 // Every version's pointers are read from the chain once: the forward
-// pass reuses what the backward pass read, so a walk costs one pointer
-// read per version wherever in the line it starts. A forward pass that
+// pass reuses what the backward pass read, so a walk costs two storage
+// words per version wherever in the line it starts. A forward pass that
 // does not pass start means the line forked at or before start (a
 // predecessor linked to a second successor), and the walk fails with
 // ErrChainCorrupted rather than report another line.
 func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
+	return m.walk(start, m.pointers)
+}
+
+// walk is WalkChain over the given pointer reader: the tests walk one
+// line through the slot reader and through the getters it replaced.
+func (m *Manager) walk(start ethtypes.Address, pointers func(ethtypes.Address) (prev, next ethtypes.Address, err error)) ([]VersionInfo, error) {
 	type links struct{ prev, next ethtypes.Address }
 	// Find the head.
 	head := start
@@ -62,7 +90,7 @@ func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
 		if i > maxChainLength {
 			return nil, fmt.Errorf("%w: prev chain exceeds %d", ErrChainCorrupted, maxChainLength)
 		}
-		prev, next, err := m.pointers(head)
+		prev, next, err := pointers(head)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +118,7 @@ func (m *Manager) WalkChain(start ethtypes.Address) ([]VersionInfo, error) {
 		l, ok := read[cur]
 		if !ok {
 			var err error
-			if l.prev, l.next, err = m.pointers(cur); err != nil {
+			if l.prev, l.next, err = pointers(cur); err != nil {
 				return nil, err
 			}
 		}
@@ -164,18 +192,20 @@ func (m *Manager) deriveStates(line []VersionInfo) error {
 	return nil
 }
 
-// Describe returns row, as GetRow or Rows returns it, with the fields its
-// version contract holds: Next, State and Tenant (empty while zero). State and Next come from line, a
-// line from WalkStates, when it holds the version. Without a walk, getNext
-// is read and the version is derived after its predecessor.
+// Describe returns row, as GetRow or Rows returns it, with the fields
+// its version contract holds: Next, State and Tenant (empty while zero).
+// State and Next come from line, a line from WalkStates, when it holds
+// the version. Without a walk, the version's pointers are read, and it
+// is derived after its predecessor; a version that is not versioned
+// has no Next.
 func (m *Manager) Describe(row ContractRow, line []VersionInfo) (ContractRow, error) {
 	v := VersionInfo{Address: ethtypes.HexToAddress(row.Address)}
 	bound, err := m.BindVersion(v.Address)
 	if i := slices.IndexFunc(line, func(w VersionInfo) bool { return w.Address == v.Address }); i >= 0 {
 		v = line[i]
 	} else if err == nil {
-		if _, ok := bound.ABI.Methods["getNext"]; ok {
-			v.Next, err = bound.CallAddress(v.Address, "getNext")
+		if _, v.Next, err = m.pointers(v.Address); errors.Is(err, ErrNotVersioned) {
+			err = nil
 		}
 		pair := []VersionInfo{v}
 		if row.Prev != "" {

@@ -336,8 +336,7 @@ func (b *BoundContract) Call(from ethtypes.Address, method string, args ...inter
 	return b.ABI.Unpack(method, ret)
 }
 
-// CallAddress is Call for single-address-returning methods (the
-// getNext/getPrev pattern of the versioning contracts).
+// CallAddress is Call for single-address-returning methods.
 func (b *BoundContract) CallAddress(from ethtypes.Address, method string, args ...interface{}) (ethtypes.Address, error) {
 	out, err := b.Call(from, method, args...)
 	if err != nil {
