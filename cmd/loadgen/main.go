@@ -161,12 +161,11 @@ func main() {
 		defer refSub.Close()
 		go func() {
 			var last uint64
-			for {
-				<-refSub.Wait()
-				events, _, alive := refSub.Drain()
-				now := time.Now()
-				if len(events) > 0 {
-					head := events[len(events)-1].View.BlockNumber()
+			for range refSub.Wait() {
+				v, alive := refSub.Newest()
+				if v != nil {
+					now := time.Now()
+					head := v.BlockNumber()
 					for n := last + 1; n <= head; n++ {
 						clock.stamp(n, now)
 					}

@@ -113,9 +113,12 @@ func (s *sseStream) sendGap(missed, resume uint64) error {
 	return s.send("gap", "", buf)
 }
 
-// sseSince resolves the resume height: ?since=<block> (decimal or hex)
-// wins over the Last-Event-ID header ("<block>" or "<block>:<idx>").
-// Returns (height, true) when the client asked to resume.
+// sseSince resolves the resume height, the last block already
+// delivered: ?since=<block> (decimal or hex) wins over the Last-Event-ID
+// header. A bare "<block>" id was a whole block; a "<block>:<idx>" log
+// id may have been followed by more logs of its block, so the stream
+// resumes at that block, replaying its earlier logs. Returns
+// (height, true) when the client asked to resume.
 func sseSince(r *http.Request) (uint64, bool) {
 	if s := r.URL.Query().Get("since"); s != "" {
 		if n, err := parseBlockParam(s); err == nil {
@@ -123,10 +126,11 @@ func sseSince(r *http.Request) (uint64, bool) {
 		}
 	}
 	if s := r.Header.Get("Last-Event-ID"); s != "" {
-		if block, _, found := strings.Cut(s, ":"); found {
-			s = block
-		}
-		if n, err := strconv.ParseUint(s, 10, 64); err == nil {
+		block, _, midBlock := strings.Cut(s, ":")
+		if n, err := strconv.ParseUint(block, 10, 64); err == nil {
+			if midBlock && n > 0 {
+				n--
+			}
 			return n, true
 		}
 	}
@@ -191,26 +195,15 @@ func (a *App) sseServe(w http.ResponseWriter, r *http.Request, op string, from f
 				return
 			}
 		case <-sub.Wait():
-			for {
-				events, gap, alive := sub.Drain()
-				v = nil
-				if len(events) > 0 {
-					v = events[len(events)-1].View
-				} else if gap > 0 {
-					v = hv.HeadView()
-				}
-				if v != nil {
-					if last, err = deliver(stream, v, last); err != nil {
-						return
-					}
-				}
-				if !alive {
-					stream.sendError(v1Internal, "node shutting down")
+			v, alive := sub.Newest()
+			if v != nil {
+				if last, err = deliver(stream, v, last); err != nil {
 					return
 				}
-				if len(events) == 0 && gap == 0 {
-					break
-				}
+			}
+			if !alive {
+				stream.sendError(v1Internal, "node shutting down")
+				return
 			}
 		}
 	}

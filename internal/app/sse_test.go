@@ -366,3 +366,78 @@ func TestSSEUnauthorizedEnvelope(t *testing.T) {
 		t.Fatalf("code %q", out.Error.Code)
 	}
 }
+
+// TestSSEContractEventsResumeMidBlock resumes a log stream from the
+// first of two logs sealed in one block: a log id may be followed by
+// more logs of its block, so the rest of that block must arrive.
+func TestSSEContractEventsResumeMidBlock(t *testing.T) {
+	a := rig(t)
+	landlord, err := a.Register("lessor", "", "pw1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := a.Register("lessee", "", "pw2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := a.Rental.DeployRental(landlord.Addr(), core.RentalTerms{
+		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12, House: "mid-block",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := dep.Contract.Address
+	if err := a.Rental.Confirm(tenant.Addr(), addr); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two payRent transactions sealed into one block.
+	bc := appChain(t, a)
+	data, err := dep.Contract.ABI.Pack("payRent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := bc.GetNonce(tenant.Addr())
+	for i := uint64(0); i < 2; i++ {
+		tx := &ethtypes.Transaction{
+			Nonce: nonce + i, GasPrice: ethtypes.Gwei(1), Gas: 300_000,
+			To: &addr, Value: ethtypes.Ether(1), Data: data,
+		}
+		if err := a.Manager.Client.Keystore().SignTx(tenant.Addr(), tx, bc.ChainID()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bc.SubmitTransaction(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block, failed := bc.MineBlock()
+	if len(failed) != 0 || len(block.Transactions) != 2 {
+		t.Fatalf("block %d: %d txs, failed %v", block.Number(), len(block.Transactions), failed)
+	}
+	var ids []string
+	for _, tx := range block.Transactions {
+		rcpt, _ := bc.GetReceipt(tx.Hash())
+		for _, l := range rcpt.Logs {
+			ids = append(ids, fmt.Sprintf("%d:%d", l.BlockNumber, l.Index))
+		}
+	}
+	if len(ids) != 2 {
+		t.Fatalf("block %d holds logs %v, want two", block.Number(), ids)
+	}
+
+	srv := httptest.NewServer(a.Handler())
+	t.Cleanup(srv.Close)
+	b := newBrowser(t, srv)
+	if resp, body := b.post("/login", url.Values{"name": {"lessee"}, "password": {"pw2"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("login: %d %s", resp.StatusCode, body)
+	}
+	// Resuming from the block's first log replays it, then the second.
+	stream := openStream(t, b, "/api/v1/contracts/"+addr.Hex()+"/events", map[string]string{
+		"Last-Event-ID": ids[0],
+	})
+	for _, want := range ids {
+		if f := stream.next(2 * time.Second); f.event != "log" || f.id != want {
+			t.Fatalf("resumed frame: %q id %q, want log id %q", f.event, f.id, want)
+		}
+	}
+}

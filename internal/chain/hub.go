@@ -94,12 +94,32 @@ type Subscription struct {
 	dropped uint64
 	closed  bool
 	wake    chan struct{} // cap 1; signalled on push and Close
+
+	view func() *HeadView // the chain's current view (SubHeads only)
 }
 
 // Wait returns the channel signalled whenever events (or a close) are
 // ready to Drain. The channel never closes; after each wake-up call
-// Drain until it reports no events.
+// Drain (or Newest) once: an event pushed after that Drain signals the
+// channel again.
 func (s *Subscription) Wait() <-chan struct{} { return s.wake }
+
+// Newest is the consumer step of a SubscribeHeads subscription, called
+// once per wake from Wait. It drains the ring and returns the newest
+// drained event's view — views are cumulative, so it covers every event
+// drained with it — or, after a wake that brought only a gap notice,
+// the chain's current view; nil when the wake brought nothing. alive is
+// false once the subscription is closed: deliver v first, then stop.
+func (s *Subscription) Newest() (v *HeadView, alive bool) {
+	events, gap, alive := s.Drain()
+	switch {
+	case len(events) > 0:
+		v = events[len(events)-1].View
+	case gap > 0:
+		v = s.view()
+	}
+	return v, alive
+}
 
 // Drain removes and returns every buffered event in order. gap is the
 // number of events dropped since the previous Drain because the ring
@@ -195,8 +215,9 @@ func newHub() *hub {
 }
 
 // subscribe registers a new ring of the given kind and capacity,
-// starting the pump on first use.
-func (h *hub) subscribe(kind SubKind, buf int) *Subscription {
+// starting the pump on first use. view is the chain's current view,
+// read by Newest after a gap-only wake.
+func (h *hub) subscribe(kind SubKind, buf int, view func() *HeadView) *Subscription {
 	if buf <= 0 {
 		buf = defaultSubBuffer
 	}
@@ -205,6 +226,7 @@ func (h *hub) subscribe(kind SubKind, buf int) *Subscription {
 		kind: kind,
 		ring: make([]Event, buf),
 		wake: make(chan struct{}, 1),
+		view: view,
 	}
 	h.mu.Lock()
 	if h.closed {
@@ -329,13 +351,13 @@ func (h *hub) pump() {
 // default). The sealer never blocks on a subscriber: a consumer that
 // stops draining loses events and sees the loss as a gap notice.
 func (bc *Blockchain) SubscribeHeads(buf int) *Subscription {
-	return bc.hub.subscribe(SubHeads, buf)
+	return bc.hub.subscribe(SubHeads, buf, bc.View)
 }
 
 // SubscribePendingTxs returns a subscription delivering the hash of
 // every transaction admitted for sealing or queueing.
 func (bc *Blockchain) SubscribePendingTxs(buf int) *Subscription {
-	return bc.hub.subscribe(SubPendingTxs, buf)
+	return bc.hub.subscribe(SubPendingTxs, buf, nil)
 }
 
 // Subscribers reports the number of live hub subscriptions.

@@ -21,29 +21,18 @@ func hubRig(t testing.TB, nAccounts int) (*Blockchain, []wallet.Account) {
 	return bc, accs
 }
 
-// drainAll waits for the subscription to wake and drains everything
-// buffered, accumulating the gap count.
+// drainAll waits for the subscription to wake and drains it once: an
+// event pushed after that Drain wakes the subscription again.
 func drainAll(t *testing.T, sub *Subscription, timeout time.Duration) ([]Event, uint64) {
 	t.Helper()
-	var events []Event
-	var gap uint64
-	deadline := time.After(timeout)
-	for {
-		select {
-		case <-sub.Wait():
-			for {
-				evs, g, _ := sub.Drain()
-				events = append(events, evs...)
-				gap += g
-				if len(evs) == 0 && g == 0 {
-					break
-				}
-			}
-			return events, gap
-		case <-deadline:
-			t.Fatal("subscription never woke")
-		}
+	select {
+	case <-sub.Wait():
+		events, gap, _ := sub.Drain()
+		return events, gap
+	case <-time.After(timeout):
+		t.Fatal("subscription never woke")
 	}
+	return nil, 0
 }
 
 // TestHubHeadsInOrder: every seal reaches the subscriber, in order,
@@ -352,4 +341,109 @@ func drainUntil(t *testing.T, sub *Subscription, n int) ([]Event, uint64) {
 		events, gap = append(events, evs...), gap+g
 	}
 	return events, gap
+}
+
+// waitBuffered waits until the pump has pushed n events into sub.
+func waitBuffered(t *testing.T, sub *Subscription, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sub.mu.Lock()
+		buffered := sub.n
+		sub.mu.Unlock()
+		if buffered >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d events buffered, want %d", buffered, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestNewestCoalescesBurst: a burst of seals drained in one wake comes
+// out as one view, the newest; the wake its later pushes left behind
+// brings nothing.
+func TestNewestCoalescesBurst(t *testing.T) {
+	bc, _ := hubRig(t, 1)
+	sub := bc.SubscribeHeads(0)
+	defer sub.Close()
+	for i := 0; i < 5; i++ {
+		bc.MineBlock()
+	}
+	waitBuffered(t, sub, 5)
+	<-sub.Wait()
+	if v, alive := sub.Newest(); !alive || v == nil || v.BlockNumber() != 5 {
+		t.Fatalf("Newest after a burst = %v, alive %v; want the view at block 5", v, alive)
+	}
+	select {
+	case <-sub.Wait():
+		if v, alive := sub.Newest(); v != nil || !alive {
+			t.Fatalf("an empty wake returned %v, alive %v", v, alive)
+		}
+	default:
+	}
+}
+
+// TestNewestGapOnlyWakeReadsCurrentView: a wake that brings only a gap
+// (the hub queue shed this subscriber's events) returns the chain's
+// current view.
+func TestNewestGapOnlyWakeReadsCurrentView(t *testing.T) {
+	bc, _ := hubRig(t, 1)
+	bc.hub.pumpOnce.Do(func() {}) // hold the pump: no event reaches the ring
+	sub := bc.SubscribeHeads(0)
+	defer sub.Close()
+	bc.MineBlock()
+	bc.MineBlock()
+	sub.addGap(2)
+	<-sub.Wait()
+	v, alive := sub.Newest()
+	if !alive || v != bc.View() || v.BlockNumber() != 2 {
+		t.Fatalf("Newest after a gap-only wake = %v, alive %v; want the current view at block 2", v, alive)
+	}
+}
+
+// TestNewestClosed: a closed subscription wakes and reports alive false.
+func TestNewestClosed(t *testing.T) {
+	bc, _ := hubRig(t, 1)
+	sub := bc.SubscribeHeads(0)
+	sub.Close()
+	<-sub.Wait()
+	if v, alive := sub.Newest(); v != nil || alive {
+		t.Fatalf("Newest on a closed subscription = %v, alive %v", v, alive)
+	}
+}
+
+// TestNewestFollowsRacingSealer: one consumer calling Newest once per
+// wake, against a sealer that outruns its small ring, ends at the
+// chain head.
+func TestNewestFollowsRacingSealer(t *testing.T) {
+	bc, _ := hubRig(t, 1)
+	sub := bc.SubscribeHeads(4)
+	defer sub.Close()
+	const blocks = 200
+	go func() {
+		for i := 0; i < blocks; i++ {
+			bc.MineBlock()
+		}
+	}()
+	deadline := time.After(30 * time.Second)
+	var head uint64
+	for head < blocks {
+		select {
+		case <-sub.Wait():
+			v, alive := sub.Newest()
+			if !alive {
+				t.Fatal("subscription died")
+			}
+			if v != nil {
+				if v.BlockNumber() < head {
+					t.Fatalf("view went back from block %d to %d", head, v.BlockNumber())
+				}
+				head = v.BlockNumber()
+			}
+		case <-deadline:
+			t.Fatalf("consumer stuck at block %d, chain at %d", head, bc.BlockNumber())
+		}
+	}
 }

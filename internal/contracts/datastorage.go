@@ -16,7 +16,7 @@ type StorageReader interface {
 }
 
 // DataStorageState reads a deployed DataStorage's carried data from its
-// storage slots: the words its public getters (aliasOf, hasKey,
+// storage slots: the words its public getters (owner, aliasOf, hasKey,
 // keyCount, keyAt, getValue) would return, without running them. Each
 // method reads only the words its answer is made of. A state remembers
 // the slot arithmetic it has done, never a word it has read: a read of
@@ -37,20 +37,22 @@ type nsMapping struct {
 	ns      ethtypes.Address
 }
 
-// The address-keyed mappings the reader reads, indexing dsSlots.
+// The variables the reader reads, indexing dsSlots: the address-keyed
+// mappings, then owner.
 const (
 	keyValuePairs = iota
 	hasKey
 	keyCount
 	keyAt
 	aliasOf
+	owner
 )
 
-// dsSlots are the declaration slots of those mappings, taken from
+// dsSlots are the declaration slots of those variables, taken from
 // DataStorage's compiled layout.
-var dsSlots = sync.OnceValue(func() (decl [5]ethtypes.Hash) {
+var dsSlots = sync.OnceValue(func() (decl [6]ethtypes.Hash) {
 	layout := MustArtifact("DataStorage").Layout
-	for i, name := range []string{"keyValuePairs", "hasKey", "keyCount", "keyAt", "aliasOf"} {
+	for i, name := range []string{"keyValuePairs", "hasKey", "keyCount", "keyAt", "aliasOf", "owner"} {
 		v, ok := layout.Var(name)
 		if !ok {
 			panic(fmt.Sprintf("contracts: DataStorage layout has no %q", name))
@@ -76,6 +78,12 @@ func (d *DataStorageState) base(mapping int, ns ethtypes.Address) ethtypes.Hash 
 	slot := minisol.MappingSlot(dsSlots()[mapping], minisol.AddressKey(ns))
 	d.bases[k] = slot
 	return slot
+}
+
+// Owner is owner(): the account DataStorage lets write, its deployer.
+func (d *DataStorageState) Owner() (ethtypes.Address, error) {
+	w, err := d.word(dsSlots()[owner])
+	return minisol.WordAddress(w), err
 }
 
 // AliasOf is aliasOf(ns): the namespace ns adopted, zero if none.

@@ -199,3 +199,13 @@ func TestSetValuesRevertsWhole(t *testing.T) {
 		t.Errorf("namespace = %v, want [a=1]", got)
 	}
 }
+
+// TestOwnerSlotMatchesGetter: the owner word read from its layout slot
+// is what the owner() getter returns, the deployer.
+func TestOwnerSlotMatchesGetter(t *testing.T) {
+	d := newDSEVM(t)
+	got, err := (&DataStorageState{Addr: d.addr, Node: d}).Owner()
+	if err != nil || got != dsOwner || d.get("owner").(ethtypes.Address) != dsOwner {
+		t.Fatalf("owner slot = %s (%v), getter %v, want %s", got, err, d.get("owner"), dsOwner)
+	}
+}

@@ -1240,3 +1240,47 @@ func TestNewManagerBindsRecordedSharedContracts(t *testing.T) {
 		t.Fatalf("EnsureDataStorage after reopen = %v, %v; want the recorded contract", ds, err)
 	}
 }
+
+// TestLandlordsShareOneDataStorage: on one manager (one node serving
+// every landlord) the first writer deploys DataStorage and owns it, yet
+// every landlord modifies, has a rejection recorded and seals a
+// history. A manager reopened over the same docstore knows the owner
+// only from the chain; there the non-owner writes first.
+func TestLandlordsShareOneDataStorage(t *testing.T) {
+	m, accs := rig(t)
+	tenant := accs[2].Address
+	degraded, err := minisol.CompileContract(degradedSrc, "Degraded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := ModifiedTerms{Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12, House: "10115-Berlin-42"}
+	exercise := func(m *Manager, landlord ethtypes.Address) {
+		t.Helper()
+		svc := NewRentalService(m)
+		v1 := deployRental(t, m, landlord).Contract.Address
+		svcConfirmAndPay(t, svc, tenant, v1, 1)
+		v2, err := svc.Modify(landlord, v1, terms)
+		if err != nil {
+			t.Fatalf("landlord %s: Modify: %v", landlord.Hex(), err)
+		}
+		expectRejection(t, m, landlord, v2.Contract.Address, degraded, ModifyOptions{}, ethtypes.Ether(1))
+		if rejs, err := m.Rejections(landlord, v2.Contract.Address); err != nil || len(rejs) != 1 {
+			t.Fatalf("landlord %s: rejections %v, %v", landlord.Hex(), rejs, err)
+		}
+		if _, err := svc.SealHistory(landlord, v1); err != nil {
+			t.Fatalf("landlord %s: SealHistory: %v", landlord.Hex(), err)
+		}
+		if err := svc.VerifyHistory(tenant, v1); err != nil {
+			t.Fatalf("landlord %s: VerifyHistory: %v", landlord.Hex(), err)
+		}
+	}
+	exercise(m, accs[0].Address)
+	exercise(m, accs[1].Address)
+
+	again := NewManager(m.Client, m.IPFS, m.Store)
+	exercise(again, accs[1].Address)
+	exercise(again, accs[0].Address)
+	if again.DataStorageAddress() != m.DataStorageAddress() {
+		t.Fatalf("reopened manager deployed DataStorage %s, want %s", again.DataStorageAddress().Hex(), m.DataStorageAddress().Hex())
+	}
+}

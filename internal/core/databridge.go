@@ -23,19 +23,21 @@ import (
 // first: a version's own keys shadow adopted ones. Per-version evidence
 // (rejection reports, the history commitment) is read from the
 // version's own namespace only and is never inherited. Writes deploy
-// the shared contract on first use; reads never do. Reads go to
+// the shared contract on first use, from the writing landlord, and are
+// sent from its owner whoever writes; reads never deploy it. Reads go to
 // DataStorage's storage slots (contracts.DataStorageState), not through
 // its getters: the words are the same, and no getter runs, so the from
 // of a read (GetValue, LoadSnapshot, Rejections) names no sender.
 
 // SetValue writes one key/value pair under the contract's namespace, in
-// a transaction of its own.
+// a transaction of its own. from deploys DataStorage if none exists yet;
+// the write is sent from its owner.
 func (m *Manager) SetValue(from, contractAddr ethtypes.Address, key, value string) (uint64, error) {
-	ds, err := m.EnsureDataStorage(from)
+	ds, owner, err := m.dataWriter(from)
 	if err != nil {
 		return 0, err
 	}
-	rcpt, err := ds.Transact(web3.TxOpts{From: from}, "setValue", contractAddr, key, value)
+	rcpt, err := ds.Transact(owner, "setValue", contractAddr, key, value)
 	if err != nil {
 		return 0, fmt.Errorf("core: setValue(%s): %w", key, err)
 	}
@@ -142,11 +144,11 @@ func (m *Manager) LoadSnapshot(from, contractAddr ethtypes.Address) (map[string]
 // re-importing N pairs at ~96k gas each. Returns the gas spent (constant
 // in the pair count).
 func (m *Manager) AdoptNamespace(from, newAddr, oldAddr ethtypes.Address) (uint64, error) {
-	ds, err := m.EnsureDataStorage(from)
+	ds, owner, err := m.dataWriter(from)
 	if err != nil {
 		return 0, err
 	}
-	rcpt, err := ds.Transact(web3.TxOpts{From: from}, "adoptNamespace", newAddr, oldAddr)
+	rcpt, err := ds.Transact(owner, "adoptNamespace", newAddr, oldAddr)
 	if err != nil {
 		return 0, fmt.Errorf("core: adoptNamespace(%s <- %s): %w", newAddr, oldAddr, err)
 	}
@@ -208,11 +210,11 @@ func (m *Manager) SnapshotContract(from ethtypes.Address, bound *web3.BoundContr
 		}
 		names[i], values[i] = key, rendered
 	}
-	ds, err := m.EnsureDataStorage(from)
+	ds, owner, err := m.dataWriter(from)
 	if err != nil {
 		return 0, err
 	}
-	rcpt, err := ds.Transact(web3.TxOpts{From: from}, "setValues", bound.Address, names, values)
+	rcpt, err := ds.Transact(owner, "setValues", bound.Address, names, values)
 	if err != nil {
 		return 0, fmt.Errorf("core: setValues(%d pairs): %w", len(keys), err)
 	}

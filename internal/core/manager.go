@@ -104,6 +104,7 @@ type Manager struct {
 
 	mu          sync.Mutex
 	dataStorage *web3.BoundContract
+	dataOwner   ethtypes.Address // dataStorage's owner; zero until known
 	notary      *web3.BoundContract
 	parsed      map[ethtypes.Address]versionArtifacts
 	artifacts   map[artifactKey]any
@@ -176,6 +177,7 @@ func (m *Manager) putSystemLocked() error {
 
 // EnsureDataStorage deploys the shared DataStorage contract on first use
 // (owner = from), records it in the system row and returns its binding.
+// Writes to it go through dataWriter, which sends them from the owner.
 func (m *Manager) EnsureDataStorage(from ethtypes.Address) (*web3.BoundContract, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -190,11 +192,33 @@ func (m *Manager) EnsureDataStorage(from ethtypes.Address) (*web3.BoundContract,
 	if err != nil {
 		return nil, fmt.Errorf("core: deploying DataStorage: %w", err)
 	}
-	m.dataStorage = bound
+	m.dataStorage, m.dataOwner = bound, from
 	if err := m.putSystemLocked(); err != nil {
 		return nil, err
 	}
 	return bound, nil
+}
+
+// dataWriter returns the DataStorage binding, deploying it from from on
+// first use, and the options every write to it is sent with. DataStorage
+// lets only its owner write, and the owner is the account that deployed
+// it, which need not be from: on a node serving many landlords the
+// first one to write deployed it. So every write is sent from the
+// owner, read once per binding from its layout slot.
+func (m *Manager) dataWriter(from ethtypes.Address) (*web3.BoundContract, web3.TxOpts, error) {
+	ds, err := m.EnsureDataStorage(from)
+	if err != nil {
+		return nil, web3.TxOpts{}, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dataOwner.IsZero() {
+		state := contracts.DataStorageState{Addr: ds.Address, Node: m.Client.Backend()}
+		if m.dataOwner, err = state.Owner(); err != nil {
+			return nil, web3.TxOpts{}, fmt.Errorf("core: reading DataStorage owner: %w", err)
+		}
+	}
+	return ds, web3.TxOpts{From: m.dataOwner}, nil
 }
 
 // boundDataStorage returns the DataStorage binding, or nil while none
@@ -229,9 +253,9 @@ func (m *Manager) DataStorageAddress() ethtypes.Address {
 // EnsureNotary deploys the payment notary on first use (bound to the
 // shared DataStorage, which it deploys too if needed) and authorizes it
 // on the ledger, so rent relayed through it leaves evidence in the data
-// tier. from must be the DataStorage owner.
+// tier. from deploys the notary; DataStorage's owner authorizes it.
 func (m *Manager) EnsureNotary(from ethtypes.Address) (*web3.BoundContract, error) {
-	ds, err := m.EnsureDataStorage(from)
+	ds, owner, err := m.dataWriter(from)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +269,7 @@ func (m *Manager) EnsureNotary(from ethtypes.Address) (*web3.BoundContract, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: deploying payment notary: %w", err)
 	}
-	if _, err := ds.Transact(web3.TxOpts{From: from}, "authorize", bound.Address); err != nil {
+	if _, err := ds.Transact(owner, "authorize", bound.Address); err != nil {
 		return nil, fmt.Errorf("core: authorizing notary: %w", err)
 	}
 	m.notary = bound
@@ -456,10 +480,6 @@ func (m *Manager) DeployVersion(from ethtypes.Address, art *minisol.Artifact, le
 
 // ModifyOptions tune ModifyContract.
 type ModifyOptions struct {
-	// MigrateData carries the predecessor's DataStorage key/value pairs
-	// over to the new version in place, through one adoptNamespace
-	// transaction.
-	MigrateData bool
 	// SnapshotKeys, when non-empty, are read from the old contract via
 	// its getters and written into DataStorage before migration, so the
 	// new version can import them (the paper's data/logic separation).
@@ -557,7 +577,8 @@ func (m *Manager) Rejections(from, addr ethtypes.Address) ([]*upgrade.Report, er
 // recorded in the predecessor's evidence line and rejected with a
 // structured *upgrade.RejectionError. An admitted candidate is
 // deployed, linked into the doubly linked list on chain, data optionally
-// snapshotted and migrated in place, and its registry row written (it
+// snapshotted and always migrated in place (the new version adopts its
+// predecessor's DataStorage namespace), and its registry row written (it
 // names the published ABI, layout and document). The old version's row
 // is not touched: that it is inactive now is read from its next pointer.
 // Only the tail of a line may be modified: a predecessor whose next
@@ -626,13 +647,11 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 
 	// Migrate data under the new address: one namespace-adoption
 	// transaction.
-	if opts.MigrateData {
-		mgGas, err := m.AdoptNamespace(from, bound.Address, prevAddr)
-		if err != nil {
-			return nil, err
-		}
-		gas += mgGas
+	mgGas, err := m.AdoptNamespace(from, bound.Address, prevAddr)
+	if err != nil {
+		return nil, err
 	}
+	gas += mgGas
 
 	row, err := m.publish(ContractRow{
 		Address:  bound.Address.Hex(),

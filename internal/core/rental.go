@@ -190,7 +190,6 @@ func rentalProperties(terms ModifiedTerms) []upgrade.Property {
 // constructor must accept the V2 argument list.
 func (s *RentalService) ModifyWithArtifact(landlord, prevAddr ethtypes.Address, art *minisol.Artifact, terms ModifiedTerms) (*Deployment, error) {
 	return s.M.ModifyContract(landlord, prevAddr, art, ModifyOptions{
-		MigrateData:  true,
 		SnapshotKeys: rentalSnapshotKeys,
 		Properties:   rentalProperties(terms),
 		LegalDoc:     terms.LegalDoc,

@@ -17,7 +17,7 @@ var (
 	rpcSeconds = metrics.Default.HistogramVec("legalchain_rpc_request_seconds",
 		"JSON-RPC request latency, by method.", nil, "method")
 	rpcBatchSize = metrics.Default.Histogram("legalchain_rpc_batch_size",
-		"Number of entries per JSON-RPC batch request.",
+		"Number of entries per JSON-RPC batch request (HTTP body or WS frame).",
 		[]float64{1, 2, 5, 10, 20, 50, 100})
 	rpcWsSessions = metrics.Default.Gauge("legalchain_rpc_ws_sessions",
 		"Open WebSocket JSON-RPC sessions.")

@@ -6,6 +6,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,7 +15,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -124,47 +124,45 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "[") {
-		// Batch: decode the envelope first so one malformed entry
-		// produces a per-entry error instead of failing the whole array.
+	json.NewEncoder(w).Encode(serveMessage(body, func(req *request) response {
+		return s.handle(r.Context(), req)
+	}))
+}
+
+// serveMessage decodes one JSON-RPC message — a single request or a
+// batch — and answers each request with handle. HTTP bodies and WS
+// frames both come through here. A batch envelope is decoded first, so
+// one malformed entry gets its own invalid-request response instead of
+// failing the whole array.
+func serveMessage(msg []byte, handle func(*request) response) interface{} {
+	if trimmed := bytes.TrimSpace(msg); len(trimmed) > 0 && trimmed[0] == '[' {
 		var raws []json.RawMessage
-		if err := json.Unmarshal(body, &raws); err != nil {
-			json.NewEncoder(w).Encode(errorResponse(nil, codeParse, "parse error"))
-			return
+		if err := json.Unmarshal(msg, &raws); err != nil {
+			return errorResponse(nil, codeParse, "parse error")
 		}
 		if len(raws) == 0 {
-			json.NewEncoder(w).Encode(errorResponse(nil, codeInvalidRequest, "empty batch"))
-			return
+			return errorResponse(nil, codeInvalidRequest, "empty batch")
 		}
 		rpcBatchSize.Observe(float64(len(raws)))
 		out := make([]response, len(raws))
 		for i, raw := range raws {
-			out[i] = s.handleRaw(r.Context(), raw)
+			var req request
+			if err := json.Unmarshal(raw, &req); err != nil {
+				out[i] = errorResponse(nil, codeInvalidRequest, "invalid request")
+				continue
+			}
+			out[i] = handle(&req)
 		}
-		json.NewEncoder(w).Encode(out)
-		return
+		return out
 	}
 	var req request
-	if err := json.Unmarshal(body, &req); err != nil {
-		if json.Valid(body) {
-			json.NewEncoder(w).Encode(errorResponse(nil, codeInvalidRequest, "invalid request"))
-		} else {
-			json.NewEncoder(w).Encode(errorResponse(nil, codeParse, "parse error"))
+	if err := json.Unmarshal(msg, &req); err != nil {
+		if json.Valid(msg) {
+			return errorResponse(nil, codeInvalidRequest, "invalid request")
 		}
-		return
+		return errorResponse(nil, codeParse, "parse error")
 	}
-	json.NewEncoder(w).Encode(s.handle(r.Context(), &req))
-}
-
-// handleRaw decodes one batch entry into a request; entries that are
-// not request objects get their own invalid-request response per spec.
-func (s *Server) handleRaw(ctx context.Context, raw json.RawMessage) response {
-	var req request
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return errorResponse(nil, codeInvalidRequest, "invalid request")
-	}
-	return s.handle(ctx, &req)
+	return handle(&req)
 }
 
 func errorResponse(id json.RawMessage, code int, msg string) response {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"sync"
 
 	"legalchain/internal/chain"
@@ -132,52 +131,17 @@ func (sess *wsSession) closeWith(wsCode, rpcCode int, msg string) {
 	sess.conn.Close(wsCode, string(reason))
 }
 
-// readLoop decodes frames as JSON-RPC (single request or batch) and
-// writes the responses. Notifications from subscriptions interleave on
-// the same connection; ws.Conn serialises the frames.
+// readLoop answers each frame through serveMessage, the decoder HTTP
+// uses too. Notifications from subscriptions interleave on the same
+// connection; ws.Conn serialises the frames.
 func (sess *wsSession) readLoop() {
 	for {
 		_, payload, err := sess.conn.ReadMessage()
 		if err != nil {
 			return
 		}
-		trimmed := strings.TrimSpace(string(payload))
-		if strings.HasPrefix(trimmed, "[") {
-			var raws []json.RawMessage
-			if err := json.Unmarshal(payload, &raws); err != nil {
-				sess.write(errorResponse(nil, codeParse, "parse error"))
-				continue
-			}
-			if len(raws) == 0 {
-				sess.write(errorResponse(nil, codeInvalidRequest, "empty batch"))
-				continue
-			}
-			out := make([]response, len(raws))
-			for i, raw := range raws {
-				out[i] = sess.handleRaw(raw)
-			}
-			sess.write(out)
-			continue
-		}
-		var req request
-		if err := json.Unmarshal(payload, &req); err != nil {
-			if json.Valid(payload) {
-				sess.write(errorResponse(nil, codeInvalidRequest, "invalid request"))
-			} else {
-				sess.write(errorResponse(nil, codeParse, "parse error"))
-			}
-			continue
-		}
-		sess.write(sess.handleReq(&req))
+		sess.write(serveMessage(payload, sess.handleReq))
 	}
-}
-
-func (sess *wsSession) handleRaw(raw json.RawMessage) response {
-	var req request
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return errorResponse(nil, codeInvalidRequest, "invalid request")
-	}
-	return sess.handleReq(&req)
 }
 
 // handleReq routes the two session-scoped methods and defers the rest
@@ -283,53 +247,46 @@ func (sess *wsSession) unsubscribe(id string) bool {
 	return ok
 }
 
-// headsLoop drains the hub and delivers newHeads and logs
-// notifications. Delivery always walks blocks (sub.last, head] on the
-// freshest view, so hub-ring drops cost nothing as long as the view
-// still holds the blocks; only eviction turns a drop into a gap notice.
+// headsLoop delivers newHeads and logs notifications from each wake's
+// newest view. Delivery always walks blocks (sub.last, head] on that
+// view, so hub-ring drops cost nothing as long as the view still holds
+// the blocks; only eviction turns a drop into a gap notice.
 func (sess *wsSession) headsLoop(hubSub *chain.Subscription) {
 	for range hubSub.Wait() {
-		for {
-			events, gap, alive := hubSub.Drain()
-			var v *chain.HeadView
-			if len(events) > 0 {
-				v = events[len(events)-1].View
-			} else if gap > 0 {
-				// Gap-only wake (hub queue overflow shed our events):
-				// recover from the freshest view directly.
-				v = sess.srv.bc.View()
-			}
-			if v != nil && !sess.deliverBlocks(v) {
-				hubSub.Close()
-				return
-			}
-			if !alive {
-				// The hub closed under us — the node is shutting down.
-				sess.closeWith(ws.CloseGoingAway, codeServerError, "node shutting down")
-				return
-			}
-			if len(events) == 0 && gap == 0 {
-				break
-			}
+		v, alive := hubSub.Newest()
+		if v != nil && !sess.deliverBlocks(v) {
+			hubSub.Close()
+			return
+		}
+		if !alive {
+			// The hub closed under us — the node is shutting down.
+			sess.closeWith(ws.CloseGoingAway, codeServerError, "node shutting down")
+			return
 		}
 	}
+}
+
+// registered snapshots the session's pending-transaction registrations
+// (pending) or its heads and logs ones (!pending), so that notifications
+// are written without holding the lock: a stalled peer must not block
+// eth_subscribe calls forever.
+func (sess *wsSession) registered(pending bool) []*wsSub {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	subs := make([]*wsSub, 0, len(sess.subs))
+	for _, sub := range sess.subs {
+		if (sub.kind == wsKindPending) == pending {
+			subs = append(subs, sub)
+		}
+	}
+	return subs
 }
 
 // deliverBlocks pushes every undelivered block on v to each heads/logs
 // subscription, in order. Returns false when the connection is gone.
 func (sess *wsSession) deliverBlocks(v *chain.HeadView) bool {
 	head := v.BlockNumber()
-	// Snapshot the registrations, then write without holding the lock:
-	// a stalled peer must not block eth_subscribe calls forever.
-	sess.mu.Lock()
-	subs := make([]*wsSub, 0, len(sess.subs))
-	for _, sub := range sess.subs {
-		if sub.kind == wsKindHeads || sub.kind == wsKindLogs {
-			subs = append(subs, sub)
-		}
-	}
-	sess.mu.Unlock()
-	for _, sub := range subs {
+	for _, sub := range sess.registered(false) {
 		if sub.last >= head {
 			continue
 		}
@@ -374,39 +331,26 @@ func (sess *wsSession) deliverBlocks(v *chain.HeadView) bool {
 // becomes a gap notice immediately.
 func (sess *wsSession) pendingLoop(hubSub *chain.Subscription) {
 	for range hubSub.Wait() {
-		for {
-			events, gap, alive := hubSub.Drain()
-			sess.mu.Lock()
-			subs := make([]*wsSub, 0, len(sess.subs))
-			for _, sub := range sess.subs {
-				if sub.kind == wsKindPending {
-					subs = append(subs, sub)
+		events, gap, alive := hubSub.Drain()
+		for _, sub := range sess.registered(true) {
+			for _, ev := range events {
+				if !sess.notify(sub.id, ev.TxHash.Hex()) {
+					hubSub.Close()
+					return
 				}
 			}
-			sess.mu.Unlock()
-			for _, sub := range subs {
-				for _, ev := range events {
-					if !sess.notify(sub.id, ev.TxHash.Hex()) {
-						hubSub.Close()
-						return
-					}
-				}
-				if gap > 0 {
-					if !sess.notify(sub.id, map[string]interface{}{"gap": gapNotice{
-						Missed: hexutil.EncodeUint64(gap),
-					}}) {
-						hubSub.Close()
-						return
-					}
+			if gap > 0 {
+				if !sess.notify(sub.id, map[string]interface{}{"gap": gapNotice{
+					Missed: hexutil.EncodeUint64(gap),
+				}}) {
+					hubSub.Close()
+					return
 				}
 			}
-			if !alive {
-				sess.closeWith(ws.CloseGoingAway, codeServerError, "node shutting down")
-				return
-			}
-			if len(events) == 0 && gap == 0 {
-				break
-			}
+		}
+		if !alive {
+			sess.closeWith(ws.CloseGoingAway, codeServerError, "node shutting down")
+			return
 		}
 	}
 }

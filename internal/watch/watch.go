@@ -289,25 +289,14 @@ func (t *Tower) run() {
 		case <-t.stop:
 			return
 		case <-sub.Wait():
-			for {
-				events, gap, alive := sub.Drain()
-				var v *chain.HeadView
-				if len(events) > 0 {
-					// Views are cumulative: folding the newest covers
-					// every event in the batch (and any gap).
-					v = events[len(events)-1].View
-				} else if gap > 0 {
-					v = t.src.View()
-				}
-				if v != nil {
-					t.SyncView(v)
-				}
-				if !alive {
-					return
-				}
-				if len(events) == 0 && gap == 0 {
-					break
-				}
+			// Views are cumulative: folding the newest covers every
+			// event of the wake (and any gap).
+			v, alive := sub.Newest()
+			if v != nil {
+				t.SyncView(v)
+			}
+			if !alive {
+				return
 			}
 		}
 	}
