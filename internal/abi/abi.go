@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/jsonread"
 )
 
 // Method describes a callable function (or the constructor).
@@ -261,12 +262,60 @@ type jsonParam struct {
 	Components []jsonParam `json:"components,omitempty"`
 }
 
-// ParseJSON parses a standard JSON ABI document.
+// ParseJSON parses a standard JSON ABI document. It accepts what
+// encoding/json accepts for the document's shape, and builds the same
+// ABI (see package jsonread).
 func ParseJSON(data []byte) (*ABI, error) {
-	var entries []jsonEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
+	r := jsonread.NewReader(data)
+	entries := jsonread.Slice(r, nil, func(e *jsonEntry) { readEntry(r, e) })
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("abi: bad JSON: %w", err)
 	}
+	return fromEntries(entries)
+}
+
+func readEntry(r *jsonread.Reader, e *jsonEntry) {
+	r.Object(func(key []byte) {
+		switch {
+		case jsonread.Is(key, "type"):
+			r.String(&e.Type)
+		case jsonread.Is(key, "name"):
+			r.String(&e.Name)
+		case jsonread.Is(key, "inputs"):
+			e.Inputs = readParams(r, e.Inputs)
+		case jsonread.Is(key, "outputs"):
+			e.Outputs = readParams(r, e.Outputs)
+		case jsonread.Is(key, "stateMutability"):
+			r.String(&e.StateMutability)
+		case jsonread.Is(key, "anonymous"):
+			r.Bool(&e.Anonymous)
+		default:
+			r.Skip()
+		}
+	})
+}
+
+func readParams(r *jsonread.Reader, ps []jsonParam) []jsonParam {
+	return jsonread.Slice(r, ps, func(p *jsonParam) {
+		r.Object(func(key []byte) {
+			switch {
+			case jsonread.Is(key, "name"):
+				r.String(&p.Name)
+			case jsonread.Is(key, "type"):
+				r.String(&p.Type)
+			case jsonread.Is(key, "indexed"):
+				r.Bool(&p.Indexed)
+			case jsonread.Is(key, "components"):
+				p.Components = readParams(r, p.Components)
+			default:
+				r.Skip()
+			}
+		})
+	})
+}
+
+// fromEntries builds the ABI of a decoded document.
+func fromEntries(entries []jsonEntry) (*ABI, error) {
 	var ctor *Method
 	methods, events := map[string]Method{}, map[string]Event{}
 	for _, e := range entries {

@@ -13,6 +13,16 @@ import (
 // ABI-surface, storage-layout and behaviour diffs, and any upgrade
 // rejections recorded in the evidence line. Reads only — the audit
 // never transacts.
+//
+// The chain is verified when its pointers are mutually consistent and
+// every version after the root has a registry row naming its walked
+// predecessor as prev: a line relinked with raw setNext/setPrev calls
+// walks consistently but is not the line the manager published.
+//
+// Each distinct artifact is worked on once: a version's code is hashed
+// only when it differs from its predecessor's, a pair whose versions
+// share one parsed ABI or layout has the empty diff, and the shared
+// views of a pair of ABIs are listed once (upgrade.Runs).
 func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport, error) {
 	chain, err := m.WalkChain(addr)
 	if err != nil {
@@ -21,7 +31,7 @@ func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport,
 	report := &upgrade.AuditReport{
 		Root:          chain[0].Address.Hex(),
 		Head:          chain[len(chain)-1].Address.Hex(),
-		ChainVerified: VerifyChain(chain) == nil,
+		ChainVerified: VerifyChain(chain) == nil && m.publishedLine(chain),
 	}
 
 	var runs *upgrade.Runs
@@ -40,7 +50,11 @@ func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport,
 			Address:  node.Address.Hex(),
 			Index:    i,
 			CodeSize: len(code),
-			CodeHash: ethtypes.Keccak256(code).Hex(),
+		}
+		if i > 0 && string(code) == string(codes[i-1]) {
+			vn.CodeHash = report.Versions[i-1].CodeHash
+		} else {
+			vn.CodeHash = ethtypes.Keccak256(code).Hex()
 		}
 		if _, err := m.ResolveABI(node.Address); err == nil {
 			vn.HasABI = true
@@ -80,4 +94,17 @@ func (m *Manager) AuditChain(from, addr ethtypes.Address) (*upgrade.AuditReport,
 		report.Pairs = append(report.Pairs, pair)
 	}
 	return report, nil
+}
+
+// publishedLine reports whether every version of a walked line after
+// its root has a registry row whose prev is the version walked before
+// it. The rows are the ones the walk memoised.
+func (m *Manager) publishedLine(chain []VersionInfo) bool {
+	for i := 1; i < len(chain); i++ {
+		row, err := m.GetRow(chain[i].Address)
+		if err != nil || ethtypes.HexToAddress(row.Prev) != chain[i-1].Address {
+			return false
+		}
+	}
+	return true
 }

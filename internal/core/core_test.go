@@ -992,12 +992,14 @@ func TestModifyOnlyAtTheTail(t *testing.T) {
 }
 
 // TestWalkChainRefusesForkedLine: v1 → v2 → v3, then v1 is linked to a
-// second successor w with raw setNext/setPrev transactions, which the
-// contracts allow. Every version the fork cut off (v2, v3) walks to a
+// second successor w, another line's second version, with raw
+// setNext/setPrev transactions, which the contracts allow. Every version the fork cut off (v2, v3) walks to a
 // line that does not contain it, and WalkChain, and with it every
 // reader of that line, fails with ErrChainCorrupted instead of
 // reporting v1, w as its line. From v1 and w the pointers read one
-// consistent line, v1, w.
+// consistent line, v1, w, which walks but does not audit as verified:
+// w's registry row names another predecessor. The line before the fork, and
+// the lines of the rejection and termination flows, audit as verified.
 func TestWalkChainRefusesForkedLine(t *testing.T) {
 	m, accs := rig(t)
 	landlord, tenant := accs[0].Address, accs[1].Address
@@ -1015,7 +1017,43 @@ func TestWalkChainRefusesForkedLine(t *testing.T) {
 		}
 		line = append(line, next.Contract.Address)
 	}
-	w := deployRental(t, m, landlord)
+	for _, start := range line {
+		if rep, err := m.AuditChain(landlord, start); err != nil || !rep.ChainVerified {
+			t.Fatalf("AuditChain(%s) before the fork: %v, verified %v; want verified", start, err, rep != nil && rep.ChainVerified)
+		}
+	}
+	rejected := deployRental(t, m, landlord).Contract.Address
+	svcConfirmAndPay(t, svc, tenant, rejected, 1)
+	v2, err := svc.Modify(landlord, rejected, goldenTerms(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.RejectModification(tenant, v2.Contract.Address); err != nil {
+		t.Fatal(err)
+	}
+	ended := deployRental(t, m, landlord).Contract.Address
+	svcConfirmAndPay(t, svc, tenant, ended, 1)
+	v2, err = svc.Modify(landlord, ended, goldenTerms(2))
+	if err == nil {
+		err = svc.ConfirmModification(tenant, v2.Contract.Address)
+	}
+	if err == nil {
+		err = svc.Terminate(tenant, v2.Contract.Address)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []ethtypes.Address{rejected, ended} {
+		if rep, err := m.AuditChain(landlord, start); err != nil || !rep.ChainVerified || len(rep.Versions) != 2 {
+			t.Errorf("AuditChain(%s) of a settled line: %v; want 2 verified versions", start, err)
+		}
+	}
+	// w is the second version of another line, so that v1, w has
+	// increasing versions and consistent pointers once relinked.
+	w, err := svc.Modify(landlord, deployRental(t, m, landlord).Contract.Address, goldenTerms(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := v1.Contract.Transact(web3.TxOpts{From: landlord}, "setNext", w.Contract.Address); err != nil {
 		t.Fatal(err)
 	}
@@ -1037,6 +1075,9 @@ func TestWalkChainRefusesForkedLine(t *testing.T) {
 		got, err := m.WalkChain(start)
 		if err != nil || len(got) != 2 || got[0].Address != line[0] || got[1].Address != w.Contract.Address {
 			t.Errorf("WalkChain(%s) = %v, %v; want v1, w", start, got, err)
+		}
+		if rep, err := m.AuditChain(landlord, start); err != nil || rep.ChainVerified {
+			t.Errorf("AuditChain(%s) of the relinked line: %v, verified %v; want not verified", start, err, rep != nil && rep.ChainVerified)
 		}
 	}
 }

@@ -11,6 +11,8 @@ package minisol
 import (
 	"encoding/json"
 	"fmt"
+
+	"legalchain/internal/jsonread"
 )
 
 // LayoutVar is one state variable of a contract's storage layout: its
@@ -80,24 +82,66 @@ func (l *Layout) JSON() []byte {
 }
 
 // ParseLayout decodes a layout previously rendered by JSON, validating
-// the invariants the differ relies on.
+// the invariants the differ relies on. It accepts what encoding/json
+// accepts for the document's shape, and builds the same layout (see
+// package jsonread).
 func ParseLayout(raw []byte) (*Layout, error) {
 	var l Layout
-	if err := json.Unmarshal(raw, &l); err != nil {
+	r := jsonread.NewReader(raw)
+	r.Object(func(key []byte) {
+		switch {
+		case jsonread.Is(key, "contract"):
+			r.String(&l.Contract)
+		case jsonread.Is(key, "vars"):
+			l.Vars = jsonread.Slice(r, l.Vars, func(v *LayoutVar) { readVar(r, v) })
+		default:
+			r.Skip()
+		}
+	})
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("minisol: bad layout JSON: %w", err)
 	}
+	if err := l.check(); err != nil {
+		return nil, err
+	}
+	return &l, nil
+}
+
+// check validates the invariants the differ relies on: every variable
+// is named, once, and occupies at least one slot from a non-negative
+// one.
+func (l *Layout) check() error {
 	seen := map[string]bool{}
 	for _, v := range l.Vars {
 		if v.Name == "" {
-			return nil, fmt.Errorf("minisol: layout variable without a name")
+			return fmt.Errorf("minisol: layout variable without a name")
 		}
 		if seen[v.Name] {
-			return nil, fmt.Errorf("minisol: duplicate layout variable %q", v.Name)
+			return fmt.Errorf("minisol: duplicate layout variable %q", v.Name)
 		}
 		seen[v.Name] = true
 		if v.Slot < 0 || v.Slots < 1 {
-			return nil, fmt.Errorf("minisol: layout variable %q has invalid slots [%d,+%d)", v.Name, v.Slot, v.Slots)
+			return fmt.Errorf("minisol: layout variable %q has invalid slots [%d,+%d)", v.Name, v.Slot, v.Slots)
 		}
 	}
-	return &l, nil
+	return nil
+}
+
+func readVar(r *jsonread.Reader, v *LayoutVar) {
+	r.Object(func(key []byte) {
+		switch {
+		case jsonread.Is(key, "name"):
+			r.String(&v.Name)
+		case jsonread.Is(key, "slot"):
+			r.Int(&v.Slot)
+		case jsonread.Is(key, "slots"):
+			r.Int(&v.Slots)
+		case jsonread.Is(key, "type"):
+			r.String(&v.Type)
+		case jsonread.Is(key, "public"):
+			r.Bool(&v.Public)
+		default:
+			r.Skip()
+		}
+	})
 }

@@ -72,13 +72,16 @@ type TraceBackend interface {
 // Runs runs the read-only calls of one audit, each (address, calldata)
 // once. A middle version of a line is the new side of one pair and the
 // old side of the next; its views run once, not twice. The backend is
-// one immutable head view, so a second run could not differ. A Runs
-// lives for one audit and is not safe for concurrent use: a later
+// one immutable head view, so a second run could not differ. The views
+// two ABIs share are listed, with their calldata, once per pair of ABIs:
+// the versions of a line that publish one ABI share one parsed ABI. A
+// Runs lives for one audit and is not safe for concurrent use: a later
 // audit runs everything again.
 type Runs struct {
-	tb   TraceBackend
-	from ethtypes.Address
-	done map[runKey]*chain.CallResult
+	tb    TraceBackend
+	from  ethtypes.Address
+	done  map[runKey]*chain.CallResult
+	views map[[2]*abi.ABI][]sharedView
 }
 
 type runKey struct {
@@ -86,34 +89,41 @@ type runKey struct {
 	data string
 }
 
+// sharedView is a zero-argument read-only method of both ABIs of a
+// pair: its signature and its calldata.
+type sharedView struct {
+	signature string
+	data      string
+}
+
 // NewRuns returns an empty Runs that calls tb from from.
 func NewRuns(tb TraceBackend, from ethtypes.Address) *Runs {
-	return &Runs{tb: tb, from: from, done: map[runKey]*chain.CallResult{}}
+	return &Runs{tb: tb, from: from, done: map[runKey]*chain.CallResult{}, views: map[[2]*abi.ABI][]sharedView{}}
 }
 
 // call returns the result of calling to with data, running it the first
 // time only.
-func (r *Runs) call(to ethtypes.Address, data []byte) *chain.CallResult {
-	k := runKey{to, string(data)}
+func (r *Runs) call(to ethtypes.Address, data string) *chain.CallResult {
+	k := runKey{to, data}
 	res, ok := r.done[k]
 	if !ok {
-		res = r.tb.Call(r.from, &to, data, uint256.Zero, 0)
+		res = r.tb.Call(r.from, &to, []byte(data), uint256.Zero, 0)
 		r.done[k] = res
 	}
 	return res
 }
 
-// DiffBehaviour runs every zero-argument read-only method the two
-// versions share, on both, and reports the execution deltas; with nil
-// runs (a backend with no head view to call) it reports none. Methods
-// with inputs are skipped (no meaningful common argument exists), as is
-// anything state-changing (the report shouldn't suggest the audit
-// mutated the chain — it never does).
-func DiffBehaviour(runs *Runs, oldAddr, newAddr ethtypes.Address, oldABI, newABI *abi.ABI) []BehaviourDelta {
-	if runs == nil || oldABI == nil || newABI == nil {
-		return nil
+// shared returns the views oldABI and newABI share, by name, listing
+// them the first time only. Methods with inputs are left out (no
+// meaningful common argument exists), as is anything state-changing
+// (the report shouldn't suggest the audit mutated the chain — it never
+// does).
+func (r *Runs) shared(oldABI, newABI *abi.ABI) []sharedView {
+	k := [2]*abi.ABI{oldABI, newABI}
+	views, ok := r.views[k]
+	if ok {
+		return views
 	}
-	var out []BehaviourDelta
 	for _, name := range sortedKeys(oldABI.Methods) {
 		om := oldABI.Methods[name]
 		nm, ok := newABI.Methods[name]
@@ -124,9 +134,24 @@ func DiffBehaviour(runs *Runs, oldAddr, newAddr ethtypes.Address, oldABI, newABI
 		if err != nil {
 			continue
 		}
-		oldRes, newRes := runs.call(oldAddr, data), runs.call(newAddr, data)
+		views = append(views, sharedView{signature: om.Signature(), data: string(data)})
+	}
+	r.views[k] = views
+	return views
+}
+
+// DiffBehaviour runs every zero-argument read-only method the two
+// versions share, on both, and reports the execution deltas; with nil
+// runs (a backend with no head view to call) it reports none.
+func DiffBehaviour(runs *Runs, oldAddr, newAddr ethtypes.Address, oldABI, newABI *abi.ABI) []BehaviourDelta {
+	if runs == nil || oldABI == nil || newABI == nil {
+		return nil
+	}
+	var out []BehaviourDelta
+	for _, v := range runs.shared(oldABI, newABI) {
+		oldRes, newRes := runs.call(oldAddr, v.data), runs.call(newAddr, v.data)
 		d := BehaviourDelta{
-			Method:      om.Signature(),
+			Method:      v.signature,
 			OldGas:      oldRes.GasUsed,
 			NewGas:      newRes.GasUsed,
 			OldSteps:    int(oldRes.Steps),

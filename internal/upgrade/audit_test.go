@@ -3,6 +3,7 @@ package upgrade
 import (
 	"testing"
 
+	"legalchain/internal/abi"
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/uint256"
@@ -64,5 +65,27 @@ func TestDiffBehaviourRunsEachVersionOnce(t *testing.T) {
 	}
 	if DiffBehaviour(nil, v1, v2, art.ABI, art.ABI) != nil {
 		t.Fatal("no runs, yet a behaviour diff")
+	}
+}
+
+// TestDiffBehaviourListsViewsPerABIPair: the views a pair shares are
+// listed per pair of ABIs, not per old ABI. v1 shares all its views with
+// v2 (the same ABI) but only those v3's ABI also has with v3.
+func TestDiffBehaviourListsViewsPerABIPair(t *testing.T) {
+	a := compileFor(t, specV1)
+	var view string
+	for name, m := range a.ABI.Methods {
+		if len(m.Inputs) == 0 && m.ReadOnly() {
+			view = name
+			break
+		}
+	}
+	b := abi.New(nil, map[string]abi.Method{view: a.ABI.Methods[view]}, nil)
+	v1, v2, v3 := ethtypes.Address{19: 1}, ethtypes.Address{19: 2}, ethtypes.Address{19: 3}
+	runs := NewRuns(&countingBackend{calls: map[ethtypes.Address]map[string]int{}}, ethtypes.Address{19: 0xee})
+	same := DiffBehaviour(runs, v1, v2, a.ABI, a.ABI)
+	narrow := DiffBehaviour(runs, v1, v3, a.ABI, b)
+	if len(same) < 2 || len(narrow) != 1 {
+		t.Fatalf("%d deltas against one ABI, %d against an ABI with one shared view; want ≥ 2 and 1", len(same), len(narrow))
 	}
 }

@@ -43,9 +43,13 @@ func argTypes(args []abi.Arg) string {
 }
 
 // DiffABI computes the surface difference old → new, keyed by method
-// and event name (this ABI dialect has no overloading).
+// and event name (this ABI dialect has no overloading). One parsed ABI
+// on both sides has the empty diff without a walk.
 func DiffABI(old, new *abi.ABI) *ABIDiff {
 	d := &ABIDiff{}
+	if old == new {
+		return d
+	}
 	for _, name := range sortedKeys(old.Methods) {
 		om := old.Methods[name]
 		nm, ok := new.Methods[name]
@@ -134,9 +138,13 @@ type LayoutDiff struct {
 // present in both layouts must keep its slot and type; fields may be
 // removed (their slots become orphaned); new fields must start at or
 // past the predecessor's frontier so they can never alias live or
-// orphaned data.
+// orphaned data. One parsed layout on both sides has the empty,
+// compatible diff without a walk.
 func DiffLayout(old, new *minisol.Layout) *LayoutDiff {
 	d := &LayoutDiff{Compatible: true}
+	if old == new {
+		return d
+	}
 	frontier := old.Frontier()
 	for _, ov := range old.Vars {
 		nv, ok := new.Var(ov.Name)

@@ -2,8 +2,11 @@ package upgrade
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"legalchain/internal/abi"
+	"legalchain/internal/contracts"
 	"legalchain/internal/minisol"
 )
 
@@ -177,5 +180,34 @@ func TestLayoutDiffIdentity(t *testing.T) {
 		if len(plan.Retained) != len(l.Vars) || len(plan.Orphaned) != 0 {
 			t.Fatalf("self-plan should retain all %d fields: %+v", len(l.Vars), plan)
 		}
+	}
+}
+
+// TestDiffOfOneParsedArtifactIsEmpty: a pair whose sides are one parsed
+// ABI or layout, which the audit skips walking, diffs to what walking
+// two parses of the same document gives.
+func TestDiffOfOneParsedArtifactIsEmpty(t *testing.T) {
+	art := contracts.MustArtifact("RentalAgreementV2")
+	a, err := abi.ParseJSON(art.ABIJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := abi.ParseJSON(art.ABIJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, walked := DiffABI(a, a), DiffABI(a, b); !got.Empty() || !reflect.DeepEqual(got, walked) {
+		t.Errorf("DiffABI of one ABI = %+v, of two parses %+v", got, walked)
+	}
+	l, err := minisol.ParseLayout(art.Layout.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := minisol.ParseLayout(art.Layout.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, walked := DiffLayout(l, l), DiffLayout(l, m); !reflect.DeepEqual(got, walked) || !got.Compatible {
+		t.Errorf("DiffLayout of one layout = %+v, of two parses %+v", got, walked)
 	}
 }
