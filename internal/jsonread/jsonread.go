@@ -1,18 +1,22 @@
-// Package jsonread is the one JSON reader of the artifacts a verifier
-// reads back from the content store: a standard JSON ABI
-// (abi.ParseJSON) and a minisol storage layout (minisol.ParseLayout).
+// Package jsonread is the one JSON reader of the program's hot
+// documents: the artifacts a verifier reads back from the content store,
+// a standard JSON ABI (abi.ParseJSON) and a minisol storage layout
+// (minisol.ParseLayout), and the JSON-RPC wire, the requests the rpc
+// server reads and the replies its client reads.
 //
 // A Reader is a byte cursor over one document. Its decoders write into
-// Go values the way encoding/json decodes into a struct, so both
-// artifact decoders accept what encoding/json accepts and build the same
-// values: keys match field names under Unicode case folding (Is), a
+// Go values the way encoding/json decodes into a struct, so every
+// decoder built on it accepts what encoding/json accepts and builds the
+// same values: keys match field names under Unicode case folding (Is), a
 // repeated key decodes again into what the first one left, unknown keys
 // are skipped with their syntax checked, null leaves a string, bool, int
 // or struct as it is and makes a slice nil, integers refuse fractions,
 // exponents and overflow, and only whitespace may follow the document.
-// The first error sticks: later reads do nothing, and Finish returns it.
-// The encoding/json decoders are the oracles, in the artifact packages'
-// tests.
+// Raw hands back a value's bytes as they stand, its syntax checked, for
+// a json.RawMessage field or a value decoded later. The first error
+// sticks: later reads do nothing, and Finish returns it. The
+// encoding/json decoders are the oracles, in the tests of the packages
+// that use the reader.
 package jsonread
 
 import (
@@ -193,6 +197,18 @@ func (r *Reader) Skip() {
 			r.number()
 		}
 	}
+}
+
+// Raw reads any one value, its syntax checked, and returns its bytes as
+// they stand in the input, without the whitespace around them. The
+// result aliases the input; it is nil after an error.
+func (r *Reader) Raw() []byte {
+	r.peek()
+	start := r.pos
+	if r.Skip(); r.err != nil {
+		return nil
+	}
+	return r.data[start:r.pos]
 }
 
 // list reads the elements of an array or object whose opening bracket

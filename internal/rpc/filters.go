@@ -151,12 +151,12 @@ func (s *Server) filterChanges(id string) (interface{}, error) {
 	}
 	s.filters.mu.Unlock()
 	if from > head {
-		return []interface{}{}, nil
+		return []string{}, nil
 	}
 
 	switch f.kind {
 	case blockFilter:
-		out := []interface{}{}
+		out := []string{}
 		for n := from; n <= head; n++ {
 			if b, ok := v.BlockByNumber(n); ok {
 				out = append(out, b.Hash().Hex())
@@ -171,11 +171,7 @@ func (s *Server) filterChanges(id string) (interface{}, error) {
 			to = *q.ToBlock
 		}
 		q.ToBlock = &to
-		out := []interface{}{}
-		for _, l := range v.FilterLogs(q) {
-			out = append(out, logJSON(l))
-		}
-		return out, nil
+		return v.FilterLogs(q), nil
 	}
 }
 
@@ -189,9 +185,5 @@ func (s *Server) filterLogs(id string) (interface{}, error) {
 	if f.kind != logFilter {
 		return nil, fmt.Errorf("filter is not a log filter")
 	}
-	out := []interface{}{}
-	for _, l := range s.bc.FilterLogs(f.query) {
-		out = append(out, logJSON(l))
-	}
-	return out, nil
+	return s.bc.FilterLogs(f.query), nil
 }

@@ -1,24 +1,169 @@
 package rpc
 
 import (
-	"encoding/json"
+	"strconv"
 
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/hexutil"
+	"legalchain/internal/jsonread"
 	"legalchain/internal/uint256"
 )
 
-// callObject is the {from,to,gas,gasPrice,value,data} parameter of
-// eth_call and eth_estimateGas.
+// A request's positional parameters are each kept as their raw JSON
+// bytes, and each helper below decodes one through jsonread. A helper
+// answers what the encoding/json decode of the same bytes answered, the
+// text of its type errors included: the encoding/json helpers are the
+// oracle, in params_oracle_test.go.
+
+// kindOf names a JSON value's kind as encoding/json's type errors do.
+func kindOf(raw []byte) string {
+	switch raw[0] {
+	case '"':
+		return "string"
+	case '{':
+		return "object"
+	case '[':
+		return "array"
+	case 't', 'f':
+		return "bool"
+	}
+	return "number"
+}
+
+// typeError is the text of encoding/json's UnmarshalTypeError: a value
+// of kind decoded into a Go value of type goType, or into field of
+// struct typ when field is set.
+type typeError struct{ kind, typ, field, goType string }
+
+func (e *typeError) Error() string {
+	if e.field != "" {
+		return "json: cannot unmarshal " + e.kind + " into Go struct field " + e.typ + "." + e.field + " of type " + e.goType
+	}
+	return "json: cannot unmarshal " + e.kind + " into Go value of type " + e.goType
+}
+
+// decodeString decodes raw as json.Unmarshal into a string does: null
+// is the empty string, and any kind but a string is refused.
+func decodeString(raw []byte) (string, bool) {
+	var s string
+	r := jsonread.NewReader(raw)
+	r.String(&s)
+	return s, r.Finish() == nil
+}
+
+// decodeStrings decodes raw as json.Unmarshal into a []string does.
+func decodeStrings(raw []byte) ([]string, bool) {
+	r := jsonread.NewReader(raw)
+	ss := jsonread.Slice(r, nil, func(s *string) { r.String(s) })
+	return ss, r.Finish() == nil
+}
+
+// decodeObject decodes raw as json.Unmarshal into a struct of type typ
+// does: member reads each key's value, and the first type error it
+// returns is the answer once the object is read. Null is an object
+// without members; any other kind is refused.
+func decodeObject(raw []byte, typ string, member func(r *jsonread.Reader, key []byte) error) error {
+	if raw[0] != '{' && raw[0] != 'n' {
+		return &typeError{kind: kindOf(raw), goType: "rpc." + typ}
+	}
+	var first error
+	r := jsonread.NewReader(raw)
+	r.Object(func(key []byte) {
+		if err := member(r, key); err != nil && first == nil {
+			first = err
+		}
+	})
+	if first == nil {
+		first = r.Finish()
+	}
+	return first
+}
+
+// stringMember reads the value of field name of struct typ into *dst;
+// null leaves *dst as it is.
+func stringMember(r *jsonread.Reader, typ, name string, dst *string) error {
+	v := r.Raw()
+	if v == nil {
+		return nil // the reader's own error, which Finish reports
+	}
+	s, ok := decodeString(v)
+	if !ok {
+		return &typeError{kind: kindOf(v), typ: typ, field: name, goType: "string"}
+	}
+	if v[0] != 'n' {
+		*dst = s
+	}
+	return nil
+}
+
+func strParam(params [][]byte, i int) (string, error) {
+	if i >= len(params) {
+		return "", invalidParams("missing parameter %d", i)
+	}
+	s, ok := decodeString(params[i])
+	if !ok {
+		return "", invalidParams("parameter %d: %v", i, &typeError{kind: kindOf(params[i]), goType: "string"})
+	}
+	return s, nil
+}
+
+func addrParam(params [][]byte, i int) (ethtypes.Address, error) {
+	s, err := strParam(params, i)
+	if err != nil {
+		return ethtypes.Address{}, err
+	}
+	raw, err := hexutil.Decode(s)
+	if err != nil || len(raw) != 20 {
+		return ethtypes.Address{}, invalidParams("parameter %d: bad address", i)
+	}
+	return ethtypes.BytesToAddress(raw), nil
+}
+
+func hashParam(params [][]byte, i int) (ethtypes.Hash, error) {
+	s, err := strParam(params, i)
+	if err != nil {
+		return ethtypes.Hash{}, err
+	}
+	raw, err := hexutil.Decode(s)
+	if err != nil || len(raw) != 32 {
+		return ethtypes.Hash{}, invalidParams("parameter %d: bad hash", i)
+	}
+	return ethtypes.BytesToHash(raw), nil
+}
+
+// boolParam reads an optional boolean parameter, false when absent or
+// malformed — the eth_getBlockBy* full-transactions flag.
+func boolParam(params [][]byte, i int) bool {
+	return i < len(params) && string(params[i]) == "true"
+}
+
+// uintParam reads a quantity given as a JSON number (null is 0) or as a
+// hex string.
+func uintParam(params [][]byte, i int) (uint64, error) {
+	if i >= len(params) {
+		return 0, invalidParams("missing parameter %d", i)
+	}
+	if raw := string(params[i]); raw == "null" {
+		return 0, nil
+	} else if n, err := strconv.ParseUint(raw, 10, 64); err == nil {
+		return n, nil
+	}
+	s, err := strParam(params, i)
+	if err != nil {
+		return 0, err
+	}
+	v, err := hexutil.DecodeUint64(s)
+	if err != nil {
+		return 0, invalidParams("parameter %d: bad quantity", i)
+	}
+	return v, nil
+}
+
+// callObject is the {from,to,gas,gasPrice,value,data,input} parameter
+// of eth_call and eth_estimateGas.
 type callObject struct {
-	From     string `json:"from"`
-	To       string `json:"to"`
-	Gas      string `json:"gas"`
-	GasPrice string `json:"gasPrice"`
-	Value    string `json:"value"`
-	Data     string `json:"data"`
-	Input    string `json:"input"`
+	from, to, gas, gasPrice, value, data, input string
 }
 
 type callMsg struct {
@@ -29,47 +174,67 @@ type callMsg struct {
 	data  []byte
 }
 
-func callParam(params []json.RawMessage, i int) (*callMsg, error) {
+func callParam(params [][]byte, i int) (*callMsg, error) {
 	if i >= len(params) {
 		return nil, invalidParams("missing call object")
 	}
 	var obj callObject
-	if err := json.Unmarshal(params[i], &obj); err != nil {
+	err := decodeObject(params[i], "callObject", func(r *jsonread.Reader, key []byte) error {
+		switch {
+		case jsonread.Is(key, "from"):
+			return stringMember(r, "callObject", "from", &obj.from)
+		case jsonread.Is(key, "to"):
+			return stringMember(r, "callObject", "to", &obj.to)
+		case jsonread.Is(key, "gas"):
+			return stringMember(r, "callObject", "gas", &obj.gas)
+		case jsonread.Is(key, "gasPrice"):
+			return stringMember(r, "callObject", "gasPrice", &obj.gasPrice)
+		case jsonread.Is(key, "value"):
+			return stringMember(r, "callObject", "value", &obj.value)
+		case jsonread.Is(key, "data"):
+			return stringMember(r, "callObject", "data", &obj.data)
+		case jsonread.Is(key, "input"):
+			return stringMember(r, "callObject", "input", &obj.input)
+		}
+		r.Skip()
+		return nil
+	})
+	if err != nil {
 		return nil, invalidParams("bad call object: %v", err)
 	}
 	msg := &callMsg{}
-	if obj.From != "" {
-		raw, err := hexutil.Decode(obj.From)
+	if obj.from != "" {
+		raw, err := hexutil.Decode(obj.from)
 		if err != nil || len(raw) != 20 {
 			return nil, invalidParams("bad from address")
 		}
 		msg.from = ethtypes.BytesToAddress(raw)
 	}
-	if obj.To != "" {
-		raw, err := hexutil.Decode(obj.To)
+	if obj.to != "" {
+		raw, err := hexutil.Decode(obj.to)
 		if err != nil || len(raw) != 20 {
 			return nil, invalidParams("bad to address")
 		}
 		to := ethtypes.BytesToAddress(raw)
 		msg.to = &to
 	}
-	if obj.Gas != "" {
-		g, err := hexutil.DecodeUint64(obj.Gas)
+	if obj.gas != "" {
+		g, err := hexutil.DecodeUint64(obj.gas)
 		if err != nil {
 			return nil, invalidParams("bad gas")
 		}
 		msg.gas = g
 	}
-	if obj.Value != "" {
-		v, err := hexutil.DecodeBig(obj.Value)
+	if obj.value != "" {
+		v, err := hexutil.DecodeBig(obj.value)
 		if err != nil {
 			return nil, invalidParams("bad value")
 		}
 		msg.value = uint256.FromBig(v)
 	}
-	dataHex := obj.Data
+	dataHex := obj.data
 	if dataHex == "" {
-		dataHex = obj.Input
+		dataHex = obj.input
 	}
 	if dataHex != "" {
 		d, err := hexutil.Decode(dataHex)
@@ -81,89 +246,126 @@ func callParam(params []json.RawMessage, i int) (*callMsg, error) {
 	return msg, nil
 }
 
-// filterObject is the eth_getLogs parameter.
+// filterObject is the eth_getLogs and eth_newFilter parameter: the
+// block range as tags, and the address and topic criteria as raw JSON.
 type filterObject struct {
-	FromBlock string            `json:"fromBlock"`
-	ToBlock   string            `json:"toBlock"`
-	Address   json.RawMessage   `json:"address"`
-	Topics    []json.RawMessage `json:"topics"`
+	fromBlock, toBlock string
+	address            []byte
+	topics             [][]byte
 }
 
-func filterParam(params []json.RawMessage, i int, latest uint64) (chain.FilterQuery, error) {
+func decodeFilter(raw []byte) (filterObject, error) {
+	var obj filterObject
+	err := decodeObject(raw, "filterObject", func(r *jsonread.Reader, key []byte) error {
+		switch {
+		case jsonread.Is(key, "fromBlock"):
+			return stringMember(r, "filterObject", "fromBlock", &obj.fromBlock)
+		case jsonread.Is(key, "toBlock"):
+			return stringMember(r, "filterObject", "toBlock", &obj.toBlock)
+		case jsonread.Is(key, "address"):
+			obj.address = r.Raw()
+		case jsonread.Is(key, "topics"):
+			v := r.Raw()
+			if v == nil {
+				return nil
+			}
+			if v[0] != '[' && v[0] != 'n' {
+				return &typeError{kind: kindOf(v), typ: "filterObject", field: "topics", goType: "[]json.RawMessage"}
+			}
+			tr := jsonread.NewReader(v)
+			obj.topics = jsonread.Slice(tr, obj.topics, func(t *[]byte) { *t = tr.Raw() })
+		default:
+			r.Skip()
+		}
+		return nil
+	})
+	return obj, err
+}
+
+func filterParam(params [][]byte, i int, latest uint64) (chain.FilterQuery, error) {
+	q, _, err := newFilterParam(params, i, latest)
+	return q, err
+}
+
+// newFilterParam parses the eth_newFilter argument like filterParam but
+// also reports whether fromBlock was set to a concrete height — a new
+// filter without one only watches blocks sealed after its creation.
+func newFilterParam(params [][]byte, i int, latest uint64) (chain.FilterQuery, bool, error) {
 	q := chain.FilterQuery{}
 	if i >= len(params) {
-		return q, nil
+		return q, false, nil
 	}
-	var obj filterObject
-	if err := json.Unmarshal(params[i], &obj); err != nil {
-		return q, invalidParams("bad filter object: %v", err)
+	obj, err := decodeFilter(params[i])
+	if err != nil {
+		return q, false, invalidParams("bad filter object: %v", err)
 	}
-	var err error
-	if obj.FromBlock != "" {
-		if q.FromBlock, err = parseBlockTag(obj.FromBlock, latest); err != nil {
-			return q, err
+	if obj.fromBlock != "" {
+		if q.FromBlock, err = parseBlockTag(obj.fromBlock, latest); err != nil {
+			return q, false, err
 		}
 	}
-	if obj.ToBlock != "" {
-		to, err := parseBlockTag(obj.ToBlock, latest)
+	if obj.toBlock != "" {
+		to, err := parseBlockTag(obj.toBlock, latest)
 		if err != nil {
-			return q, err
+			return q, false, err
 		}
 		q.ToBlock = &to
 	}
 	// address: string or array of strings.
-	if len(obj.Address) > 0 {
-		var one string
-		if err := json.Unmarshal(obj.Address, &one); err == nil {
+	if len(obj.address) > 0 {
+		if one, ok := decodeString(obj.address); ok {
 			a, err := parseAddr(one)
 			if err != nil {
-				return q, err
+				return q, false, err
 			}
 			q.Addresses = []ethtypes.Address{a}
 		} else {
-			var many []string
-			if err := json.Unmarshal(obj.Address, &many); err != nil {
-				return q, invalidParams("bad address filter")
+			many, ok := decodeStrings(obj.address)
+			if !ok {
+				return q, false, invalidParams("bad address filter")
 			}
 			for _, s := range many {
 				a, err := parseAddr(s)
 				if err != nil {
-					return q, err
+					return q, false, err
 				}
 				q.Addresses = append(q.Addresses, a)
 			}
 		}
 	}
 	// topics: array of (null | string | array of strings).
-	for _, raw := range obj.Topics {
+	for _, raw := range obj.topics {
 		if string(raw) == "null" {
 			q.Topics = append(q.Topics, nil)
 			continue
 		}
-		var one string
-		if err := json.Unmarshal(raw, &one); err == nil {
+		if one, ok := decodeString(raw); ok {
 			h, err := parseHash(one)
 			if err != nil {
-				return q, err
+				return q, false, err
 			}
 			q.Topics = append(q.Topics, []ethtypes.Hash{h})
 			continue
 		}
-		var many []string
-		if err := json.Unmarshal(raw, &many); err != nil {
-			return q, invalidParams("bad topic filter")
+		many, ok := decodeStrings(raw)
+		if !ok {
+			return q, false, invalidParams("bad topic filter")
 		}
 		var alts []ethtypes.Hash
 		for _, s := range many {
 			h, err := parseHash(s)
 			if err != nil {
-				return q, err
+				return q, false, err
 			}
 			alts = append(alts, h)
 		}
 		q.Topics = append(q.Topics, alts)
 	}
-	return q, nil
+	switch obj.fromBlock {
+	case "", "latest", "pending":
+		return q, false, nil
+	}
+	return q, true, nil
 }
 
 // parseBlockTag resolves a block-number parameter: a named tag or a hex
@@ -182,30 +384,6 @@ func parseBlockTag(s string, latest uint64) (uint64, error) {
 		}
 		return n, nil
 	}
-}
-
-// newFilterParam parses the eth_newFilter argument like filterParam but
-// also reports whether fromBlock was set to a concrete height — a new
-// filter without one only watches blocks sealed after its creation.
-func newFilterParam(params []json.RawMessage, i int, latest uint64) (chain.FilterQuery, bool, error) {
-	q, err := filterParam(params, i, latest)
-	if err != nil {
-		return q, false, err
-	}
-	explicit := false
-	if i < len(params) {
-		var obj struct {
-			FromBlock string `json:"fromBlock"`
-		}
-		if json.Unmarshal(params[i], &obj) == nil {
-			switch obj.FromBlock {
-			case "", "latest", "pending":
-			default:
-				explicit = true
-			}
-		}
-	}
-	return q, explicit, nil
 }
 
 func parseAddr(s string) (ethtypes.Address, error) {

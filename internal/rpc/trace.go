@@ -1,13 +1,13 @@
 package rpc
 
 import (
-	"encoding/json"
 	"errors"
 
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/evm"
 	"legalchain/internal/hexutil"
+	"legalchain/internal/jsonread"
 )
 
 // traceConfig is the optional second parameter of debug_traceTransaction
@@ -15,31 +15,38 @@ import (
 // empty selects the step-by-step structLog output; {"tracer":
 // "callTracer"} selects the call-frame tree.
 type traceConfig struct {
-	Tracer string `json:"tracer"`
+	tracer string
 }
 
 // factory builds a fresh tracer per replayed transaction.
 func (c traceConfig) factory() evm.Tracer {
-	if c.Tracer == "callTracer" {
+	if c.tracer == "callTracer" {
 		return evm.NewCallTracer()
 	}
 	return evm.NewStructLogger()
 }
 
 // traceConfigParam reads the optional tracer-config parameter.
-func traceConfigParam(params []json.RawMessage, i int) (traceConfig, error) {
+func traceConfigParam(params [][]byte, i int) (traceConfig, error) {
 	var cfg traceConfig
 	if i >= len(params) || string(params[i]) == "null" {
 		return cfg, nil
 	}
-	if err := json.Unmarshal(params[i], &cfg); err != nil {
+	err := decodeObject(params[i], "traceConfig", func(r *jsonread.Reader, key []byte) error {
+		if jsonread.Is(key, "tracer") {
+			return stringMember(r, "traceConfig", "tracer", &cfg.tracer)
+		}
+		r.Skip()
+		return nil
+	})
+	if err != nil {
 		return cfg, invalidParams("parameter %d: bad tracer config: %v", i, err)
 	}
-	switch cfg.Tracer {
+	switch cfg.tracer {
 	case "", "structLog", "callTracer":
 		return cfg, nil
 	default:
-		return cfg, invalidParams("parameter %d: unknown tracer %q", i, cfg.Tracer)
+		return cfg, invalidParams("parameter %d: unknown tracer %q", i, cfg.tracer)
 	}
 }
 

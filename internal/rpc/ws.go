@@ -2,12 +2,10 @@ package rpc
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
 
 	"legalchain/internal/chain"
-	"legalchain/internal/ethtypes"
 	"legalchain/internal/hexutil"
 	"legalchain/internal/obs"
 	"legalchain/internal/ws"
@@ -32,28 +30,6 @@ const (
 	wsKindLogs    = "logs"
 	wsKindPending = "newPendingTransactions"
 )
-
-// subNotification is the JSON-RPC notification wrapper for one
-// subscription event.
-type subNotification struct {
-	JSONRPC string    `json:"jsonrpc"`
-	Method  string    `json:"method"`
-	Params  subParams `json:"params"`
-}
-
-type subParams struct {
-	Subscription string      `json:"subscription"`
-	Result       interface{} `json:"result"`
-}
-
-// gapNotice is delivered in place of events a subscriber was too slow
-// to receive and the view could no longer replay: missed events were
-// dropped, and delivery resumes at block resume. Both are hex
-// quantities.
-type gapNotice struct {
-	Missed string `json:"missed"`
-	Resume string `json:"resume"`
-}
 
 // wsSub is one eth_subscribe registration on a session.
 type wsSub struct {
@@ -119,19 +95,19 @@ func (sess *wsSession) teardown() {
 // same error envelope HTTP responses carry, truncated to the RFC's
 // 123-byte reason budget.
 func (sess *wsSession) closeWith(wsCode, rpcCode int, msg string) {
-	reason, _ := json.Marshal(&rpcError{
+	reason := appendError(nil, &rpcError{
 		Code:      rpcCode,
 		Message:   msg,
 		RequestID: obs.RequestIDFrom(sess.ctx),
 	})
 	if len(reason) > ws.MaxCloseReason {
 		// Retry without the request ID before hard truncation.
-		reason, _ = json.Marshal(&rpcError{Code: rpcCode, Message: msg})
+		reason = appendError(reason[:0], &rpcError{Code: rpcCode, Message: msg})
 	}
 	sess.conn.Close(wsCode, string(reason))
 }
 
-// readLoop answers each frame through serveMessage, the decoder HTTP
+// readLoop answers each frame through serveMessage, the codec HTTP
 // uses too. Notifications from subscriptions interleave on the same
 // connection; ws.Conn serialises the frames.
 func (sess *wsSession) readLoop() {
@@ -140,45 +116,39 @@ func (sess *wsSession) readLoop() {
 		if err != nil {
 			return
 		}
-		sess.write(serveMessage(payload, sess.handleReq))
+		out := getBuffer()
+		answer := serveMessage((*out)[:0], payload, sess.handleReq)
+		sess.conn.WriteMessage(ws.OpText, answer)
+		putBuffer(out, answer)
 	}
 }
 
 // handleReq routes the two session-scoped methods and defers the rest
 // to the shared dispatch table.
 func (sess *wsSession) handleReq(req *request) response {
-	switch req.Method {
+	switch req.method {
 	case "eth_subscribe":
-		id, err := sess.subscribe(req.Params)
+		id, err := sess.subscribe(req.params)
 		if err != nil {
 			e := toRPCError(err)
 			e.RequestID = obs.RequestIDFrom(sess.ctx)
-			return response{JSONRPC: "2.0", ID: req.ID, Error: e}
+			return response{id: req.id, err: e}
 		}
-		return okResponse(req.ID, id)
+		return response{id: req.id, result: id}
 	case "eth_unsubscribe":
-		id, err := strParam(req.Params, 0)
+		id, err := strParam(req.params, 0)
 		if err != nil {
-			e := toRPCError(err)
-			return response{JSONRPC: "2.0", ID: req.ID, Error: e}
+			return response{id: req.id, err: toRPCError(err)}
 		}
-		return okResponse(req.ID, sess.unsubscribe(id))
+		return response{id: req.id, result: sess.unsubscribe(id)}
 	default:
 		return sess.srv.handle(sess.ctx, req)
 	}
 }
 
-func (sess *wsSession) write(v interface{}) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return sess.conn.WriteMessage(ws.OpText, buf)
-}
-
 // subscribe registers one channel and lazily starts the notifier
 // goroutine feeding it.
-func (sess *wsSession) subscribe(params []json.RawMessage) (string, error) {
+func (sess *wsSession) subscribe(params [][]byte) (string, error) {
 	kind, err := strParam(params, 0)
 	if err != nil {
 		return "", err
@@ -300,15 +270,15 @@ func (sess *wsSession) deliverBlocks(v *chain.HeadView) bool {
 					missed++
 					continue
 				}
-				if !sess.notify(sub.id, headerJSON(b)) {
+				if !sess.notify(sub.id, headAnswer{b}) {
 					return false
 				}
 			}
 			if missed > 0 {
-				if !sess.notify(sub.id, map[string]interface{}{"gap": gapNotice{
-					Missed: hexutil.EncodeUint64(missed),
-					Resume: hexutil.EncodeUint64(head),
-				}}) {
+				if !sess.notify(sub.id, gapNotice{
+					missed: hexutil.EncodeUint64(missed),
+					resume: hexutil.EncodeUint64(head),
+				}) {
 					return false
 				}
 			}
@@ -316,7 +286,7 @@ func (sess *wsSession) deliverBlocks(v *chain.HeadView) bool {
 			q := sub.query
 			q.FromBlock, q.ToBlock = from, &head
 			for _, l := range v.FilterLogs(q) {
-				if !sess.notify(sub.id, logJSON(l)) {
+				if !sess.notify(sub.id, l) {
 					return false
 				}
 			}
@@ -340,9 +310,7 @@ func (sess *wsSession) pendingLoop(hubSub *chain.Subscription) {
 				}
 			}
 			if gap > 0 {
-				if !sess.notify(sub.id, map[string]interface{}{"gap": gapNotice{
-					Missed: hexutil.EncodeUint64(gap),
-				}}) {
+				if !sess.notify(sub.id, gapNotice{missed: hexutil.EncodeUint64(gap)}) {
 					hubSub.Close()
 					return
 				}
@@ -355,26 +323,12 @@ func (sess *wsSession) pendingLoop(hubSub *chain.Subscription) {
 	}
 }
 
+// notify writes one subscription event; false when the connection is
+// gone.
 func (sess *wsSession) notify(id string, result interface{}) bool {
-	err := sess.write(subNotification{
-		JSONRPC: "2.0",
-		Method:  "eth_subscription",
-		Params:  subParams{Subscription: id, Result: result},
-	})
+	out := getBuffer()
+	msg := appendNotification((*out)[:0], id, result)
+	err := sess.conn.WriteMessage(ws.OpText, msg)
+	putBuffer(out, msg)
 	return err == nil
-}
-
-// headerJSON is the newHeads notification payload — the header fields
-// of blockJSON without the transaction list.
-func headerJSON(b *ethtypes.Block) map[string]interface{} {
-	return map[string]interface{}{
-		"number":     hexutil.EncodeUint64(b.Number()),
-		"hash":       b.Hash().Hex(),
-		"parentHash": b.Header.ParentHash.Hex(),
-		"timestamp":  hexutil.EncodeUint64(b.Header.Time),
-		"gasLimit":   hexutil.EncodeUint64(b.Header.GasLimit),
-		"gasUsed":    hexutil.EncodeUint64(b.Header.GasUsed),
-		"miner":      b.Header.Coinbase.Hex(),
-		"stateRoot":  b.Header.StateRoot.Hex(),
-	}
 }

@@ -152,7 +152,7 @@ func TestWSHubOverflowGapAndResume(t *testing.T) {
 		Gap struct{ Missed, Resume string }
 	}
 	json.Unmarshal(c.nextNotif(headsID, 5*time.Second), &gap)
-	if want := (gapNotice{Missed: hexutil.EncodeUint64(blocks - retain), Resume: hexutil.EncodeUint64(head)}); gap.Gap.Missed != want.Missed || gap.Gap.Resume != want.Resume {
+	if want := (gapNotice{missed: hexutil.EncodeUint64(blocks - retain), resume: hexutil.EncodeUint64(head)}); gap.Gap.Missed != want.missed || gap.Gap.Resume != want.resume {
 		t.Errorf("newHeads gap notice %+v, want %+v", gap.Gap, want)
 	}
 	json.Unmarshal(c.nextNotif(pendID, 5*time.Second), &gap)
