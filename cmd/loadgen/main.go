@@ -306,13 +306,21 @@ func main() {
 	if tower != nil {
 		st := tower.Summary()
 		convMean, convMax, convN = tower.ConvergenceLag()
+		delayP50, delayP99 := tower.FoldDelay()
 		report["watch"] = map[string]interface{}{
 			"tracked": st.Tracked, "folded": st.Folded, "head": st.Head,
 			"convergenceLagBlocks": convMean, "convergenceLagMax": convMax,
-			"foldBatches":   convN,
-			"meanLagBlocks": meanLag, "maxLagBlocks": maxLag.Load(),
+			"foldBatches":    convN,
+			"foldDelayP50Ms": delayP50 * 1e3,
+			"foldDelayP99Ms": delayP99 * 1e3,
+			"meanLagBlocks":  meanLag, "maxLagBlocks": maxLag.Load(),
 			"lagSamples": lagSamples.Load(),
 		}
+		// The residual is the fold's wake-up delay in block intervals:
+		// print both, so a failing gate says whether it is scheduling
+		// or work.
+		fmt.Fprintf(os.Stderr, "watch: convergence lag %.3f blocks over %d fold batches (worst residual %d); fold delay p50 %.2f ms, p99 %.2f ms\n",
+			convMean, convN, convMax, delayP50*1e3, delayP99*1e3)
 	}
 	buf, _ := json.MarshalIndent(report, "", "  ")
 	buf = append(buf, '\n')

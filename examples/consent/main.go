@@ -76,12 +76,12 @@ func main() {
 	fmt.Printf("modification consented and deployed: v2 = %s\n", v2.Contract.Address)
 
 	// The sealed history of v1 verifies.
-	must(rentals.VerifyHistory(tenant.Address, v1.Contract.Address))
+	must(rentals.VerifyHistory(v1.Contract.Address))
 	fmt.Println("v1 executed history verifies against its sealed commitment")
 
 	// v2 adopted v1's data namespace, but not its commitment: nothing of
 	// v2 has been sealed yet.
-	if err := rentals.VerifyHistory(tenant.Address, v2.Contract.Address); errors.Is(err, core.ErrNoCommitment) {
+	if err := rentals.VerifyHistory(v2.Contract.Address); errors.Is(err, core.ErrNoCommitment) {
 		fmt.Println("v2 has no sealed commitment of its own: v1's seal is not inherited")
 	} else {
 		log.Fatalf("expected no commitment for v2, got %v", err)
@@ -106,7 +106,7 @@ func main() {
 	_, err = manager.SetValue(landlord.Address, v1.Contract.Address,
 		core.HistoryCommitmentKey, ethtypes.Keccak256([]byte("forged history")).Hex())
 	must(err)
-	if err := rentals.VerifyHistory(tenant.Address, v1.Contract.Address); errors.Is(err, core.ErrHistoryTampered) {
+	if err := rentals.VerifyHistory(v1.Contract.Address); errors.Is(err, core.ErrHistoryTampered) {
 		fmt.Println("tampered commitment detected: evidence line integrity holds")
 	} else {
 		log.Fatalf("expected tamper detection, got %v", err)

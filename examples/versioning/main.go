@@ -77,7 +77,7 @@ func main() {
 	})
 	must(err)
 	must(rentals.ConfirmModification(tenant.Address, v3.Contract.Address))
-	due, err := rentals.RentDue(tenant.Address, v3.Contract.Address)
+	due, err := rentals.RentDue(v3.Contract.Address)
 	must(err)
 	fmt.Printf("v3 %s — discounted rent due: %s ETH\n", v3.Contract.Address, ethtypes.FormatEther(due))
 

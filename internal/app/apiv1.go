@@ -274,14 +274,16 @@ func (a *App) v1ContractDetail(w http.ResponseWriter, r *http.Request, u *User, 
 	}
 
 	viewer := u.Addr()
-	if bound, err := a.Manager.BindVersion(addr); err == nil {
+	// live is the version's public fields, read from storage; a version
+	// with no published layout has none, and shows no live map.
+	if layout, err := a.Manager.ResolveLayout(addr); err == nil && layout != nil {
 		live := map[string]string{}
-		for _, getter := range []string{"rent", "deposit", "state", "monthCounter"} {
-			if v, err := bound.CallUint(viewer, getter); err == nil {
-				live[getter] = v.String()
+		for _, name := range []string{"rent", "deposit", "state", "monthCounter"} {
+			if v, err := a.Manager.FieldUint(addr, name); err == nil {
+				live[name] = v.String()
 			}
 		}
-		if house, err := bound.CallString(viewer, "house"); err == nil {
+		if house, err := a.Manager.FieldString(addr, "house"); err == nil {
 			live["house"] = house
 		}
 		out["live"] = live
@@ -312,7 +314,7 @@ func (a *App) v1ContractDetail(w http.ResponseWriter, r *http.Request, u *User, 
 		out["versions"] = nodes
 		out["verified"] = core.VerifyChain(line) == nil
 
-		if hist, err := a.Rental.RentHistoryOf(viewer, line); err == nil {
+		if hist, err := a.Rental.RentHistoryOf(line); err == nil {
 			type payJSON struct {
 				Version int    `json:"version"`
 				Month   uint64 `json:"month"`

@@ -483,11 +483,12 @@ func TestV1ErrorRequestID(t *testing.T) {
 
 // pointerCounter counts the storage words that hold a version's
 // previous or next pointer — the reads a walk of the evidence line is
-// made of.
+// made of — and the eth_calls that reach the node.
 type pointerCounter struct {
 	*web3.LocalBackend
 	pointers map[pointerWord]bool // set once, before the counted requests
 	reads    atomic.Int64
+	calls    atomic.Int64
 }
 
 // pointerWord is one storage slot of one version.
@@ -503,22 +504,31 @@ func (b *pointerCounter) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (e
 	return b.LocalBackend.StorageAt(addr, slot)
 }
 
-// TestContractPagesWalkChainOnce pins the cost of the two contract pages
-// that show both the version line and the cross-version rent history:
-// one pointer word per version and direction, whichever version the page
-// is asked for — the history must reuse the line the page walked.
-func TestContractPagesWalkChainOnce(t *testing.T) {
-	var node *pointerCounter
-	landlord, a, addr := apiRigOn(t, rigOver(t, func(b *web3.LocalBackend) web3.Backend {
-		node = &pointerCounter{LocalBackend: b}
-		return node
-	}))
-	row, err := a.Manager.GetRow(ethtypes.HexToAddress(addr))
+func (b *pointerCounter) CallContract(msg web3.CallMsg) ([]byte, error) {
+	b.calls.Add(1)
+	return b.LocalBackend.CallContract(msg)
+}
+
+// paidLine extends the agreement at addr, which its tenant confirmed and
+// paid once, to three versions: v2 accepted and paid twice, v3 open.
+func paidLine(t *testing.T, a *App, addr ethtypes.Address) []ethtypes.Address {
+	t.Helper()
+	row, err := a.Manager.GetRow(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	owner := ethtypes.HexToAddress(row.Landlord)
-	line := []ethtypes.Address{ethtypes.HexToAddress(addr)}
+	tenant, err := a.Register("line_tenant", "", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Rental.Confirm(tenant.Addr(), addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Rental.PayRent(tenant.Addr(), addr); err != nil {
+		t.Fatal(err)
+	}
+	line := []ethtypes.Address{addr}
 	for v := 2; v <= 3; v++ {
 		next, err := a.Rental.Modify(owner, line[len(line)-1], core.ModifiedTerms{
 			Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
@@ -528,7 +538,33 @@ func TestContractPagesWalkChainOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		line = append(line, next.Contract.Address)
+		if v == 3 {
+			break
+		}
+		if err := a.Rental.ConfirmModification(tenant.Addr(), next.Contract.Address); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			if _, err := a.Rental.PayRent(tenant.Addr(), next.Contract.Address); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	return line
+}
+
+// TestContractPagesWalkChainOnce pins the cost of the two contract pages
+// that show both the version line and the cross-version rent history:
+// one pointer word per version and direction, whichever version the page
+// is asked for — the history must reuse the line the page walked — and
+// no eth_call: every field, state and payment is a storage read.
+func TestContractPagesWalkChainOnce(t *testing.T) {
+	var node *pointerCounter
+	landlord, a, addr := apiRigOn(t, rigOver(t, func(b *web3.LocalBackend) web3.Backend {
+		node = &pointerCounter{LocalBackend: b}
+		return node
+	}))
+	line := paidLine(t, a, ethtypes.HexToAddress(addr))
 	node.pointers = map[pointerWord]bool{}
 	for i, v := range line {
 		art := contracts.MustArtifact("RentalAgreementV2")
@@ -545,13 +581,19 @@ func TestContractPagesWalkChainOnce(t *testing.T) {
 	}
 	for _, page := range []string{"/api/v1/contracts/", "/contract/"} {
 		for i, v := range line {
-			before := node.reads.Load()
+			before, calls := node.reads.Load(), node.calls.Load()
 			resp, body := landlord.get(page + v.Hex())
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET %s%s: %d %s", page, v.Hex(), resp.StatusCode, body)
 			}
+			if !strings.Contains(body, "api-house") {
+				t.Fatalf("GET %sv%d shows no house: %s", page, i+1, body)
+			}
 			if got, want := node.reads.Load()-before, int64(2*len(line)); got != want || want != 6 {
 				t.Errorf("GET %sv%d read %d pointer words, want %d (6: previous+next per version)", page, i+1, got, want)
+			}
+			if got := node.calls.Load() - calls; got != 0 {
+				t.Errorf("GET %sv%d sent %d eth_calls, want 0", page, i+1, got)
 			}
 		}
 	}

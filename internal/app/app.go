@@ -177,7 +177,6 @@ type DashboardRow struct {
 // they are the tenant of, and open agreements they could join.
 func (a *App) Dashboard(u *User) ([]DashboardRow, error) {
 	var out []DashboardRow
-	viewer := u.Addr()
 	for _, row := range a.Manager.Rows() {
 		row, _ = a.Manager.Describe(row, nil) // an unreadable version shows no state
 		dr := DashboardRow{
@@ -193,14 +192,14 @@ func (a *App) Dashboard(u *User) ([]DashboardRow, error) {
 			dr.Role = "open"
 		}
 		dr.Action = suggestAction(row, dr.Role)
-		// Enrich with live chain data where the ABI allows.
-		if bound, err := a.Manager.BindVersion(ethtypes.HexToAddress(row.Address)); err == nil {
-			if house, err := bound.CallString(viewer, "house"); err == nil {
-				dr.House = house
-			}
-			if rent, err := bound.CallUint(viewer, "rent"); err == nil {
-				dr.RentWei = rent.String()
-			}
+		// Enrich with the version's public fields where its layout
+		// declares them.
+		addr := ethtypes.HexToAddress(row.Address)
+		if house, err := a.Manager.FieldString(addr, "house"); err == nil {
+			dr.House = house
+		}
+		if rent, err := a.Manager.FieldUint(addr, "rent"); err == nil {
+			dr.RentWei = rent.String()
 		}
 		out = append(out, dr)
 	}

@@ -238,28 +238,27 @@ func (a *App) renderContract(w http.ResponseWriter, u *User, addr ethtypes.Addre
 		IsTenant:   strings.EqualFold(row.Tenant, u.Address),
 		HasDoc:     row.DocumentCID != "",
 	}
-	viewer := u.Addr()
-	if bound, err := a.Manager.BindVersion(addr); err == nil {
-		if st, err := bound.CallUint(viewer, "state"); err == nil {
-			view.StateNum = st.Uint64()
-		}
-		if house, err := bound.CallString(viewer, "house"); err == nil {
-			view.House = house
-		}
-		if rent, err := bound.CallUint(viewer, "rent"); err == nil {
-			view.RentEth = ethtypes.FormatEther(rent)
-		}
-		if months, err := bound.CallUint(viewer, "contractTime"); err == nil {
-			view.Months = months.Uint64()
-		}
-		_, view.HasMaint = bound.ABI.Methods["payMaintenanceFee"]
+	if st, err := a.Manager.FieldUint(addr, "state"); err == nil {
+		view.StateNum = st.Uint64()
 	}
-	if due, err := a.Rental.RentDue(viewer, addr); err == nil {
+	if house, err := a.Manager.FieldString(addr, "house"); err == nil {
+		view.House = house
+	}
+	if rent, err := a.Manager.FieldUint(addr, "rent"); err == nil {
+		view.RentEth = ethtypes.FormatEther(rent)
+	}
+	if months, err := a.Manager.FieldUint(addr, "contractTime"); err == nil {
+		view.Months = months.Uint64()
+	}
+	if parsed, err := a.Manager.ResolveABI(addr); err == nil {
+		_, view.HasMaint = parsed.Methods["payMaintenanceFee"]
+	}
+	if due, err := a.Rental.RentDue(addr); err == nil {
 		view.DueEth = ethtypes.FormatEther(due)
 	}
 	if walkErr == nil {
 		view.Versions = versions
-		if hist, err := a.Rental.RentHistoryOf(viewer, versions); err == nil {
+		if hist, err := a.Rental.RentHistoryOf(versions); err == nil {
 			view.Paid = hist
 		}
 	}

@@ -1311,7 +1311,7 @@ func TestLandlordsShareOneDataStorage(t *testing.T) {
 		if _, err := svc.SealHistory(landlord, v1); err != nil {
 			t.Fatalf("landlord %s: SealHistory: %v", landlord.Hex(), err)
 		}
-		if err := svc.VerifyHistory(tenant, v1); err != nil {
+		if err := svc.VerifyHistory(v1); err != nil {
 			t.Fatalf("landlord %s: VerifyHistory: %v", landlord.Hex(), err)
 		}
 	}

@@ -47,27 +47,12 @@ func historyDigest(addr ethtypes.Address, records []PaymentRecord) ethtypes.Hash
 }
 
 // readHistory reads the executed payments of exactly one version.
-func (s *RentalService) readHistory(viewer, addr ethtypes.Address) ([]PaymentRecord, error) {
-	bound, err := s.M.BindVersion(addr)
-	if err != nil {
-		return nil, err
-	}
-	count, err := bound.CallUint(viewer, "monthCounter")
-	if err != nil {
+func (s *RentalService) readHistory(addr ethtypes.Address) ([]PaymentRecord, error) {
+	records, err := s.M.payments(addr)
+	if errors.Is(err, ErrNoField) {
 		return nil, fmt.Errorf("core: version %s has no payment history: %w", addr, err)
 	}
-	var out []PaymentRecord
-	for i := uint64(0); i < count.Uint64(); i++ {
-		vals, err := bound.Call(viewer, "paidrents", i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PaymentRecord{
-			Month:  vals[0].(uint256.Int).Uint64(),
-			Amount: vals[1].(uint256.Int),
-		})
-	}
-	return out, nil
+	return records, err
 }
 
 // SealHistory computes the commitment over a version's executed
@@ -75,7 +60,7 @@ func (s *RentalService) readHistory(viewer, addr ethtypes.Address) ([]PaymentRec
 // namespace. Called by the manager when the version is superseded, it
 // freezes the executed part of the contract.
 func (s *RentalService) SealHistory(from, addr ethtypes.Address) (ethtypes.Hash, error) {
-	records, err := s.readHistory(from, addr)
+	records, err := s.readHistory(addr)
 	if err != nil {
 		return ethtypes.Hash{}, err
 	}
@@ -89,7 +74,7 @@ func (s *RentalService) SealHistory(from, addr ethtypes.Address) (ethtypes.Hash,
 // VerifyHistory re-reads the version's executed payments and checks
 // them against the commitment sealed in the version's own namespace; a
 // successor never inherits its predecessor's.
-func (s *RentalService) VerifyHistory(viewer, addr ethtypes.Address) error {
+func (s *RentalService) VerifyHistory(addr ethtypes.Address) error {
 	sealed, err := s.M.ownValue(addr, HistoryCommitmentKey)
 	if err != nil {
 		return err
@@ -97,7 +82,7 @@ func (s *RentalService) VerifyHistory(viewer, addr ethtypes.Address) error {
 	if sealed == "" {
 		return ErrNoCommitment
 	}
-	records, err := s.readHistory(viewer, addr)
+	records, err := s.readHistory(addr)
 	if err != nil {
 		return err
 	}
@@ -127,12 +112,8 @@ func SignConsent(ks *wallet.Keystore, tenant, oldAddr, newAddr ethtypes.Address)
 // VerifyConsent checks a consent signature against the tenant address
 // the OLD version records on chain — so the approval is bound to the
 // party the immutable contract itself names.
-func (s *RentalService) VerifyConsent(viewer, oldAddr, newAddr ethtypes.Address, consent []byte) error {
-	bound, err := s.M.BindVersion(oldAddr)
-	if err != nil {
-		return err
-	}
-	tenant, err := bound.CallAddress(viewer, "tenant")
+func (s *RentalService) VerifyConsent(oldAddr, newAddr ethtypes.Address, consent []byte) error {
+	tenant, err := s.M.FieldAddress(oldAddr, "tenant")
 	if err != nil {
 		return err
 	}
@@ -173,7 +154,7 @@ func (s *RentalService) ModifyWithConsent(landlord, prevAddr ethtypes.Address, t
 	}
 	// Without consent the linked version stays what the chain holds, an
 	// open modification that the tenant may still confirm or reject.
-	if err := s.VerifyConsent(landlord, prevAddr, dep.Contract.Address, consent); err != nil {
+	if err := s.VerifyConsent(prevAddr, dep.Contract.Address, consent); err != nil {
 		return nil, err
 	}
 	return dep, nil

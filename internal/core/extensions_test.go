@@ -23,7 +23,7 @@ func TestSealAndVerifyHistory(t *testing.T) {
 		t.Fatal("zero digest")
 	}
 	// Verification passes against the untouched history.
-	if err := svc.VerifyHistory(tenant, v1.Contract.Address); err != nil {
+	if err := svc.VerifyHistory(v1.Contract.Address); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate tampering with the sealed commitment (the data contract
@@ -32,7 +32,7 @@ func TestSealAndVerifyHistory(t *testing.T) {
 		ethtypes.Keccak256([]byte("forged")).Hex()); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.VerifyHistory(tenant, v1.Contract.Address); !errors.Is(err, ErrHistoryTampered) {
+	if err := svc.VerifyHistory(v1.Contract.Address); !errors.Is(err, ErrHistoryTampered) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -41,7 +41,7 @@ func TestVerifyHistoryNoCommitment(t *testing.T) {
 	m, accs := rig(t)
 	svc := NewRentalService(m)
 	v1 := deployRental(t, m, accs[0].Address)
-	if err := svc.VerifyHistory(accs[0].Address, v1.Contract.Address); !errors.Is(err, ErrNoCommitment) {
+	if err := svc.VerifyHistory(v1.Contract.Address); !errors.Is(err, ErrNoCommitment) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -65,10 +65,10 @@ func TestVerifyHistoryNotInherited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.VerifyHistory(tenant, v1.Contract.Address); err != nil {
+	if err := svc.VerifyHistory(v1.Contract.Address); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.VerifyHistory(tenant, v2.Contract.Address); !errors.Is(err, ErrNoCommitment) {
+	if err := svc.VerifyHistory(v2.Contract.Address); !errors.Is(err, ErrNoCommitment) {
 		t.Fatalf("VerifyHistory(v2) = %v, want %v", err, ErrNoCommitment)
 	}
 }
@@ -118,7 +118,7 @@ func TestSignedConsentFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The old version's history was sealed as part of the flow.
-	if err := svc.VerifyHistory(tenant, v1.Contract.Address); err != nil {
+	if err := svc.VerifyHistory(v1.Contract.Address); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,17 +162,17 @@ func TestConsentBoundToAddressPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.VerifyConsent(landlord, v1.Contract.Address, v2.Contract.Address, good); err != nil {
+	if err := svc.VerifyConsent(v1.Contract.Address, v2.Contract.Address, good); err != nil {
 		t.Fatal(err)
 	}
 	// The same signature must not authorize a DIFFERENT new address
 	// (replay protection across modifications).
 	other := ethtypes.HexToAddress("0x00000000000000000000000000000000000000ee")
-	if err := svc.VerifyConsent(landlord, v1.Contract.Address, other, good); !errors.Is(err, ErrBadConsent) {
+	if err := svc.VerifyConsent(v1.Contract.Address, other, good); !errors.Is(err, ErrBadConsent) {
 		t.Fatalf("replayed consent accepted: %v", err)
 	}
 	// Garbage signature rejected.
-	if err := svc.VerifyConsent(landlord, v1.Contract.Address, v2.Contract.Address, []byte{1, 2, 3}); !errors.Is(err, ErrBadConsent) {
+	if err := svc.VerifyConsent(v1.Contract.Address, v2.Contract.Address, []byte{1, 2, 3}); !errors.Is(err, ErrBadConsent) {
 		t.Fatal("garbage consent accepted")
 	}
 }

@@ -46,13 +46,13 @@ func (s *RentalService) DeployRental(landlord ethtypes.Address, terms RentalTerm
 // Confirm lets the tenant accept the agreement, paying the deposit the
 // contract demands (read from the chain, not from user input).
 func (s *RentalService) Confirm(tenant, contractAddr ethtypes.Address) error {
+	deposit, err := s.M.FieldUint(contractAddr, "deposit")
+	if err != nil {
+		return fmt.Errorf("core: reading deposit: %w", err)
+	}
 	bound, err := s.M.BindVersion(contractAddr)
 	if err != nil {
 		return err
-	}
-	deposit, err := bound.CallUint(tenant, "deposit")
-	if err != nil {
-		return fmt.Errorf("core: reading deposit: %w", err)
 	}
 	_, err = bound.Transact(web3.TxOpts{From: tenant, Value: deposit}, "confirmAgreement")
 	return err
@@ -60,23 +60,19 @@ func (s *RentalService) Confirm(tenant, contractAddr ethtypes.Address) error {
 
 // RentDue computes the amount payRent expects: the rent, minus the
 // discount clause when the version has one.
-func (s *RentalService) RentDue(from, contractAddr ethtypes.Address) (uint256.Int, error) {
-	bound, err := s.M.BindVersion(contractAddr)
+func (s *RentalService) RentDue(contractAddr ethtypes.Address) (uint256.Int, error) {
+	rent, err := s.M.FieldUint(contractAddr, "rent")
 	if err != nil {
 		return uint256.Zero, err
 	}
-	rent, err := bound.CallUint(from, "rent")
-	if err != nil {
+	discount, err := s.M.FieldUint(contractAddr, "discount")
+	switch {
+	case errors.Is(err, ErrNoField):
+		return rent, nil
+	case err != nil:
 		return uint256.Zero, err
 	}
-	if _, ok := bound.ABI.Methods["discount"]; ok {
-		discount, err := bound.CallUint(from, "discount")
-		if err != nil {
-			return uint256.Zero, err
-		}
-		rent = rent.Sub(discount)
-	}
-	return rent, nil
+	return rent.Sub(discount), nil
 }
 
 // PayRent pays one month of rent from the tenant.
@@ -89,7 +85,7 @@ func (s *RentalService) PayRent(tenant, contractAddr ethtypes.Address) (*ethtype
 // is routed through it so the same transaction records evidence in the
 // DataStorage ledger; versions without a notary are paid directly.
 func (s *RentalService) PayRentCtx(ctx context.Context, tenant, contractAddr ethtypes.Address) (*ethtypes.Receipt, error) {
-	due, err := s.RentDue(tenant, contractAddr)
+	due, err := s.RentDue(contractAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -97,24 +93,11 @@ func (s *RentalService) PayRentCtx(ctx context.Context, tenant, contractAddr eth
 	if err != nil {
 		return nil, err
 	}
-	if proxy := s.paymentProxy(tenant, bound); proxy != (ethtypes.Address{}) {
+	if proxy, err := s.M.FieldAddress(contractAddr, "paymentProxy"); err == nil && !proxy.IsZero() {
 		notary := s.M.Client.Bind(proxy, contracts.NotaryABI())
 		return notary.TransactCtx(ctx, web3.TxOpts{From: tenant, Value: due}, "payAndRecord", contractAddr)
 	}
 	return bound.TransactCtx(ctx, web3.TxOpts{From: tenant, Value: due}, "payRent")
-}
-
-// paymentProxy reads the version's configured notary address; zero when
-// the version predates the notary mechanism or has none set.
-func (s *RentalService) paymentProxy(from ethtypes.Address, bound *web3.BoundContract) ethtypes.Address {
-	if _, ok := bound.ABI.Methods["paymentProxy"]; !ok {
-		return ethtypes.Address{}
-	}
-	addr, err := bound.CallAddress(from, "paymentProxy")
-	if err != nil {
-		return ethtypes.Address{}
-	}
-	return addr
 }
 
 // PayMaintenance pays the maintenance fee clause of upgraded versions.
@@ -126,7 +109,7 @@ func (s *RentalService) PayMaintenance(tenant, contractAddr ethtypes.Address) (*
 	if _, ok := bound.ABI.Methods["payMaintenanceFee"]; !ok {
 		return nil, fmt.Errorf("core: version %s has no maintenance clause", contractAddr)
 	}
-	fee, err := bound.CallUint(tenant, "maintenanceFee")
+	fee, err := s.M.FieldUint(contractAddr, "maintenanceFee")
 	if err != nil {
 		return nil, err
 	}
@@ -228,12 +211,13 @@ func (s *RentalService) endPredecessor(tenant, newAddr ethtypes.Address) error {
 	if row.Prev == "" {
 		return fmt.Errorf("%w: %s", errNotModification, newAddr)
 	}
-	bound, err := s.M.BindVersion(ethtypes.HexToAddress(row.Prev))
-	if err != nil {
+	prev := ethtypes.HexToAddress(row.Prev)
+	st, err := s.M.FieldUint(prev, "state")
+	if err != nil || st.Uint64() != enumStarted {
 		return err
 	}
-	st, err := bound.CallUint(tenant, "state")
-	if err != nil || st.Uint64() != enumStarted {
+	bound, err := s.M.BindVersion(prev)
+	if err != nil {
 		return err
 	}
 	if _, err := bound.Transact(web3.TxOpts{From: tenant}, "terminateContract"); err != nil {
@@ -255,27 +239,34 @@ type PaymentRecord struct {
 
 // RentHistory aggregates the paidrents arrays across every version of
 // the chain containing addr — the cross-version transaction history the
-// paper's dashboard shows.
+// paper's dashboard shows. The history is read from storage, which has
+// no sender: viewer names who asks and changes no answer.
 func (s *RentalService) RentHistory(viewer, addr ethtypes.Address) ([]PaymentRecord, error) {
 	line, err := s.M.WalkChain(addr)
 	if err != nil {
 		return nil, err
 	}
-	return s.RentHistoryOf(viewer, line)
+	return s.RentHistoryOf(line)
 }
 
 // RentHistoryOf is RentHistory over a version line the caller has
 // already walked, so a page that also shows the line walks it once.
-func (s *RentalService) RentHistoryOf(viewer ethtypes.Address, line []VersionInfo) ([]PaymentRecord, error) {
+// Each version's payments are storage reads; a version that is not
+// rental-shaped (its layout declares no monthCounter and paidrents)
+// adds none.
+func (s *RentalService) RentHistoryOf(line []VersionInfo) ([]PaymentRecord, error) {
 	var out []PaymentRecord
 	for _, node := range line {
-		bound, err := s.M.BindVersion(node.Address)
+		paid, err := s.M.payments(node.Address)
+		if errors.Is(err, ErrNoField) {
+			continue // not a rental-shaped version
+		}
 		if err != nil {
 			return nil, err
 		}
-		count, err := bound.CallUint(viewer, "monthCounter")
+		bound, err := s.M.BindVersion(node.Address)
 		if err != nil {
-			continue // not a rental-shaped version
+			return nil, err
 		}
 		// Join the stored array against the paidRent logs so each record
 		// carries the hash of the transaction that paid it — the handle
@@ -290,18 +281,9 @@ func (s *RentalService) RentHistoryOf(viewer ethtypes.Address, line []VersionInf
 				}
 			}
 		}
-		for i := uint64(0); i < count.Uint64(); i++ {
-			vals, err := bound.Call(viewer, "paidrents", i)
-			if err != nil {
-				return nil, err
-			}
-			month := vals[0].(uint256.Int).Uint64()
-			out = append(out, PaymentRecord{
-				Version: node.Version,
-				Month:   month,
-				Amount:  vals[1].(uint256.Int),
-				TxHash:  txByMonth[month],
-			})
+		for _, p := range paid {
+			p.Version, p.TxHash = node.Version, txByMonth[p.Month]
+			out = append(out, p)
 		}
 	}
 	return out, nil

@@ -141,7 +141,7 @@ func (m *Manager) walk(start ethtypes.Address, pointers func(ethtypes.Address) (
 
 // WalkStates is WalkChain with each version's State derived from the
 // chain: prev and next come from the walk, and each version adds one
-// state() read.
+// storage word, its state.
 func (m *Manager) WalkStates(start ethtypes.Address) ([]VersionInfo, error) {
 	line, err := m.WalkChain(start)
 	if err == nil {
@@ -154,28 +154,30 @@ func (m *Manager) WalkStates(start ethtypes.Address) ([]VersionInfo, error) {
 const enumCreated, enumStarted, enumTerminated = 0, 1, 2
 
 // deriveStates is the one derivation of lifecycle state. Only a
-// rental-shaped version, whose ABI has state and terminateContract, has
-// its state() enum read; line[i-1] is line[i]'s predecessor.
+// rental-shaped version, whose ABI has terminateContract and whose
+// layout declares a public state, has its state enum read, as a storage
+// word; line[i-1] is line[i]'s predecessor.
 //
-//	state() is Terminated                                    terminated
-//	next ≠ 0                                                 inactive
-//	last, Created, and the predecessor's state() Terminated  rejected
-//	otherwise                                                active
+//	state is Terminated                                    terminated
+//	next ≠ 0                                               inactive
+//	last, Created, and the predecessor's state Terminated  rejected
+//	otherwise                                              active
 func (m *Manager) deriveStates(line []VersionInfo) error {
 	prevEnum := -1
 	for i, v := range line {
-		bound, err := m.BindVersion(v.Address)
+		parsed, err := m.ResolveABI(v.Address)
 		if err != nil {
 			return err
 		}
 		enum := -1 // not rental-shaped
-		_, st := bound.ABI.Methods["state"]
-		if _, term := bound.ABI.Methods["terminateContract"]; st && term {
-			n, err := bound.CallUint(v.Address, "state")
-			if err != nil {
+		if _, term := parsed.Methods["terminateContract"]; term {
+			n, err := m.FieldUint(v.Address, "state")
+			switch {
+			case err == nil:
+				enum = int(n.Uint64())
+			case !errors.Is(err, ErrNoField):
 				return err
 			}
-			enum = int(n.Uint64())
 		}
 		switch {
 		case enum == enumTerminated:
@@ -193,14 +195,15 @@ func (m *Manager) deriveStates(line []VersionInfo) error {
 }
 
 // Describe returns row, as GetRow or Rows returns it, with the fields
-// its version contract holds: Next, State and Tenant (empty while zero).
-// State and Next come from line, a line from WalkStates, when it holds
-// the version. Without a walk, the version's pointers are read, and it
-// is derived after its predecessor; a version that is not versioned
-// has no Next.
+// its version contract holds: Next, State and Tenant (empty while zero,
+// and for a version whose layout declares no public tenant). State and
+// Next come from line, a line from WalkStates, when it holds the
+// version. Without a walk, the version's pointers are read, and it is
+// derived after its predecessor; a version that is not versioned has no
+// Next.
 func (m *Manager) Describe(row ContractRow, line []VersionInfo) (ContractRow, error) {
 	v := VersionInfo{Address: ethtypes.HexToAddress(row.Address)}
-	bound, err := m.BindVersion(v.Address)
+	_, err := m.ResolveABI(v.Address)
 	if i := slices.IndexFunc(line, func(w VersionInfo) bool { return w.Address == v.Address }); i >= 0 {
 		v = line[i]
 	} else if err == nil {
@@ -224,7 +227,7 @@ func (m *Manager) Describe(row ContractRow, line []VersionInfo) (ContractRow, er
 	if !v.Next.IsZero() {
 		row.Next = v.Next.Hex()
 	}
-	if tenant, err := bound.CallAddress(v.Address, "tenant"); err == nil && !tenant.IsZero() {
+	if tenant, err := m.FieldAddress(v.Address, "tenant"); err == nil && !tenant.IsZero() {
 		row.Tenant = tenant.Hex()
 	}
 	return row, nil

@@ -205,7 +205,7 @@ func FuzzWalkChain(f *testing.F) {
 // TestWalkChainOverRPC: a manager whose node is a JSON-RPC client walks
 // the evidence line, audits it and aggregates its rent history with
 // the answers a manager over the chain in process gets, and reads the
-// pointers with eth_getStorageAt: no getPrev or getNext eth_call is
+// pointers, states and payments with eth_getStorageAt: no eth_call is
 // sent. Over RPC the node has no head view to run the audit's behaviour
 // diffs on, so those are left out of the comparison.
 func TestWalkChainOverRPC(t *testing.T) {
@@ -225,10 +225,6 @@ func TestWalkChainOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := NewManager(client, m.IPFS, m.Store)
-	bound, err := m.BindVersion(line[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, addr := range line {
 		counter.take()
 		walked, err := remote.WalkChain(addr)
@@ -257,13 +253,25 @@ func TestWalkChainOverRPC(t *testing.T) {
 		if err != nil || werr != nil || len(hist) != len(line) || !reflect.DeepEqual(hist, wantHist) {
 			t.Errorf("v%d: RentHistory over rpc %v (%v), in process %v (%v)", i+1, hist, err, wantHist, werr)
 		}
-	}
-	for _, method := range []string{"getPrev", "getNext"} {
-		if n := counter.selectors[bound.ABI.Methods[method].ID()]; n != 0 {
-			t.Errorf("the reads over rpc sent %d %s eth_calls, want none", n, method)
+		states, err := remote.WalkStates(addr)
+		wantStates, werr := m.WalkStates(addr)
+		if err != nil || werr != nil || !reflect.DeepEqual(states, wantStates) {
+			t.Errorf("v%d: WalkStates over rpc %v (%v), in process %v (%v)", i+1, states, err, wantStates, werr)
+		}
+		if n := counter.take(); n["eth_call"] != 0 {
+			t.Errorf("v%d: the reads over rpc sent %d eth_calls (%v), want none", i+1, n["eth_call"], counter.selectors)
 		}
 	}
-	if counter.selectors[bound.ABI.Methods["monthCounter"].ID()] == 0 {
-		t.Error("no monthCounter eth_call was seen: the selector count does not count")
+	// The counter counts: one getter through the remote client is one
+	// eth_call.
+	bound, err := remote.BindVersion(line[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bound.CallUint(tenant, "monthCounter"); err != nil {
+		t.Fatal(err)
+	}
+	if n := counter.take(); n["eth_call"] != 1 {
+		t.Errorf("a getter over rpc counted %v, want one eth_call", n)
 	}
 }

@@ -148,6 +148,36 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed values
+// as Prometheus's histogram_quantile does: by linear interpolation
+// inside the bucket the rank falls in, from the bucket below's bound (0
+// below the first). A rank in the +Inf bucket answers the highest
+// bound. With no observations the answer is NaN.
+func (h *Histogram) Quantile(q float64) float64 {
+	counts := make([]uint64, len(h.counts))
+	var total uint64
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	if total == 0 || len(h.bounds) == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(total)
+	var below uint64
+	for i, c := range counts[:len(h.bounds)] {
+		if c > 0 && float64(below+c) >= rank {
+			lo := 0.0
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			return lo + (h.bounds[i]-lo)*(rank-float64(below))/float64(c)
+		}
+		below += c
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
 // --- label vectors ---------------------------------------------------------
 
 // labelKey joins label values into a map key; 0xff cannot appear in

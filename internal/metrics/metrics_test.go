@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"io"
+	"math"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -60,6 +61,35 @@ func TestHistogramBuckets(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestHistogramQuantile: a quantile interpolates linearly inside the
+// bucket its rank falls in, from the bound below (0 below the first);
+// a rank in the +Inf bucket answers the highest bound; an empty
+// histogram answers NaN.
+func TestHistogramQuantile(t *testing.T) {
+	h := NewRegistry().Histogram("test_q_seconds", "q", []float64{1, 2, 4})
+	if q := h.Quantile(0.5); !math.IsNaN(q) {
+		t.Fatalf("empty: %v, want NaN", q)
+	}
+	// Ten observations: four in (0,1], four in (1,2], none in (2,4], two
+	// past 4.
+	for _, v := range []float64{0.5, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 1.5, 9, 9} {
+		h.Observe(v)
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0, 0}, // rank 0: the bottom of the first non-empty bucket
+		{0.2, 0.5},
+		{0.4, 1},
+		{0.5, 1.25},
+		{0.8, 2},
+		{0.9, 4},
+		{1, 4},
+	} {
+		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("q%v = %v, want %v", c.q, got, c.want)
 		}
 	}
 }

@@ -74,3 +74,55 @@ func TestLoadStringRefusesImpossibleForms(t *testing.T) {
 		}
 	}
 }
+
+// TestArraySlotReadsCompiledArrays: the words at ArraySlot(slot, i,
+// stride) + k are what the compiled getter returns for element i, field
+// k — for a struct array of three one-slot fields and a plain uint
+// array — and the word at slot is the array's length.
+func TestArraySlotReadsCompiledArrays(t *testing.T) {
+	src := `
+	contract A {
+		struct Entry { uint id; uint value; address who; }
+		uint public filler;
+		Entry[] public entries;
+		uint[] public plain;
+		function add(uint id, uint value, address who) public {
+			entries.push(Entry(id, value, who));
+			plain.push(value);
+		}
+	}`
+	art := compileOne(t, src, "A")
+	h := newHarness(t)
+	addr := h.deploy(art, uint256.Zero)
+	read := func(slot ethtypes.Hash) uint256.Int { return h.st.GetState(addr, slot) }
+	arrays := []struct {
+		name   string
+		stride uint64
+	}{{"entries", 3}, {"plain", 1}}
+	for n := uint64(1); n <= 5; n++ {
+		h.mustCall(alice, addr, art, uint256.Zero, "add", 7*n, 1000+n, bob)
+		for _, c := range arrays {
+			decl, ok := art.Layout.Var(c.name)
+			if outs := len(art.ABI.Methods[c.name].Outputs); !ok || uint64(outs) != c.stride {
+				t.Fatalf("%s: declared %v, getter outputs %d; want %d", c.name, ok, outs, c.stride)
+			}
+			slot := StorageSlot(decl.Slot)
+			if got := read(slot); got != uint256.NewUint64(n) {
+				t.Fatalf("%s: length word %s after %d pushes", c.name, got, n)
+			}
+			for i := uint64(0); i < n; i++ {
+				elem := ArraySlot(slot, i, c.stride)
+				first := uint256.SetBytes(elem[:])
+				for k, want := range h.mustCall(alice, addr, art, uint256.Zero, c.name, i) {
+					w := read(ethtypes.Hash(first.Add(uint256.NewUint64(uint64(k))).Bytes32()))
+					if a, ok := want.(ethtypes.Address); ok {
+						want = uint256.SetBytes(a[:])
+					}
+					if w != want.(uint256.Int) {
+						t.Errorf("%s[%d] field %d: storage %s, getter %v", c.name, i, k, w, want)
+					}
+				}
+			}
+		}
+	}
+}

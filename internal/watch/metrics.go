@@ -29,6 +29,9 @@ var (
 		"Alert rule firings (transitions into the firing state).")
 	mFoldLag = metrics.Default.Gauge("legalchain_watch_fold_lag_blocks",
 		"Blocks sealed but not yet folded by the watchtower.")
+	mFoldDelay = metrics.Default.Histogram("legalchain_watch_fold_delay_seconds",
+		"Seconds from a head view's publication to the start of the fold batch that takes it up.",
+		[]float64{0.0005, 0.001, 0.002, 0.003, 0.004, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.05, 0.075, 0.1, 0.25, 0.5, 1})
 	mBlocksFolded = metrics.Default.Counter("legalchain_watch_blocks_folded_total",
 		"Blocks folded into the watchtower state machines.")
 )

@@ -213,6 +213,16 @@ func (t *Tower) ConvergenceLag() (mean float64, max uint64, samples uint64) {
 	return float64(t.convSum.Load()) / float64(n), t.convMax.Load(), n
 }
 
+// FoldDelay reports the p50 and p99, in seconds, of the publish →
+// fold-start delay of fold batches, estimated from the process-wide
+// legalchain_watch_fold_delay_seconds histogram; zero before any batch.
+func (t *Tower) FoldDelay() (p50, p99 float64) {
+	if mFoldDelay.Count() == 0 {
+		return 0, 0
+	}
+	return mFoldDelay.Quantile(0.5), mFoldDelay.Quantile(0.99)
+}
+
 // rentalABI is the decode surface for every tracked template:
 // RentalAgreementV2 inherits BaseRental, so its ABI carries all base
 // events and getters plus the V2 additions.
@@ -308,10 +318,15 @@ func (t *Tower) Sync() { t.SyncView(t.src.View()) }
 
 // SyncView folds everything up to v's head. A view at or behind the
 // folded height is a no-op, so concurrent callers never double-fold.
+// A batch that folds a block past the build-time head observes the
+// time from v's publication to its start, the tower's wake-up delay.
 func (t *Tower) SyncView(v *chain.HeadView) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	head := v.BlockNumber()
+	if head > t.folded && head > t.rebuilt {
+		mFoldDelay.ObserveSince(v.PublishedAt())
+	}
 	folded := false
 	for n := t.folded + 1; n <= head; n++ {
 		t.foldBlockLocked(v, n)

@@ -299,3 +299,36 @@ func TestTowerBackgroundLoop(t *testing.T) {
 		t.Fatalf("background fold: %+v", st.States)
 	}
 }
+
+// TestFoldDelayObserved: each fold batch past the build-time head
+// observes one publish → fold-start delay; a batch with nothing new, and
+// the refold up to the build-time head, observe none.
+func TestFoldDelayObserved(t *testing.T) {
+	bc, client, accs := rig(t, 2)
+	if _, err := client.Transfer(web3.TxOpts{From: accs[0].Address, Value: ethtypes.Ether(1)}, accs[1].Address); err != nil {
+		t.Fatal(err)
+	}
+	tower, err := New(bc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tower.Close()
+	before := mFoldDelay.Count()
+	tower.Sync() // the refold of the build-time head
+	if n := mFoldDelay.Count() - before; n != 0 {
+		t.Fatalf("the refold observed %d delays, want 0", n)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := client.Transfer(web3.TxOpts{From: accs[0].Address, Value: ethtypes.Ether(1)}, accs[1].Address); err != nil {
+			t.Fatal(err)
+		}
+		tower.Sync()
+		tower.Sync() // nothing new: no batch
+		if n := mFoldDelay.Count() - before; n != uint64(i) {
+			t.Fatalf("after %d blocks: %d delays observed, want %d", i, n, i)
+		}
+	}
+	if p50, p99 := tower.FoldDelay(); p50 <= 0 || p99 < p50 {
+		t.Fatalf("FoldDelay = %v, %v", p50, p99)
+	}
+}

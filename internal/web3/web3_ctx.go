@@ -9,13 +9,12 @@ import (
 )
 
 // ContextBackend is implemented by backends that can thread a
-// context.Context — and with it an xtrace span — through writes and
-// reads. In-process backends forward the context straight into the
-// chain tier; backends that cannot (remote HTTP) simply don't implement
-// the interface and the client falls back to the plain Backend methods.
+// context.Context — and with it an xtrace span — through writes.
+// In-process backends forward the context straight into the chain tier;
+// backends that cannot (remote HTTP) simply don't implement the
+// interface and the client falls back to the plain Backend method.
 type ContextBackend interface {
 	SendRawTransactionCtx(ctx context.Context, raw []byte) (ethtypes.Hash, error)
-	CallContractCtx(ctx context.Context, msg CallMsg) ([]byte, error)
 }
 
 // SendRawTransactionCtx implements ContextBackend: the span context
@@ -29,7 +28,8 @@ func (l *LocalBackend) SendRawTransactionCtx(ctx context.Context, raw []byte) (e
 	return l.BC.SendTransactionCtx(ctx, tx)
 }
 
-// CallContractCtx implements ContextBackend.
+// CallContractCtx is CallContract with span propagation into the chain
+// tier.
 func (l *LocalBackend) CallContractCtx(ctx context.Context, msg CallMsg) ([]byte, error) {
 	res := l.BC.CallCtx(ctx, msg.From, msg.To, msg.Data, msg.Value, 0)
 	if res.Err != nil {
@@ -56,21 +56,6 @@ func (c *Client) sendRaw(ctx context.Context, raw []byte) (ethtypes.Hash, error)
 	return hash, err
 }
 
-// callContract runs a read-only call, threading ctx when possible.
-func (c *Client) callContract(ctx context.Context, msg CallMsg) ([]byte, error) {
-	cb, ok := c.backend.(ContextBackend)
-	if !ok {
-		return c.backend.CallContract(msg)
-	}
-	ctx, sp := xtrace.Start(ctx, "rpc", "eth_call")
-	ret, err := cb.CallContractCtx(ctx, msg)
-	if err != nil {
-		sp.SetError(err)
-	}
-	sp.End()
-	return ret, err
-}
-
 // TransactCtx is Transact with span propagation.
 func (b *BoundContract) TransactCtx(ctx context.Context, opts TxOpts, method string, args ...interface{}) (*ethtypes.Receipt, error) {
 	data, err := b.ABI.Pack(method, args...)
@@ -85,17 +70,4 @@ func (b *BoundContract) TransactCtx(ctx context.Context, opts TxOpts, method str
 		return rcpt, fmt.Errorf("%w: %s", ErrTxFailed, rcpt.RevertReason)
 	}
 	return rcpt, nil
-}
-
-// CallCtx is Call with span propagation.
-func (b *BoundContract) CallCtx(ctx context.Context, from ethtypes.Address, method string, args ...interface{}) ([]interface{}, error) {
-	data, err := b.ABI.Pack(method, args...)
-	if err != nil {
-		return nil, err
-	}
-	ret, err := b.client.callContract(ctx, CallMsg{From: from, To: &b.Address, Data: data})
-	if err != nil {
-		return nil, err
-	}
-	return b.ABI.Unpack(method, ret)
 }
