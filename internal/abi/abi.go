@@ -8,7 +8,7 @@ import (
 	"strings"
 
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/jsonread"
+	"legalchain/internal/jsonwire"
 )
 
 // Method describes a callable function (or the constructor).
@@ -264,30 +264,30 @@ type jsonParam struct {
 
 // ParseJSON parses a standard JSON ABI document. It accepts what
 // encoding/json accepts for the document's shape, and builds the same
-// ABI (see package jsonread).
+// ABI (see package jsonwire).
 func ParseJSON(data []byte) (*ABI, error) {
-	r := jsonread.NewReader(data)
-	entries := jsonread.Slice(r, nil, func(e *jsonEntry) { readEntry(r, e) })
+	r := jsonwire.NewReader(data)
+	entries := jsonwire.Slice(r, nil, func(e *jsonEntry) { readEntry(r, e) })
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("abi: bad JSON: %w", err)
 	}
 	return fromEntries(entries)
 }
 
-func readEntry(r *jsonread.Reader, e *jsonEntry) {
+func readEntry(r *jsonwire.Reader, e *jsonEntry) {
 	r.Object(func(key []byte) {
 		switch {
-		case jsonread.Is(key, "type"):
+		case jsonwire.Is(key, "type"):
 			r.String(&e.Type)
-		case jsonread.Is(key, "name"):
+		case jsonwire.Is(key, "name"):
 			r.String(&e.Name)
-		case jsonread.Is(key, "inputs"):
+		case jsonwire.Is(key, "inputs"):
 			e.Inputs = readParams(r, e.Inputs)
-		case jsonread.Is(key, "outputs"):
+		case jsonwire.Is(key, "outputs"):
 			e.Outputs = readParams(r, e.Outputs)
-		case jsonread.Is(key, "stateMutability"):
+		case jsonwire.Is(key, "stateMutability"):
 			r.String(&e.StateMutability)
-		case jsonread.Is(key, "anonymous"):
+		case jsonwire.Is(key, "anonymous"):
 			r.Bool(&e.Anonymous)
 		default:
 			r.Skip()
@@ -295,17 +295,17 @@ func readEntry(r *jsonread.Reader, e *jsonEntry) {
 	})
 }
 
-func readParams(r *jsonread.Reader, ps []jsonParam) []jsonParam {
-	return jsonread.Slice(r, ps, func(p *jsonParam) {
+func readParams(r *jsonwire.Reader, ps []jsonParam) []jsonParam {
+	return jsonwire.Slice(r, ps, func(p *jsonParam) {
 		r.Object(func(key []byte) {
 			switch {
-			case jsonread.Is(key, "name"):
+			case jsonwire.Is(key, "name"):
 				r.String(&p.Name)
-			case jsonread.Is(key, "type"):
+			case jsonwire.Is(key, "type"):
 				r.String(&p.Type)
-			case jsonread.Is(key, "indexed"):
+			case jsonwire.Is(key, "indexed"):
 				r.Bool(&p.Indexed)
-			case jsonread.Is(key, "components"):
+			case jsonwire.Is(key, "components"):
 				p.Components = readParams(r, p.Components)
 			default:
 				r.Skip()

@@ -6,7 +6,7 @@ import (
 )
 
 // ParseJSONReference is ParseJSON decoding through encoding/json, as it
-// did before package jsonread: the oracle of FuzzParseJSON.
+// did before package jsonwire: the oracle of FuzzParseJSON.
 func ParseJSONReference(data []byte) (*ABI, error) {
 	var entries []jsonEntry
 	if err := json.Unmarshal(data, &entries); err != nil {

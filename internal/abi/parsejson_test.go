@@ -81,7 +81,7 @@ var abiHandCases = []string{
 }
 
 // FuzzParseJSON checks ParseJSON, which decodes through package
-// jsonread, against ParseJSONReference, which decodes through
+// jsonwire, against ParseJSONReference, which decodes through
 // encoding/json: both accept or both refuse, and what they accept
 // builds deep-equal ABIs. The upload page hands user JSON to ParseJSON.
 func FuzzParseJSON(f *testing.F) {

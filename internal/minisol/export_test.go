@@ -6,7 +6,7 @@ import (
 )
 
 // ParseLayoutReference is ParseLayout decoding through encoding/json, as
-// it did before package jsonread: the oracle of FuzzParseLayout.
+// it did before package jsonwire: the oracle of FuzzParseLayout.
 func ParseLayoutReference(raw []byte) (*Layout, error) {
 	var l Layout
 	if err := json.Unmarshal(raw, &l); err != nil {

@@ -12,7 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"legalchain/internal/jsonread"
+	"legalchain/internal/jsonwire"
 )
 
 // LayoutVar is one state variable of a contract's storage layout: its
@@ -84,16 +84,16 @@ func (l *Layout) JSON() []byte {
 // ParseLayout decodes a layout previously rendered by JSON, validating
 // the invariants the differ relies on. It accepts what encoding/json
 // accepts for the document's shape, and builds the same layout (see
-// package jsonread).
+// package jsonwire).
 func ParseLayout(raw []byte) (*Layout, error) {
 	var l Layout
-	r := jsonread.NewReader(raw)
+	r := jsonwire.NewReader(raw)
 	r.Object(func(key []byte) {
 		switch {
-		case jsonread.Is(key, "contract"):
+		case jsonwire.Is(key, "contract"):
 			r.String(&l.Contract)
-		case jsonread.Is(key, "vars"):
-			l.Vars = jsonread.Slice(r, l.Vars, func(v *LayoutVar) { readVar(r, v) })
+		case jsonwire.Is(key, "vars"):
+			l.Vars = jsonwire.Slice(r, l.Vars, func(v *LayoutVar) { readVar(r, v) })
 		default:
 			r.Skip()
 		}
@@ -127,18 +127,18 @@ func (l *Layout) check() error {
 	return nil
 }
 
-func readVar(r *jsonread.Reader, v *LayoutVar) {
+func readVar(r *jsonwire.Reader, v *LayoutVar) {
 	r.Object(func(key []byte) {
 		switch {
-		case jsonread.Is(key, "name"):
+		case jsonwire.Is(key, "name"):
 			r.String(&v.Name)
-		case jsonread.Is(key, "slot"):
+		case jsonwire.Is(key, "slot"):
 			r.Int(&v.Slot)
-		case jsonread.Is(key, "slots"):
+		case jsonwire.Is(key, "slots"):
 			r.Int(&v.Slots)
-		case jsonread.Is(key, "type"):
+		case jsonwire.Is(key, "type"):
 			r.String(&v.Type)
-		case jsonread.Is(key, "public"):
+		case jsonwire.Is(key, "public"):
 			r.Bool(&v.Public)
 		default:
 			r.Skip()

@@ -63,7 +63,7 @@ var layoutHandCases = []string{
 }
 
 // FuzzParseLayout checks ParseLayout, which decodes through package
-// jsonread, against ParseLayoutReference, which decodes through
+// jsonwire, against ParseLayoutReference, which decodes through
 // encoding/json: both accept or both refuse, and what they accept is
 // deep-equal.
 func FuzzParseLayout(f *testing.F) {

@@ -6,12 +6,12 @@ import (
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/hexutil"
-	"legalchain/internal/jsonread"
+	"legalchain/internal/jsonwire"
 	"legalchain/internal/uint256"
 )
 
 // A request's positional parameters are each kept as their raw JSON
-// bytes, and each helper below decodes one through jsonread. A helper
+// bytes, and each helper below decodes one through jsonwire. A helper
 // answers what the encoding/json decode of the same bytes answered, the
 // text of its type errors included: the encoding/json helpers are the
 // oracle, in params_oracle_test.go.
@@ -47,15 +47,15 @@ func (e *typeError) Error() string {
 // is the empty string, and any kind but a string is refused.
 func decodeString(raw []byte) (string, bool) {
 	var s string
-	r := jsonread.NewReader(raw)
+	r := jsonwire.NewReader(raw)
 	r.String(&s)
 	return s, r.Finish() == nil
 }
 
 // decodeStrings decodes raw as json.Unmarshal into a []string does.
 func decodeStrings(raw []byte) ([]string, bool) {
-	r := jsonread.NewReader(raw)
-	ss := jsonread.Slice(r, nil, func(s *string) { r.String(s) })
+	r := jsonwire.NewReader(raw)
+	ss := jsonwire.Slice(r, nil, func(s *string) { r.String(s) })
 	return ss, r.Finish() == nil
 }
 
@@ -63,12 +63,12 @@ func decodeStrings(raw []byte) ([]string, bool) {
 // does: member reads each key's value, and the first type error it
 // returns is the answer once the object is read. Null is an object
 // without members; any other kind is refused.
-func decodeObject(raw []byte, typ string, member func(r *jsonread.Reader, key []byte) error) error {
+func decodeObject(raw []byte, typ string, member func(r *jsonwire.Reader, key []byte) error) error {
 	if raw[0] != '{' && raw[0] != 'n' {
 		return &typeError{kind: kindOf(raw), goType: "rpc." + typ}
 	}
 	var first error
-	r := jsonread.NewReader(raw)
+	r := jsonwire.NewReader(raw)
 	r.Object(func(key []byte) {
 		if err := member(r, key); err != nil && first == nil {
 			first = err
@@ -82,7 +82,7 @@ func decodeObject(raw []byte, typ string, member func(r *jsonread.Reader, key []
 
 // stringMember reads the value of field name of struct typ into *dst;
 // null leaves *dst as it is.
-func stringMember(r *jsonread.Reader, typ, name string, dst *string) error {
+func stringMember(r *jsonwire.Reader, typ, name string, dst *string) error {
 	v := r.Raw()
 	if v == nil {
 		return nil // the reader's own error, which Finish reports
@@ -179,21 +179,21 @@ func callParam(params [][]byte, i int) (*callMsg, error) {
 		return nil, invalidParams("missing call object")
 	}
 	var obj callObject
-	err := decodeObject(params[i], "callObject", func(r *jsonread.Reader, key []byte) error {
+	err := decodeObject(params[i], "callObject", func(r *jsonwire.Reader, key []byte) error {
 		switch {
-		case jsonread.Is(key, "from"):
+		case jsonwire.Is(key, "from"):
 			return stringMember(r, "callObject", "from", &obj.from)
-		case jsonread.Is(key, "to"):
+		case jsonwire.Is(key, "to"):
 			return stringMember(r, "callObject", "to", &obj.to)
-		case jsonread.Is(key, "gas"):
+		case jsonwire.Is(key, "gas"):
 			return stringMember(r, "callObject", "gas", &obj.gas)
-		case jsonread.Is(key, "gasPrice"):
+		case jsonwire.Is(key, "gasPrice"):
 			return stringMember(r, "callObject", "gasPrice", &obj.gasPrice)
-		case jsonread.Is(key, "value"):
+		case jsonwire.Is(key, "value"):
 			return stringMember(r, "callObject", "value", &obj.value)
-		case jsonread.Is(key, "data"):
+		case jsonwire.Is(key, "data"):
 			return stringMember(r, "callObject", "data", &obj.data)
-		case jsonread.Is(key, "input"):
+		case jsonwire.Is(key, "input"):
 			return stringMember(r, "callObject", "input", &obj.input)
 		}
 		r.Skip()
@@ -256,15 +256,15 @@ type filterObject struct {
 
 func decodeFilter(raw []byte) (filterObject, error) {
 	var obj filterObject
-	err := decodeObject(raw, "filterObject", func(r *jsonread.Reader, key []byte) error {
+	err := decodeObject(raw, "filterObject", func(r *jsonwire.Reader, key []byte) error {
 		switch {
-		case jsonread.Is(key, "fromBlock"):
+		case jsonwire.Is(key, "fromBlock"):
 			return stringMember(r, "filterObject", "fromBlock", &obj.fromBlock)
-		case jsonread.Is(key, "toBlock"):
+		case jsonwire.Is(key, "toBlock"):
 			return stringMember(r, "filterObject", "toBlock", &obj.toBlock)
-		case jsonread.Is(key, "address"):
+		case jsonwire.Is(key, "address"):
 			obj.address = r.Raw()
-		case jsonread.Is(key, "topics"):
+		case jsonwire.Is(key, "topics"):
 			v := r.Raw()
 			if v == nil {
 				return nil
@@ -272,8 +272,8 @@ func decodeFilter(raw []byte) (filterObject, error) {
 			if v[0] != '[' && v[0] != 'n' {
 				return &typeError{kind: kindOf(v), typ: "filterObject", field: "topics", goType: "[]json.RawMessage"}
 			}
-			tr := jsonread.NewReader(v)
-			obj.topics = jsonread.Slice(tr, obj.topics, func(t *[]byte) { *t = tr.Raw() })
+			tr := jsonwire.NewReader(v)
+			obj.topics = jsonwire.Slice(tr, obj.topics, func(t *[]byte) { *t = tr.Raw() })
 		default:
 			r.Skip()
 		}

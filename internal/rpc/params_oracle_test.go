@@ -14,7 +14,7 @@ import (
 )
 
 // The param helpers as they decoded through encoding/json: the oracle of
-// the jsonread helpers in params.go and trace.go, error text included.
+// the jsonwire helpers in params.go and trace.go, error text included.
 
 type callObjectReference struct {
 	From     string `json:"from"`
@@ -304,7 +304,7 @@ func errText(err error) string {
 }
 
 // checkParams decodes every parameter position of params, one past the
-// end included, with each jsonread helper and its encoding/json oracle.
+// end included, with each jsonwire helper and its encoding/json oracle.
 func checkParams(t *testing.T, params []json.RawMessage) {
 	t.Helper()
 	raws := make([][]byte, len(params))

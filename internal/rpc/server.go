@@ -21,7 +21,7 @@ import (
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/hexutil"
-	"legalchain/internal/jsonread"
+	"legalchain/internal/jsonwire"
 	"legalchain/internal/obs"
 	"legalchain/internal/wallet"
 	"legalchain/internal/watch"
@@ -113,20 +113,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			r = r.WithContext(obs.WithRequestID(r.Context(), rid))
 		}
 	}
-	in := getBuffer()
-	body, err := readAll((*in)[:0], io.LimitReader(r.Body, 8<<20))
-	defer putBuffer(in, body)
+	in := jsonwire.GetBuffer()
+	body, err := jsonwire.ReadAll((*in)[:0], io.LimitReader(r.Body, 8<<20))
+	defer jsonwire.PutBuffer(in, body)
 	if err != nil {
 		http.Error(w, "read error", http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	out := getBuffer()
+	out := jsonwire.GetBuffer()
 	answer := append(serveMessage((*out)[:0], body, func(req *request) response {
 		return s.handle(r.Context(), req)
 	}), '\n')
 	w.Write(answer)
-	putBuffer(out, answer)
+	jsonwire.PutBuffer(out, answer)
 }
 
 // serveMessage answers one JSON-RPC message — a single request or a
@@ -136,8 +136,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // response instead of failing the whole array.
 func serveMessage(out, msg []byte, handle func(*request) response) []byte {
 	if trimmed := bytes.TrimLeft(msg, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		r := jsonread.NewReader(msg)
-		raws := jsonread.Slice(r, nil, func(raw *[]byte) { *raw = r.Raw() })
+		r := jsonwire.NewReader(msg)
+		raws := jsonwire.Slice(r, nil, func(raw *[]byte) { *raw = r.Raw() })
 		if r.Finish() != nil {
 			return appendResponse(out, errorResponse(nil, codeParse, "parse error"))
 		}
@@ -160,7 +160,7 @@ func serveMessage(out, msg []byte, handle func(*request) response) []byte {
 	}
 	req, ok := readRequest(msg)
 	if !ok {
-		if v := jsonread.NewReader(msg); v.Raw() != nil && v.Finish() == nil {
+		if v := jsonwire.NewReader(msg); v.Raw() != nil && v.Finish() == nil {
 			return appendResponse(out, errorResponse(nil, codeInvalidRequest, "invalid request"))
 		}
 		return appendResponse(out, errorResponse(nil, codeParse, "parse error"))
@@ -176,21 +176,21 @@ func serveMessage(out, msg []byte, handle func(*request) response) []byte {
 // for a message that is not such a request, or not JSON at all.
 func readRequest(msg []byte) (request, bool) {
 	var req request
-	r := jsonread.NewReader(msg)
+	r := jsonwire.NewReader(msg)
 	ok := true
 	r.Object(func(key []byte) {
 		switch {
-		case jsonread.Is(key, "jsonrpc"):
+		case jsonwire.Is(key, "jsonrpc"):
 			// Read for its type only: the version is not checked.
 			if v := r.Raw(); v != nil && v[0] != '"' && v[0] != 'n' {
 				ok = false
 			}
-		case jsonread.Is(key, "id"):
+		case jsonwire.Is(key, "id"):
 			req.id = r.Raw()
-		case jsonread.Is(key, "method"):
+		case jsonwire.Is(key, "method"):
 			r.String(&req.method)
-		case jsonread.Is(key, "params"):
-			req.params = jsonread.Slice(r, req.params, func(p *[]byte) { *p = r.Raw() })
+		case jsonwire.Is(key, "params"):
+			req.params = jsonwire.Slice(r, req.params, func(p *[]byte) { *p = r.Raw() })
 		default:
 			r.Skip()
 		}

@@ -7,7 +7,7 @@ import (
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/evm"
 	"legalchain/internal/hexutil"
-	"legalchain/internal/jsonread"
+	"legalchain/internal/jsonwire"
 )
 
 // traceConfig is the optional second parameter of debug_traceTransaction
@@ -32,8 +32,8 @@ func traceConfigParam(params [][]byte, i int) (traceConfig, error) {
 	if i >= len(params) || string(params[i]) == "null" {
 		return cfg, nil
 	}
-	err := decodeObject(params[i], "traceConfig", func(r *jsonread.Reader, key []byte) error {
-		if jsonread.Is(key, "tracer") {
+	err := decodeObject(params[i], "traceConfig", func(r *jsonwire.Reader, key []byte) error {
+		if jsonwire.Is(key, "tracer") {
 			return stringMember(r, "traceConfig", "tracer", &cfg.tracer)
 		}
 		r.Skip()

@@ -9,6 +9,7 @@ import (
 
 	"legalchain/internal/chain"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/jsonwire"
 	"legalchain/internal/uint256"
 	"legalchain/internal/upgrade"
 	"legalchain/internal/wallet"
@@ -17,17 +18,6 @@ import (
 // awkward holds what encoding/json escapes: HTML characters, a quote, a
 // backslash, control characters, U+2028, U+2029 and invalid UTF-8.
 const awkward = "<a href=\"x\">&amp;</a>\\ \x00\x01\b\f\n\r\t\x1f\x7f \u2028\u2029 é \xff\xc3 \xed\xa0\x80 \U0001F600"
-
-// TestAppendStringMatchesEncodingJSON: appendString writes a string as
-// json.Marshal does.
-func TestAppendStringMatchesEncodingJSON(t *testing.T) {
-	for _, s := range []string{"", "plain", awkward, "\xe2\x80", "\xe2\x80\xa8x", "tail\xf0\x9f\x98"} {
-		want, _ := json.Marshal(s)
-		if got := appendString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("appendString(%q) = %s, want %s", s, got, want)
-		}
-	}
-}
 
 // TestAppenderMatchesMapBuilders writes each answer shape, each optional
 // member present and absent, through the appender and through the map
@@ -178,7 +168,7 @@ func serveSeeds(bc *chain.Blockchain, counter ethtypes.Address, accs []wallet.Ac
 // json.Encoder) on two servers over one chain: the answers must be the
 // same bytes. Every parameter the oracle decoded is also read by each
 // param helper and its encoding/json oracle, and the message itself is
-// written by appendString and by json.Marshal.
+// written by jsonwire.AppendString and by json.Marshal.
 func FuzzServeMessage(f *testing.F) {
 	bc, counter, accs, logs := logsChain(f, f.TempDir())
 	f.Cleanup(func() { bc.Close() })
@@ -200,8 +190,8 @@ func FuzzServeMessage(f *testing.F) {
 		for _, req := range reqs {
 			checkParams(t, req.Params)
 		}
-		if want, _ := json.Marshal(msg); !bytes.Equal(appendString(nil, msg), want) {
-			t.Fatalf("appendString(%q) = %s, want %s", msg, appendString(nil, msg), want)
+		if want, _ := json.Marshal(msg); !bytes.Equal(jsonwire.AppendString(nil, msg), want) {
+			t.Fatalf("jsonwire.AppendString(%q) = %s, want %s", msg, jsonwire.AppendString(nil, msg), want)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"legalchain/internal/chain"
 	"legalchain/internal/hexutil"
+	"legalchain/internal/jsonwire"
 	"legalchain/internal/obs"
 	"legalchain/internal/ws"
 )
@@ -116,10 +117,10 @@ func (sess *wsSession) readLoop() {
 		if err != nil {
 			return
 		}
-		out := getBuffer()
+		out := jsonwire.GetBuffer()
 		answer := serveMessage((*out)[:0], payload, sess.handleReq)
 		sess.conn.WriteMessage(ws.OpText, answer)
-		putBuffer(out, answer)
+		jsonwire.PutBuffer(out, answer)
 	}
 }
 
@@ -326,9 +327,9 @@ func (sess *wsSession) pendingLoop(hubSub *chain.Subscription) {
 // notify writes one subscription event; false when the connection is
 // gone.
 func (sess *wsSession) notify(id string, result interface{}) bool {
-	out := getBuffer()
+	out := jsonwire.GetBuffer()
 	msg := appendNotification((*out)[:0], id, result)
 	err := sess.conn.WriteMessage(ws.OpText, msg)
-	putBuffer(out, msg)
+	jsonwire.PutBuffer(out, msg)
 	return err == nil
 }
