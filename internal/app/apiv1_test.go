@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"legalchain/internal/chain"
 	"legalchain/internal/contracts"
 	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
@@ -483,12 +484,13 @@ func TestV1ErrorRequestID(t *testing.T) {
 
 // pointerCounter counts the storage words that hold a version's
 // previous or next pointer — the reads a walk of the evidence line is
-// made of — and the eth_calls that reach the node.
+// made of — and the eth_calls and log scans that reach the node.
 type pointerCounter struct {
 	*web3.LocalBackend
 	pointers map[pointerWord]bool // set once, before the counted requests
 	reads    atomic.Int64
 	calls    atomic.Int64
+	filters  atomic.Int64
 }
 
 // pointerWord is one storage slot of one version.
@@ -507,6 +509,11 @@ func (b *pointerCounter) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (e
 func (b *pointerCounter) CallContract(msg web3.CallMsg) ([]byte, error) {
 	b.calls.Add(1)
 	return b.LocalBackend.CallContract(msg)
+}
+
+func (b *pointerCounter) FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error) {
+	b.filters.Add(1)
+	return b.LocalBackend.FilterLogs(q)
 }
 
 // paidLine extends the agreement at addr, which its tenant confirmed and
@@ -556,8 +563,10 @@ func paidLine(t *testing.T, a *App, addr ethtypes.Address) []ethtypes.Address {
 // TestContractPagesWalkChainOnce pins the cost of the two contract pages
 // that show both the version line and the cross-version rent history:
 // one pointer word per version and direction, whichever version the page
-// is asked for — the history must reuse the line the page walked — and
-// no eth_call: every field, state and payment is a storage read.
+// is asked for — the history must reuse the line the page walked — no
+// eth_call: every field, state and payment is a storage read, and one
+// log scan: the payments of every version are joined to their
+// transactions at once.
 func TestContractPagesWalkChainOnce(t *testing.T) {
 	var node *pointerCounter
 	landlord, a, addr := apiRigOn(t, rigOver(t, func(b *web3.LocalBackend) web3.Backend {
@@ -581,7 +590,7 @@ func TestContractPagesWalkChainOnce(t *testing.T) {
 	}
 	for _, page := range []string{"/api/v1/contracts/", "/contract/"} {
 		for i, v := range line {
-			before, calls := node.reads.Load(), node.calls.Load()
+			before, calls, filters := node.reads.Load(), node.calls.Load(), node.filters.Load()
 			resp, body := landlord.get(page + v.Hex())
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET %s%s: %d %s", page, v.Hex(), resp.StatusCode, body)
@@ -594,6 +603,9 @@ func TestContractPagesWalkChainOnce(t *testing.T) {
 			}
 			if got := node.calls.Load() - calls; got != 0 {
 				t.Errorf("GET %sv%d sent %d eth_calls, want 0", page, i+1, got)
+			}
+			if got := node.filters.Load() - filters; got != 1 {
+				t.Errorf("GET %sv%d sent %d FilterLogs, want 1", page, i+1, got)
 			}
 		}
 	}

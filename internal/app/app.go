@@ -59,7 +59,7 @@ type App struct {
 	Faucet ethtypes.Address
 
 	mu       sync.Mutex
-	sessions map[string]string // token -> username
+	sessions map[string]*User // token -> the user Login read
 }
 
 // New builds the application layer.
@@ -67,7 +67,7 @@ func New(m *core.Manager) *App {
 	return &App{
 		Manager:  m,
 		Rental:   core.NewRentalService(m),
-		sessions: map[string]string{},
+		sessions: map[string]*User{},
 	}
 }
 
@@ -133,7 +133,7 @@ func (a *App) Login(name, password string) (token string, err error) {
 	}
 	token = randomToken()
 	a.mu.Lock()
-	a.sessions[token] = name
+	a.sessions[token] = &u
 	a.mu.Unlock()
 	return token, nil
 }
@@ -145,19 +145,18 @@ func (a *App) Logout(token string) {
 	a.mu.Unlock()
 }
 
-// SessionUser resolves a session token to its user.
+// SessionUser resolves a session token to its user: a copy of the row
+// Login read. A user row is written once (Register refuses a taken
+// name), so the session keeps it rather than reading it again.
 func (a *App) SessionUser(token string) (*User, error) {
 	a.mu.Lock()
-	name, ok := a.sessions[token]
+	u, ok := a.sessions[token]
 	a.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSession
 	}
-	var u User
-	if err := a.Manager.Store.Get(TableUsers, name, &u); err != nil {
-		return nil, ErrNoSession
-	}
-	return &u, nil
+	copied := *u
+	return &copied, nil
 }
 
 // DashboardRow is one contract entry on the user dashboard (Fig. 7),

@@ -92,6 +92,45 @@ func TestRegisterLoginSessions(t *testing.T) {
 	}
 }
 
+// TestSessionUserKeepsTheLoginRow: a session resolves to the user row
+// Login read, a copy the caller may change, and an authenticated
+// request reads no user row: with the row gone from the store, the
+// session still answers for its user.
+func TestSessionUserKeepsTheLoginRow(t *testing.T) {
+	a := rig(t)
+	if _, err := a.Register("sessioned", "s@example.com", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	var stored User
+	if err := a.Manager.Store.Get(TableUsers, "sessioned", &stored); err != nil {
+		t.Fatal(err)
+	}
+	token, err := a.Login("sessioned", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.SessionUser(token)
+	if err != nil || *got != stored {
+		t.Fatalf("SessionUser = %+v (%v), want the stored row %+v", got, err, stored)
+	}
+	got.Name = "changed"
+	if again, _ := a.SessionUser(token); *again != stored {
+		t.Fatalf("a caller's change reached the session: %+v", again)
+	}
+
+	srv := httptest.NewServer(a.Handler())
+	t.Cleanup(srv.Close)
+	b := newBrowser(t, srv)
+	b.register("browsing", "pw")
+	if err := a.Manager.Store.Delete(TableUsers, "browsing"); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := b.get("/api/v1/me")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"name":"browsing"`) {
+		t.Fatalf("/api/v1/me without the user row: %d %s", resp.StatusCode, body)
+	}
+}
+
 // browser is a cookie-keeping test client.
 type browser struct {
 	t   *testing.T

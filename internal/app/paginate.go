@@ -184,8 +184,8 @@ func (a *App) v1ContractPayments(w http.ResponseWriter, r *http.Request, u *User
 	if next != "" {
 		out["nextCursor"] = next
 	}
-	if head := a.v1Head(); head != nil {
-		out["head"] = head
+	if head := a.headView(); head != nil {
+		out["head"] = coldHead(head)
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeCold(w, http.StatusOK, out)
 }

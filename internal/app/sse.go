@@ -70,8 +70,8 @@ func startSSE(w http.ResponseWriter, r *http.Request) *sseStream {
 	return &sseStream{w: w, f: f, r: r}
 }
 
-// send writes one event frame. data must already be JSON (writeJSON's
-// encoder is not reused: SSE data lines cannot contain raw newlines).
+// send writes one event frame. data must already be JSON, on one line:
+// SSE data lines cannot contain raw newlines.
 func (s *sseStream) send(event, id string, data []byte) error {
 	if _, err := fmt.Fprintf(s.w, "event: %s\n", event); err != nil {
 		return err
@@ -98,12 +98,7 @@ func (s *sseStream) comment() error {
 // sendError emits the v1 error envelope as an error event — the same
 // {code,message,requestId} taxonomy JSON responses use.
 func (s *sseStream) sendError(code, message string) {
-	e := map[string]string{"code": code, "message": message}
-	if rid := obs.RequestIDFrom(s.r.Context()); rid != "" {
-		e["requestId"] = rid
-	}
-	buf, _ := json.Marshal(map[string]interface{}{"error": e})
-	s.send("error", "", buf)
+	s.send("error", "", appendV1Error(nil, s.r, code, message, nil))
 }
 
 // sendGap reports heads dropped beyond recovery: missed blocks are

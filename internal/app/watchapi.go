@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/jsonwire"
 )
 
 // Watchtower read endpoints: the REST face of internal/watch.
@@ -28,18 +29,13 @@ func (a *App) v1ContractTimeline(w http.ResponseWriter, r *http.Request, u *User
 	}
 	a.Watch.Sync()
 	events, c, tracked := a.Watch.ContractTimeline(addr)
-	out := map[string]interface{}{
-		"address": addr.Hex(),
-		"events":  events,
-		"count":   len(events),
+	status := &c
+	if !tracked {
+		status = nil
 	}
-	if tracked {
-		out["contract"] = &c
-	}
-	if head := a.v1Head(); head != nil {
-		out["head"] = head
-	}
-	writeJSON(w, http.StatusOK, out)
+	p := jsonwire.GetBuffer()
+	b := appendTimeline((*p)[:0], addr, events, status, a.headView())
+	jsonwire.PutBuffer(p, writeJSON(w, http.StatusOK, b))
 }
 
 // v1Alerts serves the alert history and the live rule states.
@@ -66,7 +62,7 @@ func (a *App) v1Alerts(w http.ResponseWriter, r *http.Request, u *User) {
 	}
 	alerts := a.Watch.AlertsSince(since)
 	st := a.Watch.Summary()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	writeCold(w, http.StatusOK, map[string]interface{}{
 		"alerts": alerts,
 		"count":  len(alerts),
 		"firing": st.AlertsFiring,
