@@ -51,13 +51,14 @@ func rigOver(t testing.TB, wrap func(*web3.LocalBackend) web3.Backend) (*Manager
 }
 
 // countingBackend counts the eth_calls that reach the node, the
-// transactions sent to it, the code reads and the storage words read,
-// in total and per contract slot.
+// transactions sent to it, the code reads, the log scans and the
+// storage words read, in total and per contract slot.
 type countingBackend struct {
 	*web3.LocalBackend
 	calls        int
 	sends        int
 	getCodes     int
+	filters      int
 	storageReads int
 	slots        map[contractSlot]int
 }
@@ -108,6 +109,11 @@ func (b *countingBackend) SendRawTransactionCtx(ctx context.Context, raw []byte)
 func (b *countingBackend) CallContract(msg web3.CallMsg) ([]byte, error) {
 	b.calls++
 	return b.LocalBackend.CallContract(msg)
+}
+
+func (b *countingBackend) FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error) {
+	b.filters++
+	return b.LocalBackend.FilterLogs(q)
 }
 
 // countingRig is rig over a countingBackend.
