@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/jsonwire"
@@ -18,9 +19,26 @@ type Method struct {
 	Outputs         []Arg
 	StateMutability string // "payable", "nonpayable", "view", "pure"
 
-	// id is the selector, computed once by New; all zero marks a literal
-	// built elsewhere, which ID answers by hashing.
-	id [4]byte
+	// id holds keccak(signature) once ID first needs it, shared by every
+	// copy of the method; New gives each method one, and nil marks a
+	// literal built elsewhere, which ID answers by hashing.
+	id *sigHash
+}
+
+// sigHash is keccak(signature), hashed on first use.
+type sigHash struct {
+	once sync.Once
+	h    ethtypes.Hash
+}
+
+// of returns keccak(signature()), hashing it on the cell's first use
+// only, and on every use of a nil cell.
+func (c *sigHash) of(signature func() string) ethtypes.Hash {
+	if c == nil {
+		return ethtypes.Keccak256([]byte(signature()))
+	}
+	c.once.Do(func() { c.h = ethtypes.Keccak256([]byte(signature())) })
+	return c.h
 }
 
 // Signature returns the canonical signature, e.g. "payRent()".
@@ -32,17 +50,10 @@ func (m Method) Signature() string {
 	return m.Name + "(" + strings.Join(parts, ",") + ")"
 }
 
-// ID returns the 4-byte selector: a field read for a method of an ABI
-// built by New, keccak(signature)[:4] for a literal.
+// ID returns the 4-byte selector, keccak(signature)[:4]: hashed once
+// for a method of an ABI built by New, on every call for a literal.
 func (m Method) ID() [4]byte {
-	if m.id != [4]byte{} {
-		return m.id
-	}
-	return selectorOf(m.Signature())
-}
-
-func selectorOf(signature string) [4]byte {
-	h := ethtypes.Keccak256([]byte(signature))
+	h := m.id.of(m.Signature)
 	return [4]byte(h[:4])
 }
 
@@ -61,9 +72,9 @@ type Event struct {
 	Inputs    []Arg
 	Anonymous bool
 
-	// topic is keccak(signature), computed once by New; the zero hash
-	// marks a literal built elsewhere, which Topic answers by hashing.
-	topic ethtypes.Hash
+	// topic holds keccak(signature) once Topic first needs it, shared
+	// like Method.id; nil marks a literal.
+	topic *sigHash
 }
 
 // Signature returns the canonical event signature.
@@ -76,29 +87,37 @@ func (e Event) Signature() string {
 }
 
 // Topic returns keccak(signature), the first log topic of non-anonymous
-// events: a field read for an event of an ABI built by New.
+// events: hashed once for an event of an ABI built by New, on every call
+// for a literal.
 func (e Event) Topic() ethtypes.Hash {
-	if !e.topic.IsZero() {
-		return e.topic
-	}
-	return ethtypes.Keccak256([]byte(e.Signature()))
+	return e.topic.of(e.Signature)
 }
 
 // ABI is a contract interface: constructor, functions and events.
-// Build one with New (ParseJSON and the compiler do), which hashes every
-// signature once; methods and events are not changed afterwards.
+// Build one with New (ParseJSON and the compiler do), which gives every
+// signature a cell that hashes it once, on first use; methods and events
+// are not changed afterwards.
 type ABI struct {
 	Constructor *Method
 	Methods     map[string]Method // by name
 	Events      map[string]Event  // by name
 
-	byTopic map[ethtypes.Hash]Event // nil for a literal: EventByTopic scans
+	byTopic *topicIndex // nil for a literal: EventByTopic scans
 }
 
-// New assembles an ABI from its parts and computes every method
-// selector and event topic, so Pack, DecodeLog and log filters never
-// hash a signature again. It takes ownership of the maps (nil means
-// empty) and stores the hashed entries back into them.
+// topicIndex maps each event's topic to the event, built on the first
+// EventByTopic.
+type topicIndex struct {
+	once sync.Once
+	m    map[ethtypes.Hash]Event
+}
+
+// New assembles an ABI from its parts and gives every method and event
+// a once-cell for its selector or topic, so Pack, DecodeLog and log
+// filters hash a signature the first time they need it and never again;
+// a verifier that parses an ABI and calls one method hashes one. It
+// takes ownership of the maps (nil means empty) and stores the entries
+// back into them.
 func New(constructor *Method, methods map[string]Method, events map[string]Event) *ABI {
 	if methods == nil {
 		methods = map[string]Method{}
@@ -106,17 +125,16 @@ func New(constructor *Method, methods map[string]Method, events map[string]Event
 	if events == nil {
 		events = map[string]Event{}
 	}
+	cells := make([]sigHash, len(methods)+len(events))
 	for name, m := range methods {
-		m.id = selectorOf(m.Signature())
+		m.id, cells = &cells[0], cells[1:]
 		methods[name] = m
 	}
-	byTopic := make(map[ethtypes.Hash]Event, len(events))
 	for name, e := range events {
-		e.topic = ethtypes.Keccak256([]byte(e.Signature()))
+		e.topic, cells = &cells[0], cells[1:]
 		events[name] = e
-		byTopic[e.topic] = e
 	}
-	return &ABI{Constructor: constructor, Methods: methods, Events: events, byTopic: byTopic}
+	return &ABI{Constructor: constructor, Methods: methods, Events: events, byTopic: new(topicIndex)}
 }
 
 // MethodByID finds a method by its 4-byte selector.
@@ -135,8 +153,14 @@ func (a *ABI) MethodByID(id []byte) (Method, bool) {
 
 // EventByTopic finds an event by its topic hash.
 func (a *ABI) EventByTopic(topic ethtypes.Hash) (Event, bool) {
-	if a.byTopic != nil {
-		e, ok := a.byTopic[topic]
+	if t := a.byTopic; t != nil {
+		t.once.Do(func() {
+			t.m = make(map[ethtypes.Hash]Event, len(a.Events))
+			for _, e := range a.Events {
+				t.m[e.Topic()] = e
+			}
+		})
+		e, ok := t.m[topic]
 		return e, ok
 	}
 	for _, e := range a.Events {
@@ -452,7 +476,7 @@ func sortStrings(s []string) {
 
 // revertSelector is the selector of Error(string), the canonical revert
 // reason encoding.
-var revertSelector = selectorOf("Error(string)")
+var revertSelector = Method{Name: "Error", Inputs: []Arg{{Type: StringType}}}.ID()
 
 // PackRevertReason encodes a revert reason string as Error(string).
 func PackRevertReason(reason string) []byte {

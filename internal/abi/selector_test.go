@@ -16,8 +16,8 @@ const selectorDoc = `[
   {"type":"event","name":"versionLinked","inputs":[{"name":"neighbour","type":"address","indexed":true},{"name":"direction","type":"uint256"}]}
 ]`
 
-// freshID and freshTopic hash the signature the way ID and Topic did
-// before selectors and topics were stored.
+// freshID and freshTopic hash the signature the way a literal's ID and
+// Topic do, with no cell.
 func freshID(signature string) [4]byte {
 	h := ethtypes.Keccak256([]byte(signature))
 	return [4]byte(h[:4])
@@ -27,9 +27,27 @@ func freshTopic(signature string) ethtypes.Hash {
 	return ethtypes.Keccak256([]byte(signature))
 }
 
+// hashedNothing reports whether no selector, topic or topic index of a
+// has been computed yet.
+func hashedNothing(a *ABI) bool {
+	for _, m := range a.Methods {
+		if m.id == nil || !m.id.h.IsZero() {
+			return false
+		}
+	}
+	for _, e := range a.Events {
+		if e.topic == nil || !e.topic.h.IsZero() {
+			return false
+		}
+	}
+	return a.byTopic != nil && a.byTopic.m == nil
+}
+
 // TestNewStoresSelectorsAndTopics: an ABI from ParseJSON (which goes
-// through New) holds keccak(signature) for every method and event, and
-// answers ID, Topic, Pack and EventByTopic without hashing.
+// through New) gives every method and event a cell and hashes nothing;
+// the first ID, Topic, Pack, MethodByID and EventByTopic fill the cells
+// with keccak(signature), and every later read is a field read that
+// allocates nothing.
 func TestNewStoresSelectorsAndTopics(t *testing.T) {
 	a, err := ParseJSON([]byte(selectorDoc))
 	if err != nil {
@@ -38,37 +56,96 @@ func TestNewStoresSelectorsAndTopics(t *testing.T) {
 	if len(a.Methods) != 3 || len(a.Events) != 2 {
 		t.Fatalf("parsed %d methods, %d events", len(a.Methods), len(a.Events))
 	}
-	for name, m := range a.Methods {
-		if m.id != freshID(m.Signature()) {
-			t.Errorf("method %s: stored selector %x, fresh %x", name, m.id, freshID(m.Signature()))
-		}
-		if m.ID() != freshID(m.Signature()) {
-			t.Errorf("method %s: ID() = %x", name, m.ID())
-		}
-		if got, ok := a.MethodByID(m.id[:]); !ok || got.Name != name {
-			t.Errorf("MethodByID(%x) = %q, %v", m.id, got.Name, ok)
-		}
+	if !hashedNothing(a) {
+		t.Fatal("a freshly parsed ABI has hashed a signature")
 	}
-	for name, e := range a.Events {
-		if e.topic != freshTopic(e.Signature()) || e.Topic() != e.topic {
-			t.Errorf("event %s: stored topic %s, fresh %s", name, e.topic, freshTopic(e.Signature()))
-		}
-		if got, ok := a.EventByTopic(e.topic); !ok || got.Name != name {
-			t.Errorf("EventByTopic(%s) = %q, %v", e.topic, got.Name, ok)
-		}
-	}
-	if _, ok := a.EventByTopic(ethtypes.Hash{1}); ok {
-		t.Error("EventByTopic found an event for an unknown topic")
-	}
-	// The signature string is what allocates; a stored selector needs none.
-	m, e := a.Methods["setNext"], a.Events["paidRent"]
-	if n := testing.AllocsPerRun(100, func() { _ = m.ID(); _ = e.Topic() }); n != 0 {
-		t.Errorf("ID+Topic on a constructed ABI allocate %.0f times, want 0", n)
-	}
+	// Pack fills its method's cell, through which every copy answers.
 	data, err := a.Pack("setNext", ethtypes.Address{19: 1})
 	if err != nil || [4]byte(data[:4]) != freshID("setNext(address)") {
 		t.Errorf("Pack selector = %x, err %v", data[:4], err)
 	}
+	if got := a.Methods["setNext"].id.h; [4]byte(got[:4]) != freshID("setNext(address)") {
+		t.Errorf("Pack left the setNext cell at %s", got)
+	}
+	if !a.Methods["payRent"].id.h.IsZero() {
+		t.Error("Pack(setNext) hashed payRent")
+	}
+	for name, m := range a.Methods {
+		if m.ID() != freshID(m.Signature()) {
+			t.Errorf("method %s: ID() = %x, fresh %x", name, m.ID(), freshID(m.Signature()))
+		}
+		id := m.ID()
+		if got, ok := a.MethodByID(id[:]); !ok || got.Name != name {
+			t.Errorf("MethodByID(%x) = %q, %v", id, got.Name, ok)
+		}
+	}
+	// The first EventByTopic builds the topic index from the events'
+	// cells.
+	fresh, err := ParseJSON([]byte(selectorDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range fresh.Events {
+		if got, ok := fresh.EventByTopic(freshTopic(e.Signature())); !ok || got.Name != name {
+			t.Errorf("EventByTopic(%s) = %q, %v", name, got.Name, ok)
+		}
+		if e.topic.h != freshTopic(e.Signature()) || e.Topic() != e.topic.h {
+			t.Errorf("event %s: cell holds %s, fresh %s", name, e.topic.h, freshTopic(e.Signature()))
+		}
+	}
+	if _, ok := fresh.EventByTopic(ethtypes.Hash{1}); ok {
+		t.Error("EventByTopic found an event for an unknown topic")
+	}
+	for _, m := range fresh.Methods {
+		if !m.id.h.IsZero() {
+			t.Errorf("EventByTopic hashed method %s", m.Name)
+		}
+	}
+	// A filled cell is a field read: the signature string is what
+	// allocates, and a second read builds none.
+	m, e := a.Methods["setNext"], a.Events["paidRent"]
+	topic := e.Topic()
+	if n := testing.AllocsPerRun(100, func() {
+		_ = m.ID()
+		_ = e.Topic()
+		_, _ = a.EventByTopic(topic)
+	}); n != 0 {
+		t.Errorf("a second ID+Topic+EventByTopic allocates %.0f times, want 0", n)
+	}
+}
+
+// TestFirstUseConcurrent: goroutines that race to use a fresh ABI's
+// cells first all read keccak(signature) (make check runs this under the
+// race detector).
+func TestFirstUseConcurrent(t *testing.T) {
+	a, err := ParseJSON([]byte(selectorDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for name, m := range a.Methods {
+				if m.ID() != freshID(m.Signature()) {
+					t.Errorf("method %s: ID() = %x", name, m.ID())
+				}
+			}
+			for name, e := range a.Events {
+				if got, ok := a.EventByTopic(freshTopic(e.Signature())); !ok || got.Name != name || e.Topic() != freshTopic(e.Signature()) {
+					t.Errorf("event %s: EventByTopic %q, %v; Topic %s", name, got.Name, ok, e.Topic())
+				}
+			}
+			if data, err := a.Pack("payRent"); err != nil || [4]byte(data) != freshID("payRent()") {
+				t.Errorf("Pack(payRent) = %x, %v", data, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }
 
 // TestLiteralMethodAndEventStillAnswer: values built outside New carry

@@ -65,19 +65,21 @@ type Blockchain struct {
 	gasLimit uint64
 	coinbase ethtypes.Address
 
-	// Writer-owned canonical chain. blocks and rcpts are shared with
-	// published views: appends never overwrite a published element, and
-	// cold-data eviction replaces the slice headers with reallocated
-	// suffixes (never truncating in place), so a published view's slices
-	// stay intact. The hash indexes are persistent generation chains
-	// whose published generations are immutable; they map to block
-	// numbers and positions (not bodies) so evicted blocks don't stay
-	// pinned.
+	// Writer-owned canonical chain. blocks, rcpts and logs are shared
+	// with published views: appends never overwrite a published
+	// element, and cold-data eviction replaces the slice headers with
+	// reallocated suffixes (never truncating in place), so a published
+	// view's slices stay intact. The hash indexes are persistent
+	// generation chains whose published generations are immutable; they
+	// map to block numbers and positions (not bodies) so evicted blocks
+	// don't stay pinned.
 	st      *state.StateDB
 	blocks  []*ethtypes.Block // blocks[i] is block number blocksBase+i
 	byHash  *pindex[uint64]
 	rcpts   [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts, in order
 	txPos   *pindex[txPos]
+	logs    []logPos                // the log index: every sealed log's position, in order
+	logTip  *pindex[int]            // addrKey(address) → its newest entry in logs
 	pending []*ethtypes.Transaction // batch-mining queue (SubmitTransaction)
 	// pendingSet mirrors pending's hashes for O(1) duplicate checks.
 	pendingSet map[ethtypes.Hash]struct{}

@@ -328,6 +328,7 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	bc.blocksBase = 0
 	bc.byHash = (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0)
 	bc.txPos = nil
+	bc.logs, bc.logTip = nil, nil
 	bc.timeOffset = 0
 
 	base := 0

@@ -69,19 +69,33 @@ func (bc *Blockchain) evictColdLocked() {
 
 // installBlockLocked appends a sealed or replayed block and its
 // receipts to the writer-owned chain, stamping the block hash into
-// every receipt and log and each transaction's position into the
-// position index.
+// every receipt and log, each transaction's position into the position
+// index and each log's into the log index.
 func (bc *Blockchain) installBlockLocked(block *ethtypes.Block, receipts []*ethtypes.Receipt) {
 	blockHash := block.Hash()
 	positions := make(map[ethtypes.Hash]txPos, len(block.Transactions))
+	var tips map[ethtypes.Hash]int
 	for i, rcpt := range receipts {
 		rcpt.BlockHash = blockHash
-		for _, l := range rcpt.Logs {
+		for j, l := range rcpt.Logs {
 			l.BlockHash = blockHash
+			k := addrKey(l.Address)
+			prev, ok := tips[k]
+			if !ok {
+				if prev, ok = bc.logTip.get(k); !ok {
+					prev = -1
+				}
+			}
+			if tips == nil {
+				tips = map[ethtypes.Hash]int{}
+			}
+			tips[k] = len(bc.logs)
+			bc.logs = append(bc.logs, logPos{block: block.Number(), rcpt: uint32(i), log: uint32(j), prev: prev})
 		}
 		positions[block.Transactions[i].Hash()] = txPos{block: block.Number(), index: i}
 	}
 	bc.txPos = bc.txPos.with(positions)
+	bc.logTip = bc.logTip.with(tips)
 	bc.blocks = append(bc.blocks, block)
 	bc.rcpts = append(bc.rcpts, receipts)
 	bc.byHash = bc.byHash.with1(blockHash, block.Number())

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,10 +32,11 @@ import (
 //     The state snapshot is Freeze()-d (mutators panic), blocks,
 //     receipts and logs are never touched after their seal, and the
 //     index generations are never mutated after linking.
-//  2. The blocks and rcpts slices are shared with the writer, which only
-//     ever appends. A view captures the slice value (pointer, length);
-//     appends either write past every published length or reallocate,
-//     so no published element is ever overwritten.
+//  2. The blocks, rcpts and logs slices are shared with the writer,
+//     which only ever appends. A view captures the slice value
+//     (pointer, length); appends either write past every published
+//     length or reallocate, so no published element is ever
+//     overwritten.
 //  3. bc.view.Store has release semantics and View()'s Load acquire
 //     semantics, ordering the seal's writes before any reader's reads.
 
@@ -66,9 +68,9 @@ func (p *pindex[V]) get(k ethtypes.Hash) (V, bool) {
 	return zero, false
 }
 
-// count returns the number of entries (assuming distinct keys per
-// generation, which holds: keys are transaction/block hashes inserted
-// exactly once).
+// count returns the number of entries: exact while every key is set
+// once (transaction and block hashes), an upper bound for the log
+// index, whose keys recur; it only sizes a flattened map.
 func (p *pindex[V]) count() int {
 	if p == nil {
 		return 0
@@ -122,6 +124,8 @@ type HeadView struct {
 	st     *state.StateDB        // frozen (state.Freeze) snapshot at head
 	byHash *pindex[uint64]       // block hash → number (resident or evicted)
 	txPos  *pindex[txPos]        // transaction hash → position (resident or evicted)
+	logs   []logPos              // every sealed log's position, in order; same sharing as blocks
+	logTip *pindex[int]          // addrKey(address) → its newest entry in logs
 
 	// Cold-data read-through: blocks (and their receipts) older than
 	// blocksBase were evicted from memory and are served from the block
@@ -273,22 +277,44 @@ func (v *HeadView) TotalSupply() uint256.Int {
 	return v.st.TotalBalance()
 }
 
-// FilterLogs returns the mined logs matching q, in order. The result is
-// owned by the view: logs sealed after the view was published are never
-// observed, even mid-append. It walks blocks max(from, 1)..min(to, head)
-// — the genesis holds no logs — so a one-block query costs one block.
+// logPos is one entry of the log index: where a sealed log sits (its
+// block, its receipt's index there, its index in the receipt) and the
+// entry of the previous log of the same address, -1 for its first.
+type logPos struct {
+	block     uint64
+	rcpt, log uint32
+	prev      int
+}
+
+// addrKey is an address as a key of the log index: left-padded, the
+// way a topic holds one.
+func addrKey(a ethtypes.Address) (k ethtypes.Hash) {
+	copy(k[12:], a[:])
+	return k
+}
+
+// FilterLogs returns the mined logs matching q, in (block, receipt, log)
+// order. The result is owned by the view: logs sealed after the view
+// was published are never observed, even mid-append. A query that names
+// addresses costs its matches, not the chain: it walks each distinct
+// address's entries in the log index back from the newest to FromBlock,
+// and reads only the blocks that hold them. One that names none walks
+// blocks max(from, 1)..min(to, head) — the genesis holds no logs.
 func (v *HeadView) FilterLogs(q FilterQuery) []*ethtypes.Log {
 	mViewReads.Inc()
-	to := v.head.Number()
+	from, to := max(q.FromBlock, 1), v.head.Number()
 	if q.ToBlock != nil {
 		to = min(to, *q.ToBlock)
 	}
+	if len(q.Addresses) > 0 {
+		return v.indexedLogs(q, from, to)
+	}
 	var out []*ethtypes.Log
-	for n := max(q.FromBlock, 1); n <= to; n++ {
+	for n := from; n <= to; n++ {
 		_, rcpts, _ := v.blockAt(n)
 		for _, rcpt := range rcpts {
 			for _, l := range rcpt.Logs {
-				if logMatches(q, l) {
+				if topicsMatch(q.Topics, l.Topics) {
 					out = append(out, l)
 				}
 			}
@@ -297,13 +323,43 @@ func (v *HeadView) FilterLogs(q FilterQuery) []*ethtypes.Log {
 	return out
 }
 
-// logMatches reports whether l satisfies q's address and topic
-// constraints.
-func logMatches(q FilterQuery, l *ethtypes.Log) bool {
-	if len(q.Addresses) > 0 && !containsAddr(q.Addresses, l.Address) {
-		return false
+// indexedLogs is FilterLogs over the log index. Entries are appended in
+// (block, receipt, log) order, so sorting the entries of every address
+// merges their logs in the order a flat scan finds them.
+func (v *HeadView) indexedLogs(q FilterQuery, from, to uint64) []*ethtypes.Log {
+	var hits []int
+	for i, a := range q.Addresses {
+		if slices.Contains(q.Addresses[:i], a) {
+			continue
+		}
+		e, ok := v.logTip.get(addrKey(a))
+		for ok && e >= 0 && v.logs[e].block >= from {
+			if v.logs[e].block <= to {
+				hits = append(hits, e)
+			}
+			e = v.logs[e].prev
+		}
 	}
-	return topicsMatch(q.Topics, l.Topics)
+	slices.Sort(hits)
+	var (
+		out   []*ethtypes.Log
+		at    uint64 // the genesis holds no logs: 0 is no block read yet
+		rcpts []*ethtypes.Receipt
+	)
+	for _, e := range hits {
+		p := v.logs[e]
+		if p.block != at {
+			at = p.block
+			_, rcpts, _ = v.blockAt(at)
+		}
+		if int(p.rcpt) >= len(rcpts) {
+			continue // an evicted block the block log could not read back
+		}
+		if l := rcpts[p.rcpt].Logs[p.log]; topicsMatch(q.Topics, l.Topics) {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // nextHeader prepares the speculative header for a call executed on top
@@ -464,6 +520,8 @@ func (bc *Blockchain) publishHeadLocked() {
 		st:         frozen,
 		byHash:     bc.byHash,
 		txPos:      bc.txPos,
+		logs:       bc.logs,
+		logTip:     bc.logTip,
 		db:         bc.db,
 		blocksBase: bc.blocksBase,
 		timeOffset: bc.timeOffset,

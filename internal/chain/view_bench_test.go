@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 )
@@ -123,55 +122,41 @@ func BenchmarkReadsDuringSeal(b *testing.B) {
 	}
 }
 
-// logViews are the views of one memory chain at 1 000 and 10 000
-// blocks, one Counter log in every block after the deploy; built once
-// for every BenchmarkFilterLogs case.
+// logViews are the views of one memory chain at 100, 1 000 and 10 000
+// blocks with a log in every block after the deploys: the target
+// Counter's in blocks 10, 50 and 90, the noise Counter's in all the
+// others. Built once for every BenchmarkFilterLogs case.
 var logViews struct {
-	once  sync.Once
-	views map[int]*HeadView
-	addr  ethtypes.Address
-	err   error
+	once          sync.Once
+	views         map[int]*HeadView
+	noise, target ethtypes.Address
 }
 
-func buildLogViews(b *testing.B) {
-	accs := wallet.DevAccounts("bench-logs", 1)
-	g := DefaultGenesis()
-	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1_000_000))
-	bc := New(g)
-	logViews.views = map[int]*HeadView{}
-	logViews.addr, _ = deployCounter(b, bc, accs[0])
-	art, err := minisol.CompileContract(counterSrc, "Counter")
-	if err != nil {
-		logViews.err = err
-		return
-	}
-	inc, _ := art.ABI.Pack("increment")
-	for n := 2; n <= 10_000; n++ {
-		tx := &ethtypes.Transaction{
-			Nonce: uint64(n - 1), GasPrice: ethtypes.Gwei(1), Gas: 200_000,
-			To: &logViews.addr, Data: inc,
-		}
-		tx.Sign(accs[0].Key, bc.ChainID())
-		if _, err := bc.SendTransaction(tx); err != nil {
-			logViews.err = err
-			return
-		}
-		if n == 1_000 || n == 10_000 {
-			logViews.views[n] = bc.View()
-		}
-	}
-}
-
-// BenchmarkFilterLogs measures one-block queries (what a logs
-// subscription, an SSE event stream or a polling filter runs per head)
-// and full-range queries, by address, on a chain with a log in every
-// block.
+// BenchmarkFilterLogs measures two queries whose answer does not grow
+// with the chain, at 100, 1 000 and 10 000 blocks: a one-block query by
+// the noise address (what a logs subscription, an SSE event stream or a
+// polling filter runs per head) and a full-range query by the target
+// address (what the payment join and a verifier's eth_getLogs run),
+// three logs at every height. Through the log index both cost their
+// answer, so the time per query stays flat as the chain grows.
 func BenchmarkFilterLogs(b *testing.B) {
-	logViews.once.Do(func() { buildLogViews(b) })
-	if logViews.err != nil {
-		b.Fatal(logViews.err)
-	}
-	for _, blocks := range []int{1_000, 10_000} {
+	logViews.once.Do(func() {
+		accs := wallet.DevAccounts("bench-logs", 1)
+		g := DefaultGenesis()
+		g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1_000_000))
+		bc := New(g)
+		logViews.views = map[int]*HeadView{}
+		targets := map[uint64]bool{10: true, 50: true, 90: true}
+		for _, blocks := range []int{100, 1_000, 10_000} {
+			if bc.BlockNumber() == 0 {
+				logViews.noise, logViews.target = sealLogChain(b, bc, accs[0], uint64(blocks), targets)
+			} else {
+				sealIncrements(b, bc, accs[0], uint64(blocks), func(uint64) ethtypes.Address { return logViews.noise })
+			}
+			logViews.views[blocks] = bc.View()
+		}
+	})
+	for _, blocks := range []int{100, 1_000, 10_000} {
 		v := logViews.views[blocks]
 		head := v.BlockNumber()
 		for _, r := range []struct {
@@ -179,8 +164,8 @@ func BenchmarkFilterLogs(b *testing.B) {
 			q    FilterQuery
 			want int
 		}{
-			{"one", FilterQuery{FromBlock: head, ToBlock: &head, Addresses: []ethtypes.Address{logViews.addr}}, 1},
-			{"full", FilterQuery{Addresses: []ethtypes.Address{logViews.addr}}, blocks - 1},
+			{"one", FilterQuery{FromBlock: head, ToBlock: &head, Addresses: []ethtypes.Address{logViews.noise}}, 1},
+			{"full", FilterQuery{Addresses: []ethtypes.Address{logViews.target}}, 3},
 		} {
 			b.Run(fmt.Sprintf("blocks=%d/range=%s", blocks, r.name), func(b *testing.B) {
 				b.ReportAllocs()

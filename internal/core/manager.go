@@ -31,6 +31,7 @@ import (
 	"legalchain/internal/docstore"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/ipfs"
+	"legalchain/internal/jsonwire"
 	"legalchain/internal/minisol"
 	"legalchain/internal/upgrade"
 	"legalchain/internal/web3"
@@ -676,6 +677,43 @@ func (r ContractRow) registered() ContractRow {
 	return r
 }
 
+// readRow decodes a registry row as json.Unmarshal decodes it into a
+// ContractRow, through internal/jsonwire (FuzzReadRow holds the two
+// together).
+func readRow(raw []byte) (ContractRow, error) {
+	var row ContractRow
+	r := jsonwire.NewReader(raw)
+	r.Object(func(key []byte) {
+		switch {
+		case jsonwire.Is(key, "address"):
+			r.String(&row.Address)
+		case jsonwire.Is(key, "name"):
+			r.String(&row.Name)
+		case jsonwire.Is(key, "landlord"):
+			r.String(&row.Landlord)
+		case jsonwire.Is(key, "tenant"):
+			r.String(&row.Tenant)
+		case jsonwire.Is(key, "version"):
+			r.Int(&row.Version)
+		case jsonwire.Is(key, "state"):
+			r.String(&row.State)
+		case jsonwire.Is(key, "abiCid"):
+			r.String(&row.ABICID)
+		case jsonwire.Is(key, "layoutCid"):
+			r.String(&row.LayoutCID)
+		case jsonwire.Is(key, "documentCid"):
+			r.String(&row.DocumentCID)
+		case jsonwire.Is(key, "prev"):
+			r.String(&row.Prev)
+		case jsonwire.Is(key, "next"):
+			r.String(&row.Next)
+		default:
+			r.Skip()
+		}
+	})
+	return row, r.Finish()
+}
+
 // GetRow returns the registry row of a version, without its derived
 // fields. The docstore is read until a read succeeds; from then on the
 // manager answers from its memo, since the row never changes. A miss is
@@ -684,8 +722,11 @@ func (m *Manager) GetRow(addr ethtypes.Address) (ContractRow, error) {
 	if row := m.memo(addr).row; row != nil {
 		return *row, nil
 	}
+	raw, err := m.Store.GetRaw(TableContracts, strings.ToLower(addr.Hex()))
 	var row ContractRow
-	err := m.Store.Get(TableContracts, strings.ToLower(addr.Hex()), &row)
+	if err == nil {
+		row, err = readRow(raw)
+	}
 	row = row.registered()
 	if err == nil {
 		m.remember(addr, func(a *versionArtifacts) { a.row = &row })
@@ -697,8 +738,7 @@ func (m *Manager) GetRow(addr ethtypes.Address) (ContractRow, error) {
 func (m *Manager) Rows() []ContractRow {
 	var out []ContractRow
 	m.Store.Scan(TableContracts, func(key string, raw json.RawMessage) bool {
-		var row ContractRow
-		if json.Unmarshal(raw, &row) == nil {
+		if row, err := readRow(raw); err == nil {
 			out = append(out, row.registered())
 		}
 		return true

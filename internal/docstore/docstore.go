@@ -204,20 +204,27 @@ func (s *Store) Put(table, key string, value interface{}) error {
 
 // Get unmarshals the value at table/key into out.
 func (s *Store) Get(table, key string, out interface{}) error {
+	raw, err := s.GetRaw(table, key)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// GetRaw returns the JSON value at table/key for the caller to decode.
+// A stored value is never modified (a Put stores a new one), so it is
+// read outside the lock; the caller must not modify it either.
+func (s *Store) GetRaw(table, key string) (json.RawMessage, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	tbl := s.tables[table]
-	if tbl == nil {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
-	}
-	raw, ok := tbl[key]
+	raw, ok := s.tables[table][key]
 	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
+		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 	}
-	return json.Unmarshal(raw, out)
+	return raw, nil
 }
 
 // Has reports whether table/key exists.

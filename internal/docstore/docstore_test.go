@@ -47,6 +47,33 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestGetRawReadsItsOwnTable: GetRaw returns the bytes Put stored under
+// that table and key, the same key in another table is another value,
+// and a key or table that holds nothing is ErrNotFound.
+func TestGetRawReadsItsOwnTable(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tbl := range []string{"users", "admins"} {
+		if err := s.Put(tbl, "alice", userRow{Name: tbl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tbl := range []string{"users", "admins"} {
+		raw, err := s.GetRaw(tbl, "alice")
+		if want, _ := json.Marshal(userRow{Name: tbl}); err != nil || string(raw) != string(want) {
+			t.Errorf("GetRaw(%s, alice) = %s, %v; want %s", tbl, raw, err, want)
+		}
+	}
+	for _, c := range [][2]string{{"users", "bob"}, {"guests", "alice"}} {
+		if _, err := s.GetRaw(c[0], c[1]); !errors.Is(err, ErrNotFound) {
+			t.Errorf("GetRaw(%s, %s): %v, want ErrNotFound", c[0], c[1], err)
+		}
+	}
+}
+
 func TestKeysScanCount(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()

@@ -407,7 +407,8 @@ func (r *Receipt) Succeeded() bool { return r.Status == ReceiptStatusSuccessful 
 
 // EncodeRLP returns the consensus encoding of the receipt:
 // [status, cumulativeGasUsed, [[address, [topics...], data]...]].
-// (No bloom filter — the devnet serves log queries from its index.)
+// (No bloom filter: the chain answers a log query that names addresses
+// from its log index, and scans the blocks for one that names none.)
 func (r *Receipt) EncodeRLP() []byte {
 	logItems := make([]*rlp.Item, len(r.Logs))
 	for i, l := range r.Logs {

@@ -13,18 +13,25 @@ import (
 )
 
 // logsChain seals a small fixed chain on a durable store that keeps two
-// blocks resident, so most blocks read back through the block log. It
-// returns the chain, the Counter's address, two senders and every log
-// in sealing order.
+// blocks resident, so most blocks read back through the block log. Two
+// Counters log, from two senders, and a plain transfer logs nothing
+// between them; half-way the chain is closed and reopened, so the log
+// index over the first half is the one recovery rebuilds from the
+// block log. It returns the chain, the first Counter's address, two
+// senders and every log in sealing order.
 func logsChain(t testing.TB, dir string) (*chain.Blockchain, ethtypes.Address, []wallet.Account, []*ethtypes.Log) {
 	t.Helper()
 	accs := wallet.DevAccounts("getlogs fuzz", 2)
 	g := chain.DefaultGenesis()
 	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(100))
-	bc, err := chain.Open(g, chain.WithPersistence(chain.PersistConfig{DataDir: dir, NoSync: true, RetainBlocks: 2}))
-	if err != nil {
-		t.Fatal(err)
+	open := func() *chain.Blockchain {
+		bc, err := chain.Open(g, chain.WithPersistence(chain.PersistConfig{DataDir: dir, NoSync: true, RetainBlocks: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bc
 	}
+	bc := open()
 	art, err := minisol.CompileContract(rpcCounterSrc, "Counter")
 	if err != nil {
 		t.Fatal(err)
@@ -43,16 +50,22 @@ func logsChain(t testing.TB, dir string) (*chain.Blockchain, ethtypes.Address, [
 		logs = append(logs, rcpt.Logs...)
 		return rcpt
 	}
-	counter := *send(accs[0], nil, art.Bytecode).ContractAddress
+	counters := []ethtypes.Address{*send(accs[0], nil, art.Bytecode).ContractAddress, *send(accs[1], nil, art.Bytecode).ContractAddress}
 	inc, _ := art.ABI.Pack("increment")
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 12; i++ {
+		if i == 6 {
+			if err := bc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			bc = open()
+		}
 		if i%3 == 2 {
 			send(accs[0], &accs[1].Address, nil)
 			continue
 		}
-		send(accs[i%2], &counter, inc)
+		send(accs[i%2], &counters[i/2%2], inc)
 	}
-	return bc, counter, accs, logs
+	return bc, counters[0], accs, logs
 }
 
 // flatScan is the reference eth_getLogs: every sealed log, filtered
@@ -90,8 +103,10 @@ func flatScan(logs []*ethtypes.Log, q chain.FilterQuery, head uint64) []interfac
 }
 
 // FuzzGetLogs feeds hostile eth_getLogs filter objects to the server
-// over a chain with evicted blocks: no panic, a refused filter is an
-// error, and every answer equals the flat scan of the decoded query.
+// over a chain with evicted blocks, a log index rebuilt by recovery and
+// two log-emitting contracts: no panic, a refused filter is an error,
+// and every answer equals the flat scan of the decoded query, whatever
+// addresses it names, in whatever order, repeated or not.
 func FuzzGetLogs(f *testing.F) {
 	bc, counter, accs, logs := logsChain(f, f.TempDir())
 	f.Cleanup(func() { bc.Close() })
@@ -100,6 +115,11 @@ func FuzzGetLogs(f *testing.F) {
 	bumped := ethtypes.Keccak256([]byte("bumped(address,uint256)")).Hex()
 	var who ethtypes.Hash
 	copy(who[12:], accs[1].Address[:])
+	other := logs[len(logs)-1].Address // the second Counter
+	if other == counter {
+		f.Fatal("the last log is the first Counter's")
+	}
+	both := `"` + counter.Hex() + `","` + other.Hex() + `"`
 	for _, seed := range []string{
 		`{}`,
 		`null`,
@@ -116,6 +136,10 @@ func FuzzGetLogs(f *testing.F) {
 		`{"address":"` + counter.Hex() + `"}`,
 		`{"address":["` + counter.Hex() + `","` + accs[0].Address.Hex() + `"],"fromBlock":"0x3"}`,
 		`{"address":[]}`,
+		`{"address":[` + both + `]}`,
+		`{"address":["` + other.Hex() + `",` + both + `,"` + other.Hex() + `"],"fromBlock":"0x4","toBlock":"0xa"}`,
+		`{"address":[` + both + `],"topics":[null,"` + who.Hex() + `"]}`,
+		`{"address":["` + other.Hex() + `"],"fromBlock":"0x9","toBlock":"0x9"}`,
 		`{"address":"0x12"}`,
 		`{"topics":["` + bumped + `"]}`,
 		`{"topics":[null,"` + who.Hex() + `"]}`,
