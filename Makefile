@@ -73,93 +73,21 @@ lint:
 		$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...; \
 	fi
 
-# fuzz-smoke runs every native fuzz target for ten seconds from its
-# committed seed corpus (testdata/fuzz/): the unrolled Keccak sponge
-# against the loop-form oracle, uint256 byte I/O against math/big, the
-# secp256k1 limb field against math/big, the secp256k1 Jacobian ladder
-# (then sign → Recover) against the affine oracle, Recover on hostile
-# signature bytes (what the ecrecover precompile passes it) against the
-# three-multiplication oracle, RLP decoding of hostile bytes (canonical
-# re-encoding), transaction decoding (canonical re-encoding) and the
-# sender memo against a from-scratch recovery, the block-hash memo of a
-# decoded block against the un-memoised header hash, ABI
-# decoding of hostile bytes against its own encoder, the segment-log
-# scan every durable store shares, the EVM's jumpdest bitmap
-# against the reference analysis, the EVM interpreter against its
-# frozen reference loop on generated bytecode, Merkle proof verification of
-# hostile proof elements (no panic; fresh proofs agree with Get), and the
-# WebSocket frame reader on hostile bytes (no panic, no message past the
-# limit; a written frame reads back), and the minisol compiler on hostile
-# source, as the upload page feeds it (no panic; every artifact's ABI
-# parses and its layout JSON parses back), and the watchtower's alert-rule
-# parser on hostile -watch-rules text (no panic; a parsed rule rendered
-# back as "name: Expr()" parses to a rule that evaluates the same way), and
-# hostile eth_getLogs filter objects against a chain whose older blocks
-# were evicted (no panic; every answer equals a flat scan of the sealed
-# logs under the decoded query), and the state store's record and
-# account decoders on hostile log bytes (no panic; an account that
-# decodes re-encodes to the same bytes; every record kind the store
-# writes decodes to what was written), and DataStorage's storage read
-# through the Go slot arithmetic against its compiled getters after a
-# script of writes and adoptions (every key, value, count and alias
-# agrees), and the evidence-line walk through the version pointers'
-# storage slots against the walk through their getters after a script
-# of raw setNext/setPrev relinks (the same line or the same error
-# class, from every version), and the two artifact decoders a verifier
-# reads an evidence line with, ABI JSON and storage-layout JSON, on
-# hostile documents against their encoding/json oracles (both accept or
-# both refuse; what they accept is deep-equal), and the JSON-RPC wire
-# codec on hostile messages against the encoding/json pipeline it
-# replaced (the server's answers are the same bytes, every param helper
-# answers as its oracle does) and on hostile reply bodies against
-# encoding/json (both accept or both refuse; the same values), and a
-# version's public fields and payments read as storage words against
-# their getters after a random rental lifecycle script (every field and
-# every payment of every version agrees), and hostile documents read
-# through the JSON reader and written back through the appender against
-# encoding/json (both accept or both refuse; the same value, the same
-# bytes), and hostile registry rows read through the row reader against
-# json.Unmarshal into core.ContractRow (both refuse, or the same row).
-# go test takes one -fuzz target and one package per invocation.
-# The targets that recover a key cost ~2–15 ms an input, so minimising each
-# coverage-expanding one (60 s by default) would leave no time to fuzz;
-# minimising one long bytecode input stops the jumpdest target for
-# seconds the same way, the interpreter target runs each input four
-# times, and minimising the three inputs of the proof target, or the
-# four of the block-hash target, stalls it too, as does minimising a
-# whole contract source for the compiler target, or a write script for
-# the DataStorage and walk targets, or a case-study ABI or layout for
-# the artifact decoder targets, or a batch message or reply body for the
-# wire codec targets, or a lifecycle script for the field target, or a
-# deep document for the JSON codec and row reader targets.
+# fuzz-smoke runs every native fuzz target in the module (found with
+# `go test -list`; each target's doc comment says what it checks) for
+# ten seconds from its committed seed corpus (testdata/fuzz/). go test
+# takes one -fuzz target and one package per invocation. Minimisation
+# is off: at milliseconds an input, minimising each coverage-expanding
+# input (60 s by default) stops a target's executions for most of its
+# ten seconds; a failing input still fails the run.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzSum256 -fuzztime 10s ./internal/keccak/
-	$(GO) test -run xxx -fuzz FuzzWordIO -fuzztime 10s ./internal/uint256/
-	$(GO) test -run xxx -fuzz FuzzField -fuzztime 10s ./internal/secp256k1/
-	$(GO) test -run xxx -fuzz FuzzScalarMult -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
-	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 10s -fuzzminimizetime 0s ./internal/secp256k1/
-	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 10s ./internal/rlp/
-	$(GO) test -run xxx -fuzz FuzzDecodeTransaction -fuzztime 10s -fuzzminimizetime 0s ./internal/ethtypes/
-	$(GO) test -run xxx -fuzz FuzzBlockHash -fuzztime 10s -fuzzminimizetime 0s ./internal/blockdb/
-	$(GO) test -run xxx -fuzz FuzzDecodeArgs -fuzztime 10s ./internal/abi/
-	$(GO) test -run xxx -fuzz FuzzScan -fuzztime 10s ./internal/seglog/
-	$(GO) test -run xxx -fuzz FuzzJumpdestBitmap -fuzztime 10s -fuzzminimizetime 0s ./internal/evm/
-	$(GO) test -run xxx -fuzz FuzzExec -fuzztime 10s -fuzzminimizetime 0s ./internal/evm/
-	$(GO) test -run xxx -fuzz FuzzVerifyProof -fuzztime 10s -fuzzminimizetime 0s ./internal/trie/
-	$(GO) test -run xxx -fuzz FuzzReadMessage -fuzztime 10s ./internal/ws/
-	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 10s -fuzzminimizetime 0s ./internal/minisol/
-	$(GO) test -run xxx -fuzz FuzzParseRules -fuzztime 10s ./internal/watch/
-	$(GO) test -run xxx -fuzz FuzzGetLogs -fuzztime 10s ./internal/rpc/
-	$(GO) test -run xxx -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/statestore/
-	$(GO) test -run xxx -fuzz FuzzDataStorageSlots -fuzztime 10s -fuzzminimizetime 0s ./internal/contracts/
-	$(GO) test -run xxx -fuzz FuzzWalkChain -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
-	$(GO) test -run xxx -fuzz FuzzParseJSON -fuzztime 10s -fuzzminimizetime 0s ./internal/abi/
-	$(GO) test -run xxx -fuzz FuzzParseLayout -fuzztime 10s -fuzzminimizetime 0s ./internal/minisol/
-	$(GO) test -run xxx -fuzz FuzzServeMessage -fuzztime 10s -fuzzminimizetime 0s ./internal/rpc/
-	$(GO) test -run xxx -fuzz FuzzClientReply -fuzztime 10s -fuzzminimizetime 0s ./internal/rpc/
-	$(GO) test -run xxx -fuzz FuzzFieldWords -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
-	$(GO) test -run xxx -fuzz FuzzReadRow -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
-	$(GO) test -run xxx -fuzz FuzzAppendMatchesEncodingJSON -fuzztime 10s -fuzzminimizetime 0s ./internal/jsonwire/
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }'); \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read pkg fz; do \
+		echo "$(GO) test -run xxx -fuzz '^$$fz\$$' -fuzztime 10s -fuzzminimizetime 0s $$pkg"; \
+		$(GO) test -run xxx -fuzz "^$$fz\$$" -fuzztime 10s -fuzzminimizetime 0s $$pkg || exit 1; \
+	done
 
 # fmt-check fails the build if any file is not gofmt-clean.
 fmt-check:

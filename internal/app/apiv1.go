@@ -12,7 +12,6 @@ import (
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/jsonwire"
 	"legalchain/internal/obs"
-	"legalchain/internal/uint256"
 	"legalchain/internal/upgrade"
 )
 
@@ -110,24 +109,17 @@ func (a *App) v1Me(w http.ResponseWriter, r *http.Request, u *User) {
 		writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET only")
 		return
 	}
-	out := map[string]interface{}{
-		"name":    u.Name,
-		"email":   u.Email,
-		"address": u.Address,
-	}
-	// Prefer a pinned head view so the balance and the reported head
-	// describe the same chain snapshot; fall back to the plain backend
-	// read for HTTP backends.
-	var bal uint256.Int
-	if v := a.headView(); v != nil {
-		bal = v.GetBalance(u.Addr())
-		out["head"] = coldHead(v)
-	} else {
-		bal, _ = a.Manager.Client.Backend().GetBalance(u.Addr())
-	}
-	out["balanceWei"] = bal.String()
-	out["balanceEth"] = ethtypes.FormatEther(bal)
-	writeCold(w, http.StatusOK, out)
+	// The balance and the reported head describe one head view.
+	v := a.node.HeadView()
+	bal := v.GetBalance(u.Addr())
+	writeCold(w, http.StatusOK, map[string]interface{}{
+		"name":       u.Name,
+		"email":      u.Email,
+		"address":    u.Address,
+		"head":       coldHead(v),
+		"balanceWei": bal.String(),
+		"balanceEth": ethtypes.FormatEther(bal),
+	})
 }
 
 func (a *App) v1Contracts(w http.ResponseWriter, r *http.Request, u *User) {
@@ -250,10 +242,7 @@ func (a *App) v1ContractDetail(w http.ResponseWriter, r *http.Request, u *User, 
 	line, walkErr := a.Manager.WalkStates(addr)
 	row, _ = a.Manager.Describe(row, line)
 	p := jsonwire.GetBuffer()
-	b := append((*p)[:0], '{')
-	if head := a.headView(); head != nil {
-		b = appendHead(jsonwire.AppendKey(b, "head"), head)
-	}
+	b := appendHead(jsonwire.AppendKey(append((*p)[:0], '{'), "head"), a.node.HeadView())
 	// live is the version's public fields, read from storage; a version
 	// with no published layout has none, and shows no live map.
 	if layout, err := a.Manager.ResolveLayout(addr); err == nil && layout != nil {
@@ -288,11 +277,7 @@ func (a *App) v1ContractAudit(w http.ResponseWriter, r *http.Request, u *User, a
 		writeV1Error(w, r, http.StatusInternalServerError, v1Internal, err.Error())
 		return
 	}
-	out := map[string]interface{}{"audit": report}
-	if head := a.headView(); head != nil {
-		out["head"] = coldHead(head)
-	}
-	writeCold(w, http.StatusOK, out)
+	writeCold(w, http.StatusOK, map[string]interface{}{"audit": report, "head": coldHead(a.node.HeadView())})
 }
 
 // v1ContractAction executes one lifecycle step. The action names match

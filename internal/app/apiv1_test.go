@@ -3,6 +3,7 @@ package app
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
@@ -484,13 +485,15 @@ func TestV1ErrorRequestID(t *testing.T) {
 
 // pointerCounter counts the storage words that hold a version's
 // previous or next pointer — the reads a walk of the evidence line is
-// made of — and the eth_calls and log scans that reach the node.
+// made of — and the eth_calls, log scans and receipt lookups that reach
+// the node.
 type pointerCounter struct {
 	*web3.LocalBackend
 	pointers map[pointerWord]bool // set once, before the counted requests
 	reads    atomic.Int64
 	calls    atomic.Int64
 	filters  atomic.Int64
+	receipts atomic.Int64
 }
 
 // pointerWord is one storage slot of one version.
@@ -514,6 +517,11 @@ func (b *pointerCounter) CallContract(msg web3.CallMsg) ([]byte, error) {
 func (b *pointerCounter) FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error) {
 	b.filters.Add(1)
 	return b.LocalBackend.FilterLogs(q)
+}
+
+func (b *pointerCounter) TransactionReceipt(h ethtypes.Hash) (*ethtypes.Receipt, bool, error) {
+	b.receipts.Add(1)
+	return b.LocalBackend.TransactionReceipt(h)
 }
 
 // paidLine extends the agreement at addr, which its tenant confirmed and
@@ -608,6 +616,62 @@ func TestContractPagesWalkChainOnce(t *testing.T) {
 				t.Errorf("GET %sv%d sent %d FilterLogs, want 1", page, i+1, got)
 			}
 		}
+	}
+}
+
+// paymentsByReceipt is the /api/v1/contracts/{addr}/payments body as
+// the handler wrote it when it read each traceable payment's block from
+// its transaction's receipt.
+func paymentsByReceipt(t *testing.T, a *App, node *pointerCounter, addr ethtypes.Address) string {
+	t.Helper()
+	hist, err := a.Rental.RentHistory(ethtypes.Address{}, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type payJSON struct {
+		Version     int    `json:"version"`
+		Month       uint64 `json:"month"`
+		Amount      string `json:"amountWei"`
+		TxHash      string `json:"txHash,omitempty"`
+		BlockNumber uint64 `json:"blockNumber,omitempty"`
+	}
+	pays := make([]payJSON, 0, len(hist))
+	for _, p := range hist {
+		pj := payJSON{Version: p.Version, Month: p.Month, Amount: p.Amount.String()}
+		if !p.TxHash.IsZero() {
+			rcpt, ok, err := node.LocalBackend.TransactionReceipt(p.TxHash)
+			if err != nil || !ok {
+				t.Fatalf("no receipt for %s (%v)", p.TxHash.Hex(), err)
+			}
+			pj.TxHash, pj.BlockNumber = p.TxHash.Hex(), rcpt.BlockNumber
+		}
+		pays = append(pays, pj)
+	}
+	return encodeOracle(t, map[string]interface{}{"payments": pays, "total": len(pays), "head": v1HeadMap(a)})
+}
+
+// TestPaymentsBlockFromLog: the payments list names each payment's
+// block from the paidRent log the history joins it by, so a read looks
+// up no receipt, and its body is the one the receipts gave.
+func TestPaymentsBlockFromLog(t *testing.T) {
+	var node *pointerCounter
+	landlord, a, addr := apiRigOn(t, rigOver(t, func(b *web3.LocalBackend) web3.Backend {
+		node = &pointerCounter{LocalBackend: b}
+		return node
+	}))
+	for i, v := range paidLine(t, a, ethtypes.HexToAddress(addr)) {
+		receipts := node.receipts.Load()
+		resp, body := landlord.get("/api/v1/contracts/" + v.Hex() + "/payments")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET v%d payments: %d %s", i+1, resp.StatusCode, body)
+		}
+		if got := node.receipts.Load() - receipts; got != 0 {
+			t.Errorf("GET v%d payments looked up %d receipts, want 0", i+1, got)
+		}
+		if !strings.Contains(body, `"blockNumber"`) {
+			t.Errorf("GET v%d payments names no block: %s", i+1, body)
+		}
+		sameBody(t, fmt.Sprintf("v%d payments", i+1), body, paymentsByReceipt(t, a, node, v))
 	}
 }
 

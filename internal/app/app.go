@@ -58,15 +58,33 @@ type App struct {
 	// Faucet funds new users so they can transact on the devnet.
 	Faucet ethtypes.Address
 
+	// node is the manager's backend: the head every body names and the
+	// hub the event streams follow.
+	node headNode
+
 	mu       sync.Mutex
 	sessions map[string]*User // token -> the user Login read
 }
 
-// New builds the application layer.
+// headNode is an in-process node's backend (web3.LocalBackend): it
+// pins head views and pushes sealed heads.
+type headNode interface {
+	web3.HeadViewer
+	web3.HeadSubscriber
+}
+
+// New builds the application layer over the manager's backend, which
+// must be an in-process node: New panics unless it implements
+// web3.HeadViewer and web3.HeadSubscriber.
 func New(m *core.Manager) *App {
+	node, ok := m.Client.Backend().(headNode)
+	if !ok {
+		panic(fmt.Sprintf("app: backend %T is not an in-process node (web3.HeadViewer and web3.HeadSubscriber)", m.Client.Backend()))
+	}
 	return &App{
 		Manager:  m,
 		Rental:   core.NewRentalService(m),
+		node:     node,
 		sessions: map[string]*User{},
 	}
 }

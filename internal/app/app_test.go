@@ -59,6 +59,17 @@ func rigPersist(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend, pc cha
 	return a
 }
 
+// TestNewRequiresInProcessNode: New refuses a backend that can neither
+// pin a head view nor push heads, and says what it needs.
+func TestNewRequiresInProcessNode(t *testing.T) {
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "web3.HeadViewer and web3.HeadSubscriber") {
+			t.Fatalf("New over a plain backend: panic %q", r)
+		}
+	}()
+	rigOver(t, func(b *web3.LocalBackend) web3.Backend { return struct{ web3.Backend }{b} })
+}
+
 func TestRegisterLoginSessions(t *testing.T) {
 	a := rig(t)
 	u, err := a.Register("Eleana_Kafeza", "ek@example.com", "secret")

@@ -10,7 +10,6 @@ import (
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/jsonwire"
 	"legalchain/internal/watch"
-	"legalchain/internal/web3"
 )
 
 // The /api/v1 bodies a dashboard reads most — the contract detail, the
@@ -49,17 +48,9 @@ func marshalCold(v interface{}) []byte {
 	return raw
 }
 
-// headView pins the chain head a response is served from, so API
-// consumers can correlate reads across endpoints. It is nil unless the
-// backend can pin an immutable head view (in-process chains).
-func (a *App) headView() *chain.HeadView {
-	if hv, ok := a.Manager.Client.Backend().(web3.HeadViewer); ok {
-		return hv.HeadView()
-	}
-	return nil
-}
-
-// appendHead writes the head member of every body that carries one.
+// appendHead writes the head member of every body that carries one: the
+// head view the response is served from, so API consumers can
+// correlate reads across endpoints.
 func appendHead(b []byte, v *chain.HeadView) []byte {
 	hash, root := v.Head().Hash(), v.StateRoot()
 	b = jsonwire.AppendHex(jsonwire.AppendKey(append(b, '{'), "hash"), hash[:])
@@ -167,9 +158,7 @@ func appendTimeline(b []byte, addr ethtypes.Address, events []watch.Event, c *wa
 	} else {
 		b = jsonwire.AppendList(b, events, appendEvent)
 	}
-	if head != nil {
-		b = appendHead(jsonwire.AppendKey(b, "head"), head)
-	}
+	b = appendHead(jsonwire.AppendKey(b, "head"), head)
 	return append(b, '}')
 }
 

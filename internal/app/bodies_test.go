@@ -309,7 +309,7 @@ func hasAlert(events []watch.Event) bool {
 // through appendTimeline and through the map builder and encoding/json.
 func TestTimelineWriterMatchesEncodingJSON(t *testing.T) {
 	a := rig(t)
-	head := a.headView()
+	head := a.node.HeadView()
 	addr := ethtypes.Address{0xab, 0xcd}
 	var full watch.Event
 	fillAll(reflect.ValueOf(&full).Elem(), 1)
@@ -324,8 +324,8 @@ func TestTimelineWriterMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	for _, events := range [][]watch.Event{nil, {}} {
-		got := string(appendTimeline(nil, addr, events, nil, nil)) + "\n"
-		sameBody(t, fmt.Sprintf("timeline of %#v", events), got, encodeOracle(t, timelineMap(addr, events, nil, nil)))
+		got := string(appendTimeline(nil, addr, events, nil, head)) + "\n"
+		sameBody(t, fmt.Sprintf("timeline of %#v", events), got, encodeOracle(t, timelineMap(addr, events, nil, v1HeadMap(a))))
 	}
 }
 

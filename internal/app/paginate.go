@@ -147,12 +147,9 @@ func (a *App) v1ContractPayments(w http.ResponseWriter, r *http.Request, u *User
 	}
 	pays := make([]payJSON, 0, len(hist))
 	for _, p := range hist {
-		pj := payJSON{Version: p.Version, Month: p.Month, Amount: p.Amount.String()}
+		pj := payJSON{Version: p.Version, Month: p.Month, Amount: p.Amount.String(), BlockNumber: p.Block}
 		if !p.TxHash.IsZero() {
 			pj.TxHash = p.TxHash.Hex()
-			if rcpt, ok, _ := a.Manager.Client.Backend().TransactionReceipt(p.TxHash); ok {
-				pj.BlockNumber = rcpt.BlockNumber
-			}
 		}
 		// since filters on the mined height; untraceable payments (no
 		// tx hash) carry no height and are filtered out.
@@ -180,12 +177,9 @@ func (a *App) v1ContractPayments(w http.ResponseWriter, r *http.Request, u *User
 		page = page[:limit]
 		next = strconv.Itoa(start + limit)
 	}
-	out := map[string]interface{}{"payments": page, "total": len(pays)}
+	out := map[string]interface{}{"payments": page, "total": len(pays), "head": coldHead(a.node.HeadView())}
 	if next != "" {
 		out["nextCursor"] = next
-	}
-	if head := a.headView(); head != nil {
-		out["head"] = coldHead(head)
 	}
 	writeCold(w, http.StatusOK, out)
 }

@@ -140,14 +140,6 @@ func parseBlockParam(s string) (uint64, error) {
 	return strconv.ParseUint(s, 10, 64)
 }
 
-// sseBackend asserts the push-capable backend pair. HTTP backends
-// cannot stream; the caller reports that in-band.
-func (a *App) sseBackend() (web3.HeadViewer, web3.HeadSubscriber, bool) {
-	hv, ok1 := a.Manager.Client.Backend().(web3.HeadViewer)
-	hs, ok2 := a.Manager.Client.Backend().(web3.HeadSubscriber)
-	return hv, hs, ok1 && ok2
-}
-
 // sseServe runs one event stream. It subscribes to the hub and pins the
 // start view before the response headers go out: a client may act as
 // soon as it holds them, and a block sealed then must reach the stream
@@ -155,22 +147,12 @@ func (a *App) sseBackend() (web3.HeadViewer, web3.HeadSubscriber, bool) {
 // subscribe. from picks the high-water mark on the pinned view; deliver
 // emits what a view holds past a mark and returns the new one.
 func (a *App) sseServe(w http.ResponseWriter, r *http.Request, op string, from func(*chain.HeadView) uint64, deliver func(*sseStream, *chain.HeadView, uint64) (uint64, error)) {
-	hv, hs, ok := a.sseBackend()
-	var sub *chain.Subscription
-	var v *chain.HeadView
-	var last uint64
-	if ok {
-		sub = hs.SubscribeHeads(0)
-		defer sub.Close()
-		v = hv.HeadView()
-		last = from(v)
-	}
+	sub := a.node.SubscribeHeads(0)
+	defer sub.Close()
+	v := a.node.HeadView()
+	last := from(v)
 	stream := startSSE(w, r)
 	if stream == nil {
-		return
-	}
-	if !ok {
-		stream.sendError(v1Internal, "backend cannot stream (remote JSON-RPC; use eth_subscribe over WebSocket)")
 		return
 	}
 	_, sp := xtrace.StartRoot(r.Context(), "web", op, obs.RequestIDFrom(r.Context()))

@@ -34,7 +34,7 @@ func (a *App) v1ContractTimeline(w http.ResponseWriter, r *http.Request, u *User
 		status = nil
 	}
 	p := jsonwire.GetBuffer()
-	b := appendTimeline((*p)[:0], addr, events, status, a.headView())
+	b := appendTimeline((*p)[:0], addr, events, status, a.node.HeadView())
 	jsonwire.PutBuffer(p, writeJSON(w, http.StatusOK, b))
 }
 

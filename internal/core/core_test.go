@@ -1093,8 +1093,10 @@ func TestWalkChainRefusesForkedLine(t *testing.T) {
 // it: deploy 1, confirm 1, two payments 2, modify 5 (snapshot, deploy,
 // two links, namespace adoption), confirm the modification 2 (the
 // predecessor ends, the successor starts), terminate 1. The snapshot is
-// one setValues transaction whatever the number of keys. With a payment
-// notary, a modification also wires it into the new version: 6.
+// one setValues transaction whatever the number of keys, its fields read
+// from storage: a modification sends no eth_call to the node (the
+// guard runs on a fork of the head view). With a payment notary, a
+// modification also wires it into the new version: 6.
 func TestLifecycleTransactionCounts(t *testing.T) {
 	m, accs, node := countingRig(t)
 	landlord, tenant := accs[0].Address, accs[1].Address
@@ -1110,13 +1112,16 @@ func TestLifecycleTransactionCounts(t *testing.T) {
 	start := node.sends
 	v1 := deployRental(t, m, landlord).Contract.Address
 	svcConfirmAndPay(t, svc, tenant, v1, 2)
-	before := node.sends
+	before, calls := node.sends, node.calls
 	v2, err := svc.Modify(landlord, v1, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := node.sends - before; got != 5 {
 		t.Errorf("Modify sent %d transactions, want 5", got)
+	}
+	if got := node.calls - calls; got != 0 {
+		t.Errorf("Modify sent %d eth_calls, want 0", got)
 	}
 	if err := svc.ConfirmModification(tenant, v2.Contract.Address); err != nil {
 		t.Fatal(err)
@@ -1142,8 +1147,8 @@ func TestLifecycleTransactionCounts(t *testing.T) {
 	}
 }
 
-// TestSnapshotContractIsAtomic: a snapshot whose second key has no
-// getter fails before anything is written, so the namespace does not
+// TestSnapshotContractIsAtomic: a snapshot whose second key is no
+// public field fails before anything is written, so the namespace does not
 // keep the first key's value.
 func TestSnapshotContractIsAtomic(t *testing.T) {
 	m, accs := rig(t)
@@ -1153,13 +1158,13 @@ func TestSnapshotContractIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SnapshotContract(landlord, dep.Contract, []string{"rent", "nosuch"}); err == nil {
-		t.Fatal("unknown getter accepted")
+	if _, err := m.SnapshotContract(landlord, dep.Contract.Address, []string{"rent", "nosuch"}); err == nil {
+		t.Fatal("unknown field accepted")
 	}
 	if n, err := ds.CallUint(landlord, "keyCount", dep.Contract.Address); err != nil || !n.IsZero() {
 		t.Fatalf("keyCount after a failed snapshot = %v (%v), want 0", n, err)
 	}
-	if _, err := m.SnapshotContract(landlord, dep.Contract, []string{"rent", "house"}); err != nil {
+	if _, err := m.SnapshotContract(landlord, dep.Contract.Address, []string{"rent", "house"}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := m.LoadSnapshot(landlord, dep.Contract.Address)
@@ -1174,13 +1179,13 @@ func TestSnapshotContractRejectsBadKeys(t *testing.T) {
 	m, accs := rig(t)
 	landlord := accs[0].Address
 	dep := deployRental(t, m, landlord)
-	// Unknown getter.
-	if _, err := m.SnapshotContract(landlord, dep.Contract, []string{"nosuch"}); err == nil {
-		t.Fatal("unknown getter accepted")
+	// Unknown field.
+	if _, err := m.SnapshotContract(landlord, dep.Contract.Address, []string{"nosuch"}); !errors.Is(err, ErrNoField) {
+		t.Fatalf("unknown field: %v, want ErrNoField", err)
 	}
-	// Getter with arguments (paidrents takes an index).
-	if _, err := m.SnapshotContract(landlord, dep.Contract, []string{"paidrents"}); err == nil {
-		t.Fatal("parameterised getter accepted")
+	// A public array (its getter takes an index) is no plain field.
+	if _, err := m.SnapshotContract(landlord, dep.Contract.Address, []string{"paidrents"}); !errors.Is(err, ErrNoField) {
+		t.Fatalf("array field: %v, want ErrNoField", err)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 
 	"legalchain/internal/contracts"
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/uint256"
-	"legalchain/internal/web3"
 )
 
 // The data bridge realises the paper's data/logic separation (Fig. 3):
@@ -180,61 +178,33 @@ func (m *Manager) MigrateData(from, oldAddr, newAddr ethtypes.Address) (int, uin
 	return len(snapshot), gas, nil
 }
 
-// SnapshotContract reads the named public getters of a live contract
-// version and writes their values into DataStorage under its address, so
-// the data survives the version's retirement. Word values are rendered
-// decimal, addresses as hex, strings verbatim. Every getter is read
-// before anything is written, and the pairs go out in one setValues
-// transaction, in keys order: a snapshot lands whole or not at all.
-func (m *Manager) SnapshotContract(from ethtypes.Address, bound *web3.BoundContract, keys []string) (uint64, error) {
+// SnapshotContract writes the named public fields of a live contract
+// version into DataStorage under its address, so the data survives the
+// version's retirement. Each field is read from storage as FieldUint,
+// FieldAddress and FieldString read it, which is what its getter
+// returns; words are rendered decimal, addresses as hex, strings
+// verbatim. A key that is not a public uint/enum, address or string
+// field of the version's published layout is ErrNoField. Every field
+// is read before anything is written, and the pairs go out in one
+// setValues transaction, in keys order: a snapshot lands whole or not
+// at all.
+func (m *Manager) SnapshotContract(from, addr ethtypes.Address, keys []string) (uint64, error) {
 	names := make([]interface{}, len(keys))
 	values := make([]interface{}, len(keys))
 	for i, key := range keys {
-		method, ok := bound.ABI.Methods[key]
-		if !ok {
-			return 0, fmt.Errorf("core: contract has no getter %q", key)
-		}
-		if len(method.Inputs) != 0 {
-			return 0, fmt.Errorf("core: getter %q takes arguments; snapshot only plain values", key)
-		}
-		out, err := bound.Call(from, key)
+		value, err := m.fieldText(addr, key)
 		if err != nil {
-			return 0, fmt.Errorf("core: reading %q: %w", key, err)
+			return 0, err
 		}
-		if len(out) != 1 {
-			return 0, fmt.Errorf("core: getter %q returned %d values", key, len(out))
-		}
-		rendered, err := renderValue(out[0])
-		if err != nil {
-			return 0, fmt.Errorf("core: %q: %w", key, err)
-		}
-		names[i], values[i] = key, rendered
+		names[i], values[i] = key, value
 	}
 	ds, owner, err := m.dataWriter(from)
 	if err != nil {
 		return 0, err
 	}
-	rcpt, err := ds.Transact(owner, "setValues", bound.Address, names, values)
+	rcpt, err := ds.Transact(owner, "setValues", addr, names, values)
 	if err != nil {
 		return 0, fmt.Errorf("core: setValues(%d pairs): %w", len(keys), err)
 	}
 	return rcpt.GasUsed, nil
-}
-
-func renderValue(v interface{}) (string, error) {
-	switch x := v.(type) {
-	case uint256.Int:
-		return x.String(), nil
-	case ethtypes.Address:
-		return x.Hex(), nil
-	case string:
-		return x, nil
-	case bool:
-		if x {
-			return "true", nil
-		}
-		return "false", nil
-	default:
-		return "", fmt.Errorf("unsupported snapshot value type %T", v)
-	}
 }

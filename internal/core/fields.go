@@ -77,6 +77,24 @@ func (m *Manager) FieldString(addr ethtypes.Address, name string) (string, error
 	})
 }
 
+// fieldText reads a public uint/enum, address or string variable of
+// version addr as text: a word decimal, an address as hex, a string
+// verbatim.
+func (m *Manager) fieldText(addr ethtypes.Address, name string) (string, error) {
+	v, err := m.publicVar(addr, name, func(t string) bool { return isWordType(t) || isAddressType(t) || isStringType(t) })
+	switch {
+	case err != nil:
+		return "", err
+	case isStringType(v.Type):
+		return m.FieldString(addr, name)
+	case isAddressType(v.Type):
+		a, err := m.FieldAddress(addr, name)
+		return a.Hex(), err
+	}
+	w, err := m.FieldUint(addr, name)
+	return w.String(), err
+}
+
 // payments reads the executed payments of one rental version from
 // storage: monthCounter, the paidrents length word, then paidrents[i]
 // for each i below monthCounter. An element is the words at

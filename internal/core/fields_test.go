@@ -16,8 +16,8 @@ import (
 
 // getterField is a public field read as it was before the reads went to
 // storage: the variable's getter eth_call through the version's
-// published ABI, rendered as SnapshotContract renders it. It is the
-// oracle for the storage reads.
+// published ABI, rendered by renderValue. It is the oracle for the
+// storage reads.
 func getterField(m *Manager, addr ethtypes.Address, name string) (string, error) {
 	bound, err := m.BindVersion(addr)
 	if err != nil {
@@ -31,6 +31,22 @@ func getterField(m *Manager, addr ethtypes.Address, name string) (string, error)
 		return "", err
 	}
 	return renderValue(out[0])
+}
+
+// renderValue renders one decoded getter output as SnapshotContract
+// writes a field: words decimal, addresses as hex, strings verbatim.
+func renderValue(v interface{}) (string, error) {
+	switch x := v.(type) {
+	case uint256.Int:
+		return x.String(), nil
+	case ethtypes.Address:
+		return x.Hex(), nil
+	case string:
+		return x, nil
+	case bool:
+		return fmt.Sprint(x), nil
+	}
+	return "", fmt.Errorf("unsupported getter value type %T", v)
 }
 
 // getterPayments is the history reader as it was: the monthCounter

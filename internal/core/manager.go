@@ -481,9 +481,10 @@ func (m *Manager) DeployVersion(from ethtypes.Address, art *minisol.Artifact, le
 
 // ModifyOptions tune ModifyContract.
 type ModifyOptions struct {
-	// SnapshotKeys, when non-empty, are read from the old contract via
-	// its getters and written into DataStorage before migration, so the
-	// new version can import them (the paper's data/logic separation).
+	// SnapshotKeys, when non-empty, name public uint/enum, address or
+	// string fields of the old version, read from its storage and
+	// written into DataStorage before migration, so the new version can
+	// import them (the paper's data/logic separation).
 	SnapshotKeys []string
 	// Properties are user-declared behavioural assertions the candidate
 	// must satisfy when deployed on a fork of the live head, checked by
@@ -616,7 +617,7 @@ func (m *Manager) ModifyContract(from ethtypes.Address, prevAddr ethtypes.Addres
 	// shared data contract under the old address, in one transaction.
 	var gas uint64
 	if len(opts.SnapshotKeys) > 0 {
-		if gas, err = m.SnapshotContract(from, prev, opts.SnapshotKeys); err != nil {
+		if gas, err = m.SnapshotContract(from, prevAddr, opts.SnapshotKeys); err != nil {
 			return nil, err
 		}
 	}

@@ -239,6 +239,9 @@ type PaymentRecord struct {
 	// version's paidRent event log. Zero when the version emits no
 	// usable event — the payment is still real, just not traceable.
 	TxHash ethtypes.Hash
+	// Block is the height of that transaction, from the same log; zero
+	// when TxHash is.
+	Block uint64
 }
 
 // RentHistory aggregates the paidrents arrays across every version of
@@ -258,9 +261,9 @@ func (s *RentalService) RentHistory(viewer, addr ethtypes.Address) ([]PaymentRec
 // Each version's payments are storage reads; a version that is not
 // rental-shaped (its layout declares no monthCounter and paidrents)
 // adds none. Each payment carries the hash of the transaction that paid
-// it, the handle debug_traceTransaction replays: the line's paidRent
-// logs are read in one scan, and a log's month is read from its own
-// word.
+// it, the handle debug_traceTransaction replays, and its block: the
+// line's paidRent logs are read in one scan, and a log's month is read
+// from its own word.
 func (s *RentalService) RentHistoryOf(line []VersionInfo) ([]PaymentRecord, error) {
 	type rental struct {
 		addr  ethtypes.Address
@@ -307,9 +310,9 @@ func (s *RentalService) RentHistoryOf(line []VersionInfo) ([]PaymentRecord, erro
 			continue
 		}
 		if month, ok := readMonth(l, rentals[i].month); ok {
-			for j, p := range rentals[i].paid {
-				if p.Month == month {
-					rentals[i].paid[j].TxHash = l.TxHash // the last log of a month names it
+			for j := range rentals[i].paid {
+				if p := &rentals[i].paid[j]; p.Month == month {
+					p.TxHash, p.Block = l.TxHash, l.BlockNumber // the last log of a month names it
 				}
 			}
 		}

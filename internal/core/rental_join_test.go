@@ -32,18 +32,21 @@ func rentHistoryByDecode(s *RentalService, line []VersionInfo) ([]PaymentRecord,
 		if err != nil {
 			return nil, err
 		}
-		txByMonth := map[uint64]ethtypes.Hash{}
+		txByMonth := map[uint64]*ethtypes.Log{}
 		if _, ok := bound.ABI.Events["paidRent"]; ok {
 			if evs, err := bound.FilterEvents("paidRent", 0); err == nil {
 				for _, e := range evs {
 					if m, ok := e.Args["month"].(uint256.Int); ok && e.Raw != nil {
-						txByMonth[m.Uint64()] = e.Raw.TxHash
+						txByMonth[m.Uint64()] = e.Raw
 					}
 				}
 			}
 		}
 		for _, p := range paid {
-			p.Version, p.TxHash = node.Version, txByMonth[p.Month]
+			p.Version = node.Version
+			if l := txByMonth[p.Month]; l != nil {
+				p.TxHash, p.Block = l.TxHash, l.BlockNumber
+			}
 			out = append(out, p)
 		}
 	}
@@ -179,8 +182,8 @@ func TestPaymentJoinMatchesDecodeLog(t *testing.T) {
 			t.Errorf("history from v%d holds %d payments, want 8", i+1, len(got))
 		}
 		for _, p := range got {
-			if p.TxHash.IsZero() {
-				t.Errorf("v%d month %d names no transaction", p.Version, p.Month)
+			if p.TxHash.IsZero() || p.Block == 0 {
+				t.Errorf("v%d month %d names no transaction or block", p.Version, p.Month)
 			}
 		}
 	}

@@ -54,16 +54,18 @@ type Backend interface {
 // HeadViewer is implemented by backends that can pin an immutable head
 // view, letting callers make several reads at one consistent chain
 // height without any locking. In-process backends (LocalBackend)
-// implement it; HTTP backends do not — callers type-assert and fall
-// back to the plain Backend methods.
+// implement it; HTTP backends do not. Without it the upgrade guard
+// fails its property checks closed and an audit runs no behaviour
+// diffs; app.New refuses a backend that lacks it.
 type HeadViewer interface {
 	HeadView() *chain.HeadView
 }
 
-// HeadSubscriber is implemented by backends that can push head events
-// instead of being polled. In-process backends expose the chain's
-// subscription hub directly; consumers (the SSE tier) type-assert and
-// fall back to polling when the backend is remote.
+// HeadSubscriber is implemented by backends that can push head events:
+// in-process backends expose the chain's subscription hub directly.
+// HTTP backends do not, and nothing polls in their place: app.New,
+// whose SSE tier follows the hub, refuses a backend that lacks it.
+// Remote consumers subscribe with eth_subscribe over WebSocket.
 type HeadSubscriber interface {
 	// SubscribeHeads returns a hub subscription delivering one event per
 	// sealed head, with a ring of buf events (<= 0 picks the default).
