@@ -12,13 +12,18 @@ build:
 test:
 	$(GO) test ./...
 
-# examples builds and runs every program under examples/. Each one
-# log.Fatal's on a broken expectation, so a non-zero exit fails the
-# target; together they run in well under a second.
+# examples builds and runs every program under examples/, then
+# `legalctl demo` and `legalctl audit`, which build their evidence lines
+# on the same in-process stack. Each one exits non-zero on a broken
+# expectation, so the target fails; together they run in about a second.
 examples:
 	@for d in examples/*/; do \
 		echo "$(GO) run ./$$d"; \
 		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+	@for c in demo audit; do \
+		echo "$(GO) run ./cmd/legalctl $$c"; \
+		$(GO) run ./cmd/legalctl $$c >/dev/null || exit 1; \
 	done
 
 # check is the fast pre-merge gate: check the EXPERIMENTS record

@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	devnet [-addr :8545] [-ws-addr :8546] [-accounts 10] [-seed "legalchain devnet"] [-balance 1000] [-datadir ./devnet-data] [-metrics-addr :9090] [-pprof] [-log-level info] [-trace] [-trace-sample 1] [-trace-slow 250ms]
+//	devnet [-addr :8545] [-ws-addr :8546] [-accounts 10] [-seed "legalchain devnet"] [-balance 1000] [-datadir ./devnet-data] [-metrics-addr :9090] [-pprof] [-log-level info] [-trace] [-trace-slow 250ms]
 package main
 
 import (

@@ -5,15 +5,10 @@ import (
 	"flag"
 	"fmt"
 
-	"legalchain/internal/chain"
 	"legalchain/internal/core"
-	"legalchain/internal/docstore"
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/ipfs"
 	"legalchain/internal/uint256"
 	"legalchain/internal/upgrade"
-	"legalchain/internal/wallet"
-	"legalchain/internal/web3"
 )
 
 // runAudit builds a three-version evidence line on an in-process stack
@@ -27,21 +22,9 @@ func runAudit(rest []string) {
 	jsonOut := fs.Bool("json", false, "print the raw audit report as JSON")
 	fs.Parse(rest)
 
-	accs := wallet.DevAccounts(wallet.DefaultDevSeed, 2)
-	landlord, tenant := accs[0], accs[1]
-	g := chain.DefaultGenesis()
-	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1000))
-	bc := chain.New(g)
-	ks := wallet.NewKeystore()
-	ks.Import(landlord.Key)
-	ks.Import(tenant.Key)
-	client, err := web3.NewClient(web3.NewLocalBackend(bc), ks)
-	check(err)
-	store, err := docstore.Open("")
-	check(err)
-	defer store.Close()
-	m := core.NewManager(client, ipfs.NewNode(ipfs.NewMemStore()), store)
-	svc := core.NewRentalService(m)
+	st := newDevStack()
+	defer st.store.Close()
+	landlord, tenant, m, svc := st.landlord, st.tenant, st.m, st.svc
 
 	v1, err := svc.DeployRental(landlord.Address, core.RentalTerms{
 		Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,

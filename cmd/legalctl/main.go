@@ -167,24 +167,41 @@ func printDisasm(name string) {
 	fmt.Println(strings.Join(evm.Disassemble(art.Runtime), "\n"))
 }
 
-// runDemo executes the paper's modification scenario on an in-process
-// stack and prints the resulting evidence line.
-func runDemo() {
+// devStack is the in-process stack demo, audit and trace run on: a
+// fresh chain that funds two dev accounts, and the business tier, whose
+// client signs for both, over an in-memory docstore and IPFS node.
+type devStack struct {
+	bc               *chain.Blockchain
+	landlord, tenant wallet.Account
+	store            *docstore.Store
+	m                *core.Manager
+	svc              *core.RentalService
+}
+
+func newDevStack() *devStack {
 	accs := wallet.DevAccounts(wallet.DefaultDevSeed, 2)
-	landlord, tenant := accs[0], accs[1]
 	g := chain.DefaultGenesis()
 	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1000))
 	bc := chain.New(g)
 	ks := wallet.NewKeystore()
-	ks.Import(landlord.Key)
-	ks.Import(tenant.Key)
+	for _, a := range accs {
+		ks.Import(a.Key)
+	}
 	client, err := web3.NewClient(web3.NewLocalBackend(bc), ks)
 	check(err)
 	store, err := docstore.Open("")
 	check(err)
-	defer store.Close()
 	m := core.NewManager(client, ipfs.NewNode(ipfs.NewMemStore()), store)
-	svc := core.NewRentalService(m)
+	return &devStack{bc: bc, landlord: accs[0], tenant: accs[1],
+		store: store, m: m, svc: core.NewRentalService(m)}
+}
+
+// runDemo executes the paper's modification scenario on an in-process
+// stack and prints the resulting evidence line.
+func runDemo() {
+	st := newDevStack()
+	defer st.store.Close()
+	landlord, tenant, m, svc := st.landlord, st.tenant, st.m, st.svc
 
 	fmt.Println("1. landlord deploys BaseRental (v1)")
 	v1, err := svc.DeployRental(landlord.Address, core.RentalTerms{
@@ -235,8 +252,6 @@ func runDemo() {
 	fmt.Println("demo complete: linked-list versioning, ABI-via-IPFS and data migration all verified")
 }
 
-// runTrace deploys a bundled contract on a scratch devnet and traces one
-// zero-argument method call, printing gas and the opcode histogram.
 // isTxHash reports whether s is a 0x-prefixed 32-byte hex hash.
 func isTxHash(s string) bool {
 	if len(s) != 66 || !strings.HasPrefix(s, "0x") {
@@ -267,6 +282,8 @@ func runTxTrace(hash string, rest []string) {
 	fmt.Println(pretty.String())
 }
 
+// runTrace deploys a bundled contract on a scratch devnet and traces one
+// zero-argument method call, printing gas and the opcode histogram.
 func runTrace(name, method string) {
 	art, err := contracts.Artifact(name)
 	check(err)
@@ -279,22 +296,17 @@ func runTrace(name, method string) {
 		fmt.Fprintf(os.Stderr, "legalctl: trace supports zero-argument methods; %q takes %d\n", method, len(m.Inputs))
 		os.Exit(1)
 	}
-	accs := wallet.DevAccounts(wallet.DefaultDevSeed, 1)
-	g := chain.DefaultGenesis()
-	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(1000))
-	bc := chain.New(g)
-	ks := wallet.NewKeystore()
-	ks.Import(accs[0].Key)
-	client, err := web3.NewClient(web3.NewLocalBackend(bc), ks)
-	check(err)
+	st := newDevStack()
+	defer st.store.Close()
+	from := st.landlord.Address
 	// Deploy with placeholder constructor args when the ctor needs them.
-	args := placeholderArgs(art, accs[0].Address)
-	bound, _, err := client.Deploy(web3.TxOpts{From: accs[0].Address, GasLimit: 5_000_000},
+	args := placeholderArgs(art, from)
+	bound, _, err := st.m.Client.Deploy(web3.TxOpts{From: from, GasLimit: 5_000_000},
 		art.ABI, art.Bytecode, args...)
 	check(err)
 	input, err := art.ABI.Pack(method)
 	check(err)
-	res, trace := bc.TraceCall(accs[0].Address, &bound.Address, input, 0)
+	res, trace := st.bc.TraceCall(from, &bound.Address, input, 0)
 	fmt.Printf("%s.%s: gas=%d steps=%d failed=%v\n", name, method, res.GasUsed, len(trace.Logs), res.Err != nil)
 	if res.Err != nil {
 		fmt.Printf("  error: %v\n", res.Err)

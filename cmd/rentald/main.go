@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	rentald [-addr :8080] [-rpc :8545] [-ws-addr :8546] [-datadir ./rentald-data] [-metrics-addr :9090] [-pprof] [-log-level info] [-trace] [-trace-sample 1] [-trace-slow 250ms]
+//	rentald [-addr :8080] [-rpc :8545] [-ws-addr :8546] [-datadir ./rentald-data] [-metrics-addr :9090] [-pprof] [-log-level info] [-trace] [-trace-slow 250ms]
 package main
 
 import (

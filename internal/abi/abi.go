@@ -57,9 +57,6 @@ func (m Method) ID() [4]byte {
 	return [4]byte(h[:4])
 }
 
-// Payable reports whether the method accepts ether.
-func (m Method) Payable() bool { return m.StateMutability == "payable" }
-
 // ReadOnly reports whether the method can be served by eth_call without
 // a transaction.
 func (m Method) ReadOnly() bool {
@@ -137,20 +134,6 @@ func New(constructor *Method, methods map[string]Method, events map[string]Event
 	return &ABI{Constructor: constructor, Methods: methods, Events: events, byTopic: new(topicIndex)}
 }
 
-// MethodByID finds a method by its 4-byte selector.
-func (a *ABI) MethodByID(id []byte) (Method, bool) {
-	if len(id) < 4 {
-		return Method{}, false
-	}
-	for _, m := range a.Methods {
-		mid := m.ID()
-		if bytes.Equal(mid[:], id[:4]) {
-			return m, true
-		}
-	}
-	return Method{}, false
-}
-
 // EventByTopic finds an event by its topic hash.
 func (a *ABI) EventByTopic(topic ethtypes.Hash) (Event, bool) {
 	if t := a.byTopic; t != nil {
@@ -203,16 +186,6 @@ func (a *ABI) Unpack(name string, data []byte) ([]interface{}, error) {
 		return nil, fmt.Errorf("abi: no method %q", name)
 	}
 	return DecodeArgs(m.Outputs, data)
-}
-
-// UnpackInput decodes the calldata arguments of a method call
-// (excluding the selector).
-func (a *ABI) UnpackInput(name string, data []byte) ([]interface{}, error) {
-	m, ok := a.Methods[name]
-	if !ok {
-		return nil, fmt.Errorf("abi: no method %q", name)
-	}
-	return DecodeArgs(m.Inputs, data)
 }
 
 // DecodedEvent is an event log resolved against the ABI.

@@ -187,7 +187,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if a.Constructor == nil || len(a.Constructor.Inputs) != 2 {
 		t.Fatal("constructor not parsed")
 	}
-	if !a.Methods["payRent"].Payable() {
+	if a.Methods["payRent"].StateMutability != "payable" {
 		t.Fatal("payRent must be payable")
 	}
 	if !a.Methods["getNext"].ReadOnly() {
@@ -226,7 +226,7 @@ func TestPackUnpack(t *testing.T) {
 	if len(data) != 4+32 {
 		t.Fatalf("packed length = %d", len(data))
 	}
-	in, err := a.UnpackInput("setRent", data[4:])
+	in, err := DecodeArgs(a.Methods["setRent"].Inputs, data[4:])
 	if err != nil || in[0].(uint256.Int).Uint64() != 1500 {
 		t.Fatal("input unpack failed")
 	}

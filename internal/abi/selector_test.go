@@ -45,7 +45,7 @@ func hashedNothing(a *ABI) bool {
 
 // TestNewStoresSelectorsAndTopics: an ABI from ParseJSON (which goes
 // through New) gives every method and event a cell and hashes nothing;
-// the first ID, Topic, Pack, MethodByID and EventByTopic fill the cells
+// the first ID, Topic, Pack and EventByTopic fill the cells
 // with keccak(signature), and every later read is a field read that
 // allocates nothing.
 func TestNewStoresSelectorsAndTopics(t *testing.T) {
@@ -73,10 +73,6 @@ func TestNewStoresSelectorsAndTopics(t *testing.T) {
 	for name, m := range a.Methods {
 		if m.ID() != freshID(m.Signature()) {
 			t.Errorf("method %s: ID() = %x, fresh %x", name, m.ID(), freshID(m.Signature()))
-		}
-		id := m.ID()
-		if got, ok := a.MethodByID(id[:]); !ok || got.Name != name {
-			t.Errorf("MethodByID(%x) = %q, %v", id, got.Name, ok)
 		}
 	}
 	// The first EventByTopic builds the topic index from the events'
@@ -170,9 +166,6 @@ func TestLiteralMethodAndEventStillAnswer(t *testing.T) {
 	}
 	if got, ok := lit.EventByTopic(e.Topic()); !ok || got.Name != "versionLinked" {
 		t.Errorf("literal ABI EventByTopic = %q, %v", got.Name, ok)
-	}
-	if got, ok := lit.MethodByID(data[:4]); !ok || got.Name != "setNext" {
-		t.Errorf("literal ABI MethodByID = %q, %v", got.Name, ok)
 	}
 	if _, ok := (&ABI{}).EventByTopic(e.Topic()); ok {
 		t.Error("empty ABI literal found an event")

@@ -372,7 +372,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 // (SendTransaction) → evm (call frames) → blockdb (segment append).
 func TestV1PayTraceHierarchy(t *testing.T) {
 	xtrace.SetEnabled(true)
-	xtrace.SetSampleEvery(1)
 	xtrace.Reset()
 	t.Cleanup(func() { xtrace.SetEnabled(false); xtrace.Reset() })
 

@@ -283,7 +283,6 @@ func TestRacingSendsOfOneTransaction(t *testing.T) {
 func TestSendTransactionSpansSplitAdmission(t *testing.T) {
 	bc, accs := devChain(t)
 	xtrace.SetEnabled(true)
-	xtrace.SetSampleEvery(1)
 	xtrace.Reset()
 	t.Cleanup(func() { xtrace.SetEnabled(false); xtrace.Reset() })
 

@@ -573,15 +573,6 @@ func (bc *Blockchain) FilterLogs(q FilterQuery) []*ethtypes.Log {
 	return bc.View().FilterLogs(q)
 }
 
-func containsAddr(list []ethtypes.Address, a ethtypes.Address) bool {
-	for _, x := range list {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
 func topicsMatch(query [][]ethtypes.Hash, topics []ethtypes.Hash) bool {
 	for i, alts := range query {
 		if len(alts) == 0 {

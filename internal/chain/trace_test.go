@@ -145,7 +145,6 @@ func TestTraceSnapshotBounded(t *testing.T) {
 	workload(t, bc, accs, 10) // head = 10, snapshots at 4 and 8
 
 	xtrace.SetEnabled(true)
-	xtrace.SetSampleEvery(1)
 	xtrace.Reset()
 	t.Cleanup(func() { xtrace.SetEnabled(false); xtrace.Reset() })
 

@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"legalchain/internal/abi"
+	"legalchain/internal/chain"
 	"legalchain/internal/contracts"
 	"legalchain/internal/docstore"
 	"legalchain/internal/ethtypes"
@@ -509,7 +510,7 @@ func (m *Manager) VerifyUpgrade(from, prevAddr ethtypes.Address, art *minisol.Ar
 	if err != nil {
 		return nil, err
 	}
-	var view upgrade.ForkView
+	var view *chain.HeadView
 	if hv, ok := m.Client.Backend().(web3.HeadViewer); ok {
 		view = hv.HeadView()
 	}

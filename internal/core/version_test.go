@@ -12,6 +12,7 @@ import (
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/rpc"
 	"legalchain/internal/uint256"
+	"legalchain/internal/upgrade"
 	"legalchain/internal/web3"
 )
 
@@ -273,5 +274,34 @@ func TestWalkChainOverRPC(t *testing.T) {
 	}
 	if n := counter.take(); n["eth_call"] != 1 {
 		t.Errorf("a getter over rpc counted %v, want one eth_call", n)
+	}
+
+	// The headless guard: over JSON-RPC the manager has no head view to
+	// fork, so every declared property is unverifiable and the guard
+	// sends no transaction. In process the same candidate passes.
+	terms := ModifiedTerms{Rent: ethtypes.Ether(1), Deposit: ethtypes.Ether(2), Months: 12,
+		House: "10115-Berlin-42", MaintenanceFee: ethtypes.Ether(1), Discount: uint256.Zero, Fine: ethtypes.Ether(1)}
+	props := rentalProperties(terms)
+	art := contracts.MustArtifact("RentalAgreementV2")
+	head := line[len(line)-1]
+	if rep, err := m.VerifyUpgrade(landlord, head, art, props, v2Args()...); err != nil || !rep.OK() {
+		t.Fatalf("in process: VerifyUpgrade %+v, %v", rep, err)
+	}
+	counter.take()
+	rep, err := remote.VerifyUpgrade(landlord, head, art, props, v2Args()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := counter.take(); n["eth_sendRawTransaction"] != 0 {
+		t.Errorf("headless VerifyUpgrade sent %d transactions (%v)", n["eth_sendRawTransaction"], n)
+	}
+	if len(rep.Properties) != len(props) || len(rep.Failures) != len(props) {
+		t.Fatalf("headless VerifyUpgrade: %d property results, %d failures for %d properties: %+v",
+			len(rep.Properties), len(rep.Failures), len(props), rep)
+	}
+	for i, p := range props {
+		if res, f := rep.Properties[i], rep.Failures[i]; res.OK || res.Name != p.Name || f.Rule != upgrade.RulePropertyUnverifiable || f.Subject != p.Name {
+			t.Errorf("property %s: result %+v, failure %+v; want %s", p.Name, res, f, upgrade.RulePropertyUnverifiable)
+		}
 	}
 }

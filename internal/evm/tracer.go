@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"legalchain/internal/abi"
 	"legalchain/internal/ethtypes"
@@ -44,11 +43,6 @@ type StructLog struct {
 	Op        OpCode
 	Gas       uint64
 	StackSize int
-}
-
-// String renders one line of the trace.
-func (l StructLog) String() string {
-	return fmt.Sprintf("depth=%d pc=%04d gas=%-8d stack=%-3d %s", l.Depth, l.PC, l.Gas, l.StackSize, l.Op)
 }
 
 // StructLogger records every step up to a cap, plus the first fault.
@@ -227,20 +221,4 @@ func (f *CallFrame) Find(to ethtypes.Address) *CallFrame {
 		}
 	}
 	return nil
-}
-
-// Format renders the whole trace, one step per line.
-func (s *StructLogger) Format() string {
-	var b strings.Builder
-	for _, l := range s.Logs {
-		b.WriteString(l.String())
-		b.WriteByte('\n')
-	}
-	if s.truncated {
-		b.WriteString("... (truncated)\n")
-	}
-	if s.Fault != nil {
-		fmt.Fprintf(&b, "FAULT: %v\n", s.Fault)
-	}
-	return b.String()
 }

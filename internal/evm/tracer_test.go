@@ -40,9 +40,6 @@ func TestStructLoggerRecordsSteps(t *testing.T) {
 	if tr.Fault != nil {
 		t.Fatalf("unexpected fault: %v", tr.Fault)
 	}
-	if !strings.Contains(tr.Format(), "ADD") {
-		t.Fatal("Format missing ops")
-	}
 }
 
 func TestStructLoggerCapturesFault(t *testing.T) {
@@ -93,9 +90,6 @@ func TestStructLoggerTruncation(t *testing.T) {
 	e.Call(addrOf(0xEE), c, nil, 10_000, uint256.Zero)
 	if len(tr.Logs) != 10 || !tr.Truncated() {
 		t.Fatalf("logs=%d truncated=%v", len(tr.Logs), tr.Truncated())
-	}
-	if !strings.Contains(tr.Format(), "truncated") {
-		t.Fatal("Format missing truncation marker")
 	}
 }
 

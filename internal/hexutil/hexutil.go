@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/big"
 	"strconv"
-	"strings"
 )
 
 // Errors returned by the decoding functions.
@@ -127,15 +126,6 @@ func has0xPrefix(s string) bool {
 	return len(s) >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')
 }
 
-// TrimLeftZeroes returns b without leading zero bytes. The result aliases b.
-func TrimLeftZeroes(b []byte) []byte {
-	i := 0
-	for i < len(b) && b[i] == 0 {
-		i++
-	}
-	return b[i:]
-}
-
 // LeftPad returns b left-padded with zeroes to length n. If b is longer
 // than n the rightmost n bytes are returned (a copy in either case).
 func LeftPad(b []byte, n int) []byte {
@@ -152,18 +142,4 @@ func RightPad(b []byte, n int) []byte {
 	out := make([]byte, n)
 	copy(out, b)
 	return out
-}
-
-// IsHex reports whether s (without prefix) consists only of hex digits
-// and has even length.
-func IsHex(s string) bool {
-	if len(s)%2 != 0 {
-		return false
-	}
-	for _, c := range s {
-		if !strings.ContainsRune("0123456789abcdefABCDEF", c) {
-			return false
-		}
-	}
-	return true
 }

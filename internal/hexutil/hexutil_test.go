@@ -103,18 +103,3 @@ func TestPadding(t *testing.T) {
 		t.Fatal("LeftPad aliases input")
 	}
 }
-
-func TestTrimLeftZeroes(t *testing.T) {
-	if got := TrimLeftZeroes([]byte{0, 0, 5, 0}); !bytes.Equal(got, []byte{5, 0}) {
-		t.Fatalf("got %v", got)
-	}
-	if got := TrimLeftZeroes([]byte{0, 0}); len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestIsHex(t *testing.T) {
-	if !IsHex("deadBEEF") || IsHex("abc") || IsHex("zz") {
-		t.Fatal("IsHex")
-	}
-}

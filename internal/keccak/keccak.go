@@ -1,5 +1,5 @@
-// Package keccak implements the legacy Keccak-256 and Keccak-512 hash
-// functions as used by Ethereum.
+// Package keccak implements the legacy Keccak-256 hash function as used
+// by Ethereum.
 //
 // Ethereum predates the FIPS-202 standardisation of SHA-3 and uses the
 // original Keccak padding (domain byte 0x01) rather than the SHA-3 domain
@@ -120,6 +120,10 @@ func round(e, a *state, rc uint64) {
 	e[24] = b4 ^ (^b0 & b1)
 }
 
+// rate is the bytes absorbed per block: 1600 bits less twice the
+// 256-bit output.
+const rate = 136
+
 // absorb XORs one rate-sized block into a and permutes.
 func absorb(a *state, block []byte) {
 	for i := 0; i < len(block)/8; i++ {
@@ -129,15 +133,15 @@ func absorb(a *state, block []byte) {
 }
 
 // finish pads tail (shorter than rate) with the pre-FIPS multi-rate
-// padding 0x01 … 0x80, absorbs it into a and squeezes len(out) bytes.
-// Both output sizes fit inside one rate block, so one squeeze suffices.
-// The padded block lives on the stack: rate is at most 136 bytes.
-func finish(a *state, tail []byte, rate int, out []byte) {
-	var block [136]byte
+// padding 0x01 … 0x80, absorbs it into a and squeezes the 32-byte
+// digest, which fits inside one rate block. The padded block lives on
+// the stack.
+func finish(a *state, tail []byte, out *[32]byte) {
+	var block [rate]byte
 	n := copy(block[:], tail)
 	block[n] = 0x01
 	block[rate-1] |= 0x80
-	absorb(a, block[:rate])
+	absorb(a, block[:])
 	for i := 0; i < len(out)/8; i++ {
 		binary.LittleEndian.PutUint64(out[8*i:], a[i])
 	}
@@ -145,20 +149,15 @@ func finish(a *state, tail []byte, rate int, out []byte) {
 
 // digest is a sponge instance. It implements hash.Hash.
 type digest struct {
-	a       state
-	buf     []byte // unabsorbed input, len < rate
-	rate    int    // bytes absorbed per block
-	outSize int
+	a   state
+	buf []byte // unabsorbed input, len < rate
 }
 
 // New256 returns a hash.Hash computing Keccak-256 (32-byte output).
-func New256() hash.Hash { return &digest{rate: 136, outSize: 32} }
+func New256() hash.Hash { return &digest{} }
 
-// New512 returns a hash.Hash computing Keccak-512 (64-byte output).
-func New512() hash.Hash { return &digest{rate: 72, outSize: 64} }
-
-func (d *digest) Size() int      { return d.outSize }
-func (d *digest) BlockSize() int { return d.rate }
+func (d *digest) Size() int      { return 32 }
+func (d *digest) BlockSize() int { return rate }
 
 func (d *digest) Reset() {
 	d.a = state{}
@@ -169,21 +168,21 @@ func (d *digest) Write(p []byte) (int, error) {
 	n := len(p)
 	// Top up a partial block first.
 	if len(d.buf) > 0 {
-		need := d.rate - len(d.buf)
+		need := rate - len(d.buf)
 		if need > len(p) {
 			need = len(p)
 		}
 		d.buf = append(d.buf, p[:need]...)
 		p = p[need:]
-		if len(d.buf) == d.rate {
+		if len(d.buf) == rate {
 			absorb(&d.a, d.buf)
 			d.buf = d.buf[:0]
 		}
 	}
 	// Absorb full blocks straight from the input, no copying.
-	for len(p) >= d.rate {
-		absorb(&d.a, p[:d.rate])
-		p = p[d.rate:]
+	for len(p) >= rate {
+		absorb(&d.a, p[:rate])
+		p = p[rate:]
 	}
 	if len(p) > 0 {
 		d.buf = append(d.buf, p...)
@@ -195,30 +194,19 @@ func (d *digest) Write(p []byte) (int, error) {
 // hash.
 func (d *digest) Sum(in []byte) []byte {
 	a := d.a
-	var out [64]byte
-	finish(&a, d.buf, d.rate, out[:d.outSize])
-	return append(in, out[:d.outSize]...)
+	var out [32]byte
+	finish(&a, d.buf, &out)
+	return append(in, out[:]...)
 }
 
-// sumOnce hashes data in one shot at the given rate without heap
+// Sum256 computes the Keccak-256 digest of data without heap
 // allocation: full blocks are absorbed straight from data.
-func sumOnce(data []byte, rate int, out []byte) {
+func Sum256(data []byte) (out [32]byte) {
 	var a state
 	for len(data) >= rate {
 		absorb(&a, data[:rate])
 		data = data[rate:]
 	}
-	finish(&a, data, rate, out)
-}
-
-// Sum256 computes the Keccak-256 digest of data without heap allocation.
-func Sum256(data []byte) (out [32]byte) {
-	sumOnce(data, 136, out[:])
-	return out
-}
-
-// Sum512 computes the Keccak-512 digest of data.
-func Sum512(data []byte) (out [64]byte) {
-	sumOnce(data, 72, out[:])
+	finish(&a, data, &out)
 	return out
 }

@@ -3,7 +3,6 @@ package keccak
 import (
 	"bytes"
 	"encoding/hex"
-	"hash"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,9 +108,9 @@ func TestPermuteMatchesLoopForm(t *testing.T) {
 }
 
 // FuzzSum256 checks the sponge against the loop-form oracle on arbitrary
-// input at both rates, one-shot and with the input written in three
-// pieces cut at fuzzer-chosen offsets. Seeds (empty, and one byte either
-// side of each rate) are in testdata/fuzz/FuzzSum256.
+// input, one-shot and with the input written in three pieces cut at
+// fuzzer-chosen offsets. Seeds (empty, 71–73, 135–137 and 272 bytes)
+// are in testdata/fuzz/FuzzSum256.
 func FuzzSum256(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
 		i, j := int(cut1), int(cut2)
@@ -124,25 +123,16 @@ func FuzzSum256(f *testing.F) {
 		if j > len(data) {
 			j = len(data)
 		}
-		one256, one512 := Sum256(data), Sum512(data)
-		for _, c := range []struct {
-			h       hash.Hash
-			oneShot []byte
-			rate    int
-		}{
-			{New256(), one256[:], 136},
-			{New512(), one512[:], 72},
-		} {
-			want := sumLoop(data, c.rate, len(c.oneShot))
-			if !bytes.Equal(c.oneShot, want) {
-				t.Fatalf("rate %d, %d bytes: one-shot %x, oracle %x", c.rate, len(data), c.oneShot, want)
-			}
-			c.h.Write(data[:i])
-			c.h.Write(data[i:j])
-			c.h.Write(data[j:])
-			if got := c.h.Sum(nil); !bytes.Equal(got, want) {
-				t.Fatalf("rate %d, %d bytes cut at %d,%d: incremental %x, oracle %x", c.rate, len(data), i, j, got, want)
-			}
+		want := sumLoop(data, rate, 32)
+		if one := Sum256(data); !bytes.Equal(one[:], want) {
+			t.Fatalf("%d bytes: one-shot %x, oracle %x", len(data), one, want)
+		}
+		h := New256()
+		h.Write(data[:i])
+		h.Write(data[i:j])
+		h.Write(data[j:])
+		if got := h.Sum(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes cut at %d,%d: incremental %x, oracle %x", len(data), i, j, got, want)
 		}
 	})
 }
@@ -169,16 +159,6 @@ func TestSum256Vectors(t *testing.T) {
 		if hex.EncodeToString(got[:]) != v.out {
 			t.Errorf("Sum256(%q) = %x, want %s", v.in, got, v.out)
 		}
-	}
-}
-
-func TestSum512Vector(t *testing.T) {
-	// Keccak-512("") from the original Keccak submission.
-	want := "0eab42de4c3ceb9235fc91acffe746b29c29a8c366b7c60e4e67c466f36a4304" +
-		"c00fa9caf9d87976ba469bcbe06713b435f091ef2769fb160cdab33d3670680e"
-	got := Sum512(nil)
-	if hex.EncodeToString(got[:]) != want {
-		t.Errorf("Sum512(\"\") = %x, want %s", got, want)
 	}
 }
 
@@ -230,11 +210,11 @@ func TestReset(t *testing.T) {
 }
 
 func TestSizes(t *testing.T) {
-	if New256().Size() != 32 || New512().Size() != 64 {
-		t.Fatal("wrong output sizes")
+	if New256().Size() != 32 {
+		t.Fatal("wrong output size")
 	}
-	if New256().BlockSize() != 136 || New512().BlockSize() != 72 {
-		t.Fatal("wrong block sizes")
+	if New256().BlockSize() != 136 {
+		t.Fatal("wrong block size")
 	}
 }
 

@@ -34,9 +34,6 @@ func init() { enabled.Store(true) }
 // exposition are unaffected; disabled instruments simply stop moving.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether observations are being recorded.
-func Enabled() bool { return enabled.Load() }
-
 // DefBuckets are the default latency buckets in seconds, spanning 50µs
 // (an in-memory state read) to 10s (a pathological fsync stall).
 var DefBuckets = []float64{

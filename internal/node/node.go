@@ -50,7 +50,6 @@ type Config struct {
 	Pprof                        bool   // /debug/pprof/ on the metrics listener
 	LogLevel                     string
 	Trace                        bool
-	TraceSample                  int
 	TraceSlow                    time.Duration
 	StateStore                   bool
 	StateCacheMB                 int
@@ -72,7 +71,6 @@ func RegisterFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "expose /debug/pprof/ on the metrics listener")
 	fs.StringVar(&cfg.LogLevel, "log-level", "info", "log level: debug, info, warn, error")
 	fs.BoolVar(&cfg.Trace, "trace", true, "record cross-tier spans (export on /debug/traces)")
-	fs.IntVar(&cfg.TraceSample, "trace-sample", 1, "trace every Nth root request (1 = all)")
 	fs.DurationVar(&cfg.TraceSlow, "trace-slow", 250*time.Millisecond, "log traces slower than this (0 = off)")
 	fs.BoolVar(&cfg.StateStore, "state-store", false, "disk-backed chain state: bounded-memory accounts under <datadir>/chain/state (requires -datadir)")
 	fs.IntVar(&cfg.StateCacheMB, "state-cache", 32, "state-store read cache budget in MiB")
@@ -130,7 +128,6 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n := &Node{cfg: cfg, log: obs.NewLogger(os.Stderr, obs.ParseLevel(cfg.LogLevel))}
 	xtrace.SetEnabled(cfg.Trace)
-	xtrace.SetSampleEvery(cfg.TraceSample)
 	xtrace.SetSlowThreshold(cfg.TraceSlow)
 	xtrace.SetLogger(n.log)
 	if err := n.open(); err != nil {
@@ -264,8 +261,13 @@ func (n *Node) health() map[string]interface{} {
 	return h
 }
 
-// ready is the /healthz readiness probe.
+// ready is the /healthz readiness probe. A latched persistence failure
+// makes the node not ready for good: the chain serves from memory but
+// journals nothing more until it is restarted.
 func (n *Node) ready() (bool, string) {
+	if err := n.Chain.PersistErr(); err != nil {
+		return false, fmt.Sprintf("chain persistence failed, restart the node: %v", err)
+	}
 	if maxAge := n.cfg.MaxHeadAge; maxAge > 0 {
 		if age := time.Since(n.Chain.View().PublishedAt()); age > maxAge {
 			return false, fmt.Sprintf("head view is %s old (max %s)", age.Round(time.Millisecond), maxAge)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"legalchain/internal/contracts"
 	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/obs"
 	"legalchain/internal/rpc"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
@@ -333,5 +335,53 @@ func TestFlagValidation(t *testing.T) {
 		if _, err := Start(config(t, false, args...)); err == nil {
 			t.Errorf("%v accepted", args)
 		}
+	}
+}
+
+// TestHealthzReportsLatchedPersistError: with a one-byte segment size
+// every block append opens a new segment file, so removing the chain's
+// directory makes the next seal's append fail and latch the chain's
+// persistence error. /healthz then answers 503 and names the error, in
+// the reason and in persistError.
+func TestHealthzReportsLatchedPersistError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chain")
+	bc, err := chain.Open(chain.DefaultGenesis(), chain.WithPersistence(chain.PersistConfig{DataDir: dir, SegmentSize: 1, NoSync: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	n := &Node{Chain: bc}
+	srv := httptest.NewServer(obs.OpsHandler(false, n.health, n.ready))
+	t.Cleanup(srv.Close)
+	health := func() (int, map[string]interface{}) {
+		code, body := get(t, srv.URL+"/healthz")
+		var h map[string]interface{}
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Fatalf("/healthz: %d %s", code, body)
+		}
+		return code, h
+	}
+
+	bc.MineBlock()
+	if code, h := health(); code != http.StatusOK || h["persistError"] != nil {
+		t.Fatalf("before the failure: %d %v", code, h)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	bc.MineBlock()
+	latched := bc.PersistErr()
+	if latched == nil {
+		t.Fatal("appending into a removed directory latched no error")
+	}
+	code, h := health()
+	if code != http.StatusServiceUnavailable || h["status"] != "unavailable" {
+		t.Fatalf("after the failure: %d %v", code, h)
+	}
+	if h["persistError"] != latched.Error() {
+		t.Fatalf("persistError = %v, want %q", h["persistError"], latched)
+	}
+	if reason, _ := h["reason"].(string); !strings.Contains(reason, latched.Error()) {
+		t.Fatalf("reason %q does not name %q", reason, latched)
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // ChainHealth summarises the blockchain tier for /healthz: the sealed
 // head, how stale the published read view is, the txpool depth, and —
-// for durable chains — what crash recovery found on the last start.
+// for durable chains — what crash recovery found on the last start and
+// the persistence failure that stopped journaling, if one has latched.
 // devnet and rentald both merge this map into their health() hook.
 func ChainHealth(bc *chain.Blockchain) map[string]interface{} {
 	v := bc.View()
@@ -33,6 +34,9 @@ func ChainHealth(bc *chain.Blockchain) map[string]interface{} {
 			rec["logDroppedBytes"] = rep.LogDroppedBytes
 		}
 		out["recovery"] = rec
+	}
+	if err := bc.PersistErr(); err != nil {
+		out["persistError"] = err.Error()
 	}
 	return out
 }

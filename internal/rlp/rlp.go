@@ -179,12 +179,6 @@ func Decode(data []byte) (*Item, error) {
 	return it, nil
 }
 
-// DecodePrefix parses the first RLP value in data and returns the
-// remainder, for streaming decoders.
-func DecodePrefix(data []byte) (*Item, []byte, error) {
-	return decodeOne(data)
-}
-
 var errTruncated = errors.New("rlp: input truncated")
 
 func decodeOne(data []byte) (*Item, []byte, error) {

@@ -167,13 +167,15 @@ func TestLongList(t *testing.T) {
 	}
 }
 
+// TestDecodePrefixStreaming: decodeOne returns the first value and the
+// bytes after it, which is how a list's payload is walked child by child.
 func TestDecodePrefixStreaming(t *testing.T) {
 	enc := append(Encode(String("one")), Encode(String("two"))...)
-	first, rest, err := DecodePrefix(enc)
+	first, rest, err := decodeOne(enc)
 	if err != nil || string(first.Str()) != "one" {
 		t.Fatal("first value")
 	}
-	second, rest, err := DecodePrefix(rest)
+	second, rest, err := decodeOne(rest)
 	if err != nil || string(second.Str()) != "two" || len(rest) != 0 {
 		t.Fatal("second value")
 	}

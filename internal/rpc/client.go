@@ -580,12 +580,6 @@ func (c *Client) FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error) {
 	return out, nil
 }
 
-// AdjustTime implements web3.Backend via evm_increaseTime.
-func (c *Client) AdjustTime(seconds uint64) error {
-	_, err := c.callString("evm_increaseTime", func(b []byte) []byte { return strconv.AppendUint(b, seconds, 10) })
-	return err
-}
-
 func decodeHash(s string) (ethtypes.Hash, error) {
 	b, err := hexutil.Decode(s)
 	if err != nil || len(b) != 32 {

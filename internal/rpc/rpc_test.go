@@ -221,8 +221,9 @@ func errorsAs(err error, target interface{}) bool {
 
 func TestIncreaseTimeOverHTTP(t *testing.T) {
 	client, accs, _ := rig(t)
-	if err := client.Backend().AdjustTime(7200); err != nil {
-		t.Fatal(err)
+	var secs string
+	if err := client.Backend().(*Client).Call(&secs, "evm_increaseTime", uint64(7200)); err != nil || secs != "0x1c20" {
+		t.Fatalf("evm_increaseTime = %q, %v", secs, err)
 	}
 	// Mine a block to observe the timestamp.
 	if _, err := client.Transfer(web3.TxOpts{From: accs[0].Address, Value: uint256.One}, accs[1].Address); err != nil {

@@ -55,7 +55,6 @@ func stallHubPump(t *testing.T, trigger func()) (release func()) {
 	var once sync.Once
 	release = func() { once.Do(func() { close(h.release) }) }
 	xtrace.SetEnabled(true)
-	xtrace.SetSampleEvery(1)
 	xtrace.SetSlowThreshold(time.Nanosecond)
 	xtrace.SetLogger(slog.New(h))
 	t.Cleanup(func() {

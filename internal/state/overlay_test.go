@@ -90,8 +90,9 @@ type accountView struct {
 }
 
 func viewOf(s *StateDB, a ethtypes.Address) accountView {
+	o := s.getObject(a)
 	return accountView{
-		exists: s.Exist(a), empty: s.Empty(a),
+		exists: s.Exist(a), empty: o == nil || o.empty(),
 		balance: s.GetBalance(a), nonce: s.GetNonce(a),
 		codeHash: s.GetCodeHash(a), code: string(s.GetCode(a)),
 		slot: s.GetState(a, slot(1)),

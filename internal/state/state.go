@@ -339,12 +339,6 @@ func (s *StateDB) Exist(addr ethtypes.Address) bool {
 	return s.getObject(addr) != nil
 }
 
-// Empty reports whether the account is absent or empty (EIP-161).
-func (s *StateDB) Empty(addr ethtypes.Address) bool {
-	o := s.getObject(addr)
-	return o == nil || o.empty()
-}
-
 // CreateAccount explicitly creates an account (used for contract
 // deployment targets).
 func (s *StateDB) CreateAccount(addr ethtypes.Address) {

@@ -120,18 +120,6 @@ func (x Int) IsUint64() bool { return x[1] == 0 && x[2] == 0 && x[3] == 0 }
 // IsZero reports whether x == 0.
 func (x Int) IsZero() bool { return x == Zero }
 
-// Sign returns 0 for zero, 1 for positive, -1 for values with the top
-// bit set when interpreted as two's complement.
-func (x Int) Sign() int {
-	if x.IsZero() {
-		return 0
-	}
-	if x[3]>>63 == 1 {
-		return -1
-	}
-	return 1
-}
-
 // Add returns x + y mod 2^256.
 func (x Int) Add(y Int) Int {
 	var out Int
@@ -141,17 +129,6 @@ func (x Int) Add(y Int) Int {
 	out[2], c = bits.Add64(x[2], y[2], c)
 	out[3], _ = bits.Add64(x[3], y[3], c)
 	return out
-}
-
-// AddOverflow returns x + y and whether the addition wrapped.
-func (x Int) AddOverflow(y Int) (Int, bool) {
-	var out Int
-	var c uint64
-	out[0], c = bits.Add64(x[0], y[0], 0)
-	out[1], c = bits.Add64(x[1], y[1], c)
-	out[2], c = bits.Add64(x[2], y[2], c)
-	out[3], c = bits.Add64(x[3], y[3], c)
-	return out, c != 0
 }
 
 // Sub returns x - y mod 2^256.

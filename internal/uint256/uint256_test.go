@@ -220,12 +220,6 @@ func TestQuickRingLaws(t *testing.T) {
 }
 
 func TestOverflowFlags(t *testing.T) {
-	if _, ov := Max.AddOverflow(One); !ov {
-		t.Fatal("Max+1 must overflow")
-	}
-	if _, ov := One.AddOverflow(One); ov {
-		t.Fatal("1+1 must not overflow")
-	}
 	if _, un := Zero.SubUnderflow(One); !un {
 		t.Fatal("0-1 must underflow")
 	}
@@ -250,9 +244,6 @@ func TestExp(t *testing.T) {
 func TestBitLenSignString(t *testing.T) {
 	if Zero.BitLen() != 0 || One.BitLen() != 1 || Max.BitLen() != 256 {
 		t.Fatal("BitLen")
-	}
-	if Zero.Sign() != 0 || One.Sign() != 1 || Max.Sign() != -1 {
-		t.Fatal("Sign")
 	}
 	if NewUint64(255).String() != "255" {
 		t.Fatal("String")

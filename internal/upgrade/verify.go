@@ -28,18 +28,13 @@ type Candidate struct {
 	CtorArgs []interface{}
 }
 
-// ForkView is the slice of the chain tier the property checks need: a
-// what-if fork of the live head. *chain.HeadView satisfies it.
-type ForkView interface {
-	Fork() *chain.Fork
-}
-
 // Verify runs the three spec checks against a candidate and returns the
-// full report; callers reject the upgrade when !report.OK(). A nil view
-// is tolerated only when no properties are declared — declared-but-
-// unexecutable properties fail conservatively (RulePropertyUnverifiable)
-// rather than waving the candidate through.
-func Verify(spec Spec, cand Candidate, view ForkView, from ethtypes.Address) *Report {
+// full report; callers reject the upgrade when !report.OK(). The
+// properties run on a what-if fork of view. A nil view is tolerated only
+// when no properties are declared — declared-but-unexecutable
+// properties fail conservatively (RulePropertyUnverifiable) rather than
+// waving the candidate through.
+func Verify(spec Spec, cand Candidate, view *chain.HeadView, from ethtypes.Address) *Report {
 	r := &Report{Candidate: cand.Name, Prev: spec.PrevAddress.Hex()}
 
 	if spec.PrevABI != nil && cand.ABI != nil {
@@ -63,7 +58,7 @@ func Verify(spec Spec, cand Candidate, view ForkView, from ethtypes.Address) *Re
 
 // checkProperties deploys the candidate on a fork of the head view and
 // runs each declared property as an eth_call against it.
-func (r *Report) checkProperties(props []Property, cand Candidate, view ForkView, from ethtypes.Address) {
+func (r *Report) checkProperties(props []Property, cand Candidate, view *chain.HeadView, from ethtypes.Address) {
 	if view == nil {
 		for _, p := range props {
 			r.Properties = append(r.Properties, PropertyResult{

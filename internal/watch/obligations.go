@@ -50,7 +50,7 @@ func (t *Tower) dueOf(cs *contractState) (kind string, due uint64, ok bool) {
 			return kindRentDue, cs.LastPayBlock + t.cfg.RentPeriod, true
 		}
 	case StateModifiedPending:
-		return kindConfirmMod, cs.ModifiedBlock + t.cfg.ModifyGrace, true
+		return kindConfirmMod, cs.ModifiedBlock + modifyGrace, true
 	}
 	return "", 0, false
 }

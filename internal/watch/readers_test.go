@@ -33,7 +33,7 @@ func readersScript(t *testing.T, check func(phase string, tw *Tower, addrs []eth
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, err := New(bc, Config{RentPeriod: 2, ModifyGrace: 2, Rules: rules})
+	tw, err := New(bc, Config{RentPeriod: 2, Rules: rules})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func timelineDoc(tw *Tower, addr ethtypes.Address) map[string]interface{} {
 }
 
 // TestNarrowReadsMatchStatus is the differential test of the tower's
-// reads: ContractStatus and ContractTimeline against Status and
-// Timeline at every phase of readersScript, and all of them against the
+// reads: ContractTimeline's events and entry against Timeline and
+// Status at every phase of readersScript, and all of them against the
 // golden JSON.
 func TestNarrowReadsMatchStatus(t *testing.T) {
 	type checkpoint struct {
@@ -142,11 +142,13 @@ func TestNarrowReadsMatchStatus(t *testing.T) {
 	var got []checkpoint
 	readersScript(t, func(phase string, tw *Tower, addrs []ethtypes.Address) {
 		st := tw.Status()
+		byAddr := make(map[string]ContractStatus, len(st.Contracts))
 		for _, want := range st.Contracts {
-			c, ok := tw.ContractStatus(ethtypes.HexToAddress(want.Address))
+			_, c, ok := tw.ContractTimeline(ethtypes.HexToAddress(want.Address))
 			if !ok || !reflect.DeepEqual(c, want) {
-				t.Fatalf("%s: ContractStatus(%s) = %+v, %v; Status has %+v", phase, want.Address, c, ok, want)
+				t.Fatalf("%s: ContractTimeline(%s) entry %+v, %v; Status has %+v", phase, want.Address, c, ok, want)
 			}
+			byAddr[want.Address] = want
 		}
 		sum := st
 		sum.Contracts = nil
@@ -173,8 +175,8 @@ func TestNarrowReadsMatchStatus(t *testing.T) {
 			if !reflect.DeepEqual(events, tw.Timeline(addr)) {
 				t.Fatalf("%s: ContractTimeline(%s) events differ from Timeline", phase, addr)
 			}
-			if want, tracked := tw.ContractStatus(addr); ok != tracked || !reflect.DeepEqual(c, want) {
-				t.Fatalf("%s: ContractTimeline(%s) entry %+v, %v; ContractStatus %+v, %v", phase, addr, c, ok, want, tracked)
+			if want, tracked := byAddr[addr.Hex()]; ok != tracked || !reflect.DeepEqual(c, want) {
+				t.Fatalf("%s: ContractTimeline(%s) entry %+v, %v; Status has %+v, %v", phase, addr, c, ok, want, tracked)
 			}
 			cp.Timelines = append(cp.Timelines, timelineDoc(tw, addr))
 		}

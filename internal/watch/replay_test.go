@@ -71,7 +71,7 @@ func replayRun(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{RentPeriod: 2, ModifyGrace: 2, Rules: rules}
+	cfg := Config{RentPeriod: 2, Rules: rules}
 
 	// Tower A watches the whole run, across the chain restart.
 	a, err := New(src, cfg)

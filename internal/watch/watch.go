@@ -72,10 +72,6 @@ type Config struct {
 	// signing) the next month is due within this many blocks. Blocks are
 	// the devnet's month-proxy — the only clock all parties share.
 	RentPeriod uint64
-	// ModifyGrace is how many blocks a linked-but-unconfirmed successor
-	// may stay pending before the confirm-modification obligation is
-	// overdue.
-	ModifyGrace uint64
 	// Rules are the alert rules evaluated after every folded block.
 	Rules []Rule
 	// MemEvents bounds the in-memory event buffer serving /timeline.
@@ -84,10 +80,13 @@ type Config struct {
 }
 
 const (
-	defaultRentPeriod  = 5
-	defaultModifyGrace = 2
-	defaultMemEvents   = 65536
-	maxAlertHistory    = 1024
+	defaultRentPeriod = 5
+	// modifyGrace is how many blocks a linked-but-unconfirmed successor
+	// may stay pending before the confirm-modification obligation is
+	// overdue.
+	modifyGrace      = 2
+	defaultMemEvents = 65536
+	maxAlertHistory  = 1024
 )
 
 // contractState is one lifecycle state machine.
@@ -248,9 +247,6 @@ func loadRentalABI() *abi.ABI {
 func New(src Source, cfg Config) (*Tower, error) {
 	if cfg.RentPeriod == 0 {
 		cfg.RentPeriod = defaultRentPeriod
-	}
-	if cfg.ModifyGrace == 0 {
-		cfg.ModifyGrace = defaultModifyGrace
 	}
 	if cfg.MemEvents == 0 {
 		cfg.MemEvents = defaultMemEvents
@@ -787,15 +783,6 @@ func (t *Tower) summaryLocked(head uint64) Status {
 	return st
 }
 
-// ContractStatus reports addr's entry of Status().Contracts; false if
-// the tower does not track addr.
-func (t *Tower) ContractStatus(addr ethtypes.Address) (ContractStatus, bool) {
-	hex := addr.Hex()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.contractStatusLocked(addr, hex)
-}
-
 // contractStatusLocked builds addr's entry; hex is addr.Hex().
 func (t *Tower) contractStatusLocked(addr ethtypes.Address, hex string) (ContractStatus, bool) {
 	cs := t.contracts[addr]
@@ -827,8 +814,9 @@ func (t *Tower) Timeline(addr ethtypes.Address) []Event {
 	return t.timelineLocked(hex)
 }
 
-// ContractTimeline is Timeline and ContractStatus read under one lock,
-// so the events and the entry describe the same folded height.
+// ContractTimeline is Timeline and addr's entry of Status().Contracts
+// read under one lock, so the events and the entry describe the same
+// folded height; false if the tower does not track addr.
 func (t *Tower) ContractTimeline(addr ethtypes.Address) ([]Event, ContractStatus, bool) {
 	hex := addr.Hex()
 	t.mu.Lock()

@@ -48,7 +48,6 @@ type Backend interface {
 	EstimateGas(msg CallMsg) (uint64, error)
 	TransactionReceipt(h ethtypes.Hash) (*ethtypes.Receipt, bool, error)
 	FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error)
-	AdjustTime(seconds uint64) error
 }
 
 // HeadViewer is implemented by backends that can pin an immutable head
@@ -172,12 +171,6 @@ func (l *LocalBackend) TransactionReceipt(h ethtypes.Hash) (*ethtypes.Receipt, b
 // FilterLogs implements Backend.
 func (l *LocalBackend) FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error) {
 	return l.BC.FilterLogs(q), nil
-}
-
-// AdjustTime implements Backend.
-func (l *LocalBackend) AdjustTime(seconds uint64) error {
-	l.BC.AdjustTime(seconds)
-	return nil
 }
 
 // Client couples a backend with a keystore for signing.

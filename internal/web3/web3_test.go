@@ -154,15 +154,3 @@ func TestDeployRevertingConstructor(t *testing.T) {
 		t.Fatal("reverting constructor deployed")
 	}
 }
-
-func TestAdjustTimeThroughBackend(t *testing.T) {
-	client, accs := rig(t)
-	if err := client.Backend().AdjustTime(1000); err != nil {
-		t.Fatal(err)
-	}
-	// Mine a block; timestamps only observable via contracts/headers,
-	// here we just ensure the call path works.
-	if _, err := client.Transfer(TxOpts{From: accs[0].Address, Value: uint256.One}, accs[1].Address); err != nil {
-		t.Fatal(err)
-	}
-}

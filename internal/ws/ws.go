@@ -291,14 +291,6 @@ func (c *Conn) WriteMessage(opcode byte, payload []byte) error {
 // WriteText sends s as a text message.
 func (c *Conn) WriteText(s string) error { return c.writeFrame(OpText, []byte(s)) }
 
-// Ping sends a ping control frame.
-func (c *Conn) Ping(data []byte) error {
-	if len(data) > maxControlPayload {
-		data = data[:maxControlPayload]
-	}
-	return c.writeFrame(opPing, data)
-}
-
 // Close sends a close frame with the given status code and reason
 // (truncated to MaxCloseReason bytes) and closes the connection. Safe
 // to call multiple times; only the first wins.

@@ -94,7 +94,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 func TestPingAnsweredTransparently(t *testing.T) {
 	c, s := pair(t)
-	if err := c.Ping([]byte("are-you-there")); err != nil {
+	if err := c.writeFrame(opPing, []byte("are-you-there")); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 	// The server's next ReadMessage should answer the ping internally

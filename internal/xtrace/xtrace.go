@@ -1,6 +1,6 @@
 // Package xtrace is a stdlib-only span-tracing subsystem. Spans are
 // carried through the process via context.Context and form one trace
-// per sampled root (an HTTP request, a legalctl invocation, ...).
+// per root (an HTTP request, a legalctl invocation, ...).
 // Completed traces land in a bounded in-memory ring buffer exported on
 // the ops sidecar as /debug/traces (JSON) and /debug/traces/chrome
 // (Chrome trace_event format, loadable in about:tracing / Perfetto).
@@ -16,9 +16,9 @@
 //
 //     costs one context value lookup when tracing is off.
 //
-//  2. Sampling is decided once, at the root. StartRoot consults a
-//     process-wide 1-in-N atomic counter; descendants inherit the
-//     decision for free through the context.
+//  2. Whether to trace is decided once, at the root: while the
+//     subsystem is on, StartRoot traces every root, and descendants
+//     inherit the decision for free through the context.
 //
 //  3. Collection is lock-cheap: per-span appends take the owning
 //     trace's mutex (only ever contended by that request's own
@@ -46,28 +46,16 @@ type ctxKey struct{}
 const maxSpansPerTrace = 4096
 
 var (
-	enabled     atomic.Bool
-	sampleEvery atomic.Int64 // 0 = sample nothing, 1 = everything, N = 1-in-N
-	sampleSeq   atomic.Int64
-	slowNanos   atomic.Int64
+	enabled   atomic.Bool
+	slowNanos atomic.Int64
 
 	loggerMu sync.Mutex
 	logger   *slog.Logger
 )
 
-func init() { sampleEvery.Store(1) }
-
 // SetEnabled turns the whole subsystem on or off. When off, StartRoot
-// never samples and instrumented paths see only nil spans.
+// opens no trace and instrumented paths see only nil spans.
 func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether the subsystem is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetSampleEvery makes StartRoot keep one root in every n. n <= 0
-// disables sampling entirely (but leaves the subsystem "enabled");
-// n == 1 traces every root.
-func SetSampleEvery(n int) { sampleEvery.Store(int64(n)) }
 
 // SetSlowThreshold sets the duration above which a completed trace is
 // logged as a slow-trace exemplar. Zero disables the exemplar log.
@@ -107,7 +95,7 @@ type Span struct {
 	ended   atomic.Bool
 }
 
-// trace accumulates the spans of one sampled root until the root ends.
+// trace accumulates the spans of one root until the root ends.
 type trace struct {
 	id      string
 	start   time.Time
@@ -137,19 +125,12 @@ func (t *trace) newSpan(parent uint64, tier, name string) *Span {
 	return sp
 }
 
-// StartRoot opens a new trace if the subsystem is enabled and the
-// 1-in-N sampler selects this root. traceID names the trace (reuse the
-// request ID so logs, error envelopes and traces join); when empty a
-// random ID is generated. Returns (ctx, nil) when not sampled.
+// StartRoot opens a new trace if the subsystem is enabled. traceID
+// names the trace (reuse the request ID so logs, error envelopes and
+// traces join); when empty a random ID is generated. Returns (ctx, nil)
+// when tracing is off.
 func StartRoot(ctx context.Context, tier, name, traceID string) (context.Context, *Span) {
 	if !enabled.Load() {
-		return ctx, nil
-	}
-	n := sampleEvery.Load()
-	if n <= 0 {
-		return ctx, nil
-	}
-	if n > 1 && sampleSeq.Add(1)%n != 0 {
 		return ctx, nil
 	}
 	if traceID == "" {
@@ -161,7 +142,7 @@ func StartRoot(ctx context.Context, tier, name, traceID string) (context.Context
 }
 
 // Start opens a child span of the span carried by ctx. When ctx holds
-// no span (tracing off, or root not sampled) it returns (ctx, nil) and
+// no span (tracing off, or no root) it returns (ctx, nil) and
 // the caller's deferred End is a no-op.
 func Start(ctx context.Context, tier, name string) (context.Context, *Span) {
 	parent, _ := ctx.Value(ctxKey{}).(*Span)
@@ -201,7 +182,7 @@ func (s *Span) SetAttr(key, value string) {
 
 // SetAttrUint is SetAttr for a number. It formats only when the span is
 // live, so a hot path can attach a counter without paying a format and
-// an allocation per call while tracing is off or the trace unsampled.
+// an allocation per call while tracing is off.
 func (s *Span) SetAttrUint(key string, value uint64) {
 	if s == nil {
 		return
