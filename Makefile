@@ -16,6 +16,8 @@ test:
 # `legalctl demo` and `legalctl audit`, which build their evidence lines
 # on the same in-process stack. Each one exits non-zero on a broken
 # expectation, so the target fails; together they run in about a second.
+# Last, `legalctl trace BaseRental state` runs twice and the two outputs
+# must be byte-identical: the trace of one call is deterministic.
 examples:
 	@for d in examples/*/; do \
 		echo "$(GO) run ./$$d"; \
@@ -25,6 +27,11 @@ examples:
 		echo "$(GO) run ./cmd/legalctl $$c"; \
 		$(GO) run ./cmd/legalctl $$c >/dev/null || exit 1; \
 	done
+	@echo "$(GO) run ./cmd/legalctl trace BaseRental state (twice, cmp)"; \
+	tmp=$$(mktemp -d) && \
+	$(GO) run ./cmd/legalctl trace BaseRental state >$$tmp/a && \
+	$(GO) run ./cmd/legalctl trace BaseRental state >$$tmp/b && \
+	cmp $$tmp/a $$tmp/b; rc=$$?; rm -rf $$tmp; exit $$rc
 
 # check is the fast pre-merge gate: check the EXPERIMENTS record
 # (`make docs-check`), vet everything, run (`make race`)

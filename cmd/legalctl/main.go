@@ -315,7 +315,12 @@ func runTrace(name, method string) {
 	for op := range trace.OpCount {
 		ops = append(ops, op)
 	}
-	sort.Slice(ops, func(i, j int) bool { return trace.OpCount[ops[i]] > trace.OpCount[ops[j]] })
+	sort.Slice(ops, func(i, j int) bool {
+		if ci, cj := trace.OpCount[ops[i]], trace.OpCount[ops[j]]; ci != cj {
+			return ci > cj
+		}
+		return ops[i] < ops[j]
+	})
 	fmt.Println("opcode histogram:")
 	for _, op := range ops {
 		fmt.Printf("  %-14s %d\n", op, trace.OpCount[op])

@@ -1,102 +1,128 @@
 package app
 
 import (
-	"context"
 	"encoding/json"
-	"log/slog"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"legalchain/internal/chain"
 	"legalchain/internal/web3"
-	"legalchain/internal/xtrace"
 )
 
-// stallHandler is a slow-trace log handler that holds the first
-// "subFanout" trace it sees until release closes.
-type stallHandler struct {
-	once          sync.Once
-	held, release chan struct{}
+// writeGate holds every server-side socket write while shut, as a peer
+// that stopped reading does once the socket buffers fill: the stream
+// blocks inside a write, at a point the test picks.
+type writeGate struct {
+	mu      sync.Mutex
+	shut    chan struct{} // non-nil while shut; closed by open
+	blocked chan struct{} // cap 1: signalled when a write waits at the gate
 }
 
-func (h *stallHandler) Enabled(context.Context, slog.Level) bool { return true }
-func (h *stallHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
-func (h *stallHandler) WithGroup(string) slog.Handler            { return h }
-
-func (h *stallHandler) Handle(_ context.Context, r slog.Record) error {
-	r.Attrs(func(a slog.Attr) bool {
-		if a.Key == "root" && strings.HasSuffix(a.Value.String(), "subFanout") {
-			h.once.Do(func() { close(h.held); <-h.release })
-			return false
-		}
-		return true
-	})
-	return nil
+func (g *writeGate) close() {
+	g.mu.Lock()
+	g.shut = make(chan struct{})
+	g.mu.Unlock()
 }
 
-// stallHubPump holds the chain's hub pump inside the fan-out that
-// trigger causes, until the returned release is called. The pump ends
-// each fan-out with a root span; with a 1 ns slow-trace threshold that
-// span's End logs to the slow-trace logger, which holds it. Events
-// published meanwhile pile up in the hub queue, which sheds its oldest
-// once full.
-func stallHubPump(t *testing.T, trigger func()) (release func()) {
-	t.Helper()
-	h := &stallHandler{held: make(chan struct{}), release: make(chan struct{})}
-	var once sync.Once
-	release = func() { once.Do(func() { close(h.release) }) }
-	xtrace.SetEnabled(true)
-	xtrace.SetSlowThreshold(time.Nanosecond)
-	xtrace.SetLogger(slog.New(h))
-	t.Cleanup(func() {
-		release()
-		xtrace.SetLogger(nil)
-		xtrace.SetSlowThreshold(0)
-		xtrace.SetEnabled(false)
-		xtrace.Reset()
-	})
-	trigger()
-	select {
-	case <-h.held:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the hub pump never reached the slow-trace logger")
+func (g *writeGate) open() {
+	g.mu.Lock()
+	if g.shut != nil {
+		close(g.shut)
+		g.shut = nil
 	}
-	return release
+	g.mu.Unlock()
 }
 
-// TestSSEHeadsHubOverflowGap: a heads stream whose hub events were shed
-// (the hub queue overflowed while the pump was held) recovers from the
-// newest view: the blocks it still holds arrive once and in order, and
-// the evicted ones the block log cannot serve are one gap frame whose
-// missed count and resume height account for them.
+// awaitBlocked waits until a write is held at the shut gate.
+func (g *writeGate) awaitBlocked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no write reached the shut gate")
+	}
+}
+
+type gatedConn struct {
+	net.Conn
+	g *writeGate
+}
+
+func (c gatedConn) Write(p []byte) (int, error) {
+	c.g.mu.Lock()
+	shut := c.g.shut
+	c.g.mu.Unlock()
+	if shut != nil {
+		select {
+		case c.g.blocked <- struct{}{}:
+		default:
+		}
+		<-shut
+	}
+	return c.Conn.Write(p)
+}
+
+type gatedListener struct {
+	net.Listener
+	g *writeGate
+}
+
+func (l gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return gatedConn{c, l.g}, nil
+}
+
+// gatedServer serves h on connections whose writes pass the returned
+// gate, which starts open.
+func gatedServer(t *testing.T, h http.Handler) (*httptest.Server, *writeGate) {
+	t.Helper()
+	g := &writeGate{blocked: make(chan struct{}, 1)}
+	srv := httptest.NewUnstartedServer(h)
+	srv.Listener = gatedListener{srv.Listener, g}
+	srv.Start()
+	t.Cleanup(func() { g.open(); srv.Close() })
+	return srv, g
+}
+
+// TestSSEHeadsHubOverflowGap: a heads stream that blocked on the socket
+// while the chain kept sealing overflows its own hub ring, and recovers
+// from the newest view: the block it was writing arrives, the blocks
+// the view still holds arrive once and in order, and the evicted ones
+// the block log cannot serve are one gap frame whose missed count and
+// resume height account for them.
 func TestSSEHeadsHubOverflowGap(t *testing.T) {
 	dir := t.TempDir()
 	const retain = 4
 	a := rigPersist(t, func(b *web3.LocalBackend) web3.Backend { return b },
 		chain.PersistConfig{DataDir: dir, NoSync: true, RetainBlocks: retain})
-	srv := httptest.NewServer(a.Handler())
-	t.Cleanup(srv.Close)
+	srv, gate := gatedServer(t, a.Handler())
 	b := newBrowser(t, srv)
 	b.register("laggard", "pw")
 	bc := appChain(t, a)
 
 	stream := openStream(t, b, "/api/v1/heads", nil)
-	if f := stream.next(5 * time.Second); f.event != "head" || f.id != strconv.FormatUint(bc.BlockNumber(), 10) {
+	start := bc.BlockNumber()
+	if f := stream.next(5 * time.Second); f.event != "head" || f.id != strconv.FormatUint(start, 10) {
 		t.Fatalf("first frame %q id %q, want the current head", f.event, f.id)
 	}
-	release := stallHubPump(t, func() { bc.AdjustTime(1) })
-	const blocks = 40
-	for i := 0; i < blocks; i++ {
+	// The stream blocks writing the first new block; the rest overflow
+	// its ring of 64 and all but the last retain are evicted.
+	const blocks = 80
+	gate.close()
+	bc.MineBlock()
+	gate.awaitBlocked(t)
+	for i := 1; i < blocks; i++ {
 		bc.MineBlock()
-	}
-	for i := 0; i < 5000; i++ { // more head events than the hub queue holds: the blocks' events are shed
-		bc.AdjustTime(1)
 	}
 	head := bc.BlockNumber()
 	segs, _ := filepath.Glob(filepath.Join(dir, "blocks-*"))
@@ -109,9 +135,13 @@ func TestSSEHeadsHubOverflowGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	release()
+	gate.open()
 
-	for want := head - retain + 1; want <= head; want++ {
+	delivered := []uint64{start + 1}
+	for n := head - retain + 1; n <= head; n++ {
+		delivered = append(delivered, n)
+	}
+	for _, want := range delivered {
 		if f := stream.next(5 * time.Second); f.event != "head" || f.id != strconv.FormatUint(want, 10) {
 			t.Fatalf("frame %q id %q, want head %d", f.event, f.id, want)
 		}
@@ -121,8 +151,8 @@ func TestSSEHeadsHubOverflowGap(t *testing.T) {
 	if err := json.Unmarshal([]byte(f.data), &gap); err != nil || f.event != "gap" {
 		t.Fatalf("frame %q %s, want a gap frame", f.event, f.data)
 	}
-	if gap.Missed != blocks-retain || gap.Resume != head {
-		t.Errorf("gap frame %+v, want missed %d, resume %d", gap, blocks-retain, head)
+	if want := head - retain - start - 1; gap.Missed != want || gap.Resume != head {
+		t.Errorf("gap frame %+v, want missed %d, resume %d", gap, want, head)
 	}
 	stream.none(100 * time.Millisecond)
 }

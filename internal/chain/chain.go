@@ -361,7 +361,7 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 	}
 
 	// The transaction is admitted: let newPendingTransactions watchers
-	// know before it seals (O(1), never blocks).
+	// know before it seals (one ring append per watcher, never blocks).
 	bc.hub.enqueue(Event{TxHash: hash})
 
 	header := bc.nextHeaderLocked()

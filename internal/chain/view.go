@@ -529,8 +529,8 @@ func (bc *Blockchain) publishHeadLocked() {
 	}
 	v.callCtx = blockContext(v.chainID, v.nextHeader(), ethtypes.Address{}, uint256.Zero, v.blockHash)
 	bc.view.Store(v)
-	// Hand the view to the subscription hub: one O(1) enqueue, fanned
-	// out to subscriber rings off the seal path (hub.go).
+	// Hand the view to the subscription hub, which appends it to every
+	// heads subscriber's ring (hub.go).
 	bc.hub.enqueue(Event{View: v})
 	mViewsPublished.Inc()
 	lastViewPublishNanos.Store(now.UnixNano())

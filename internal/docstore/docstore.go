@@ -289,15 +289,3 @@ func (s *Store) Count(table string) int {
 	defer s.mu.RUnlock()
 	return len(s.tables[table])
 }
-
-// Tables lists table names, sorted.
-func (s *Store) Tables() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tables))
-	for t := range s.tables {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}

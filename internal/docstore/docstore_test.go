@@ -95,8 +95,8 @@ func TestKeysScanCount(t *testing.T) {
 	if seen != 5 {
 		t.Fatalf("scan stopped at %d", seen)
 	}
-	if got := s.Tables(); len(got) != 1 || got[0] != "contracts" {
-		t.Fatalf("tables = %v", got)
+	if _, ok := s.tables["contracts"]; !ok || len(s.tables) != 1 {
+		t.Fatalf("%d tables, want contracts alone", len(s.tables))
 	}
 }
 

@@ -160,7 +160,10 @@ func NewFileStore(dir string) (*FileStore, error) {
 
 func (f *FileStore) path(cid CID) string { return filepath.Join(f.dir, string(cid)) }
 
-// Add implements Store.
+// Add implements Store. The blob is synced before it is renamed into
+// place and the directory after, so a registry row that names the CID,
+// written after Add returns, cannot outlive the blob across a crash. A
+// <cid>.tmp that a crash left behind is overwritten.
 func (f *FileStore) Add(data []byte) (CID, error) {
 	cid := ComputeCID(data)
 	f.mu.Lock()
@@ -173,10 +176,29 @@ func (f *FileStore) Add(data []byte) (CID, error) {
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return "", err
 	}
+	if err := fsync(tmp); err != nil {
+		return "", err
+	}
 	if err := os.Rename(tmp, p); err != nil {
 		return "", err
 	}
+	if err := fsync(f.dir); err != nil {
+		return "", err
+	}
 	return cid, nil
+}
+
+// fsync flushes the named file or directory to stable storage.
+func fsync(name string) error {
+	fh, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	err = fh.Sync()
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Get implements Store.

@@ -114,6 +114,35 @@ func TestFileStoreDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFileStoreLeftoverTmp: a crash between the write and the rename
+// leaves <cid>.tmp behind. Get does not serve it, Add over it stores the
+// blob, and no temporary file is left afterwards. The fsyncs themselves
+// are not checked: that needs a filesystem that drops unsynced writes.
+func TestFileStoreLeftoverTmp(t *testing.T) {
+	dir := t.TempDir()
+	data := []byte("registry-named ABI")
+	cid := ComputeCID(data)
+	if err := os.WriteFile(filepath.Join(dir, string(cid)+".tmp"), data[:5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Get(cid); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get with only a leftover .tmp: %v, want ErrNotFound", err)
+	}
+	if got, err := fs.Add(data); err != nil || got != cid {
+		t.Fatalf("Add over a leftover .tmp: %s, %v", got, err)
+	}
+	if back, err := fs.Get(cid); err != nil || !bytes.Equal(back, data) {
+		t.Fatalf("Get after Add: %q, %v", back, err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Fatalf("temporary files left behind: %v", left)
+	}
+}
+
 func TestValidateRejectsGarbage(t *testing.T) {
 	for _, s := range []CID{"", "notacid", "Qm///", CID(base58Encode([]byte{0x12, 0x19, 1, 2}))} {
 		if err := s.Validate(); err == nil {

@@ -1,14 +1,12 @@
 package rpc
 
 import (
-	"context"
 	"encoding/json"
-	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,60 +15,84 @@ import (
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/hexutil"
 	"legalchain/internal/wallet"
-	"legalchain/internal/web3"
-	"legalchain/internal/xtrace"
 )
 
-// stallHandler is a slow-trace log handler that holds the first
-// "subFanout" trace it sees until release closes.
-type stallHandler struct {
-	once          sync.Once
-	held, release chan struct{}
+// writeGate holds every server-side socket write while shut, as a peer
+// that stopped reading does once the socket buffers fill: the session's
+// notifier blocks inside a write, at a point the test picks.
+type writeGate struct {
+	mu      sync.Mutex
+	shut    chan struct{} // non-nil while shut; closed by open
+	blocked chan struct{} // cap 1: signalled when a write waits at the gate
 }
 
-func (h *stallHandler) Enabled(context.Context, slog.Level) bool { return true }
-func (h *stallHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
-func (h *stallHandler) WithGroup(string) slog.Handler            { return h }
-
-func (h *stallHandler) Handle(_ context.Context, r slog.Record) error {
-	r.Attrs(func(a slog.Attr) bool {
-		if a.Key == "root" && strings.HasSuffix(a.Value.String(), "subFanout") {
-			h.once.Do(func() { close(h.held); <-h.release })
-			return false
-		}
-		return true
-	})
-	return nil
+func (g *writeGate) close() {
+	g.mu.Lock()
+	g.shut = make(chan struct{})
+	g.mu.Unlock()
 }
 
-// stallHubPump holds the chain's hub pump inside the fan-out that
-// trigger causes, until the returned release is called. The pump ends
-// each fan-out with a root span; with a 1 ns slow-trace threshold that
-// span's End logs to the slow-trace logger, which holds it. Events
-// published meanwhile pile up in the hub queue, which sheds its oldest
-// once full.
-func stallHubPump(t *testing.T, trigger func()) (release func()) {
-	t.Helper()
-	h := &stallHandler{held: make(chan struct{}), release: make(chan struct{})}
-	var once sync.Once
-	release = func() { once.Do(func() { close(h.release) }) }
-	xtrace.SetEnabled(true)
-	xtrace.SetSlowThreshold(time.Nanosecond)
-	xtrace.SetLogger(slog.New(h))
-	t.Cleanup(func() {
-		release()
-		xtrace.SetLogger(nil)
-		xtrace.SetSlowThreshold(0)
-		xtrace.SetEnabled(false)
-		xtrace.Reset()
-	})
-	trigger()
-	select {
-	case <-h.held:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the hub pump never reached the slow-trace logger")
+func (g *writeGate) open() {
+	g.mu.Lock()
+	if g.shut != nil {
+		close(g.shut)
+		g.shut = nil
 	}
-	return release
+	g.mu.Unlock()
+}
+
+// awaitBlocked waits until a write is held at the shut gate.
+func (g *writeGate) awaitBlocked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no write reached the shut gate")
+	}
+}
+
+type gatedConn struct {
+	net.Conn
+	g *writeGate
+}
+
+func (c gatedConn) Write(p []byte) (int, error) {
+	c.g.mu.Lock()
+	shut := c.g.shut
+	c.g.mu.Unlock()
+	if shut != nil {
+		select {
+		case c.g.blocked <- struct{}{}:
+		default:
+		}
+		<-shut
+	}
+	return c.Conn.Write(p)
+}
+
+type gatedListener struct {
+	net.Listener
+	g *writeGate
+}
+
+func (l gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return gatedConn{c, l.g}, nil
+}
+
+// gatedServer serves h on connections whose writes pass the returned
+// gate, which starts open.
+func gatedServer(t *testing.T, h http.Handler) (*httptest.Server, *writeGate) {
+	t.Helper()
+	g := &writeGate{blocked: make(chan struct{}, 1)}
+	hs := httptest.NewUnstartedServer(h)
+	hs.Listener = gatedListener{hs.Listener, g}
+	hs.Start()
+	t.Cleanup(func() { g.open(); hs.Close() })
+	return hs, g
 }
 
 // zeroBlockLog overwrites every block-log segment under dir with zeros,
@@ -92,13 +114,14 @@ func zeroBlockLog(t *testing.T, dir string) {
 	}
 }
 
-// TestWSHubOverflowGapAndResume: a WS session whose hub events were
-// shed (the hub queue overflowed while the pump was held) recovers from
-// the newest view. newHeads resumes at the first block it has not
-// delivered: the blocks the view still holds arrive once and in order,
-// and the evicted ones the block log cannot serve are one gap notice
-// whose missed count and resume height account for them;
-// newPendingTransactions reports the shed hashes as a gap notice.
+// TestWSHubOverflowGapAndResume: a WS session whose notifier blocked
+// on the socket while the chain kept sealing overflows its own hub
+// rings, and recovers from the newest view. newHeads resumes at the
+// first block it has not delivered: the blocks the view still holds
+// arrive once and in order, and the evicted ones the block log cannot
+// serve are one gap notice whose missed count and resume height
+// account for them; newPendingTransactions reports the hashes its full
+// ring dropped as a gap notice.
 func TestWSHubOverflowGapAndResume(t *testing.T) {
 	accs := wallet.DevAccounts("ws gap test", 2)
 	g := chain.DefaultGenesis()
@@ -110,37 +133,31 @@ func TestWSHubOverflowGapAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
-	ks := walletFromAccounts(accs)
-	hs := httptest.NewServer(http.HandlerFunc(NewServer(bc, ks).ServeWS))
-	t.Cleanup(hs.Close)
+	hs, gate := gatedServer(t, http.HandlerFunc(NewServer(bc, walletFromAccounts(accs)).ServeWS))
 	c := dialWS(t, hs.URL)
-	client, err := web3.NewClient(web3.NewLocalBackend(bc), ks)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var headsID, pendID string
 	json.Unmarshal(c.call("eth_subscribe", "newHeads"), &headsID)
 	json.Unmarshal(c.call("eth_subscribe", "newPendingTransactions"), &pendID)
-	start := bc.BlockNumber()
+	const events = 80 // each ring holds 64
 
-	release := stallHubPump(t, func() { bc.AdjustTime(1) })
-	const blocks = 80
-	for i := 0; i < blocks; i++ { // one pending and one head event each
-		if _, err := client.Transfer(web3.TxOpts{From: accs[0].Address, Value: ethtypes.Gwei(1)}, accs[1].Address); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5000; i++ { // more head events than the hub queue holds: the blocks' events are shed
-		bc.AdjustTime(1)
+	// Heads: the notifier blocks writing the first new block; the rest
+	// overflow its ring and all but the last retain are evicted.
+	start := bc.BlockNumber()
+	gate.close()
+	bc.MineBlock()
+	gate.awaitBlocked(t)
+	for i := 1; i < events; i++ {
+		bc.MineBlock()
 	}
 	head := bc.BlockNumber()
-	if head != start+blocks {
-		t.Fatalf("head %d, want %d", head, start+blocks)
-	}
 	zeroBlockLog(t, dir)
-	release()
+	gate.open()
 
-	for want := head - retain + 1; want <= head; want++ {
+	delivered := []uint64{start + 1}
+	for n := head - retain + 1; n <= head; n++ {
+		delivered = append(delivered, n)
+	}
+	for _, want := range delivered {
 		var n struct{ Number string }
 		json.Unmarshal(c.nextNotif(headsID, 5*time.Second), &n)
 		if got, _ := hexutil.DecodeUint64(n.Number); got != want {
@@ -151,12 +168,40 @@ func TestWSHubOverflowGapAndResume(t *testing.T) {
 		Gap struct{ Missed, Resume string }
 	}
 	json.Unmarshal(c.nextNotif(headsID, 5*time.Second), &gap)
-	if want := (gapNotice{missed: hexutil.EncodeUint64(blocks - retain), resume: hexutil.EncodeUint64(head)}); gap.Gap.Missed != want.missed || gap.Gap.Resume != want.resume {
+	if want := (gapNotice{missed: hexutil.EncodeUint64(head - retain - start - 1), resume: hexutil.EncodeUint64(head)}); gap.Gap.Missed != want.missed || gap.Gap.Resume != want.resume {
 		t.Errorf("newHeads gap notice %+v, want %+v", gap.Gap, want)
 	}
+	c.noNotif(headsID, 100*time.Millisecond)
+
+	// Pending transactions: the notifier blocks writing the first hash;
+	// the ring keeps the newest 64 of the rest and counts the others.
+	hashes := make([]ethtypes.Hash, events)
+	gate.close()
+	for i := range hashes {
+		tx := &ethtypes.Transaction{Nonce: uint64(i), GasPrice: ethtypes.Gwei(1), Gas: 21000, To: &accs[1].Address, Value: ethtypes.Gwei(1)}
+		if err := tx.Sign(accs[0].Key, bc.ChainID()); err != nil {
+			t.Fatal(err)
+		}
+		if hashes[i], err = bc.SubmitTransaction(tx); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			gate.awaitBlocked(t)
+		}
+	}
+	gate.open()
+
+	const kept = 64
+	for _, want := range append(hashes[:1:1], hashes[events-kept:]...) {
+		var got string
+		json.Unmarshal(c.nextNotif(pendID, 5*time.Second), &got)
+		if got != want.Hex() {
+			t.Fatalf("newPendingTransactions delivered %s, want %s", got, want.Hex())
+		}
+	}
 	json.Unmarshal(c.nextNotif(pendID, 5*time.Second), &gap)
-	if want := hexutil.EncodeUint64(blocks); gap.Gap.Missed != want {
+	if want := hexutil.EncodeUint64(events - kept - 1); gap.Gap.Missed != want {
 		t.Errorf("newPendingTransactions gap notice reports %q missed, want %s", gap.Gap.Missed, want)
 	}
-	c.noNotif(headsID, 100*time.Millisecond)
+	c.noNotif(pendID, 100*time.Millisecond)
 }

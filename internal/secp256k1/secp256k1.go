@@ -360,18 +360,6 @@ func SerializePublic(p Point) []byte {
 	return out
 }
 
-// ParsePublic parses a 65-byte uncompressed public key.
-func ParsePublic(b []byte) (Point, error) {
-	if len(b) != 65 || b[0] != 0x04 {
-		return Point{}, errors.New("secp256k1: invalid uncompressed public key")
-	}
-	p := Point{X: new(big.Int).SetBytes(b[1:33]), Y: new(big.Int).SetBytes(b[33:65])}
-	if !p.OnCurve() || p.IsInfinity() {
-		return Point{}, errors.New("secp256k1: point not on curve")
-	}
-	return p, nil
-}
-
 // Signature is a recoverable ECDSA signature. V is the recovery id (0/1),
 // identifying which of the candidate R points was used.
 type Signature struct {

@@ -24,8 +24,8 @@ func TestFreezeBlocksMutators(t *testing.T) {
 	s.SetState(a, slot(1), uint256.NewUint64(7))
 	s.Finalise()
 	s.Freeze()
-	if !s.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
+	if !s.frozen {
+		t.Fatal("not frozen after Freeze")
 	}
 
 	// Reads keep working.
@@ -70,7 +70,7 @@ func TestFrozenCopyIsMutable(t *testing.T) {
 	root := s.Root()
 
 	c := s.Copy()
-	if c.Frozen() {
+	if c.frozen {
 		t.Fatal("copy of frozen state is frozen")
 	}
 	c.AddBalance(a, uint256.NewUint64(50))

@@ -201,9 +201,6 @@ func (s *StateDB) Freeze() {
 	s.frozen = true
 }
 
-// Frozen reports whether the state has been frozen.
-func (s *StateDB) Frozen() bool { return s.frozen }
-
 // mustMutable guards every mutator against writes to a frozen state.
 func (s *StateDB) mustMutable(op string) {
 	if s.frozen {

@@ -232,8 +232,21 @@ func syntheticTower(tb testing.TB, n int, cfg Config) (*Tower, []ethtypes.Addres
 	return tw, addrs
 }
 
+// bufferedEvents returns the newest n buffered events (all contracts,
+// alerts included), oldest first; n <= 0 returns everything buffered.
+func bufferedEvents(t *Tower, n int) []Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	runs := t.bufferedLocked()
+	all := append(append([]Event(nil), runs[0]...), runs[1]...)
+	if n > 0 && n < len(all) {
+		all = all[len(all)-n:]
+	}
+	return all
+}
+
 // TestEventRingWraparound fills a buffer of 8 slots with three times as
-// many events: after every event, Events, Timeline and AlertsSince
+// many events: after every event, the buffer, Timeline and AlertsSince
 // return the newest events in Seq order.
 func TestEventRingWraparound(t *testing.T) {
 	tw, addrs := syntheticTower(t, 2, Config{MemEvents: 8})
@@ -268,14 +281,14 @@ func TestEventRingWraparound(t *testing.T) {
 		if next > 8 {
 			oldest = next - 7
 		}
-		if got := seqs(tw.Events(0)); !reflect.DeepEqual(got, span(oldest, next)) {
-			t.Fatalf("after seq %d: Events(0) = %v", next, got)
+		if got := seqs(bufferedEvents(tw, 0)); !reflect.DeepEqual(got, span(oldest, next)) {
+			t.Fatalf("after seq %d: buffered = %v", next, got)
 		}
-		if got := seqs(tw.Events(3)); !reflect.DeepEqual(got, span(next-2, next)) {
-			t.Fatalf("after seq %d: Events(3) = %v", next, got)
+		if got := seqs(bufferedEvents(tw, 3)); !reflect.DeepEqual(got, span(next-2, next)) {
+			t.Fatalf("after seq %d: newest 3 buffered = %v", next, got)
 		}
 		var want []uint64
-		for _, ev := range tw.Events(0) {
+		for _, ev := range bufferedEvents(tw, 0) {
 			if ev.Contract == a || ev.Type == "alert" {
 				want = append(want, ev.Seq)
 			}
@@ -284,8 +297,8 @@ func TestEventRingWraparound(t *testing.T) {
 			t.Fatalf("after seq %d: Timeline = %v, want %v", next, got, want)
 		}
 	}
-	if got := tw.Events(100); len(got) != 8 || got[7].Seq != 24 {
-		t.Fatalf("Events(100) = %v", seqs(got))
+	if got := bufferedEvents(tw, 100); len(got) != 8 || got[7].Seq != 24 {
+		t.Fatalf("newest 100 buffered = %v", seqs(got))
 	}
 	var got []uint64
 	for _, al := range tw.AlertsSince(0) {

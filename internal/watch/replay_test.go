@@ -162,7 +162,7 @@ func replayRun(t *testing.T, seed int64) {
 	if !reflect.DeepEqual(stA, stB) {
 		t.Fatalf("seed %d: status diverged\nuninterrupted: %+v\nrebuilt:       %+v", seed, stA, stB)
 	}
-	evA, evB := a.Events(0), b.Events(0)
+	evA, evB := bufferedEvents(a, 0), bufferedEvents(b, 0)
 	if len(evA) != len(evB) {
 		t.Fatalf("seed %d: %d events uninterrupted vs %d rebuilt", seed, len(evA), len(evB))
 	}

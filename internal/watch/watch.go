@@ -838,25 +838,6 @@ func (t *Tower) timelineLocked(hex string) []Event {
 	return out
 }
 
-// Events returns the most recent n buffered events (all contracts,
-// alerts included), oldest first. n <= 0 returns everything buffered.
-func (t *Tower) Events(n int) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	size := len(t.events)
-	if n <= 0 || n > size {
-		n = size
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, n)
-	for i := range out {
-		out[i] = t.events[(t.next+size-n+i)%size]
-	}
-	return out
-}
-
 // Alerts returns the bounded alert history, oldest first.
 func (t *Tower) Alerts() []Alert {
 	t.mu.Lock()
