@@ -36,7 +36,9 @@ func snapPath(dir string, number uint64) string {
 }
 
 // WriteSnapshot atomically writes a snapshot file (tmp + rename, CRC
-// framed) and prunes old generations beyond snapshotsKept.
+// framed) and prunes old generations beyond snapshotsKept. The directory
+// is synced after the rename and before the prune, so a power loss can
+// never leave the older generations unlinked and the new one lost.
 func WriteSnapshot(dir string, s *Snapshot) error {
 	payload := rlp.Encode(rlp.List(
 		rlp.Uint(s.Number),
@@ -67,6 +69,9 @@ func WriteSnapshot(dir string, s *Snapshot) error {
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("blockdb: snapshot rename: %w", err)
+	}
+	if err := seglog.SyncDir(dir); err != nil {
+		return fmt.Errorf("blockdb: snapshot: %w", err)
 	}
 	pruneSnapshots(dir)
 	return nil

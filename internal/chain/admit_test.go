@@ -80,8 +80,10 @@ func TestBatchRecoversEachSenderOnce(t *testing.T) {
 	if recoveries != n {
 		t.Fatalf("%d submissions + MineBlock recovered %d senders, want %d", n, recoveries, n)
 	}
-	if hits != n {
-		t.Fatalf("MineBlock hit the memo %d times, want %d", hits, n)
+	// MineBlock takes each sender from admission: not even a memo hit
+	// (which costs a signing digest).
+	if hits != 0 {
+		t.Fatalf("MineBlock hit the memo %d times, want 0", hits)
 	}
 
 	// Read-back (what eth_getTransactionByHash does) and historical

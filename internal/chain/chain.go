@@ -78,9 +78,9 @@ type Blockchain struct {
 	byHash  *pindex[uint64]
 	rcpts   [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts, in order
 	txPos   *pindex[txPos]
-	logs    []logPos                // the log index: every sealed log's position, in order
-	logTip  *pindex[int]            // addrKey(address) → its newest entry in logs
-	pending []*ethtypes.Transaction // batch-mining queue (SubmitTransaction)
+	logs    []logPos     // the log index: every sealed log's position, in order
+	logTip  *pindex[int] // addrKey(address) → its newest entry in logs
+	pending []txMeta     // batch-mining queue (SubmitTransaction)
 	// pendingSet mirrors pending's hashes for O(1) duplicate checks.
 	pendingSet map[ethtypes.Hash]struct{}
 
@@ -291,7 +291,9 @@ func (bc *Blockchain) SendTransaction(tx *ethtypes.Transaction) (ethtypes.Hash, 
 
 // admitStateless is the part of admission that needs nothing the writer
 // owns, so SendTransactionCtx and SubmitTransaction run it before taking
-// bc.mu: the transaction hash, the gas-limit check, a known-transaction
+// bc.mu: the transaction hash (the one hash of the transaction, which
+// execution, the receipt, the block's transaction root and the position
+// index all take from here), the gas-limit check, a known-transaction
 // check against the published head view (a replayed hash is refused
 // without paying a recovery) and sender recovery — milliseconds of curve
 // arithmetic that concurrent clients now spend on their own cores instead
@@ -366,7 +368,7 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 
 	header := bc.nextHeaderLocked()
 	bc.timeOffset = 0
-	receipt, err := bc.applyTransaction(ctx, header, tx, sender)
+	receipt, err := bc.applyTransaction(ctx, header, tx, hash, sender)
 	if err != nil {
 		sp.SetError(err)
 		bc.mu.Unlock()
@@ -374,7 +376,6 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 	}
 
 	header.GasUsed = receipt.GasUsed
-	header.TxRoot = ethtypes.TxRootOf([]*ethtypes.Transaction{tx})
 	bc.sealLocked(ctx, header, []*ethtypes.Transaction{tx}, []*ethtypes.Receipt{receipt}, sealStart)
 	bc.mu.Unlock()
 	sp.SetAttrUint("block", header.Number)
@@ -384,9 +385,10 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 	return hash, nil
 }
 
-// applyTransaction executes tx against the live state under bc.mu.
-func (bc *Blockchain) applyTransaction(ctx context.Context, header *ethtypes.Header, tx *ethtypes.Transaction, sender ethtypes.Address) (*ethtypes.Receipt, error) {
-	return execTransaction(ctx, bc.execEnvLocked(), header, tx, sender)
+// applyTransaction executes tx, whose hash is hash, against the live
+// state under bc.mu.
+func (bc *Blockchain) applyTransaction(ctx context.Context, header *ethtypes.Header, tx *ethtypes.Transaction, hash ethtypes.Hash, sender ethtypes.Address) (*ethtypes.Receipt, error) {
+	return execTransaction(ctx, bc.execEnvLocked(), header, tx, hash, sender)
 }
 
 // blockContext is the EVM context of a message from origin executed in
@@ -408,8 +410,9 @@ func blockContext(chainID uint64, h *ethtypes.Header, origin ethtypes.Address, g
 // gas flow (buy gas, execute, refund, pay coinbase). It is the single
 // execution routine shared by live sealing, crash-recovery replay and
 // historical tracing, so a replayed transaction is byte-identical to its
-// original run.
-func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header, tx *ethtypes.Transaction, sender ethtypes.Address) (*ethtypes.Receipt, error) {
+// original run. hash is tx.Hash(), which every caller already holds: the
+// receipt and the logs carry it.
+func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header, tx *ethtypes.Transaction, hash ethtypes.Hash, sender ethtypes.Address) (*ethtypes.Receipt, error) {
 	execStart := time.Now()
 	defer mExecSeconds.ObserveSince(execStart)
 	intrinsic := evm.IntrinsicGas(tx.Data, tx.IsCreate())
@@ -482,14 +485,14 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 	}
 	for i, l := range logs {
 		l.BlockNumber = header.Number
-		l.TxHash = tx.Hash()
+		l.TxHash = hash
 		l.TxIndex = 0
 		l.Index = uint(i)
 	}
 	env.st.Finalise()
 
 	return &ethtypes.Receipt{
-		TxHash:            tx.Hash(),
+		TxHash:            hash,
 		TxIndex:           0,
 		BlockNumber:       header.Number,
 		From:              sender,

@@ -282,3 +282,62 @@ func TestEthCallDuringSealingRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestTransactionHashedOnce pins the seal path's transaction hashing:
+// admission hashes a transaction once, and execution, its logs and
+// receipt, the block's transaction root and the position index take
+// that hash — on both sealing paths. Read-back by hash hashes nothing.
+func TestTransactionHashedOnce(t *testing.T) {
+	bc, accs := devChain(t)
+	counter, art := deployCounter(t, bc, accs[0])
+	inc, _ := art.ABI.Pack("increment")
+
+	tx := signedTx(t, bc, accs[0], &counter, uint256.Zero, inc, 200_000)
+	before := ethtypes.TxHashes()
+	hash, err := bc.SendTransaction(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ethtypes.TxHashes() - before; n != 1 {
+		t.Errorf("SendTransaction hashed the transaction %d times, want 1", n)
+	}
+	before = ethtypes.TxHashes()
+	rcpt, ok := bc.GetReceipt(hash)
+	if !ok || rcpt.TxHash != hash || len(rcpt.Logs) != 1 || rcpt.Logs[0].TxHash != hash {
+		t.Fatalf("receipt of %s: %+v", hash, rcpt)
+	}
+	if got, ok := bc.GetTransaction(hash); !ok || got != tx {
+		t.Fatal("the sealed transaction is not indexed under its hash")
+	}
+	if n := ethtypes.TxHashes() - before; n != 0 {
+		t.Errorf("read-back hashed %d transactions, want 0", n)
+	}
+
+	var txs []*ethtypes.Transaction
+	for i := uint64(0); i < 2; i++ {
+		next := signedTx(t, bc, accs[1], &counter, uint256.Zero, inc, 200_000)
+		next.Nonce += i
+		if err := next.Sign(accs[1].Key, bc.ChainID()); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, next)
+	}
+	before = ethtypes.TxHashes()
+	for _, next := range txs {
+		if _, err := bc.SubmitTransaction(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block, failed := bc.MineBlock()
+	if len(failed) != 0 || len(block.Transactions) != 2 {
+		t.Fatalf("mined %d transactions, dropped %v", len(block.Transactions), failed)
+	}
+	if n := ethtypes.TxHashes() - before; n != 2 {
+		t.Errorf("two submissions and MineBlock hashed %d times, want 2", n)
+	}
+	for _, next := range txs {
+		if _, ok := bc.GetReceipt(next.Hash()); !ok {
+			t.Fatalf("mined transaction %s not indexed", next.Hash())
+		}
+	}
+}

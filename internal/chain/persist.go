@@ -233,14 +233,16 @@ func openPersistent(g *Genesis, cfg *openConfig) (*Blockchain, error) {
 	}
 
 	// Structural verification: contiguous numbering, parent-hash links,
-	// transaction and receipt commitments. Anything past the first
-	// failure is unusable regardless of state verification.
+	// transaction and receipt commitments, and each receipt naming its
+	// transaction (the position index is built from the receipts).
+	// Anything past the first failure is unusable regardless of state
+	// verification.
 	valid := 1
 	for i := 1; i < len(recs); i++ {
 		r := recs[i]
 		if r.Header.Number != uint64(i) ||
 			r.Header.ParentHash != recs[i-1].Header.Hash() ||
-			r.Header.TxRoot != ethtypes.TxRootOf(r.Txs) ||
+			!txsCommitted(r) ||
 			r.Header.ReceiptRoot != DeriveReceiptRoot(r.Receipts) {
 			report.DroppedReason = fmt.Sprintf("block %d fails structural verification", i)
 			break
@@ -276,6 +278,22 @@ func openPersistent(g *Genesis, cfg *openConfig) (*Blockchain, error) {
 	// (nobody can read during Open); publish the final recovered head.
 	bc.publishHeadLocked()
 	return bc, nil
+}
+
+// txsCommitted reports whether r's transactions hash to its header's
+// transaction root and each of its receipts names its transaction.
+func txsCommitted(r *blockdb.Record) bool {
+	if len(r.Receipts) != len(r.Txs) {
+		return false
+	}
+	hashes := make([]ethtypes.Hash, len(r.Txs))
+	for i, tx := range r.Txs {
+		hashes[i] = tx.Hash()
+		if r.Receipts[i].TxHash != hashes[i] {
+			return false
+		}
+	}
+	return r.Header.TxRoot == ethtypes.TxRootOf(hashes)
 }
 
 // initDiskGenesis replaces the fresh in-memory genesis state with a

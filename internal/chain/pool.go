@@ -22,10 +22,11 @@ import (
 // the sorted batch serially on the live state and seals it like any
 // other block (seal.go).
 
-// txMeta is one pool transaction with its recovered sender and
-// submission index.
+// txMeta is one pool transaction with its hash, its recovered sender
+// and its submission index. (recoverSenders leaves hash zero.)
 type txMeta struct {
 	tx     *ethtypes.Transaction
+	hash   ethtypes.Hash
 	sender ethtypes.Address
 	idx    int
 }
@@ -56,7 +57,7 @@ func WithExecWorkers(n int) Option {
 // see admitStateless — and queues it for the next MineBlock call. Nonce
 // and balance are checked at mining time, in queue order.
 func (bc *Blockchain) SubmitTransaction(tx *ethtypes.Transaction) (ethtypes.Hash, error) {
-	hash, _, err := bc.admitStateless(tx)
+	hash, sender, err := bc.admitStateless(tx)
 	if err != nil {
 		return hash, err
 	}
@@ -65,7 +66,7 @@ func (bc *Blockchain) SubmitTransaction(tx *ethtypes.Transaction) (ethtypes.Hash
 	if bc.knownLocked(hash) {
 		return hash, ErrKnownTransaction
 	}
-	bc.pending = append(bc.pending, tx)
+	bc.pending = append(bc.pending, txMeta{tx: tx, hash: hash, sender: sender, idx: len(bc.pending)})
 	if bc.pendingSet == nil {
 		bc.pendingSet = make(map[ethtypes.Hash]struct{})
 	}
@@ -92,14 +93,12 @@ func (bc *Blockchain) MineBlock() (*ethtypes.Block, map[ethtypes.Hash]error) {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 
-	txs := bc.pending
+	metas := bc.pending
 	bc.pending = nil
 	bc.pendingSet = nil
 	mTxpoolPending.Set(0)
 	// Stable order: by sender then nonce; submission order breaks ties.
-	// Every queued transaction had its sender recovered at submission,
-	// so this costs a memo hit (one signing digest) per transaction.
-	metas := bc.recoverSenders(txs)
+	// Admission recovered every sender and hashed every transaction.
 	sort.SliceStable(metas, func(i, j int) bool {
 		if c := bytes.Compare(metas[i].sender[:], metas[j].sender[:]); c != 0 {
 			return c < 0
@@ -115,37 +114,38 @@ func (bc *Blockchain) MineBlock() (*ethtypes.Block, map[ethtypes.Hash]error) {
 	included, receipts, failed, cumulative := bc.executeBatchLocked(context.Background(), header, metas)
 
 	header.GasUsed = cumulative
-	header.TxRoot = ethtypes.TxRootOf(included)
 	mTxsFailed.Add(uint64(len(failed)))
 	return bc.sealLocked(context.Background(), header, included, receipts, sealStart), failed
 }
 
 // executeBatchLocked executes the sorted batch against bc.st, one
 // transaction after another, and returns the included transactions,
-// their receipts (indexes and cumulative gas finalised), the
-// dropped-transaction map and the block's gas used. Called with bc.mu
-// held; bc.st holds the post-batch state on return.
+// their receipts (indexes, cumulative gas and block-wide log indexes
+// finalised), the dropped-transaction map and the block's gas used.
+// Called with bc.mu held; bc.st holds the post-batch state on return.
 func (bc *Blockchain) executeBatchLocked(ctx context.Context, header *ethtypes.Header, metas []txMeta) ([]*ethtypes.Transaction, []*ethtypes.Receipt, map[ethtypes.Hash]error, uint64) {
 	failed := map[ethtypes.Hash]error{}
 	var included []*ethtypes.Transaction
 	var receipts []*ethtypes.Receipt
 	var cumulative uint64
+	var logIndex uint
 	for _, m := range metas {
 		if expected := bc.st.GetNonce(m.sender); m.tx.Nonce != expected {
-			failed[m.tx.Hash()] = fmt.Errorf("%w: have %d, want %d", nonceErr(m.tx.Nonce, expected), m.tx.Nonce, expected)
+			failed[m.hash] = fmt.Errorf("%w: have %d, want %d", nonceErr(m.tx.Nonce, expected), m.tx.Nonce, expected)
 			continue
 		}
-		rcpt, err := bc.applyTransaction(ctx, header, m.tx, m.sender)
+		rcpt, err := bc.applyTransaction(ctx, header, m.tx, m.hash, m.sender)
 		if err != nil {
-			failed[m.tx.Hash()] = err
+			failed[m.hash] = err
 			continue
 		}
 		rcpt.TxIndex = uint(len(included))
 		cumulative += rcpt.GasUsed
 		rcpt.CumulativeGasUsed = cumulative
-		for i, l := range rcpt.Logs {
+		for _, l := range rcpt.Logs {
 			l.TxIndex = rcpt.TxIndex
-			l.Index = uint(i)
+			l.Index = logIndex
+			logIndex++
 		}
 		included = append(included, m.tx)
 		receipts = append(receipts, rcpt)
@@ -161,13 +161,11 @@ func nonceErr(have, want uint64) error {
 }
 
 // recoverSenders resolves every transaction's sender on the worker
-// pool. For a mined batch each call is a memo hit — SubmitTransaction
-// already recovered the sender before taking bc.mu — so the fan-out
-// only spreads sixteen signing digests. It pays real ECDSA recoveries
-// (≈ 0.15 ms of curve arithmetic each, embarrassingly parallel)
-// when recovery replay warms the transactions of a journal suffix, which
-// were decoded from disk without a memo. Transactions whose signature
-// does not recover are silently skipped.
+// pool: real ECDSA recoveries (≈ 0.15 ms of curve arithmetic each,
+// embarrassingly parallel) that warm the sender memo of a journal
+// suffix, whose transactions were decoded from disk without one, before
+// recovery replays it. Transactions whose signature does not recover are
+// silently skipped.
 func (bc *Blockchain) recoverSenders(txs []*ethtypes.Transaction) []txMeta {
 	workers := bc.execWorkerCount()
 	if workers > len(txs) {

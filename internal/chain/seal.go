@@ -9,7 +9,8 @@ import (
 )
 
 // sealLocked finishes a block whose transactions have executed on the
-// live state: state and receipt roots, the writer-owned indexes, the
+// live state: transaction, state and receipt roots, the writer-owned
+// indexes, the
 // journal append (and any snapshot or state-store commit), cold-data
 // eviction and head-view publication, in that order. Both sealing paths
 // (SendTransactionCtx, MineBlock) call it with bc.mu held; the block is
@@ -21,6 +22,7 @@ func (bc *Blockchain) sealLocked(ctx context.Context, header *ethtypes.Header, i
 	rootSp.End()
 	mStateRootSeconds.ObserveSince(rootStart)
 	header.ReceiptRoot = DeriveReceiptRoot(receipts)
+	header.TxRoot = ethtypes.TxRootOf(receiptTxHashes(receipts))
 	block := &ethtypes.Block{Header: header, Transactions: included}
 	bc.installBlockLocked(block, receipts)
 	bc.persistBlockLocked(ctx, block, receipts)
@@ -70,7 +72,8 @@ func (bc *Blockchain) evictColdLocked() {
 // installBlockLocked appends a sealed or replayed block and its
 // receipts to the writer-owned chain, stamping the block hash into
 // every receipt and log, each transaction's position into the position
-// index and each log's into the log index.
+// index (keyed by its receipt's TxHash) and each log's into the log
+// index.
 func (bc *Blockchain) installBlockLocked(block *ethtypes.Block, receipts []*ethtypes.Receipt) {
 	blockHash := block.Hash()
 	positions := make(map[ethtypes.Hash]txPos, len(block.Transactions))
@@ -92,13 +95,23 @@ func (bc *Blockchain) installBlockLocked(block *ethtypes.Block, receipts []*etht
 			tips[k] = len(bc.logs)
 			bc.logs = append(bc.logs, logPos{block: block.Number(), rcpt: uint32(i), log: uint32(j), prev: prev})
 		}
-		positions[block.Transactions[i].Hash()] = txPos{block: block.Number(), index: i}
+		positions[rcpt.TxHash] = txPos{block: block.Number(), index: i}
 	}
 	bc.txPos = bc.txPos.with(positions)
 	bc.logTip = bc.logTip.with(tips)
 	bc.blocks = append(bc.blocks, block)
 	bc.rcpts = append(bc.rcpts, receipts)
 	bc.byHash = bc.byHash.with1(blockHash, block.Number())
+}
+
+// receiptTxHashes lists the transaction hashes the receipts carry, in
+// order: the block's transaction hashes, each computed once.
+func receiptTxHashes(receipts []*ethtypes.Receipt) []ethtypes.Hash {
+	hashes := make([]ethtypes.Hash, len(receipts))
+	for i, r := range receipts {
+		hashes[i] = r.TxHash
+	}
+	return hashes
 }
 
 // blockHashFnLocked captures a BLOCKHASH resolver over the writer-owned

@@ -111,8 +111,8 @@ func (bc *Blockchain) traceBlock(ctx context.Context, view *HeadView, n uint64, 
 	}
 
 	tracers := make([]evm.Tracer, len(block.Transactions))
-	receipts, err := replayBlock(ctx, bc.chainID, st, block, blockHashBefore(view, n), func(i int, tx *ethtypes.Transaction) evm.Tracer {
-		if factory == nil || (only != nil && tx.Hash() != *only) {
+	receipts, err := replayBlock(ctx, bc.chainID, st, block, blockHashBefore(view, n), func(i int, hash ethtypes.Hash) evm.Tracer {
+		if factory == nil || (only != nil && hash != *only) {
 			return nil
 		}
 		tracers[i] = factory()
@@ -201,15 +201,16 @@ func blockHashBefore(view *HeadView, n uint64) func(uint64) ethtypes.Hash {
 
 // replayBlock re-executes block against st through the sealer's own
 // execTransaction, mirroring the sealing paths exactly (per-tx
-// receipts, cumulative gas, log indexes), and verifies the block-level
-// commitments: total gas, state root, receipt root. Crash recovery and
-// historical tracing both replay through it; getBlockHash resolves
-// BLOCKHASH the way the block saw it when sealed. tracerFor may be nil;
-// otherwise it picks the tracer (possibly nil) for each transaction.
+// receipts, cumulative gas, block-wide log indexes), and verifies the
+// block-level commitments: total gas, state root, receipt root. Crash
+// recovery and historical tracing both replay through it; getBlockHash
+// resolves BLOCKHASH the way the block saw it when sealed. tracerFor may
+// be nil; otherwise it picks the tracer (possibly nil) for each
+// transaction, by its index and hash.
 // An execution panic, possible only when st has left the sealing-time
 // lineage, is reported as ErrTraceDiverged: a replay must never crash
 // the node.
-func replayBlock(ctx context.Context, chainID uint64, st *state.StateDB, block *ethtypes.Block, getBlockHash func(uint64) ethtypes.Hash, tracerFor func(int, *ethtypes.Transaction) evm.Tracer) (receipts []*ethtypes.Receipt, err error) {
+func replayBlock(ctx context.Context, chainID uint64, st *state.StateDB, block *ethtypes.Block, getBlockHash func(uint64) ethtypes.Hash, tracerFor func(int, ethtypes.Hash) evm.Tracer) (receipts []*ethtypes.Receipt, err error) {
 	header := block.Header
 	defer func() {
 		if p := recover(); p != nil {
@@ -218,16 +219,18 @@ func replayBlock(ctx context.Context, chainID uint64, st *state.StateDB, block *
 	}()
 	receipts = make([]*ethtypes.Receipt, 0, len(block.Transactions))
 	var cumulative uint64
+	var logIndex uint
 	for i, tx := range block.Transactions {
 		sender, err := tx.Sender(chainID)
 		if err != nil {
 			return nil, fmt.Errorf("%w: block %d tx %d: %v", ErrTraceDiverged, header.Number, i, err)
 		}
+		hash := tx.Hash()
 		env := &execEnv{chainID: chainID, st: st, getBlockHash: getBlockHash}
 		if tracerFor != nil {
-			env.tracer = tracerFor(i, tx)
+			env.tracer = tracerFor(i, hash)
 		}
-		rcpt, err := execTransaction(ctx, env, header, tx, sender)
+		rcpt, err := execTransaction(ctx, env, header, tx, hash, sender)
 		if err != nil {
 			return nil, fmt.Errorf("%w: block %d tx %d: %v", ErrTraceDiverged, header.Number, i, err)
 		}
@@ -235,10 +238,11 @@ func replayBlock(ctx context.Context, chainID uint64, st *state.StateDB, block *
 		cumulative += rcpt.GasUsed
 		rcpt.CumulativeGasUsed = cumulative
 		rcpt.BlockHash = block.Hash()
-		for j, l := range rcpt.Logs {
+		for _, l := range rcpt.Logs {
 			l.TxIndex = rcpt.TxIndex
-			l.Index = uint(j)
+			l.Index = logIndex
 			l.BlockHash = rcpt.BlockHash
+			logIndex++
 		}
 		receipts = append(receipts, rcpt)
 	}

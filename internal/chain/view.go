@@ -499,15 +499,16 @@ func (bc *Blockchain) View() *HeadView {
 // publishHeadLocked freezes the current state and atomically publishes
 // a new immutable head view. Called with bc.mu held by every sealing
 // path, at construction/recovery, and on time adjustment. Republishing
-// the same head (AdjustTime) reuses the previous frozen snapshot.
+// the same head (AdjustTime) reuses the previous generation. A new
+// generation costs what the blocks since the previous one wrote, not
+// the world (state.StateDB.Freeze).
 func (bc *Blockchain) publishHeadLocked() {
 	head := bc.blocks[len(bc.blocks)-1]
 	var frozen *state.StateDB
 	if prev := bc.view.Load(); prev != nil && prev.head == head {
 		frozen = prev.st
 	} else {
-		frozen = bc.st.Copy()
-		frozen.Freeze()
+		frozen = bc.st.Freeze()
 	}
 	now := time.Now()
 	v := &HeadView{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/evm"
+	"legalchain/internal/state"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 )
@@ -553,5 +555,91 @@ func TestViewAfterRecovery(t *testing.T) {
 	}
 	if got := v.GetBalance(accs[1].Address); got != ethtypes.Ether(104) {
 		t.Fatalf("recovered balance %s", got.String())
+	}
+}
+
+// heldReads is what a reader asks a view about a set of accounts and
+// one storage slot of each, at one moment.
+type heldReads struct {
+	root     ethtypes.Hash
+	supply   uint256.Int
+	balances []uint256.Int
+	nonces   []uint64
+	codes    []string
+	slots    []uint256.Int
+}
+
+func readView(v *HeadView, addrs []ethtypes.Address) heldReads {
+	r := heldReads{root: v.StateRoot(), supply: v.TotalSupply()}
+	for _, a := range addrs {
+		r.balances = append(r.balances, v.GetBalance(a))
+		r.nonces = append(r.nonces, v.GetNonce(a))
+		r.codes = append(r.codes, string(v.GetCode(a)))
+		r.slots = append(r.slots, v.GetStorageAt(a, ethtypes.Hash{}))
+	}
+	return r
+}
+
+// TestViewHeldAcrossMerges: a head view held while 3·StorageLayers+2
+// later blocks seal — each writing the Counter's slot, moving balances,
+// creating accounts — answers exactly what it answered when published:
+// balances, nonces, code and storage of every account it knew and of
+// the ones created after it, its root and its total supply. In memory
+// mode and in state-store mode with a two-account resident ceiling, so
+// the view reads evicted accounts through the store while later blocks
+// commit over them. Mutators on its state panic.
+func TestViewHeldAcrossMerges(t *testing.T) {
+	for _, mode := range []string{"memory", "state-store"} {
+		t.Run(mode, func(t *testing.T) {
+			accs := wallet.DevAccounts("held view", 3)
+			var bc *Blockchain
+			if mode == "memory" {
+				bc = New(persistGenesis(accs))
+			} else {
+				bc = openPersistDisk(t, t.TempDir(), accs)
+				defer bc.Close()
+			}
+			counter, art := deployCounter(t, bc, accs[0])
+			inc, _ := art.ABI.Pack("increment")
+			send := func(from wallet.Account, to ethtypes.Address, data []byte) {
+				t.Helper()
+				if _, err := bc.SendTransaction(signedTx(t, bc, from, &to, ethtypes.Gwei(1), data, 200_000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh := func(i int) ethtypes.Address { return worldAddr(1_000_000 + i) }
+			for i := 0; i < 3; i++ {
+				send(accs[1], counter, inc)
+			}
+			addrs := []ethtypes.Address{accs[0].Address, accs[1].Address, accs[2].Address, counter, bc.coinbase}
+			for i := 0; i < 3*state.StorageLayers+2; i++ {
+				addrs = append(addrs, fresh(i))
+			}
+			held := bc.View()
+			want := readView(held, addrs)
+
+			for i := 0; i < 3*state.StorageLayers+2; i++ {
+				send(accs[i%2], counter, inc)
+				send(accs[2], fresh(i), nil)
+			}
+			if got := readView(held, addrs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("held view at block %d changed under %d later blocks:\n got %+v\nwant %+v", held.BlockNumber(), bc.BlockNumber()-held.BlockNumber(), got, want)
+			}
+			if readView(bc.View(), addrs).root == want.root {
+				t.Fatal("the head did not move")
+			}
+			mustPanic := func(what string, fn func()) {
+				t.Helper()
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s on a view's state did not panic", what)
+					}
+				}()
+				fn()
+			}
+			mustPanic("AddBalance", func() { held.st.AddBalance(counter, uint256.One) })
+			mustPanic("SetState", func() { held.st.SetState(counter, ethtypes.Hash{}, uint256.One) })
+			mustPanic("Freeze", func() { held.st.Freeze() })
+		})
 	}
 }

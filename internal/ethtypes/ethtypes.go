@@ -5,7 +5,6 @@
 package ethtypes
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -213,8 +212,19 @@ func (tx *Transaction) SigHash(chainID uint64) Hash {
 	)))
 }
 
-// Hash returns the transaction hash (over the signed encoding).
+// txHashes counts Transaction.Hash calls, each an RLP encoding plus a
+// Keccak-256.
+var txHashes atomic.Uint64
+
+// TxHashes returns how many transaction hashes have been computed since
+// process start.
+func TxHashes() uint64 { return txHashes.Load() }
+
+// Hash returns the transaction hash (over the signed encoding). It is
+// computed afresh on every call; the chain computes it once at
+// admission and passes it on.
 func (tx *Transaction) Hash() Hash {
+	txHashes.Add(1)
 	return Keccak256(tx.Encode())
 }
 
@@ -511,17 +521,16 @@ func (b *Block) Hash() Hash {
 // Number returns the block height.
 func (b *Block) Number() uint64 { return b.Header.Number }
 
-// TxRootOf computes the transaction root as the keccak over the ordered
-// concatenation of transaction hashes. (A devnet does not need the full
-// derivation through a trie; the commitment is still order-sensitive and
-// collision-resistant.)
-func TxRootOf(txs []*Transaction) Hash {
-	var buf bytes.Buffer
-	for _, tx := range txs {
-		h := tx.Hash()
-		buf.Write(h[:])
+// TxRootOf computes the transaction root from the block's transaction
+// hashes, in order, as the keccak over their concatenation. (A devnet
+// does not need the full derivation through a trie; the commitment is
+// still order-sensitive and collision-resistant.)
+func TxRootOf(hashes []Hash) Hash {
+	buf := make([]byte, 0, len(hashes)*HashLength)
+	for _, h := range hashes {
+		buf = append(buf, h[:]...)
 	}
-	return Keccak256(buf.Bytes())
+	return Keccak256(buf)
 }
 
 // Wei conversion helpers. One ether is 10^18 wei.

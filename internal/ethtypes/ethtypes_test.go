@@ -199,7 +199,7 @@ func TestTxRootOrderSensitive(t *testing.T) {
 	t2 := &Transaction{Nonce: 1, Gas: 21000}
 	t1.Sign(k, 1)
 	t2.Sign(k, 1)
-	if TxRootOf([]*Transaction{t1, t2}) == TxRootOf([]*Transaction{t2, t1}) {
+	if TxRootOf([]Hash{t1.Hash(), t2.Hash()}) == TxRootOf([]Hash{t2.Hash(), t1.Hash()}) {
 		t.Fatal("tx root is order-insensitive")
 	}
 }

@@ -488,11 +488,11 @@ func execBase(code []byte) *state.StateDB {
 	return st
 }
 
-// runExec runs c on a copy of base with exec, or execReference when
+// runExec runs c on a fresh execBase with exec, or execReference when
 // reference is set, under tr (nil: none); a call tracer's frame tree is
 // kept as JSON.
-func runExec(base *state.StateDB, c execCase, reference bool, tr Tracer) execOutcome {
-	st := base.Copy()
+func runExec(c execCase, reference bool, tr Tracer) execOutcome {
+	st := execBase(c.code)
 	e := New(Context{
 		ChainID: 1337, BlockNumber: 7, Time: 1_600_000_000, GasLimit: 10_000_000,
 		Origin: execCaller, Coinbase: addrOf(0xCB), GasPrice: uint256.NewUint64(3),
@@ -530,14 +530,13 @@ func runExec(base *state.StateDB, c execCase, reference bool, tr Tracer) execOut
 
 func checkExecAgainstReference(t *testing.T, c execCase) {
 	t.Helper()
-	base := execBase(c.code)
 	for _, traced := range []bool{false, true} {
 		var tr, trRef Tracer
 		if traced {
 			tr, trRef = NewCallTracer(), NewCallTracer()
 		}
-		got := runExec(base, c, false, tr)
-		want := runExec(base, c, true, trRef)
+		got := runExec(c, false, tr)
+		want := runExec(c, true, trRef)
 		if diff := diffExec(got, want); diff != "" {
 			t.Fatalf("traced=%v: exec and execReference disagree on %s\ncase %v", traced, diff, c)
 		}
@@ -611,7 +610,7 @@ func TestExecCorpusCoversEveryOpcode(t *testing.T) {
 		c := genExecCase(data)
 		entries[c.entry] = true
 		lg := NewStructLogger()
-		errs[runExec(execBase(c.code), c, false, lg).err] = true
+		errs[runExec(c, false, lg).err] = true
 		for name := range lg.OpCount {
 			seen[name] = true
 		}

@@ -238,7 +238,7 @@ func (l *Log) scan(fn func(pos Pos, payload []byte) error) (*Report, error) {
 		rep.DroppedSegments++
 	}
 	if rep.DroppedSegments > 0 {
-		if err := syncDir(l.dir); err != nil {
+		if err := SyncDir(l.dir); err != nil {
 			return nil, err
 		}
 	}
@@ -281,7 +281,7 @@ func (l *Log) createLocked(first uint64) error {
 		return fmt.Errorf("seglog: create segment: %w", err)
 	}
 	l.segs = append(l.segs, &segment{first: first, f: f})
-	return syncDir(l.dir)
+	return SyncDir(l.dir)
 }
 
 // rotateLocked syncs the active segment and starts the next one.
@@ -415,7 +415,7 @@ func (l *Log) Truncate(pos Pos) error {
 	}
 	l.next = pos.Index
 	if removed {
-		return syncDir(l.dir)
+		return SyncDir(l.dir)
 	}
 	return nil
 }
@@ -462,7 +462,7 @@ func (l *Log) Rewrite(fill func() error) error {
 		}
 		l.segs = l.segs[1:]
 	}
-	return syncDir(l.dir)
+	return SyncDir(l.dir)
 }
 
 // Size returns the bytes held across the log's segments.
@@ -506,8 +506,9 @@ func truncateFile(f *os.File, size int64) error {
 	return nil
 }
 
-// syncDir makes the creation or removal of a segment durable.
-func syncDir(dir string) error {
+// SyncDir makes the creation, rename or removal of a file in dir
+// durable: a segment here, a snapshot in blockdb.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("seglog: sync dir: %w", err)

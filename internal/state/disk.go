@@ -33,7 +33,7 @@ import (
 //   - SetState materialises the committed value before the first write
 //     to a slot so journaling, origin tracking and diff extraction see
 //     the true previous value.
-//   - reads on a *frozen* disk state never cache: they return transient
+//   - reads on a frozen generation never cache: they return transient
 //     objects so published head views stay immutable and lock-free.
 //     The store's LRU absorbs the re-reads.
 //
@@ -52,6 +52,7 @@ type DiskStore interface {
 	trie.Resolver
 	Account(addr ethtypes.Address) (*statestore.AccountRecord, error)
 	Slot(addr ethtypes.Address, slot ethtypes.Hash) ([]byte, error)
+	Slots(addr ethtypes.Address) (map[ethtypes.Hash][]byte, error)
 	Code(h ethtypes.Hash) ([]byte, error)
 	ForEachAccount(fn func(addr ethtypes.Address, rec *statestore.AccountRecord) bool) error
 }
@@ -62,6 +63,7 @@ type DiskStore interface {
 func NewWithDisk(disk DiskStore, root ethtypes.Hash) *StateDB {
 	s := New()
 	s.disk = disk
+	s.undoTail = &undo{}
 	if root == (ethtypes.Hash{}) {
 		root = trie.EmptyRoot
 	}
@@ -105,18 +107,21 @@ func loadDiskObject(d DiskStore, addr ethtypes.Address) *stateObject {
 	return o
 }
 
-// diskSlot reads one committed slot value through the store.
-func (s *StateDB) diskSlot(addr ethtypes.Address, slot ethtypes.Hash) uint256.Int {
-	d := s.diskStore()
-	if d == nil {
+// slotBelow reads a slot no object holds: through the base for an
+// overlay, through the store for a disk-backed state, zero otherwise.
+func (s *StateDB) slotBelow(addr ethtypes.Address, slot ethtypes.Hash) uint256.Int {
+	if s.base != nil {
+		return s.base.GetState(addr, slot)
+	}
+	if s.disk == nil {
 		return uint256.Zero
 	}
-	val, err := d.Slot(addr, slot)
-	if err != nil {
-		if errors.Is(err, statestore.ErrNotFound) {
-			return uint256.Zero
-		}
+	val, err := s.disk.Slot(addr, slot)
+	if err != nil && !errors.Is(err, statestore.ErrNotFound) {
 		panic(fmt.Errorf("state: disk slot %s/%s: %w", addr, slot, err))
+	}
+	if pre, undone := s.undoneSlot(addr, slot); undone {
+		return pre
 	}
 	return uint256.SetBytes(val)
 }
@@ -144,8 +149,7 @@ func (s *StateDB) codeOf(o *stateObject) []byte {
 
 // materialiseSlot makes a slot resident with its committed value
 // before the first write, so journal undo and origin tracking restore
-// the true previous value (not a spurious zero). Caller has already
-// called ensureOwned.
+// the true previous value (not a spurious zero).
 func (s *StateDB) materialiseSlot(o *stateObject, addr ethtypes.Address, slot ethtypes.Hash) {
 	if !o.partial {
 		return
@@ -153,7 +157,7 @@ func (s *StateDB) materialiseSlot(o *stateObject, addr ethtypes.Address, slot et
 	if _, resident := o.storage[slot]; resident {
 		return
 	}
-	o.storage[slot] = s.diskSlot(addr, slot)
+	o.storage[slot] = s.slotOf(o, addr, slot)
 }
 
 // newStorageTrie builds an empty storage trie for a full rebuild. In
@@ -217,10 +221,16 @@ func (s *StateDB) stageClear(addr ethtypes.Address) {
 // TakePending hands off the accumulated batch (nil when clean). The
 // chain layer commits it to the store together with the block's
 // anchor; Root() must have been called so the batch covers the full
-// block.
+// block. It links the pre-images of what the batch overwrites first
+// (undo.go).
 func (s *StateDB) TakePending() *statestore.Batch {
 	b := s.pending
 	s.pending = nil
+	var wiped []ethtypes.Address
+	if b != nil {
+		wiped = b.Clears
+	}
+	s.linkPreImages(wiped)
 	return b
 }
 
@@ -241,6 +251,7 @@ func (s *StateDB) EvictCold(keepResident int) int {
 	for addr := range s.deleted {
 		if _, err := s.disk.Account(addr); errors.Is(err, statestore.ErrNotFound) {
 			delete(s.deleted, addr)
+			s.drop(addr)
 		}
 	}
 	if len(s.objects) <= keepResident {
@@ -257,6 +268,7 @@ func (s *StateDB) EvictCold(keepResident int) int {
 		delete(s.objects, addr)
 		delete(s.storageTries, addr)
 		delete(s.rootCache, addr)
+		s.drop(addr)
 		evicted++
 	}
 	if evicted > 0 {
@@ -270,6 +282,14 @@ func (s *StateDB) EvictCold(keepResident int) int {
 		}
 	}
 	return evicted
+}
+
+// drop tells the next Freeze that the store answers for addr again.
+func (s *StateDB) drop(addr ethtypes.Address) {
+	if s.dropped == nil {
+		s.dropped = make(map[ethtypes.Address]struct{})
+	}
+	s.dropped[addr] = struct{}{}
 }
 
 // ResidentAccounts returns how many account objects are resident.

@@ -222,23 +222,23 @@ func TestDiskStateFrozenViewsAndOverlay(t *testing.T) {
 		t.Fatalf("resident after EvictCold(0): %d", n)
 	}
 
-	s.Freeze()
-	// Frozen reads fault through disk without repopulating the object map.
-	if got := s.GetBalance(addr); got != uint256.NewUint64(1000) {
+	f := s.Freeze()
+	// Frozen reads fault through disk without populating an object map.
+	if got := f.GetBalance(addr); got != uint256.NewUint64(1000) {
 		t.Fatalf("frozen balance: %v", got)
 	}
-	if got := s.GetState(addr, testSlot(1)); got != uint256.NewUint64(42) {
+	if got := f.GetState(addr, testSlot(1)); got != uint256.NewUint64(42) {
 		t.Fatalf("frozen slot: %v", got)
 	}
-	if got := s.GetCode(addr); len(got) != 2 || got[0] != 0xde {
+	if got := f.GetCode(addr); len(got) != 2 || got[0] != 0xde {
 		t.Fatalf("frozen code: %x", got)
 	}
-	if n := s.ResidentAccounts(); n != 0 {
+	if n := s.ResidentAccounts() + f.ResidentAccounts(); n != 0 {
 		t.Fatalf("frozen reads cached objects: %d resident", n)
 	}
 
 	// Overlay over the frozen base: speculative writes see disk values.
-	ov := s.Overlay()
+	ov := f.Overlay()
 	if got := ov.GetBalance(addr); got != uint256.NewUint64(1000) {
 		t.Fatalf("overlay balance: %v", got)
 	}
@@ -250,7 +250,7 @@ func TestDiskStateFrozenViewsAndOverlay(t *testing.T) {
 		t.Fatalf("overlay absent slot: %v", got)
 	}
 	// The frozen base is untouched.
-	if got := s.GetState(addr, testSlot(1)); got != uint256.NewUint64(42) {
+	if got := f.GetState(addr, testSlot(1)); got != uint256.NewUint64(42) {
 		t.Fatalf("base slot mutated by overlay: %v", got)
 	}
 }
@@ -323,7 +323,7 @@ func TestCreditedOverlayOverDisk(t *testing.T) {
 	s.Finalise()
 	commitPending(t, s, st, 1, s.Root())
 	s.EvictCold(0)
-	s.Freeze()
+	s = s.Freeze()
 
 	credit := uint256.NewUint64(5)
 	eager := s.Overlay()

@@ -23,9 +23,9 @@ func TestFreezeBlocksMutators(t *testing.T) {
 	s.AddBalance(a, uint256.NewUint64(100))
 	s.SetState(a, slot(1), uint256.NewUint64(7))
 	s.Finalise()
-	s.Freeze()
+	s = s.Freeze()
 	if !s.frozen {
-		t.Fatal("not frozen after Freeze")
+		t.Fatal("Freeze returned a mutable state")
 	}
 
 	// Reads keep working.
@@ -49,6 +49,7 @@ func TestFreezeBlocksMutators(t *testing.T) {
 	mustPanic(t, "AddLog", func() { s.AddLog(&ethtypes.Log{}) })
 	mustPanic(t, "TakeLogs", func() { s.TakeLogs() })
 	mustPanic(t, "Finalise", func() { s.Finalise() })
+	mustPanic(t, "Freeze", func() { s.Freeze() })
 }
 
 func TestFreezeRequiresFinalise(t *testing.T) {
@@ -57,50 +58,55 @@ func TestFreezeRequiresFinalise(t *testing.T) {
 	mustPanic(t, "Freeze with pending journal", func() { s.Freeze() })
 }
 
-// TestFrozenCopyIsMutable: Copy() of a frozen state yields a fresh
-// mutable COW state (the eth_call path), and mutating it never leaks
-// back into the frozen original.
+// TestFrozenCopyIsMutable: Freeze leaves the state it was called on
+// mutable, and nothing written there afterwards — balances, slots,
+// deletions, new accounts — reaches the generation.
 func TestFrozenCopyIsMutable(t *testing.T) {
 	s := New()
 	a := addr(1)
 	s.AddBalance(a, uint256.NewUint64(100))
 	s.SetState(a, slot(1), uint256.NewUint64(7))
+	s.AddBalance(addr(2), uint256.NewUint64(5))
 	s.Finalise()
-	s.Freeze()
-	root := s.Root()
+	f := s.Freeze()
+	root := f.Root()
 
-	c := s.Copy()
-	if c.frozen {
-		t.Fatal("copy of frozen state is frozen")
-	}
-	c.AddBalance(a, uint256.NewUint64(50))
-	c.SetState(a, slot(1), uint256.NewUint64(9))
-	c.Finalise()
+	s.AddBalance(a, uint256.NewUint64(50))
+	s.SetState(a, slot(1), uint256.NewUint64(9))
+	s.SetState(a, slot(2), uint256.NewUint64(3))
+	s.SubBalance(addr(2), uint256.NewUint64(5))
+	s.AddBalance(addr(3), uint256.NewUint64(1))
+	s.Finalise()
 
-	if s.GetBalance(a).Uint64() != 100 {
-		t.Fatal("copy mutation leaked into frozen balance")
+	if f.GetBalance(a).Uint64() != 100 {
+		t.Fatal("live write leaked into the frozen balance")
 	}
-	if s.GetState(a, slot(1)).Uint64() != 7 {
-		t.Fatal("copy mutation leaked into frozen storage")
+	if f.GetState(a, slot(1)).Uint64() != 7 || !f.GetState(a, slot(2)).IsZero() {
+		t.Fatal("live write leaked into frozen storage")
 	}
-	if s.Root() != root {
-		t.Fatal("frozen root changed")
+	if !f.Exist(addr(2)) || f.Exist(addr(3)) {
+		t.Fatal("live deletion or creation leaked into the generation")
 	}
-	if c.GetBalance(a).Uint64() != 150 || c.Root() == root {
-		t.Fatal("copy did not take the mutation")
+	if f.Root() != root || f.TotalBalance().Uint64() != 105 {
+		t.Fatal("frozen root or total changed")
+	}
+	if s.GetBalance(a).Uint64() != 150 || s.Root() == root {
+		t.Fatal("the live state did not take the writes")
 	}
 }
 
+// TestFrozenSnapshotEncodes: the live state encodes as it was frozen,
+// and the encoding decodes to the generation's root.
 func TestFrozenSnapshotEncodes(t *testing.T) {
 	s := New()
 	s.AddBalance(addr(1), uint256.NewUint64(42))
 	s.Finalise()
-	s.Freeze()
+	f := s.Freeze()
 	dec, err := DecodeSnapshot(s.EncodeSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Root() != s.Root() {
-		t.Fatal("snapshot round-trip of frozen state changed root")
+	if dec.Root() != f.Root() {
+		t.Fatal("snapshot round-trip changed root")
 	}
 }

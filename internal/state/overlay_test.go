@@ -105,8 +105,7 @@ func viewOf(s *StateDB, a ethtypes.Address) accountView {
 // front answers, the first read and every later one, and whichever read
 // comes first. The credit lands once.
 func TestCreditedOverlayMatchesEagerCredit(t *testing.T) {
-	s := overlayBase()
-	s.Freeze()
+	s := overlayBase().Freeze()
 	credit := uint256.NewUint64(1_000_000)
 	for _, who := range []ethtypes.Address{addr(1), addr(3), addr(9)} {
 		eager := s.Overlay()

@@ -32,11 +32,15 @@ func (s *StateDB) EncodeSnapshot() []byte {
 	accItems := make([]*rlp.Item, 0, len(addrs))
 	for _, addr := range addrs {
 		o := s.objects[addr]
-		if o == nil || (o.empty() && len(o.storage) == 0) {
+		if o == nil {
 			continue
 		}
-		slots := make([]ethtypes.Hash, 0, len(o.storage))
-		for slot := range o.storage {
+		storage, _ := merged(o)
+		if o.empty() && len(storage) == 0 {
+			continue
+		}
+		slots := make([]ethtypes.Hash, 0, len(storage))
+		for slot := range storage {
 			slots = append(slots, slot)
 		}
 		sort.Slice(slots, func(i, j int) bool {
@@ -44,7 +48,7 @@ func (s *StateDB) EncodeSnapshot() []byte {
 		})
 		slotItems := make([]*rlp.Item, len(slots))
 		for i, slot := range slots {
-			val := o.storage[slot]
+			val := storage[slot]
 			slotItems[i] = rlp.List(rlp.Bytes(slot[:]), rlp.Bytes(val.Bytes()))
 		}
 		accItems = append(accItems, rlp.List(

@@ -30,7 +30,8 @@ import (
 // externally-owned account.
 var EmptyCodeHash = ethtypes.Keccak256(nil)
 
-// stateObject is the in-memory representation of one account.
+// stateObject is the in-memory representation of one account, and, in
+// a frozen generation, one immutable version of it (see frozen.go).
 type stateObject struct {
 	nonce    uint64
 	balance  uint256.Int
@@ -39,25 +40,28 @@ type stateObject struct {
 
 	// storage holds the live storage values. origin holds the value each
 	// slot had when the current transaction began, used for SSTORE gas
-	// metering and refunds.
+	// metering and refunds. Either may be nil on an overlay's object
+	// until its first write.
 	storage map[ethtypes.Hash]uint256.Int
 	origin  map[ethtypes.Hash]uint256.Int
 
-	// partial marks a disk-backed object: storage holds only the
-	// resident subset of the account's slots (including zero-valued
-	// tombstones), the rest reads through the store; storageRoot is the
-	// committed storage root anchoring the account's lazy trie. See
-	// disk.go for the invariants.
+	// partial marks an object whose storage holds only a subset of the
+	// account's slots (including zero-valued tombstones); the rest reads
+	// below it: through the older version when there is one, else
+	// through the store for a disk-backed object (disk.go) or through
+	// the base for an overlay's object. storageRoot is the storage root
+	// as of the older version (or of the last commit, anchoring a
+	// disk-backed account's lazy trie).
 	partial     bool
 	storageRoot ethtypes.Hash
 
 	selfdestructed bool
 
-	// shared marks storage/origin as copy-on-write shared with at least
-	// one Copy() of this state. Writers must call ensureOwned first.
-	// Atomic because concurrent eth_call snapshots may mark the same
-	// object shared while holding only a read lock on the chain.
-	shared atomic.Bool
+	// older is the version a slot this object does not hold reads
+	// through: the previous version of a frozen account, the newest one
+	// of a live account once frozen (frozen.go), the base's version of
+	// an overlay's account.
+	older *stateObject
 }
 
 func newStateObject() *stateObject {
@@ -66,46 +70,6 @@ func newStateObject() *stateObject {
 		storage:  make(map[ethtypes.Hash]uint256.Int),
 		origin:   make(map[ethtypes.Hash]uint256.Int),
 	}
-}
-
-// ensureOwned un-shares the object's maps before a write: if a Copy()
-// still references them, the writer clones and mutates its private clone,
-// leaving the shared snapshot untouched.
-func (o *stateObject) ensureOwned() {
-	if !o.shared.Load() {
-		return
-	}
-	st := make(map[ethtypes.Hash]uint256.Int, len(o.storage))
-	for k, v := range o.storage {
-		st[k] = v
-	}
-	og := make(map[ethtypes.Hash]uint256.Int, len(o.origin))
-	for k, v := range o.origin {
-		og[k] = v
-	}
-	o.storage, o.origin = st, og
-	o.shared.Store(false)
-}
-
-// cloneShared duplicates an account header for a copy-on-write view
-// (Copy and Overlay), marking both sides' maps shared so the first
-// writer on either side clones via ensureOwned. Code slices are shared
-// outright: SetCode replaces, never mutates.
-func cloneShared(o *stateObject) *stateObject {
-	o.shared.Store(true)
-	no := &stateObject{
-		nonce:          o.nonce,
-		balance:        o.balance,
-		code:           o.code,
-		codeHash:       o.codeHash,
-		storage:        o.storage,
-		origin:         o.origin,
-		partial:        o.partial,
-		storageRoot:    o.storageRoot,
-		selfdestructed: o.selfdestructed,
-	}
-	no.shared.Store(true)
-	return no
 }
 
 // empty reports whether the account is empty per EIP-161
@@ -133,9 +97,11 @@ type StateDB struct {
 	refund  uint64
 	logs    []*ethtypes.Log
 
-	// frozen marks the state immutable (see Freeze). A frozen StateDB is
-	// safe for lock-free concurrent reads and Copy; every mutator panics.
-	frozen bool
+	// frozen marks a generation returned by Freeze: its accounts are the
+	// immutable index, it is safe for lock-free concurrent reads, and
+	// every mutator panics.
+	frozen   bool
+	accounts *accountIndex
 
 	// Incremental commit pipeline: persistent tries, synced from the
 	// dirty set on Root().
@@ -146,6 +112,21 @@ type StateDB struct {
 	dirties   map[ethtypes.Address]*dirtyEntry
 	worldRoot ethtypes.Hash
 	rootValid bool
+
+	// What the next Freeze publishes: unpublished gathers the dirty set
+	// of every Root since the last Freeze, dropped the accounts the disk
+	// answers for again (EvictCold), and published is the account index
+	// of the last generation, which the next one path-copies.
+	unpublished map[ethtypes.Address]struct{}
+	dropped     map[ethtypes.Address]struct{}
+	published   *accountIndex
+
+	// Disk mode's pre-images (undo.go): undoTail is the record linked by
+	// the last commit, preImages the one filled until the next; a frozen
+	// generation walks the records linked after undoAfter.
+	undoTail  *undo
+	preImages *undo
+	undoAfter *undo
 
 	// disk, when non-nil, makes this state disk-backed: accounts and
 	// slots absent from objects read through the store, and Root()
@@ -161,8 +142,8 @@ type StateDB struct {
 	deleted map[ethtypes.Address]struct{}
 
 	// base, when non-nil, makes this state an Overlay: getObject
-	// materialises copy-on-write clones of base accounts on first touch
-	// instead of requiring an up-front whole-world Copy. See Overlay.
+	// materialises private copies of base accounts on first touch
+	// instead of requiring an up-front whole-world copy. See Overlay.
 	base *StateDB
 
 	// On an overlay from CreditedOverlay: credit is added to creditTo's
@@ -183,22 +164,8 @@ func New() *StateDB {
 		storageTries: make(map[ethtypes.Address]*trie.Secure),
 		rootCache:    make(map[ethtypes.Address]ethtypes.Hash),
 		dirties:      make(map[ethtypes.Address]*dirtyEntry),
+		unpublished:  make(map[ethtypes.Address]struct{}),
 	}
-}
-
-// Freeze marks the state immutable, establishing the invariants the
-// chain's published head views rely on: the journal must be empty (the
-// sealing paths Finalise before freezing), the world root is computed
-// eagerly so frozen Root() is a cached read, and from here on every
-// mutator panics. Reads and Copy remain legal — Copy returns a fresh
-// mutable state layered copy-on-write over the frozen one, which is how
-// eth_call executes speculatively against a frozen view.
-func (s *StateDB) Freeze() {
-	if len(s.journal) > 0 {
-		panic("state: Freeze with pending journal (Finalise first)")
-	}
-	s.Root()
-	s.frozen = true
 }
 
 // mustMutable guards every mutator against writes to a frozen state.
@@ -209,6 +176,9 @@ func (s *StateDB) mustMutable(op string) {
 }
 
 func (s *StateDB) getObject(addr ethtypes.Address) *stateObject {
+	if s.frozen {
+		return s.frozenObject(addr)
+	}
 	if o := s.objects[addr]; o != nil {
 		return o
 	}
@@ -232,34 +202,51 @@ func (s *StateDB) getObject(addr ethtypes.Address) *stateObject {
 	}
 	if s.disk != nil && !s.isDeleted(addr) {
 		o := loadDiskObject(s.disk, addr)
-		if o == nil {
-			return nil
+		if o != nil {
+			s.objects[addr] = o
 		}
-		if s.frozen {
-			// Frozen states are read lock-free by many goroutines:
-			// never cache, hand out a transient object. The store's
-			// LRU absorbs the repeats.
-			return o
-		}
-		s.objects[addr] = o
 		return o
 	}
 	return nil
 }
 
-// fromBase is an overlay's copy-on-read: a private clone of the base
-// account, or nil when the base has none. Cloning even for pure reads
-// keeps every caller that mutates the returned object (SelfDestruct,
-// SetState after a getObject hit) isolated from the base. No journal
-// entry: the clone is indistinguishable from having copied up front.
+// fromBase is an overlay's copy-on-read: a private copy of the base
+// account's header, or nil when the base has none. Its storage starts
+// empty and partial, so a slot it has not written reads through the
+// base's version of the account or the base itself (slotBelow). Nothing
+// the base writes is shared, so every caller that mutates the returned
+// object (SelfDestruct, SetState after a getObject hit) stays isolated
+// from it. No journal entry: the copy is indistinguishable from having
+// copied up front.
 func (s *StateDB) fromBase(addr ethtypes.Address) *stateObject {
-	if bo := s.base.objects[addr]; bo != nil {
-		return cloneShared(bo)
+	if s.isDeleted(addr) {
+		return nil
 	}
-	if s.base.disk != nil && !s.isDeleted(addr) && !s.base.isDeleted(addr) {
-		return loadDiskObject(s.base.disk, addr)
+	var bo *stateObject
+	switch b := s.base; {
+	case b.frozen:
+		bo = b.frozenObject(addr)
+	case b.objects[addr] != nil:
+		bo = b.objects[addr]
+	case b.disk != nil && !b.isDeleted(addr):
+		bo = loadDiskObject(b.disk, addr)
 	}
-	return nil
+	if bo == nil {
+		return nil
+	}
+	o := &stateObject{
+		nonce:       bo.nonce,
+		balance:     bo.balance,
+		code:        bo.code,
+		codeHash:    bo.codeHash,
+		partial:     true,
+		storageRoot: s.base.storageRootOf(addr, bo),
+	}
+	if s.base.frozen {
+		// An immutable version: read its slots straight through it.
+		o.older = bo
+	}
+	return o
 }
 
 func (s *StateDB) isDeleted(addr ethtypes.Address) bool {
@@ -275,10 +262,12 @@ func (s *StateDB) markDeleted(addr ethtypes.Address) {
 }
 
 func (s *StateDB) getOrNewObject(addr ethtypes.Address) *stateObject {
-	if o := s.getObject(addr); o != nil {
+	o := s.getObject(addr)
+	s.noteAccount(addr, o)
+	if o != nil {
 		return o
 	}
-	o := newStateObject()
+	o = newStateObject()
 	s.objects[addr] = o
 	// Recreation clears the deleted-since-commit marker; the journal
 	// restores it so a reverted recreation cannot resurrect the old
@@ -442,12 +431,21 @@ func (s *StateDB) SetCode(addr ethtypes.Address, code []byte) {
 // GetState reads a storage slot.
 func (s *StateDB) GetState(addr ethtypes.Address, slot ethtypes.Hash) uint256.Int {
 	if o := s.getObject(addr); o != nil {
+		return s.slotOf(o, addr, slot)
+	}
+	return uint256.Zero
+}
+
+// slotOf reads slot of o: from o's storage, then from each older
+// version of a frozen account, then below the object (slotBelow) when
+// the last of them is partial.
+func (s *StateDB) slotOf(o *stateObject, addr ethtypes.Address, slot ethtypes.Hash) uint256.Int {
+	for ; o != nil; o = o.older {
 		if v, ok := o.storage[slot]; ok || !o.partial {
 			return v
 		}
-		return s.diskSlot(addr, slot)
 	}
-	return uint256.Zero
+	return s.slotBelow(addr, slot)
 }
 
 // GetCommittedState reads the value the slot had at the start of the
@@ -460,27 +458,34 @@ func (s *StateDB) GetCommittedState(addr ethtypes.Address, slot ethtypes.Hash) u
 	if v, ok := o.origin[slot]; ok {
 		return v
 	}
-	if v, ok := o.storage[slot]; ok || !o.partial {
-		return v
-	}
-	return s.diskSlot(addr, slot)
+	return s.slotOf(o, addr, slot)
 }
 
 // SetState writes a storage slot.
 func (s *StateDB) SetState(addr ethtypes.Address, slot ethtypes.Hash, value uint256.Int) {
 	s.mustMutable("SetState")
 	o := s.getOrNewObject(addr)
-	o.ensureOwned()
+	if o.storage == nil {
+		o.storage = make(map[ethtypes.Hash]uint256.Int)
+	}
+	if o.origin == nil {
+		o.origin = make(map[ethtypes.Hash]uint256.Int)
+	}
 	// Partial objects fault the committed value in before the first
 	// write, so origin tracking, journal undo and diff extraction all
 	// see the true previous value rather than a spurious zero.
 	s.materialiseSlot(o, addr, slot)
-	if _, tracked := o.origin[slot]; !tracked {
-		o.origin[slot] = o.storage[slot]
-	}
 	prev, existed := o.storage[slot]
+	if _, tracked := o.origin[slot]; !tracked {
+		o.origin[slot] = prev
+	}
+	if o.partial {
+		// Only a partial object's value is the store's: a complete one
+		// was created since the last commit, and what the store held
+		// for it is recorded with the wipe its creation stages.
+		s.noteSlot(addr, slot, prev)
+	}
 	s.journal = append(s.journal, func() {
-		o.ensureOwned()
 		if existed {
 			o.storage[slot] = prev
 		} else {
@@ -506,6 +511,7 @@ func (s *StateDB) SelfDestruct(addr ethtypes.Address) {
 	if o == nil {
 		return
 	}
+	s.noteAccount(addr, o)
 	prevFlag, prevBal := o.selfdestructed, o.balance
 	s.journal = append(s.journal, func() {
 		o.selfdestructed, o.balance = prevFlag, prevBal
@@ -587,10 +593,18 @@ func (s *StateDB) RevertToSnapshot(id int) {
 // the same transaction (the ether is burned, matching mainnet pre-Cancun
 // semantics). The EIP-161 empty-account sweep applies only to accounts
 // that also have no storage left.
+//
+// It visits only the accounts written since the last Root: only a
+// write makes an account deletable or gives it origin values, and Root
+// runs after the block's last Finalise.
 func (s *StateDB) Finalise() {
 	s.mustMutable("Finalise")
 	diskBacked := s.diskStore() != nil
-	for addr, o := range s.objects {
+	for addr := range s.dirties {
+		o := s.objects[addr]
+		if o == nil {
+			continue
+		}
 		if o.deletable() {
 			delete(s.objects, addr)
 			s.markReset(addr)
@@ -599,11 +613,7 @@ func (s *StateDB) Finalise() {
 			}
 			continue
 		}
-		if len(o.origin) > 0 {
-			// Replacing the map (rather than clearing it) keeps any
-			// copy-on-write sharer's view intact.
-			o.origin = make(map[ethtypes.Hash]uint256.Int)
-		}
+		clear(o.origin)
 	}
 	s.journal = nil
 	s.refund = 0
@@ -812,13 +822,9 @@ func (s *StateDB) Root() ethtypes.Hash {
 			}
 		}
 		o := j.obj
-		storageRoot, ok := s.rootCache[j.addr]
-		if !ok {
-			if o != nil && o.partial {
-				storageRoot = o.storageRoot
-			} else {
-				storageRoot = trie.EmptyRoot
-			}
+		var storageRoot ethtypes.Hash
+		if o != nil {
+			storageRoot = s.storageRootOf(j.addr, o)
 		}
 		if o == nil || (o.empty() && storageRoot == trie.EmptyRoot) {
 			s.accountTrie.Delete(j.addr[:])
@@ -848,7 +854,7 @@ func (s *StateDB) Root() ethtypes.Hash {
 		}
 	}
 
-	s.dirties = make(map[ethtypes.Address]*dirtyEntry)
+	s.publishLater()
 	var sink func(ethtypes.Hash, []byte)
 	if p != nil {
 		sink = p.PutNode
@@ -865,11 +871,12 @@ func (s *StateDB) Root() ethtypes.Hash {
 func (s *StateDB) RebuildRoot() ethtypes.Hash {
 	at := trie.NewSecure()
 	for addr, o := range s.objects {
-		if o.empty() && len(o.storage) == 0 {
+		storage, _ := merged(o)
+		if o.empty() && len(storage) == 0 {
 			continue
 		}
 		st := trie.NewSecure()
-		for slot, val := range o.storage {
+		for slot, val := range storage {
 			st.Put(slot[:], rlp.Encode(rlp.Bytes(val.Bytes())))
 		}
 		storageRoot := st.Hash()
@@ -890,17 +897,7 @@ func (s *StateDB) RebuildRoot() ethtypes.Hash {
 // deleted since the last commit are excluded).
 func (s *StateDB) Accounts() []ethtypes.Address {
 	out := make([]ethtypes.Address, 0, len(s.objects))
-	for a := range s.objects {
-		out = append(out, a)
-	}
-	if s.disk != nil {
-		s.disk.ForEachAccount(func(addr ethtypes.Address, _ *statestore.AccountRecord) bool {
-			if _, resident := s.objects[addr]; !resident && !s.isDeleted(addr) {
-				out = append(out, addr)
-			}
-			return true
-		})
-	}
+	s.forEachAccount(func(a ethtypes.Address, _ uint256.Int) { out = append(out, a) })
 	sort.Slice(out, func(i, j int) bool {
 		for k := 0; k < ethtypes.AddressLength; k++ {
 			if out[i][k] != out[j][k] {
@@ -912,70 +909,45 @@ func (s *StateDB) Accounts() []ethtypes.Address {
 	return out
 }
 
-// Copy returns an isolated copy of the state (journal not carried over)
-// for speculative execution such as eth_call and gas estimation.
-//
-// The copy is copy-on-write over the shared committed state: account
-// headers are duplicated (cheap scalars), while storage maps and the
-// persistent tries are shared until either side writes. Trie sharing is
-// safe because trie mutation path-copies; map sharing is mediated by the
-// per-object shared flag.
-func (s *StateDB) Copy() *StateDB {
-	cp := &StateDB{
-		objects:      make(map[ethtypes.Address]*stateObject, len(s.objects)),
-		accountTrie:  s.accountTrie.Snapshot(),
-		storageTries: make(map[ethtypes.Address]*trie.Secure, len(s.storageTries)),
-		rootCache:    make(map[ethtypes.Address]ethtypes.Hash, len(s.rootCache)),
-		dirties:      make(map[ethtypes.Address]*dirtyEntry, len(s.dirties)),
-		worldRoot:    s.worldRoot,
-		rootValid:    s.rootValid,
-		// The disk handle is shared; the pending batch is not — it
-		// belongs to whichever state Root()s the dirt (the chain's live
-		// state; its published copies are taken after the root).
-		disk: s.disk,
+// forEachAccount calls fn with every account of the state and its
+// balance, in no order: the resident objects (a frozen generation's
+// index), then, in disk mode, the committed records neither shadows.
+func (s *StateDB) forEachAccount(fn func(ethtypes.Address, uint256.Int)) {
+	if s.frozen {
+		s.forEachFrozen(fn)
+		return
 	}
-	if len(s.deleted) > 0 {
-		cp.deleted = make(map[ethtypes.Address]struct{}, len(s.deleted))
-		for addr := range s.deleted {
-			cp.deleted[addr] = struct{}{}
-		}
+	shadows := func(addr ethtypes.Address) bool {
+		_, resident := s.objects[addr]
+		return resident || s.isDeleted(addr)
 	}
-	for addr, o := range s.objects {
-		cp.objects[addr] = cloneShared(o)
+	for a, o := range s.objects {
+		fn(a, o.balance)
 	}
-	for addr, tr := range s.storageTries {
-		cp.storageTries[addr] = tr.Snapshot()
-	}
-	for addr, h := range s.rootCache {
-		cp.rootCache[addr] = h
-	}
-	for addr, e := range s.dirties {
-		ne := &dirtyEntry{reset: e.reset}
-		if len(e.slots) > 0 {
-			ne.slots = make(map[ethtypes.Hash]struct{}, len(e.slots))
-			for slot := range e.slots {
-				ne.slots[slot] = struct{}{}
+	if s.disk != nil {
+		s.disk.ForEachAccount(func(addr ethtypes.Address, rec *statestore.AccountRecord) bool {
+			if !shadows(addr) {
+				fn(addr, uint256.SetBytes(rec.Balance))
 			}
-		}
-		cp.dirties[addr] = ne
+			return true
+		})
 	}
-	return cp
 }
 
 // Overlay returns an O(1) copy-on-read view over s for speculative
 // execution (HeadView.Fork; eth_call and debug_traceCall take theirs
-// from CreditedOverlay): account objects
-// are cloned lazily on first touch (maps shared copy-on-write exactly as
-// in Copy), so the cost of an overlay is proportional to the accounts
-// the execution actually visits, not to the size of the world state.
+// from CreditedOverlay): account headers are copied on first touch and
+// storage slots read through to s until written (fromBase), so the cost
+// of an overlay is proportional to the accounts and slots the execution
+// actually visits, not to the size of the world state.
 //
 // The overlay supports the full execution surface (getters, mutators,
 // journal/revert, Finalise) but not root computation, snapshot encoding
 // or whole-state walks — it cannot enumerate untouched base accounts.
 // After a Finalise sweeps an account, a later read re-materialises the
 // base object. The base must not be mutated while the overlay is live;
-// concurrent overlays over one quiescent base are safe (materialisation
-// only performs atomic shared-flag stores on base objects).
+// concurrent overlays over one frozen generation are safe (they only
+// read it).
 func (s *StateDB) Overlay() *StateDB {
 	return &StateDB{
 		objects: make(map[ethtypes.Address]*stateObject),
@@ -1036,16 +1008,6 @@ func (s *StateDB) Release() {
 // changes are always resident, so the sum is exact).
 func (s *StateDB) TotalBalance() uint256.Int {
 	total := uint256.Zero
-	if s.disk != nil {
-		s.disk.ForEachAccount(func(addr ethtypes.Address, rec *statestore.AccountRecord) bool {
-			if _, resident := s.objects[addr]; !resident && !s.isDeleted(addr) {
-				total = total.Add(uint256.SetBytes(rec.Balance))
-			}
-			return true
-		})
-	}
-	for _, o := range s.objects {
-		total = total.Add(o.balance)
-	}
+	s.forEachAccount(func(_ ethtypes.Address, b uint256.Int) { total = total.Add(b) })
 	return total
 }

@@ -92,16 +92,3 @@ func BenchmarkStateRoot_Rebuild(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCopy_COW measures taking a speculative state copy of a
-// populated world — the per-eth_call setup cost that copy-on-write
-// turned from O(world) deep copies into O(accounts) header clones.
-func BenchmarkCopy_COW(b *testing.B) {
-	s := populateState(1000, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cp := s.Copy()
-		_ = cp
-	}
-}

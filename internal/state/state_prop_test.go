@@ -80,8 +80,8 @@ func TestIncrementalRootMatchesRebuildOracle(t *testing.T) {
 }
 
 // TestCopyRootMatchesOracle interleaves random ops on a state and its
-// copy-on-write Copy and checks both stay consistent with the oracle —
-// shared maps and snapshotted tries must never leak writes across.
+// Copy and checks both stay consistent with the oracle — snapshotted
+// tries must never leak writes across.
 func TestCopyRootMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := New()
@@ -105,10 +105,10 @@ func TestCopyRootMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestConcurrentCopiesRace exercises the eth_call pattern: several
-// goroutines each take a Copy and execute speculative writes on it while
-// the parent keeps committing writes of its own. Run with -race this
-// pins down the copy-on-write synchronisation story.
+// TestConcurrentCopiesRace: several goroutines each take a Copy and
+// execute writes on it while the parent keeps committing writes of its
+// own. Run with -race this pins that copies share only the persistent
+// tries, which path-copy.
 func TestConcurrentCopiesRace(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {

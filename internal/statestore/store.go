@@ -577,6 +577,35 @@ func (s *Store) Slot(addr ethtypes.Address, slot ethtypes.Hash) ([]byte, error) 
 	return val, nil
 }
 
+// Slots returns every committed slot of addr with its value bytes, nil
+// when it has none. Unless addr has slots it costs a map lookup; if it
+// does, a walk of the slot index.
+func (s *Store) Slots(addr ethtypes.Address) (map[ethtypes.Hash][]byte, error) {
+	s.mu.Lock()
+	var at map[ethtypes.Hash]seglog.Pos
+	if n := s.slotCount[addr]; n > 0 {
+		at = make(map[ethtypes.Hash]seglog.Pos, n)
+		for k, p := range s.slots {
+			if k.addr == addr {
+				at[k.slot] = p
+			}
+		}
+	}
+	s.mu.Unlock()
+	if at == nil {
+		return nil, nil
+	}
+	out := make(map[ethtypes.Hash][]byte, len(at))
+	for slot, p := range at {
+		val, err := s.recordValue(p, 3)
+		if err != nil {
+			return nil, err
+		}
+		out[slot] = val
+	}
+	return out, nil
+}
+
 // Code returns contract code by hash, or ErrNotFound.
 func (s *Store) Code(h ethtypes.Hash) ([]byte, error) {
 	key := codeKey(h)
