@@ -157,7 +157,7 @@ endef
 bench:
 	@$(BENCH_HOST)
 	$(GO) test -run xxx -bench . -benchtime 3x .
-	$(GO) test -run xxx -bench 'StateRoot|SealAtWorldSize|HeadViewReadAtDepth|EthCall' ./internal/state/ ./internal/chain/
+	$(GO) test -run xxx -bench 'StateRoot|SealAtWorldSize|HeadViewReadAtDepth|EthCall|TransferTx' ./internal/state/ ./internal/chain/
 	$(GO) test -run xxx -bench Recovery -benchtime 3x ./internal/chain/
 	$(GO) test -run xxx -bench 'ParallelEthCall|ReadsDuringSeal' -benchtime 1s ./internal/chain/
 	$(GO) test -run xxx -bench 'MineBlock$$' -benchtime 5x ./internal/chain/

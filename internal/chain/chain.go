@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"legalchain/internal/abi"
-	"legalchain/internal/blockdb"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/evm"
 	"legalchain/internal/state"
@@ -65,22 +64,13 @@ type Blockchain struct {
 	gasLimit uint64
 	coinbase ethtypes.Address
 
-	// Writer-owned canonical chain. blocks, rcpts and logs are shared
-	// with published views: appends never overwrite a published
-	// element, and cold-data eviction replaces the slice headers with
-	// reallocated suffixes (never truncating in place), so a published
-	// view's slices stay intact. The hash indexes are persistent
-	// generation chains whose published generations are immutable; they
-	// map to block numbers and positions (not bodies) so evicted blocks
-	// don't stay pinned.
+	// Writer-owned canonical chain and live state; published views
+	// share the chain's slices (sealedChain, view.go). Its db is the
+	// block log of durable persistence (nil for a memory-only chain;
+	// see persist.go).
+	sealedChain
 	st      *state.StateDB
-	blocks  []*ethtypes.Block // blocks[i] is block number blocksBase+i
-	byHash  *pindex[uint64]
-	rcpts   [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts, in order
-	txPos   *pindex[txPos]
-	logs    []logPos     // the log index: every sealed log's position, in order
-	logTip  *pindex[int] // addrKey(address) → its newest entry in logs
-	pending []txMeta     // batch-mining queue (SubmitTransaction)
+	pending []txMeta // batch-mining queue (SubmitTransaction)
 	// pendingSet mirrors pending's hashes for O(1) duplicate checks.
 	pendingSet map[ethtypes.Hash]struct{}
 
@@ -97,9 +87,8 @@ type Blockchain struct {
 	// seal path.
 	hub *hub
 
-	// Durable persistence (nil / zero for a memory-only chain); see
+	// Durable persistence (zero for a memory-only chain); see
 	// persist.go.
-	db           *blockdb.Log
 	snapInterval uint64
 	persistErr   error
 	recovery     *RecoveryReport
@@ -114,7 +103,6 @@ type Blockchain struct {
 	stateGen     atomic.Uint64
 	maxResident  int
 	retainBlocks uint64
-	blocksBase   uint64
 
 	// Historical tracing (trace.go): the retained genesis rebuilds
 	// pre-block state from scratch, dataDir locates persisted snapshots
@@ -154,13 +142,11 @@ func genesisState(g *Genesis) (*state.StateDB, *ethtypes.Block) {
 func newMemory(g *Genesis, cfg *openConfig) *Blockchain {
 	st, genesisBlock := genesisState(g)
 	bc := &Blockchain{
+		sealedChain: sealedFrom(genesisBlock, nil),
 		chainID:     g.ChainID,
 		gasLimit:    g.GasLimit,
 		coinbase:    g.Coinbase,
 		st:          st,
-		blocks:      []*ethtypes.Block{genesisBlock},
-		rcpts:       [][]*ethtypes.Receipt{nil},
-		byHash:      (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0),
 		genesis:     copyGenesis(g),
 		execWorkers: cfg.execWorkers,
 		hub:         newHub(),
@@ -258,28 +244,25 @@ func (bc *Blockchain) nextHeaderLocked() *ethtypes.Header {
 	}
 }
 
-// execEnv is everything execTransaction needs to run one transaction:
-// the state it mutates, the chain parameters, the BLOCKHASH source and
-// an optional tracer. The live sealing paths build one over bc.st under
-// bc.mu; historical replay (trace.go) builds one over a scratch state
-// rebuilt from a snapshot, with a tracer attached.
+// execEnv is everything execTransaction needs to run one transaction
+// besides the transaction: the state it mutates, the chain parameters
+// and the BLOCKHASH source. The live sealing paths and recovery build
+// one over bc.st under bc.mu; tracing (trace.go) builds one over a
+// scratch state rebuilt from a snapshot.
 type execEnv struct {
 	chainID      uint64
 	st           *state.StateDB
 	getBlockHash func(uint64) ethtypes.Hash
-	tracer       evm.Tracer
 }
 
 // execEnvLocked builds the live execution environment for the sealing
-// paths. The BLOCKHASH lookup resolves against the writer-owned chain
-// (bc.mu is held; the published view would serve a stale height during
-// recovery replay).
+// paths and recovery. BLOCKHASH resolves through the views' own
+// resolver over a copy of the writer-owned chain as it is now (bc.mu is
+// held; the published view would serve a stale height during recovery
+// replay).
 func (bc *Blockchain) execEnvLocked() *execEnv {
-	return &execEnv{
-		chainID:      bc.chainID,
-		st:           bc.st,
-		getBlockHash: bc.blockHashFnLocked(),
-	}
+	c := bc.sealedChain
+	return &execEnv{chainID: bc.chainID, st: bc.st, getBlockHash: c.blockHash}
 }
 
 // SendTransaction validates, executes and instantly mines tx into a new
@@ -297,10 +280,10 @@ func (bc *Blockchain) SendTransaction(tx *ethtypes.Transaction) (ethtypes.Hash, 
 // check against the published head view (a replayed hash is refused
 // without paying a recovery) and sender recovery — milliseconds of curve
 // arithmetic that concurrent clients now spend on their own cores instead
-// of queueing for the writer. The recovered sender stays memoised on tx
-// (ethtypes.Transaction.Sender), which is what mining, replay, tracing
-// and RPC read-back hit later. On ErrKnownTransaction the hash is
-// returned alongside the error.
+// of queueing for the writer. The block loop takes the hash and the
+// sender from here; the sender also stays memoised on tx
+// (ethtypes.Transaction.Sender), which tracing and RPC read-back hit.
+// On ErrKnownTransaction the hash is returned alongside the error.
 func (bc *Blockchain) admitStateless(tx *ethtypes.Transaction) (ethtypes.Hash, ethtypes.Address, error) {
 	hash := tx.Hash()
 	if tx.Gas > bc.gasLimit {
@@ -352,31 +335,23 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 		bc.mu.Unlock()
 		return hash, ErrKnownTransaction
 	}
-	expected := bc.st.GetNonce(sender)
-	if tx.Nonce < expected {
-		bc.mu.Unlock()
-		return ethtypes.Hash{}, fmt.Errorf("%w: have %d, want %d", ErrNonceTooLow, tx.Nonce, expected)
-	}
-	if tx.Nonce > expected {
-		bc.mu.Unlock()
-		return ethtypes.Hash{}, fmt.Errorf("%w: have %d, want %d", ErrNonceTooHigh, tx.Nonce, expected)
-	}
-
-	// The transaction is admitted: let newPendingTransactions watchers
-	// know before it seals (one ring append per watcher, never blocks).
-	bc.hub.enqueue(Event{TxHash: hash})
 
 	header := bc.nextHeaderLocked()
-	bc.timeOffset = 0
-	receipt, err := bc.applyTransaction(ctx, header, tx, hash, sender)
-	if err != nil {
+	_, receipts, failed, gasUsed := runBlock(ctx, bc.execEnvLocked(), header, []txMeta{{tx: tx, hash: hash, sender: sender}}, func(int, txMeta) evm.Tracer {
+		// The nonce rule admitted the transaction: let
+		// newPendingTransactions watchers know before it seals (one ring
+		// append per watcher, never blocks).
+		bc.hub.enqueue(Event{TxHash: hash})
+		return nil
+	})
+	if err := failed[hash]; err != nil {
 		sp.SetError(err)
 		bc.mu.Unlock()
 		return ethtypes.Hash{}, err
 	}
 
-	header.GasUsed = receipt.GasUsed
-	bc.sealLocked(ctx, header, []*ethtypes.Transaction{tx}, []*ethtypes.Receipt{receipt}, sealStart)
+	header.GasUsed = gasUsed
+	bc.sealLocked(ctx, header, []*ethtypes.Transaction{tx}, receipts, sealStart)
 	bc.mu.Unlock()
 	sp.SetAttrUint("block", header.Number)
 	if sp != nil {
@@ -385,10 +360,59 @@ func (bc *Blockchain) SendTransactionCtx(ctx context.Context, tx *ethtypes.Trans
 	return hash, nil
 }
 
-// applyTransaction executes tx, whose hash is hash, against the live
-// state under bc.mu.
-func (bc *Blockchain) applyTransaction(ctx context.Context, header *ethtypes.Header, tx *ethtypes.Transaction, hash ethtypes.Hash, sender ethtypes.Address) (*ethtypes.Receipt, error) {
-	return execTransaction(ctx, bc.execEnvLocked(), header, tx, hash, sender)
+// runBlock is the one block loop — instant seal, MineBlock, recovery
+// and tracing: it runs metas in order as the transactions of the block
+// with header h on env.st. A transaction whose nonce is not its
+// sender's next is dropped; one that passes goes to before (if non-nil)
+// for its tracer, executes, and is dropped if execution refuses it.
+// Positions are numbered here and nowhere else: each included receipt's
+// TxIndex and CumulativeGasUsed, each log's TxIndex and block-wide
+// Index. It returns the included transactions, their receipts, the
+// dropped ones' errors by hash (nil when none was) and the gas used.
+func runBlock(ctx context.Context, env *execEnv, h *ethtypes.Header, metas []txMeta, before func(int, txMeta) evm.Tracer) (included []*ethtypes.Transaction, receipts []*ethtypes.Receipt, failed map[ethtypes.Hash]error, gasUsed uint64) {
+	var logIndex uint
+	for i, m := range metas {
+		var rcpt *ethtypes.Receipt
+		err := nonceRule(env.st.GetNonce(m.sender), m.tx.Nonce)
+		if err == nil {
+			var tracer evm.Tracer
+			if before != nil {
+				tracer = before(i, m)
+			}
+			rcpt, err = execTransaction(ctx, env, h, m, tracer)
+		}
+		if err != nil {
+			if failed == nil {
+				failed = map[ethtypes.Hash]error{}
+			}
+			failed[m.hash] = err
+			continue
+		}
+		rcpt.TxIndex = uint(len(included))
+		gasUsed += rcpt.GasUsed
+		rcpt.CumulativeGasUsed = gasUsed
+		for _, l := range rcpt.Logs {
+			l.TxIndex = rcpt.TxIndex
+			l.Index = logIndex
+			logIndex++
+		}
+		included = append(included, m.tx)
+		receipts = append(receipts, rcpt)
+	}
+	return included, receipts, failed, gasUsed
+}
+
+// nonceRule admits a transaction with nonce have when its sender's next
+// nonce is want.
+func nonceRule(want, have uint64) error {
+	if have == want {
+		return nil
+	}
+	err := ErrNonceTooLow
+	if have > want {
+		err = ErrNonceTooHigh
+	}
+	return fmt.Errorf("%w: have %d, want %d", err, have, want)
 }
 
 // blockContext is the EVM context of a message from origin executed in
@@ -406,13 +430,13 @@ func blockContext(chainID uint64, h *ethtypes.Header, origin ethtypes.Address, g
 	}
 }
 
-// execTransaction executes tx against env.st, following the yellow-paper
-// gas flow (buy gas, execute, refund, pay coinbase). It is the single
-// execution routine shared by live sealing, crash-recovery replay and
-// historical tracing, so a replayed transaction is byte-identical to its
-// original run. hash is tx.Hash(), which every caller already holds: the
-// receipt and the logs carry it.
-func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header, tx *ethtypes.Transaction, hash ethtypes.Hash, sender ethtypes.Address) (*ethtypes.Receipt, error) {
+// execTransaction executes m.tx against env.st, with tracer (possibly
+// nil) attached, following the yellow-paper gas flow (buy gas, execute,
+// refund, pay coinbase). runBlock is its one caller, so a replayed
+// transaction is byte-identical to its original run. The receipt and
+// the logs carry m.hash; runBlock numbers their positions.
+func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header, m txMeta, tracer evm.Tracer) (*ethtypes.Receipt, error) {
+	tx, sender := m.tx, m.sender
 	execStart := time.Now()
 	defer mExecSeconds.ObserveSince(execStart)
 	intrinsic := evm.IntrinsicGas(tx.Data, tx.IsCreate())
@@ -428,7 +452,7 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 	env.st.SubBalance(sender, gasCost)
 
 	machine := evm.New(blockContext(env.chainID, header, sender, tx.GasPrice, env.getBlockHash), env.st)
-	machine.Tracer = env.tracer
+	machine.Tracer = tracer
 	execGas := tx.Gas - intrinsic
 
 	var (
@@ -483,26 +507,22 @@ func execTransaction(ctx context.Context, env *execEnv, header *ethtypes.Header,
 	if vmErr != nil {
 		logs = nil
 	}
-	for i, l := range logs {
+	for _, l := range logs {
 		l.BlockNumber = header.Number
-		l.TxHash = hash
-		l.TxIndex = 0
-		l.Index = uint(i)
+		l.TxHash = m.hash
 	}
 	env.st.Finalise()
 
 	return &ethtypes.Receipt{
-		TxHash:            hash,
-		TxIndex:           0,
-		BlockNumber:       header.Number,
-		From:              sender,
-		To:                tx.To,
-		ContractAddress:   contractAddr,
-		GasUsed:           gasUsed,
-		CumulativeGasUsed: gasUsed,
-		Status:            status,
-		Logs:              logs,
-		RevertReason:      reason,
+		TxHash:          m.hash,
+		BlockNumber:     header.Number,
+		From:            sender,
+		To:              tx.To,
+		ContractAddress: contractAddr,
+		GasUsed:         gasUsed,
+		Status:          status,
+		Logs:            logs,
+		RevertReason:    reason,
 	}, nil
 }
 

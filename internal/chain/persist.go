@@ -341,12 +341,7 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	// Reset to genesis.
 	st, genesisBlock := genesisState(g)
 	bc.st = st
-	bc.blocks = []*ethtypes.Block{genesisBlock}
-	bc.rcpts = [][]*ethtypes.Receipt{nil}
-	bc.blocksBase = 0
-	bc.byHash = (*pindex[uint64])(nil).with1(genesisBlock.Hash(), 0)
-	bc.txPos = nil
-	bc.logs, bc.logTip = nil, nil
+	bc.sealedChain = sealedFrom(genesisBlock, bc.db)
 	bc.timeOffset = 0
 
 	base := 0
@@ -394,19 +389,27 @@ func (bc *Blockchain) rebuildTo(g *Genesis, recs []*blockdb.Record, limit int, r
 	}
 
 	// Re-execute and verify everything after the base. Replay itself is
-	// serial, so first recover the suffix's senders on the worker pool:
-	// the records were decoded memo-less, and one pass here turns every
-	// Sender call in replayBlock (and in a retry with a shorter prefix)
-	// into a memo hit.
-	var suffix []*ethtypes.Transaction
+	// serial, so first recover the suffix's senders on the worker pool.
+	// Each transaction's hash is the one its journaled receipt names,
+	// which txsCommitted checked. A block holding a transaction whose
+	// sender does not recover diverges.
+	var suffix []txMeta
 	for i := base + 1; i < limit; i++ {
-		suffix = append(suffix, recs[i].Txs...)
+		for j, tx := range recs[i].Txs {
+			suffix = append(suffix, txMeta{tx: tx, hash: recs[i].Receipts[j].TxHash})
+		}
 	}
-	bc.recoverSenders(suffix)
+	bad := bc.recoverSenders(suffix)
 	replayed := 0
 	for i := base + 1; i < limit; i++ {
+		metas := suffix[:len(recs[i].Txs)]
+		suffix = suffix[len(metas):]
+		if bad < len(metas) {
+			return false, i, nil
+		}
+		bad -= len(metas)
 		block := recs[i].Block()
-		receipts, err := replayBlock(context.Background(), bc.chainID, bc.st, block, bc.blockHashFnLocked(), nil)
+		receipts, err := replayBlock(context.Background(), bc.execEnvLocked(), block, metas, nil)
 		if err != nil {
 			return false, i, nil
 		}

@@ -1,12 +1,14 @@
 package chain
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"legalchain/internal/ethtypes"
+	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
 )
@@ -70,6 +72,56 @@ func workload(t *testing.T, bc *Blockchain, accs []wallet.Account, nBlocks int) 
 	if err := bc.PersistErr(); err != nil {
 		t.Fatalf("persistence failed during workload: %v", err)
 	}
+}
+
+const twoLogsSrc = `
+contract TwoLogs {
+	event first(uint n);
+	event second(uint n);
+	function emitBoth(uint n) public { emit first(n); emit second(n); }
+	function fail() public { require(false, "no"); }
+}`
+
+// mixedBlock deploys a TwoLogs contract, then mines one block that mixes
+// a create, two transactions of two logs each, a revert and a
+// transaction the nonce rule drops, and returns that block.
+func mixedBlock(t *testing.T, bc *Blockchain, accs []wallet.Account) *ethtypes.Block {
+	t.Helper()
+	art, err := minisol.CompileContract(twoLogsSrc, "TwoLogs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := bc.SendTransaction(signedTx(t, bc, accs[0], nil, uint256.Zero, art.Bytecode, 2_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcpt, _ := bc.GetReceipt(hash)
+	addr := *rcpt.ContractAddress
+	pack := func(method string, args ...interface{}) []byte {
+		data, err := art.ABI.Pack(method, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	n1, n2 := bc.GetNonce(accs[1].Address), bc.GetNonce(accs[2].Address)
+	gap := rawTx(t, bc, accs[2], n2+2, &accs[0].Address, uint256.One, nil, 21_000)
+	for _, tx := range []*ethtypes.Transaction{
+		rawTx(t, bc, accs[0], bc.GetNonce(accs[0].Address), nil, uint256.Zero, art.Bytecode, 2_000_000),
+		rawTx(t, bc, accs[1], n1, &addr, uint256.Zero, pack("emitBoth", uint256.NewUint64(1)), 200_000),
+		rawTx(t, bc, accs[1], n1+1, &addr, uint256.Zero, pack("fail"), 200_000),
+		gap,
+		rawTx(t, bc, accs[2], n2, &addr, uint256.Zero, pack("emitBoth", uint256.NewUint64(2)), 200_000),
+	} {
+		if _, err := bc.SubmitTransaction(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block, failed := bc.MineBlock()
+	if len(block.Transactions) != 4 || len(failed) != 1 || !errors.Is(failed[gap.Hash()], ErrNonceTooHigh) {
+		t.Fatalf("mixed block: %d transactions, dropped %v", len(block.Transactions), failed)
+	}
+	return block
 }
 
 // chainFingerprint captures everything a restart must preserve.
@@ -216,6 +268,7 @@ func TestCrashRestartWithoutAnySnapshot(t *testing.T) {
 
 	bc := openPersist(t, dir, accs, 4)
 	workload(t, bc, accs, 9)
+	mixedBlock(t, bc, accs)
 	want := fingerprint(bc)
 
 	// Delete every snapshot: recovery must fall back to genesis replay.

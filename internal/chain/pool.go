@@ -3,7 +3,6 @@ package chain
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -18,12 +17,13 @@ import (
 // (SendTransaction), matching Ganache's automine. For workloads that
 // want realistic multi-transaction blocks — cumulative gas, transaction
 // indexes, shared timestamps — transactions can instead be queued with
-// SubmitTransaction and sealed together with MineBlock, which executes
-// the sorted batch serially on the live state and seals it like any
-// other block (seal.go).
+// SubmitTransaction and sealed together with MineBlock, which runs the
+// sorted batch through the one block loop (runBlock, chain.go) on the
+// live state, with the hashes and senders admission computed, and seals
+// it like any other block (seal.go).
 
-// txMeta is one pool transaction with its hash, its recovered sender
-// and its submission index. (recoverSenders leaves hash zero.)
+// txMeta is one transaction as the block loop runs it: with its hash,
+// its recovered sender and, in the pool, its submission index.
 type txMeta struct {
 	tx     *ethtypes.Transaction
 	hash   ethtypes.Hash
@@ -86,8 +86,8 @@ func (bc *Blockchain) PendingCount() int {
 // MineBlock seals every pending transaction into one block, ordered by
 // (sender, nonce) then submission order, and returns it. Transactions
 // whose nonce or funds are wrong at execution time are dropped with
-// their error recorded in the returned map. Mining an empty pool
-// produces an empty block (useful to advance time).
+// their error recorded in the returned map (nil when none was). Mining
+// an empty pool produces an empty block (useful to advance time).
 func (bc *Blockchain) MineBlock() (*ethtypes.Block, map[ethtypes.Hash]error) {
 	sealStart := time.Now()
 	bc.mu.Lock()
@@ -110,72 +110,25 @@ func (bc *Blockchain) MineBlock() (*ethtypes.Block, map[ethtypes.Hash]error) {
 	})
 
 	header := bc.nextHeaderLocked()
-	bc.timeOffset = 0
-	included, receipts, failed, cumulative := bc.executeBatchLocked(context.Background(), header, metas)
-
-	header.GasUsed = cumulative
+	included, receipts, failed, gasUsed := runBlock(context.Background(), bc.execEnvLocked(), header, metas, nil)
+	header.GasUsed = gasUsed
 	mTxsFailed.Add(uint64(len(failed)))
 	return bc.sealLocked(context.Background(), header, included, receipts, sealStart), failed
 }
 
-// executeBatchLocked executes the sorted batch against bc.st, one
-// transaction after another, and returns the included transactions,
-// their receipts (indexes, cumulative gas and block-wide log indexes
-// finalised), the dropped-transaction map and the block's gas used.
-// Called with bc.mu held; bc.st holds the post-batch state on return.
-func (bc *Blockchain) executeBatchLocked(ctx context.Context, header *ethtypes.Header, metas []txMeta) ([]*ethtypes.Transaction, []*ethtypes.Receipt, map[ethtypes.Hash]error, uint64) {
-	failed := map[ethtypes.Hash]error{}
-	var included []*ethtypes.Transaction
-	var receipts []*ethtypes.Receipt
-	var cumulative uint64
-	var logIndex uint
-	for _, m := range metas {
-		if expected := bc.st.GetNonce(m.sender); m.tx.Nonce != expected {
-			failed[m.hash] = fmt.Errorf("%w: have %d, want %d", nonceErr(m.tx.Nonce, expected), m.tx.Nonce, expected)
-			continue
-		}
-		rcpt, err := bc.applyTransaction(ctx, header, m.tx, m.hash, m.sender)
-		if err != nil {
-			failed[m.hash] = err
-			continue
-		}
-		rcpt.TxIndex = uint(len(included))
-		cumulative += rcpt.GasUsed
-		rcpt.CumulativeGasUsed = cumulative
-		for _, l := range rcpt.Logs {
-			l.TxIndex = rcpt.TxIndex
-			l.Index = logIndex
-			logIndex++
-		}
-		included = append(included, m.tx)
-		receipts = append(receipts, rcpt)
-	}
-	return included, receipts, failed, cumulative
-}
-
-func nonceErr(have, want uint64) error {
-	if have < want {
-		return ErrNonceTooLow
-	}
-	return ErrNonceTooHigh
-}
-
-// recoverSenders resolves every transaction's sender on the worker
-// pool: real ECDSA recoveries (≈ 0.15 ms of curve arithmetic each,
-// embarrassingly parallel) that warm the sender memo of a journal
-// suffix, whose transactions were decoded from disk without one, before
-// recovery replays it. Transactions whose signature does not recover are
-// silently skipped.
-func (bc *Blockchain) recoverSenders(txs []*ethtypes.Transaction) []txMeta {
-	workers := bc.execWorkerCount()
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	senders := make([]ethtypes.Address, len(txs))
-	errs := make([]error, len(txs))
+// recoverSenders sets the sender of every meta on the worker pool:
+// for a journal suffix decoded from disk, real ECDSA recoveries
+// (≈ 0.15 ms of curve arithmetic each, embarrassingly parallel) that
+// recovery does before it replays the suffix serially. It returns the
+// index of the first meta whose signature does not recover, len(metas)
+// when every one does.
+func (bc *Blockchain) recoverSenders(metas []txMeta) int {
+	workers := min(bc.execWorkerCount(), len(metas))
+	errs := make([]error, len(metas))
+	recoverOne := func(i int) { metas[i].sender, errs[i] = metas[i].tx.Sender(bc.chainID) }
 	if workers <= 1 {
-		for i, tx := range txs {
-			senders[i], errs[i] = tx.Sender(bc.chainID)
+		for i := range metas {
+			recoverOne(i)
 		}
 	} else {
 		var next atomic.Int64
@@ -186,23 +139,21 @@ func (bc *Blockchain) recoverSenders(txs []*ethtypes.Transaction) []txMeta {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= len(txs) {
+					if i >= len(metas) {
 						return
 					}
-					senders[i], errs[i] = txs[i].Sender(bc.chainID)
+					recoverOne(i)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	metas := make([]txMeta, 0, len(txs))
-	for i, tx := range txs {
-		if errs[i] != nil {
-			continue
+	for i, err := range errs {
+		if err != nil {
+			return i
 		}
-		metas = append(metas, txMeta{tx: tx, sender: senders[i], idx: i})
 	}
-	return metas
+	return len(metas)
 }
 
 // TraceCall executes a read-only message against the published head view

@@ -415,8 +415,8 @@ func TestMineBlockMatchesInstantSeal(t *testing.T) {
 
 // TestExecWorkersOption checks the recovery-pool plumbing: explicit
 // widths are honoured, zero means min(GOMAXPROCS, 8), and inline and
-// pooled recovery return the same senders in submission order,
-// skipping a signature that does not recover.
+// pooled recovery set the same senders and report the first signature
+// that does not recover.
 func TestExecWorkersOption(t *testing.T) {
 	accs := wallet.DevAccounts("workers opt", 2)
 	mk := func(opts ...Option) *Blockchain {
@@ -442,18 +442,17 @@ func TestExecWorkersOption(t *testing.T) {
 	const bad = 3
 	for _, workers := range []int{1, 4} {
 		// Fresh decodes, so every Sender call is a real recovery.
-		txs := make([]*ethtypes.Transaction, len(signed))
+		metas := make([]txMeta, len(signed))
 		for i, tx := range signed {
-			txs[i] = freshDecode(t, tx)
+			metas[i] = txMeta{tx: freshDecode(t, tx)}
 		}
-		txs[bad].S = big.NewInt(0)
-		metas := mk(WithExecWorkers(workers)).recoverSenders(txs)
-		if len(metas) != len(txs)-1 {
-			t.Fatalf("workers %d: %d senders recovered, want %d", workers, len(metas), len(txs)-1)
+		metas[bad].tx.S = big.NewInt(0)
+		if got := mk(WithExecWorkers(workers)).recoverSenders(metas); got != bad {
+			t.Fatalf("workers %d: first unrecovered sender at %d, want %d", workers, got, bad)
 		}
-		for _, m := range metas {
-			if m.idx == bad || m.tx != txs[m.idx] || m.sender != accs[m.idx%2].Address {
-				t.Fatalf("workers %d: tx %d recovered as %s", workers, m.idx, m.sender)
+		for i, m := range metas {
+			if i != bad && m.sender != accs[i%2].Address {
+				t.Fatalf("workers %d: tx %d recovered as %s", workers, i, m.sender)
 			}
 		}
 	}

@@ -24,6 +24,7 @@ func (bc *Blockchain) sealLocked(ctx context.Context, header *ethtypes.Header, i
 	header.ReceiptRoot = DeriveReceiptRoot(receipts)
 	header.TxRoot = ethtypes.TxRootOf(receiptTxHashes(receipts))
 	block := &ethtypes.Block{Header: header, Transactions: included}
+	bc.timeOffset = 0 // the header took it
 	bc.installBlockLocked(block, receipts)
 	bc.persistBlockLocked(ctx, block, receipts)
 	bc.evictColdLocked()
@@ -112,12 +113,4 @@ func receiptTxHashes(receipts []*ethtypes.Receipt) []ethtypes.Hash {
 		hashes[i] = r.TxHash
 	}
 	return hashes
-}
-
-// blockHashFnLocked captures a BLOCKHASH resolver over the writer-owned
-// chain: the view's own resolver, over the writer's slices as they are
-// now.
-func (bc *Blockchain) blockHashFnLocked() func(uint64) ethtypes.Hash {
-	v := &HeadView{head: bc.blocks[len(bc.blocks)-1], blocks: bc.blocks, rcpts: bc.rcpts, db: bc.db, blocksBase: bc.blocksBase}
-	return v.blockHash
 }

@@ -17,11 +17,12 @@ import (
 // state archive, so the pre-state is rebuilt: start from the newest
 // persisted snapshot at or below the target block (or from the retained
 // genesis when none qualifies), replay the intervening blocks through
-// the same execTransaction routine the sealer used, and verify every
-// replayed block against its stored header. Replay is therefore
-// faithful by construction — any divergence (gas, logs, status, state
-// root) aborts the trace with ErrTraceDiverged instead of returning a
-// trace of an execution that never happened.
+// the block loop the sealer ran (runBlock), and verify every replayed
+// block against its stored header. Replay therefore cannot drift from
+// sealing — a dropped transaction or any divergence (gas, logs, status,
+// state root) aborts the trace with ErrTraceDiverged instead of
+// returning a trace of an execution that never happened. Replay takes
+// each transaction's hash from its stored receipt, never hashing one.
 //
 // Everything here runs against a pinned immutable HeadView plus scratch
 // state, so tracing never blocks (or is blocked by) the sealing path.
@@ -101,8 +102,7 @@ func (bc *Blockchain) traceBlock(ctx context.Context, view *HeadView, n uint64, 
 	if n == 0 {
 		return nil, fmt.Errorf("%w: genesis holds no transactions", ErrTraceNotFound)
 	}
-	block, stored, ok := view.blockAt(n)
-	if !ok {
+	if n > view.BlockNumber() {
 		return nil, fmt.Errorf("%w: block %d", ErrTraceNotFound, n)
 	}
 	st, err := bc.stateBefore(ctx, view, n)
@@ -110,9 +110,9 @@ func (bc *Blockchain) traceBlock(ctx context.Context, view *HeadView, n uint64, 
 		return nil, err
 	}
 
-	tracers := make([]evm.Tracer, len(block.Transactions))
-	receipts, err := replayBlock(ctx, bc.chainID, st, block, blockHashBefore(view, n), func(i int, hash ethtypes.Hash) evm.Tracer {
-		if factory == nil || (only != nil && hash != *only) {
+	tracers := map[int]evm.Tracer{}
+	stored, receipts, err := bc.replayStored(ctx, view, st, n, func(i int, m txMeta) evm.Tracer {
+		if factory == nil || (only != nil && m.hash != *only) {
 			return nil
 		}
 		tracers[i] = factory()
@@ -120,9 +120,6 @@ func (bc *Blockchain) traceBlock(ctx context.Context, view *HeadView, n uint64, 
 	})
 	if err != nil {
 		return nil, err
-	}
-	if len(stored) != len(receipts) {
-		return nil, fmt.Errorf("%w: block %d has %d stored receipts for %d transactions", ErrTraceDiverged, n, len(stored), len(receipts))
 	}
 	traces := make([]*TxTrace, 0, len(receipts))
 	for i, rcpt := range receipts {
@@ -177,83 +174,81 @@ func (bc *Blockchain) stateBefore(ctx context.Context, view *HeadView, n uint64)
 	// Replay (untraced) every block between the base and the target,
 	// verifying each block's state commitment as we go.
 	for h := base + 1; h <= target; h++ {
-		block, ok := view.BlockByNumber(h)
-		if !ok {
-			return nil, fmt.Errorf("%w: block %d", ErrTraceNotFound, h)
-		}
-		if _, err := replayBlock(ctx, bc.chainID, st, block, blockHashBefore(view, h), nil); err != nil {
+		if _, _, err := bc.replayStored(ctx, view, st, h, nil); err != nil {
 			return nil, err
 		}
 	}
 	return st, nil
 }
 
-// blockHashBefore resolves BLOCKHASH on view as it resolved while block
-// n was sealed: blocks below n resolve, n and later did not exist yet.
-func blockHashBefore(view *HeadView, n uint64) func(uint64) ethtypes.Hash {
-	return func(x uint64) ethtypes.Hash {
+// replayStored replays block n of view on st (replayBlock) and returns
+// the receipts the view stores for it and the replayed ones. Each
+// transaction's hash is the one its stored receipt carries; its sender
+// comes from recoverSenders. BLOCKHASH resolves as it did while block n
+// was sealed: blocks below n resolve, n and later did not exist yet.
+func (bc *Blockchain) replayStored(ctx context.Context, view *HeadView, st *state.StateDB, n uint64, tracerFor func(int, txMeta) evm.Tracer) (stored, receipts []*ethtypes.Receipt, err error) {
+	block, stored, ok := view.blockAt(n)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: block %d", ErrTraceNotFound, n)
+	}
+	if len(stored) != len(block.Transactions) {
+		return nil, nil, fmt.Errorf("%w: block %d has %d stored receipts for %d transactions", ErrTraceDiverged, n, len(stored), len(block.Transactions))
+	}
+	metas := make([]txMeta, len(stored))
+	for i, rcpt := range stored {
+		metas[i] = txMeta{tx: block.Transactions[i], hash: rcpt.TxHash}
+	}
+	if i := bc.recoverSenders(metas); i < len(metas) {
+		return nil, nil, fmt.Errorf("%w: block %d tx %d: sender does not recover", ErrTraceDiverged, n, i)
+	}
+	blockHash := func(x uint64) ethtypes.Hash {
 		if x < n {
 			return view.blockHash(x)
 		}
 		return ethtypes.Hash{}
 	}
+	receipts, err = replayBlock(ctx, &execEnv{chainID: bc.chainID, st: st, getBlockHash: blockHash}, block, metas, tracerFor)
+	return stored, receipts, err
 }
 
-// replayBlock re-executes block against st through the sealer's own
-// execTransaction, mirroring the sealing paths exactly (per-tx
-// receipts, cumulative gas, block-wide log indexes), and verifies the
-// block-level commitments: total gas, state root, receipt root. Crash
-// recovery and historical tracing both replay through it; getBlockHash
-// resolves BLOCKHASH the way the block saw it when sealed. tracerFor may
-// be nil; otherwise it picks the tracer (possibly nil) for each
-// transaction, by its index and hash.
-// An execution panic, possible only when st has left the sealing-time
-// lineage, is reported as ErrTraceDiverged: a replay must never crash
-// the node.
-func replayBlock(ctx context.Context, chainID uint64, st *state.StateDB, block *ethtypes.Block, getBlockHash func(uint64) ethtypes.Hash, tracerFor func(int, ethtypes.Hash) evm.Tracer) (receipts []*ethtypes.Receipt, err error) {
+// replayBlock re-executes block through the sealer's own block loop
+// (runBlock) on env.st, with metas as its transactions, and verifies
+// what sealing committed: every transaction is included, and the total
+// gas, state root and receipt root match the header. Crash recovery and
+// historical tracing both replay through it; env.getBlockHash resolves
+// BLOCKHASH the way the block saw it when sealed. tracerFor may be nil;
+// otherwise it picks the tracer (possibly nil) for each transaction.
+// The returned receipts carry the block's hash. An execution panic,
+// possible only when env.st has left the sealing-time lineage, is
+// reported as ErrTraceDiverged: a replay must never crash the node.
+func replayBlock(ctx context.Context, env *execEnv, block *ethtypes.Block, metas []txMeta, tracerFor func(int, txMeta) evm.Tracer) (receipts []*ethtypes.Receipt, err error) {
 	header := block.Header
 	defer func() {
 		if p := recover(); p != nil {
 			receipts, err = nil, fmt.Errorf("%w: block %d: panic: %v", ErrTraceDiverged, header.Number, p)
 		}
 	}()
-	receipts = make([]*ethtypes.Receipt, 0, len(block.Transactions))
-	var cumulative uint64
-	var logIndex uint
-	for i, tx := range block.Transactions {
-		sender, err := tx.Sender(chainID)
-		if err != nil {
+	_, receipts, failed, gasUsed := runBlock(ctx, env, header, metas, tracerFor)
+	for i, m := range metas {
+		if err := failed[m.hash]; err != nil {
 			return nil, fmt.Errorf("%w: block %d tx %d: %v", ErrTraceDiverged, header.Number, i, err)
 		}
-		hash := tx.Hash()
-		env := &execEnv{chainID: chainID, st: st, getBlockHash: getBlockHash}
-		if tracerFor != nil {
-			env.tracer = tracerFor(i, hash)
-		}
-		rcpt, err := execTransaction(ctx, env, header, tx, hash, sender)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block %d tx %d: %v", ErrTraceDiverged, header.Number, i, err)
-		}
-		rcpt.TxIndex = uint(i)
-		cumulative += rcpt.GasUsed
-		rcpt.CumulativeGasUsed = cumulative
-		rcpt.BlockHash = block.Hash()
-		for _, l := range rcpt.Logs {
-			l.TxIndex = rcpt.TxIndex
-			l.Index = logIndex
-			l.BlockHash = rcpt.BlockHash
-			logIndex++
-		}
-		receipts = append(receipts, rcpt)
 	}
-	if cumulative != header.GasUsed {
-		return nil, fmt.Errorf("%w: block %d gas used %d, header says %d", ErrTraceDiverged, header.Number, cumulative, header.GasUsed)
+	if gasUsed != header.GasUsed {
+		return nil, fmt.Errorf("%w: block %d gas used %d, header says %d", ErrTraceDiverged, header.Number, gasUsed, header.GasUsed)
 	}
-	if root := st.Root(); root != header.StateRoot {
+	if root := env.st.Root(); root != header.StateRoot {
 		return nil, fmt.Errorf("%w: block %d state root %s, header says %s", ErrTraceDiverged, header.Number, root.Hex(), header.StateRoot.Hex())
 	}
 	if rr := DeriveReceiptRoot(receipts); rr != header.ReceiptRoot {
 		return nil, fmt.Errorf("%w: block %d receipt root %s, header says %s", ErrTraceDiverged, header.Number, rr.Hex(), header.ReceiptRoot.Hex())
+	}
+	blockHash := block.Hash()
+	for _, rcpt := range receipts {
+		rcpt.BlockHash = blockHash
+		for _, l := range rcpt.Logs {
+			l.BlockHash = blockHash
+		}
 	}
 	return receipts, nil
 }

@@ -3,6 +3,7 @@ package chain
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"legalchain/internal/ethtypes"
@@ -17,10 +18,13 @@ func callTracerFactory() evm.Tracer { return evm.NewCallTracer() }
 
 // TestTraceBlocksFaithfulMultiBlock replays every block of a mixed
 // workload (deploys, contract calls with logs, transfers, batch-mined
-// blocks) and checks each re-derived receipt against the stored one.
+// blocks, one of which mixes a create, multi-log calls, a revert and a
+// dropped transaction) and checks each re-derived receipt against the
+// stored one in every field, positions included.
 func TestTraceBlocksFaithfulMultiBlock(t *testing.T) {
 	bc, accs := devChain(t)
 	workload(t, bc, accs, 10)
+	mixedBlock(t, bc, accs)
 	head := bc.BlockNumber()
 	if head < 10 {
 		t.Fatalf("workload too short: head=%d", head)
@@ -41,17 +45,12 @@ func TestTraceBlocksFaithfulMultiBlock(t *testing.T) {
 			if !ok {
 				t.Fatalf("no stored receipt for %s", tr.TxHash.Hex())
 			}
-			if tr.Receipt.GasUsed != stored.GasUsed || tr.Receipt.Status != stored.Status {
-				t.Fatalf("block %d tx %s: replayed gas=%d status=%d, stored gas=%d status=%d",
-					n, tr.TxHash.Hex(), tr.Receipt.GasUsed, tr.Receipt.Status, stored.GasUsed, stored.Status)
-			}
-			if len(tr.Receipt.Logs) != len(stored.Logs) {
-				t.Fatalf("block %d tx %s: %d logs, stored %d", n, tr.TxHash.Hex(), len(tr.Receipt.Logs), len(stored.Logs))
+			if !reflect.DeepEqual(tr.Receipt, stored) {
+				t.Fatalf("block %d tx %s: replayed %+v, stored %+v", n, tr.TxHash.Hex(), tr.Receipt, stored)
 			}
 			for i, l := range tr.Receipt.Logs {
-				s := stored.Logs[i]
-				if l.Address != s.Address || len(l.Topics) != len(s.Topics) || string(l.Data) != string(s.Data) {
-					t.Fatalf("block %d tx %s log %d mismatch", n, tr.TxHash.Hex(), i)
+				if s := stored.Logs[i]; !reflect.DeepEqual(l, s) {
+					t.Fatalf("block %d tx %s log %d: replayed %+v, stored %+v", n, tr.TxHash.Hex(), i, l, s)
 				}
 			}
 			sl, ok := tr.Tracer.(*evm.StructLogger)
@@ -178,6 +177,23 @@ func TestTraceSnapshotBounded(t *testing.T) {
 	}
 	if base != "8" {
 		t.Fatalf("rebuild base = %q, want snapshot at block 8", base)
+	}
+}
+
+// TestTraceHashesNoTransaction: a trace replays from genesis (a memory
+// chain keeps no snapshot) and takes every transaction's hash from its
+// stored receipt, so it computes none.
+func TestTraceHashesNoTransaction(t *testing.T) {
+	bc, accs := devChain(t)
+	workload(t, bc, accs, 9)
+	head, _ := bc.View().BlockByNumber(bc.BlockNumber())
+	target := head.Transactions[0].Hash()
+	before := ethtypes.TxHashes()
+	if _, err := bc.TraceTransaction(context.Background(), target, structLogFactory); err != nil {
+		t.Fatal(err)
+	}
+	if n := ethtypes.TxHashes() - before; n != 0 {
+		t.Fatalf("tracing block %d after a genesis replay computed %d transaction hashes, want 0", head.Number(), n)
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 //  2. The blocks, rcpts and logs slices are shared with the writer,
 //     which only ever appends. A view captures the slice value
 //     (pointer, length); appends either write past every published
-//     length or reallocate, so no published element is ever
-//     overwritten.
+//     length or reallocate, and cold-data eviction reallocates the
+//     suffix it keeps, so no published element is ever overwritten.
 //  3. bc.view.Store has release semantics and View()'s Load acquire
 //     semantics, ordering the seal's writes before any reader's reads.
 
@@ -109,29 +109,51 @@ func (p *pindex[V]) with1(k ethtypes.Hash, v V) *pindex[V] {
 	return p.with(map[ethtypes.Hash]V{k: v})
 }
 
+// sealedChain is the sealed chain as one value: the resident blocks
+// with their receipts and the indexes over every sealed block. The
+// writer owns one (Blockchain embeds it) and each published HeadView
+// embeds a copy, sharing its slices under invariant 2. The indexes map
+// to block numbers and positions, not bodies, so evicted blocks don't
+// stay pinned.
+type sealedChain struct {
+	blocks []*ethtypes.Block     // blocks[i] is block blocksBase+i
+	rcpts  [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts, in order
+	byHash *pindex[uint64]       // block hash → number (resident or evicted)
+	txPos  *pindex[txPos]        // transaction hash → position (resident or evicted)
+	logs   []logPos              // the log index: every sealed log's position, in order
+	logTip *pindex[int]          // addrKey(address) → its newest entry in logs
+
+	// Cold-data read-through: blocks (and their receipts) older than
+	// blocksBase were evicted from memory and are served from the block
+	// log (nil for a memory-only chain). db reads are lock-free
+	// (positional pread on sealed segments).
+	db         *blockdb.Log
+	blocksBase uint64
+}
+
+// sealedFrom returns the sealed chain holding only the genesis block.
+func sealedFrom(genesis *ethtypes.Block, db *blockdb.Log) sealedChain {
+	return sealedChain{
+		blocks: []*ethtypes.Block{genesis},
+		rcpts:  [][]*ethtypes.Receipt{nil},
+		byHash: (*pindex[uint64])(nil).with1(genesis.Hash(), 0),
+		db:     db,
+	}
+}
+
 // HeadView is an immutable, point-in-time view of the chain at a sealed
 // head. All methods are lock-free and safe for unlimited concurrency;
 // every read within one view observes the same (block, state-root)
 // pair. Obtain one from Blockchain.View.
 type HeadView struct {
+	sealedChain // frozen: the writer appends past its lengths
+
 	chainID  uint64
 	gasLimit uint64
 	coinbase ethtypes.Address
 
-	head   *ethtypes.Block
-	blocks []*ethtypes.Block     // blocks[i] is block blocksBase+i; frozen, writer appends past len
-	rcpts  [][]*ethtypes.Receipt // rcpts[i] are blocks[i]'s receipts; same sharing as blocks
-	st     *state.StateDB        // frozen (state.Freeze) snapshot at head
-	byHash *pindex[uint64]       // block hash → number (resident or evicted)
-	txPos  *pindex[txPos]        // transaction hash → position (resident or evicted)
-	logs   []logPos              // every sealed log's position, in order; same sharing as blocks
-	logTip *pindex[int]          // addrKey(address) → its newest entry in logs
-
-	// Cold-data read-through: blocks (and their receipts) older than
-	// blocksBase were evicted from memory and are served from the block
-	// log. db reads are lock-free (positional pread on sealed segments).
-	db         *blockdb.Log
-	blocksBase uint64
+	head *ethtypes.Block // the last of blocks
+	st   *state.StateDB  // frozen (state.Freeze) snapshot at head
 
 	timeOffset uint64 // pending AdjustTime offset for speculative headers
 	published  time.Time
@@ -170,20 +192,20 @@ func (v *HeadView) BlockByNumber(n uint64) (*ethtypes.Block, bool) {
 }
 
 // blockAt is the one read of a sealed block: block n and its receipts
-// in transaction order, from the view's slices while resident, read
-// back through the block log once evicted. The slices are the view's
-// (or the decoded record's) and must not be modified.
-func (v *HeadView) blockAt(n uint64) (*ethtypes.Block, []*ethtypes.Receipt, bool) {
-	if n > v.head.Number() {
+// in transaction order, from the resident slices, read back through the
+// block log once evicted. The slices are c's (or the decoded record's)
+// and must not be modified.
+func (c *sealedChain) blockAt(n uint64) (*ethtypes.Block, []*ethtypes.Receipt, bool) {
+	if n >= c.blocksBase {
+		if i := n - c.blocksBase; i < uint64(len(c.blocks)) {
+			return c.blocks[i], c.rcpts[i], true
+		}
 		return nil, nil, false
 	}
-	if n >= v.blocksBase {
-		return v.blocks[n-v.blocksBase], v.rcpts[n-v.blocksBase], true
-	}
-	if v.db == nil {
+	if c.db == nil {
 		return nil, nil, false
 	}
-	rec, err := v.db.ReadRecord(n)
+	rec, err := c.db.ReadRecord(n)
 	if err != nil {
 		return nil, nil, false
 	}
@@ -374,10 +396,10 @@ func (v *HeadView) nextHeader() *ethtypes.Header {
 	}
 }
 
-// blockHash resolves BLOCKHASH against the view's own blocks. The
-// writer's sealing paths resolve through it too (blockHashFnLocked).
-func (v *HeadView) blockHash(n uint64) ethtypes.Hash {
-	if b, _, ok := v.blockAt(n); ok {
+// blockHash resolves BLOCKHASH against c's blocks: a view's own, or a
+// copy of the writer's (execEnvLocked).
+func (c *sealedChain) blockHash(n uint64) ethtypes.Hash {
+	if b, _, ok := c.blockAt(n); ok {
 		return b.Hash()
 	}
 	return ethtypes.Hash{}
@@ -512,21 +534,14 @@ func (bc *Blockchain) publishHeadLocked() {
 	}
 	now := time.Now()
 	v := &HeadView{
-		chainID:    bc.chainID,
-		gasLimit:   bc.gasLimit,
-		coinbase:   bc.coinbase,
-		head:       head,
-		blocks:     bc.blocks,
-		rcpts:      bc.rcpts,
-		st:         frozen,
-		byHash:     bc.byHash,
-		txPos:      bc.txPos,
-		logs:       bc.logs,
-		logTip:     bc.logTip,
-		db:         bc.db,
-		blocksBase: bc.blocksBase,
-		timeOffset: bc.timeOffset,
-		published:  now,
+		sealedChain: bc.sealedChain,
+		chainID:     bc.chainID,
+		gasLimit:    bc.gasLimit,
+		coinbase:    bc.coinbase,
+		head:        head,
+		st:          frozen,
+		timeOffset:  bc.timeOffset,
+		published:   now,
 	}
 	v.callCtx = blockContext(v.chainID, v.nextHeader(), ethtypes.Address{}, uint256.Zero, v.blockHash)
 	bc.view.Store(v)

@@ -357,16 +357,18 @@ func (c *Client) EstimateGas(msg web3.CallMsg) (uint64, error) {
 
 // receiptWire is the part of a receipt answer the client reads.
 type receiptWire struct {
-	TransactionHash string    `json:"transactionHash"`
-	BlockNumber     string    `json:"blockNumber"`
-	BlockHash       string    `json:"blockHash"`
-	From            string    `json:"from"`
-	To              string    `json:"to"`
-	ContractAddress string    `json:"contractAddress"`
-	GasUsed         string    `json:"gasUsed"`
-	Status          string    `json:"status"`
-	RevertReason    string    `json:"revertReason"`
-	Logs            []logWire `json:"logs"`
+	TransactionHash   string    `json:"transactionHash"`
+	TransactionIndex  string    `json:"transactionIndex"`
+	BlockNumber       string    `json:"blockNumber"`
+	BlockHash         string    `json:"blockHash"`
+	From              string    `json:"from"`
+	To                string    `json:"to"`
+	ContractAddress   string    `json:"contractAddress"`
+	GasUsed           string    `json:"gasUsed"`
+	CumulativeGasUsed string    `json:"cumulativeGasUsed"`
+	Status            string    `json:"status"`
+	RevertReason      string    `json:"revertReason"`
+	Logs              []logWire `json:"logs"`
 }
 
 // logWire is the part of a log answer the client reads.
@@ -375,7 +377,9 @@ type logWire struct {
 	Topics      []string `json:"topics"`
 	Data        string   `json:"data"`
 	BlockNumber string   `json:"blockNumber"`
+	BlockHash   string   `json:"blockHash"`
 	TxHash      string   `json:"transactionHash"`
+	TxIndex     string   `json:"transactionIndex"`
 	LogIndex    string   `json:"logIndex"`
 }
 
@@ -396,6 +400,8 @@ func readReceipt(raw []byte, w **receiptWire) error {
 		switch {
 		case jsonwire.Is(key, "transactionHash"):
 			r.String(&rw.TransactionHash)
+		case jsonwire.Is(key, "transactionIndex"):
+			r.String(&rw.TransactionIndex)
 		case jsonwire.Is(key, "blockNumber"):
 			r.String(&rw.BlockNumber)
 		case jsonwire.Is(key, "blockHash"):
@@ -408,6 +414,8 @@ func readReceipt(raw []byte, w **receiptWire) error {
 			r.String(&rw.ContractAddress)
 		case jsonwire.Is(key, "gasUsed"):
 			r.String(&rw.GasUsed)
+		case jsonwire.Is(key, "cumulativeGasUsed"):
+			r.String(&rw.CumulativeGasUsed)
 		case jsonwire.Is(key, "status"):
 			r.String(&rw.Status)
 		case jsonwire.Is(key, "revertReason"):
@@ -439,8 +447,12 @@ func readLog(r *jsonwire.Reader, l *logWire) {
 			r.String(&l.Data)
 		case jsonwire.Is(key, "blockNumber"):
 			r.String(&l.BlockNumber)
+		case jsonwire.Is(key, "blockHash"):
+			r.String(&l.BlockHash)
 		case jsonwire.Is(key, "transactionHash"):
 			r.String(&l.TxHash)
+		case jsonwire.Is(key, "transactionIndex"):
+			r.String(&l.TxIndex)
 		case jsonwire.Is(key, "logIndex"):
 			r.String(&l.LogIndex)
 		default:
@@ -460,82 +472,86 @@ func (c *Client) TransactionReceipt(h ethtypes.Hash) (*ethtypes.Receipt, bool, e
 	if wire == nil {
 		return nil, false, nil
 	}
-	rcpt := &ethtypes.Receipt{RevertReason: wire.RevertReason}
-	var err error
-	if rcpt.TxHash, err = decodeHash(wire.TransactionHash); err != nil {
-		return nil, false, err
+	var d wireDecoder
+	rcpt := &ethtypes.Receipt{
+		TxHash:            d.hash(wire.TransactionHash, false),
+		TxIndex:           uint(d.quantity(wire.TransactionIndex, true)),
+		BlockNumber:       d.quantity(wire.BlockNumber, false),
+		BlockHash:         d.hash(wire.BlockHash, false),
+		GasUsed:           d.quantity(wire.GasUsed, false),
+		CumulativeGasUsed: d.quantity(wire.CumulativeGasUsed, false),
+		Status:            d.quantity(wire.Status, false),
+		To:                d.addr(wire.To),
+		ContractAddress:   d.addr(wire.ContractAddress),
+		RevertReason:      wire.RevertReason,
 	}
-	if rcpt.BlockNumber, err = hexutil.DecodeUint64(wire.BlockNumber); err != nil {
-		return nil, false, err
-	}
-	if rcpt.BlockHash, err = decodeHash(wire.BlockHash); err != nil {
-		return nil, false, err
-	}
-	if rcpt.GasUsed, err = hexutil.DecodeUint64(wire.GasUsed); err != nil {
-		return nil, false, err
-	}
-	if rcpt.Status, err = hexutil.DecodeUint64(wire.Status); err != nil {
-		return nil, false, err
-	}
-	if wire.From != "" {
-		a, err := parseAddr(wire.From)
-		if err != nil {
-			return nil, false, err
-		}
-		rcpt.From = a
-	}
-	if wire.To != "" {
-		a, err := parseAddr(wire.To)
-		if err != nil {
-			return nil, false, err
-		}
-		rcpt.To = &a
-	}
-	if wire.ContractAddress != "" {
-		a, err := parseAddr(wire.ContractAddress)
-		if err != nil {
-			return nil, false, err
-		}
-		rcpt.ContractAddress = &a
+	if from := d.addr(wire.From); from != nil {
+		rcpt.From = *from
 	}
 	for _, lw := range wire.Logs {
-		l, err := decodeLogWire(lw)
-		if err != nil {
-			return nil, false, err
-		}
-		rcpt.Logs = append(rcpt.Logs, l)
+		rcpt.Logs = append(rcpt.Logs, d.log(lw))
+	}
+	if d.err != nil {
+		return nil, false, d.err
 	}
 	return rcpt, true, nil
 }
 
-func decodeLogWire(lw logWire) (*ethtypes.Log, error) {
-	l := &ethtypes.Log{}
+// wireDecoder converts the strings of a receipt or log answer, keeping
+// the first error. An optional member reads "" (absent) as zero.
+type wireDecoder struct{ err error }
+
+func (d *wireDecoder) keep(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *wireDecoder) quantity(s string, optional bool) uint64 {
+	if optional && s == "" {
+		return 0
+	}
+	n, err := hexutil.DecodeUint64(s)
+	d.keep(err)
+	return n
+}
+
+func (d *wireDecoder) hash(s string, optional bool) ethtypes.Hash {
+	if optional && s == "" {
+		return ethtypes.Hash{}
+	}
+	h, err := decodeHash(s)
+	d.keep(err)
+	return h
+}
+
+// addr decodes an optional address: nil when absent.
+func (d *wireDecoder) addr(s string) *ethtypes.Address {
+	if s == "" {
+		return nil
+	}
+	a, err := parseAddr(s)
+	d.keep(err)
+	return &a
+}
+
+// log decodes a log; its address and data are required, its position
+// optional.
+func (d *wireDecoder) log(lw logWire) *ethtypes.Log {
 	a, err := parseAddr(lw.Address)
-	if err != nil {
-		return nil, err
-	}
-	l.Address = a
+	d.keep(err)
+	l := &ethtypes.Log{Address: a}
 	for _, ts := range lw.Topics {
-		h, err := decodeHash(ts)
-		if err != nil {
-			return nil, err
-		}
-		l.Topics = append(l.Topics, h)
+		l.Topics = append(l.Topics, d.hash(ts, false))
 	}
-	if l.Data, err = hexutil.Decode(lw.Data); err != nil {
-		return nil, err
-	}
-	if lw.BlockNumber != "" {
-		if l.BlockNumber, err = hexutil.DecodeUint64(lw.BlockNumber); err != nil {
-			return nil, err
-		}
-	}
-	if lw.TxHash != "" {
-		if l.TxHash, err = decodeHash(lw.TxHash); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
+	l.Data, err = hexutil.Decode(lw.Data)
+	d.keep(err)
+	l.BlockNumber = d.quantity(lw.BlockNumber, true)
+	l.BlockHash = d.hash(lw.BlockHash, true)
+	l.TxHash = d.hash(lw.TxHash, true)
+	l.TxIndex = uint(d.quantity(lw.TxIndex, true))
+	l.Index = uint(d.quantity(lw.LogIndex, true))
+	return l
 }
 
 // appendFilter writes the eth_getLogs filter object.
@@ -569,13 +585,13 @@ func (c *Client) FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error) {
 	}); err != nil {
 		return nil, err
 	}
+	var d wireDecoder
 	out := make([]*ethtypes.Log, len(wires))
 	for i, lw := range wires {
-		l, err := decodeLogWire(lw)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = l
+		out[i] = d.log(lw)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return out, nil
 }

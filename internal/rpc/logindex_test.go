@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"legalchain/internal/minisol"
 	"legalchain/internal/uint256"
 	"legalchain/internal/wallet"
+	"legalchain/internal/web3"
 )
 
 const twoLogsSrc = `
@@ -22,11 +24,10 @@ contract TwoLogs {
 	function emitBoth(uint n) public { emit first(n); emit second(n); }
 }`
 
-// TestGetLogsIndexesCountAcrossBlock: two transactions mined into one
-// block, each emitting two logs, come back from eth_getLogs with
-// logIndex 0, 1, 2, 3 — a log's index counts across its block, so
-// (block, logIndex) names one log.
-func TestGetLogsIndexesCountAcrossBlock(t *testing.T) {
+// twoLogsBlock serves, over httptest, a chain whose head is one mined
+// block of two transactions, each emitting two logs.
+func twoLogsBlock(t *testing.T) (*chain.Blockchain, *httptest.Server, *ethtypes.Block) {
+	t.Helper()
 	accs := wallet.DevAccounts("log index", 1)
 	g := chain.DefaultGenesis()
 	g.Alloc = wallet.DevAlloc(accs, ethtypes.Ether(100))
@@ -66,7 +67,15 @@ func TestGetLogsIndexesCountAcrossBlock(t *testing.T) {
 	if len(failed) != 0 || len(block.Transactions) != 2 {
 		t.Fatalf("block %d: %d transactions, dropped %v", block.Number(), len(block.Transactions), failed)
 	}
+	return bc, srv, block
+}
 
+// TestGetLogsIndexesCountAcrossBlock: two transactions mined into one
+// block, each emitting two logs, come back from eth_getLogs with
+// logIndex 0, 1, 2, 3 — a log's index counts across its block, so
+// (block, logIndex) names one log.
+func TestGetLogsIndexesCountAcrossBlock(t *testing.T) {
+	_, srv, block := twoLogsBlock(t)
 	body := fmt.Sprintf(`{"jsonrpc":"2.0","id":1,"method":"eth_getLogs","params":[{"fromBlock":"0x%x","toBlock":"0x%x"}]}`, block.Number(), block.Number())
 	resp, err := http.Post(srv.URL, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -92,4 +101,42 @@ func TestGetLogsIndexesCountAcrossBlock(t *testing.T) {
 			t.Fatalf("log (index:logIndex:transactionIndex) %s in block %s, want %s in block %s", got, l.BlockHash, want, block.Hash().Hex())
 		}
 	}
+}
+
+// TestClientReadsPositions: the JSON-RPC client answers eth_getLogs and
+// eth_getTransactionReceipt for a mined block exactly as the in-process
+// backend does, positions included: each log's logIndex,
+// transactionIndex and blockHash, each receipt's transactionIndex and
+// cumulativeGasUsed.
+func TestClientReadsPositions(t *testing.T) {
+	bc, srv, block := twoLogsBlock(t)
+	client, local := Dial(srv.URL), web3.NewLocalBackend(bc)
+	n := block.Number()
+	q := chain.FilterQuery{FromBlock: n, ToBlock: &n}
+	got, err := client.FilterLogs(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := local.FilterLogs(q)
+	if len(want) != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("eth_getLogs over JSON-RPC:\n%s\nin process:\n%s", dumpLogs(got), dumpLogs(want))
+	}
+	for _, tx := range block.Transactions {
+		got, ok, err := client.TransactionReceipt(tx.Hash())
+		if err != nil || !ok {
+			t.Fatalf("receipt of %s: %v, %v", tx.Hash(), ok, err)
+		}
+		want, _, _ := local.TransactionReceipt(tx.Hash())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("receipt of %s over JSON-RPC:\n%+v\n%s\nin process:\n%+v\n%s", tx.Hash(), *got, dumpLogs(got.Logs), *want, dumpLogs(want.Logs))
+		}
+	}
+}
+
+func dumpLogs(logs []*ethtypes.Log) string {
+	var b strings.Builder
+	for _, l := range logs {
+		fmt.Fprintf(&b, "%+v\n", *l)
+	}
+	return b.String()
 }
