@@ -36,7 +36,6 @@ import (
 	"legalchain/internal/docstore"
 	"legalchain/internal/ethtypes"
 	"legalchain/internal/evm"
-	"legalchain/internal/hexutil"
 	"legalchain/internal/ipfs"
 	"legalchain/internal/rpc"
 	"legalchain/internal/uint256"
@@ -254,11 +253,8 @@ func runDemo() {
 
 // isTxHash reports whether s is a 0x-prefixed 32-byte hex hash.
 func isTxHash(s string) bool {
-	if len(s) != 66 || !strings.HasPrefix(s, "0x") {
-		return false
-	}
-	_, err := hexutil.Decode(s)
-	return err == nil
+	_, err := ethtypes.ParseHash(s)
+	return err == nil && strings.HasPrefix(s, "0x")
 }
 
 // runTxTrace replays a mined transaction on a running node through

@@ -163,11 +163,11 @@ func toAddress(v interface{}) (ethtypes.Address, error) {
 	case ethtypes.Address:
 		return a, nil
 	case string:
-		raw, err := hexutil.Decode(a)
-		if err != nil || len(raw) != 20 {
-			return ethtypes.Address{}, fmt.Errorf("bad address string %q", a)
+		addr, err := ethtypes.ParseAddress(a)
+		if err != nil {
+			return addr, fmt.Errorf("bad address string %q", a)
 		}
-		return ethtypes.BytesToAddress(raw), nil
+		return addr, nil
 	default:
 		return ethtypes.Address{}, fmt.Errorf("want address, got %T", v)
 	}

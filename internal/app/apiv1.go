@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"legalchain/internal/core"
 	"legalchain/internal/ethtypes"
@@ -21,14 +20,22 @@ import (
 //
 //	{"error":{"code":"bad_request","message":"..."}}
 //
-// Routes:
+// Routes (net/http patterns, registered in apiV1Routes):
 //
-//	GET  /api/v1/me                        session user + balance
-//	GET  /api/v1/contracts                 dashboard rows for the user
-//	POST /api/v1/contracts                 deploy a rental agreement
-//	GET  /api/v1/contracts/{addr}          row + live state + version chain + payments
-//	GET  /api/v1/contracts/{addr}/audit    full chain audit (code/ABI/layout/behaviour diffs)
-//	POST /api/v1/contracts/{addr}/actions  lifecycle action (confirm, pay, ...)
+//	GET  /api/v1/me                          session user + balance
+//	GET  /api/v1/contracts                   dashboard rows for the user
+//	POST /api/v1/contracts                   deploy a rental agreement
+//	GET  /api/v1/heads                       SSE head stream (sse.go)
+//	GET  /api/v1/alerts                      watchtower alerts (watchapi.go)
+//	GET  /api/v1/contracts/{addr}            row + live state + version chain + payments
+//	POST /api/v1/contracts/{addr}/actions    lifecycle action (confirm, pay, ...)
+//	GET  /api/v1/contracts/{addr}/events     SSE log stream (sse.go)
+//	GET  /api/v1/contracts/{addr}/payments   paginated payments (paginate.go)
+//	GET  /api/v1/contracts/{addr}/audit      full chain audit (code/ABI/layout/behaviour diffs)
+//	GET  /api/v1/contracts/{addr}/timeline   watchtower timeline (watchapi.go)
+//
+// A malformed {addr} answers 400 "bad contract address"; any other path
+// under /api/v1/ answers 404 not_found.
 
 // Machine-readable error codes of the v1 envelope.
 const (
@@ -96,12 +103,35 @@ func decodeV1Body(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return false
 }
 
+// apiV1Routes registers the v1 patterns. A contract sub-resource names
+// the one method it answers ("" leaves the check to the handler); any
+// other path under /api/v1/ answers the 404 envelope.
 func (a *App) apiV1Routes(handle func(pattern string, h http.HandlerFunc)) {
 	handle("/api/v1/me", a.withUser(a.v1Me))
 	handle("/api/v1/contracts", a.withUser(a.v1Contracts))
-	handle("/api/v1/contracts/", a.withUser(a.v1Contract))
 	handle("/api/v1/heads", a.withUser(a.v1Heads))
 	handle("/api/v1/alerts", a.withUser(a.v1Alerts))
+	contract := func(sub, method string, h func(http.ResponseWriter, *http.Request, *User, ethtypes.Address)) {
+		handle("/api/v1/contracts/{addr}"+sub, a.withAddr(func(w http.ResponseWriter, r *http.Request, u *User, addr ethtypes.Address) {
+			if method != "" && r.Method != method {
+				writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, method+" only")
+				return
+			}
+			h(w, r, u, addr)
+		}))
+	}
+	contract("", http.MethodGet, a.v1ContractDetail)
+	contract("/actions", http.MethodPost, a.v1ContractAction)
+	contract("/events", "", a.v1ContractEvents)
+	contract("/payments", http.MethodGet, a.v1ContractPayments)
+	contract("/audit", http.MethodGet, a.v1ContractAudit)
+	contract("/timeline", http.MethodGet, a.v1ContractTimeline)
+	handle("/api/v1/contracts/{addr}/{sub}", a.withUser(func(w http.ResponseWriter, r *http.Request, u *User) {
+		writeV1Error(w, r, http.StatusNotFound, v1NotFound, "unknown endpoint "+r.PathValue("sub"))
+	}))
+	handle("/api/v1/", a.withUser(func(w http.ResponseWriter, r *http.Request, u *User) {
+		writeV1Error(w, r, http.StatusNotFound, v1NotFound, "unknown endpoint "+r.URL.Path)
+	}))
 }
 
 func (a *App) v1Me(w http.ResponseWriter, r *http.Request, u *User) {
@@ -174,58 +204,6 @@ func (a *App) v1Contracts(w http.ResponseWriter, r *http.Request, u *User) {
 
 	default:
 		writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET or POST only")
-	}
-}
-
-// v1Contract routes /api/v1/contracts/{addr}[/actions].
-func (a *App) v1Contract(w http.ResponseWriter, r *http.Request, u *User) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/contracts/")
-	parts := strings.SplitN(rest, "/", 2)
-	addrHex := parts[0]
-	if !strings.HasPrefix(addrHex, "0x") || len(addrHex) != 42 {
-		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, "bad contract address")
-		return
-	}
-	addr := ethtypes.HexToAddress(addrHex)
-	sub := ""
-	if len(parts) == 2 {
-		sub = parts[1]
-	}
-	switch sub {
-	case "":
-		if r.Method != http.MethodGet {
-			writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET only")
-			return
-		}
-		a.v1ContractDetail(w, r, u, addr)
-	case "actions":
-		if r.Method != http.MethodPost {
-			writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "POST only")
-			return
-		}
-		a.v1ContractAction(w, r, u, addr)
-	case "events":
-		a.v1ContractEvents(w, r, u, addr)
-	case "payments":
-		if r.Method != http.MethodGet {
-			writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET only")
-			return
-		}
-		a.v1ContractPayments(w, r, u, addr)
-	case "audit":
-		if r.Method != http.MethodGet {
-			writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET only")
-			return
-		}
-		a.v1ContractAudit(w, r, u, addr)
-	case "timeline":
-		if r.Method != http.MethodGet {
-			writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET only")
-			return
-		}
-		a.v1ContractTimeline(w, r, u, addr)
-	default:
-		writeV1Error(w, r, http.StatusNotFound, v1NotFound, "unknown endpoint "+sub)
 	}
 }
 

@@ -20,14 +20,14 @@ import (
 )
 
 // rig builds the full stack with a faucet and returns the app.
-func rig(t *testing.T) *App {
+func rig(t testing.TB) *App {
 	t.Helper()
 	return rigOver(t, func(b *web3.LocalBackend) web3.Backend { return b })
 }
 
 // rigOver is rig with the node's backend wrapped, so a test can watch
 // the calls the pages make.
-func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) *App {
+func rigOver(t testing.TB, wrap func(*web3.LocalBackend) web3.Backend) *App {
 	t.Helper()
 	// Persistence on: the cross-tier trace test expects blockdb spans,
 	// which only a durable chain produces.
@@ -35,7 +35,7 @@ func rigOver(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend) *App {
 }
 
 // rigPersist is rigOver on a chain persisted as pc says.
-func rigPersist(t *testing.T, wrap func(*web3.LocalBackend) web3.Backend, pc chain.PersistConfig) *App {
+func rigPersist(t testing.TB, wrap func(*web3.LocalBackend) web3.Backend, pc chain.PersistConfig) *App {
 	t.Helper()
 	faucet := wallet.DevAccounts("app faucet", 1)[0]
 	g := chain.DefaultGenesis()

@@ -15,23 +15,27 @@ import (
 	"legalchain/internal/uint256"
 )
 
-// Handler builds the HTTP mux of the web application. Every route is
-// wrapped in obs.InstrumentHandler with its mux pattern as the metric
+// Handler builds the HTTP mux of the web application: one table of
+// net/http patterns, the only place a request path is read. Every route
+// is wrapped in obs.InstrumentHandler with its pattern as the metric
 // label, so cardinality stays bounded no matter what paths clients hit.
+// Methods are checked in the handlers, so that a v1 refusal answers the
+// v1 envelope rather than the mux's plain-text 405.
 func (a *App) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.Handle(pattern, obs.InstrumentHandler(pattern, h))
 	}
-	handle("/", a.handleIndex)
+	handle("/{$}", a.handleIndex)
 	handle("/register", a.handleRegister)
 	handle("/login", a.handleLogin)
 	handle("/logout", a.handleLogout)
 	handle("/dashboard", a.withUser(a.handleDashboard))
 	handle("/upload", a.withUser(a.handleUpload))
 	handle("/deploy", a.withUser(a.handleDeploy))
-	handle("/contract/", a.withUser(a.handleContract))
-	handle("/doc/", a.withUser(a.handleDocument))
+	handle("/contract/{addr}", a.withAddr(a.handleContract))
+	handle("/contract/{addr}/{action}", a.withAddr(a.handleContract))
+	handle("/doc/{addr}", a.withAddr(a.handleDocument))
 	a.apiV1Routes(handle)
 	return mux
 }
@@ -44,7 +48,7 @@ const sessionCookie = "legalchain_session"
 func (a *App) withUser(fn func(http.ResponseWriter, *http.Request, *User)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		deny := func() {
-			if strings.HasPrefix(r.URL.Path, "/api/v1/") {
+			if isV1(r) {
 				writeV1Error(w, r, http.StatusUnauthorized, v1Unauthorized, "not logged in")
 				return
 			}
@@ -64,11 +68,28 @@ func (a *App) withUser(fn func(http.ResponseWriter, *http.Request, *User)) http.
 	}
 }
 
+// withAddr is withUser for the routes of one contract: it reads the
+// route's {addr} through ethtypes.ParseAddress. A malformed address
+// answers 400 with the v1 envelope under /api/v1/, 404 elsewhere.
+func (a *App) withAddr(fn func(http.ResponseWriter, *http.Request, *User, ethtypes.Address)) http.HandlerFunc {
+	return a.withUser(func(w http.ResponseWriter, r *http.Request, u *User) {
+		addr, err := ethtypes.ParseAddress(r.PathValue("addr"))
+		switch {
+		case err == nil:
+			fn(w, r, u, addr)
+		case isV1(r):
+			writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, "bad contract address")
+		default:
+			http.NotFound(w, r)
+		}
+	})
+}
+
+// isV1 reports whether r is a request to the JSON API, whose answers
+// all use the v1 envelope.
+func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/api/v1/") }
+
 func (a *App) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
 	http.Redirect(w, r, "/dashboard", http.StatusSeeOther)
 }
 
@@ -160,25 +181,14 @@ func (a *App) handleDeploy(w http.ResponseWriter, r *http.Request, u *User) {
 	a.render(w, deployTmpl, map[string]interface{}{"User": u, "Artifacts": a.Artifacts()})
 }
 
-// handleContract routes /contract/{addr}[/action] — the detail page with
-// the confirm / pay / maintenance / terminate / modify actions.
-func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User) {
-	rest := strings.TrimPrefix(r.URL.Path, "/contract/")
-	parts := strings.SplitN(rest, "/", 2)
-	addrHex := parts[0]
-	if !strings.HasPrefix(addrHex, "0x") || len(addrHex) != 42 {
-		http.NotFound(w, r)
-		return
-	}
-	addr := ethtypes.HexToAddress(addrHex)
-	action := ""
-	if len(parts) == 2 {
-		action = parts[1]
-	}
+// handleContract serves /contract/{addr}[/{action}]: a POST runs the
+// action (confirm / pay / maintenance / terminate / modify ...), any
+// other method renders the detail page.
+func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User, addr ethtypes.Address) {
 	if r.Method == http.MethodPost {
 		terms, err := formTerms(r)
 		if err == nil {
-			_, _, err = a.contractAction(r.Context(), u, addr, action, &terms)
+			_, _, err = a.contractAction(r.Context(), u, addr, r.PathValue("action"), &terms)
 		}
 		if errors.Is(err, core.ErrSuperseded) {
 			a.renderError(w, http.StatusConflict, err)
@@ -188,7 +198,7 @@ func (a *App) handleContract(w http.ResponseWriter, r *http.Request, u *User) {
 			a.renderError(w, http.StatusBadRequest, err)
 			return
 		}
-		http.Redirect(w, r, "/contract/"+addrHex, http.StatusSeeOther)
+		http.Redirect(w, r, "/contract/"+r.PathValue("addr"), http.StatusSeeOther)
 		return
 	}
 	a.renderContract(w, u, addr)
@@ -267,9 +277,8 @@ func (a *App) renderContract(w http.ResponseWriter, u *User, addr ethtypes.Addre
 
 // handleDocument serves the stored legal document (Fig. 4's "contract
 // linked to a pdf").
-func (a *App) handleDocument(w http.ResponseWriter, r *http.Request, u *User) {
-	addrHex := strings.TrimPrefix(r.URL.Path, "/doc/")
-	doc, err := a.Manager.LegalDocument(ethtypes.HexToAddress(addrHex))
+func (a *App) handleDocument(w http.ResponseWriter, r *http.Request, u *User, addr ethtypes.Address) {
+	doc, err := a.Manager.LegalDocument(addr)
 	if err != nil {
 		a.renderError(w, http.StatusNotFound, err)
 		return

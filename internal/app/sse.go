@@ -49,14 +49,10 @@ type sseStream struct {
 	r *http.Request
 }
 
-// startSSE negotiates the stream or replies with a v1 error envelope.
-// The ResponseController reaches Flush through instrumentation
-// wrappers (obs.StatusWriter unwraps).
+// startSSE sends the event-stream headers, or returns nil when the
+// writer cannot stream. The ResponseController reaches Flush through
+// instrumentation wrappers (obs.StatusWriter unwraps).
 func startSSE(w http.ResponseWriter, r *http.Request) *sseStream {
-	if r.Method != http.MethodGet {
-		writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET only")
-		return nil
-	}
 	f := http.NewResponseController(w)
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -109,16 +105,16 @@ func (s *sseStream) sendGap(missed, resume uint64) error {
 }
 
 // sseSince resolves the resume height, the last block already
-// delivered: ?since=<block> (decimal or hex) wins over the Last-Event-ID
-// header. A bare "<block>" id was a whole block; a "<block>:<idx>" log
-// id may have been followed by more logs of its block, so the stream
-// resumes at that block, replaying its earlier logs. Returns
-// (height, true) when the client asked to resume.
-func sseSince(r *http.Request) (uint64, bool) {
-	if s := r.URL.Query().Get("since"); s != "" {
-		if n, err := parseBlockParam(s); err == nil {
-			return n, true
-		}
+// delivered: ?since=<block> (sinceParam's rule; malformed is an error)
+// wins over the Last-Event-ID header. A bare "<block>" id was a whole
+// block; a "<block>:<idx>" log id may have been followed by more logs of
+// its block, so the stream resumes at that block, replaying its earlier
+// logs. The browser replays the header by itself, so a malformed one is
+// ignored. Returns (height, true) when the client asked to resume.
+func sseSince(r *http.Request) (uint64, bool, error) {
+	if r.URL.Query().Get("since") != "" {
+		n, err := sinceParam(r)
+		return n, err == nil, err
 	}
 	if s := r.Header.Get("Last-Event-ID"); s != "" {
 		block, _, midBlock := strings.Cut(s, ":")
@@ -126,10 +122,10 @@ func sseSince(r *http.Request) (uint64, bool) {
 			if midBlock && n > 0 {
 				n--
 			}
-			return n, true
+			return n, true, nil
 		}
 	}
-	return 0, false
+	return 0, false, nil
 }
 
 // parseBlockParam accepts a decimal or 0x-hex block number.
@@ -140,24 +136,34 @@ func parseBlockParam(s string) (uint64, error) {
 	return strconv.ParseUint(s, 10, 64)
 }
 
-// sseServe runs one event stream. It subscribes to the hub and pins the
-// start view before the response headers go out: a client may act as
-// soon as it holds them, and a block sealed then must reach the stream
-// through the subscription instead of falling between view and
-// subscribe. from picks the high-water mark on the pinned view; deliver
-// emits what a view holds past a mark and returns the new one.
-func (a *App) sseServe(w http.ResponseWriter, r *http.Request, op string, from func(*chain.HeadView) uint64, deliver func(*sseStream, *chain.HeadView, uint64) (uint64, error)) {
+// sseServe runs one event stream. A method other than GET or a
+// malformed ?since= is answered with the v1 envelope. It then subscribes
+// to the hub and pins the start view before the response headers go
+// out: a client may act as soon as it holds them, and a block sealed
+// then must reach the stream through the subscription instead of
+// falling between view and subscribe. from picks the high-water mark on
+// the pinned view from sseSince's answer; deliver emits what a view
+// holds past a mark and returns the new one.
+func (a *App) sseServe(w http.ResponseWriter, r *http.Request, op string, from func(v *chain.HeadView, since uint64, resumed bool) uint64, deliver func(*sseStream, *chain.HeadView, uint64) (uint64, error)) {
+	if r.Method != http.MethodGet {
+		writeV1Error(w, r, http.StatusMethodNotAllowed, v1NotAllowed, "GET only")
+		return
+	}
+	since, resumed, err := sseSince(r)
+	if err != nil {
+		writeV1Error(w, r, http.StatusBadRequest, v1BadRequest, err.Error())
+		return
+	}
 	sub := a.node.SubscribeHeads(0)
 	defer sub.Close()
 	v := a.node.HeadView()
-	last := from(v)
+	last := from(v, since, resumed)
 	stream := startSSE(w, r)
 	if stream == nil {
 		return
 	}
 	_, sp := xtrace.StartRoot(r.Context(), "web", op, obs.RequestIDFrom(r.Context()))
 	defer sp.End()
-	var err error
 	if last, err = deliver(stream, v, last); err != nil {
 		return
 	}
@@ -189,7 +195,7 @@ func (a *App) sseServe(w http.ResponseWriter, r *http.Request, op string, from f
 // v1Heads streams every sealed head: GET /api/v1/heads.
 func (a *App) v1Heads(w http.ResponseWriter, r *http.Request, u *User) {
 	var alertSeq uint64
-	from := func(v *chain.HeadView) uint64 {
+	from := func(v *chain.HeadView, last uint64, resumed bool) uint64 {
 		// Alert frames ride the head stream. A fresh stream starts at the
 		// current alert high-water mark (history is served by
 		// /api/v1/alerts, not replayed into every new stream).
@@ -198,7 +204,6 @@ func (a *App) v1Heads(w http.ResponseWriter, r *http.Request, u *User) {
 				alertSeq = max(alertSeq, al.Seq)
 			}
 		}
-		last, resumed := sseSince(r)
 		if !resumed && v.BlockNumber() > 0 {
 			// Fresh stream: deliver the current head immediately so the
 			// consumer renders without waiting for the next seal.
@@ -289,8 +294,7 @@ func (a *App) v1ContractEvents(w http.ResponseWriter, r *http.Request, u *User, 
 	if bound, err := a.Manager.BindVersion(addr); err == nil {
 		dec = bound
 	}
-	from := func(v *chain.HeadView) uint64 {
-		last, resumed := sseSince(r)
+	from := func(v *chain.HeadView, last uint64, resumed bool) uint64 {
 		if !resumed {
 			last = v.BlockNumber() // live stream: only future logs
 		}

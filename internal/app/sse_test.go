@@ -443,3 +443,28 @@ func TestSSEContractEventsResumeMidBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestSSEMalformedSinceRefused: both streams apply sinceParam's rule to
+// ?since= and answer a malformed one with the 400 envelope before any
+// event-stream header goes out, as the contract list does. A malformed
+// Last-Event-ID comes from the browser, so it opens a live stream.
+func TestSSEMalformedSinceRefused(t *testing.T) {
+	b, _, addr := apiRig(t)
+	for _, path := range []string{"/api/v1/heads", "/api/v1/contracts/" + addr + "/events"} {
+		resp, err := b.c.Get(b.url + path + "?since=banana")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env v1Envelope
+		decErr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct == "text/event-stream" {
+			t.Fatalf("%s?since=banana opened a stream", path)
+		}
+		if decErr != nil || resp.StatusCode != http.StatusBadRequest ||
+			env.Error.Code != v1BadRequest || env.Error.Message != `bad since "banana"` {
+			t.Fatalf("%s?since=banana: %d %+v (%v)", path, resp.StatusCode, env.Error, decErr)
+		}
+		openStream(t, b, path, map[string]string{"Last-Event-ID": "banana"}).close()
+	}
+}

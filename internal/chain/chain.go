@@ -112,8 +112,9 @@ type Blockchain struct {
 }
 
 // New creates a memory-only chain from the genesis. Use Open with
-// WithPersistence for a chain that survives restarts; WithExecWorkers
-// applies to both.
+// WithPersistence for a chain that survives restarts. WithExecWorkers
+// applies to both; on a memory-only chain only historical tracing uses
+// its pool, since MineBlock reads each sender from admission.
 func New(g *Genesis, opts ...Option) *Blockchain {
 	var cfg openConfig
 	for _, o := range opts {

@@ -46,9 +46,11 @@ func (bc *Blockchain) execWorkerCount() int {
 	return w
 }
 
-// WithExecWorkers sizes the sender-recovery pool that MineBlock and
-// restart replay fan out on: 0 picks min(GOMAXPROCS, 8), 1 recovers
-// inline. Execution itself is always serial.
+// WithExecWorkers sizes the sender-recovery pool that restart recovery
+// and historical tracing fan out on (recoverSenders): 0 picks
+// min(GOMAXPROCS, 8), 1 recovers inline. MineBlock recovers nothing: it
+// takes each sender that admission recovered from the pool's txMeta.
+// Execution itself is always serial.
 func WithExecWorkers(n int) Option {
 	return func(o *openConfig) { o.execWorkers = n }
 }

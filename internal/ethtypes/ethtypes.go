@@ -38,8 +38,29 @@ func BytesToHash(b []byte) Hash {
 	return h
 }
 
-// HexToHash parses a 0x-prefixed hash, left-padding short input.
+// HexToHash parses a 0x-prefixed hash, left-padding short input. It
+// panics on malformed input: it is for literals and for rows the node
+// wrote itself. Outside input goes through ParseHash.
 func HexToHash(s string) Hash { return BytesToHash(hexutil.MustDecode(s)) }
+
+// ParseHash decodes a hash from outside input: 0x-prefixed hex of
+// exactly HashLength bytes, or an error.
+func ParseHash(s string) (Hash, error) {
+	var h Hash
+	err := decodeExact(h[:], s, "hash")
+	return h, err
+}
+
+// decodeExact decodes 0x-prefixed hex of exactly len(dst) bytes into
+// dst, leaving dst untouched on error.
+func decodeExact(dst []byte, s, what string) error {
+	raw, err := hexutil.Decode(s)
+	if err != nil || len(raw) != len(dst) {
+		return fmt.Errorf("ethtypes: bad %s %q", what, s)
+	}
+	copy(dst, raw)
+	return nil
+}
 
 // Hex returns the 0x-prefixed hex form.
 func (h Hash) Hex() string { return hexutil.Encode(h[:]) }
@@ -58,15 +79,7 @@ func (h *Hash) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	raw, err := hexutil.Decode(s)
-	if err != nil {
-		return err
-	}
-	if len(raw) != HashLength {
-		return fmt.Errorf("ethtypes: hash must be %d bytes, got %d", HashLength, len(raw))
-	}
-	copy(h[:], raw)
-	return nil
+	return decodeExact(h[:], s, "hash")
 }
 
 // Address is a 20-byte account identifier.
@@ -79,8 +92,17 @@ func BytesToAddress(b []byte) Address {
 	return a
 }
 
-// HexToAddress parses a 0x-prefixed address.
+// HexToAddress parses a 0x-prefixed address. Like HexToHash it panics
+// on malformed input; outside input goes through ParseAddress.
 func HexToAddress(s string) Address { return BytesToAddress(hexutil.MustDecode(s)) }
+
+// ParseAddress decodes an address from outside input: 0x-prefixed hex
+// of exactly AddressLength bytes, or an error.
+func ParseAddress(s string) (Address, error) {
+	var a Address
+	err := decodeExact(a[:], s, "address")
+	return a, err
+}
 
 // Hex returns the 0x-prefixed lowercase hex form.
 func (a Address) Hex() string { return hexutil.Encode(a[:]) }
@@ -99,15 +121,7 @@ func (a *Address) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	raw, err := hexutil.Decode(s)
-	if err != nil {
-		return err
-	}
-	if len(raw) != AddressLength {
-		return fmt.Errorf("ethtypes: address must be %d bytes, got %d", AddressLength, len(raw))
-	}
-	copy(a[:], raw)
-	return nil
+	return decodeExact(a[:], s, "address")
 }
 
 // keccakPool recycles Keccak-256 sponge states: hashing dominates the

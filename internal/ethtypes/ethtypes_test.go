@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,6 +26,38 @@ func TestAddressHexRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`"0x1234"`), &back); err == nil {
 		t.Fatal("short address accepted")
+	}
+}
+
+// TestParseAddressAndHash: the parsers of outside input take 0x-prefixed
+// hex of exactly 20 or 32 bytes and answer an error, never a panic or a
+// padded value, for anything else; UnmarshalJSON applies the same rule.
+func TestParseAddressAndHash(t *testing.T) {
+	addr := "0x5aaeb6053f3e94c9b9a09f33669435e7ef1beaed"
+	hash := "0x" + strings.Repeat("ab", 32)
+	if a, err := ParseAddress(addr); err != nil || a != HexToAddress(addr) {
+		t.Fatalf("ParseAddress(%s) = %s, %v", addr, a, err)
+	}
+	if h, err := ParseHash(hash); err != nil || h != HexToHash(hash) {
+		t.Fatalf("ParseHash(%s) = %s, %v", hash, h, err)
+	}
+	for _, s := range []string{"", "0x", "nothex", addr[2:], addr[:41], addr + "00", "0x" + strings.Repeat("z", 40), hash} {
+		if a, err := ParseAddress(s); err == nil || !a.IsZero() {
+			t.Errorf("ParseAddress(%q) = %s, %v", s, a, err)
+		}
+		var a Address
+		if err := json.Unmarshal([]byte(`"`+s+`"`), &a); err == nil {
+			t.Errorf("Address.UnmarshalJSON(%q) accepted", s)
+		}
+	}
+	for _, s := range []string{"", "0x", "0x12", hash[:65], hash + "00", "0x" + strings.Repeat("z", 64), addr} {
+		if h, err := ParseHash(s); err == nil || !h.IsZero() {
+			t.Errorf("ParseHash(%q) = %s, %v", s, h, err)
+		}
+		var h Hash
+		if err := json.Unmarshal([]byte(`"`+s+`"`), &h); err == nil {
+			t.Errorf("Hash.UnmarshalJSON(%q) accepted", s)
+		}
 	}
 }
 

@@ -298,7 +298,7 @@ func (c *Client) StorageAt(addr ethtypes.Address, slot ethtypes.Hash) (ethtypes.
 	if err != nil {
 		return ethtypes.Hash{}, err
 	}
-	return decodeHash(s)
+	return ethtypes.ParseHash(s)
 }
 
 // GasPrice implements web3.Backend.
@@ -320,11 +320,7 @@ func (c *Client) SendRawTransaction(raw []byte) (ethtypes.Hash, error) {
 	if err != nil {
 		return ethtypes.Hash{}, err
 	}
-	b, err := hexutil.Decode(s)
-	if err != nil {
-		return ethtypes.Hash{}, err
-	}
-	return ethtypes.BytesToHash(b), nil
+	return ethtypes.ParseHash(s)
 }
 
 // appendCallObject writes the eth_call / eth_estimateGas object.
@@ -520,7 +516,7 @@ func (d *wireDecoder) hash(s string, optional bool) ethtypes.Hash {
 	if optional && s == "" {
 		return ethtypes.Hash{}
 	}
-	h, err := decodeHash(s)
+	h, err := ethtypes.ParseHash(s)
 	d.keep(err)
 	return h
 }
@@ -530,7 +526,7 @@ func (d *wireDecoder) addr(s string) *ethtypes.Address {
 	if s == "" {
 		return nil
 	}
-	a, err := parseAddr(s)
+	a, err := ethtypes.ParseAddress(s)
 	d.keep(err)
 	return &a
 }
@@ -538,7 +534,7 @@ func (d *wireDecoder) addr(s string) *ethtypes.Address {
 // log decodes a log; its address and data are required, its position
 // optional.
 func (d *wireDecoder) log(lw logWire) *ethtypes.Log {
-	a, err := parseAddr(lw.Address)
+	a, err := ethtypes.ParseAddress(lw.Address)
 	d.keep(err)
 	l := &ethtypes.Log{Address: a}
 	for _, ts := range lw.Topics {
@@ -594,12 +590,4 @@ func (c *Client) FilterLogs(q chain.FilterQuery) ([]*ethtypes.Log, error) {
 		return nil, d.err
 	}
 	return out, nil
-}
-
-func decodeHash(s string) (ethtypes.Hash, error) {
-	b, err := hexutil.Decode(s)
-	if err != nil || len(b) != 32 {
-		return ethtypes.Hash{}, fmt.Errorf("rpc: bad hash %q", s)
-	}
-	return ethtypes.BytesToHash(b), nil
 }

@@ -52,8 +52,13 @@ func decodeString(raw []byte) (string, bool) {
 	return s, r.Finish() == nil
 }
 
-// decodeStrings decodes raw as json.Unmarshal into a []string does.
+// decodeStrings decodes raw as json.Unmarshal into a []string does,
+// or a lone string (null included) as a list of one: a filter's address
+// and topic members take either.
 func decodeStrings(raw []byte) ([]string, bool) {
+	if s, ok := decodeString(raw); ok {
+		return []string{s}, true
+	}
 	r := jsonwire.NewReader(raw)
 	ss := jsonwire.Slice(r, nil, func(s *string) { r.String(s) })
 	return ss, r.Finish() == nil
@@ -113,11 +118,11 @@ func addrParam(params [][]byte, i int) (ethtypes.Address, error) {
 	if err != nil {
 		return ethtypes.Address{}, err
 	}
-	raw, err := hexutil.Decode(s)
-	if err != nil || len(raw) != 20 {
-		return ethtypes.Address{}, invalidParams("parameter %d: bad address", i)
+	a, err := ethtypes.ParseAddress(s)
+	if err != nil {
+		return a, invalidParams("parameter %d: bad address", i)
 	}
-	return ethtypes.BytesToAddress(raw), nil
+	return a, nil
 }
 
 func hashParam(params [][]byte, i int) (ethtypes.Hash, error) {
@@ -125,11 +130,11 @@ func hashParam(params [][]byte, i int) (ethtypes.Hash, error) {
 	if err != nil {
 		return ethtypes.Hash{}, err
 	}
-	raw, err := hexutil.Decode(s)
-	if err != nil || len(raw) != 32 {
-		return ethtypes.Hash{}, invalidParams("parameter %d: bad hash", i)
+	h, err := ethtypes.ParseHash(s)
+	if err != nil {
+		return h, invalidParams("parameter %d: bad hash", i)
 	}
-	return ethtypes.BytesToHash(raw), nil
+	return h, nil
 }
 
 // boolParam reads an optional boolean parameter, false when absent or
@@ -204,18 +209,15 @@ func callParam(params [][]byte, i int) (*callMsg, error) {
 	}
 	msg := &callMsg{}
 	if obj.from != "" {
-		raw, err := hexutil.Decode(obj.from)
-		if err != nil || len(raw) != 20 {
+		if msg.from, err = ethtypes.ParseAddress(obj.from); err != nil {
 			return nil, invalidParams("bad from address")
 		}
-		msg.from = ethtypes.BytesToAddress(raw)
 	}
 	if obj.to != "" {
-		raw, err := hexutil.Decode(obj.to)
-		if err != nil || len(raw) != 20 {
+		to, err := ethtypes.ParseAddress(obj.to)
+		if err != nil {
 			return nil, invalidParams("bad to address")
 		}
-		to := ethtypes.BytesToAddress(raw)
 		msg.to = &to
 	}
 	if obj.gas != "" {
@@ -313,24 +315,16 @@ func newFilterParam(params [][]byte, i int, latest uint64) (chain.FilterQuery, b
 	}
 	// address: string or array of strings.
 	if len(obj.address) > 0 {
-		if one, ok := decodeString(obj.address); ok {
-			a, err := parseAddr(one)
+		many, ok := decodeStrings(obj.address)
+		if !ok {
+			return q, false, invalidParams("bad address filter")
+		}
+		for _, s := range many {
+			a, err := ethtypes.ParseAddress(s)
 			if err != nil {
-				return q, false, err
+				return q, false, invalidParams("bad address %q", s)
 			}
-			q.Addresses = []ethtypes.Address{a}
-		} else {
-			many, ok := decodeStrings(obj.address)
-			if !ok {
-				return q, false, invalidParams("bad address filter")
-			}
-			for _, s := range many {
-				a, err := parseAddr(s)
-				if err != nil {
-					return q, false, err
-				}
-				q.Addresses = append(q.Addresses, a)
-			}
+			q.Addresses = append(q.Addresses, a)
 		}
 	}
 	// topics: array of (null | string | array of strings).
@@ -339,23 +333,15 @@ func newFilterParam(params [][]byte, i int, latest uint64) (chain.FilterQuery, b
 			q.Topics = append(q.Topics, nil)
 			continue
 		}
-		if one, ok := decodeString(raw); ok {
-			h, err := parseHash(one)
-			if err != nil {
-				return q, false, err
-			}
-			q.Topics = append(q.Topics, []ethtypes.Hash{h})
-			continue
-		}
 		many, ok := decodeStrings(raw)
 		if !ok {
 			return q, false, invalidParams("bad topic filter")
 		}
 		var alts []ethtypes.Hash
 		for _, s := range many {
-			h, err := parseHash(s)
+			h, err := ethtypes.ParseHash(s)
 			if err != nil {
-				return q, false, err
+				return q, false, invalidParams("bad hash %q", s)
 			}
 			alts = append(alts, h)
 		}
@@ -384,20 +370,4 @@ func parseBlockTag(s string, latest uint64) (uint64, error) {
 		}
 		return n, nil
 	}
-}
-
-func parseAddr(s string) (ethtypes.Address, error) {
-	raw, err := hexutil.Decode(s)
-	if err != nil || len(raw) != 20 {
-		return ethtypes.Address{}, invalidParams("bad address %q", s)
-	}
-	return ethtypes.BytesToAddress(raw), nil
-}
-
-func parseHash(s string) (ethtypes.Hash, error) {
-	raw, err := hexutil.Decode(s)
-	if err != nil || len(raw) != 32 {
-		return ethtypes.Hash{}, invalidParams("bad hash %q", s)
-	}
-	return ethtypes.BytesToHash(raw), nil
 }

@@ -102,6 +102,25 @@ func hashParamReference(params []json.RawMessage, i int) (ethtypes.Hash, error) 
 	return ethtypes.BytesToHash(raw), nil
 }
 
+// parseAddrReference and parseHashReference are the filter's address
+// and topic decoders as they stood before ethtypes.ParseAddress and
+// ParseHash, error text included.
+func parseAddrReference(s string) (ethtypes.Address, error) {
+	raw, err := hexutil.Decode(s)
+	if err != nil || len(raw) != 20 {
+		return ethtypes.Address{}, invalidParams("bad address %q", s)
+	}
+	return ethtypes.BytesToAddress(raw), nil
+}
+
+func parseHashReference(s string) (ethtypes.Hash, error) {
+	raw, err := hexutil.Decode(s)
+	if err != nil || len(raw) != 32 {
+		return ethtypes.Hash{}, invalidParams("bad hash %q", s)
+	}
+	return ethtypes.BytesToHash(raw), nil
+}
+
 func boolParamReference(params []json.RawMessage, i int) bool {
 	if i >= len(params) {
 		return false
@@ -207,7 +226,7 @@ func filterParamReference(params []json.RawMessage, i int, latest uint64) (chain
 	if len(obj.Address) > 0 {
 		var one string
 		if err := json.Unmarshal(obj.Address, &one); err == nil {
-			a, err := parseAddr(one)
+			a, err := parseAddrReference(one)
 			if err != nil {
 				return q, err
 			}
@@ -218,7 +237,7 @@ func filterParamReference(params []json.RawMessage, i int, latest uint64) (chain
 				return q, invalidParams("bad address filter")
 			}
 			for _, s := range many {
-				a, err := parseAddr(s)
+				a, err := parseAddrReference(s)
 				if err != nil {
 					return q, err
 				}
@@ -233,7 +252,7 @@ func filterParamReference(params []json.RawMessage, i int, latest uint64) (chain
 		}
 		var one string
 		if err := json.Unmarshal(raw, &one); err == nil {
-			h, err := parseHash(one)
+			h, err := parseHashReference(one)
 			if err != nil {
 				return q, err
 			}
@@ -246,7 +265,7 @@ func filterParamReference(params []json.RawMessage, i int, latest uint64) (chain
 		}
 		var alts []ethtypes.Hash
 		for _, s := range many {
-			h, err := parseHash(s)
+			h, err := parseHashReference(s)
 			if err != nil {
 				return q, err
 			}

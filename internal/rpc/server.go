@@ -340,13 +340,13 @@ func (s *Server) dispatch(ctx context.Context, method string, params [][]byte) (
 		}
 		// A slot comes as a 32-byte word or as a quantity of at most
 		// 256 bits.
-		var slot ethtypes.Hash
-		if word, err := hexutil.Decode(slotHex); err == nil && len(word) == len(slot) {
-			copy(slot[:], word)
-		} else if n, err := hexutil.DecodeBig(slotHex); err == nil && n.BitLen() <= 256 {
+		slot, err := ethtypes.ParseHash(slotHex)
+		if err != nil {
+			n, err := hexutil.DecodeBig(slotHex)
+			if err != nil || n.BitLen() > 256 {
+				return nil, invalidParams("parameter 1: bad storage slot")
+			}
 			n.FillBytes(slot[:])
-		} else {
-			return nil, invalidParams("parameter 1: bad storage slot")
 		}
 		v := s.bc.GetStorageAt(addr, slot).Bytes32()
 		return hexutil.Encode(v[:]), nil

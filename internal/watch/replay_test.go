@@ -188,7 +188,7 @@ func replayRun(t *testing.T, seed int64) {
 	// And both agree with the chain: every tracked contract's on-chain
 	// state matches the folded machine.
 	for _, cs := range stA.Contracts {
-		addr, _ := parseAddr(cs.Address)
+		addr, _ := ethtypes.ParseAddress(cs.Address)
 		onchain, err := client.Bind(addr, loadRentalABI()).CallUint(accs[3].Address, "state")
 		if err != nil {
 			t.Fatal(err)

@@ -34,19 +34,8 @@ import (
 	"legalchain/internal/chain"
 	"legalchain/internal/contracts"
 	"legalchain/internal/ethtypes"
-	"legalchain/internal/hexutil"
 	"legalchain/internal/uint256"
 )
-
-// parseAddr decodes a hex address without the panic of HexToAddress;
-// an alert's empty Contract field parses as no address.
-func parseAddr(s string) (ethtypes.Address, bool) {
-	b, err := hexutil.Decode(s)
-	if err != nil || len(b) != len(ethtypes.Address{}) {
-		return ethtypes.Address{}, false
-	}
-	return ethtypes.BytesToAddress(b), true
-}
 
 // Lifecycle states of a tracked contract.
 const (
@@ -420,7 +409,7 @@ func (t *Tower) recordLocked(ev *Event) {
 	ev.Seq = t.seq
 	t.applyLocked(ev)
 	var cs *contractState
-	if addr, ok := parseAddr(ev.Contract); ok {
+	if addr, err := ethtypes.ParseAddress(ev.Contract); err == nil {
 		cs = t.contracts[addr]
 	}
 	if cs != nil {
@@ -440,7 +429,7 @@ func (t *Tower) recordLocked(ev *Event) {
 // applyLocked folds one event into the state machines and keeps the
 // per-state count in step with them.
 func (t *Tower) applyLocked(ev *Event) {
-	addr, _ := parseAddr(ev.Contract)
+	addr, _ := ethtypes.ParseAddress(ev.Contract)
 	cs := t.contracts[addr]
 	switch ev.Type {
 	case "created":
